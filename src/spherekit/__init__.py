@@ -21,9 +21,7 @@ from .config import (
 )
 from .diagnostics import (
     EnergyReport,
-    GradientNoiseReport,
     SimilarityHistogram,
-    gradient_covariance_gamma,
     histogram_overlap,
     pca_energy_report,
     similarity_histograms,
@@ -52,16 +50,12 @@ from .evaluation import (
     retrieve,
 )
 from .geometry import (
-    Descriptor,
     PcaModel,
     TokenGrid,
-    cosine_similarity_matrix,
     cumulative_energy,
     gem_pool_backward,
-    l2_normalize,
     normalize_rows,
     pca_fit,
-    pca_transform,
     pca_transform_rows,
     pool,
 )
@@ -71,12 +65,9 @@ from .objective import (
     LabeledEmbeddingBatch,
     LossOutput,
     TermBreakdown,
-    backprop_through_normalization,
     backprop_through_normalization_rows,
     combined_loss,
-    conditional_entropy_proxy,
     contrastive_loss,
-    entropy_proxy,
     koleo_loss,
 )
 from .trainer import (

@@ -33,12 +33,12 @@ from .evaluation import (
     recall_at_k,
     retrieve,
 )
-from .geometry import pca_fit, pca_transform_rows, normalize_rows
+from .geometry import pca_fit, pca_transform_rows
 from .trainer import (
     EncoderHead,
     LabeledFeatureDataset,
-    build_synthetic_dataset,
-    split_holdout,
+    forward,
+    synthetic_splits,
     train_run,
 )
 
@@ -113,34 +113,29 @@ def _load_file_dataset(features_path, labels_path) -> LabeledFeatureDataset:
     return LabeledFeatureDataset(features=features, labels=labels)
 
 
+def _train_split(config: RunConfig):
+    """Training dataset plus the synthetic held-out split (None for files)."""
+    if config.synthetic is not None:
+        return synthetic_splits(config)
+    data = config.data
+    return _load_file_dataset(data.train_features, data.train_labels), None
+
+
 def _resolve_splits(config: RunConfig):
     """Training and evaluation datasets per the config's data source."""
-    if config.synthetic is not None:
-        full = build_synthetic_dataset(config.synthetic, config.pooling)
-        train, holdout = split_holdout(full, config.synthetic.holdout_classes)
-        return train, (holdout if holdout is not None else train)
+    train, eval_ds = _train_split(config)
     data = config.data
-    train = _load_file_dataset(data.train_features, data.train_labels)
-    if data.eval_features is not None:
+    if data is not None and data.eval_features is not None:
         if data.eval_labels is None:
             raise ConfigError("data.eval_features given without data.eval_labels")
-        return train, _load_file_dataset(data.eval_features, data.eval_labels)
-    return train, train
-
-
-def _embeddings(head: EncoderHead, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    E, _ = head.apply(X)
-    return E, normalize_rows(E)
+        eval_ds = _load_file_dataset(data.eval_features, data.eval_labels)
+    return train, (eval_ds if eval_ds is not None else train)
 
 
 def cmd_train(args) -> int:
     config = _apply_overrides(load_run_config(args.config), args)
     out_dir = Path(args.out_dir)
-    if config.synthetic is not None:
-        full = build_synthetic_dataset(config.synthetic, config.pooling)
-        dataset, _ = split_holdout(full, config.synthetic.holdout_classes)
-    else:
-        dataset = _load_file_dataset(config.data.train_features, config.data.train_labels)
+    dataset, _ = _train_split(config)
     model, trace = train_run(config, dataset)
 
     sk_io.write_json_atomic(out_dir / "head.json", {"head": model.head.to_dict()})
@@ -184,10 +179,10 @@ def _category_eval(config: RunConfig, head: EncoderHead, out_dir: Path) -> int:
     has_query_files = (
         config.data is not None and config.data.query_features is not None
     )
-    E_eval, Z_eval = _embeddings(head, eval_ds.features)
+    E_eval, Z_eval = forward(head, eval_ds.features)
     pca_block = None
     if config.pca_out_dim is not None:
-        E_train, _ = _embeddings(head, train.features)
+        E_train, _ = forward(head, train.features)
         pca_model = pca_fit(E_train, config.pca_out_dim)
         Z_eval = pca_transform_rows(pca_model, E_eval)
         pca_block = {
@@ -199,7 +194,7 @@ def _category_eval(config: RunConfig, head: EncoderHead, out_dir: Path) -> int:
         queries_ds = _load_file_dataset(
             config.data.query_features, config.data.query_labels
         )
-        E_q, Z_q = _embeddings(head, queries_ds.features)
+        E_q, Z_q = forward(head, queries_ds.features)
         if config.pca_out_dim is not None:
             Z_q = pca_transform_rows(pca_model, E_q)
         rankings = retrieve(index, Z_q, exclude_self=False)
@@ -240,11 +235,11 @@ def _particular_eval(config: RunConfig, head: EncoderHead, args, out_dir: Path) 
 
     gallery = _load_file_dataset(data.eval_features, data.eval_labels)
     queries = _load_file_dataset(data.query_features, data.query_labels)
-    E_g, Z_g = _embeddings(head, gallery.features)
-    E_q, Z_q = _embeddings(head, queries.features)
+    E_g, Z_g = forward(head, gallery.features)
+    E_q, Z_q = forward(head, queries.features)
     if config.pca_out_dim is not None:
         train = _load_file_dataset(data.train_features, data.train_labels)
-        E_train, _ = _embeddings(head, train.features)
+        E_train, _ = forward(head, train.features)
         pca_model = pca_fit(E_train, config.pca_out_dim)
         Z_g = pca_transform_rows(pca_model, E_g)
         Z_q = pca_transform_rows(pca_model, E_q)
@@ -293,7 +288,7 @@ def cmd_diagnose(args) -> int:
     head = _load_head(args.model)
     dataset = _load_file_dataset(args.features, args.labels)
     out_dir = Path(args.out_dir)
-    _, Z = _embeddings(head, dataset.features)
+    _, Z = forward(head, dataset.features)
 
     report = pca_energy_report(Z)
     sk_io.write_csv_atomic(

@@ -12,13 +12,15 @@ Three instruments for judging an embedding beyond task metrics:
   per-sample contrastive-loss gradients, normalize each to unit length,
   form their unbiased covariance (n-1 denominator), and take its nuclear
   norm; average over measured steps. Aligned gradient directions give a
-  small value, conflicting directions a large one.
+  small value, conflicting directions a large one. The nuclear norm is
+  computed as the trace of a PSD covariance (the two are equal), so no
+  covariance matrix or SVD is ever formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -30,12 +32,10 @@ __all__ = [
     "GRAD_NORM_FLOOR",
     "SimilarityHistogram",
     "EnergyReport",
-    "GradientNoiseReport",
     "similarity_histograms",
     "histogram_overlap",
     "pca_energy_report",
     "step_gradient_dispersion",
-    "gradient_covariance_gamma",
 ]
 
 # Cumulative-energy levels summarized by pca_energy_report, in percent.
@@ -157,22 +157,6 @@ def pca_energy_report(Z, thresholds: Iterable[int] = ENERGY_THRESHOLDS) -> Energ
     return EnergyReport(cumulative=cumulative, components_for=components_for)
 
 
-@dataclass(frozen=True)
-class GradientNoiseReport:
-    """Average nuclear norm of per-step gradient-direction covariances.
-
-    ``beta`` and ``lam`` echo the objective configuration the gradients came
-    from, so a report is interpretable on its own.
-    """
-
-    gamma: float
-    num_steps: int
-    beta: float
-    lam: float
-    per_step: np.ndarray
-    steps_skipped: int
-
-
 def step_gradient_dispersion(per_sample_grads) -> float | None:
     """Nuclear norm of the covariance of unit-normalized gradient rows.
 
@@ -189,40 +173,6 @@ def step_gradient_dispersion(per_sample_grads) -> float | None:
     if int(keep.sum()) < 2:
         return None
     U = G[keep] / norms[keep][:, None]
-    mean = U.mean(axis=0)
-    centered = U - mean
-    cov = centered.T @ centered / (U.shape[0] - 1)
-    singulars = np.linalg.svd(cov, compute_uv=False)
-    return float(singulars.sum())
-
-
-def gradient_covariance_gamma(
-    loss_config,
-    grad_stream: Iterable[np.ndarray] | Sequence[np.ndarray],
-) -> GradientNoiseReport:
-    """Average :func:`step_gradient_dispersion` over a stream of steps.
-
-    ``loss_config`` supplies the ``beta``/``lam`` echo recorded in the report
-    (any object with those attributes works). Steps where every per-sample
-    gradient is (near) zero are skipped; if all steps are skipped there is
-    nothing to average and NumericalError is raised.
-    """
-    per_step = []
-    skipped = 0
-    for grads in grad_stream:
-        value = step_gradient_dispersion(grads)
-        if value is None:
-            skipped += 1
-        else:
-            per_step.append(value)
-    if not per_step:
-        raise NumericalError("no step had enough nonzero per-sample gradients")
-    per_step_arr = np.asarray(per_step, dtype=np.float64)
-    return GradientNoiseReport(
-        gamma=float(per_step_arr.mean()),
-        num_steps=len(per_step),
-        beta=float(loss_config.beta),
-        lam=float(loss_config.lam),
-        per_step=per_step_arr,
-        steps_skipped=skipped,
-    )
+    centered = U - U.mean(axis=0)
+    # Sum of squared centered entries / (n-1) is the covariance trace.
+    return float(np.sum(centered * centered) / (U.shape[0] - 1))

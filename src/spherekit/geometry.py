@@ -23,15 +23,11 @@ __all__ = [
     "UNIT_ATOL",
     "POOLING_MODES",
     "TokenGrid",
-    "Descriptor",
     "PcaModel",
-    "l2_normalize",
     "normalize_rows",
     "pool",
     "gem_pool_backward",
-    "cosine_similarity_matrix",
     "pca_fit",
-    "pca_transform",
     "pca_transform_rows",
     "cumulative_energy",
 ]
@@ -88,48 +84,6 @@ class TokenGrid:
     @property
     def dim(self) -> int:
         return self.cls_token.shape[0]
-
-
-@dataclass(frozen=True)
-class Descriptor:
-    """A single embedding vector; ``normalized`` asserts it sits on the sphere."""
-
-    values: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self):
-        values = _as_float_vector(self.values, "values")
-        if values.shape[0] < 2:
-            raise ShapeError("descriptor dimension must be at least 2")
-        if not np.all(np.isfinite(values)):
-            raise NumericalError("descriptor contains non-finite values")
-        if self.normalized:
-            norm = float(np.linalg.norm(values))
-            if abs(norm - 1.0) > UNIT_ATOL:
-                raise NormalizationError(
-                    f"descriptor marked normalized has norm {norm!r}"
-                )
-        object.__setattr__(self, "values", values)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-
-def l2_normalize(v) -> Descriptor:
-    """Project a vector onto the unit sphere.
-
-    Raises NormalizationError when the norm is zero or not finite. Applying
-    the function to an already-normalized vector changes nothing beyond one
-    rounding step, so it is idempotent to within ~1e-16.
-    """
-    values = _as_float_vector(v, "v")
-    if values.shape[0] < 2:
-        raise ShapeError("cannot normalize a vector of dimension < 2")
-    norm = float(np.linalg.norm(values))
-    if not np.isfinite(norm) or norm == 0.0:
-        raise NormalizationError(f"cannot normalize vector with norm {norm!r}")
-    return Descriptor(values / norm, normalized=True)
 
 
 def normalize_rows(X) -> np.ndarray:
@@ -190,25 +144,6 @@ def gem_pool_backward(tokens, p: float, grad_output) -> np.ndarray:
     active = tokens > GEM_CLAMP  # strictly above the floor
     grad = grad_output[None, :] * outer[None, :] * clamped ** (p - 1.0)
     return np.where(active, grad, 0.0)
-
-
-def cosine_similarity_matrix(A, B) -> np.ndarray:
-    """Pairwise dot products between unit rows of A (n, d) and B (m, d).
-
-    Both inputs must already be row-normalized; entries are clipped to
-    [-1, 1] only by construction, never explicitly.
-    """
-    A = _as_float_matrix(A, "A")
-    B = _as_float_matrix(B, "B")
-    if A.shape[1] != B.shape[1]:
-        raise ShapeError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-    for name, M in (("A", A), ("B", B)):
-        norms = np.linalg.norm(M, axis=1)
-        off = np.abs(norms - 1.0)
-        if off.size and float(off.max()) > UNIT_ATOL:
-            i = int(np.argmax(off))
-            raise NormalizationError(f"{name} row {i} has norm {norms[i]!r}, expected unit")
-    return A @ B.T
 
 
 @dataclass(frozen=True)
@@ -282,20 +217,8 @@ def pca_fit(X, out_dim: int) -> PcaModel:
     return PcaModel(mean=mean, components=components, eigenvalues=eigenvalues)
 
 
-def pca_transform(model: PcaModel, v) -> Descriptor:
-    """Center, project, and renormalize a single vector."""
-    values = _as_float_vector(v, "v")
-    if values.shape[0] != model.mean.shape[0]:
-        raise ShapeError(
-            f"vector dim {values.shape[0]} != model input dim {model.mean.shape[0]}"
-        )
-    if model.out_dim < 2:
-        raise ShapeError("projection output dimension must be at least 2")
-    return l2_normalize(model.components @ (values - model.mean))
-
-
 def pca_transform_rows(model: PcaModel, X) -> np.ndarray:
-    """Batch variant of :func:`pca_transform`; returns (n, out_dim) unit rows."""
+    """Center, project, and renormalize rows; returns (n, out_dim) unit rows."""
     X = _as_float_matrix(X, "X")
     if X.shape[1] != model.mean.shape[0]:
         raise ShapeError(

@@ -44,9 +44,6 @@ __all__ = [
     "contrastive_loss",
     "koleo_loss",
     "combined_loss",
-    "conditional_entropy_proxy",
-    "entropy_proxy",
-    "backprop_through_normalization",
     "backprop_through_normalization_rows",
 ]
 
@@ -134,11 +131,16 @@ class TermBreakdown:
 
 @dataclass(frozen=True)
 class LossOutput:
-    """Scalar loss with its gradient over the batch rows (always N rows)."""
+    """Scalar loss with its gradient over the batch rows (always N rows).
+
+    ``contrastive_grad`` is the contrastive term's share of ``grad`` (None
+    for the entropy term alone); the gradient-noise measurement reads it.
+    """
 
     value: float
     grad: np.ndarray
     term_breakdown: TermBreakdown
+    contrastive_grad: Optional[np.ndarray] = None
 
 
 def _memory_arrays(memory: Optional["MemoryView"]):
@@ -204,6 +206,7 @@ def contrastive_loss(
         value=value,
         grad=grad,
         term_breakdown=TermBreakdown(positive=positive, negative=negative, regularizer=0.0),
+        contrastive_grad=grad,
     )
 
 
@@ -255,7 +258,7 @@ def combined_loss(
 
     With ``lam == 0`` the entropy computation is skipped entirely, so the
     result (value, gradient, and error behavior) is exactly that of
-    :func:`contrastive_loss`.
+    :func:`contrastive_loss`. An empty memory view counts as no memory.
     """
     contr = contrastive_loss(batch, memory, config.beta)
     if config.lam == 0.0:
@@ -273,58 +276,16 @@ def combined_loss(
             negative=contr.term_breakdown.negative,
             regularizer=ent.value,
         ),
+        contrastive_grad=contr.grad,
     )
 
 
-def conditional_entropy_proxy(batch: LabeledEmbeddingBatch) -> float:
-    """Within-class spread: ``(1/N) sum over same-label ordered pairs of (1 - s_ij)``.
-
-    Reported as the literal double sum over the batch, with no extra
-    proportionality constant. Lower means classes have collapsed to points.
-    """
-    Z = batch.embeddings
-    labels = batch.labels
-    n = Z.shape[0]
-    sims = Z @ Z.T
-    same = labels[:, None] == labels[None, :]
-    np.fill_diagonal(same, False)
-    return float(np.sum(np.where(same, 1.0 - sims, 0.0))) / n
-
-
-def entropy_proxy(batch: LabeledEmbeddingBatch, beta: float) -> float:
-    """Global spread: ``-(1/N) sum over different-label pairs of max(s_ij - beta, 0)``.
-
-    Higher (closer to zero) means cross-class pairs respect the margin.
-    """
-    _check_beta(beta)
-    Z = batch.embeddings
-    labels = batch.labels
-    n = Z.shape[0]
-    sims = Z @ Z.T
-    diff = labels[:, None] != labels[None, :]
-    active = diff & (sims > beta)
-    return -float(np.sum(np.where(active, sims - beta, 0.0))) / n
-
-
-def backprop_through_normalization(e, grad_z) -> np.ndarray:
-    """Pull a gradient at z = e/||e|| back to the pre-normalization vector e.
-
-    Computes ``(I - z z^T) grad_z / ||e||`` without materializing the
-    projector.
-    """
-    e = np.asarray(e, dtype=np.float64)
-    grad_z = np.asarray(grad_z, dtype=np.float64)
-    if e.shape != grad_z.shape or e.ndim != 1:
-        raise ShapeError(f"mismatched shapes {e.shape} vs {grad_z.shape}")
-    norm = float(np.linalg.norm(e))
-    if not np.isfinite(norm) or norm == 0.0:
-        raise NormalizationError(f"cannot backpropagate through norm {norm!r}")
-    z = e / norm
-    return (grad_z - float(z @ grad_z) * z) / norm
-
-
 def backprop_through_normalization_rows(E, grad_Z) -> np.ndarray:
-    """Row-wise variant of :func:`backprop_through_normalization`."""
+    """Pull gradients at Z = E/||E|| (row-wise) back to the raw rows E.
+
+    Each row gets ``(I - z z^T) g / ||e||``, computed without materializing
+    the projector.
+    """
     E = np.asarray(E, dtype=np.float64)
     grad_Z = np.asarray(grad_Z, dtype=np.float64)
     if E.shape != grad_Z.shape or E.ndim != 2:

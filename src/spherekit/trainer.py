@@ -46,12 +46,13 @@ from .errors import (
     TrainingError,
 )
 from .geometry import TokenGrid, normalize_rows, pool
-from .memory import MemoryBank, MemoryView, MomentumTrack
+from .memory import MemoryBank, MomentumTrack
 from .objective import (
+    ContrastiveConfig,
     LabeledEmbeddingBatch,
     backprop_through_normalization_rows,
-    contrastive_loss,
-    koleo_loss,
+    combined_loss,
+    contrastive_loss,  # noqa: F401  re-exported: the benchmark's tracer test reads it here
 )
 
 __all__ = [
@@ -76,6 +77,7 @@ __all__ = [
     "make_synthetic_grids",
     "build_synthetic_dataset",
     "split_holdout",
+    "synthetic_splits",
     "train_run",
 ]
 
@@ -497,6 +499,16 @@ def split_holdout(
     return train, eval_
 
 
+def synthetic_splits(
+    config: RunConfig,
+) -> tuple[LabeledFeatureDataset, LabeledFeatureDataset | None]:
+    """The config's synthetic dataset, split into training and held-out classes."""
+    if config.synthetic is None:
+        raise ConfigError("config has no synthetic source")
+    full = build_synthetic_dataset(config.synthetic, config.pooling)
+    return split_holdout(full, config.synthetic.holdout_classes)
+
+
 @dataclass(frozen=True)
 class TraceRow:
     """One optimization step: total loss and its unweighted components."""
@@ -570,6 +582,7 @@ class _RunState:
         self.opt = OptimizerState.initialize(
             self.head.params(), lr=config.lr, weight_decay=config.weight_decay
         )
+        self.loss_config = ContrastiveConfig(beta=config.beta, lam=config.lam)
         capacity = int(math.floor(config.memory_capacity_ratio * len(dataset)))
         self.bank = MemoryBank(capacity, config.head.out_dim)
         self.track = (
@@ -590,33 +603,22 @@ class _RunState:
             raise TrainingError(f"embedding collapsed to zero norm ({exc})", step) from exc
         batch = LabeledEmbeddingBatch(Z, labels, validate=False)
 
-        view = self.bank.view()
-        memory: MemoryView | None = view if len(view) else None
-        contr = contrastive_loss(batch, memory, config.beta)
-        if config.lam == 0.0:
-            value = contr.value
-            grad_Z = contr.grad
-            reg_value = 0.0
-        else:
-            try:
-                ent = koleo_loss(batch)
-            except DegenerateBatchError as exc:
-                raise DegenerateBatchError(str(exc), step=step) from exc
-            value = contr.value + config.lam * ent.value
-            grad_Z = contr.grad + config.lam * ent.grad
-            reg_value = ent.value
-        if not np.isfinite(value) or not np.all(np.isfinite(grad_Z)):
-            raise TrainingError(f"loss or gradient is non-finite (loss={value!r})", step)
+        try:
+            out = combined_loss(batch, self.bank.view(), self.loss_config)
+        except DegenerateBatchError as exc:
+            raise DegenerateBatchError(str(exc), step=step) from exc
+        if not np.isfinite(out.value) or not np.all(np.isfinite(out.grad)):
+            raise TrainingError(f"loss or gradient is non-finite (loss={out.value!r})", step)
 
         if step % config.gamma_every == 0:
-            dispersion = step_gradient_dispersion(contr.grad)
+            dispersion = step_gradient_dispersion(out.contrastive_grad)
             if dispersion is None:
                 self.trace.gamma_skipped += 1
             else:
                 self.trace.gamma_steps.append(step)
                 self.trace.gamma_values.append(dispersion)
 
-        grad_E = backprop_through_normalization_rows(E, grad_Z)
+        grad_E = backprop_through_normalization_rows(E, out.grad)
         grads = self.head.backward(cache, grad_E)
         adamw_step(self.head.params(), grads, self.opt)
         if self.track is not None:
@@ -631,13 +633,14 @@ class _RunState:
             raise TrainingError(f"post-step embedding degenerate ({exc})", step) from exc
         self.bank.enqueue(LabeledEmbeddingBatch(Z_mem, labels, validate=False))
 
+        terms = out.term_breakdown
         self.trace.rows.append(
             TraceRow(
                 step=step,
-                loss=value,
-                positive=contr.term_breakdown.positive,
-                negative=contr.term_breakdown.negative,
-                regularizer=reg_value,
+                loss=out.value,
+                positive=terms.positive,
+                negative=terms.negative,
+                regularizer=terms.regularizer,
             )
         )
         if config.snapshot_every > 0 and (step + 1) % config.snapshot_every == 0:
@@ -722,10 +725,7 @@ def train_run(
     its holdout classes (if any) are excluded from training.
     """
     if dataset is None:
-        if config.synthetic is None:
-            raise ConfigError("no dataset given and config has no synthetic source")
-        full = build_synthetic_dataset(config.synthetic, config.pooling)
-        dataset, _ = split_holdout(full, config.synthetic.holdout_classes)
+        dataset, _ = synthetic_splits(config)
     state = _RunState(config, dataset)
     if config.mode == "category":
         _run_category(state)

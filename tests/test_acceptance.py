@@ -28,7 +28,9 @@ from spherekit import (
     EncoderHead,
     HeadSpec,
     LabeledEmbeddingBatch,
+    MemoryBank,
     MemoryView,
+    MomentumTrack,
     OptimizerState,
     QueryGroundTruth,
     RankedList,
@@ -678,6 +680,70 @@ def test_zero_capacity_matches_memoryless_loop_bitwise():
     _, trace = train_run(config, dataset)
     actual = [row.loss for row in trace.rows]
     assert actual == expected, "loss traces differ despite zero-capacity memory"
+
+
+def test_memory_and_momentum_run_matches_reference_loop_bitwise():
+    """A run whose memory wraps, filled by a momentum encoder, equals a hand loop."""
+    config = RunConfig(
+        mode="category",
+        iterations=30,
+        seed=23,
+        head=HeadSpec(out_dim=4, hidden=3),
+        beta=0.5,
+        lam=0.7,
+        lr=0.02,
+        weight_decay=1e-3,
+        batch_size=8,
+        instances_per_class=2,
+        memory_capacity_ratio=0.5,
+        momentum_m=0.9,
+        synthetic=SyntheticSpec(
+            num_classes=5, per_class=6, feature_dim=5, noise_sigma=0.3, seed=100,
+            holdout_classes=0,
+        ),
+    )
+    dataset = build_synthetic_dataset(config.synthetic, config.pooling)
+    loss_config = ContrastiveConfig(config.beta, config.lam)
+
+    # Reference loop: sample, loss against the memory as it stood, update,
+    # then enqueue the batch re-embedded by the momentum shadow.
+    rng = np.random.default_rng(config.seed)
+    head = EncoderHead.initialize(
+        rng, dataset.dim, config.head.out_dim, config.head.hidden
+    )
+    opt = OptimizerState.initialize(
+        head.params(), lr=config.lr, weight_decay=config.weight_decay
+    )
+    bank = MemoryBank(15, config.head.out_dim)  # floor(0.5 * 30 rows)
+    track = MomentumTrack(head.params(), config.momentum_m)
+    expected = []
+    for step in range(config.iterations):
+        batch = sample_category_batch(
+            dataset, config.batch_size, config.instances_per_class, rng
+        )
+        E, cache = head.apply(batch.features)
+        emb = LabeledEmbeddingBatch(normalize_rows(E), batch.labels, validate=False)
+        out = combined_loss(emb, bank.view(), loss_config)
+        terms = out.term_breakdown
+        expected.append(
+            (step, out.value, terms.positive, terms.negative, terms.regularizer)
+        )
+        grad_E = backprop_through_normalization_rows(E, out.grad)
+        adamw_step(head.params(), head.backward(cache, grad_E), opt)
+        track.update(head.params())
+        E_mem, _ = EncoderHead.from_params(track.shadow).apply(batch.features)
+        bank.enqueue(
+            LabeledEmbeddingBatch(normalize_rows(E_mem), batch.labels, validate=False)
+        )
+    # 240 rows went through a 15-row ring, so it filled and wrapped many times.
+    assert len(bank) == bank.capacity
+
+    model, trace = train_run(config, dataset)
+    actual = [(r.step, r.loss, r.positive, r.negative, r.regularizer) for r in trace.rows]
+    assert actual == expected, "trace rows differ from the reference memory loop"
+    for key, value in head.params().items():
+        assert model.head.params()[key].tobytes() == value.tobytes()
+        assert model.momentum.shadow[key].tobytes() == track.shadow[key].tobytes()
 
 
 def test_memory_widens_loss_but_never_gradient_rows():

@@ -7,17 +7,13 @@ a covariance matrix is positive semidefinite, its nuclear norm equals its
 trace, which for unit rows is n(1 - |mean|^2)/(n-1).
 """
 
-import math
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spherekit import (
-    ContrastiveConfig,
     NumericalError,
     SimilarityHistogram,
-    gradient_covariance_gamma,
     histogram_overlap,
     pca_energy_report,
     similarity_histograms,
@@ -193,26 +189,3 @@ class TestStepGradientDispersion:
         assert step_gradient_dispersion(np.zeros((4, 3))) is None
         one_row = np.vstack([np.ones((1, 3)), np.zeros((3, 3))])
         assert step_gradient_dispersion(one_row) is None
-
-
-class TestGradientCovarianceGamma:
-    def test_averages_usable_steps(self):
-        rng = np.random.default_rng(92)
-        cfg = ContrastiveConfig(beta=0.4, lam=0.7)
-        stream = [rng.standard_normal((6, 4)) for _ in range(5)]
-        stream.insert(2, np.zeros((6, 4)))  # skipped step
-        report = gradient_covariance_gamma(cfg, stream)
-        per_step = [step_gradient_dispersion(g) for g in stream if np.any(g)]
-        assert report.num_steps == 5
-        assert report.steps_skipped == 1
-        assert report.beta == 0.4
-        assert report.lam == 0.7
-        assert_allclose(report.per_step, per_step, rtol=0, atol=0)
-        assert_allclose(
-            report.gamma, math.fsum(per_step) / len(per_step), rtol=1e-15, atol=0
-        )
-
-    def test_all_skipped_raises(self):
-        cfg = ContrastiveConfig(beta=0.5, lam=0.0)
-        with pytest.raises(NumericalError):
-            gradient_covariance_gamma(cfg, [np.zeros((4, 3)), np.zeros((4, 3))])

@@ -11,24 +11,20 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spherekit import (
-    Descriptor,
     NormalizationError,
     NumericalError,
     PoolingError,
     TokenGrid,
-    cosine_similarity_matrix,
     cumulative_energy,
     gem_pool_backward,
-    l2_normalize,
     normalize_rows,
     pca_fit,
-    pca_transform,
     pca_transform_rows,
     pool,
 )
 from spherekit.errors import ShapeError
 
-from conftest import central_diff, rel_err, unit_rows
+from conftest import central_diff, rel_err
 
 # (mean((1^100 + 3^100)/2))^(1/100) and same for the (2, 4) column,
 # from exact integer sums and a high-precision 100th root.
@@ -44,31 +40,31 @@ def grid(tokens, cls=None):
 
 
 class TestL2Normalize:
+    """Row-wise L2 normalization through ``normalize_rows``."""
+
     def test_three_four_five(self):
-        out = l2_normalize(np.array([3.0, 4.0]))
-        assert isinstance(out, Descriptor)
-        assert out.normalized
-        assert_allclose(out.values, [0.6, 0.8], rtol=0, atol=1e-15)
+        out = normalize_rows(np.array([[3.0, 4.0]]))
+        assert_allclose(out, [[0.6, 0.8]], rtol=0, atol=1e-15)
 
     def test_idempotent(self):
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            v = rng.standard_normal(7) * rng.uniform(0.1, 50.0)
-            once = l2_normalize(v).values
-            twice = l2_normalize(once).values
-            assert_allclose(twice, once, rtol=0, atol=1e-12)
-            assert_allclose(np.linalg.norm(once), 1.0, rtol=0, atol=1e-12)
+        X = rng.standard_normal((20, 7)) * rng.uniform(0.1, 50.0, size=(20, 1))
+        once = normalize_rows(X)
+        twice = normalize_rows(once)
+        assert_allclose(twice, once, rtol=0, atol=1e-12)
+        assert_allclose(np.linalg.norm(once, axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_zero_vector_raises(self):
         with pytest.raises(NormalizationError):
-            l2_normalize(np.zeros(4))
+            normalize_rows(np.zeros((1, 4)))
 
     def test_rows_match_single(self):
+        # each row is normalized on its own: one-row calls give the same bits
         rng = np.random.default_rng(12)
         X = rng.standard_normal((6, 5))
         rows = normalize_rows(X)
         for i in range(6):
-            assert_array_equal(rows[i], l2_normalize(X[i]).values)
+            assert_array_equal(rows[i], normalize_rows(X[i : i + 1])[0])
 
     def test_rows_zero_row_raises(self):
         X = np.ones((3, 4))
@@ -161,24 +157,6 @@ class TestGemBackward:
         assert grads[0, 0] != 0.0
 
 
-class TestCosineSimilarity:
-    def test_symmetric_unit_diagonal(self):
-        rng = np.random.default_rng(16)
-        Z = unit_rows(rng, 12, 6)
-        S = cosine_similarity_matrix(Z, Z)
-        assert_allclose(S, S.T, rtol=0, atol=1e-9)
-        assert_allclose(np.diag(S), np.ones(12), rtol=0, atol=1e-9)
-        assert_allclose(S, Z @ Z.T, rtol=0, atol=0)
-
-    def test_rejects_non_unit_rows(self):
-        rng = np.random.default_rng(17)
-        A = unit_rows(rng, 3, 4)
-        B = unit_rows(rng, 3, 4)
-        B[1] *= 1.5
-        with pytest.raises(NormalizationError):
-            cosine_similarity_matrix(A, B)
-
-
 def svd_pca_oracle(X, out_dim):
     """Independent PCA route: SVD of the centered data matrix."""
     X = np.asarray(X, dtype=np.float64)
@@ -228,27 +206,27 @@ class TestPca:
         rng = np.random.default_rng(22)
         X = rng.standard_normal((30, 5))
         model = pca_fit(X, out_dim=5)
-        for v in X[:10]:
-            y = pca_transform(model, v).values
-            back = model.components.T @ y
-            expected = l2_normalize(v - model.mean).values
-            assert_allclose(back, expected, rtol=0, atol=1e-8)
+        Y = pca_transform_rows(model, X[:10])
+        back = Y @ model.components
+        expected = normalize_rows(X[:10] - model.mean)
+        assert_allclose(back, expected, rtol=0, atol=1e-8)
 
     def test_transform_is_unit(self):
         rng = np.random.default_rng(23)
         X = rng.standard_normal((20, 6))
         model = pca_fit(X, out_dim=3)
-        y = pca_transform(model, X[0])
-        assert_allclose(np.linalg.norm(y.values), 1.0, rtol=0, atol=1e-12)
+        Y = pca_transform_rows(model, X)
+        assert_allclose(np.linalg.norm(Y, axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_transform_rows_matches_single(self):
+        # rows are transformed independently of each other
         rng = np.random.default_rng(24)
         X = rng.standard_normal((15, 6))
         model = pca_fit(X, out_dim=4)
         rows = pca_transform_rows(model, X[:5])
         for i in range(5):
             assert_allclose(
-                rows[i], pca_transform(model, X[i]).values, rtol=0, atol=1e-15
+                rows[i], pca_transform_rows(model, X[i : i + 1])[0], rtol=0, atol=1e-15
             )
 
     def test_mean_vector_raises(self):
@@ -256,7 +234,7 @@ class TestPca:
         X = rng.standard_normal((12, 5))
         model = pca_fit(X, out_dim=3)
         with pytest.raises(NormalizationError):
-            pca_transform(model, model.mean.copy())
+            pca_transform_rows(model, model.mean[None, :].copy())
 
     def test_fit_preconditions(self):
         rng = np.random.default_rng(26)

@@ -19,12 +19,9 @@ from spherekit import (
     MemoryBank,
     NormalizationError,
     NumericalError,
-    backprop_through_normalization,
     backprop_through_normalization_rows,
     combined_loss,
-    conditional_entropy_proxy,
     contrastive_loss,
-    entropy_proxy,
     koleo_loss,
 )
 from spherekit.errors import ShapeError
@@ -355,13 +352,22 @@ class TestCombined:
 
 
 class TestEntropyProxies:
+    """The two contrastive terms read as mutual-information proxies.
+
+    The positive term is the within-class spread (a conditional-entropy
+    proxy) and minus the negative term the cross-class spread (an entropy
+    proxy); both come from ``contrastive_loss(...).term_breakdown``.
+    """
+
     def test_conditional_example(self):
         b = batch([[1.0, 0.0], [0.8, 0.6]], [3, 3])
-        assert_allclose(conditional_entropy_proxy(b), 0.2, rtol=1e-12, atol=0)
+        terms = contrastive_loss(b, None, 0.5).term_breakdown
+        assert_allclose(terms.positive, 0.2, rtol=1e-12, atol=0)
 
     def test_entropy_example(self):
         b = batch([[1.0, 0.0], [0.7, np.sqrt(0.51)]], [0, 1])
-        assert_allclose(entropy_proxy(b, beta=0.5), -0.2, rtol=1e-12, atol=0)
+        terms = contrastive_loss(b, None, 0.5).term_breakdown
+        assert_allclose(-terms.negative, -0.2, rtol=1e-12, atol=0)
 
     def test_against_pair_loops(self):
         rng = np.random.default_rng(700)
@@ -378,29 +384,26 @@ class TestEntropyProxies:
                     cond_terms.append(1.0 - s)
                 elif s > 0.5:
                     ent_terms.append(s - 0.5)
-        b = batch(Z, labels)
-        assert_allclose(
-            conditional_entropy_proxy(b), math.fsum(cond_terms) / n, rtol=1e-12
-        )
-        assert_allclose(
-            entropy_proxy(b, beta=0.5), -math.fsum(ent_terms) / n, rtol=1e-12
-        )
+        terms = contrastive_loss(batch(Z, labels), None, 0.5).term_breakdown
+        assert_allclose(terms.positive, math.fsum(cond_terms) / n, rtol=1e-12)
+        assert_allclose(-terms.negative, -math.fsum(ent_terms) / n, rtol=1e-12)
 
 
 class TestNormalizationBackprop:
     def test_single_vector_finite_differences(self):
         rng = np.random.default_rng(800)
         for _ in range(10):
-            e = rng.standard_normal(6) * rng.uniform(0.2, 4.0)
-            g = rng.standard_normal(6)
+            e = rng.standard_normal((1, 6)) * rng.uniform(0.2, 4.0)
+            g = rng.standard_normal((1, 6))
 
             def f(x):
-                return float(g @ (x / np.linalg.norm(x)))
+                return float(np.sum(g * (x / np.linalg.norm(x))))
 
-            analytic = backprop_through_normalization(e, g)
+            analytic = backprop_through_normalization_rows(e, g)
             assert rel_err(central_diff(f, e), analytic) < 1e-6
 
     def test_rows_match_single(self):
+        # rows are independent: one-row calls reproduce the batched rows
         rng = np.random.default_rng(801)
         E = rng.standard_normal((7, 5))
         G = rng.standard_normal((7, 5))
@@ -408,7 +411,7 @@ class TestNormalizationBackprop:
         for i in range(7):
             assert_allclose(
                 rows[i],
-                backprop_through_normalization(E[i], G[i]),
+                backprop_through_normalization_rows(E[i : i + 1], G[i : i + 1])[0],
                 rtol=0,
                 atol=1e-15,
             )
@@ -416,10 +419,11 @@ class TestNormalizationBackprop:
     def test_output_is_tangent(self):
         # the normalized vector never changes along its own direction
         rng = np.random.default_rng(802)
-        e = rng.standard_normal(8)
-        g = rng.standard_normal(8)
-        back = backprop_through_normalization(e, g)
-        assert abs(float(back @ (e / np.linalg.norm(e)))) < 1e-12
+        E = rng.standard_normal((6, 8))
+        G = rng.standard_normal((6, 8))
+        back = backprop_through_normalization_rows(E, G)
+        radial = np.sum(back * E, axis=1) / np.linalg.norm(E, axis=1)
+        assert np.max(np.abs(radial)) < 1e-12
 
 
 class TestBatchValidation:
