@@ -323,8 +323,7 @@ def cmd_diagnose(args) -> int:
         if args.config is None:
             raise ConfigError("--gamma needs --config to define the training run")
         config = load_run_config(args.config)
-        train_split, _ = _resolve_splits(config)
-        _, trace = train_run(config, train_split)
+        _, trace = train_run(config, _train_split(config)[0])
         if trace.mean_gamma is None:
             raise NumericalError("no step yielded usable per-sample gradients")
         summary["gamma"] = {

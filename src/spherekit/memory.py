@@ -3,8 +3,11 @@
 The memory bank is a fixed-capacity FIFO ring over past descriptors. Entries
 are stored exactly as enqueued (already unit-normalized) and are never
 recomputed when the encoder moves on; staleness is bounded by capacity. A
-view is a read-only snapshot: loss code may compare anchors against it, but
-no gradient ever flows into stored rows.
+view is a read-only window onto the ring, valid until the next enqueue: while
+the stored rows are contiguous it shares the ring's memory, and only once the
+ring has wrapped does it copy (one concatenation into oldest-first order).
+Loss code may compare anchors against it, but no gradient ever flows into
+stored rows.
 
 The momentum track keeps an exponentially averaged copy of the encoder
 parameters, updated as ``shadow = m * shadow + (1 - m) * online`` after every
@@ -27,7 +30,12 @@ __all__ = ["MemoryView", "MemoryBank", "MomentumTrack"]
 
 @dataclass(frozen=True)
 class MemoryView:
-    """Read-only snapshot of bank contents, oldest entry first."""
+    """Read-only window onto bank contents, oldest entry first.
+
+    Both arrays are non-writeable and valid until the bank's next
+    ``enqueue``, which may overwrite the rows they show; copy them to keep
+    them longer.
+    """
 
     descriptors: np.ndarray
     labels: np.ndarray
@@ -97,15 +105,21 @@ class MemoryBank:
         self._size = min(self._size + n, self.capacity)
 
     def view(self) -> MemoryView:
-        """Snapshot current contents (copies), ordered oldest to newest."""
-        if self._size < self.capacity:
-            idx = np.arange(self._size)
+        """Current contents, oldest to newest, as read-only arrays.
+
+        Slices of the ring while its live rows are contiguous (not yet full,
+        or the cursor back at row 0); one concatenated copy after a wrap.
+        """
+        if self._size < self.capacity or self._cursor == 0:
+            descriptors = self._descriptors[: self._size]
+            labels = self._labels[: self._size]
         else:
-            idx = (self._cursor + np.arange(self.capacity)) % self.capacity
-        return MemoryView(
-            descriptors=self._descriptors[idx].copy(),
-            labels=self._labels[idx].copy(),
-        )
+            c = self._cursor
+            descriptors = np.concatenate([self._descriptors[c:], self._descriptors[:c]])
+            labels = np.concatenate([self._labels[c:], self._labels[:c]])
+        descriptors.flags.writeable = False
+        labels.flags.writeable = False
+        return MemoryView(descriptors=descriptors, labels=labels)
 
 
 class MomentumTrack:

@@ -195,9 +195,13 @@ def contrastive_loss(
         sims_m = Z @ mem_Z.T
         same_m = labels[:, None] == mem_labels[None, :]
         active_m = ~same_m & (sims_m > beta)
-        positive += float(np.sum(np.where(same_m, 1.0 - sims_m, 0.0))) / n
-        negative += float(np.sum(np.where(active_m, sims_m - beta, 0.0))) / n
-        grad += (active_m.astype(np.float64) - same_m.astype(np.float64)) @ mem_Z / n
+        positive += float(np.sum(1.0 - sims_m[same_m])) / n
+        negative += float(np.sum(sims_m[active_m] - beta)) / n
+        # A memory column with no positive and no active hinge pair adds
+        # exact zeros to the gradient, so only touched columns are multiplied.
+        cols = np.flatnonzero(np.any(same_m | active_m, axis=0))
+        coef = active_m[:, cols].astype(np.float64) - same_m[:, cols]
+        grad += coef @ mem_Z[cols] / n
 
     value = positive + negative
     if not np.isfinite(value):

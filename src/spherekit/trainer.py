@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,7 +90,11 @@ CANDIDATES_PER_EPOCH_FULL = 22000
 
 @dataclass(frozen=True)
 class LabeledFeatureDataset:
-    """Raw (pre-head) feature rows with one integer label each."""
+    """Raw (pre-head) feature rows with one integer label each.
+
+    ``labels`` is a private read-only copy, so the class index built on
+    first use can never go stale.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -105,8 +110,10 @@ class LabeledFeatureDataset:
             raise ShapeError(f"labels must be integers, got dtype {labels.dtype}")
         if not np.all(np.isfinite(features)):
             raise NumericalError("features contain non-finite values")
+        labels = np.array(labels, dtype=np.int64)
+        labels.flags.writeable = False
         object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", np.ascontiguousarray(labels, dtype=np.int64))
+        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -115,12 +122,20 @@ class LabeledFeatureDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
+    @cached_property
+    def _class_table(self) -> tuple[dict[int, np.ndarray], np.ndarray, np.ndarray]:
+        """(label -> sorted row indices, ascending labels, rows per label)."""
+        order = np.argsort(self.labels, kind="stable")
+        order.flags.writeable = False  # the groups below are views of it
+        classes, starts, counts = np.unique(
+            self.labels[order], return_index=True, return_counts=True
+        )
+        groups = np.split(order, starts[1:])
+        return dict(zip(classes.tolist(), groups)), classes, counts
+
     def class_indices(self) -> dict[int, np.ndarray]:
-        """Label -> sorted row indices, labels in ascending order."""
-        out: dict[int, np.ndarray] = {}
-        for label in np.unique(self.labels):
-            out[int(label)] = np.flatnonzero(self.labels == label)
-        return out
+        """Label -> sorted row indices, labels in ascending order (built once)."""
+        return self._class_table[0]
 
 
 @dataclass(frozen=True)
@@ -392,14 +407,14 @@ def sample_category_batch(
             f"{instances_per_class}"
         )
     num_classes = batch_size // instances_per_class
-    by_class = dataset.class_indices()
-    eligible = [c for c, idx in by_class.items() if idx.size >= instances_per_class]
-    if len(eligible) < num_classes:
+    by_class, classes, counts = dataset._class_table
+    eligible = classes[counts >= instances_per_class]
+    if eligible.size < num_classes:
         raise SamplingError(
             f"need {num_classes} classes with >= {instances_per_class} rows, "
-            f"only {len(eligible)} available"
+            f"only {eligible.size} available"
         )
-    chosen = rng.choice(np.asarray(eligible, dtype=np.int64), size=num_classes, replace=False)
+    chosen = rng.choice(eligible, size=num_classes, replace=False)
     parts = []
     for c in chosen:
         parts.append(rng.choice(by_class[int(c)], size=instances_per_class, replace=False))

@@ -283,6 +283,43 @@ class TestDiagnose:
         assert gamma["steps_skipped"] == 0
         assert np.isfinite(gamma["gamma"])
 
+    def test_gamma_reads_only_the_training_files(self, tmp_path):
+        # eval_features without eval_labels: train accepts it, so must diagnose
+        rng = np.random.default_rng(11)
+        write_features(tmp_path / "X.emb", rng.standard_normal((12, 5)))
+        write_labels(tmp_path / "y.labels", np.repeat([0, 1, 2], 4))
+        write_head(tmp_path / "head.json", in_dim=5, out_dim=4)
+        cfg = {
+            "mode": "category",
+            "iterations": 2,
+            "seed": 0,
+            "head": {"out_dim": 4},
+            "batch_size": 4,
+            "instances_per_class": 2,
+            "data": {
+                "train_features": str(tmp_path / "X.emb"),
+                "train_labels": str(tmp_path / "y.labels"),
+                "eval_features": str(tmp_path / "X.emb"),
+            },
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "run")]) == 0
+        out = tmp_path / "diag"
+        code = main(
+            [
+                "diagnose",
+                "--model", str(tmp_path / "head.json"),
+                "--features", str(tmp_path / "X.emb"),
+                "--labels", str(tmp_path / "y.labels"),
+                "--gamma",
+                "--config", str(cfg_path),
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["gamma"]["num_steps"] == 2
+
     def test_gamma_without_config_exits_two(self, tmp_path, capsys):
         rng = np.random.default_rng(10)
         write_features(tmp_path / "X.emb", rng.standard_normal((6, 5)))

@@ -43,15 +43,26 @@ class TestMemoryBank:
         assert len(view) == 2
         assert_array_equal(view.labels, [3, 1])
 
-    def test_view_returns_copies(self):
+    def test_view_is_read_only(self):
         bank = MemoryBank(capacity=3, dim=8)
         bank.enqueue(one_hot_batch([0, 1, 2]))
         view = bank.view()
-        view.descriptors[0, 0] = 99.0
-        view.labels[0] = 99
+        with pytest.raises(ValueError):
+            view.descriptors[0, 0] = 99.0
+        with pytest.raises(ValueError):
+            view.labels[0] = 99
+        # An unwrapped ring is shown in place, not copied.
+        assert np.shares_memory(view.descriptors, bank.view().descriptors)
+        assert np.shares_memory(view.labels, bank.view().labels)
         fresh = bank.view()
         assert fresh.descriptors[0, 0] == 1.0
         assert fresh.labels[0] == 0
+        # A wrapped ring is copied into oldest-first order, still read-only.
+        bank.enqueue(one_hot_batch([3, 4]))
+        wrapped = bank.view()
+        assert_array_equal(wrapped.labels, [2, 3, 4])
+        with pytest.raises(ValueError):
+            wrapped.descriptors[0, 0] = 99.0
 
     def test_capacity_zero_is_noop(self):
         bank = MemoryBank(capacity=0, dim=8)

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spherekit import (
@@ -17,6 +19,7 @@ from spherekit import (
     DegenerateBatchError,
     LabeledEmbeddingBatch,
     MemoryBank,
+    MemoryView,
     NormalizationError,
     NumericalError,
     backprop_through_normalization_rows,
@@ -222,6 +225,70 @@ class TestContrastiveAgainstOracle:
 
         out = contrastive_loss(batch(Z, labels), view, 0.5)
         assert rel_err(central_diff(f, Z), out.grad) < FD_RTOL
+
+
+def dense_contrastive_reference(Z, labels, beta, mem_Z, mem_labels):
+    """The dense masked formulas: every memory column enters every sum."""
+    n = Z.shape[0]
+    sims = Z @ Z.T
+    same = labels[:, None] == labels[None, :]
+    np.fill_diagonal(same, False)
+    active = (labels[:, None] != labels[None, :]) & (sims > beta)
+    positive = float(np.sum(np.where(same, 1.0 - sims, 0.0))) / n
+    negative = float(np.sum(np.where(active, sims - beta, 0.0))) / n
+    grad = (2.0 / n) * ((active.astype(np.float64) - same.astype(np.float64)) @ Z)
+    sims_m = Z @ mem_Z.T
+    same_m = labels[:, None] == mem_labels[None, :]
+    active_m = ~same_m & (sims_m > beta)
+    positive += float(np.sum(np.where(same_m, 1.0 - sims_m, 0.0))) / n
+    negative += float(np.sum(np.where(active_m, sims_m - beta, 0.0))) / n
+    grad += (active_m.astype(np.float64) - same_m.astype(np.float64)) @ mem_Z / n
+    return positive + negative, positive, negative, grad
+
+
+class TestMemoryTermProperty:
+    """The memory term equals the dense formulas.
+
+    The sums gather masked similarities and the gradient multiplies touched
+    memory columns only; the reference enters every column everywhere.
+
+    ``case`` picks the memory: random labels; labels disjoint from the batch
+    with the margin at the largest similarity (no column touched); or labels
+    drawn from the batch's own (every column touched).
+    """
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.integers(2, 12),
+        m=st.integers(1, 40),
+        d=st.integers(2, 8),
+        beta=st.floats(0.05, 0.95),
+        case=st.sampled_from(["random", "none_active", "all_touched"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=5, m=1, d=3, beta=0.3, case="random", seed=0)
+    @example(n=5, m=1, d=3, beta=0.3, case="none_active", seed=1)
+    @example(n=5, m=1, d=3, beta=0.3, case="all_touched", seed=2)
+    def test_matches_dense_reference(self, n, m, d, beta, case, seed):
+        rng = np.random.default_rng(seed)
+        Z = unit_rows(rng, n, d)
+        labels = rng.integers(0, 4, size=n)
+        mem_Z = unit_rows(rng, m, d)
+        if case == "none_active":
+            mem_labels = rng.integers(4, 8, size=m)
+            beta = max(float((Z @ mem_Z.T).max()), 0.05)  # strict hinge: inactive
+        elif case == "all_touched":
+            mem_labels = rng.choice(labels, size=m)
+        else:
+            mem_labels = rng.integers(0, 6, size=m)
+        out = contrastive_loss(batch(Z, labels), MemoryView(mem_Z, mem_labels), beta)
+        value, positive, negative, grad = dense_contrastive_reference(
+            Z, labels, beta, mem_Z, mem_labels
+        )
+        assert_allclose(out.value, value, rtol=1e-12, atol=0)
+        assert_allclose(out.term_breakdown.positive, positive, rtol=1e-12, atol=0)
+        assert_allclose(out.term_breakdown.negative, negative, rtol=1e-12, atol=0)
+        assert np.allclose(out.grad, grad)
 
 
 class TestKoleo:

@@ -226,6 +226,35 @@ class TestCategorySampler:
         with pytest.raises(SamplingError):
             sample_category_batch(ds, 8, 4, np.random.default_rng(0))
 
+    def test_class_indices_built_once_on_read_only_labels(self):
+        rng = np.random.default_rng(39)
+        labels = rng.permutation(np.repeat([7, -3, 0, 12, -8], [5, 1, 4, 3, 6]))
+        ds = LabeledFeatureDataset(rng.standard_normal((labels.size, 3)), labels)
+        by_class = ds.class_indices()
+        assert list(by_class) == [-8, -3, 0, 7, 12]
+        for label, rows in by_class.items():
+            assert_array_equal(rows, np.flatnonzero(labels == label))
+        assert ds.class_indices() is by_class
+        with pytest.raises(ValueError):
+            ds.labels[0] = 99
+        labels[:] = 0  # the caller's array is not the dataset's
+        assert list(ds.class_indices()) == [-8, -3, 0, 7, 12]
+
+    def test_draws_match_per_step_class_scan(self):
+        # Reference: rebuild the class map and eligible list every call.
+        rng = np.random.default_rng(40)
+        labels = rng.permutation(np.repeat(np.arange(9) * 3 - 5, [2, 5, 4, 1, 6, 3, 4, 2, 5]))
+        ds = LabeledFeatureDataset(rng.standard_normal((labels.size, 3)), labels)
+        ours, ref = np.random.default_rng(41), np.random.default_rng(41)
+        for _ in range(20):
+            batch = sample_category_batch(ds, 9, 3, ours)
+            eligible = [c for c in np.unique(labels) if np.sum(labels == c) >= 3]
+            chosen = ref.choice(np.asarray(eligible, dtype=np.int64), size=3, replace=False)
+            expected = np.concatenate(
+                [ref.choice(np.flatnonzero(labels == c), size=3, replace=False) for c in chosen]
+            )
+            assert_array_equal(batch.indices, expected)
+
 
 class TestHardNegativeMining:
     def test_matches_sort_oracle(self):
