@@ -45,6 +45,8 @@ from .evaluation import (
     RankedList,
     RetrievalIndex,
     average_precision,
+    blocked_mean_average_precision,
+    blocked_recall_at_k,
     mean_average_precision,
     recall_at_k,
     retrieve,

@@ -29,9 +29,9 @@ from .errors import ConfigError, FormatError, NumericalError, ToolkitError
 from .evaluation import (
     QueryGroundTruth,
     RetrievalIndex,
-    mean_average_precision,
-    recall_at_k,
-    retrieve,
+    blocked_mean_average_precision,
+    blocked_recall_at_k,
+    retrieve,  # noqa: F401  bench/test_bench.py::test_tracer_restores_every_patched_name reads it here
 )
 from .geometry import pca_fit, pca_transform_rows
 from .trainer import (
@@ -197,14 +197,15 @@ def _category_eval(config: RunConfig, head: EncoderHead, out_dir: Path) -> int:
         E_q, Z_q = forward(head, queries_ds.features)
         if config.pca_out_dim is not None:
             Z_q = pca_transform_rows(pca_model, E_q)
-        rankings = retrieve(index, Z_q, exclude_self=False)
         query_labels = queries_ds.labels
+        recalls = blocked_recall_at_k(
+            index, Z_q, query_labels, config.eval_ks, gallery_labels=eval_ds.labels
+        )
     else:
-        rankings = retrieve(index, Z_eval, exclude_self=True)
         query_labels = eval_ds.labels
-    recalls = recall_at_k(
-        rankings, query_labels, config.eval_ks, gallery_labels=eval_ds.labels
-    )
+        recalls = blocked_recall_at_k(
+            index, Z_eval, query_labels, config.eval_ks, exclude_self=True
+        )
     metrics = {
         "command": "eval",
         "version": __version__,
@@ -244,18 +245,13 @@ def _particular_eval(config: RunConfig, head: EncoderHead, args, out_dir: Path) 
         Z_g = pca_transform_rows(pca_model, E_g)
         Z_q = pca_transform_rows(pca_model, E_q)
     records = sk_io.read_ground_truth(gt_path, gallery_size=len(gallery))
-    ground_truths = [
-        records.get(i, QueryGroundTruth(easy=[], hard=[], junk=[]))
-        for i in range(len(queries))
-    ]
-    index = RetrievalIndex(gallery=Z_g)
-    rankings = retrieve(index, Z_q, exclude_self=False)
-    maps = {}
-    skipped = {}
-    for split in ("medium", "hard"):
-        value, skip = mean_average_precision(rankings, ground_truths, split)
-        maps[split] = value
-        skipped[split] = skip
+    no_record = QueryGroundTruth(easy=[], hard=[], junk=[])
+    ground_truths = [records.get(i, no_record) for i in range(len(queries))]
+    per_split = blocked_mean_average_precision(
+        RetrievalIndex(gallery=Z_g), Z_q, ground_truths, ("medium", "hard")
+    )
+    maps = {split: value for split, (value, _) in per_split.items()}
+    skipped = {split: skip for split, (_, skip) in per_split.items()}
     metrics = {
         "command": "eval",
         "version": __version__,

@@ -25,6 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NumericalError, ShapeError
+from .evaluation import score_blocks
 from .geometry import cumulative_energy, pca_fit
 
 __all__ = [
@@ -78,8 +79,15 @@ class SimilarityHistogram:
         return self.bin_edges.shape[0] - 1
 
 
-def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
-    """Histogram all unordered pairwise similarities, split by label match."""
+def similarity_histograms(
+    Z, labels, num_bins: int = 50, block_rows: int | None = None
+) -> SimilarityHistogram:
+    """Histogram all unordered pairwise similarities, split by label match.
+
+    Rows are scored in blocks (``evaluation.score_blocks``, sized by its byte
+    budget unless ``block_rows`` is given) and each block's pairs above the
+    diagonal are binned, so memory stays bounded by the block, not by n^2.
+    """
     Z = np.asarray(Z, dtype=np.float64)
     labels = np.asarray(labels)
     if Z.ndim != 2 or Z.shape[0] < 2:
@@ -88,21 +96,24 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
         raise ShapeError("one label per row required")
     if num_bins < 2:
         raise ShapeError(f"num_bins must be >= 2, got {num_bins}")
-    sims = Z @ Z.T
-    iu = np.triu_indices(Z.shape[0], k=1)
-    # Unit-row dot products can exceed +/-1 by float dust; clipping keeps
-    # every pair inside the binned range.
-    pair_sims = np.clip(sims[iu], -1.0, 1.0)
-    pair_same = labels[iu[0]] == labels[iu[1]]
     edges = np.linspace(-1.0, 1.0, num_bins + 1)
-    # np.histogram uses half-open bins with a closed final bin, matching the
-    # right-exclusive-except-last convention.
-    pos_counts, _ = np.histogram(pair_sims[pair_same], bins=edges)
-    neg_counts, _ = np.histogram(pair_sims[~pair_same], bins=edges)
+    pos_counts = np.zeros(num_bins, dtype=np.int64)
+    neg_counts = np.zeros(num_bins, dtype=np.int64)
+    columns = np.arange(Z.shape[0])
+    for start, S in score_blocks(Z, Z, block_rows):
+        rows = columns[start : start + S.shape[0], None]
+        upper = columns[start:] > rows
+        # Unit-row dot products can exceed +/-1 by float dust; clipping keeps
+        # every pair inside the binned range.
+        pair_sims = S[:, start:][upper]
+        np.clip(pair_sims, -1.0, 1.0, out=pair_sims)
+        pair_same = (labels[rows] == labels[start:])[upper]
+        # np.histogram uses half-open bins with a closed final bin, matching
+        # the right-exclusive-except-last convention.
+        pos_counts += np.histogram(pair_sims[pair_same], bins=edges)[0]
+        neg_counts += np.histogram(pair_sims[~pair_same], bins=edges)[0]
     return SimilarityHistogram(
-        bin_edges=edges,
-        positive_counts=pos_counts.astype(np.int64),
-        negative_counts=neg_counts.astype(np.int64),
+        bin_edges=edges, positive_counts=pos_counts, negative_counts=neg_counts
     )
 
 

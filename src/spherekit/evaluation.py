@@ -1,4 +1,4 @@
-"""Retrieval evaluation: full rankings, recall@K, and mean average precision.
+"""Retrieval evaluation: recall@K and mean average precision.
 
 Ranking is by descending cosine similarity with ties broken by ascending
 gallery index, so results are reproducible bit-for-bit. Average precision
@@ -8,13 +8,25 @@ positive set depends on the difficulty split, and
 ``AP = (1/|P|) * sum_k k / rank_k`` over the positives in ranked order.
 Per-query term sums use math.fsum, so equal inputs give equal floats on any
 summation path.
+
+Two routes reach the same formulas. ``blocked_recall_at_k`` and
+``blocked_mean_average_precision`` (what ``spherekit eval`` runs) stream
+blocks of query rows against the gallery, at most ``SCORE_BLOCK_BYTES`` of
+scores at a time, and count ranks instead of sorting: a query's first-hit
+rank is 1 + the number of non-positive gallery items ahead of its best
+positive, and a positive's rank is 1 + the number of kept (non-junk) items
+with a higher score, or an equal score and a lower index. Memory is bounded
+by the block budget, not by queries x gallery. ``retrieve`` builds every
+query's full ``RankedList``; ``recall_at_k`` and ``average_precision`` read
+ranks off those positions. They are the reference the blocked route is
+tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,6 +35,7 @@ from .geometry import UNIT_ATOL
 
 __all__ = [
     "SPLITS",
+    "SCORE_BLOCK_BYTES",
     "RetrievalIndex",
     "RankedList",
     "QueryGroundTruth",
@@ -30,9 +43,16 @@ __all__ = [
     "recall_at_k",
     "average_precision",
     "mean_average_precision",
+    "score_blocks",
+    "blocked_recall_at_k",
+    "blocked_mean_average_precision",
 ]
 
 SPLITS = ("easy", "medium", "hard")
+
+# Bytes of float64 scores one query block may hold. Counting ranks in a block
+# takes about three times this in temporaries, so it also bounds peak memory.
+SCORE_BLOCK_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -136,6 +156,23 @@ class QueryGroundTruth:
                 )
 
 
+def _check_queries(index: RetrievalIndex, queries, exclude_self: bool) -> np.ndarray:
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2:
+        raise ShapeError("queries must be 2-D")
+    if queries.shape[1] != index.gallery.shape[1]:
+        raise ShapeError(
+            f"query dim {queries.shape[1]} != gallery dim {index.gallery.shape[1]}"
+        )
+    if not np.all(np.isfinite(queries)):
+        raise NumericalError("queries contain non-finite values")
+    if exclude_self and queries.shape[0] != len(index):
+        raise ShapeError(
+            "exclude_self requires the query set and gallery to be the same size"
+        )
+    return queries
+
+
 def retrieve(
     index: RetrievalIndex, queries: np.ndarray, exclude_self: bool = False
 ) -> list[RankedList]:
@@ -145,17 +182,7 @@ def retrieve(
     the gallery: entry i is removed from ranking i. Ties in similarity are
     broken by ascending gallery index (stable sort on negated scores).
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2:
-        raise ShapeError("queries must be 2-D")
-    if queries.shape[1] != index.gallery.shape[1]:
-        raise ShapeError(
-            f"query dim {queries.shape[1]} != gallery dim {index.gallery.shape[1]}"
-        )
-    if exclude_self and queries.shape[0] != len(index):
-        raise ShapeError(
-            "exclude_self requires the query set and gallery to be the same size"
-        )
+    queries = _check_queries(index, queries, exclude_self)
     sims = queries @ index.gallery.T
     order = np.argsort(-sims, axis=1, kind="stable")
     out = []
@@ -165,6 +192,59 @@ def retrieve(
             idx = idx[idx != i]
         out.append(RankedList(indices=idx, scores=sims[i, idx]))
     return out
+
+
+def score_blocks(
+    queries: np.ndarray, gallery: np.ndarray, block_rows: int | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(start, queries[start:stop] @ gallery.T)`` over blocks of rows.
+
+    ``block_rows`` defaults to as many rows as fit in ``SCORE_BLOCK_BYTES``
+    (at least 2). A 1-row product runs as a matrix-vector call whose sums can
+    differ in the last bits from the same row of a many-row product, so a
+    1-row tail is merged into the block before it; only a single query is
+    ever scored alone.
+    """
+    if block_rows is None:
+        block_rows = max(2, SCORE_BLOCK_BYTES // (8 * max(gallery.shape[0], 1)))
+    if block_rows < 2:
+        raise ValueError(f"block_rows must be >= 2, got {block_rows}")
+    n = queries.shape[0]
+    start = 0
+    while start < n:
+        stop = min(start + block_rows, n)
+        if n - stop == 1:
+            stop = n
+        yield start, queries[start:stop] @ gallery.T
+        start = stop
+
+
+def _label_arrays(labels, gallery_labels):
+    """Query labels, and gallery labels defaulting to them (leave-one-out)."""
+    query_labels = np.ascontiguousarray(labels, dtype=np.int64)
+    if gallery_labels is None:
+        return query_labels, query_labels
+    return query_labels, np.ascontiguousarray(gallery_labels, dtype=np.int64)
+
+
+def _recall_cutoffs(ks: Iterable[int], depth: int) -> list[int]:
+    ks = sorted(set(int(k) for k in ks))
+    if not ks or ks[0] < 1:
+        raise ProtocolError("recall cutoffs must be positive integers")
+    if ks[-1] > depth:
+        raise ProtocolError(f"K={ks[-1]} exceeds usable ranking depth {depth}")
+    return ks
+
+
+def _recall_from_first_hits(
+    first_hits: np.ndarray, ks: list[int], num_queries: int
+) -> dict[int, float]:
+    """Recall@K from the 1-based first-hit ranks of queries that have a positive."""
+    if first_hits.size == 0:
+        raise ProtocolError(
+            "no query has a same-label gallery item; recall is undefined"
+        )
+    return {k: int(np.count_nonzero(first_hits <= k)) / num_queries for k in ks}
 
 
 def recall_at_k(
@@ -182,38 +262,68 @@ def recall_at_k(
     positive in the gallery (the metric would be vacuous) or when K exceeds
     the usable ranking depth.
     """
-    query_labels = np.ascontiguousarray(labels, dtype=np.int64)
-    if gallery_labels is None:
-        gallery_labels = query_labels
-    else:
-        gallery_labels = np.ascontiguousarray(gallery_labels, dtype=np.int64)
+    query_labels, gallery_labels = _label_arrays(labels, gallery_labels)
     if len(rankings) != query_labels.shape[0]:
         raise ShapeError("one label per query ranking required")
-    ks = sorted(set(int(k) for k in ks))
-    if not ks or ks[0] < 1:
-        raise ProtocolError("recall cutoffs must be positive integers")
-    depth = min((len(r) for r in rankings), default=0)
-    if ks[-1] > depth:
-        raise ProtocolError(f"K={ks[-1]} exceeds usable ranking depth {depth}")
-    any_positive = False
-    hits = {k: 0 for k in ks}
+    ks = _recall_cutoffs(ks, min((len(r) for r in rankings), default=0))
+    first_hits = []
     for ranking, label in zip(rankings, query_labels):
         if ranking.indices.size and int(ranking.indices.max()) >= gallery_labels.shape[0]:
             raise ShapeError("ranking refers to indices outside the labeled gallery")
-        ranked_labels = gallery_labels[ranking.indices]
-        if np.any(ranked_labels == label):
-            any_positive = True
-        match_positions = np.flatnonzero(ranked_labels[: ks[-1]] == label)
-        first = int(match_positions[0]) + 1 if match_positions.size else None
-        for k in ks:
-            if first is not None and first <= k:
-                hits[k] += 1
-    if not any_positive:
-        raise ProtocolError(
-            "no query has a same-label gallery item; recall is undefined"
+        match_positions = np.flatnonzero(gallery_labels[ranking.indices] == label)
+        if match_positions.size:
+            first_hits.append(int(match_positions[0]) + 1)
+    return _recall_from_first_hits(
+        np.asarray(first_hits, dtype=np.int64), ks, query_labels.shape[0]
+    )
+
+
+def blocked_recall_at_k(
+    index: RetrievalIndex,
+    queries: np.ndarray,
+    labels: np.ndarray,
+    ks: Iterable[int],
+    gallery_labels: np.ndarray | None = None,
+    exclude_self: bool = False,
+    block_rows: int | None = None,
+) -> dict[int, float]:
+    """``recall_at_k(retrieve(index, queries, exclude_self), ...)`` without rankings.
+
+    Each query's first-hit rank is counted in its score block: its best
+    positive is the same-label item (self excluded) with the highest score,
+    lowest index among equals, and the rank is 1 + the number of other items
+    with a higher score, or an equal score and a lower index. Arguments,
+    errors and results are those of ``recall_at_k``; the usable depth is the
+    gallery size, minus one with ``exclude_self``.
+    """
+    queries = _check_queries(index, queries, exclude_self)
+    query_labels, gallery_labels = _label_arrays(labels, gallery_labels)
+    if query_labels.shape != (queries.shape[0],):
+        raise ShapeError("one label per query required")
+    if gallery_labels.shape != (len(index),):
+        raise ShapeError("one label per gallery row required")
+    ks = _recall_cutoffs(ks, len(index) - int(exclude_self))
+    columns = np.arange(len(index))
+    first_hits = []
+    for start, S in score_blocks(queries, index.gallery, block_rows):
+        rows = np.arange(S.shape[0])
+        positive = query_labels[start : start + rows.size, None] == gallery_labels
+        if exclude_self:
+            positive[rows, start + rows] = False
+            S[rows, start + rows] = -np.inf  # never ahead of a finite score
+        found = positive.any(axis=1)
+        best = np.max(S, axis=1, where=positive, initial=-np.inf)[:, None]
+        tied = S == best
+        first = np.argmax(tied & positive, axis=1)[:, None]
+        ahead = np.count_nonzero(S > best, axis=1) + np.count_nonzero(
+            tied & (columns < first), axis=1
         )
-    n = query_labels.shape[0]
-    return {k: hits[k] / n for k in ks}
+        first_hits.append(ahead[found] + 1)
+    return _recall_from_first_hits(
+        np.concatenate(first_hits) if first_hits else np.zeros(0, np.int64),
+        ks,
+        queries.shape[0],
+    )
 
 
 def _effective_sets(gt: QueryGroundTruth, split: str):
@@ -251,9 +361,19 @@ def average_precision(ranking: RankedList, gt: QueryGroundTruth, split: str) -> 
             f"ranking covers {found} of {positives.size} positives; "
             "ground-truth indices must appear in the ranking"
         )
-    ranks = np.flatnonzero(is_pos) + 1  # 1-based ranks after junk removal
-    terms = [(k + 1) / int(r) for k, r in enumerate(ranks)]
-    return math.fsum(terms) / positives.size
+    return _average_precision_from_ranks(np.flatnonzero(is_pos) + 1)
+
+
+def _average_precision_from_ranks(ranks: np.ndarray) -> float:
+    """``(1/|P|) * sum_k k / rank_k`` from the positives' ascending 1-based
+    ranks after junk removal, one rank per positive."""
+    return math.fsum((k + 1) / int(r) for k, r in enumerate(ranks)) / len(ranks)
+
+
+def _mean_of_scored(values: list[float], split: str) -> float:
+    if not values:
+        raise ProtocolError(f"every query is empty under the {split!r} split")
+    return math.fsum(values) / len(values)
 
 
 def mean_average_precision(
@@ -277,6 +397,44 @@ def mean_average_precision(
             skipped.append(i)
             continue
         values.append(average_precision(ranking, gt, split))
-    if not values:
-        raise ProtocolError(f"every query is empty under the {split!r} split")
-    return math.fsum(values) / len(values), skipped
+    return _mean_of_scored(values, split), skipped
+
+
+def blocked_mean_average_precision(
+    index: RetrievalIndex,
+    queries: np.ndarray,
+    ground_truths: Sequence[QueryGroundTruth],
+    splits: Sequence[str],
+    block_rows: int | None = None,
+) -> dict[str, tuple[float, list[int]]]:
+    """``mean_average_precision(retrieve(index, queries), ...)`` for each split,
+    from one pass over the score blocks and without rankings.
+
+    A positive's rank after junk removal is 1 + the number of kept items with
+    a higher score, or an equal score and a lower index. Ground-truth indices
+    must lie inside the gallery (ProtocolError otherwise); skipping and the
+    all-skipped error are those of ``mean_average_precision``.
+    """
+    queries = _check_queries(index, queries, exclude_self=False)
+    if len(ground_truths) != queries.shape[0]:
+        raise ShapeError("one ground-truth record per query required")
+    for gt in ground_truths:
+        gt.check_bounds(len(index))
+    columns = np.arange(len(index))
+    values = {split: [] for split in splits}
+    skipped = {split: [] for split in splits}
+    for start, S in score_blocks(queries, index.gallery, block_rows):
+        for row, scores in enumerate(S):
+            q = start + row
+            for split in splits:
+                positives, junk = _effective_sets(ground_truths[q], split)
+                if positives.size == 0:
+                    skipped[split].append(q)
+                    continue
+                own = scores[positives][:, None]
+                ahead = (scores > own) | ((scores == own) & (columns < positives[:, None]))
+                ranks = 1 + np.count_nonzero(ahead, axis=1)
+                if junk.size:
+                    ranks -= np.count_nonzero(ahead[:, junk], axis=1)
+                values[split].append(_average_precision_from_ranks(np.sort(ranks)))
+    return {split: (_mean_of_scored(values[split], split), skipped[split]) for split in splits}

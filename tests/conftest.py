@@ -27,6 +27,21 @@ def unit_rows(rng, n, d):
     return X / norms
 
 
+def quantized_unit_rows(rng, n, d, pool_size):
+    """n unit rows drawn from a pool of ``pool_size`` quantized directions.
+
+    Each direction has 1, 4 or 16 nonzero entries of +/-1, +/-1/2 or +/-1/4,
+    so every dot product is a multiple of 1/16 and exact in any summation
+    order; repeated directions and the coarse grid give many exact ties.
+    """
+    pool = np.zeros((pool_size, d))
+    for row in pool:
+        k = int(rng.choice([c for c in (1, 4, 16) if c <= d]))
+        cols = rng.choice(d, size=k, replace=False)
+        row[cols] = rng.choice([-1.0, 1.0], size=k) / np.sqrt(k)
+    return pool[rng.integers(0, pool_size, size=n)]
+
+
 def half_labels(n):
     """Two balanced classes: first half 0, second half 1."""
     labels = np.zeros(n, dtype=np.int64)

@@ -1,11 +1,16 @@
 """Command-line workflows: artifacts, exit codes, error reporting."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import spherekit
 from spherekit import EncoderHead, QueryGroundTruth
 from spherekit.cli import main
 from spherekit.io import write_features, write_ground_truth, write_labels
@@ -39,6 +44,40 @@ def write_head(path, in_dim=5, out_dim=4, seed=0):
     head = EncoderHead.initialize(np.random.default_rng(seed), in_dim, out_dim)
     path.write_text(json.dumps({"head": head.to_dict()}), encoding="utf-8")
     return head
+
+
+def write_particular_setup(tmp_path, ground_truth):
+    """Train/gallery/query files, a head and a particular-mode config."""
+    rng = np.random.default_rng(7)
+    train_X = rng.standard_normal((12, 5))
+    gallery_X = rng.standard_normal((8, 5))
+    query_X = rng.standard_normal((2, 5))
+    write_features(tmp_path / "train.emb", train_X)
+    write_labels(tmp_path / "train.labels", np.repeat([0, 1, 2], 4))
+    write_features(tmp_path / "gal.emb", gallery_X)
+    write_labels(tmp_path / "gal.labels", np.repeat([0, 1], 4))
+    write_features(tmp_path / "q.emb", query_X)
+    write_labels(tmp_path / "q.labels", np.array([0, 1]))
+    write_ground_truth(tmp_path / "gt.json", ground_truth)
+    cfg = {
+        "mode": "particular",
+        "iterations": 0,
+        "seed": 0,
+        "head": {"out_dim": 4},
+        "data": {
+            "train_features": str(tmp_path / "train.emb"),
+            "train_labels": str(tmp_path / "train.labels"),
+            "eval_features": str(tmp_path / "gal.emb"),
+            "eval_labels": str(tmp_path / "gal.labels"),
+            "query_features": str(tmp_path / "q.emb"),
+            "query_labels": str(tmp_path / "q.labels"),
+            "ground_truth": str(tmp_path / "gt.json"),
+        },
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    write_head(tmp_path / "head.json", in_dim=5, out_dim=4)
+    return cfg_path
 
 
 class TestTrain:
@@ -147,18 +186,8 @@ class TestEval:
             assert 0.0 <= value <= 1.0
 
     def test_particular_map_metrics(self, tmp_path):
-        rng = np.random.default_rng(7)
-        train_X = rng.standard_normal((12, 5))
-        gallery_X = rng.standard_normal((8, 5))
-        query_X = rng.standard_normal((2, 5))
-        write_features(tmp_path / "train.emb", train_X)
-        write_labels(tmp_path / "train.labels", np.repeat([0, 1, 2], 4))
-        write_features(tmp_path / "gal.emb", gallery_X)
-        write_labels(tmp_path / "gal.labels", np.repeat([0, 1], 4))
-        write_features(tmp_path / "q.emb", query_X)
-        write_labels(tmp_path / "q.labels", np.array([0, 1]))
-        write_ground_truth(
-            tmp_path / "gt.json",
+        cfg_path = write_particular_setup(
+            tmp_path,
             {
                 0: QueryGroundTruth(
                     easy=np.array([0, 1]), hard=np.array([2]), junk=np.array([3])
@@ -168,24 +197,6 @@ class TestEval:
                 ),
             },
         )
-        cfg = {
-            "mode": "particular",
-            "iterations": 0,
-            "seed": 0,
-            "head": {"out_dim": 4},
-            "data": {
-                "train_features": str(tmp_path / "train.emb"),
-                "train_labels": str(tmp_path / "train.labels"),
-                "eval_features": str(tmp_path / "gal.emb"),
-                "eval_labels": str(tmp_path / "gal.labels"),
-                "query_features": str(tmp_path / "q.emb"),
-                "query_labels": str(tmp_path / "q.labels"),
-                "ground_truth": str(tmp_path / "gt.json"),
-            },
-        }
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-        write_head(tmp_path / "head.json", in_dim=5, out_dim=4)
         out = tmp_path / "eval"
         code = main(
             [
@@ -202,6 +213,76 @@ class TestEval:
         for value in metrics["map"].values():
             assert 0.0 < value <= 1.0
         assert metrics["skipped_queries"] == {"medium": [], "hard": []}
+
+    def test_every_query_empty_under_hard_exits_two(self, tmp_path, capsys):
+        cfg_path = write_particular_setup(
+            tmp_path,
+            {
+                0: QueryGroundTruth(easy=np.array([0, 1]), hard=[], junk=np.array([3])),
+                1: QueryGroundTruth(easy=np.array([4]), hard=[], junk=[]),
+            },
+        )
+        code = main(
+            [
+                "eval",
+                "--config", str(cfg_path),
+                "--model", str(tmp_path / "head.json"),
+                "--out-dir", str(tmp_path / "eval"),
+            ]
+        )
+        assert code == 2
+        assert "every query is empty under the 'hard' split" in capsys.readouterr().err
+
+    def test_k_beyond_leave_one_out_depth_exits_two(self, tmp_path, capsys):
+        # the held-out class has 5 rows: leave-one-out ranks 4 others
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, eval_ks=[1, 5])
+        write_head(tmp_path / "head.json", in_dim=5, out_dim=4)
+        code = main(
+            [
+                "eval",
+                "--config", str(cfg_path),
+                "--model", str(tmp_path / "head.json"),
+                "--out-dir", str(tmp_path / "eval"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "K=5" in err
+        assert "depth 4" in err
+
+    def test_no_repeated_label_exits_two(self, tmp_path, capsys):
+        rng = np.random.default_rng(13)
+        write_features(tmp_path / "train.emb", rng.standard_normal((6, 5)))
+        write_labels(tmp_path / "train.labels", np.repeat([0, 1, 2], 2))
+        write_features(tmp_path / "eval.emb", rng.standard_normal((4, 5)))
+        write_labels(tmp_path / "eval.labels", np.arange(4))
+        write_head(tmp_path / "head.json", in_dim=5, out_dim=4)
+        cfg = {
+            "mode": "category",
+            "iterations": 0,
+            "seed": 0,
+            "head": {"out_dim": 4},
+            "eval_ks": [1],
+            "data": {
+                "train_features": str(tmp_path / "train.emb"),
+                "train_labels": str(tmp_path / "train.labels"),
+                "eval_features": str(tmp_path / "eval.emb"),
+                "eval_labels": str(tmp_path / "eval.labels"),
+            },
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        code = main(
+            [
+                "eval",
+                "--config", str(cfg_path),
+                "--model", str(tmp_path / "head.json"),
+                "--out-dir", str(tmp_path / "eval"),
+            ]
+        )
+        assert code == 2
+        assert "no query has a same-label gallery item" in capsys.readouterr().err
 
     def test_missing_model_exits_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -337,6 +418,59 @@ class TestDiagnose:
         )
         assert code == 2
         assert "--config" in capsys.readouterr().err
+
+
+class TestBlasThreadCount:
+    @pytest.mark.parametrize("mode", ["category", "particular"])
+    def test_eval_metrics_identical_for_one_and_two_threads(self, tmp_path, mode):
+        # Sizes above OpenBLAS's threading threshold, so two threads split
+        # the score products; each subprocess gets its own thread count.
+        rng = np.random.default_rng(14)
+        means = rng.standard_normal((60, 24))
+        labels = np.repeat(np.arange(60), 10)
+        write_features(tmp_path / "train.emb", means[labels] + rng.standard_normal((600, 24)))
+        write_labels(tmp_path / "train.labels", labels)
+        write_features(tmp_path / "gal.emb", means[labels] + rng.standard_normal((600, 24)))
+        write_labels(tmp_path / "gal.labels", labels)
+        query_labels = np.arange(120) % 60
+        write_features(tmp_path / "q.emb",
+                       means[query_labels] + rng.standard_normal((120, 24)))
+        write_labels(tmp_path / "q.labels", query_labels)
+        records = {}
+        for q, c in enumerate(query_labels):
+            rows = rng.permutation(np.flatnonzero(labels == c))
+            records[q] = QueryGroundTruth(easy=np.sort(rows[:3]), hard=np.sort(rows[3:5]),
+                                          junk=np.sort(rows[5:7]))
+        write_ground_truth(tmp_path / "gt.json", records)
+        write_head(tmp_path / "head.json", in_dim=24, out_dim=32)
+        data = {
+            "train_features": str(tmp_path / "train.emb"),
+            "train_labels": str(tmp_path / "train.labels"),
+            "eval_features": str(tmp_path / "gal.emb"),
+            "eval_labels": str(tmp_path / "gal.labels"),
+        }
+        if mode == "particular":
+            data.update(query_features=str(tmp_path / "q.emb"),
+                        query_labels=str(tmp_path / "q.labels"),
+                        ground_truth=str(tmp_path / "gt.json"))
+        cfg = {"mode": mode, "iterations": 0, "seed": 0, "head": {"out_dim": 32},
+               "eval_ks": [1, 2, 4, 8, 16], "pca_out_dim": 16, "data": data}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        src = str(Path(spherekit.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"eval-{threads}"
+            done = subprocess.run(
+                [sys.executable, "-m", "spherekit.cli", "eval", "--config", str(cfg_path),
+                 "--model", str(tmp_path / "head.json"), "--out-dir", str(out)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append((out / "metrics.json").read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestParser:

@@ -4,7 +4,9 @@ Ranking order is checked against a pure-Python sort on (negated similarity,
 position). Average precision is checked against a walk-the-ranking oracle
 that skips junk and accumulates precision at each hit; recall against a
 counting loop. Oracle arithmetic mirrors rank order term by term, so the
-comparisons are exact, not approximate.
+comparisons are exact, not approximate. The blocked rank-counting metrics
+are checked against the full rankings on quantized inputs whose scores are
+exact and full of ties, for several block sizes.
 """
 
 import itertools
@@ -12,21 +14,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spherekit import (
+    NumericalError,
     ProtocolError,
     QueryGroundTruth,
     RankedList,
     RetrievalIndex,
     average_precision,
+    blocked_mean_average_precision,
+    blocked_recall_at_k,
     mean_average_precision,
     recall_at_k,
     retrieve,
 )
 from spherekit.errors import ShapeError
+from spherekit.evaluation import SCORE_BLOCK_BYTES, score_blocks
 
-from conftest import unit_rows
+from conftest import quantized_unit_rows, unit_rows
 
 
 def ap_walk(indices, positives, junk):
@@ -105,6 +113,17 @@ class TestRetrieve:
         rng = np.random.default_rng(64)
         with pytest.raises(ShapeError):
             retrieve(RetrievalIndex(gallery=unit_rows(rng, 5, 4)), unit_rows(rng, 2, 6))
+
+    def test_non_finite_queries_raise(self):
+        Z = np.eye(3)
+        Q = Z.copy()
+        Q[1, 0] = np.nan
+        index = RetrievalIndex(gallery=Z)
+        with pytest.raises(NumericalError, match="non-finite"):
+            retrieve(index, Q)
+        with pytest.raises(NumericalError, match="non-finite"):
+            blocked_recall_at_k(index, Q, np.array([0, 0, 1]), (1,),
+                                gallery_labels=np.array([0, 0, 1]))
 
 
 class TestRetrievalIndex:
@@ -311,3 +330,190 @@ class TestMeanAveragePrecision:
         r = RankedList(indices=np.arange(2), scores=np.array([1.0, 0.5]))
         with pytest.raises(ShapeError):
             mean_average_precision([r, r], [gt(easy=[0])], "medium")
+
+
+# ---------------------------------------------------------------------------
+# blocked scoring and rank counting vs full rankings
+# ---------------------------------------------------------------------------
+
+
+def outcome(fn, *args, **kwargs):
+    """The call's result, or its exception type and message."""
+    try:
+        return fn(*args, **kwargs)
+    except (ProtocolError, ShapeError) as exc:
+        return type(exc), str(exc)
+
+
+def random_ground_truths(rng, num_queries, gallery_size):
+    records = []
+    for _ in range(num_queries):
+        roles = rng.choice(4, size=gallery_size, p=[0.2, 0.2, 0.2, 0.4])
+        records.append(gt(easy=np.flatnonzero(roles == 0), hard=np.flatnonzero(roles == 1),
+                          junk=np.flatnonzero(roles == 2)))
+    return records
+
+
+class TestScoreBlocks:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 10, 11])
+    @pytest.mark.parametrize("block_rows", [2, 3, 4, 10])
+    def test_blocks_cover_rows_in_order_and_never_hold_one_row(self, n, block_rows):
+        rng = np.random.default_rng(90)
+        Q = unit_rows(rng, n, 4)
+        G = unit_rows(rng, 7, 4)
+        blocks = list(score_blocks(Q, G, block_rows))
+        starts = [start for start, _ in blocks]
+        sizes = [S.shape[0] for _, S in blocks]
+        assert starts == list(np.cumsum([0] + sizes[:-1]))
+        assert sum(sizes) == n
+        assert max(sizes) <= block_rows + 1  # a 1-row tail joins the last block
+        if n > 1:
+            assert min(sizes) >= 2
+        for start, S in blocks:
+            assert_array_equal(S, Q[start : start + S.shape[0]] @ G.T)
+
+    def test_default_rows_follow_the_byte_budget(self):
+        Q = np.eye(4)[[0, 1] * 300]
+        G = np.eye(4)[[0, 1, 2, 3] * 100]
+        rows = SCORE_BLOCK_BYTES // (8 * G.shape[0])
+        sizes = [S.shape[0] for _, S in score_blocks(Q, G)]
+        assert sizes[0] == min(rows, Q.shape[0])
+
+    def test_one_row_blocks_are_rejected(self):
+        with pytest.raises(ValueError):
+            list(score_blocks(np.eye(3), np.eye(3), block_rows=1))
+
+
+class TestBlockedRecall:
+    def test_ties_straddling_k(self):
+        # items 0-2 tie with the query; only item 2 shares its label
+        e0, e1 = np.eye(3)[0], np.eye(3)[1]
+        G = np.stack([e0, e0, e0, e1])
+        index = RetrievalIndex(gallery=G)
+        got = blocked_recall_at_k(index, e0[None, :], np.array([1]), (1, 2, 3, 4),
+                                  gallery_labels=np.array([0, 0, 1, 1]))
+        assert got == {1: 0.0, 2: 0.0, 3: 1.0, 4: 1.0}
+
+    def test_self_is_excluded_even_when_tied(self):
+        Z = np.eye(2)[[0, 0, 0, 1]]
+        labels = np.array([0, 1, 0, 0])
+        got = blocked_recall_at_k(RetrievalIndex(gallery=Z), Z, labels, (1, 2),
+                                  exclude_self=True)
+        ref = recall_at_k(retrieve(RetrievalIndex(gallery=Z), Z, exclude_self=True),
+                          labels, (1, 2))
+        assert got == ref == {1: 0.5, 2: 0.75}
+
+    def test_errors_match_reference(self):
+        Z = np.eye(3)
+        index = RetrievalIndex(gallery=Z)
+        with pytest.raises(ProtocolError, match="K=3 exceeds usable ranking depth 2"):
+            blocked_recall_at_k(index, Z, np.array([0, 0, 1]), (3,), exclude_self=True)
+        with pytest.raises(ProtocolError, match="no query"):
+            blocked_recall_at_k(index, Z, np.array([0, 1, 2]), (1,), exclude_self=True)
+        with pytest.raises(ProtocolError):
+            blocked_recall_at_k(index, Z, np.array([0, 0, 1]), (0,))
+        with pytest.raises(ShapeError):
+            blocked_recall_at_k(index, Z[:, :2], np.array([0, 0, 1]), (1,))
+        with pytest.raises(ShapeError):
+            blocked_recall_at_k(index, Z[:2], np.array([0, 0]), (1,), exclude_self=True)
+        with pytest.raises(ShapeError):
+            blocked_recall_at_k(index, Z, np.array([0, 0]), (1,))
+        with pytest.raises(ShapeError):
+            blocked_recall_at_k(index, Z[:2], np.array([0, 0]), (1,),
+                                gallery_labels=np.array([0, 0]))
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.integers(2, 40),
+        d=st.sampled_from([4, 8, 16]),
+        pool=st.integers(1, 12),
+        num_labels=st.integers(1, 6),
+        split=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_ranking(self, n, d, pool, num_labels, split, seed):
+        rng = np.random.default_rng(seed)
+        G = quantized_unit_rows(rng, n, d, pool)
+        g_labels = rng.integers(0, num_labels, size=n)
+        if split:
+            Q = quantized_unit_rows(rng, int(rng.integers(1, 30)), d, pool)
+            q_labels = rng.integers(0, num_labels, size=Q.shape[0])
+            kwargs = {"gallery_labels": g_labels}
+        else:
+            Q, q_labels, kwargs = G, g_labels, {}
+        exclude_self = not split
+        depth = n - int(exclude_self)
+        ks = sorted({1, depth, *rng.integers(1, depth + 1, size=3).tolist()})
+        index = RetrievalIndex(gallery=G)
+        expected = outcome(recall_at_k, retrieve(index, Q, exclude_self=exclude_self),
+                           q_labels, ks, **kwargs)
+        for block_rows in (2, 3, Q.shape[0] - 1, Q.shape[0], None):
+            if block_rows is not None and block_rows < 2:
+                continue
+            got = outcome(blocked_recall_at_k, index, Q, q_labels, ks,
+                          exclude_self=exclude_self, block_rows=block_rows, **kwargs)
+            assert got == expected
+
+
+class TestBlockedMeanAveragePrecision:
+    def test_ties_among_positives_and_junk(self):
+        # items 0-3 tie; junk 0 is dropped, so positive 1 ranks first and
+        # positive 3 third (behind non-positive 2)
+        e0, e1 = np.eye(2)
+        G = np.stack([e0, e0, e0, e0, e1])
+        index = RetrievalIndex(gallery=G)
+        record = gt(easy=[1], hard=[3], junk=[0])
+        got = blocked_mean_average_precision(index, e0[None, :], [record],
+                                             ("easy", "medium", "hard"))
+        assert got["medium"] == ((1.0 + 2.0 / 3.0) / 2.0, [])
+        assert got["easy"] == (1.0, [])  # hard 3 is junk under easy
+        assert got["hard"] == (0.5, [])  # easy 1 is junk under hard
+        ranking = retrieve(index, e0[None, :])
+        for split, value in got.items():
+            assert value == mean_average_precision(ranking, [record], split)
+
+    def test_errors_match_reference(self):
+        index = RetrievalIndex(gallery=np.eye(3))
+        Q = np.eye(3)[:2]
+        with pytest.raises(ProtocolError, match="every query is empty under the 'hard'"):
+            blocked_mean_average_precision(index, Q, [gt(easy=[0]), gt(easy=[1])],
+                                           ("medium", "hard"))
+        with pytest.raises(ProtocolError, match="unknown difficulty split"):
+            blocked_mean_average_precision(index, Q, [gt(easy=[0]), gt(easy=[1])],
+                                           ("extreme",))
+        with pytest.raises(ProtocolError):
+            blocked_mean_average_precision(index, Q, [gt(easy=[0]), gt(easy=[3])],
+                                           ("medium",))
+        with pytest.raises(ShapeError):
+            blocked_mean_average_precision(index, Q, [gt(easy=[0])], ("medium",))
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.integers(1, 40),
+        num_queries=st.integers(1, 20),
+        d=st.sampled_from([4, 8, 16]),
+        pool=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_ranking(self, n, num_queries, d, pool, seed):
+        rng = np.random.default_rng(seed)
+        G = quantized_unit_rows(rng, n, d, pool)
+        Q = quantized_unit_rows(rng, num_queries, d, pool)
+        records = random_ground_truths(rng, num_queries, n)
+        index = RetrievalIndex(gallery=G)
+        rankings = retrieve(index, Q)
+        splits = ("easy", "medium", "hard")
+        expected = {s: outcome(mean_average_precision, rankings, records, s) for s in splits}
+        for block_rows in (2, 3, num_queries - 1, num_queries, None):
+            if block_rows is not None and block_rows < 2:
+                continue
+            for split in splits:
+                got = outcome(blocked_mean_average_precision, index, Q, records,
+                              (split,), block_rows=block_rows)
+                if isinstance(got, dict):
+                    got = got[split]
+                assert got == expected[split]
+            if all(not isinstance(v[0], type) for v in expected.values()):
+                assert blocked_mean_average_precision(
+                    index, Q, records, splits, block_rows=block_rows
+                ) == expected
