@@ -12,6 +12,7 @@ null disables the momentum track entirely).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -197,13 +198,21 @@ CONFIG_SCHEMA = {
 }
 
 
+@functools.cache
+def _config_validator():
+    """CONFIG_SCHEMA's validator, checked against its metaschema once per process."""
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    return cls(CONFIG_SCHEMA)
+
+
 def parse_run_config(raw: dict) -> RunConfig:
     """Validate a config dict and resolve defaults into a RunConfig."""
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config key {path!r}: {exc.message}") from exc
+    # The error jsonschema.validate would raise, from a validator built once.
+    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(raw))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config key {path!r}: {error.message}") from error
 
     has_data = raw.get("data") is not None
     has_synthetic = raw.get("synthetic") is not None

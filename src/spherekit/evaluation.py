@@ -20,6 +20,13 @@ by the block budget, not by queries x gallery. ``retrieve`` builds every
 query's full ``RankedList``; ``recall_at_k`` and ``average_precision`` read
 ranks off those positions. They are the reference the blocked route is
 tested against.
+
+The blocked metrics are exact for exact scores, such as dot products of
+coarsely quantized rows. On general floats a row of a block's product can
+differ in the last bits from the same row of a product with other rows, so
+where two scores are within a few ULPs of each other their order, and a
+metric through it, may depend on the block budget (and on the gallery size
+or BLAS thread count that shape the product).
 """
 
 from __future__ import annotations

@@ -17,9 +17,13 @@ reproducible bit for bit.
 Category-level training samples class-balanced batches. Particular-object
 training builds tuples per epoch: an anchor-positive pair plus the five
 hardest negatives mined by descriptor similarity from a random candidate
-pool; tuples are flattened (five per batch) into labeled batches that reuse
-the same step above. The per-epoch pair and candidate budgets (2000 and
-22000 at full scale) shrink proportionally with ``particular_scale``.
+pool. Every pair of the epoch is drawn first; then all anchors are mined in
+one blocked pass (mining draws no random numbers, so the draws are those of
+mining each pair as it is drawn). Tuples are rows of dataset indices
+(anchor, positive, five negatives), checked as arrays and flattened (five
+tuples per batch) into labeled batches that reuse the same step above. The
+per-epoch pair and candidate budgets (2000 and 22000 at full scale) shrink
+proportionally with ``particular_scale``.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .errors import (
     ShapeError,
     TrainingError,
 )
+from .evaluation import score_blocks
 from .geometry import TokenGrid, normalize_rows, pool
 from .memory import MemoryBank, MomentumTrack
 from .objective import (
@@ -61,6 +66,7 @@ __all__ = [
     "TUPLES_PER_BATCH",
     "PAIRS_PER_EPOCH_FULL",
     "CANDIDATES_PER_EPOCH_FULL",
+    "MINING_BLOCK_BYTES",
     "LabeledFeatureDataset",
     "LabeledFeatureBatch",
     "TupleSample",
@@ -74,6 +80,7 @@ __all__ = [
     "adamw_step",
     "sample_category_batch",
     "mine_hard_negatives",
+    "check_tuple_rows",
     "make_synthetic",
     "make_synthetic_grids",
     "build_synthetic_dataset",
@@ -86,6 +93,11 @@ NEGATIVES_PER_TUPLE = 5
 TUPLES_PER_BATCH = 5
 PAIRS_PER_EPOCH_FULL = 2000
 CANDIDATES_PER_EPOCH_FULL = 22000
+
+# Bytes of float64 scores one block of mined anchors may hold. Scoring every
+# anchor of an epoch at once would hold anchors x candidates scores (22 MB at
+# 500 x 5,500) plus their label mask.
+MINING_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -147,6 +159,9 @@ class LabeledFeatureBatch:
     indices: np.ndarray
 
 
+# Training builds tuples as index rows (see check_tuple_rows) and no longer
+# constructs this class; it stays because the benchmark's tracer patches
+# ``TupleSample.__init__`` by name.
 @dataclass(frozen=True)
 class TupleSample:
     """Anchor and positive feature vectors plus exactly five mined negatives.
@@ -427,29 +442,90 @@ def sample_category_batch(
 
 
 def mine_hard_negatives(
-    anchor_descriptor: np.ndarray,
+    anchor_descriptors: np.ndarray,
     pool_descriptors: np.ndarray,
     pool_labels: np.ndarray,
-    exclude_label: int,
+    exclude_labels: np.ndarray,
     k: int = NEGATIVES_PER_TUPLE,
+    block_rows: int | None = None,
 ) -> np.ndarray:
-    """Indices (into the pool) of the k most similar different-label entries.
+    """Per anchor row, pool indices of the k most similar entries whose label
+    differs from that anchor's ``exclude_labels`` entry; shape (anchors, k).
 
-    Ties in similarity resolve to the lowest pool index.
+    Each row is ordered by descending similarity, ties resolved to the lowest
+    pool index. Anchors are scored in blocks of ``block_rows`` (default: as
+    many as fit in ``MINING_BLOCK_BYTES``) by ``evaluation.score_blocks``.
+    The result is exact for exact scores; at near-ties within a few ULPs a
+    negative at the k-th place may depend on the block size, because a row of
+    a matrix product can differ in the last bits from the same dot product
+    computed alone. Raises SamplingError when an anchor has fewer than k
+    candidates outside its label.
     """
-    anchor = np.asarray(anchor_descriptor, dtype=np.float64)
+    anchors = np.asarray(anchor_descriptors, dtype=np.float64)
     pool_descriptors = np.asarray(pool_descriptors, dtype=np.float64)
     pool_labels = np.asarray(pool_labels)
-    if pool_descriptors.ndim != 2 or anchor.shape != (pool_descriptors.shape[1],):
-        raise ShapeError("anchor dim must match pool descriptor dim")
-    valid = np.flatnonzero(pool_labels != exclude_label)
-    if valid.size < k:
+    exclude_labels = np.asarray(exclude_labels)
+    if (
+        pool_descriptors.ndim != 2
+        or anchors.ndim != 2
+        or anchors.shape[1] != pool_descriptors.shape[1]
+    ):
+        raise ShapeError("anchor rows and pool rows must share one descriptor dim")
+    if exclude_labels.shape != (anchors.shape[0],):
+        raise ShapeError("one excluded label per anchor row required")
+    if pool_labels.shape != (pool_descriptors.shape[0],):
+        raise ShapeError("one label per pool row required")
+    n = pool_descriptors.shape[0]
+    if block_rows is None:
+        block_rows = max(2, MINING_BLOCK_BYTES // (8 * max(n, 1)))
+    out = np.empty((anchors.shape[0], k), dtype=np.int64)
+    for start, S in score_blocks(anchors, pool_descriptors, block_rows):
+        same = exclude_labels[start : start + S.shape[0], None] == pool_labels
+        available = n - np.count_nonzero(same, axis=1)
+        if np.any(available < k):
+            r = int(np.argmax(available < k))
+            raise SamplingError(
+                f"pool has {available[r]} candidates outside label "
+                f"{exclude_labels[start + r]}, need {k}"
+            )
+        S[same] = -np.inf
+        top = np.argpartition(S, n - k, axis=1)[:, n - k :]
+        kth = np.take_along_axis(S, top, axis=1).min(axis=1)
+        # argpartition picks arbitrarily among entries tied at the k-th score;
+        # where such ties straddle the cut, keep every entry strictly above it
+        # and fill with the lowest-index entries equal to it.
+        straddles = np.count_nonzero(S >= kth[:, None], axis=1) > k
+        for r in np.flatnonzero(straddles):
+            above = np.flatnonzero(S[r] > kth[r])
+            equal = np.flatnonzero(S[r] == kth[r])
+            top[r] = np.concatenate([above, equal[: k - above.size]])
+        scores = np.take_along_axis(S, top, axis=1)
+        order = np.lexsort((top, -scores), axis=-1)
+        out[start : start + S.shape[0]] = np.take_along_axis(top, order, axis=1)
+    return out
+
+
+def check_tuple_rows(rows: np.ndarray, labels: np.ndarray) -> None:
+    """Validate tuples given as rows of dataset indices.
+
+    Each row is (anchor, positive, negatives...). Raises SamplingError when an
+    anchor equals its positive, a row repeats a negative, or a negative
+    carries its anchor's label.
+    """
+    bad = np.flatnonzero(rows[:, 0] == rows[:, 1])
+    if bad.size:
         raise SamplingError(
-            f"pool has {valid.size} candidates outside label {exclude_label}, need {k}"
+            f"tuple {bad[0]}: anchor and positive are the same sample {rows[bad[0], 0]}"
         )
-    sims = pool_descriptors[valid] @ anchor
-    order = np.argsort(-sims, kind="stable")[:k]
-    return valid[order]
+    negatives = np.sort(rows[:, 2:], axis=1)
+    bad = np.flatnonzero(np.any(negatives[:, 1:] == negatives[:, :-1], axis=1))
+    if bad.size:
+        raise SamplingError(f"tuple {bad[0]}: negatives must be distinct samples")
+    bad = np.flatnonzero(np.any(labels[rows[:, 2:]] == labels[rows[:, :1]], axis=1))
+    if bad.size:
+        raise SamplingError(
+            f"tuple {bad[0]}: a negative carries the anchor's label {labels[rows[bad[0], 0]]}"
+        )
 
 
 def make_synthetic(spec: SyntheticSpec) -> LabeledFeatureDataset:
@@ -701,29 +777,19 @@ def _run_particular(state: _RunState) -> None:
     for _ in range(config.iterations):  # iterations double as epochs here
         Z_all = forward(state.head, dataset.features)[1]
         candidates = state.rng.choice(n, size=min(candidate_budget, n), replace=False)
-        cand_Z = Z_all[candidates]
-        cand_labels = dataset.labels[candidates]
-        tuples = []
-        for _ in range(pairs_per_epoch):
+        rows = np.empty((pairs_per_epoch, 2 + NEGATIVES_PER_TUPLE), dtype=np.int64)
+        pair_labels = np.empty(pairs_per_epoch, dtype=np.int64)
+        for i in range(pairs_per_epoch):
             c = int(state.rng.choice(pair_classes))
-            a, p = state.rng.choice(by_class[c], size=2, replace=False)
-            local = mine_hard_negatives(
-                Z_all[a], cand_Z, cand_labels, exclude_label=c, k=NEGATIVES_PER_TUPLE
-            )
-            neg = candidates[local]
-            tuples.append(
-                TupleSample(
-                    anchor=dataset.features[a],
-                    positive=dataset.features[p],
-                    negatives=dataset.features[neg],
-                    anchor_index=int(a),
-                    positive_index=int(p),
-                    negative_indices=neg,
-                )
-            )
-        for start in range(0, len(tuples), TUPLES_PER_BATCH):
-            chunk = tuples[start : start + TUPLES_PER_BATCH]
-            idx = np.concatenate([t.indices() for t in chunk])
+            pair_labels[i] = c
+            rows[i, :2] = state.rng.choice(by_class[c], size=2, replace=False)
+        local = mine_hard_negatives(
+            Z_all[rows[:, 0]], Z_all[candidates], dataset.labels[candidates], pair_labels
+        )
+        rows[:, 2:] = candidates[local]
+        check_tuple_rows(rows, dataset.labels)
+        for start in range(0, pairs_per_epoch, TUPLES_PER_BATCH):
+            idx = rows[start : start + TUPLES_PER_BATCH].ravel()
             # Two tuples may mine the same sample; duplicates would make the
             # batch degenerate for the entropy term, so keep first occurrences.
             first = np.sort(np.unique(idx, return_index=True)[1])

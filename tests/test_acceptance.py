@@ -746,6 +746,76 @@ def test_memory_and_momentum_run_matches_reference_loop_bitwise():
         assert model.momentum.shadow[key].tobytes() == track.shadow[key].tobytes()
 
 
+def test_particular_run_matches_reference_loop_bitwise():
+    """A particular run equals a hand loop that mines one anchor at a time."""
+    config = RunConfig(
+        mode="particular",
+        iterations=3,
+        seed=29,
+        head=HeadSpec(out_dim=6, hidden=None),
+        beta=0.85,
+        lam=0.7,
+        lr=0.02,
+        weight_decay=1e-3,
+        memory_capacity_ratio=0.0,
+        momentum_m=None,
+        particular_scale=0.004,  # 8 pairs and an 88-row candidate pool per epoch
+        synthetic=SyntheticSpec(
+            num_classes=12, per_class=8, feature_dim=8, noise_sigma=0.3, seed=101,
+            holdout_classes=0,
+        ),
+    )
+    dataset = build_synthetic_dataset(config.synthetic, config.pooling)
+    features, labels = dataset.features, dataset.labels
+    pair_classes = np.unique(labels)  # every class has 8 rows
+    loss_config = ContrastiveConfig(config.beta, config.lam)
+
+    # Reference loop: per epoch, embed everything and draw the candidate pool;
+    # per pair, draw a class and two of its rows, then sort the pool entries
+    # of other labels by (-similarity, pool position) and keep five. Tuples
+    # go five to a batch, repeated rows keeping their first occurrence.
+    rng = np.random.default_rng(config.seed)
+    head = EncoderHead.initialize(rng, dataset.dim, config.head.out_dim, None)
+    opt = OptimizerState.initialize(
+        head.params(), lr=config.lr, weight_decay=config.weight_decay
+    )
+    expected = []
+    dropped = 0
+    for _ in range(config.iterations):
+        Z_all = forward(head, features)[1]
+        candidates = rng.choice(len(dataset), size=88, replace=False)
+        tuples = []
+        for _ in range(8):
+            c = int(rng.choice(pair_classes))
+            a, p = rng.choice(np.flatnonzero(labels == c), size=2, replace=False)
+            valid = np.flatnonzero(labels[candidates] != c)
+            sims = Z_all[candidates[valid]] @ Z_all[a]
+            negatives = candidates[valid[np.argsort(-sims, kind="stable")[:5]]]
+            tuples.append([a, p, *negatives])
+        for start in (0, 5):
+            idx = []
+            for i in np.concatenate(tuples[start : start + 5]):
+                if i not in idx:
+                    idx.append(i)
+            dropped += 7 * len(tuples[start : start + 5]) - len(idx)
+            E, cache = head.apply(features[idx])
+            emb = LabeledEmbeddingBatch(normalize_rows(E), labels[idx], validate=False)
+            out = combined_loss(emb, None, loss_config)
+            terms = out.term_breakdown
+            expected.append(
+                (len(expected), out.value, terms.positive, terms.negative, terms.regularizer)
+            )
+            grad_E = backprop_through_normalization_rows(E, out.grad)
+            adamw_step(head.params(), head.backward(cache, grad_E), opt)
+    assert dropped > 0, "no batch repeated a row; the first-occurrence rule went untested"
+
+    model, trace = train_run(config, dataset)
+    actual = [(r.step, r.loss, r.positive, r.negative, r.regularizer) for r in trace.rows]
+    assert actual == expected, "trace rows differ from the per-anchor mining loop"
+    for key, value in head.params().items():
+        assert model.head.params()[key].tobytes() == value.tobytes()
+
+
 def test_memory_widens_loss_but_never_gradient_rows():
     rng = np.random.default_rng(909)
     for _ in range(100):

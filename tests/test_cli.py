@@ -420,6 +420,17 @@ class TestDiagnose:
         assert "--config" in capsys.readouterr().err
 
 
+def run_cli_with_blas_threads(threads, *args):
+    """``python -m spherekit.cli *args`` in a subprocess whose own environment
+    sets the OpenBLAS thread count."""
+    src = str(Path(spherekit.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "spherekit.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 class TestBlasThreadCount:
     @pytest.mark.parametrize("mode", ["category", "particular"])
     def test_eval_metrics_identical_for_one_and_two_threads(self, tmp_path, mode):
@@ -457,20 +468,41 @@ class TestBlasThreadCount:
                "eval_ks": [1, 2, 4, 8, 16], "pca_out_dim": 16, "data": data}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-        src = str(Path(spherekit.__file__).resolve().parent.parent)
         outputs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
             out = tmp_path / f"eval-{threads}"
-            done = subprocess.run(
-                [sys.executable, "-m", "spherekit.cli", "eval", "--config", str(cfg_path),
-                 "--model", str(tmp_path / "head.json"), "--out-dir", str(out)],
-                env=env, capture_output=True, text=True, timeout=120,
-            )
-            assert done.returncode == 0, done.stderr
+            run_cli_with_blas_threads(threads, "eval", "--config", str(cfg_path),
+                                      "--model", str(tmp_path / "head.json"),
+                                      "--out-dir", str(out))
             outputs.append((out / "metrics.json").read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("mode", ["category", "particular"])
+    def test_train_artifacts_identical_for_one_and_two_threads(self, tmp_path, mode):
+        # 1,080 training rows: the memory (648 rows) and snapshot products of
+        # the category run, and the per-epoch re-embed and the 100 x 1,080
+        # mining block of the particular run, are above OpenBLAS's threading
+        # threshold, so two threads split them.
+        cfg = {"mode": mode, "iterations": 40 if mode == "category" else 2, "seed": 6,
+               "head": {"out_dim": 32}, "lr": 0.01,
+               "synthetic": {"num_classes": 100, "per_class": 12, "feature_dim": 48,
+                             "noise_sigma": 0.3, "seed": 2, "holdout_classes": 10}}
+        if mode == "category":
+            cfg.update(memory_capacity_ratio=0.6, momentum_m=0.9, snapshot_every=20)
+        else:
+            cfg.update(particular_scale=0.05, memory_capacity_ratio=0.0, momentum_m=None)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"train-{threads}"
+            run_cli_with_blas_threads(threads, "train", "--config", str(cfg_path),
+                                      "--out-dir", str(out))
+            outputs.append({name: (out / name).read_bytes()
+                            for name in ("head.json", "trace.csv", "run.json")})
+        assert json.loads(outputs[0]["run.json"])["trace"]["steps"] == 40
+        for name in outputs[0]:
+            assert outputs[0][name] == outputs[1][name], name
 
 
 class TestParser:

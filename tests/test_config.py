@@ -2,6 +2,7 @@
 
 import json
 
+import jsonschema
 import pytest
 
 from spherekit import (
@@ -10,6 +11,7 @@ from spherekit import (
     load_run_config,
     parse_run_config,
 )
+from spherekit.config import CONFIG_SCHEMA
 
 
 def minimal(**overrides):
@@ -127,6 +129,30 @@ class TestParse:
     def test_non_integer_iterations_rejected(self):
         with pytest.raises(ConfigError, match="iterations"):
             parse_run_config(minimal(iterations=2.5))
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            minimal(warmup=5),
+            minimal(head={"out_dim": 1}),
+            minimal(head={"out_dim": 8, "width": 3}),
+            minimal(beta=1.0),
+            minimal(iterations=2.5, mode="retrieval", beta=-1),
+            minimal(synthetic={"num_classes": "many"}),
+            {"mode": "category"},
+            [],
+        ],
+        ids=["unknown-key", "nested-bound", "nested-unknown", "margin", "three-errors",
+             "nested-type-and-missing", "missing-keys", "not-an-object"],
+    )
+    def test_error_text_is_that_of_jsonschema_validate(self, raw):
+        with pytest.raises(jsonschema.ValidationError) as reference:
+            jsonschema.validate(raw, CONFIG_SCHEMA)
+        path = "/".join(str(p) for p in reference.value.absolute_path) or "<root>"
+        for _ in range(2):  # the second call reuses the process's validator
+            with pytest.raises(ConfigError) as got:
+                parse_run_config(raw)
+            assert str(got.value) == f"config key {path!r}: {reference.value.message}"
 
 
 class TestDump:

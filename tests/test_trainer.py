@@ -7,6 +7,8 @@ differences over every parameter entry.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spherekit import (
@@ -34,8 +36,9 @@ from spherekit import (
 )
 from spherekit.config import PoolingSpec
 from spherekit.errors import ShapeError
+from spherekit.trainer import check_tuple_rows
 
-from conftest import central_diff, rel_err
+from conftest import central_diff, quantized_unit_rows, rel_err
 
 
 def tiny_config(**overrides):
@@ -256,13 +259,25 @@ class TestCategorySampler:
             assert_array_equal(batch.indices, expected)
 
 
+def sort_oracle(anchors, pool_Z, labels, exclude_labels, k):
+    """Per anchor: sort every other-label pool entry by (-score, index)."""
+    out = []
+    for anchor, exclude in zip(anchors, exclude_labels):
+        valid = [i for i in range(len(labels)) if labels[i] != exclude]
+        sims = pool_Z @ anchor
+        out.append(sorted(valid, key=lambda i: (-sims[i], i))[:k])
+    return np.asarray(out, dtype=np.int64).reshape(len(anchors), k)
+
+
 class TestHardNegativeMining:
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(39)
         pool_Z = normalize_rows(rng.standard_normal((20, 5)))
         labels = rng.integers(0, 4, size=20)
         anchor = normalize_rows(rng.standard_normal((1, 5)))[0]
-        got = mine_hard_negatives(anchor, pool_Z, labels, exclude_label=2, k=5)
+        got = mine_hard_negatives(anchor[None, :], pool_Z, labels, exclude_labels=[2], k=5)
+        assert got.shape == (1, 5)
+        got = got[0]
         sims = pool_Z @ anchor
         valid = [i for i in range(20) if labels[i] != 2]
         expected = sorted(valid, key=lambda i: (-sims[i], i))[:5]
@@ -273,13 +288,81 @@ class TestHardNegativeMining:
         row = np.array([1.0, 0.0])
         pool_Z = np.stack([row, row, row, -row])
         labels = np.array([0, 1, 1, 1])
-        got = mine_hard_negatives(row, pool_Z, labels, exclude_label=0, k=2)
-        assert_array_equal(got, [1, 2])
+        got = mine_hard_negatives(row[None, :], pool_Z, labels, exclude_labels=[0], k=2)
+        assert_array_equal(got, [[1, 2]])
 
     def test_insufficient_pool_raises(self):
         Z = np.eye(4)
         with pytest.raises(SamplingError):
-            mine_hard_negatives(Z[0], Z, np.array([0, 1, 1, 2]), exclude_label=0, k=5)
+            mine_hard_negatives(Z[:1], Z, np.array([0, 1, 1, 2]), exclude_labels=[0], k=5)
+
+    def test_anchors_exclude_their_own_labels(self):
+        # one call, anchors excluding different labels; the first three
+        # anchors are equal, so only their label masks tell their rows apart
+        e0, e1 = np.eye(2)
+        pool_Z = np.stack([e0, e0, e0, e0, e1, -e0])
+        labels = np.array([0, 1, 2, 0, 1, 2])
+        anchors = np.stack([e0, e0, e0, e1])
+        got = mine_hard_negatives(anchors, pool_Z, labels, exclude_labels=[0, 1, 2, 0], k=3)
+        assert_array_equal(got, [[1, 2, 4], [0, 2, 3], [0, 1, 3], [4, 1, 2]])
+        assert_array_equal(got, sort_oracle(anchors, pool_Z, labels, [0, 1, 2, 0], 3))
+
+    def test_short_anchor_is_named(self):
+        Z = np.eye(4)
+        labels = np.array([0, 1, 1, 2])
+        with pytest.raises(SamplingError, match=r"2 candidates outside label 1, need 3"):
+            mine_hard_negatives(Z[:3], Z, labels, exclude_labels=[0, 2, 1], k=3)
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        anchors=st.integers(1, 12),
+        n=st.integers(8, 40),
+        d=st.sampled_from([4, 8, 16]),
+        directions=st.integers(1, 6),
+        num_labels=st.integers(2, 5),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_anchor_sort_oracle(self, anchors, n, d, directions, num_labels,
+                                            k, seed):
+        # Few quantized directions: scores are exact and full of ties; about
+        # four in five examples have a tie straddling some anchor's k-th place,
+        # and about one in ten has an anchor short of candidates.
+        rng = np.random.default_rng(seed)
+        both = quantized_unit_rows(rng, anchors + n, d, directions)
+        A, pool_Z = both[:anchors], both[anchors:]
+        labels = rng.integers(0, num_labels, size=n)
+        exclude = rng.integers(0, num_labels, size=anchors)
+        short = [c for c in exclude if np.count_nonzero(labels != c) < k]
+        for block_rows in (2, 3, anchors - 1, None):
+            if block_rows is not None and block_rows < 2:
+                continue
+            if short:
+                with pytest.raises(SamplingError, match=f"outside label {short[0]}, "):
+                    mine_hard_negatives(A, pool_Z, labels, exclude, k, block_rows=block_rows)
+                continue
+            got = mine_hard_negatives(A, pool_Z, labels, exclude, k, block_rows=block_rows)
+            assert got.dtype == np.int64
+            assert_array_equal(got, sort_oracle(A, pool_Z, labels, exclude, k))
+
+
+class TestTupleRows:
+    labels = np.array([0, 0, 1, 1, 2, 2, 3, 3])
+
+    def test_valid_rows_pass(self):
+        check_tuple_rows(np.array([[0, 1, 2, 4, 6], [3, 2, 0, 1, 5]]), self.labels)
+
+    def test_anchor_equal_to_positive_raises(self):
+        with pytest.raises(SamplingError, match="tuple 1: anchor and positive"):
+            check_tuple_rows(np.array([[0, 1, 2, 4, 6], [3, 3, 0, 1, 5]]), self.labels)
+
+    def test_repeated_negative_raises(self):
+        with pytest.raises(SamplingError, match="tuple 0: negatives must be distinct"):
+            check_tuple_rows(np.array([[0, 1, 4, 2, 4], [3, 2, 0, 1, 5]]), self.labels)
+
+    def test_negative_with_anchor_label_raises(self):
+        with pytest.raises(SamplingError, match="tuple 1: a negative carries the anchor's"):
+            check_tuple_rows(np.array([[0, 1, 2, 4, 6], [3, 2, 0, 2, 5]]), self.labels)
 
 
 class TestSyntheticData:
