@@ -64,14 +64,12 @@ SCORE_BLOCK_BYTES = 32 * 2**20
 
 @dataclass(frozen=True)
 class RetrievalIndex:
-    """Gallery of unit-norm descriptor rows with unique item identifiers.
+    """Gallery of unit-norm descriptor rows; a row's position is its id.
 
-    ``ids`` are opaque integers naming the items (defaults to 0..n-1); labels
-    for recall computations travel separately, alongside the rankings.
+    Labels for recall computations travel separately, alongside the rankings.
     """
 
     gallery: np.ndarray
-    ids: np.ndarray | None = None
 
     def __post_init__(self):
         gallery = np.asarray(self.gallery, dtype=np.float64)
@@ -84,19 +82,7 @@ class RetrievalIndex:
         if float(off.max()) > UNIT_ATOL:
             i = int(np.argmax(off))
             raise ShapeError(f"gallery row {i} has norm {norms[i]!r}, expected unit")
-        if self.ids is None:
-            ids = np.arange(gallery.shape[0], dtype=np.int64)
-        else:
-            ids = np.asarray(self.ids)
-            if ids.shape != (gallery.shape[0],):
-                raise ShapeError("one id per gallery row required")
-            if not np.issubdtype(ids.dtype, np.integer):
-                raise ShapeError(f"ids must be integers, got dtype {ids.dtype}")
-            if np.unique(ids).size != ids.size:
-                raise ShapeError("gallery ids must be unique")
-            ids = np.ascontiguousarray(ids, dtype=np.int64)
         object.__setattr__(self, "gallery", gallery)
-        object.__setattr__(self, "ids", ids)
 
     def __len__(self) -> int:
         return self.gallery.shape[0]

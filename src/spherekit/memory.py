@@ -2,10 +2,11 @@
 
 The memory bank is a fixed-capacity FIFO ring over past descriptors. Entries
 are stored exactly as enqueued (already unit-normalized) and are never
-recomputed when the encoder moves on; staleness is bounded by capacity. A
-view is a read-only window onto the ring, valid until the next enqueue: while
-the stored rows are contiguous it shares the ring's memory, and only once the
-ring has wrapped does it copy (one concatenation into oldest-first order).
+recomputed when the encoder moves on; staleness is bounded by capacity. Each
+row is stored twice, at slot ``i`` and ``i + capacity`` of a mirrored ring
+(``2 * capacity * dim * 8`` bytes of descriptors), so the live rows are
+always one contiguous run, oldest first. A view is a read-only slice of that
+run at every fill level, never a copy, and is valid until the next enqueue.
 Loss code may compare anchors against it, but no gradient ever flows into
 stored rows.
 
@@ -32,9 +33,9 @@ __all__ = ["MemoryView", "MemoryBank", "MomentumTrack"]
 class MemoryView:
     """Read-only window onto bank contents, oldest entry first.
 
-    Both arrays are non-writeable and valid until the bank's next
-    ``enqueue``, which may overwrite the rows they show; copy them to keep
-    them longer.
+    Both arrays are non-writeable slices of the bank's ring, at every fill
+    level, and valid until the bank's next ``enqueue``, which may overwrite
+    the rows they show; copy them to keep them longer.
     """
 
     descriptors: np.ndarray
@@ -47,8 +48,9 @@ class MemoryView:
 class MemoryBank:
     """FIFO ring buffer of unit descriptors with their labels.
 
-    ``capacity == 0`` is legal and yields a bank that stays empty; training
-    against it is exactly memoryless training.
+    Every row is written at slot ``i`` and at its mirror ``i + capacity``, so
+    storage is ``2 * capacity`` rows. ``capacity == 0`` is legal and yields a
+    bank that stays empty; training against it is exactly memoryless training.
     """
 
     def __init__(self, capacity: int, dim: int):
@@ -58,8 +60,8 @@ class MemoryBank:
             raise ShapeError(f"descriptor dim must be >= 2, got {dim}")
         self.capacity = int(capacity)
         self.dim = int(dim)
-        self._descriptors = np.zeros((self.capacity, self.dim), dtype=np.float64)
-        self._labels = np.zeros(self.capacity, dtype=np.int64)
+        self._descriptors = np.zeros((2 * self.capacity, self.dim), dtype=np.float64)
+        self._labels = np.zeros(2 * self.capacity, dtype=np.int64)
         self._cursor = 0
         self._size = 0
 
@@ -79,44 +81,26 @@ class MemoryBank:
             )
         if self.capacity == 0:
             return
-        rows = batch.embeddings
-        labels = batch.labels
+        # Only the last `capacity` rows of a batch survive.
+        rows = batch.embeddings[-self.capacity :]
         n = rows.shape[0]
-        if n >= self.capacity:
-            # Only the last `capacity` rows survive; lay them out so the
-            # cursor ends where the next write would go.
-            tail = rows[n - self.capacity :]
-            tail_labels = labels[n - self.capacity :]
-            k = self.capacity - self._cursor
-            self._descriptors[self._cursor :] = tail[:k]
-            self._labels[self._cursor :] = tail_labels[:k]
-            self._descriptors[: self._cursor] = tail[k:]
-            self._labels[: self._cursor] = tail_labels[k:]
-            self._size = self.capacity
-            return
-        first = min(n, self.capacity - self._cursor)
-        self._descriptors[self._cursor : self._cursor + first] = rows[:first]
-        self._labels[self._cursor : self._cursor + first] = labels[:first]
-        rest = n - first
-        if rest:
-            self._descriptors[:rest] = rows[first:]
-            self._labels[:rest] = labels[first:]
+        slots = (self._cursor + np.arange(n)) % self.capacity
+        # One write fills both halves: axis 0 of the reshaped ring is the mirror.
+        self._descriptors.reshape(2, self.capacity, self.dim)[:, slots] = rows
+        self._labels.reshape(2, self.capacity)[:, slots] = batch.labels[-self.capacity :]
         self._cursor = (self._cursor + n) % self.capacity
         self._size = min(self._size + n, self.capacity)
 
     def view(self) -> MemoryView:
-        """Current contents, oldest to newest, as read-only arrays.
+        """Current contents, oldest to newest, as read-only slices of the ring.
 
-        Slices of the ring while its live rows are contiguous (not yet full,
-        or the cursor back at row 0); one concatenated copy after a wrap.
+        The live rows end just before the cursor's mirror slot, so they are
+        the ``size`` rows before ``cursor + capacity``: the mirror half while
+        the ring fills, and ``[cursor, cursor + capacity)`` once it is full.
         """
-        if self._size < self.capacity or self._cursor == 0:
-            descriptors = self._descriptors[: self._size]
-            labels = self._labels[: self._size]
-        else:
-            c = self._cursor
-            descriptors = np.concatenate([self._descriptors[c:], self._descriptors[:c]])
-            labels = np.concatenate([self._labels[c:], self._labels[:c]])
+        stop = self._cursor + self.capacity
+        descriptors = self._descriptors[stop - self._size : stop]
+        labels = self._labels[stop - self._size : stop]
         descriptors.flags.writeable = False
         labels.flags.writeable = False
         return MemoryView(descriptors=descriptors, labels=labels)

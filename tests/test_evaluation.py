@@ -134,23 +134,6 @@ class TestRetrievalIndex:
         with pytest.raises(ShapeError, match="row 2"):
             RetrievalIndex(gallery=G)
 
-    def test_default_ids(self):
-        rng = np.random.default_rng(66)
-        index = RetrievalIndex(gallery=unit_rows(rng, 6, 4))
-        assert_array_equal(index.ids, np.arange(6))
-
-    def test_rejects_duplicate_ids(self):
-        rng = np.random.default_rng(67)
-        with pytest.raises(ShapeError):
-            RetrievalIndex(
-                gallery=unit_rows(rng, 4, 4), ids=np.array([0, 1, 1, 3])
-            )
-
-    def test_rejects_id_count_mismatch(self):
-        rng = np.random.default_rng(68)
-        with pytest.raises(ShapeError):
-            RetrievalIndex(gallery=unit_rows(rng, 4, 4), ids=np.arange(5))
-
 
 class TestRankedList:
     def test_rejects_negative_indices(self):

@@ -1,6 +1,6 @@
 """Ring-buffer memory and momentum shadow behavior.
 
-The FIFO property test tracks a collections.deque(maxlen=capacity) as an
+The FIFO property tests track a collections.deque(maxlen=capacity) as an
 independent reference while random batch sizes stream in.
 """
 
@@ -8,6 +8,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spherekit import LabeledEmbeddingBatch, MemoryBank, MomentumTrack
@@ -57,12 +59,16 @@ class TestMemoryBank:
         fresh = bank.view()
         assert fresh.descriptors[0, 0] == 1.0
         assert fresh.labels[0] == 0
-        # A wrapped ring is copied into oldest-first order, still read-only.
+        # A wrapped ring is shown in place too, oldest first and read-only.
         bank.enqueue(one_hot_batch([3, 4]))
         wrapped = bank.view()
         assert_array_equal(wrapped.labels, [2, 3, 4])
         with pytest.raises(ValueError):
             wrapped.descriptors[0, 0] = 99.0
+        with pytest.raises(ValueError):
+            wrapped.labels[0] = 99
+        assert np.shares_memory(wrapped.descriptors, bank.view().descriptors)
+        assert np.shares_memory(wrapped.labels, bank.view().labels)
 
     def test_capacity_zero_is_noop(self):
         bank = MemoryBank(capacity=0, dim=8)
@@ -108,6 +114,36 @@ class TestMemoryBank:
                     ref_labels = np.array([l for _, l in reference])
                     assert_array_equal(view.descriptors, ref_Z)
                     assert_array_equal(view.labels, ref_labels)
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        capacity=st.integers(1, 9),
+        d=st.sampled_from([3, 5, 17]),
+        sizes=st.lists(st.integers(2, 20), min_size=1, max_size=10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(capacity=4, d=5, sizes=[3, 6], seed=0)  # oversize batch at cursor 3
+    @example(capacity=9, d=17, sizes=[4, 9, 2, 11], seed=1)  # full-size at cursor 4
+    @example(capacity=1, d=3, sizes=[2, 3, 2], seed=2)
+    def test_matches_deque_after_every_enqueue(self, capacity, d, sizes, seed):
+        rng = np.random.default_rng(seed)
+        bank = MemoryBank(capacity=capacity, dim=d)
+        reference = deque(maxlen=capacity)
+        next_label = 0
+        for n in sizes:
+            Z = unit_rows(rng, n, d)
+            labels = np.arange(next_label, next_label + n)
+            next_label += n
+            bank.enqueue(LabeledEmbeddingBatch(Z, labels))
+            reference.extend(zip(Z.copy(), labels))
+            view = bank.view()
+            assert len(bank) == len(view) == len(reference)
+            assert_array_equal(view.descriptors, np.stack([r for r, _ in reference]))
+            assert_array_equal(view.labels, [label for _, label in reference])
+            assert not view.descriptors.flags.writeable
+            assert not view.labels.flags.writeable
+            assert np.shares_memory(view.descriptors, bank.view().descriptors)
+            assert np.shares_memory(view.labels, bank.view().labels)
 
     def test_stored_rows_are_copies(self):
         bank = MemoryBank(capacity=4, dim=8)
