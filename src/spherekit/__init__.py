@@ -42,11 +42,8 @@ from .errors import (
 )
 from .evaluation import (
     QueryGroundTruth,
-    RankedList,
+    Retrieval,
     RetrievalIndex,
-    average_precision,
-    blocked_mean_average_precision,
-    blocked_recall_at_k,
     mean_average_precision,
     recall_at_k,
     retrieve,

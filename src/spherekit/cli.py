@@ -29,9 +29,9 @@ from .errors import ConfigError, FormatError, NumericalError, ToolkitError
 from .evaluation import (
     QueryGroundTruth,
     RetrievalIndex,
-    blocked_mean_average_precision,
-    blocked_recall_at_k,
-    retrieve,  # noqa: F401  bench/test_bench.py::test_tracer_restores_every_patched_name reads it here
+    mean_average_precision,
+    recall_at_k,
+    retrieve,
 )
 from .geometry import pca_fit, pca_transform_rows
 from .trainer import (
@@ -174,44 +174,44 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _eval_descriptors(config: RunConfig, head: EncoderHead, train, fit_on, *datasets):
+    """Unit descriptors of each dataset for retrieval, and the metrics' "pca".
+
+    With ``pca_out_dim`` the descriptors are PCA projections of the head's
+    raw outputs, the PCA fitted on ``train``'s raw outputs (``fit_on`` names
+    them in the report).
+    """
+    outputs = [forward(head, ds.features) for ds in datasets]
+    if config.pca_out_dim is None:
+        return [Z for _, Z in outputs], None
+    pca_model = pca_fit(forward(head, train.features)[0], config.pca_out_dim)
+    pca_block = {"out_dim": config.pca_out_dim, "fit_on": fit_on}
+    return [pca_transform_rows(pca_model, E) for E, _ in outputs], pca_block
+
+
 def _category_eval(config: RunConfig, head: EncoderHead, out_dir: Path) -> int:
     train, eval_ds = _resolve_splits(config)
-    has_query_files = (
-        config.data is not None and config.data.query_features is not None
-    )
-    E_eval, Z_eval = forward(head, eval_ds.features)
-    pca_block = None
-    if config.pca_out_dim is not None:
-        E_train, _ = forward(head, train.features)
-        pca_model = pca_fit(E_train, config.pca_out_dim)
-        Z_eval = pca_transform_rows(pca_model, E_eval)
-        pca_block = {
-            "out_dim": config.pca_out_dim,
-            "fit_on": "train-split embeddings before normalization",
-        }
-    index = RetrievalIndex(gallery=Z_eval)
-    if has_query_files:
-        queries_ds = _load_file_dataset(
-            config.data.query_features, config.data.query_labels
+    data = config.data
+    fit_on = "train-split embeddings before normalization"
+    if data is not None and data.query_features is not None:
+        queries_ds = _load_file_dataset(data.query_features, data.query_labels)
+        (Z_eval, Z_q), pca_block = _eval_descriptors(
+            config, head, train, fit_on, eval_ds, queries_ds
         )
-        E_q, Z_q = forward(head, queries_ds.features)
-        if config.pca_out_dim is not None:
-            Z_q = pca_transform_rows(pca_model, E_q)
-        query_labels = queries_ds.labels
-        recalls = blocked_recall_at_k(
-            index, Z_q, query_labels, config.eval_ks, gallery_labels=eval_ds.labels
-        )
+        retrieval = retrieve(RetrievalIndex(gallery=Z_eval), Z_q)
     else:
-        query_labels = eval_ds.labels
-        recalls = blocked_recall_at_k(
-            index, Z_eval, query_labels, config.eval_ks, exclude_self=True
-        )
+        queries_ds = eval_ds
+        (Z_eval,), pca_block = _eval_descriptors(config, head, train, fit_on, eval_ds)
+        retrieval = retrieve(RetrievalIndex(gallery=Z_eval), Z_eval, exclude_self=True)
+    recalls = recall_at_k(
+        retrieval, queries_ds.labels, config.eval_ks, gallery_labels=eval_ds.labels
+    )
     metrics = {
         "command": "eval",
         "version": __version__,
         "mode": "category",
         "num_gallery": len(eval_ds),
-        "num_queries": int(query_labels.shape[0]),
+        "num_queries": len(queries_ds),
         "pca": pca_block,
         "recall": {str(k): v for k, v in recalls.items()},
         "conventions": sk_io.CONVENTIONS,
@@ -236,19 +236,19 @@ def _particular_eval(config: RunConfig, head: EncoderHead, args, out_dir: Path) 
 
     gallery = _load_file_dataset(data.eval_features, data.eval_labels)
     queries = _load_file_dataset(data.query_features, data.query_labels)
-    E_g, Z_g = forward(head, gallery.features)
-    E_q, Z_q = forward(head, queries.features)
-    if config.pca_out_dim is not None:
-        train = _load_file_dataset(data.train_features, data.train_labels)
-        E_train, _ = forward(head, train.features)
-        pca_model = pca_fit(E_train, config.pca_out_dim)
-        Z_g = pca_transform_rows(pca_model, E_g)
-        Z_q = pca_transform_rows(pca_model, E_q)
+    train = (
+        None
+        if config.pca_out_dim is None
+        else _load_file_dataset(data.train_features, data.train_labels)
+    )
+    (Z_g, Z_q), pca_block = _eval_descriptors(
+        config, head, train, "train-split embeddings", gallery, queries
+    )
     records = sk_io.read_ground_truth(gt_path, gallery_size=len(gallery))
     no_record = QueryGroundTruth(easy=[], hard=[], junk=[])
     ground_truths = [records.get(i, no_record) for i in range(len(queries))]
-    per_split = blocked_mean_average_precision(
-        RetrievalIndex(gallery=Z_g), Z_q, ground_truths, ("medium", "hard")
+    per_split = mean_average_precision(
+        retrieve(RetrievalIndex(gallery=Z_g), Z_q), ground_truths, ("medium", "hard")
     )
     maps = {split: value for split, (value, _) in per_split.items()}
     skipped = {split: skip for split, (_, skip) in per_split.items()}
@@ -260,11 +260,7 @@ def _particular_eval(config: RunConfig, head: EncoderHead, args, out_dir: Path) 
         "num_queries": len(queries),
         "map": maps,
         "skipped_queries": skipped,
-        "pca": (
-            None
-            if config.pca_out_dim is None
-            else {"out_dim": config.pca_out_dim, "fit_on": "train-split embeddings"}
-        ),
+        "pca": pca_block,
         "conventions": sk_io.CONVENTIONS,
     }
     sk_io.write_json_atomic(out_dir / "metrics.json", metrics)

@@ -9,24 +9,21 @@ positive set depends on the difficulty split, and
 Per-query term sums use math.fsum, so equal inputs give equal floats on any
 summation path.
 
-Two routes reach the same formulas. ``blocked_recall_at_k`` and
-``blocked_mean_average_precision`` (what ``spherekit eval`` runs) stream
+``retrieve`` checks the queries and returns a ``Retrieval``, which scores
 blocks of query rows against the gallery, at most ``SCORE_BLOCK_BYTES`` of
-scores at a time, and count ranks instead of sorting: a query's first-hit
-rank is 1 + the number of non-positive gallery items ahead of its best
-positive, and a positive's rank is 1 + the number of kept (non-junk) items
-with a higher score, or an equal score and a lower index. Memory is bounded
-by the block budget, not by queries x gallery. ``retrieve`` builds every
-query's full ``RankedList``; ``recall_at_k`` and ``average_precision`` read
-ranks off those positions. They are the reference the blocked route is
-tested against.
+scores at a time; ``recall_at_k`` and ``mean_average_precision`` count ranks
+in each block instead of sorting. A query's first-hit rank is 1 + the number
+of non-positive gallery items ahead of its best positive, and a positive's
+rank is 1 + the number of kept (non-junk) items with a higher score, or an
+equal score and a lower index. No full ranking or queries x gallery score
+matrix is ever built, so memory is bounded by the block budget.
 
-The blocked metrics are exact for exact scores, such as dot products of
-coarsely quantized rows. On general floats a row of a block's product can
-differ in the last bits from the same row of a product with other rows, so
-where two scores are within a few ULPs of each other their order, and a
-metric through it, may depend on the block budget (and on the gallery size
-or BLAS thread count that shape the product).
+The metrics are exact for exact scores, such as dot products of coarsely
+quantized rows. On general floats a row of a block's product can differ in
+the last bits from the same row of a product with other rows, so where two
+scores are within a few ULPs of each other their order, and a metric through
+it, may depend on the block budget (and on the gallery size or BLAS thread
+count that shape the product).
 """
 
 from __future__ import annotations
@@ -44,15 +41,12 @@ __all__ = [
     "SPLITS",
     "SCORE_BLOCK_BYTES",
     "RetrievalIndex",
-    "RankedList",
+    "Retrieval",
     "QueryGroundTruth",
     "retrieve",
     "recall_at_k",
-    "average_precision",
     "mean_average_precision",
     "score_blocks",
-    "blocked_recall_at_k",
-    "blocked_mean_average_precision",
 ]
 
 SPLITS = ("easy", "medium", "hard")
@@ -66,7 +60,7 @@ SCORE_BLOCK_BYTES = 32 * 2**20
 class RetrievalIndex:
     """Gallery of unit-norm descriptor rows; a row's position is its id.
 
-    Labels for recall computations travel separately, alongside the rankings.
+    Labels for recall computations travel separately, alongside the queries.
     """
 
     gallery: np.ndarray
@@ -86,32 +80,6 @@ class RetrievalIndex:
 
     def __len__(self) -> int:
         return self.gallery.shape[0]
-
-
-@dataclass(frozen=True)
-class RankedList:
-    """One query's full gallery ordering with nonincreasing scores."""
-
-    indices: np.ndarray
-    scores: np.ndarray
-
-    def __post_init__(self):
-        indices = np.ascontiguousarray(self.indices, dtype=np.int64)
-        scores = np.ascontiguousarray(self.scores, dtype=np.float64)
-        if indices.ndim != 1 or scores.shape != indices.shape:
-            raise ShapeError("indices and scores must be matching 1-D arrays")
-        if indices.size:
-            if indices.min() < 0:
-                raise ShapeError("ranked gallery indices must be nonnegative")
-            if np.unique(indices).size != indices.size:
-                raise ShapeError("ranked gallery indices must be distinct")
-            if np.any(np.diff(scores) > 0):
-                raise ShapeError("ranking scores must be nonincreasing")
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "scores", scores)
-
-    def __len__(self) -> int:
-        return self.indices.shape[0]
 
 
 @dataclass(frozen=True)
@@ -149,7 +117,37 @@ class QueryGroundTruth:
                 )
 
 
-def _check_queries(index: RetrievalIndex, queries, exclude_self: bool) -> np.ndarray:
+@dataclass(frozen=True)
+class Retrieval:
+    """Queries checked by ``retrieve``; holds no scores and no ranking."""
+
+    index: RetrievalIndex
+    queries: np.ndarray
+    exclude_self: bool = False
+    block_rows: int | None = None
+
+    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """``score_blocks``, with each query's own entry at -inf under ``exclude_self``."""
+        for start, S in score_blocks(self.queries, self.index.gallery, self.block_rows):
+            if self.exclude_self:
+                rows = np.arange(S.shape[0])
+                S[rows, start + rows] = -np.inf
+            yield start, S
+
+
+def retrieve(
+    index: RetrievalIndex,
+    queries: np.ndarray,
+    exclude_self: bool = False,
+    block_rows: int | None = None,
+) -> Retrieval:
+    """Check query rows against ``index`` for the metrics to score.
+
+    ``exclude_self`` supports leave-one-out protocols where the query set IS
+    the gallery: query i never retrieves gallery entry i. Ties in similarity
+    are broken by ascending gallery index. ``block_rows`` overrides the
+    default block size of ``score_blocks``.
+    """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2:
         raise ShapeError("queries must be 2-D")
@@ -163,28 +161,7 @@ def _check_queries(index: RetrievalIndex, queries, exclude_self: bool) -> np.nda
         raise ShapeError(
             "exclude_self requires the query set and gallery to be the same size"
         )
-    return queries
-
-
-def retrieve(
-    index: RetrievalIndex, queries: np.ndarray, exclude_self: bool = False
-) -> list[RankedList]:
-    """Rank the whole gallery for each query row.
-
-    ``exclude_self`` supports leave-one-out protocols where the query set IS
-    the gallery: entry i is removed from ranking i. Ties in similarity are
-    broken by ascending gallery index (stable sort on negated scores).
-    """
-    queries = _check_queries(index, queries, exclude_self)
-    sims = queries @ index.gallery.T
-    order = np.argsort(-sims, axis=1, kind="stable")
-    out = []
-    for i in range(queries.shape[0]):
-        idx = order[i]
-        if exclude_self:
-            idx = idx[idx != i]
-        out.append(RankedList(indices=idx, scores=sims[i, idx]))
-    return out
+    return Retrieval(index, queries, exclude_self, block_rows)
 
 
 def score_blocks(
@@ -212,23 +189,6 @@ def score_blocks(
         start = stop
 
 
-def _label_arrays(labels, gallery_labels):
-    """Query labels, and gallery labels defaulting to them (leave-one-out)."""
-    query_labels = np.ascontiguousarray(labels, dtype=np.int64)
-    if gallery_labels is None:
-        return query_labels, query_labels
-    return query_labels, np.ascontiguousarray(gallery_labels, dtype=np.int64)
-
-
-def _recall_cutoffs(ks: Iterable[int], depth: int) -> list[int]:
-    ks = sorted(set(int(k) for k in ks))
-    if not ks or ks[0] < 1:
-        raise ProtocolError("recall cutoffs must be positive integers")
-    if ks[-1] > depth:
-        raise ProtocolError(f"K={ks[-1]} exceeds usable ranking depth {depth}")
-    return ks
-
-
 def _recall_from_first_hits(
     first_hits: np.ndarray, ks: list[int], num_queries: int
 ) -> dict[int, float]:
@@ -241,7 +201,7 @@ def _recall_from_first_hits(
 
 
 def recall_at_k(
-    rankings: Sequence[RankedList],
+    retrieval: Retrieval,
     labels: np.ndarray,
     ks: Iterable[int],
     gallery_labels: np.ndarray | None = None,
@@ -249,61 +209,42 @@ def recall_at_k(
     """Fraction of queries with at least one same-label hit in the top K.
 
     ``labels`` are the query labels. In the leave-one-out protocol the query
-    set is the gallery, so ranked indices resolve against ``labels`` itself;
+    set is the gallery, so gallery items resolve against ``labels`` itself;
     pass ``gallery_labels`` only for split query/gallery setups. Every query
     counts in the denominator. Raises ProtocolError when no query has any
     positive in the gallery (the metric would be vacuous) or when K exceeds
-    the usable ranking depth.
-    """
-    query_labels, gallery_labels = _label_arrays(labels, gallery_labels)
-    if len(rankings) != query_labels.shape[0]:
-        raise ShapeError("one label per query ranking required")
-    ks = _recall_cutoffs(ks, min((len(r) for r in rankings), default=0))
-    first_hits = []
-    for ranking, label in zip(rankings, query_labels):
-        if ranking.indices.size and int(ranking.indices.max()) >= gallery_labels.shape[0]:
-            raise ShapeError("ranking refers to indices outside the labeled gallery")
-        match_positions = np.flatnonzero(gallery_labels[ranking.indices] == label)
-        if match_positions.size:
-            first_hits.append(int(match_positions[0]) + 1)
-    return _recall_from_first_hits(
-        np.asarray(first_hits, dtype=np.int64), ks, query_labels.shape[0]
-    )
-
-
-def blocked_recall_at_k(
-    index: RetrievalIndex,
-    queries: np.ndarray,
-    labels: np.ndarray,
-    ks: Iterable[int],
-    gallery_labels: np.ndarray | None = None,
-    exclude_self: bool = False,
-    block_rows: int | None = None,
-) -> dict[int, float]:
-    """``recall_at_k(retrieve(index, queries, exclude_self), ...)`` without rankings.
+    the usable ranking depth: the gallery size, minus one with
+    ``exclude_self``.
 
     Each query's first-hit rank is counted in its score block: its best
     positive is the same-label item (self excluded) with the highest score,
     lowest index among equals, and the rank is 1 + the number of other items
-    with a higher score, or an equal score and a lower index. Arguments,
-    errors and results are those of ``recall_at_k``; the usable depth is the
-    gallery size, minus one with ``exclude_self``.
+    with a higher score, or an equal score and a lower index.
     """
-    queries = _check_queries(index, queries, exclude_self)
-    query_labels, gallery_labels = _label_arrays(labels, gallery_labels)
-    if query_labels.shape != (queries.shape[0],):
+    index = retrieval.index
+    num_queries = retrieval.queries.shape[0]
+    query_labels = np.ascontiguousarray(labels, dtype=np.int64)
+    if gallery_labels is not None:
+        gallery_labels = np.ascontiguousarray(gallery_labels, dtype=np.int64)
+    else:
+        gallery_labels = query_labels
+    if query_labels.shape != (num_queries,):
         raise ShapeError("one label per query required")
     if gallery_labels.shape != (len(index),):
         raise ShapeError("one label per gallery row required")
-    ks = _recall_cutoffs(ks, len(index) - int(exclude_self))
+    ks = sorted(set(int(k) for k in ks))
+    if not ks or ks[0] < 1:
+        raise ProtocolError("recall cutoffs must be positive integers")
+    depth = len(index) - int(retrieval.exclude_self)
+    if ks[-1] > depth:
+        raise ProtocolError(f"K={ks[-1]} exceeds usable ranking depth {depth}")
     columns = np.arange(len(index))
     first_hits = []
-    for start, S in score_blocks(queries, index.gallery, block_rows):
+    for start, S in retrieval.blocks():
         rows = np.arange(S.shape[0])
         positive = query_labels[start : start + rows.size, None] == gallery_labels
-        if exclude_self:
+        if retrieval.exclude_self:
             positive[rows, start + rows] = False
-            S[rows, start + rows] = -np.inf  # never ahead of a finite score
         found = positive.any(axis=1)
         best = np.max(S, axis=1, where=positive, initial=-np.inf)[:, None]
         tied = S == best
@@ -315,7 +256,7 @@ def blocked_recall_at_k(
     return _recall_from_first_hits(
         np.concatenate(first_hits) if first_hits else np.zeros(0, np.int64),
         ks,
-        queries.shape[0],
+        num_queries,
     )
 
 
@@ -334,29 +275,6 @@ def _effective_sets(gt: QueryGroundTruth, split: str):
     return positives, junk
 
 
-def average_precision(ranking: RankedList, gt: QueryGroundTruth, split: str) -> float:
-    """AP for one query under a difficulty split.
-
-    Junk-for-this-split entries are deleted from the ranking before ranks are
-    assigned. Raises ProtocolError when the split leaves no positives.
-    """
-    positives, junk = _effective_sets(gt, split)
-    if positives.size == 0:
-        raise ProtocolError(f"query has no positives under the {split!r} split")
-    junk_mask = np.zeros(len(ranking), dtype=bool)
-    if junk.size:
-        junk_mask = np.isin(ranking.indices, junk)
-    kept = ranking.indices[~junk_mask]
-    is_pos = np.isin(kept, positives)
-    found = int(is_pos.sum())
-    if found != positives.size:
-        raise ProtocolError(
-            f"ranking covers {found} of {positives.size} positives; "
-            "ground-truth indices must appear in the ranking"
-        )
-    return _average_precision_from_ranks(np.flatnonzero(is_pos) + 1)
-
-
 def _average_precision_from_ranks(ranks: np.ndarray) -> float:
     """``(1/|P|) * sum_k k / rank_k`` from the positives' ascending 1-based
     ranks after junk removal, one rank per positive."""
@@ -370,53 +288,35 @@ def _mean_of_scored(values: list[float], split: str) -> float:
 
 
 def mean_average_precision(
-    rankings: Sequence[RankedList],
-    ground_truths: Sequence[QueryGroundTruth],
-    split: str,
-) -> tuple[float, list[int]]:
-    """Mean AP over queries that have positives under the split.
-
-    Queries with an empty positive set are skipped, not scored zero; their
-    indices are returned alongside the mean so reports can name them. Raises
-    ProtocolError when every query is skipped.
-    """
-    if len(rankings) != len(ground_truths):
-        raise ShapeError("one ground-truth record per ranking required")
-    values = []
-    skipped = []
-    for i, (ranking, gt) in enumerate(zip(rankings, ground_truths)):
-        positives, _ = _effective_sets(gt, split)
-        if positives.size == 0:
-            skipped.append(i)
-            continue
-        values.append(average_precision(ranking, gt, split))
-    return _mean_of_scored(values, split), skipped
-
-
-def blocked_mean_average_precision(
-    index: RetrievalIndex,
-    queries: np.ndarray,
+    retrieval: Retrieval,
     ground_truths: Sequence[QueryGroundTruth],
     splits: Sequence[str],
-    block_rows: int | None = None,
 ) -> dict[str, tuple[float, list[int]]]:
-    """``mean_average_precision(retrieve(index, queries), ...)`` for each split,
-    from one pass over the score blocks and without rankings.
+    """``{split: (mean AP, skipped query indices)}`` from one pass over the
+    score blocks.
 
-    A positive's rank after junk removal is 1 + the number of kept items with
-    a higher score, or an equal score and a lower index. Ground-truth indices
-    must lie inside the gallery (ProtocolError otherwise); skipping and the
-    all-skipped error are those of ``mean_average_precision``.
+    Junk-for-the-split entries are deleted from each ranking before ranks are
+    assigned: a positive's rank is 1 + the number of kept items with a higher
+    score, or an equal score and a lower index. Queries with an empty
+    positive set are skipped, not scored zero; their indices are returned so
+    reports can name them. Raises ProtocolError when every query is skipped
+    under a split, when a ground-truth index lies outside the gallery, or for
+    an ``exclude_self`` retrieval (mark a query's own entry as junk instead).
     """
-    queries = _check_queries(index, queries, exclude_self=False)
-    if len(ground_truths) != queries.shape[0]:
+    if retrieval.exclude_self:
+        raise ProtocolError(
+            "mean average precision needs a retrieval without exclude_self; "
+            "list a query's own gallery entry as junk instead"
+        )
+    index = retrieval.index
+    if len(ground_truths) != retrieval.queries.shape[0]:
         raise ShapeError("one ground-truth record per query required")
     for gt in ground_truths:
         gt.check_bounds(len(index))
     columns = np.arange(len(index))
     values = {split: [] for split in splits}
     skipped = {split: [] for split in splits}
-    for start, S in score_blocks(queries, index.gallery, block_rows):
+    for start, S in retrieval.blocks():
         for row, scores in enumerate(S):
             q = start + row
             for split in splits:

@@ -266,9 +266,6 @@ class EncoderHead:
             layers.append((params[f"w{i}"].copy(), params[f"b{i}"].copy()))
         return cls(layers)
 
-    def clone(self) -> "EncoderHead":
-        return EncoderHead([(W.copy(), b.copy()) for W, b in self.layers])
-
     def apply(self, X) -> tuple[np.ndarray, list[np.ndarray]]:
         """Raw head output E (no normalization) plus the per-layer input cache."""
         X = np.ascontiguousarray(X, dtype=np.float64)
@@ -647,13 +644,6 @@ class TrainedModel:
 
     head: EncoderHead
     momentum: MomentumTrack | None = None
-
-    def encoder(self, use_momentum: bool = False) -> EncoderHead:
-        if use_momentum:
-            if self.momentum is None:
-                raise ConfigError("run has no momentum track")
-            return EncoderHead.from_params(self.momentum.shadow)
-        return self.head
 
     def embed(self, X) -> np.ndarray:
         """Unit-norm descriptors for raw feature rows."""

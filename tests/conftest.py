@@ -42,6 +42,21 @@ def quantized_unit_rows(rng, n, d, pool_size):
     return pool[rng.integers(0, pool_size, size=n)]
 
 
+def circle_ranking(perm):
+    """Gallery rows and a single query that rank the gallery in ``perm`` order.
+
+    The query is ``(1, 0)`` and gallery item ``perm[j]`` sits on the unit
+    circle at angle ``(j + 1) * pi / (n + 2)``, so its score is exactly that
+    angle's cosine and falls strictly with ``j``.
+    """
+    perm = np.asarray(perm, dtype=np.int64)
+    angles = np.empty(perm.size)
+    angles[perm] = np.arange(1, perm.size + 1) * np.pi / (perm.size + 2)
+    assert np.all(np.diff(np.cos(angles[perm])) < 0)
+    gallery = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return gallery, np.array([[1.0, 0.0]])
+
+
 def half_labels(n):
     """Two balanced classes: first half 0, second half 1."""
     labels = np.zeros(n, dtype=np.int64)

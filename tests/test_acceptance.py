@@ -33,13 +33,11 @@ from spherekit import (
     MomentumTrack,
     OptimizerState,
     QueryGroundTruth,
-    RankedList,
     RetrievalIndex,
     RunConfig,
     SyntheticSpec,
     TokenGrid,
     adamw_step,
-    average_precision,
     backprop_through_normalization_rows,
     build_synthetic_dataset,
     combined_loss,
@@ -49,6 +47,7 @@ from spherekit import (
     gem_pool_backward,
     histogram_overlap,
     koleo_loss,
+    mean_average_precision,
     normalize_rows,
     parse_run_config,
     pca_energy_report,
@@ -74,6 +73,7 @@ from conftest import (
     FD_RTOL,
     FD_STEP,
     central_diff,
+    circle_ranking,
     half_labels,
     is_safe_embedding,
     rel_err,
@@ -292,8 +292,9 @@ def oracle_recall(indices, gallery_labels, query_label, k):
 
 
 def ranked(perm):
-    perm = np.asarray(perm, dtype=np.int64)
-    return RankedList(indices=perm, scores=-np.arange(perm.size, dtype=np.float64))
+    """Retrieval whose one query ranks the gallery in ``perm`` order."""
+    gallery, query = circle_ranking(perm)
+    return retrieve(RetrievalIndex(gallery), query)
 
 
 def test_metrics_match_oracles_on_every_small_ranking():
@@ -304,13 +305,12 @@ def test_metrics_match_oracles_on_every_small_ranking():
         gt = QueryGroundTruth(easy=easy, hard=hard, junk=junk)
         gallery_labels = np.arange(n, dtype=np.int64) % 2
         for perm in itertools.permutations(range(n)):
-            ranking = ranked(perm)
-            medium = average_precision(ranking, gt, "medium")
-            assert medium == oracle_ap(perm, [0, 1], junk)
-            hard_ap = average_precision(ranking, gt, "hard")
-            assert hard_ap == oracle_ap(perm, [1], np.concatenate([junk, easy]))
+            retrieval = ranked(perm)
+            maps = mean_average_precision(retrieval, [gt], ("medium", "hard"))
+            assert maps["medium"] == (oracle_ap(perm, [0, 1], junk), [])
+            assert maps["hard"] == (oracle_ap(perm, [1], np.concatenate([junk, easy])), [])
             rep = recall_at_k(
-                [ranking], np.array([0]), ks=range(1, n + 1),
+                retrieval, np.array([0]), ks=range(1, n + 1),
                 gallery_labels=gallery_labels,
             )
             for k in range(1, n + 1):
@@ -330,19 +330,18 @@ def test_metrics_match_oracles_on_random_rankings():
         junk = np.flatnonzero(roles == 2)
         gt = QueryGroundTruth(easy=easy, hard=hard, junk=junk)
         perm = rng.permutation(n)
-        ranking = ranked(perm)
-        assert average_precision(ranking, gt, "medium") == oracle_ap(
-            perm, np.concatenate([easy, hard]), junk
+        retrieval = ranked(perm)
+        maps = mean_average_precision(retrieval, [gt], ("medium", "hard"))
+        assert maps["medium"] == (
+            oracle_ap(perm, np.concatenate([easy, hard]), junk), []
         )
-        assert average_precision(ranking, gt, "hard") == oracle_ap(
-            perm, hard, np.concatenate([junk, easy])
-        )
+        assert maps["hard"] == (oracle_ap(perm, hard, np.concatenate([junk, easy])), [])
 
         gallery_labels = rng.integers(0, 4, size=n)
         query_label = int(gallery_labels[rng.integers(0, n)])
         ks = sorted({1, int(rng.integers(1, n + 1)), n})
         rep = recall_at_k(
-            [ranking], np.array([query_label]), ks=ks, gallery_labels=gallery_labels
+            retrieval, np.array([query_label]), ks=ks, gallery_labels=gallery_labels
         )
         for k in ks:
             assert rep[k] == oracle_recall(perm, gallery_labels, query_label, k)

@@ -1,12 +1,15 @@
 """Retrieval, recall, and average-precision behavior.
 
-Ranking order is checked against a pure-Python sort on (negated similarity,
-position). Average precision is checked against a walk-the-ranking oracle
-that skips junk and accumulates precision at each hit; recall against a
-counting loop. Oracle arithmetic mirrors rank order term by term, so the
-comparisons are exact, not approximate. The blocked rank-counting metrics
-are checked against the full rankings on quantized inputs whose scores are
-exact and full of ties, for several block sizes.
+The metrics count ranks in blocks of scores and build no ranking, so the
+reference here is the full one: a stable sort of each query's negated score
+row (``full_rankings``), which orders by (negated similarity, position).
+Average precision is checked against a walk-the-ranking oracle that skips
+junk and accumulates precision at each hit; recall against a counting loop.
+Oracle arithmetic mirrors rank order term by term, so the comparisons are
+exact, not approximate. Fixed rankings are realized as scores on the unit
+circle (``circle_ranking``), and the property tests compare against the
+full rankings on quantized inputs whose scores are exact and full of ties,
+for several block sizes.
 """
 
 import itertools
@@ -22,11 +25,7 @@ from spherekit import (
     NumericalError,
     ProtocolError,
     QueryGroundTruth,
-    RankedList,
     RetrievalIndex,
-    average_precision,
-    blocked_mean_average_precision,
-    blocked_recall_at_k,
     mean_average_precision,
     recall_at_k,
     retrieve,
@@ -34,7 +33,22 @@ from spherekit import (
 from spherekit.errors import ShapeError
 from spherekit.evaluation import SCORE_BLOCK_BYTES, score_blocks
 
-from conftest import quantized_unit_rows, unit_rows
+from conftest import circle_ranking, quantized_unit_rows, unit_rows
+
+
+def full_rankings(G, Q, exclude_self=False):
+    """Every query's whole gallery ordering: a stable sort of ``-Q @ G.T``,
+    with the query's own entry removed under ``exclude_self``."""
+    order = np.argsort(-(Q @ G.T), axis=1, kind="stable")
+    if exclude_self:
+        return [ranking[ranking != i] for i, ranking in enumerate(order)]
+    return list(order)
+
+
+def ranked(perm):
+    """Retrieval whose one query ranks the gallery in ``perm`` order."""
+    gallery, query = circle_ranking(perm)
+    return retrieve(RetrievalIndex(gallery), query)
 
 
 def ap_walk(indices, positives, junk):
@@ -58,10 +72,49 @@ def ap_walk(indices, positives, junk):
 def recall_walk(rankings, query_labels, gallery_labels, k):
     hits = 0
     for ranking, label in zip(rankings, query_labels):
-        top = [int(i) for i in ranking.indices[:k]]
+        top = [int(i) for i in ranking[:k]]
         if any(gallery_labels[i] == label for i in top):
             hits += 1
     return hits / len(rankings)
+
+
+def split_sets(record, split):
+    """(positives, junk) of a record under a difficulty split."""
+    easy, hard, junk = list(record.easy), list(record.hard), list(record.junk)
+    return {
+        "easy": (easy, junk + hard),
+        "medium": (easy + hard, junk),
+        "hard": (hard, junk + easy),
+    }[split]
+
+
+def map_walk(rankings, records, split):
+    """(mean AP, skipped queries) over full rankings; None if all are skipped."""
+    values, skipped = [], []
+    for q, (ranking, record) in enumerate(zip(rankings, records)):
+        positives, junk = split_sets(record, split)
+        if not positives:
+            skipped.append(q)
+            continue
+        values.append(ap_walk(ranking, positives, junk))
+    return (math.fsum(values) / len(values), skipped) if values else None
+
+
+def single_ap(perm, record, split):
+    """AP of the one query of ``ranked(perm)``: the mean over one query."""
+    value, skipped = mean_average_precision(ranked(perm), [record], (split,))[split]
+    assert skipped == []
+    return value
+
+
+def rank_of(index, query, item):
+    """1-based rank of gallery ``item`` for ``query``, read off recall@K with
+    ``item`` as the only positive."""
+    gallery_labels = np.zeros(len(index), dtype=np.int64)
+    gallery_labels[item] = 1
+    rep = recall_at_k(retrieve(index, query[None, :]), np.array([1]),
+                      range(1, len(index) + 1), gallery_labels=gallery_labels)
+    return 1 + sum(value == 0.0 for value in rep.values())
 
 
 def gt(easy=(), hard=(), junk=()):
@@ -78,12 +131,16 @@ class TestRetrieve:
         gallery = unit_rows(rng, 15, 6)
         queries = unit_rows(rng, 4, 6)
         index = RetrievalIndex(gallery=gallery)
-        rankings = retrieve(index, queries)
         sims = queries @ gallery.T
-        for qi, ranking in enumerate(rankings):
-            expected = sorted(range(15), key=lambda j: (-sims[qi, j], j))
-            assert_array_equal(ranking.indices, expected)
-            assert_array_equal(ranking.scores, sims[qi, ranking.indices])
+        assert_array_equal(
+            np.vstack([S for _, S in retrieve(index, queries).blocks()]), sims
+        )
+        for qi in range(4):
+            # rank_of scores one query alone, as this product does
+            row = (queries[qi][None, :] @ gallery.T)[0]
+            expected = sorted(range(15), key=lambda j: (-row[j], j))
+            ranks = [rank_of(index, queries[qi], j) for j in expected]
+            assert ranks == list(range(1, 16))
 
     def test_ties_break_by_ascending_position(self):
         rng = np.random.default_rng(61)
@@ -91,17 +148,20 @@ class TestRetrieve:
         other = unit_rows(rng, 1, 5)[0]
         gallery = np.stack([other, row, other, row, other])  # exact duplicates
         index = RetrievalIndex(gallery=gallery)
-        ranking = retrieve(index, row.reshape(1, -1))[0]
-        assert_array_equal(ranking.indices[:2], [1, 3])
-        assert_array_equal(ranking.indices[2:], [0, 2, 4])
+        ranks = [rank_of(index, row, j) for j in (1, 3, 0, 2, 4)]
+        assert ranks == [1, 2, 3, 4, 5]
 
     def test_exclude_self_drops_own_position(self):
         rng = np.random.default_rng(62)
         Z = unit_rows(rng, 8, 5)
-        rankings = retrieve(RetrievalIndex(gallery=Z), Z, exclude_self=True)
-        for i, ranking in enumerate(rankings):
-            assert len(ranking) == 7
-            assert i not in set(int(j) for j in ranking.indices)
+        retrieval = retrieve(RetrievalIndex(gallery=Z), Z, exclude_self=True)
+        S = np.vstack([S for _, S in retrieval.blocks()])
+        assert_array_equal(np.isinf(S), np.eye(8, dtype=bool))
+        assert np.all(np.diag(S) < 0)
+        with pytest.raises(ProtocolError, match="usable ranking depth 7"):
+            recall_at_k(retrieval, np.zeros(8, dtype=np.int64), (8,))
+        with pytest.raises(ProtocolError, match="no query"):
+            recall_at_k(retrieval, np.arange(8), (1,))  # self is never a hit
 
     def test_exclude_self_requires_square_setup(self):
         rng = np.random.default_rng(63)
@@ -121,9 +181,6 @@ class TestRetrieve:
         index = RetrievalIndex(gallery=Z)
         with pytest.raises(NumericalError, match="non-finite"):
             retrieve(index, Q)
-        with pytest.raises(NumericalError, match="non-finite"):
-            blocked_recall_at_k(index, Q, np.array([0, 0, 1]), (1,),
-                                gallery_labels=np.array([0, 0, 1]))
 
 
 class TestRetrievalIndex:
@@ -135,31 +192,14 @@ class TestRetrievalIndex:
             RetrievalIndex(gallery=G)
 
 
-class TestRankedList:
-    def test_rejects_negative_indices(self):
-        with pytest.raises(ShapeError):
-            RankedList(indices=np.array([0, -1]), scores=np.array([0.9, 0.1]))
-
-    def test_rejects_duplicate_indices(self):
-        with pytest.raises(ShapeError):
-            RankedList(indices=np.array([2, 2]), scores=np.array([0.9, 0.1]))
-
-    def test_rejects_increasing_scores(self):
-        with pytest.raises(ShapeError):
-            RankedList(indices=np.array([0, 1]), scores=np.array([0.1, 0.9]))
-
-    def test_accepts_tied_scores(self):
-        r = RankedList(indices=np.array([0, 1]), scores=np.array([0.5, 0.5]))
-        assert len(r) == 2
-
-
 class TestRecallAtK:
     def test_against_counting_loop(self):
         rng = np.random.default_rng(70)
         Z = unit_rows(rng, 20, 6)
         labels = rng.integers(0, 4, size=20)
-        rankings = retrieve(RetrievalIndex(gallery=Z), Z, exclude_self=True)
-        got = recall_at_k(rankings, labels, ks=(1, 2, 5, 10))
+        got = recall_at_k(retrieve(RetrievalIndex(gallery=Z), Z, exclude_self=True),
+                          labels, ks=(1, 2, 5, 10))
+        rankings = full_rankings(Z, Z, exclude_self=True)
         for k, value in got.items():
             assert value == recall_walk(rankings, labels, labels, k)
 
@@ -169,44 +209,45 @@ class TestRecallAtK:
         Q = unit_rows(rng, 5, 5)
         g_labels = rng.integers(0, 3, size=12)
         q_labels = rng.integers(0, 3, size=5)
-        rankings = retrieve(RetrievalIndex(gallery=G), Q)
-        got = recall_at_k(rankings, q_labels, ks=(1, 3), gallery_labels=g_labels)
+        got = recall_at_k(retrieve(RetrievalIndex(gallery=G), Q), q_labels,
+                          ks=(1, 3), gallery_labels=g_labels)
+        rankings = full_rankings(G, Q)
         for k, value in got.items():
             assert value == recall_walk(rankings, q_labels, g_labels, k)
 
     def test_perfect_and_zero_cases(self):
         Z = np.eye(4)
         labels = np.array([0, 0, 1, 1])
-        rankings = retrieve(RetrievalIndex(gallery=Z), Z, exclude_self=True)
-        got = recall_at_k(rankings, labels, ks=(3,))
+        retrieval = retrieve(RetrievalIndex(gallery=Z), Z, exclude_self=True)
+        got = recall_at_k(retrieval, labels, ks=(3,))
         assert got[3] == 1.0  # every query finds its partner within 3
 
     def test_no_positive_anywhere_raises(self):
         Z = np.eye(3)
         labels = np.array([0, 1, 2])  # all classes singletons
-        rankings = retrieve(RetrievalIndex(gallery=Z), Z, exclude_self=True)
+        retrieval = retrieve(RetrievalIndex(gallery=Z), Z, exclude_self=True)
         with pytest.raises(ProtocolError):
-            recall_at_k(rankings, labels, ks=(1,))
+            recall_at_k(retrieval, labels, ks=(1,))
 
     def test_k_beyond_depth_raises(self):
         Z = np.eye(3)
         labels = np.array([0, 0, 1])
-        rankings = retrieve(RetrievalIndex(gallery=Z), Z, exclude_self=True)
+        retrieval = retrieve(RetrievalIndex(gallery=Z), Z, exclude_self=True)
         with pytest.raises(ProtocolError):
-            recall_at_k(rankings, labels, ks=(3,))  # depth is 2 after exclusion
+            recall_at_k(retrieval, labels, ks=(3,))  # depth is 2 after exclusion
 
     def test_nonpositive_k_raises(self):
         Z = np.eye(2)
         labels = np.array([0, 0])
-        rankings = retrieve(RetrievalIndex(gallery=Z), Z, exclude_self=True)
+        retrieval = retrieve(RetrievalIndex(gallery=Z), Z, exclude_self=True)
         with pytest.raises(ProtocolError):
-            recall_at_k(rankings, labels, ks=(0,))
+            recall_at_k(retrieval, labels, ks=(0,))
 
     def test_label_count_mismatch(self):
         Z = np.eye(3)
-        rankings = retrieve(RetrievalIndex(gallery=Z), Z)
+        retrieval = retrieve(RetrievalIndex(gallery=Z), Z)
         with pytest.raises(ShapeError):
-            recall_at_k(rankings, np.array([0, 1]), ks=(1,))
+            recall_at_k(retrieval, np.array([0, 1]), ks=(1,))
 
 
 class TestQueryGroundTruth:
@@ -232,100 +273,88 @@ class TestQueryGroundTruth:
 
 class TestAveragePrecision:
     def test_hand_worked_example(self):
-        ranking = RankedList(
-            indices=np.arange(6), scores=np.linspace(1.0, 0.5, 6)
-        )
         record = gt(easy=[0], hard=[3], junk=[1])
-        assert_allclose(
-            average_precision(ranking, record, "medium"), 5.0 / 6.0, rtol=1e-15
-        )
-        assert average_precision(ranking, record, "hard") == 0.5
-        assert average_precision(ranking, record, "easy") == 1.0
+        assert_allclose(single_ap(range(6), record, "medium"), 5.0 / 6.0, rtol=1e-15)
+        assert single_ap(range(6), record, "hard") == 0.5
+        assert single_ap(range(6), record, "easy") == 1.0
 
     def test_all_permutations_of_small_gallery(self):
         record = gt(easy=[0, 4], hard=[2], junk=[5])
-        scores = np.linspace(1.0, 0.0, 6)
+        splits = ("medium", "hard", "easy")
         for perm in itertools.permutations(range(6)):
-            ranking = RankedList(indices=np.array(perm), scores=scores)
-            for split in ("medium", "hard", "easy"):
+            got = mean_average_precision(ranked(perm), [record], splits)
+            for split in splits:
                 positives, junk = {
                     "medium": ([0, 4, 2], [5]),
                     "hard": ([2], [5, 0, 4]),
                     "easy": ([0, 4], [5, 2]),
                 }[split]
                 expected = ap_walk(perm, positives, junk)
-                assert average_precision(ranking, record, split) == expected
+                assert got[split] == (expected, [])
 
     def test_junk_is_removed_not_penalized(self):
         # positive buried behind junk still scores a perfect AP
-        ranking = RankedList(indices=np.array([3, 4, 0]), scores=np.array([3.0, 2.0, 1.0]))
         record = gt(easy=[0], junk=[3, 4])
-        assert average_precision(ranking, record, "medium") == 1.0
+        assert single_ap([3, 4, 0, 1, 2], record, "medium") == 1.0
 
     def test_no_positives_under_split_raises(self):
-        ranking = RankedList(indices=np.arange(4), scores=-np.arange(4.0))
         with pytest.raises(ProtocolError):
-            average_precision(ranking, gt(easy=[1]), "hard")
-
-    def test_missing_positive_in_ranking_raises(self):
-        ranking = RankedList(indices=np.array([0, 1]), scores=np.array([1.0, 0.5]))
-        with pytest.raises(ProtocolError):
-            average_precision(ranking, gt(easy=[3]), "medium")
+            mean_average_precision(ranked(range(4)), [gt(easy=[1])], ("hard",))
 
     def test_unknown_split_raises(self):
-        ranking = RankedList(indices=np.arange(2), scores=np.array([1.0, 0.5]))
         with pytest.raises(ProtocolError):
-            average_precision(ranking, gt(easy=[0]), "extreme")
+            mean_average_precision(ranked(range(2)), [gt(easy=[0])], ("extreme",))
 
 
 class TestMeanAveragePrecision:
     def test_skips_empty_queries_and_reports_them(self):
-        scores = np.array([1.0, 0.5, 0.25])
-        r = RankedList(indices=np.arange(3), scores=scores)
+        gallery, query = circle_ranking(range(3))
+        retrieval = retrieve(RetrievalIndex(gallery), np.repeat(query, 3, axis=0))
         records = [gt(easy=[0]), gt(junk=[1]), gt(hard=[2])]
-        value, skipped = mean_average_precision([r, r, r], records, "easy")
+        value, skipped = mean_average_precision(retrieval, records, ("easy",))["easy"]
         assert skipped == [1, 2]
-        assert value == average_precision(r, records[0], "easy")
+        assert value == single_ap(range(3), records[0], "easy")
 
     def test_mean_is_fsum_over_scored(self):
         rng = np.random.default_rng(72)
         Z = unit_rows(rng, 10, 5)
-        rankings = retrieve(RetrievalIndex(gallery=Z), unit_rows(rng, 4, 5))
+        Q = unit_rows(rng, 4, 5)
         records = [
             gt(easy=[1, 2], hard=[3]),
             gt(hard=[0]),
             gt(easy=[5], junk=[6, 7]),
             gt(easy=[8], hard=[9, 2], junk=[0]),
         ]
-        value, skipped = mean_average_precision(rankings, records, "medium")
+        value, skipped = mean_average_precision(
+            retrieve(RetrievalIndex(gallery=Z), Q), records, ("medium",)
+        )["medium"]
         assert skipped == []
         expected = math.fsum(
-            average_precision(r, g, "medium") for r, g in zip(rankings, records)
+            ap_walk(r, *split_sets(g, "medium"))
+            for r, g in zip(full_rankings(Z, Q), records)
         ) / len(records)
         assert value == expected
 
     def test_all_skipped_raises(self):
-        r = RankedList(indices=np.arange(2), scores=np.array([1.0, 0.5]))
         with pytest.raises(ProtocolError):
-            mean_average_precision([r], [gt(junk=[0])], "medium")
+            mean_average_precision(ranked(range(2)), [gt(junk=[0])], ("medium",))
 
     def test_length_mismatch_raises(self):
-        r = RankedList(indices=np.arange(2), scores=np.array([1.0, 0.5]))
+        gallery, query = circle_ranking(range(2))
+        retrieval = retrieve(RetrievalIndex(gallery), np.repeat(query, 2, axis=0))
         with pytest.raises(ShapeError):
-            mean_average_precision([r, r], [gt(easy=[0])], "medium")
+            mean_average_precision(retrieval, [gt(easy=[0])], ("medium",))
+
+    def test_exclude_self_retrieval_raises(self):
+        Z = np.eye(3)
+        retrieval = retrieve(RetrievalIndex(gallery=Z), Z, exclude_self=True)
+        with pytest.raises(ProtocolError, match="exclude_self"):
+            mean_average_precision(retrieval, [gt(easy=[1])] * 3, ("medium",))
 
 
 # ---------------------------------------------------------------------------
 # blocked scoring and rank counting vs full rankings
 # ---------------------------------------------------------------------------
-
-
-def outcome(fn, *args, **kwargs):
-    """The call's result, or its exception type and message."""
-    try:
-        return fn(*args, **kwargs)
-    except (ProtocolError, ShapeError) as exc:
-        return type(exc), str(exc)
 
 
 def random_ground_truths(rng, num_queries, gallery_size):
@@ -335,6 +364,12 @@ def random_ground_truths(rng, num_queries, gallery_size):
         records.append(gt(easy=np.flatnonzero(roles == 0), hard=np.flatnonzero(roles == 1),
                           junk=np.flatnonzero(roles == 2)))
     return records
+
+
+def block_sizes(num_queries):
+    """Block sizes to try: the smallest ones, the query count and one less,
+    and the default."""
+    return [b for b in (2, 3, num_queries - 1, num_queries) if b >= 2] + [None]
 
 
 class TestScoreBlocks:
@@ -373,37 +408,38 @@ class TestBlockedRecall:
         e0, e1 = np.eye(3)[0], np.eye(3)[1]
         G = np.stack([e0, e0, e0, e1])
         index = RetrievalIndex(gallery=G)
-        got = blocked_recall_at_k(index, e0[None, :], np.array([1]), (1, 2, 3, 4),
-                                  gallery_labels=np.array([0, 0, 1, 1]))
+        got = recall_at_k(retrieve(index, e0[None, :]), np.array([1]), (1, 2, 3, 4),
+                          gallery_labels=np.array([0, 0, 1, 1]))
         assert got == {1: 0.0, 2: 0.0, 3: 1.0, 4: 1.0}
 
     def test_self_is_excluded_even_when_tied(self):
         Z = np.eye(2)[[0, 0, 0, 1]]
         labels = np.array([0, 1, 0, 0])
-        got = blocked_recall_at_k(RetrievalIndex(gallery=Z), Z, labels, (1, 2),
-                                  exclude_self=True)
-        ref = recall_at_k(retrieve(RetrievalIndex(gallery=Z), Z, exclude_self=True),
+        got = recall_at_k(retrieve(RetrievalIndex(gallery=Z), Z, exclude_self=True),
                           labels, (1, 2))
+        rankings = full_rankings(Z, Z, exclude_self=True)
+        ref = {k: recall_walk(rankings, labels, labels, k) for k in (1, 2)}
         assert got == ref == {1: 0.5, 2: 0.75}
 
     def test_errors_match_reference(self):
         Z = np.eye(3)
         index = RetrievalIndex(gallery=Z)
+        loo = retrieve(index, Z, exclude_self=True)
         with pytest.raises(ProtocolError, match="K=3 exceeds usable ranking depth 2"):
-            blocked_recall_at_k(index, Z, np.array([0, 0, 1]), (3,), exclude_self=True)
+            recall_at_k(loo, np.array([0, 0, 1]), (3,))
         with pytest.raises(ProtocolError, match="no query"):
-            blocked_recall_at_k(index, Z, np.array([0, 1, 2]), (1,), exclude_self=True)
+            recall_at_k(loo, np.array([0, 1, 2]), (1,))
         with pytest.raises(ProtocolError):
-            blocked_recall_at_k(index, Z, np.array([0, 0, 1]), (0,))
+            recall_at_k(retrieve(index, Z), np.array([0, 0, 1]), (0,))
         with pytest.raises(ShapeError):
-            blocked_recall_at_k(index, Z[:, :2], np.array([0, 0, 1]), (1,))
+            recall_at_k(retrieve(index, Z[:, :2]), np.array([0, 0, 1]), (1,))
         with pytest.raises(ShapeError):
-            blocked_recall_at_k(index, Z[:2], np.array([0, 0]), (1,), exclude_self=True)
+            recall_at_k(retrieve(index, Z[:2], exclude_self=True), np.array([0, 0]), (1,))
         with pytest.raises(ShapeError):
-            blocked_recall_at_k(index, Z, np.array([0, 0]), (1,))
+            recall_at_k(retrieve(index, Z), np.array([0, 0]), (1,))
         with pytest.raises(ShapeError):
-            blocked_recall_at_k(index, Z[:2], np.array([0, 0]), (1,),
-                                gallery_labels=np.array([0, 0]))
+            recall_at_k(retrieve(index, Z[:2]), np.array([0, 0]), (1,),
+                        gallery_labels=np.array([0, 0]))
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(
@@ -427,15 +463,17 @@ class TestBlockedRecall:
         exclude_self = not split
         depth = n - int(exclude_self)
         ks = sorted({1, depth, *rng.integers(1, depth + 1, size=3).tolist()})
+        rankings = full_rankings(G, Q, exclude_self=exclude_self)
+        any_positive = any(np.any(g_labels[r] == label) for r, label in zip(rankings, q_labels))
+        expected = {k: recall_walk(rankings, q_labels, g_labels, k) for k in ks}
         index = RetrievalIndex(gallery=G)
-        expected = outcome(recall_at_k, retrieve(index, Q, exclude_self=exclude_self),
-                           q_labels, ks, **kwargs)
-        for block_rows in (2, 3, Q.shape[0] - 1, Q.shape[0], None):
-            if block_rows is not None and block_rows < 2:
-                continue
-            got = outcome(blocked_recall_at_k, index, Q, q_labels, ks,
-                          exclude_self=exclude_self, block_rows=block_rows, **kwargs)
-            assert got == expected
+        for block_rows in block_sizes(Q.shape[0]):
+            retrieval = retrieve(index, Q, exclude_self=exclude_self, block_rows=block_rows)
+            if any_positive:
+                assert recall_at_k(retrieval, q_labels, ks, **kwargs) == expected
+            else:
+                with pytest.raises(ProtocolError, match="no query"):
+                    recall_at_k(retrieval, q_labels, ks, **kwargs)
 
 
 class TestBlockedMeanAveragePrecision:
@@ -446,29 +484,27 @@ class TestBlockedMeanAveragePrecision:
         G = np.stack([e0, e0, e0, e0, e1])
         index = RetrievalIndex(gallery=G)
         record = gt(easy=[1], hard=[3], junk=[0])
-        got = blocked_mean_average_precision(index, e0[None, :], [record],
-                                             ("easy", "medium", "hard"))
+        got = mean_average_precision(retrieve(index, e0[None, :]), [record],
+                                     ("easy", "medium", "hard"))
         assert got["medium"] == ((1.0 + 2.0 / 3.0) / 2.0, [])
         assert got["easy"] == (1.0, [])  # hard 3 is junk under easy
         assert got["hard"] == (0.5, [])  # easy 1 is junk under hard
-        ranking = retrieve(index, e0[None, :])
+        rankings = full_rankings(G, e0[None, :])
         for split, value in got.items():
-            assert value == mean_average_precision(ranking, [record], split)
+            assert value == map_walk(rankings, [record], split)
 
     def test_errors_match_reference(self):
         index = RetrievalIndex(gallery=np.eye(3))
-        Q = np.eye(3)[:2]
+        retrieval = retrieve(index, np.eye(3)[:2])
         with pytest.raises(ProtocolError, match="every query is empty under the 'hard'"):
-            blocked_mean_average_precision(index, Q, [gt(easy=[0]), gt(easy=[1])],
-                                           ("medium", "hard"))
+            mean_average_precision(retrieval, [gt(easy=[0]), gt(easy=[1])],
+                                   ("medium", "hard"))
         with pytest.raises(ProtocolError, match="unknown difficulty split"):
-            blocked_mean_average_precision(index, Q, [gt(easy=[0]), gt(easy=[1])],
-                                           ("extreme",))
+            mean_average_precision(retrieval, [gt(easy=[0]), gt(easy=[1])], ("extreme",))
         with pytest.raises(ProtocolError):
-            blocked_mean_average_precision(index, Q, [gt(easy=[0]), gt(easy=[3])],
-                                           ("medium",))
+            mean_average_precision(retrieval, [gt(easy=[0]), gt(easy=[3])], ("medium",))
         with pytest.raises(ShapeError):
-            blocked_mean_average_precision(index, Q, [gt(easy=[0])], ("medium",))
+            mean_average_precision(retrieval, [gt(easy=[0])], ("medium",))
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(
@@ -483,20 +519,18 @@ class TestBlockedMeanAveragePrecision:
         G = quantized_unit_rows(rng, n, d, pool)
         Q = quantized_unit_rows(rng, num_queries, d, pool)
         records = random_ground_truths(rng, num_queries, n)
-        index = RetrievalIndex(gallery=G)
-        rankings = retrieve(index, Q)
+        rankings = full_rankings(G, Q)
         splits = ("easy", "medium", "hard")
-        expected = {s: outcome(mean_average_precision, rankings, records, s) for s in splits}
-        for block_rows in (2, 3, num_queries - 1, num_queries, None):
-            if block_rows is not None and block_rows < 2:
-                continue
+        expected = {s: map_walk(rankings, records, s) for s in splits}
+        index = RetrievalIndex(gallery=G)
+        for block_rows in block_sizes(num_queries):
+            retrieval = retrieve(index, Q, block_rows=block_rows)
             for split in splits:
-                got = outcome(blocked_mean_average_precision, index, Q, records,
-                              (split,), block_rows=block_rows)
-                if isinstance(got, dict):
-                    got = got[split]
-                assert got == expected[split]
-            if all(not isinstance(v[0], type) for v in expected.values()):
-                assert blocked_mean_average_precision(
-                    index, Q, records, splits, block_rows=block_rows
-                ) == expected
+                if expected[split] is None:
+                    with pytest.raises(ProtocolError, match="every query is empty"):
+                        mean_average_precision(retrieval, records, (split,))
+                else:
+                    got = mean_average_precision(retrieval, records, (split,))
+                    assert got == {split: expected[split]}
+            if all(value is not None for value in expected.values()):
+                assert mean_average_precision(retrieval, records, splits) == expected

@@ -107,13 +107,6 @@ class TestEncoderHead:
         head.params()["w0"][0, 0] = 123.0
         assert head.params()["w0"][0, 0] == 123.0
 
-    def test_clone_is_independent(self):
-        rng = np.random.default_rng(33)
-        head = EncoderHead.initialize(rng, 4, 3)
-        twin = head.clone()
-        twin.params()["w0"][0, 0] = -55.0
-        assert head.params()["w0"][0, 0] != -55.0
-
     def test_dict_round_trip_is_bitwise(self):
         rng = np.random.default_rng(34)
         head = EncoderHead.initialize(rng, 5, 3, hidden=4)
@@ -500,7 +493,7 @@ class TestTrainRun:
         ds = tiny_dataset()
         model, _ = train_run(tiny_config(momentum_m=0.9, iterations=6), dataset=ds)
         assert model.momentum is not None
-        shadow = model.encoder(use_momentum=True).params()
+        shadow = model.momentum.shadow
         online = model.head.params()
         assert any(not np.array_equal(shadow[k], online[k]) for k in online)
 
@@ -509,13 +502,6 @@ class TestTrainRun:
         model, _ = train_run(tiny_config(momentum_m=0.0, iterations=5), dataset=ds)
         for key, value in model.head.params().items():
             assert_array_equal(model.momentum.shadow[key], value)
-
-    def test_no_momentum_encoder_raises(self):
-        ds = tiny_dataset()
-        model, _ = train_run(tiny_config(momentum_m=None), dataset=ds)
-        assert model.momentum is None
-        with pytest.raises(ConfigError):
-            model.encoder(use_momentum=True)
 
     def test_duplicate_features_degenerate_entropy(self):
         v = np.array([1.0, 0.5])
