@@ -82,6 +82,12 @@ class RetrievalIndex:
         return self.gallery.shape[0]
 
 
+def _check_no_duplicates(arrays: dict[str, np.ndarray]) -> None:
+    for name, arr in arrays.items():
+        if arr.size != np.unique(arr).size:
+            raise ProtocolError(f"{name} contains duplicate gallery indices")
+
+
 @dataclass(frozen=True)
 class QueryGroundTruth:
     """Easy/hard/junk gallery index sets for one query; pairwise disjoint."""
@@ -97,14 +103,17 @@ class QueryGroundTruth:
             if arr.size == 0:
                 arr = np.zeros(0, dtype=np.int64)
             if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
+                _check_no_duplicates(arrays)  # an earlier set's repeat is reported first
                 raise ProtocolError(f"{name} must be a 1-D integer array")
-            arr = np.ascontiguousarray(arr, dtype=np.int64)
-            if arr.size != np.unique(arr).size:
-                raise ProtocolError(f"{name} contains duplicate gallery indices")
-            arrays[name] = arr
-        for a, b in (("easy", "hard"), ("easy", "junk"), ("hard", "junk")):
-            if np.intersect1d(arrays[a], arrays[b]).size:
-                raise ProtocolError(f"{a} and {b} sets overlap")
+            arrays[name] = np.ascontiguousarray(arr, dtype=np.int64)
+        # One sort over all three sets finds any repeat; only then do the
+        # per-set and pairwise checks run, to name it.
+        merged = np.concatenate(list(arrays.values()))
+        if np.unique(merged).size != merged.size:
+            _check_no_duplicates(arrays)
+            for a, b in (("easy", "hard"), ("easy", "junk"), ("hard", "junk")):
+                if np.intersect1d(arrays[a], arrays[b]).size:
+                    raise ProtocolError(f"{a} and {b} sets overlap")
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
 

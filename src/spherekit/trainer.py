@@ -6,13 +6,14 @@ unit-normalized row by row. Each optimization step follows a fixed order:
 
     sample batch -> forward -> loss against the current memory view ->
     backprop through normalization -> head gradients -> AdamW update ->
-    momentum update -> re-embed the batch with the (momentum) encoder and
-    enqueue into memory.
+    momentum update -> (memory with capacity only) re-embed the batch with
+    the (momentum) encoder and enqueue into memory.
 
 Enqueueing re-embeds with post-step parameters, so memory entries always
-reflect the newest encoder available at the time they were stored. All
-randomness flows through one generator seeded from the config; a run is
-reproducible bit for bit.
+reflect the newest encoder available at the time they were stored. A
+zero-capacity memory would discard every entry, so a memoryless step skips
+the re-embed and the enqueue. All randomness flows through one generator
+seeded from the config; a run is reproducible bit for bit.
 
 Category-level training samples class-balanced batches. Particular-object
 training builds tuples per epoch: an anchor-positive pair plus the five
@@ -325,7 +326,11 @@ def forward(head: EncoderHead, X) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class OptimizerState:
-    """AdamW state: first/second moment per parameter plus the step count."""
+    """AdamW state: first/second moment per parameter plus the step count.
+
+    ``scratch`` holds two work arrays per parameter, shaped like its first
+    moment and allocated once, so a step allocates no parameter-sized array.
+    """
 
     lr: float
     weight_decay: float
@@ -335,6 +340,10 @@ class OptimizerState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = {k: (np.empty_like(a), np.empty_like(a)) for k, a in self.m.items()}
 
     @classmethod
     def initialize(
@@ -369,7 +378,9 @@ def adamw_step(
     """One decoupled-weight-decay Adam update, in place.
 
     param -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * param), with
-    bias-corrected moments m_hat and v_hat.
+    bias-corrected moments m_hat and v_hat. Every operation writes into the
+    state's scratch arrays, in the order of that expression, so the result is
+    bitwise that of evaluating it with temporaries.
     """
     if set(params) != set(grads):
         raise ShapeError(
@@ -388,13 +399,20 @@ def adamw_step(
             raise NumericalError(f"gradient for {key!r} contains non-finite values")
         m = state.m[key]
         v = state.v[key]
+        a, b = state.scratch[key]
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=a)
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p -= state.lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * p)
+        np.multiply(g, g, out=a)
+        v += np.multiply(a, 1.0 - state.beta2, out=a)
+        update = np.divide(m, bc1, out=a)  # m_hat
+        denom = np.divide(v, bc2, out=b)  # v_hat
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        update /= denom
+        update += np.multiply(p, state.weight_decay, out=b)
+        update *= state.lr
+        p -= update
 
 
 def sample_category_batch(
@@ -580,8 +598,7 @@ def split_holdout(
         raise ConfigError(
             f"cannot hold out {holdout_classes} of {labels.size} classes"
         )
-    held = set(labels[-holdout_classes:].tolist())
-    mask = np.array([int(l) in held for l in dataset.labels])
+    mask = np.isin(dataset.labels, labels[-holdout_classes:])
     train = LabeledFeatureDataset(dataset.features[~mask], dataset.labels[~mask])
     eval_ = LabeledFeatureDataset(dataset.features[mask], dataset.labels[mask])
     return train, eval_
@@ -704,15 +721,18 @@ class _RunState:
         adamw_step(self.head.params(), grads, self.opt)
         if self.track is not None:
             self.track.update(self.head.params())
-            refresh_encoder = EncoderHead.from_params(self.track.shadow)
-        else:
-            refresh_encoder = self.head
-        E_mem, _ = refresh_encoder.apply(features)
-        try:
-            Z_mem = normalize_rows(E_mem)
-        except NormalizationError as exc:
-            raise TrainingError(f"post-step embedding degenerate ({exc})", step) from exc
-        self.bank.enqueue(LabeledEmbeddingBatch(Z_mem, labels, validate=False))
+        if self.bank.capacity > 0:
+            refresh_encoder = (
+                EncoderHead.from_params(self.track.shadow)
+                if self.track is not None
+                else self.head
+            )
+            E_mem, _ = refresh_encoder.apply(features)
+            try:
+                Z_mem = normalize_rows(E_mem)
+            except NormalizationError as exc:
+                raise TrainingError(f"post-step embedding degenerate ({exc})", step) from exc
+            self.bank.enqueue(LabeledEmbeddingBatch(Z_mem, labels, validate=False))
 
         terms = out.term_breakdown
         self.trace.rows.append(

@@ -259,6 +259,29 @@ class TestQueryGroundTruth:
         with pytest.raises(ProtocolError):
             gt(easy=[1, 1])
 
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            (dict(easy=[4, 1, 4], hard=[2], junk=[3]), "easy contains duplicate gallery indices"),
+            (dict(easy=[1], hard=[2, 5, 2], junk=[3]), "hard contains duplicate gallery indices"),
+            (dict(easy=[1], hard=[2], junk=[3, 3]), "junk contains duplicate gallery indices"),
+            (dict(easy=[1, 6], hard=[6, 2], junk=[3]), "easy and hard sets overlap"),
+            (dict(easy=[1, 7], hard=[2], junk=[7, 3]), "easy and junk sets overlap"),
+            (dict(easy=[1], hard=[2, 8], junk=[8, 3]), "hard and junk sets overlap"),
+            # a set's own repeat is named before any overlap, in set order
+            (dict(easy=[1, 2], hard=[2, 2], junk=[1, 1]), "hard contains duplicate gallery indices"),
+        ],
+    )
+    def test_each_repeat_is_named(self, sets, message):
+        with pytest.raises(ProtocolError, match=f"^{message}$"):
+            gt(**sets)
+
+    def test_earlier_duplicate_is_named_before_a_later_bad_type(self):
+        with pytest.raises(ProtocolError, match="^easy contains duplicate gallery indices$"):
+            QueryGroundTruth(easy=np.array([1, 1]), hard=np.array([0.5]), junk=np.array([2]))
+        with pytest.raises(ProtocolError, match="^hard must be a 1-D integer array$"):
+            QueryGroundTruth(easy=np.array([1, 2]), hard=np.array([0.5]), junk=np.array([2]))
+
     def test_bounds_check(self):
         record = gt(easy=[1], hard=[5])
         with pytest.raises(ProtocolError):

@@ -5,6 +5,8 @@ step by step as a reference. Head gradients are checked by central finite
 differences over every parameter entry.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,6 +183,56 @@ class TestAdamW:
         adamw_step(params, {"w": np.array([1.0])}, state)
         assert ref is params["w"]
         assert ref[0] != 1.0
+
+    def test_bitwise_equal_to_the_temporary_building_expression(self):
+        def expression_step(params, grads, state):
+            # The update written as one expression with fresh temporaries.
+            state.step += 1
+            t = state.step
+            bc1 = 1.0 - state.beta1**t
+            bc2 = 1.0 - state.beta2**t
+            for key in params:
+                p, g, m, v = params[key], grads[key], state.m[key], state.v[key]
+                m *= state.beta1
+                m += (1.0 - state.beta1) * g
+                v *= state.beta2
+                v += (1.0 - state.beta2) * (g * g)
+                m_hat = m / bc1
+                v_hat = v / bc2
+                p -= state.lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * p)
+
+        rng = np.random.default_rng(42)
+        heads = [EncoderHead.initialize(rng, 7, 3, hidden=5) for _ in range(2)]
+        ours = [h.params() for h in heads]
+        ref = [{k: v.copy() for k, v in p.items()} for p in ours]
+        our_states = [OptimizerState.initialize(p, lr=3e-2, weight_decay=5e-2) for p in ours]
+        ref_states = [OptimizerState.initialize(p, lr=3e-2, weight_decay=5e-2) for p in ref]
+        for _ in range(25):
+            for i in (0, 1):  # two states step interleaved through their own scratch
+                grads = {k: rng.standard_normal(v.shape) for k, v in ours[i].items()}
+                adamw_step(ours[i], grads, our_states[i])
+                expression_step(ref[i], grads, ref_states[i])
+        for i in (0, 1):
+            assert our_states[i].step == ref_states[i].step == 25
+            for key in ours[i]:
+                assert ours[i][key].tobytes() == ref[i][key].tobytes()
+                assert our_states[i].m[key].tobytes() == ref_states[i].m[key].tobytes()
+                assert our_states[i].v[key].tobytes() == ref_states[i].v[key].tobytes()
+
+    def test_step_allocates_no_parameter_sized_array(self):
+        rng = np.random.default_rng(43)
+        params = EncoderHead.initialize(rng, 384, 128, hidden=64).params()
+        grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+        state = OptimizerState.initialize(params, lr=1e-3, weight_decay=1e-4)
+        adamw_step(params, grads, state)
+        tracemalloc.start()
+        try:
+            adamw_step(params, grads, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A temporary of the smallest weight matrix alone would be 64 KiB.
+        assert peak < params["w1"].nbytes
 
 
 class TestCategorySampler:
@@ -404,6 +456,18 @@ class TestSyntheticData:
         assert set(np.unique(hold.labels)) == {3, 4}
         assert len(train) + len(hold) == len(ds)
 
+    def test_split_holdout_mask_matches_per_label_set_lookup(self):
+        rng = np.random.default_rng(44)
+        labels = rng.permutation(np.repeat(np.array([9, -2, 0, 31, 5, 7]), [3, 4, 2, 5, 1, 3]))
+        ds = LabeledFeatureDataset(np.arange(labels.size * 2.0).reshape(-1, 2), labels)
+        train, hold = split_holdout(ds, 3)
+        held = set(np.unique(labels)[-3:].tolist())
+        mask = np.array([int(l) in held for l in labels])
+        assert_array_equal(hold.features, ds.features[mask])
+        assert_array_equal(hold.labels, labels[mask])
+        assert_array_equal(train.features, ds.features[~mask])
+        assert_array_equal(train.labels, labels[~mask])
+
     def test_split_holdout_zero_keeps_everything(self):
         ds = tiny_dataset()
         train, hold = split_holdout(ds, 0)
@@ -559,6 +623,31 @@ class TestTrainRun:
         assert t1.rows == t2.rows
         for key, value in m1.head.params().items():
             assert_array_equal(m2.head.params()[key], value)
+
+    @pytest.mark.parametrize("mode", ["category", "particular"])
+    @pytest.mark.parametrize("momentum_m", [None, 0.9])
+    @pytest.mark.parametrize("memory, applies_per_step", [(0.0, 1), (0.5, 2)])
+    def test_head_applies_per_step(self, monkeypatch, mode, momentum_m, memory,
+                                   applies_per_step):
+        # Only a memory with capacity reads the post-step re-embed.
+        calls = []
+        original = EncoderHead.apply
+
+        def counting_apply(self, X):
+            calls.append(len(X))
+            return original(self, X)
+
+        monkeypatch.setattr(EncoderHead, "apply", counting_apply)
+        ds = tiny_dataset()
+        config = tiny_config(
+            mode=mode, iterations=2, particular_scale=0.005, momentum_m=momentum_m,
+            memory_capacity_ratio=memory,
+        )
+        _, trace = train_run(config, dataset=ds)
+        # a particular epoch first embeds the whole dataset to mine negatives
+        epochs = 2 if mode == "particular" else 0
+        assert len(trace.rows) == (4 if mode == "particular" else 2)
+        assert len(calls) == applies_per_step * len(trace.rows) + epochs
 
     def test_mean_gamma_property(self):
         ds = tiny_dataset()
