@@ -121,15 +121,23 @@ def _train_split(config: RunConfig):
     return _load_file_dataset(data.train_features, data.train_labels), None
 
 
-def _resolve_splits(config: RunConfig):
-    """Training and evaluation datasets per the config's data source."""
-    train, eval_ds = _train_split(config)
+def _category_splits(config: RunConfig):
+    """Training and evaluation datasets for a category eval.
+
+    Eval files, when given, are the evaluation set, and the training files
+    are then read only for the PCA fit (``train`` is None without one).
+    Otherwise the evaluation set is the synthetic held-out split, or the
+    training files themselves.
+    """
     data = config.data
-    if data is not None and data.eval_features is not None:
-        if data.eval_labels is None:
-            raise ConfigError("data.eval_features given without data.eval_labels")
-        eval_ds = _load_file_dataset(data.eval_features, data.eval_labels)
-    return train, (eval_ds if eval_ds is not None else train)
+    if data is None or data.eval_features is None:
+        train, held_out = _train_split(config)
+        return train, (held_out if held_out is not None else train)
+    if data.eval_labels is None:
+        raise ConfigError("data.eval_features given without data.eval_labels")
+    eval_ds = _load_file_dataset(data.eval_features, data.eval_labels)
+    train = None if config.pca_out_dim is None else _train_split(config)[0]
+    return train, eval_ds
 
 
 def cmd_train(args) -> int:
@@ -190,7 +198,7 @@ def _eval_descriptors(config: RunConfig, head: EncoderHead, train, fit_on, *data
 
 
 def _category_eval(config: RunConfig, head: EncoderHead, out_dir: Path) -> int:
-    train, eval_ds = _resolve_splits(config)
+    train, eval_ds = _category_splits(config)
     data = config.data
     fit_on = "train-split embeddings before normalization"
     if data is not None and data.query_features is not None:

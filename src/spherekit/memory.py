@@ -3,8 +3,9 @@
 The memory bank is a fixed-capacity FIFO ring over past descriptors. Entries
 are stored exactly as enqueued (already unit-normalized) and are never
 recomputed when the encoder moves on; staleness is bounded by capacity. Each
-row is stored twice, at slot ``i`` and ``i + capacity`` of a mirrored ring
-(``2 * capacity * dim * 8`` bytes of descriptors), so the live rows are
+row is stored twice, at slot ``i`` and ``i + capacity`` of a mirrored ring,
+once in float64 and once rounded to float32 for the loss's screening product
+(``2 * capacity * dim * (8 + 4)`` bytes of descriptors), so the live rows are
 always one contiguous run, oldest first. A view is a read-only slice of that
 run at every fill level, never a copy, and is valid until the next enqueue.
 Loss code may compare anchors against it, but no gradient ever flows into
@@ -19,6 +20,7 @@ descriptors consistent with each other even while the online encoder jumps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -33,13 +35,19 @@ __all__ = ["MemoryView", "MemoryBank", "MomentumTrack"]
 class MemoryView:
     """Read-only window onto bank contents, oldest entry first.
 
-    Both arrays are non-writeable slices of the bank's ring, at every fill
+    Every array is a non-writeable slice of the bank's ring, at every fill
     level, and valid until the bank's next ``enqueue``, which may overwrite
-    the rows they show; copy them to keep them longer.
+    the rows they show; copy them to keep them longer. ``descriptors32`` is
+    the float32 rounding of ``descriptors`` and ``norm_bound`` an upper bound
+    on their row norms. The bank fills both; a view built by hand should
+    leave them None, and the loss then computes them from ``descriptors``
+    (values given by hand are trusted, not checked).
     """
 
     descriptors: np.ndarray
     labels: np.ndarray
+    descriptors32: Optional[np.ndarray] = None
+    norm_bound: Optional[float] = None
 
     def __len__(self) -> int:
         return self.descriptors.shape[0]
@@ -48,9 +56,10 @@ class MemoryView:
 class MemoryBank:
     """FIFO ring buffer of unit descriptors with their labels.
 
-    Every row is written at slot ``i`` and at its mirror ``i + capacity``, so
-    storage is ``2 * capacity`` rows. ``capacity == 0`` is legal and yields a
-    bank that stays empty; training against it is exactly memoryless training.
+    Every row is written at slot ``i`` and at its mirror ``i + capacity``, in
+    float64 and in float32, so storage is ``2 * capacity`` rows of each.
+    ``capacity == 0`` is legal and yields a bank that stays empty; training
+    against it is exactly memoryless training.
     """
 
     def __init__(self, capacity: int, dim: int):
@@ -61,6 +70,7 @@ class MemoryBank:
         self.capacity = int(capacity)
         self.dim = int(dim)
         self._descriptors = np.zeros((2 * self.capacity, self.dim), dtype=np.float64)
+        self._descriptors32 = np.zeros((2 * self.capacity, self.dim), dtype=np.float32)
         self._labels = np.zeros(2 * self.capacity, dtype=np.int64)
         self._cursor = 0
         self._size = 0
@@ -87,6 +97,7 @@ class MemoryBank:
         slots = (self._cursor + np.arange(n)) % self.capacity
         # One write fills both halves: axis 0 of the reshaped ring is the mirror.
         self._descriptors.reshape(2, self.capacity, self.dim)[:, slots] = rows
+        self._descriptors32.reshape(2, self.capacity, self.dim)[:, slots] = rows
         self._labels.reshape(2, self.capacity)[:, slots] = batch.labels[-self.capacity :]
         self._cursor = (self._cursor + n) % self.capacity
         self._size = min(self._size + n, self.capacity)
@@ -98,12 +109,12 @@ class MemoryBank:
         the ``size`` rows before ``cursor + capacity``: the mirror half while
         the ring fills, and ``[cursor, cursor + capacity)`` once it is full.
         """
-        stop = self._cursor + self.capacity
-        descriptors = self._descriptors[stop - self._size : stop]
-        labels = self._labels[stop - self._size : stop]
-        descriptors.flags.writeable = False
-        labels.flags.writeable = False
-        return MemoryView(descriptors=descriptors, labels=labels)
+        live = slice(self._cursor + self.capacity - self._size, self._cursor + self.capacity)
+        arrays = (self._descriptors[live], self._labels[live], self._descriptors32[live])
+        for array in arrays:
+            array.flags.writeable = False
+        # Stored rows passed the UNIT_ATOL norm check in enqueue.
+        return MemoryView(*arrays, norm_bound=1.0 + UNIT_ATOL)
 
 
 class MomentumTrack:

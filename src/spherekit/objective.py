@@ -15,6 +15,20 @@ Two ingredients, combined additively:
 
 Both losses return value and analytic gradient together; the trainer never
 differentiates numerically.
+
+The memory term does not score every (anchor, memory row) pair in float64.
+One float32 product ``s32 = float32(Z) @ float32(M).T`` screens them: a pair
+whose ``s32`` is ``<=`` a float32 threshold at or below ``beta - slack_i``
+provably has a float64 similarity ``<= beta``, so it is inactive. The slack
+``(2d + 8) * 2**-24 * ||z_i|| * max||m||`` (plus an underflow term) bounds
+the distance between the float32 score and the float64 one; see
+``_screen_thresholds`` for the derivation. A memory column is touched when
+its label occurs in the batch or when any of its scores is not ``<=`` the
+threshold (a NaN score counts as touched). Among touched columns only the
+same-label pairs and the screen's hinge candidates are scored in float64,
+each as one row dot product, in row-major pair order; those values alone
+enter the loss and decide the active set. The gradient multiplies the
+columns with a positive or an active pair, as before the screen existed.
 """
 
 from __future__ import annotations
@@ -143,19 +157,77 @@ class LossOutput:
     contrastive_grad: Optional[np.ndarray] = None
 
 
+# Unit roundoff of float32, and half its smallest subnormal (the largest
+# absolute error of a float32 rounding that underflows).
+_U32 = 2.0**-24
+_ETA32 = 2.0**-150
+# The screen's bound is proven for row norms up to this size (no float32
+# overflow anywhere) and for dims up to _SCREEN_MAX_DIM (d * 2**-24 <= 1/4).
+_SCREEN_MAX_NORM = 2.0**60
+_SCREEN_MAX_DIM = 2**22
+
+
 def _memory_arrays(memory: Optional["MemoryView"]):
-    """Unpack a memory view, treating None and the empty view identically."""
+    """Unpack a memory view, treating None and the empty view identically.
+
+    Returns None or ``(descriptors, labels, descriptors32, norm_bound)``; a
+    view without the float32 copy or the norm bound gets them computed here.
+    """
     if memory is None:
-        return None, None
+        return None
     descriptors = np.asarray(memory.descriptors, dtype=np.float64)
     labels = np.asarray(memory.labels)
     if descriptors.shape[0] == 0:
-        return None, None
+        return None
     if descriptors.ndim != 2:
         raise ShapeError("memory descriptors must be 2-D")
     if labels.shape != (descriptors.shape[0],):
         raise ShapeError("memory labels must be one per descriptor row")
-    return descriptors, labels
+    descriptors32 = memory.descriptors32
+    if descriptors32 is None:
+        with np.errstate(over="ignore"):
+            descriptors32 = descriptors.astype(np.float32)
+    norm_bound = memory.norm_bound
+    if norm_bound is None:
+        norm_bound = float(np.sqrt(np.max(np.einsum("ij,ij->i", descriptors, descriptors))))
+    return descriptors, labels, descriptors32, norm_bound
+
+
+def _screen_thresholds(Z: np.ndarray, norm_bound: float, beta: float) -> np.ndarray:
+    """Float32 thresholds ``t_i`` such that ``s32 <= t_i`` proves ``s64 <= beta``.
+
+    For a batch row ``z`` and a memory row ``m`` (float64, dim ``d``), ``s32``
+    is any float32 evaluation of ``sum_k fl32(z_k) * fl32(m_k)`` (any
+    summation order, FMA or not) and ``s64`` any float64 one of
+    ``sum_k z_k * m_k``. With ``u = 2**-24``, ``eta = 2**-150`` and
+    ``|fl32(x) - x| <= u|x| + eta``:
+
+    * rounding the inputs moves the exact sum by at most
+      ``(2u + u**2) ||z|| ||m|| + 2 eta sqrt(d) (||z|| + ||m||) + d eta**2``;
+    * every product passes through at most ``d`` float32 roundings, so the
+      accumulation adds at most ``gamma_d * sum_k |fl32(z_k) fl32(m_k)|``,
+      ``gamma_d = d u / (1 - d u) <= 2 d u`` for ``d u <= 1/4``, plus ``eta``
+      per underflowing product (sums of subnormals are exact);
+    * the float64 value is within ``d 2**-53 ||z|| ||m||`` (plus float64
+      underflow) of the exact sum, which is below ``2**-29 d u ||z|| ||m||``.
+
+    Summed, ``|s32 - s64| <= (2d + 5) u ||z|| ||m|| + (2d + 8) eta (||z|| +
+    ||m|| + 1)``. The slack uses ``2d + 8``; the spare ``3u`` covers the float64
+    rounding of the slack itself and of a bank's norm bound. ``beta - slack``
+    is stepped one float64 ulp down and then rounded down to float32, so
+    ``t_i`` never exceeds it, and ``s32 <= t_i`` gives ``s64 <= s32 +
+    slack_i <= beta``. Rows outside the proven range (a norm above 2**60, or
+    ``d`` above 2**22) get a NaN threshold, which touches every column.
+    """
+    d = Z.shape[1]
+    z_norm = np.sqrt(np.einsum("ij,ij->i", Z, Z))
+    slack = (2 * d + 8) * (_U32 * z_norm * norm_bound + _ETA32 * (z_norm + norm_bound + 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t64 = np.nextafter(beta - slack, -np.inf)
+        t32 = t64.astype(np.float32)
+    t32 = np.where(t32 > t64, np.nextafter(t32, np.float32(-np.inf)), t32)
+    in_range = (z_norm <= _SCREEN_MAX_NORM) & (norm_bound <= _SCREEN_MAX_NORM)
+    return np.where(in_range & (d <= _SCREEN_MAX_DIM), t32, np.float32(np.nan))
 
 
 def contrastive_loss(
@@ -186,22 +258,32 @@ def contrastive_loss(
     # its anchor term and the mirror term from every pair it appears in.
     grad = (2.0 / n) * ((active.astype(np.float64) - same.astype(np.float64)) @ Z)
 
-    mem_Z, mem_labels = _memory_arrays(memory)
-    if mem_Z is not None:
+    arrays = _memory_arrays(memory)
+    if arrays is not None:
+        mem_Z, mem_labels, mem_Z32, norm_bound = arrays
         if mem_Z.shape[1] != Z.shape[1]:
             raise ShapeError(
                 f"memory dim {mem_Z.shape[1]} != batch dim {Z.shape[1]}"
             )
-        sims_m = Z @ mem_Z.T
-        same_m = labels[:, None] == mem_labels[None, :]
-        active_m = ~same_m & (sims_m > beta)
-        positive += float(np.sum(1.0 - sims_m[same_m])) / n
-        negative += float(np.sum(sims_m[active_m] - beta)) / n
+        thresholds = _screen_thresholds(Z, norm_bound, beta)
+        # Memory-major (M x n): this orientation of the product runs faster.
+        with np.errstate(over="ignore", invalid="ignore"):
+            screened = (mem_Z32 @ Z.astype(np.float32).T) <= thresholds
+        cols = np.flatnonzero(~screened.all(axis=1) | np.isin(mem_labels, labels))
+        same_c = labels[:, None] == mem_labels[cols]
+        rows, at = np.nonzero(same_c | ~screened[cols].T)  # row-major pair order
+        same_p = same_c[rows, at]
+        sims_p = np.einsum("ij,ij->i", Z[rows], mem_Z[cols[at]])
+        active_p = ~same_p & (sims_p > beta)
+        positive += float(np.sum(1.0 - sims_p[same_p])) / n
+        negative += float(np.sum(sims_p[active_p] - beta)) / n
         # A memory column with no positive and no active hinge pair adds
-        # exact zeros to the gradient, so only touched columns are multiplied.
-        cols = np.flatnonzero(np.any(same_m | active_m, axis=0))
-        coef = active_m[:, cols].astype(np.float64) - same_m[:, cols]
-        grad += coef @ mem_Z[cols] / n
+        # exact zeros to the gradient, so only those with one are multiplied.
+        coef = np.zeros((n, cols.size))
+        coef[rows[active_p], at[active_p]] = 1.0
+        coef[rows[same_p], at[same_p]] = -1.0
+        keep = np.flatnonzero(coef.any(axis=0))
+        grad += coef[:, keep] @ mem_Z[cols[keep]] / n
 
     value = positive + negative
     if not np.isfinite(value):

@@ -262,10 +262,8 @@ class EncoderHead:
 
     @classmethod
     def from_params(cls, params: dict[str, np.ndarray]) -> "EncoderHead":
-        layers = []
-        for i in range(len(params) // 2):
-            layers.append((params[f"w{i}"].copy(), params[f"b{i}"].copy()))
-        return cls(layers)
+        """A head over ``params``' own arrays (float64, contiguous), not copies."""
+        return cls([(params[f"w{i}"], params[f"b{i}"]) for i in range(len(params) // 2)])
 
     def apply(self, X) -> tuple[np.ndarray, list[np.ndarray]]:
         """Raw head output E (no normalization) plus the per-layer input cache."""

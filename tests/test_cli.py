@@ -284,6 +284,40 @@ class TestEval:
         assert code == 2
         assert "no query has a same-label gallery item" in capsys.readouterr().err
 
+    def test_file_category_eval_reads_train_files_only_for_pca(self, tmp_path):
+        rng = np.random.default_rng(17)
+        write_features(tmp_path / "train.emb", rng.standard_normal((12, 5)))
+        write_labels(tmp_path / "train.labels", np.repeat([0, 1, 2], 4))
+        write_features(tmp_path / "eval.emb", rng.standard_normal((8, 5)))
+        write_labels(tmp_path / "eval.labels", np.repeat([0, 1], 4))
+        write_head(tmp_path / "head.json", in_dim=5, out_dim=4)
+        data = {
+            "train_features": str(tmp_path / "train.emb"),
+            "train_labels": str(tmp_path / "train.labels"),
+            "eval_features": str(tmp_path / "eval.emb"),
+            "eval_labels": str(tmp_path / "eval.labels"),
+        }
+
+        def run(name, **extra):
+            cfg = {"mode": "category", "iterations": 0, "seed": 0,
+                   "head": {"out_dim": 4}, "eval_ks": [1, 2], "data": data, **extra}
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+            code = main(["eval", "--config", str(cfg_path),
+                         "--model", str(tmp_path / "head.json"),
+                         "--out-dir", str(tmp_path / name)])
+            return code, tmp_path / name / "metrics.json"
+
+        code, with_train = run("with_train")
+        assert code == 0
+        assert run("pca", pca_out_dim=2)[0] == 0
+        (tmp_path / "train.emb").unlink()
+        (tmp_path / "train.labels").unlink()
+        code, without_train = run("without_train")
+        assert code == 0
+        assert without_train.read_bytes() == with_train.read_bytes()
+        assert run("pca_without_train", pca_out_dim=2)[0] == 2
+
     def test_missing_model_exits_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path)

@@ -144,6 +144,10 @@ class TestMemoryBank:
             assert not view.labels.flags.writeable
             assert np.shares_memory(view.descriptors, bank.view().descriptors)
             assert np.shares_memory(view.labels, bank.view().labels)
+            assert_array_equal(view.descriptors32, view.descriptors.astype(np.float32))
+            assert view.descriptors32.dtype == np.float32
+            assert not view.descriptors32.flags.writeable
+            assert np.shares_memory(view.descriptors32, bank.view().descriptors32)
 
     def test_stored_rows_are_copies(self):
         bank = MemoryBank(capacity=4, dim=8)

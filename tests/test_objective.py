@@ -253,8 +253,8 @@ class TestMemoryTermProperty:
     memory columns only; the reference enters every column everywhere.
 
     ``case`` picks the memory: random labels; labels disjoint from the batch
-    with the margin at the largest similarity (no column touched); or labels
-    drawn from the batch's own (every column touched).
+    with the margin just above the largest similarity (no column touched);
+    or labels drawn from the batch's own (every column touched).
     """
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -276,7 +276,9 @@ class TestMemoryTermProperty:
         mem_Z = unit_rows(rng, m, d)
         if case == "none_active":
             mem_labels = rng.integers(4, 8, size=m)
-            beta = max(float((Z @ mem_Z.T).max()), 0.05)  # strict hinge: inactive
+            # Just above the largest similarity, so no column is touched
+            # whatever the last bit of any one evaluation of it.
+            beta = max(float((Z @ mem_Z.T).max()) + 1e-9, 0.05)
         elif case == "all_touched":
             mem_labels = rng.choice(labels, size=m)
         else:
@@ -289,6 +291,106 @@ class TestMemoryTermProperty:
         assert_allclose(out.term_breakdown.positive, positive, rtol=1e-12, atol=0)
         assert_allclose(out.term_breakdown.negative, negative, rtol=1e-12, atol=0)
         assert np.allclose(out.grad, grad)
+
+
+def per_pair_memory_reference(Z, labels, beta, mem_Z, mem_labels):
+    """Memory term from one float64 row dot per (anchor, memory row) pair."""
+    n, m = len(Z), len(mem_Z)
+    sims = np.einsum(
+        "ij,ij->i", np.repeat(Z, m, axis=0), np.tile(mem_Z, (n, 1))
+    ).reshape(n, m)
+    same = labels[:, None] == mem_labels[None, :]
+    active = ~same & (sims > beta)
+    positive = math.fsum(1.0 - sims[same]) / n
+    negative = math.fsum(sims[active] - beta) / n
+    grad = (active.astype(np.float64) - same) @ mem_Z / n
+    return positive, negative, grad
+
+
+def rows_at_similarity(rng, anchors, targets):
+    """One row per anchor whose dot product with it is ``targets`` (up to rounding)."""
+    norms = np.linalg.norm(anchors, axis=1)
+    direction = anchors / norms[:, None]
+    other = rng.standard_normal(anchors.shape)
+    other -= np.sum(other * direction, axis=1, keepdims=True) * direction
+    other /= np.linalg.norm(other, axis=1, keepdims=True)
+    along = targets / norms
+    return along[:, None] * direction + np.sqrt(1.0 - along**2)[:, None] * other
+
+
+class TestMemoryScreen:
+    """The float32 screen drops only pairs whose float64 value is at most beta."""
+
+    @settings(max_examples=120, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.integers(2, 8),
+        m=st.integers(2, 30),
+        d=st.sampled_from([2, 3, 17, 64, 128, 383, 384]),
+        beta=st.floats(0.05, 0.9),
+        widths=st.floats(0.0, 3.0),
+        off_sphere=st.booleans(),
+        through_bank=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=8, m=30, d=384, beta=0.5, widths=3.0, off_sphere=True,
+             through_bank=False, seed=0)
+    @example(n=8, m=30, d=128, beta=0.5, widths=1.0, off_sphere=False,
+             through_bank=True, seed=1)
+    def test_matches_per_pair_float64(self, n, m, d, beta, widths, off_sphere,
+                                      through_bank, seed):
+        rng = np.random.default_rng(seed)
+        Z = unit_rows(rng, n, d)
+        if off_sphere:
+            Z *= rng.uniform(0.99, 1.01, size=(n, 1))
+        labels = rng.integers(0, 4, size=n)
+        # Most memory rows sit within +-widths slack widths of the margin
+        # against a random anchor, at log-spread offsets from 1e-4 widths
+        # up, so some land where float32 and float64 disagree; the rest are
+        # random.
+        anchors = rng.integers(0, n, size=m)
+        width = (2 * d + 8) * 2.0**-24 * np.linalg.norm(Z[anchors], axis=1)
+        offsets = rng.choice([-1.0, 1.0], size=m) * widths * 10.0 ** rng.uniform(-4, 0, size=m)
+        targets = beta + offsets * width
+        mem_Z = rows_at_similarity(rng, Z[anchors], targets)
+        random_rows = rng.random(m) < 0.2
+        mem_Z[random_rows] = unit_rows(rng, int(random_rows.sum()), d)
+        mem_labels = rng.integers(0, 8, size=m)
+        if through_bank:
+            bank = MemoryBank(capacity=m, dim=d)
+            bank.enqueue(batch(mem_Z, mem_labels))
+            view = bank.view()
+        else:
+            if off_sphere:
+                mem_Z = mem_Z * rng.uniform(0.99, 1.01, size=(m, 1))
+            view = MemoryView(mem_Z, mem_labels)
+        probe = batch(Z, labels, validate=False)
+        out = contrastive_loss(probe, view, beta)
+        alone = contrastive_loss(probe, None, beta)
+        positive, negative, grad = per_pair_memory_reference(
+            Z, labels, beta, mem_Z, mem_labels
+        )
+        assert_allclose(out.term_breakdown.positive - alone.term_breakdown.positive,
+                        positive, rtol=1e-12, atol=1e-15)
+        assert_allclose(out.term_breakdown.negative - alone.term_breakdown.negative,
+                        negative, rtol=1e-12, atol=1e-15)
+        # One pair more or less in the active set moves a row by 1/n.
+        assert_allclose(out.grad - alone.grad, grad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("through_bank", [False, True])
+    def test_exact_tie_adds_nothing(self, through_bank):
+        Z = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        mem_Z = np.array([[0.5, math.sqrt(0.75)], [0.0, -1.0]])
+        mem_labels = np.array([2, 3])
+        if through_bank:
+            bank = MemoryBank(capacity=2, dim=2)
+            bank.enqueue(batch(mem_Z, mem_labels))
+            view = bank.view()
+        else:
+            view = MemoryView(mem_Z, mem_labels)
+        out = contrastive_loss(batch(Z, [0, 1]), view, 0.5)
+        alone = contrastive_loss(batch(Z, [0, 1]), None, 0.5)
+        assert out.value == alone.value
+        assert out.grad.tobytes() == alone.grad.tobytes()
 
 
 class TestKoleo:

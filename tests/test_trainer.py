@@ -19,6 +19,7 @@ from spherekit import (
     EncoderHead,
     HeadSpec,
     LabeledFeatureDataset,
+    MomentumTrack,
     OptimizerState,
     RunConfig,
     SamplingError,
@@ -102,6 +103,16 @@ class TestEncoderHead:
 
             numeric = central_diff(scalar, base[key])
             assert rel_err(numeric, grads[key]) < 1e-6
+
+    def test_from_params_shares_the_arrays_and_matches_a_copy(self):
+        rng = np.random.default_rng(33)
+        track = MomentumTrack(EncoderHead.initialize(rng, 4, 3, hidden=5).params(), 0.9)
+        X = rng.standard_normal((6, 4))
+        shared = EncoderHead.from_params(track.shadow)
+        copied = EncoderHead.from_params({k: v.copy() for k, v in track.shadow.items()})
+        for key, value in shared.params().items():
+            assert np.shares_memory(value, track.shadow[key])
+        assert shared.apply(X)[0].tobytes() == copied.apply(X)[0].tobytes()
 
     def test_params_are_live_references(self):
         rng = np.random.default_rng(32)
