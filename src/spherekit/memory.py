@@ -19,7 +19,7 @@ descriptors consistent with each other even while the online encoder jumps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -39,15 +39,14 @@ class MemoryView:
     level, and valid until the bank's next ``enqueue``, which may overwrite
     the rows they show; copy them to keep them longer. ``descriptors32`` is
     the float32 rounding of ``descriptors`` and ``norm_bound`` an upper bound
-    on their row norms. The bank fills both; a view built by hand should
-    leave them None, and the loss then computes them from ``descriptors``
-    (values given by hand are trusted, not checked).
+    on their row norms. Only the bank sets them; on a view built by hand they
+    are None, and the loss computes them from ``descriptors``.
     """
 
     descriptors: np.ndarray
     labels: np.ndarray
-    descriptors32: Optional[np.ndarray] = None
-    norm_bound: Optional[float] = None
+    descriptors32: Optional[np.ndarray] = field(default=None, init=False)
+    norm_bound: Optional[float] = field(default=None, init=False)
 
     def __len__(self) -> int:
         return self.descriptors.shape[0]
@@ -113,8 +112,11 @@ class MemoryBank:
         arrays = (self._descriptors[live], self._labels[live], self._descriptors32[live])
         for array in arrays:
             array.flags.writeable = False
+        view = MemoryView(*arrays[:2])
+        object.__setattr__(view, "descriptors32", arrays[2])
         # Stored rows passed the UNIT_ATOL norm check in enqueue.
-        return MemoryView(*arrays, norm_bound=1.0 + UNIT_ATOL)
+        object.__setattr__(view, "norm_bound", 1.0 + UNIT_ATOL)
+        return view
 
 
 class MomentumTrack:

@@ -17,18 +17,30 @@ Both losses return value and analytic gradient together; the trainer never
 differentiates numerically.
 
 The memory term does not score every (anchor, memory row) pair in float64.
-One float32 product ``s32 = float32(Z) @ float32(M).T`` screens them: a pair
+A float32 product ``s32 = float32(Z) @ float32(M).T`` screens them: a pair
 whose ``s32`` is ``<=`` a float32 threshold at or below ``beta - slack_i``
 provably has a float64 similarity ``<= beta``, so it is inactive. The slack
 ``(2d + 8) * 2**-24 * ||z_i|| * max||m||`` (plus an underflow term) bounds
 the distance between the float32 score and the float64 one; see
 ``_screen_thresholds`` for the derivation. A memory column is touched when
 its label occurs in the batch or when any of its scores is not ``<=`` the
-threshold (a NaN score counts as touched). Among touched columns only the
-same-label pairs and the screen's hinge candidates are scored in float64,
-each as one row dot product, in row-major pair order; those values alone
-enter the loss and decide the active set. The gradient multiplies the
-columns with a positive or an active pair, as before the screen existed.
+threshold (a NaN score counts as touched). Only the same-label pairs and
+the hinge candidates of touched columns are scored in float64; those values
+alone enter the loss and decide the active set, summed in row-major pair
+order. The gradient multiplies the columns with a positive or an active
+pair.
+
+The gain needs few pairs to pass the screen: a margin well above the typical
+different-label similarity. While at most 1/128 of the ``n x M`` pairs pass,
+each is one row dot product, in blocks of bounded size. Otherwise, and for a
+memory of at most 2**16 pairs, the term comes from one float64 product over
+the whole memory, exactly as before the screen existed; the screen runs a
+block of memory rows at a time and stops at the first block that shows the
+share exceeded, so that case costs little more than the product. The two
+evaluations of a pair may differ in the last bits, and the choice between
+them rests on float32 counts: a step whose count sits at the limit could
+choose differently under a float32 product that rounds differently (another
+BLAS build or thread count).
 """
 
 from __future__ import annotations
@@ -165,13 +177,21 @@ _ETA32 = 2.0**-150
 # overflow anywhere) and for dims up to _SCREEN_MAX_DIM (d * 2**-24 <= 1/4).
 _SCREEN_MAX_NORM = 2.0**60
 _SCREEN_MAX_DIM = 2**22
+# Scored memory pairs get one row dot each while they are at most this share
+# of all n x M pairs; above it one float64 product over the memory is faster
+# (whole loss, n 32-64, d 64-384, M 8k-16k, one BLAS thread of a 2-core
+# Xeon: equal cost at about 1/100).
+_PER_PAIR_SHARE = 1 / 128
+# The screen scores, and the per-pair dots gather, at most this many values
+# (per operand) at once; a memory of at most this many pairs is not screened.
+_BLOCK_VALUES = 2**16
 
 
 def _memory_arrays(memory: Optional["MemoryView"]):
     """Unpack a memory view, treating None and the empty view identically.
 
-    Returns None or ``(descriptors, labels, descriptors32, norm_bound)``; a
-    view without the float32 copy or the norm bound gets them computed here.
+    Returns None or ``(descriptors, labels, descriptors32, norm_bound)``;
+    the last two are None on a view built by hand.
     """
     if memory is None:
         return None
@@ -183,14 +203,7 @@ def _memory_arrays(memory: Optional["MemoryView"]):
         raise ShapeError("memory descriptors must be 2-D")
     if labels.shape != (descriptors.shape[0],):
         raise ShapeError("memory labels must be one per descriptor row")
-    descriptors32 = memory.descriptors32
-    if descriptors32 is None:
-        with np.errstate(over="ignore"):
-            descriptors32 = descriptors.astype(np.float32)
-    norm_bound = memory.norm_bound
-    if norm_bound is None:
-        norm_bound = float(np.sqrt(np.max(np.einsum("ij,ij->i", descriptors, descriptors))))
-    return descriptors, labels, descriptors32, norm_bound
+    return descriptors, labels, memory.descriptors32, memory.norm_bound
 
 
 def _screen_thresholds(Z: np.ndarray, norm_bound: float, beta: float) -> np.ndarray:
@@ -230,6 +243,77 @@ def _screen_thresholds(Z: np.ndarray, norm_bound: float, beta: float) -> np.ndar
     return np.where(in_range & (d <= _SCREEN_MAX_DIM), t32, np.float32(np.nan))
 
 
+def _memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z32, norm_bound, beta):
+    """Float64 similarities of the positive and of the active memory pairs.
+
+    Both come in row-major pair order, with the gradient coefficients
+    ``coef`` (+1 active, -1 positive, else 0) over the memory columns
+    ``cols`` that have either kind of pair. The float32 screen picks the
+    pairs to score, a block of memory rows at a time. Few are row dot
+    products (``einsum``, no BLAS, so a value depends only on its two rows),
+    gathered a block at a time. As soon as the pairs passed so far are more
+    than ``_PER_PAIR_SHARE`` of the pairs screened so far, the rest of the
+    screen is skipped and :func:`_memory_pairs_dense` scores them. It also
+    scores a memory that fits in one block: the screen's fixed cost (about
+    0.2 ms on one thread of a 2-core Xeon) is more than the product it would
+    save there.
+    """
+    n, d = Z.shape
+    m = mem_Z.shape[0]
+    if n * m <= _BLOCK_VALUES:
+        return _memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta)
+    if mem_Z32 is None:  # a view built by hand
+        with np.errstate(over="ignore"):
+            mem_Z32 = mem_Z.astype(np.float32)
+        norm_bound = float(np.sqrt(np.max(np.einsum("ij,ij->i", mem_Z, mem_Z))))
+    thresholds = _screen_thresholds(Z, norm_bound, beta)
+    # Rows too large for float32 have NaN thresholds, so none of their
+    # pairs is screened out.
+    with np.errstate(over="ignore"):
+        Z32_T = Z.astype(np.float32).T
+    screened = np.empty((m, n), dtype=bool)
+    block_rows = max(1, _BLOCK_VALUES // n)
+    passed = 0
+    for start in range(0, m, block_rows):
+        block = slice(start, start + block_rows)
+        # Memory-major (rows x n): this orientation of the product runs faster.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.less_equal(mem_Z32[block] @ Z32_T, thresholds, out=screened[block])
+        passed += screened[block].size - np.count_nonzero(screened[block])
+        if passed > _PER_PAIR_SHARE * n * min(start + block_rows, m):
+            return _memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta)
+    cols = np.flatnonzero(~screened.all(axis=1) | np.isin(mem_labels, labels))
+    same = labels[:, None] == mem_labels[cols]
+    scored = same | ~screened[cols].T
+    count = np.count_nonzero(scored)
+    if count > _PER_PAIR_SHARE * n * m:
+        return _memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta)
+    rows, at = np.nonzero(scored)
+    sims = np.empty(count)
+    step = max(1, _BLOCK_VALUES // d)
+    for start in range(0, count, step):
+        block = slice(start, start + step)
+        np.einsum("ij,ij->i", Z[rows[block]], mem_Z[cols[at[block]]], out=sims[block])
+    same = same[scored]
+    active = ~same & (sims > beta)
+    coef = np.zeros((n, cols.size))
+    coef[scored] = active.astype(np.float64) - same
+    # A column with no positive and no active pair adds exact zeros to the
+    # gradient, so only those with one are kept.
+    keep = np.flatnonzero(coef.any(axis=0))
+    return sims[same], sims[active], cols[keep], coef[:, keep]
+
+
+def _memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta):
+    """:func:`_memory_pairs` from one float64 product over the whole memory."""
+    sims = Z @ mem_Z.T
+    same = labels[:, None] == mem_labels[None, :]
+    active = ~same & (sims > beta)
+    cols = np.flatnonzero(np.any(same | active, axis=0))
+    coef = active[:, cols].astype(np.float64) - same[:, cols]
+    return sims[same], sims[active], cols, coef
+
+
 def contrastive_loss(
     batch: LabeledEmbeddingBatch,
     memory: Optional["MemoryView"],
@@ -265,25 +349,12 @@ def contrastive_loss(
             raise ShapeError(
                 f"memory dim {mem_Z.shape[1]} != batch dim {Z.shape[1]}"
             )
-        thresholds = _screen_thresholds(Z, norm_bound, beta)
-        # Memory-major (M x n): this orientation of the product runs faster.
-        with np.errstate(over="ignore", invalid="ignore"):
-            screened = (mem_Z32 @ Z.astype(np.float32).T) <= thresholds
-        cols = np.flatnonzero(~screened.all(axis=1) | np.isin(mem_labels, labels))
-        same_c = labels[:, None] == mem_labels[cols]
-        rows, at = np.nonzero(same_c | ~screened[cols].T)  # row-major pair order
-        same_p = same_c[rows, at]
-        sims_p = np.einsum("ij,ij->i", Z[rows], mem_Z[cols[at]])
-        active_p = ~same_p & (sims_p > beta)
-        positive += float(np.sum(1.0 - sims_p[same_p])) / n
-        negative += float(np.sum(sims_p[active_p] - beta)) / n
-        # A memory column with no positive and no active hinge pair adds
-        # exact zeros to the gradient, so only those with one are multiplied.
-        coef = np.zeros((n, cols.size))
-        coef[rows[active_p], at[active_p]] = 1.0
-        coef[rows[same_p], at[same_p]] = -1.0
-        keep = np.flatnonzero(coef.any(axis=0))
-        grad += coef[:, keep] @ mem_Z[cols[keep]] / n
+        positives, actives, cols, coef = _memory_pairs(
+            Z, labels, mem_Z, mem_labels, mem_Z32, norm_bound, beta
+        )
+        positive += float(np.sum(1.0 - positives)) / n
+        negative += float(np.sum(actives - beta)) / n
+        grad += coef @ mem_Z[cols] / n
 
     value = positive + negative
     if not np.isfinite(value):

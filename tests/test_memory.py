@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from spherekit import LabeledEmbeddingBatch, MemoryBank, MomentumTrack
+from spherekit import LabeledEmbeddingBatch, MemoryBank, MemoryView, MomentumTrack
 from spherekit.errors import NormalizationError, ShapeError
 
 from conftest import unit_rows
@@ -69,6 +69,20 @@ class TestMemoryBank:
             wrapped.labels[0] = 99
         assert np.shares_memory(wrapped.descriptors, bank.view().descriptors)
         assert np.shares_memory(wrapped.labels, bank.view().labels)
+
+    def test_only_the_bank_sets_the_screen_fields(self):
+        # The loss trusts a view's float32 copy and norm bound, so a view
+        # built by hand cannot pass them and gets them computed instead.
+        rows = np.eye(3)
+        with pytest.raises(TypeError):
+            MemoryView(rows, np.arange(3), descriptors32=rows.astype(np.float32))
+        with pytest.raises(TypeError):
+            MemoryView(rows, np.arange(3), norm_bound=0.5)
+        hand = MemoryView(rows, np.arange(3))
+        assert hand.descriptors32 is None and hand.norm_bound is None
+        bank = MemoryBank(capacity=3, dim=3)
+        bank.enqueue(LabeledEmbeddingBatch(rows, np.arange(3)))
+        assert bank.view().norm_bound >= 1.0
 
     def test_capacity_zero_is_noop(self):
         bank = MemoryBank(capacity=0, dim=8)

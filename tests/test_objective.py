@@ -7,6 +7,8 @@ on batches sampled away from hinge kinks and neighbor ties.
 """
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from spherekit import (
     contrastive_loss,
     koleo_loss,
 )
+from spherekit import objective
 from spherekit.errors import ShapeError
 
 from conftest import FD_RTOL, central_diff, rel_err, safe_batch, unit_rows
@@ -293,18 +296,37 @@ class TestMemoryTermProperty:
         assert np.allclose(out.grad, grad)
 
 
-def per_pair_memory_reference(Z, labels, beta, mem_Z, mem_labels):
-    """Memory term from one float64 row dot per (anchor, memory row) pair."""
+def per_pair_memory_reference(Z, labels, beta, mem_Z, mem_labels, per_pair=True):
+    """Memory term from float64 similarities of every (anchor, memory row) pair.
+
+    They are one row dot per pair, or with ``per_pair=False`` one product
+    over the whole memory: the two evaluations the loss reads from.
+    """
     n, m = len(Z), len(mem_Z)
-    sims = np.einsum(
-        "ij,ij->i", np.repeat(Z, m, axis=0), np.tile(mem_Z, (n, 1))
-    ).reshape(n, m)
+    if per_pair:
+        sims = np.stack([
+            np.einsum("ij,ij->i", np.repeat(Z[i : i + 1], m, axis=0), mem_Z)
+            for i in range(n)
+        ])
+    else:
+        sims = Z @ mem_Z.T
     same = labels[:, None] == mem_labels[None, :]
     active = ~same & (sims > beta)
     positive = math.fsum(1.0 - sims[same]) / n
     negative = math.fsum(sims[active] - beta) / n
     grad = (active.astype(np.float64) - same) @ mem_Z / n
     return positive, negative, grad
+
+
+def forced_memory_path(per_pair):
+    """Make the loss score memory pairs one by one, or all from one product.
+
+    Blocks of one value make even a tiny memory go through the screen, one
+    row (and one pair dot) at a time.
+    """
+    return mock.patch.multiple(
+        objective, _PER_PAIR_SHARE=1.0 if per_pair else 0.0, _BLOCK_VALUES=1
+    )
 
 
 def rows_at_similarity(rng, anchors, targets):
@@ -330,14 +352,15 @@ class TestMemoryScreen:
         widths=st.floats(0.0, 3.0),
         off_sphere=st.booleans(),
         through_bank=st.booleans(),
+        per_pair=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     @example(n=8, m=30, d=384, beta=0.5, widths=3.0, off_sphere=True,
-             through_bank=False, seed=0)
+             through_bank=False, per_pair=True, seed=0)
     @example(n=8, m=30, d=128, beta=0.5, widths=1.0, off_sphere=False,
-             through_bank=True, seed=1)
+             through_bank=True, per_pair=False, seed=1)
     def test_matches_per_pair_float64(self, n, m, d, beta, widths, off_sphere,
-                                      through_bank, seed):
+                                      through_bank, per_pair, seed):
         rng = np.random.default_rng(seed)
         Z = unit_rows(rng, n, d)
         if off_sphere:
@@ -364,10 +387,13 @@ class TestMemoryScreen:
                 mem_Z = mem_Z * rng.uniform(0.99, 1.01, size=(m, 1))
             view = MemoryView(mem_Z, mem_labels)
         probe = batch(Z, labels, validate=False)
-        out = contrastive_loss(probe, view, beta)
+        # Force the loss's choice between its two float64 evaluations, and
+        # screen these small memories one row at a time.
+        with forced_memory_path(per_pair):
+            out = contrastive_loss(probe, view, beta)
         alone = contrastive_loss(probe, None, beta)
         positive, negative, grad = per_pair_memory_reference(
-            Z, labels, beta, mem_Z, mem_labels
+            Z, labels, beta, mem_Z, mem_labels, per_pair
         )
         assert_allclose(out.term_breakdown.positive - alone.term_breakdown.positive,
                         positive, rtol=1e-12, atol=1e-15)
@@ -387,10 +413,75 @@ class TestMemoryScreen:
             view = bank.view()
         else:
             view = MemoryView(mem_Z, mem_labels)
-        out = contrastive_loss(batch(Z, [0, 1]), view, 0.5)
-        alone = contrastive_loss(batch(Z, [0, 1]), None, 0.5)
-        assert out.value == alone.value
-        assert out.grad.tobytes() == alone.grad.tobytes()
+        for per_pair in (False, True):
+            with forced_memory_path(per_pair):
+                out = contrastive_loss(batch(Z, [0, 1]), view, 0.5)
+            alone = contrastive_loss(batch(Z, [0, 1]), None, 0.5)
+            assert out.value == alone.value
+            assert out.grad.tobytes() == alone.grad.tobytes()
+
+    @pytest.mark.parametrize("case", ["same_label", "near_batch", "low_beta"])
+    def test_many_touched_pairs_stay_within_the_dense_product(self, case):
+        # 64 anchors against a full 16,000-row bank at d 128 (category-xbm
+        # size) with many pairs past the screen: every column a positive,
+        # every pair a hinge candidate near 1, or beta 0.1 over random rows
+        # (about 1 pair in 8). The values then come from one product over
+        # the memory, and the term holds less than four n x M float64
+        # matrices at once.
+        rng = np.random.default_rng(11)
+        n, m, d = 64, 16_000, 128
+        Z = unit_rows(rng, n, d)
+        labels = np.arange(n)
+        mem_Z = unit_rows(rng, m, d)
+        mem_labels = rng.integers(n, 2 * n, size=m)
+        beta = 0.5
+        if case == "same_label":
+            mem_labels = labels[rng.integers(0, n, size=m)]
+        elif case == "near_batch":
+            mem_Z = Z[rng.integers(0, n, size=m)] + 1e-3 * mem_Z
+            mem_Z /= np.linalg.norm(mem_Z, axis=1, keepdims=True)
+        else:
+            beta = 0.1
+        bank = MemoryBank(capacity=m, dim=d)
+        bank.enqueue(batch(mem_Z, mem_labels))
+        self.check_peak_and_values(Z, labels, bank.view(), beta, 4 * n * m * 8,
+                                   per_pair=False)
+
+    def test_per_pair_dots_are_gathered_in_blocks(self):
+        # All 64 anchors share the label of 125 memory rows: 8,000 positive
+        # pairs, the most that are still row dots. Gathered at once their
+        # rows would take two n x M float64 matrices; in blocks the term
+        # holds less than one.
+        rng = np.random.default_rng(12)
+        n, m, d = 64, 16_000, 128
+        Z = unit_rows(rng, n, d)
+        labels = np.zeros(n, dtype=np.int64)
+        mem_Z = unit_rows(rng, m, d)
+        mem_labels = np.where(np.arange(m) < 125, 0, 1 + np.arange(m))
+        bank = MemoryBank(capacity=m, dim=d)
+        bank.enqueue(batch(mem_Z, mem_labels))
+        self.check_peak_and_values(Z, labels, bank.view(), 0.9, n * m * 8,
+                                   per_pair=True)
+
+    @staticmethod
+    def check_peak_and_values(Z, labels, view, beta, max_bytes, per_pair):
+        probe = batch(Z, labels)
+        alone = contrastive_loss(probe, None, beta)
+        tracemalloc.start()
+        try:
+            out = contrastive_loss(probe, view, beta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < max_bytes
+        positive, negative, grad = per_pair_memory_reference(
+            Z, labels, beta, view.descriptors, view.labels, per_pair
+        )
+        assert_allclose(out.term_breakdown.positive - alone.term_breakdown.positive,
+                        positive, rtol=1e-12)
+        assert_allclose(out.term_breakdown.negative - alone.term_breakdown.negative,
+                        negative, rtol=1e-12, atol=1e-15)
+        assert_allclose(out.grad - alone.grad, grad, rtol=0, atol=1e-12)
 
 
 class TestKoleo:
