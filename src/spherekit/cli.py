@@ -44,9 +44,6 @@ from .trainer import (
 
 __all__ = ["main", "build_parser"]
 
-DEFAULT_HISTOGRAM_BINS = 50
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spherekit",
@@ -296,7 +293,7 @@ def cmd_diagnose(args) -> int:
         ["component_index", "cumulative_energy"],
         [(i + 1, v) for i, v in enumerate(report.cumulative)],
     )
-    hist = similarity_histograms(Z, dataset.labels, num_bins=DEFAULT_HISTOGRAM_BINS)
+    hist = similarity_histograms(Z, dataset.labels)
     sk_io.write_csv_atomic(
         out_dir / "hist.csv",
         ["bin_left", "bin_right", "positive_count", "negative_count"],

@@ -3,11 +3,16 @@
 A run is described by one JSON document. Validation is strict: unknown keys
 are rejected, and cross-field rules (exactly one data source, margin default
 by mode) are applied after schema validation so error messages name the
-offending key. Defaults follow the reference training recipe: margin 0.5 for
-category-level runs and 0.85 for particular-object runs, regularizer weight
-0.7, AdamW at lr 3e-5 with weight decay 5e-4, batch 64 with 4 instances per
-class, memory capacity equal to dataset size, momentum 0.999 (an explicit
-null disables the momentum track entirely).
+offending key. Each config fact is declared once. ``CONFIG_SCHEMA`` gives
+every key's type, and parsing casts each number to it: an ``integer`` key
+becomes an ``int`` (``3.0`` is a valid integer) and a ``number`` key a
+``float``. The dataclasses below give every default: a key that is absent
+takes its field's default, and only the margin's default depends on the
+mode (``DEFAULT_BETA``). The defaults follow the reference training recipe:
+margin 0.5 for category-level runs and 0.85 for particular-object runs,
+regularizer weight 0.7, AdamW at lr 3e-5 with weight decay 5e-4, batch 64
+with 4 instances per class, memory capacity equal to dataset size, momentum
+0.999 (an explicit null disables the momentum track entirely).
 """
 
 from __future__ import annotations
@@ -113,6 +118,7 @@ class RunConfig:
 
 
 CONFIG_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "additionalProperties": False,
     "required": ["mode", "iterations", "seed", "head"],
@@ -206,6 +212,25 @@ def _config_validator():
     return cls(CONFIG_SCHEMA)
 
 
+def _cast_numbers(value, schema: dict):
+    """``value`` with each number cast to its schema type, at any depth.
+
+    An ``integer`` key gets an ``int`` (JSON Schema counts ``3.0`` as an
+    integer) and a ``number`` key a ``float``; other values, bools among
+    them, are returned as they are. ``value`` must already be valid.
+    """
+    if isinstance(value, dict):
+        properties = schema["properties"]
+        return {k: _cast_numbers(v, properties[k]) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_cast_numbers(v, schema["items"]) for v in value]
+    if type(value) not in (int, float):
+        return value
+    types = schema["type"]
+    types = [types] if isinstance(types, str) else types
+    return int(value) if "integer" in types else float(value)
+
+
 def parse_run_config(raw: dict) -> RunConfig:
     """Validate a config dict and resolve defaults into a RunConfig."""
     # The error jsonschema.validate would raise, from a validator built once.
@@ -214,64 +239,26 @@ def parse_run_config(raw: dict) -> RunConfig:
         path = "/".join(str(p) for p in error.absolute_path) or "<root>"
         raise ConfigError(f"config key {path!r}: {error.message}") from error
 
-    has_data = raw.get("data") is not None
-    has_synthetic = raw.get("synthetic") is not None
-    if has_data == has_synthetic:
+    if (raw.get("data") is None) == (raw.get("synthetic") is None):
         raise ConfigError("exactly one of 'data' or 'synthetic' must be set")
 
-    mode = raw["mode"]
-    beta = raw.get("beta")
-    if beta is None:
-        beta = DEFAULT_BETA[mode]
+    fields = _cast_numbers(raw, CONFIG_SCHEMA)
+    if fields.get("beta") is None:
+        fields["beta"] = DEFAULT_BETA[fields["mode"]]
+    if "lambda" in fields:
+        fields["lam"] = fields.pop("lambda")
+    if "eval_ks" in fields:
+        fields["eval_ks"] = tuple(sorted(set(fields["eval_ks"])))
+    specs = {"head": HeadSpec, "pooling": PoolingSpec, "data": DataPaths,
+             "synthetic": SyntheticSpec}
+    for key, spec in specs.items():
+        if fields.get(key) is not None:
+            fields[key] = spec(**fields[key])
 
-    head_raw = raw["head"]
-    head = HeadSpec(out_dim=head_raw["out_dim"], hidden=head_raw.get("hidden"))
-
-    pooling_raw = raw.get("pooling") or {}
-    pooling = PoolingSpec(
-        mode=pooling_raw.get("mode", "cls"), p=float(pooling_raw.get("p", 3.0))
-    )
-
-    data = None
-    if has_data:
-        data = DataPaths(**raw["data"])
-
-    synthetic = None
-    if has_synthetic:
-        synthetic = SyntheticSpec(**raw["synthetic"])
-        if synthetic.holdout_classes >= synthetic.num_classes:
-            raise ConfigError(
-                "synthetic.holdout_classes must leave at least one training class"
-            )
-
-    eval_ks = tuple(sorted(set(raw.get("eval_ks", (1, 2, 4, 8)))))
-
-    config = RunConfig(
-        mode=mode,
-        iterations=raw["iterations"],
-        seed=raw["seed"],
-        head=head,
-        beta=float(beta),
-        lam=float(raw.get("lambda", 0.7)),
-        lr=float(raw.get("lr", 3e-5)),
-        weight_decay=float(raw.get("weight_decay", 5e-4)),
-        batch_size=int(raw.get("batch_size", 64)),
-        instances_per_class=int(raw.get("instances_per_class", 4)),
-        memory_capacity_ratio=float(raw.get("memory_capacity_ratio", 1.0)),
-        momentum_m=(
-            None
-            if ("momentum_m" in raw and raw["momentum_m"] is None)
-            else float(raw.get("momentum_m", 0.999))
-        ),
-        pooling=pooling,
-        pca_out_dim=raw.get("pca_out_dim"),
-        eval_ks=eval_ks,
-        particular_scale=float(raw.get("particular_scale", 1.0)),
-        gamma_every=int(raw.get("gamma_every", 1)),
-        snapshot_every=int(raw.get("snapshot_every", 0)),
-        data=data,
-        synthetic=synthetic,
-    )
+    synthetic = fields.get("synthetic")
+    if synthetic is not None and synthetic.holdout_classes >= synthetic.num_classes:
+        raise ConfigError("synthetic.holdout_classes must leave at least one training class")
+    config = RunConfig(**fields)
     if config.batch_size % config.instances_per_class != 0:
         raise ConfigError(
             f"batch_size {config.batch_size} is not divisible by "

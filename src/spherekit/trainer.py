@@ -345,13 +345,7 @@ class OptimizerState:
 
     @classmethod
     def initialize(
-        cls,
-        params: dict[str, np.ndarray],
-        lr: float,
-        weight_decay: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
+        cls, params: dict[str, np.ndarray], lr: float, weight_decay: float
     ) -> "OptimizerState":
         if lr <= 0 or not np.isfinite(lr):
             raise ValueError(f"learning rate must be positive, got {lr!r}")
@@ -362,9 +356,6 @@ class OptimizerState:
             weight_decay=weight_decay,
             m={k: np.zeros_like(p) for k, p in params.items()},
             v={k: np.zeros_like(p) for k, p in params.items()},
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
         )
 
 
@@ -550,8 +541,10 @@ def make_synthetic(spec: SyntheticSpec) -> LabeledFeatureDataset:
     rng = np.random.default_rng(spec.seed)
     means = normalize_rows(rng.standard_normal((spec.num_classes, spec.feature_dim)))
     labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), spec.per_class)
-    noise = rng.standard_normal((spec.num_classes * spec.per_class, spec.feature_dim))
-    features = np.repeat(means, spec.per_class, axis=0) + spec.noise_sigma * noise
+    features = rng.standard_normal((spec.num_classes * spec.per_class, spec.feature_dim))
+    # In place, through a (classes, per_class, d) view: one full-size array.
+    features *= spec.noise_sigma
+    features.reshape(spec.num_classes, spec.per_class, -1)[...] += means[:, None, :]
     return LabeledFeatureDataset(features=features, labels=labels)
 
 

@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import spherekit
-from spherekit import EncoderHead, QueryGroundTruth
+from spherekit import EncoderHead, QueryGroundTruth, objective, parse_run_config, train_run
 from spherekit.cli import main
 from spherekit.io import write_features, write_ground_truth, write_labels
 
@@ -110,6 +110,17 @@ class TestTrain:
         head = EncoderHead.from_dict(head_payload["head"])
         assert head.in_dim == 5
         assert head.out_dim == 4
+
+    def test_integral_float_counts_run_as_integers(self, tmp_path):
+        # JSON Schema counts 3.0 as an integer; the run must not see a float.
+        outputs = []
+        for iterations in (3, 3.0):
+            cfg_path = tmp_path / f"cfg-{iterations}.json"
+            write_config(cfg_path, iterations=iterations)
+            out = tmp_path / f"run-{iterations}"
+            assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outputs[0] == outputs[1]
 
     def test_seed_override_lands_in_metadata(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -465,6 +476,25 @@ def run_cli_with_blas_threads(threads, *args):
     assert done.returncode == 0, done.stderr
 
 
+def screened_memory_steps(monkeypatch, config):
+    """In-process ``train_run``: how many steps' memory terms took the screen,
+    that is, did not fall back to the dense float64 product."""
+    calls = {"_memory_pairs": 0, "_memory_pairs_dense": 0}
+
+    def counted(name):
+        original = getattr(objective, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(objective, name, wrapper)
+
+    counted("_memory_pairs")
+    counted("_memory_pairs_dense")
+    train_run(config)
+    return calls["_memory_pairs"] - calls["_memory_pairs_dense"]
+
+
 class TestBlasThreadCount:
     @pytest.mark.parametrize("mode", ["category", "particular"])
     def test_eval_metrics_identical_for_one_and_two_threads(self, tmp_path, mode):
@@ -511,20 +541,28 @@ class TestBlasThreadCount:
             outputs.append((out / "metrics.json").read_bytes())
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("mode", ["category", "particular"])
-    def test_train_artifacts_identical_for_one_and_two_threads(self, tmp_path, mode):
+    @pytest.mark.parametrize("case", ["category", "particular", "screened"])
+    def test_train_artifacts_identical_for_one_and_two_threads(self, tmp_path, monkeypatch,
+                                                                case):
         # 1,080 training rows: the memory (648 rows) and snapshot products of
         # the category run, and the per-epoch re-embed and the 100 x 1,080
         # mining block of the particular run, are above OpenBLAS's threading
         # threshold, so two threads split them.
+        mode = "particular" if case == "particular" else "category"
         cfg = {"mode": mode, "iterations": 40 if mode == "category" else 2, "seed": 6,
                "head": {"out_dim": 32}, "lr": 0.01,
                "synthetic": {"num_classes": 100, "per_class": 12, "feature_dim": 48,
                              "noise_sigma": 0.3, "seed": 2, "holdout_classes": 10}}
-        if mode == "category":
+        if case == "category":
             cfg.update(memory_capacity_ratio=0.6, momentum_m=0.9, snapshot_every=20)
-        else:
+        elif case == "particular":
             cfg.update(particular_scale=0.05, memory_capacity_ratio=0.0, momentum_m=None)
+        else:
+            # A 2,280-row memory passes 2**16 pairs at batch 64 (1,024 rows),
+            # so the memory term also takes the float32 screen.
+            cfg["synthetic"]["num_classes"] = 200
+            cfg.update(beta=0.8, memory_capacity_ratio=1.0, momentum_m=0.9)
+            assert screened_memory_steps(monkeypatch, parse_run_config(cfg)) >= 1
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         outputs = []

@@ -7,6 +7,9 @@ import pytest
 
 from spherekit import (
     ConfigError,
+    HeadSpec,
+    RunConfig,
+    SyntheticSpec,
     dump_run_config,
     load_run_config,
     parse_run_config,
@@ -51,6 +54,34 @@ class TestParse:
         assert config.snapshot_every == 0
         assert config.pca_out_dim is None
         assert config.data is None
+        assert config == RunConfig(
+            mode="category",
+            iterations=10,
+            seed=0,
+            head=HeadSpec(out_dim=8),
+            beta=0.5,
+            synthetic=SyntheticSpec(
+                num_classes=4, per_class=4, feature_dim=6, noise_sigma=0.2, seed=1
+            ),
+        )
+
+    def test_numbers_take_their_schema_type(self):
+        # JSON Schema counts 3.0 as an integer, so integral floats are valid
+        # for integer keys; JSON integers are valid for number keys.
+        raw = minimal(iterations=10.0, seed=2.0, head={"out_dim": 8.0}, pca_out_dim=4.0,
+                      eval_ks=[4.0, 1, 4], lr=1)
+        raw["synthetic"].update(num_classes=4.0, noise_sigma=1)
+        config = parse_run_config(raw)
+        for value in (config.iterations, config.seed, config.head.out_dim,
+                      config.synthetic.num_classes, config.pca_out_dim, *config.eval_ks):
+            assert type(value) is int
+        assert type(config.lr) is float
+        assert type(config.synthetic.noise_sigma) is float
+        assert config.eval_ks == (1, 4)
+        dumped = json.loads(json.dumps(dump_run_config(config)))
+        assert dumped["iterations"] == 10 and type(dumped["iterations"]) is int
+        assert type(dumped["lr"]) is float
+        assert parse_run_config(dumped) == config
 
     def test_particular_default_margin(self):
         config = parse_run_config(minimal(mode="particular"))

@@ -460,6 +460,26 @@ class TestSyntheticData:
         b = make_synthetic(spec)
         assert_array_equal(a.features, b.features)
 
+    def test_features_are_the_two_temporary_formula_bit_for_bit(self):
+        spec = SyntheticSpec(num_classes=7, per_class=5, feature_dim=6, noise_sigma=0.37, seed=13)
+        rng = np.random.default_rng(spec.seed)
+        means = normalize_rows(rng.standard_normal((7, 6)))
+        noise = rng.standard_normal((35, 6))
+        expected = np.repeat(means, 5, axis=0) + spec.noise_sigma * noise
+        assert_array_equal(make_synthetic(spec).features, expected)
+
+    def test_features_are_built_without_full_size_temporaries(self):
+        spec = SyntheticSpec(num_classes=500, per_class=8, feature_dim=128, noise_sigma=0.3, seed=14)
+        tracemalloc.start()
+        try:
+            ds = make_synthetic(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The noise, the repeated means and their sum, all alive at once,
+        # would be about 3x the feature bytes.
+        assert peak < 2 * ds.features.nbytes
+
     def test_split_holdout_takes_highest_labels(self):
         ds = tiny_dataset(num_classes=5)
         train, hold = split_holdout(ds, 2)
