@@ -195,10 +195,13 @@ def _eval_descriptors(config: RunConfig, head: EncoderHead, train, fit_on, *data
 
 
 def _category_eval(config: RunConfig, head: EncoderHead, out_dir: Path) -> int:
-    train, eval_ds = _category_splits(config)
     data = config.data
+    has_queries = data is not None and data.query_features is not None
+    if has_queries and data.query_labels is None:
+        raise ConfigError("data.query_features given without data.query_labels")
+    train, eval_ds = _category_splits(config)
     fit_on = "train-split embeddings before normalization"
-    if data is not None and data.query_features is not None:
+    if has_queries:
         queries_ds = _load_file_dataset(data.query_features, data.query_labels)
         (Z_eval, Z_q), pca_block = _eval_descriptors(
             config, head, train, fit_on, eval_ds, queries_ds

@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NumericalError, ShapeError
-from .evaluation import score_blocks
+from . import evaluation
 from .geometry import cumulative_energy, pca_fit
 
 __all__ = [
@@ -79,13 +79,11 @@ class SimilarityHistogram:
         return self.bin_edges.shape[0] - 1
 
 
-def similarity_histograms(
-    Z, labels, num_bins: int = 50, block_rows: int | None = None
-) -> SimilarityHistogram:
+def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
     """Histogram all unordered pairwise similarities, split by label match.
 
-    Rows are scored in blocks (``evaluation.score_blocks``, sized by its byte
-    budget unless ``block_rows`` is given) and each block's pairs above the
+    Rows are scored in blocks (``evaluation.score_blocks`` within
+    ``evaluation.SCORE_BLOCK_BYTES``) and each block's pairs above the
     diagonal are binned, so memory stays bounded by the block, not by n^2.
     """
     Z = np.asarray(Z, dtype=np.float64)
@@ -100,7 +98,7 @@ def similarity_histograms(
     pos_counts = np.zeros(num_bins, dtype=np.int64)
     neg_counts = np.zeros(num_bins, dtype=np.int64)
     columns = np.arange(Z.shape[0])
-    for start, S in score_blocks(Z, Z, block_rows):
+    for start, S in evaluation.score_blocks(Z, Z, evaluation.SCORE_BLOCK_BYTES):
         rows = columns[start : start + S.shape[0], None]
         upper = columns[start:] > rows
         # Unit-row dot products can exceed +/-1 by float dust; clipping keeps

@@ -133,11 +133,10 @@ class Retrieval:
     index: RetrievalIndex
     queries: np.ndarray
     exclude_self: bool = False
-    block_rows: int | None = None
 
     def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """``score_blocks``, with each query's own entry at -inf under ``exclude_self``."""
-        for start, S in score_blocks(self.queries, self.index.gallery, self.block_rows):
+        """``score_blocks``, each query's own entry at -inf under ``exclude_self``."""
+        for start, S in score_blocks(self.queries, self.index.gallery, SCORE_BLOCK_BYTES):
             if self.exclude_self:
                 rows = np.arange(S.shape[0])
                 S[rows, start + rows] = -np.inf
@@ -148,14 +147,12 @@ def retrieve(
     index: RetrievalIndex,
     queries: np.ndarray,
     exclude_self: bool = False,
-    block_rows: int | None = None,
 ) -> Retrieval:
     """Check query rows against ``index`` for the metrics to score.
 
     ``exclude_self`` supports leave-one-out protocols where the query set IS
     the gallery: query i never retrieves gallery entry i. Ties in similarity
-    are broken by ascending gallery index. ``block_rows`` overrides the
-    default block size of ``score_blocks``.
+    are broken by ascending gallery index.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2:
@@ -170,24 +167,22 @@ def retrieve(
         raise ShapeError(
             "exclude_self requires the query set and gallery to be the same size"
         )
-    return Retrieval(index, queries, exclude_self, block_rows)
+    return Retrieval(index, queries, exclude_self)
 
 
 def score_blocks(
-    queries: np.ndarray, gallery: np.ndarray, block_rows: int | None = None
+    queries: np.ndarray, gallery: np.ndarray, block_bytes: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(start, queries[start:stop] @ gallery.T)`` over blocks of rows.
 
-    ``block_rows`` defaults to as many rows as fit in ``SCORE_BLOCK_BYTES``
-    (at least 2). A 1-row product runs as a matrix-vector call whose sums can
-    differ in the last bits from the same row of a many-row product, so a
-    1-row tail is merged into the block before it; only a single query is
-    ever scored alone.
+    Every blocked product in the package comes from here, each caller passing
+    its own budget. A block holds as many rows as fit ``block_bytes`` of
+    float64 scores, and at least 2. A 1-row product runs as a matrix-vector
+    call whose sums can differ in the last bits from the same row of a
+    many-row product, so a 1-row tail is merged into the block before it;
+    only a single query is ever scored alone.
     """
-    if block_rows is None:
-        block_rows = max(2, SCORE_BLOCK_BYTES // (8 * max(gallery.shape[0], 1)))
-    if block_rows < 2:
-        raise ValueError(f"block_rows must be >= 2, got {block_rows}")
+    block_rows = max(2, block_bytes // (8 * max(gallery.shape[0], 1)))
     n = queries.shape[0]
     start = 0
     while start < n:

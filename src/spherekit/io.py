@@ -107,10 +107,14 @@ def read_features(path) -> np.ndarray:
                 f"{path}: bad magic at byte 0: {magic!r}, expected {FEATURE_MAGIC!r}"
             )
         rows, cols = struct.unpack("<II", _read_exact(f, 8, "header", path))
-        payload = _read_exact(f, 4 * rows * cols, "payload", path)
-        extra = f.read(1)
-        if extra:
+        # Checked against the file's size first: a corrupt header must not size a read.
+        count = 4 * rows * cols
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size < count:
+            raise FormatError(f"{path}: truncated payload: wanted {count} bytes, got {size}")
+        if size > count:
             raise FormatError(f"{path}: trailing bytes after payload")
+        payload = _read_exact(f, count, "payload", path)
     flat = np.frombuffer(payload, dtype="<f4")
     bad = ~np.isfinite(flat)
     if np.any(bad):

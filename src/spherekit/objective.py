@@ -34,13 +34,13 @@ The gain needs few pairs to pass the screen: a margin well above the typical
 different-label similarity. While at most 1/128 of the ``n x M`` pairs pass,
 each is one row dot product, in blocks of bounded size. Otherwise, and for a
 memory of at most 2**16 pairs, the term comes from one float64 product over
-the whole memory, exactly as before the screen existed; the screen runs a
-block of memory rows at a time and stops at the first block that shows the
-share exceeded, so that case costs little more than the product. The two
-evaluations of a pair may differ in the last bits, and the choice between
-them rests on float32 counts: a step whose count sits at the limit could
-choose differently under a float32 product that rounds differently (another
-BLAS build or thread count).
+the whole memory, exactly as before the screen existed; the screen scores
+blocks of memory rows (``evaluation.score_blocks``) and stops at the first
+block that shows the share exceeded, so that case costs little more than the
+product. The two evaluations of a pair may differ in the last bits, and the
+choice between them rests on float32 counts: a step whose count sits at the
+limit could choose differently under a float32 product that rounds
+differently (another BLAS build or thread count).
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .errors import (
     NumericalError,
     ShapeError,
 )
+from .evaluation import score_blocks
 from .geometry import UNIT_ATOL
 
 if TYPE_CHECKING:  # avoids a runtime import cycle with .memory
@@ -182,8 +183,8 @@ _SCREEN_MAX_DIM = 2**22
 # (whole loss, n 32-64, d 64-384, M 8k-16k, one BLAS thread of a 2-core
 # Xeon: equal cost at about 1/100).
 _PER_PAIR_SHARE = 1 / 128
-# The screen scores, and the per-pair dots gather, at most this many values
-# (per operand) at once; a memory of at most this many pairs is not screened.
+# Values per block of the screen (``score_blocks`` at 8 bytes each) and per
+# operand of the gathered pair dots; a memory of no more pairs is not screened.
 _BLOCK_VALUES = 2**16
 
 
@@ -249,11 +250,11 @@ def _memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z32, norm_bound, beta):
     Both come in row-major pair order, with the gradient coefficients
     ``coef`` (+1 active, -1 positive, else 0) over the memory columns
     ``cols`` that have either kind of pair. The float32 screen picks the
-    pairs to score, a block of memory rows at a time. Few are row dot
-    products (``einsum``, no BLAS, so a value depends only on its two rows),
-    gathered a block at a time. As soon as the pairs passed so far are more
-    than ``_PER_PAIR_SHARE`` of the pairs screened so far, the rest of the
-    screen is skipped and :func:`_memory_pairs_dense` scores them. It also
+    pairs to score, one ``score_blocks`` block of memory rows at a time. Few
+    are row dot products (``einsum``, no BLAS, so a value depends only on its
+    two rows), gathered a block at a time. As soon as the pairs passed so far
+    are more than ``_PER_PAIR_SHARE`` of the pairs screened so far, the rest
+    of the screen is skipped and :func:`_memory_pairs_dense` scores them. It also
     scores a memory that fits in one block: the screen's fixed cost (about
     0.2 ms on one thread of a 2-core Xeon) is more than the product it would
     save there.
@@ -270,18 +271,19 @@ def _memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z32, norm_bound, beta):
     # Rows too large for float32 have NaN thresholds, so none of their
     # pairs is screened out.
     with np.errstate(over="ignore"):
-        Z32_T = Z.astype(np.float32).T
+        Z32 = Z.astype(np.float32)
     screened = np.empty((m, n), dtype=bool)
-    block_rows = max(1, _BLOCK_VALUES // n)
     passed = 0
-    for start in range(0, m, block_rows):
-        block = slice(start, start + block_rows)
-        # Memory-major (rows x n): this orientation of the product runs faster.
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.less_equal(mem_Z32[block] @ Z32_T, thresholds, out=screened[block])
-        passed += screened[block].size - np.count_nonzero(screened[block])
-        if passed > _PER_PAIR_SHARE * n * min(start + block_rows, m):
-            return _memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta)
+    # Memory-major (rows x n): this orientation of the product runs faster.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, S in score_blocks(mem_Z32, Z32, 8 * _BLOCK_VALUES):
+            stop = start + S.shape[0]
+            np.less_equal(S, thresholds, out=screened[start:stop])
+            passed += S.size - np.count_nonzero(screened[start:stop])
+            if passed > _PER_PAIR_SHARE * n * stop:
+                break
+    if passed > _PER_PAIR_SHARE * n * stop:
+        return _memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta)
     cols = np.flatnonzero(~screened.all(axis=1) | np.isin(mem_labels, labels))
     same = labels[:, None] == mem_labels[cols]
     scored = same | ~screened[cols].T

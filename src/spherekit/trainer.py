@@ -19,12 +19,13 @@ Category-level training samples class-balanced batches. Particular-object
 training builds tuples per epoch: an anchor-positive pair plus the five
 hardest negatives mined by descriptor similarity from a random candidate
 pool. Every pair of the epoch is drawn first; then all anchors are mined in
-one blocked pass (mining draws no random numbers, so the draws are those of
-mining each pair as it is drawn). Tuples are rows of dataset indices
-(anchor, positive, five negatives), checked as arrays and flattened (five
-tuples per batch) into labeled batches that reuse the same step above. The
-per-epoch pair and candidate budgets (2000 and 22000 at full scale) shrink
-proportionally with ``particular_scale``.
+one pass over blocks of ``MINING_BLOCK_BYTES`` of scores (mining draws no
+random numbers, so the draws are those of mining each pair as it is drawn).
+Tuples are rows of dataset indices (anchor, positive, five negatives),
+checked as arrays and flattened (five tuples per batch) into labeled batches
+that reuse the same step above. The per-epoch pair and candidate budgets
+(2000 and 22000 at full scale) shrink proportionally with
+``particular_scale``.
 """
 
 from __future__ import annotations
@@ -451,19 +452,17 @@ def mine_hard_negatives(
     pool_labels: np.ndarray,
     exclude_labels: np.ndarray,
     k: int = NEGATIVES_PER_TUPLE,
-    block_rows: int | None = None,
 ) -> np.ndarray:
     """Per anchor row, pool indices of the k most similar entries whose label
     differs from that anchor's ``exclude_labels`` entry; shape (anchors, k).
 
     Each row is ordered by descending similarity, ties resolved to the lowest
-    pool index. Anchors are scored in blocks of ``block_rows`` (default: as
-    many as fit in ``MINING_BLOCK_BYTES``) by ``evaluation.score_blocks``.
-    The result is exact for exact scores; at near-ties within a few ULPs a
-    negative at the k-th place may depend on the block size, because a row of
-    a matrix product can differ in the last bits from the same dot product
-    computed alone. Raises SamplingError when an anchor has fewer than k
-    candidates outside its label.
+    pool index. Anchors are scored in blocks of ``MINING_BLOCK_BYTES`` by
+    ``evaluation.score_blocks``. The result is exact for exact scores; at
+    near-ties within a few ULPs a negative at the k-th place may depend on the
+    block size, because a row of a matrix product can differ in the last bits
+    from the same dot product computed alone. Raises SamplingError when an
+    anchor has fewer than k candidates outside its label.
     """
     anchors = np.asarray(anchor_descriptors, dtype=np.float64)
     pool_descriptors = np.asarray(pool_descriptors, dtype=np.float64)
@@ -480,10 +479,8 @@ def mine_hard_negatives(
     if pool_labels.shape != (pool_descriptors.shape[0],):
         raise ShapeError("one label per pool row required")
     n = pool_descriptors.shape[0]
-    if block_rows is None:
-        block_rows = max(2, MINING_BLOCK_BYTES // (8 * max(n, 1)))
     out = np.empty((anchors.shape[0], k), dtype=np.int64)
-    for start, S in score_blocks(anchors, pool_descriptors, block_rows):
+    for start, S in score_blocks(anchors, pool_descriptors, MINING_BLOCK_BYTES):
         same = exclude_labels[start : start + S.shape[0], None] == pool_labels
         available = n - np.count_nonzero(same, axis=1)
         if np.any(available < k):

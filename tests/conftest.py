@@ -6,6 +6,9 @@ near the hinge threshold and no row has an ambiguous or tiny nearest
 neighbor; both would make the objective non-differentiable at the test point.
 """
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 
 FD_STEP = 1e-6
@@ -40,6 +43,14 @@ def quantized_unit_rows(rng, n, d, pool_size):
         cols = rng.choice(d, size=k, replace=False)
         row[cols] = rng.choice([-1.0, 1.0], size=k) / np.sqrt(k)
     return pool[rng.integers(0, pool_size, size=n)]
+
+
+def budget_for_rows(module, budget_name, rows, gallery_rows):
+    """Set ``module.budget_name`` so that score blocks against a gallery of
+    ``gallery_rows`` hold ``rows`` rows each; None keeps the module's budget."""
+    if rows is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(module, budget_name, 8 * gallery_rows * rows)
 
 
 def circle_ranking(perm):

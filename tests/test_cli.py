@@ -295,6 +295,26 @@ class TestEval:
         assert code == 2
         assert "no query has a same-label gallery item" in capsys.readouterr().err
 
+    def test_query_features_without_query_labels_exits_two(self, tmp_path, capsys):
+        rng = np.random.default_rng(19)
+        write_features(tmp_path / "eval.emb", rng.standard_normal((8, 5)))
+        write_labels(tmp_path / "eval.labels", np.repeat([0, 1], 4))
+        write_features(tmp_path / "q.emb", rng.standard_normal((2, 5)))
+        write_head(tmp_path / "head.json", in_dim=5, out_dim=4)
+        cfg = {"mode": "category", "iterations": 0, "seed": 0, "head": {"out_dim": 4},
+               "eval_ks": [1],
+               "data": {"train_features": str(tmp_path / "eval.emb"),
+                        "train_labels": str(tmp_path / "eval.labels"),
+                        "eval_features": str(tmp_path / "eval.emb"),
+                        "eval_labels": str(tmp_path / "eval.labels"),
+                        "query_features": str(tmp_path / "q.emb")}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        code = main(["eval", "--config", str(cfg_path), "--model", str(tmp_path / "head.json"),
+                     "--out-dir", str(tmp_path / "eval")])
+        assert code == 2
+        assert "data.query_labels" in capsys.readouterr().err
+
     def test_file_category_eval_reads_train_files_only_for_pca(self, tmp_path):
         rng = np.random.default_rng(17)
         write_features(tmp_path / "train.emb", rng.standard_normal((12, 5)))
@@ -496,16 +516,23 @@ def screened_memory_steps(monkeypatch, config):
 
 
 class TestBlasThreadCount:
-    @pytest.mark.parametrize("mode", ["category", "particular"])
-    def test_eval_metrics_identical_for_one_and_two_threads(self, tmp_path, mode):
+    @pytest.mark.parametrize("case", ["category", "particular", "two_blocks"])
+    def test_eval_metrics_identical_for_one_and_two_threads(self, tmp_path, case):
         # Sizes above OpenBLAS's threading threshold, so two threads split
         # the score products; each subprocess gets its own thread count.
+        # The 600-row gallery is one score block; the leave-one-out gallery
+        # of "two_blocks", 2,400 rows, splits into blocks of 1,747 and 653.
+        mode = "particular" if case == "particular" else "category"
         rng = np.random.default_rng(14)
         means = rng.standard_normal((60, 24))
         labels = np.repeat(np.arange(60), 10)
         write_features(tmp_path / "train.emb", means[labels] + rng.standard_normal((600, 24)))
         write_labels(tmp_path / "train.labels", labels)
-        write_features(tmp_path / "gal.emb", means[labels] + rng.standard_normal((600, 24)))
+        if case == "two_blocks":
+            labels = np.repeat(np.arange(60), 40)
+            assert spherekit.evaluation.SCORE_BLOCK_BYTES // (8 * labels.size) < labels.size
+        write_features(tmp_path / "gal.emb",
+                       means[labels] + rng.standard_normal((labels.size, 24)))
         write_labels(tmp_path / "gal.labels", labels)
         query_labels = np.arange(120) % 60
         write_features(tmp_path / "q.emb",

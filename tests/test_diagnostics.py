@@ -19,9 +19,10 @@ from spherekit import (
     similarity_histograms,
     step_gradient_dispersion,
 )
+from spherekit import evaluation
 from spherekit.errors import ShapeError
 
-from conftest import quantized_unit_rows, unit_rows
+from conftest import budget_for_rows, quantized_unit_rows, unit_rows
 
 
 def hist(pos_counts, neg_counts):
@@ -104,14 +105,15 @@ class TestSimilarityHistograms:
         assert got.positive_counts[-1] == 1  # similarity +1 lands in last bin
         assert got.negative_counts[0] == 2  # similarity -1 lands in first bin
 
-    @pytest.mark.parametrize("block_rows", [2, 3, 5, 12, 13, None])
-    def test_blocks_give_the_dense_counts(self, block_rows):
+    @pytest.mark.parametrize("rows", [2, 3, 5, 12, 13, None])
+    def test_blocks_give_the_dense_counts(self, rows):
         # quantized rows put many similarities exactly on bin edges (multiples
         # of 1/4) and at +/-1; 14 rows make blocks of 13 leave a 1-row tail
         rng = np.random.default_rng(86)
         Z = quantized_unit_rows(rng, 14, 8, pool_size=6)
         labels = rng.integers(0, 3, size=14)
-        got = similarity_histograms(Z, labels, num_bins=8, block_rows=block_rows)
+        with budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", rows, 14):
+            got = similarity_histograms(Z, labels, num_bins=8)
         iu = np.triu_indices(14, k=1)
         pair_sims = np.clip((Z @ Z.T)[iu], -1.0, 1.0)
         same = labels[iu[0]] == labels[iu[1]]

@@ -14,6 +14,9 @@ for several block sizes.
 
 import itertools
 import math
+import tracemalloc
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,13 +30,16 @@ from spherekit import (
     QueryGroundTruth,
     RetrievalIndex,
     mean_average_precision,
+    mine_hard_negatives,
     recall_at_k,
     retrieve,
+    similarity_histograms,
 )
+from spherekit import evaluation, trainer
 from spherekit.errors import ShapeError
-from spherekit.evaluation import SCORE_BLOCK_BYTES, score_blocks
+from spherekit.evaluation import score_blocks
 
-from conftest import circle_ranking, quantized_unit_rows, unit_rows
+from conftest import budget_for_rows, circle_ranking, quantized_unit_rows, unit_rows
 
 
 def full_rankings(G, Q, exclude_self=False):
@@ -391,23 +397,23 @@ def random_ground_truths(rng, num_queries, gallery_size):
 
 def block_sizes(num_queries):
     """Block sizes to try: the smallest ones, the query count and one less,
-    and the default."""
+    and the one ``SCORE_BLOCK_BYTES`` gives."""
     return [b for b in (2, 3, num_queries - 1, num_queries) if b >= 2] + [None]
 
 
 class TestScoreBlocks:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 10, 11])
-    @pytest.mark.parametrize("block_rows", [2, 3, 4, 10])
-    def test_blocks_cover_rows_in_order_and_never_hold_one_row(self, n, block_rows):
+    @pytest.mark.parametrize("rows", [2, 3, 4, 10])
+    def test_blocks_cover_rows_in_order_and_never_hold_one_row(self, n, rows):
         rng = np.random.default_rng(90)
         Q = unit_rows(rng, n, 4)
         G = unit_rows(rng, 7, 4)
-        blocks = list(score_blocks(Q, G, block_rows))
+        blocks = list(score_blocks(Q, G, 8 * G.shape[0] * rows))
         starts = [start for start, _ in blocks]
         sizes = [S.shape[0] for _, S in blocks]
         assert starts == list(np.cumsum([0] + sizes[:-1]))
         assert sum(sizes) == n
-        assert max(sizes) <= block_rows + 1  # a 1-row tail joins the last block
+        assert max(sizes) <= rows + 1  # a 1-row tail joins the last block
         if n > 1:
             assert min(sizes) >= 2
         for start, S in blocks:
@@ -416,13 +422,13 @@ class TestScoreBlocks:
     def test_default_rows_follow_the_byte_budget(self):
         Q = np.eye(4)[[0, 1] * 300]
         G = np.eye(4)[[0, 1, 2, 3] * 100]
-        rows = SCORE_BLOCK_BYTES // (8 * G.shape[0])
-        sizes = [S.shape[0] for _, S in score_blocks(Q, G)]
+        rows = evaluation.SCORE_BLOCK_BYTES // (8 * G.shape[0])
+        sizes = [S.shape[0] for _, S in retrieve(RetrievalIndex(G), Q).blocks()]
         assert sizes[0] == min(rows, Q.shape[0])
 
-    def test_one_row_blocks_are_rejected(self):
-        with pytest.raises(ValueError):
-            list(score_blocks(np.eye(3), np.eye(3), block_rows=1))
+    def test_a_budget_below_two_rows_gives_two_row_blocks(self):
+        sizes = [S.shape[0] for _, S in score_blocks(np.eye(5), np.eye(5), 8)]
+        assert sizes == [2, 3]  # the 1-row tail joins the block before it
 
 
 class TestBlockedRecall:
@@ -490,13 +496,14 @@ class TestBlockedRecall:
         any_positive = any(np.any(g_labels[r] == label) for r, label in zip(rankings, q_labels))
         expected = {k: recall_walk(rankings, q_labels, g_labels, k) for k in ks}
         index = RetrievalIndex(gallery=G)
-        for block_rows in block_sizes(Q.shape[0]):
-            retrieval = retrieve(index, Q, exclude_self=exclude_self, block_rows=block_rows)
-            if any_positive:
-                assert recall_at_k(retrieval, q_labels, ks, **kwargs) == expected
-            else:
-                with pytest.raises(ProtocolError, match="no query"):
-                    recall_at_k(retrieval, q_labels, ks, **kwargs)
+        retrieval = retrieve(index, Q, exclude_self=exclude_self)
+        for rows in block_sizes(Q.shape[0]):
+            with budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", rows, n):
+                if any_positive:
+                    assert recall_at_k(retrieval, q_labels, ks, **kwargs) == expected
+                else:
+                    with pytest.raises(ProtocolError, match="no query"):
+                        recall_at_k(retrieval, q_labels, ks, **kwargs)
 
 
 class TestBlockedMeanAveragePrecision:
@@ -546,14 +553,51 @@ class TestBlockedMeanAveragePrecision:
         splits = ("easy", "medium", "hard")
         expected = {s: map_walk(rankings, records, s) for s in splits}
         index = RetrievalIndex(gallery=G)
-        for block_rows in block_sizes(num_queries):
-            retrieval = retrieve(index, Q, block_rows=block_rows)
-            for split in splits:
-                if expected[split] is None:
-                    with pytest.raises(ProtocolError, match="every query is empty"):
-                        mean_average_precision(retrieval, records, (split,))
-                else:
-                    got = mean_average_precision(retrieval, records, (split,))
-                    assert got == {split: expected[split]}
-            if all(value is not None for value in expected.values()):
-                assert mean_average_precision(retrieval, records, splits) == expected
+        retrieval = retrieve(index, Q)
+        for rows in block_sizes(num_queries):
+            with budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", rows, n):
+                for split in splits:
+                    if expected[split] is None:
+                        with pytest.raises(ProtocolError, match="every query is empty"):
+                            mean_average_precision(retrieval, records, (split,))
+                    else:
+                        got = mean_average_precision(retrieval, records, (split,))
+                        assert got == {split: expected[split]}
+                if all(value is not None for value in expected.values()):
+                    assert mean_average_precision(retrieval, records, splits) == expected
+
+
+class TestBlockBudgetBoundsMemory:
+    """Peak memory follows the score-block budgets, not gallery^2."""
+
+    BUDGET = 2**20
+
+    @pytest.mark.parametrize("caller", ["recall", "map", "histograms", "mining"])
+    def test_peak_stays_under_five_budgets(self, caller):
+        # A full 4,000 x 4,000 score matrix would be 122 budgets.
+        rng = np.random.default_rng(94)
+        Z = unit_rows(rng, 4000, 16)
+        labels = np.arange(4000) % 400
+        if caller == "recall":
+            retrieval = retrieve(RetrievalIndex(Z), Z, exclude_self=True)
+            run = partial(recall_at_k, retrieval, labels, (1, 10))
+        elif caller == "map":
+            records = []
+            for _ in range(200):
+                chosen = rng.choice(4000, size=30, replace=False)
+                records.append(gt(easy=chosen[:10], hard=chosen[10:20], junk=chosen[20:]))
+            retrieval = retrieve(RetrievalIndex(Z), Z[:200])
+            run = partial(mean_average_precision, retrieval, records, ("medium", "hard"))
+        elif caller == "histograms":
+            run = partial(similarity_histograms, Z, labels)
+        else:
+            run = partial(mine_hard_negatives, Z[:500], Z, labels, labels[:500])
+        with mock.patch.object(evaluation, "SCORE_BLOCK_BYTES", self.BUDGET), \
+                mock.patch.object(trainer, "MINING_BLOCK_BYTES", self.BUDGET):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 5 * self.BUDGET, peak / self.BUDGET

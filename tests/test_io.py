@@ -71,6 +71,15 @@ class TestFeatures:
         with pytest.raises(FormatError, match="trailing"):
             read_features(path)
 
+    @pytest.mark.parametrize("rows, cols", [(2**20, 4096), (2**32 - 1, 2**32 - 1)])
+    def test_header_counts_beyond_the_file_are_truncation(self, tmp_path, rows, cols):
+        # Read as sized, these would ask for 16 GiB, or overflow a size.
+        path = tmp_path / "t.emb"
+        path.write_bytes(b"EMB1" + struct.pack("<II", rows, cols))
+        with pytest.raises(FormatError, match=f"truncated payload: wanted {4 * rows * cols} "
+                                              "bytes, got 0"):
+            read_features(path)
+
     def test_non_finite_payload_names_byte(self, tmp_path):
         X = np.ones((2, 2))
         path = tmp_path / "t.emb"

@@ -321,8 +321,8 @@ def per_pair_memory_reference(Z, labels, beta, mem_Z, mem_labels, per_pair=True)
 def forced_memory_path(per_pair):
     """Make the loss score memory pairs one by one, or all from one product.
 
-    Blocks of one value make even a tiny memory go through the screen, one
-    row (and one pair dot) at a time.
+    Blocks of one value make even a tiny memory go through the screen, two
+    rows (``score_blocks``' least) and one pair dot at a time.
     """
     return mock.patch.multiple(
         objective, _PER_PAIR_SHARE=1.0 if per_pair else 0.0, _BLOCK_VALUES=1
@@ -388,7 +388,7 @@ class TestMemoryScreen:
             view = MemoryView(mem_Z, mem_labels)
         probe = batch(Z, labels, validate=False)
         # Force the loss's choice between its two float64 evaluations, and
-        # screen these small memories one row at a time.
+        # screen these small memories two rows at a time.
         with forced_memory_path(per_pair):
             out = contrastive_loss(probe, view, beta)
         alone = contrastive_loss(probe, None, beta)

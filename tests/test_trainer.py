@@ -37,11 +37,12 @@ from spherekit import (
     split_holdout,
     train_run,
 )
+from spherekit import trainer
 from spherekit.config import PoolingSpec
 from spherekit.errors import ShapeError
 from spherekit.trainer import check_tuple_rows
 
-from conftest import central_diff, quantized_unit_rows, rel_err
+from conftest import budget_for_rows, central_diff, quantized_unit_rows, rel_err
 
 
 def tiny_config(**overrides):
@@ -390,14 +391,15 @@ class TestHardNegativeMining:
         labels = rng.integers(0, num_labels, size=n)
         exclude = rng.integers(0, num_labels, size=anchors)
         short = [c for c in exclude if np.count_nonzero(labels != c) < k]
-        for block_rows in (2, 3, anchors - 1, None):
-            if block_rows is not None and block_rows < 2:
+        for rows in (2, 3, anchors - 1, None):
+            if rows is not None and rows < 2:
                 continue
-            if short:
-                with pytest.raises(SamplingError, match=f"outside label {short[0]}, "):
-                    mine_hard_negatives(A, pool_Z, labels, exclude, k, block_rows=block_rows)
-                continue
-            got = mine_hard_negatives(A, pool_Z, labels, exclude, k, block_rows=block_rows)
+            with budget_for_rows(trainer, "MINING_BLOCK_BYTES", rows, n):
+                if short:
+                    with pytest.raises(SamplingError, match=f"outside label {short[0]}, "):
+                        mine_hard_negatives(A, pool_Z, labels, exclude, k)
+                    continue
+                got = mine_hard_negatives(A, pool_Z, labels, exclude, k)
             assert got.dtype == np.int64
             assert_array_equal(got, sort_oracle(A, pool_Z, labels, exclude, k))
 
