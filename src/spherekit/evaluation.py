@@ -9,21 +9,46 @@ positive set depends on the difficulty split, and
 Per-query term sums use math.fsum, so equal inputs give equal floats on any
 summation path.
 
-``retrieve`` checks the queries and returns a ``Retrieval``, which scores
-blocks of query rows against the gallery, at most ``SCORE_BLOCK_BYTES`` of
-scores at a time; ``recall_at_k`` and ``mean_average_precision`` count ranks
-in each block instead of sorting. A query's first-hit rank is 1 + the number
-of non-positive gallery items ahead of its best positive, and a positive's
-rank is 1 + the number of kept (non-junk) items with a higher score, or an
-equal score and a lower index. No full ranking or queries x gallery score
-matrix is ever built, so memory is bounded by the block budget.
+``retrieve`` checks the queries and returns a ``Retrieval``;
+``recall_at_k`` and ``mean_average_precision`` count ranks instead of
+sorting. A query's first-hit rank is 1 + the number of non-positive gallery
+items ahead of its best positive, and a positive's rank is 1 + the number of
+kept (non-junk) items with a higher score, or an equal score and a lower
+index. So each query needs only, for a few thresholds (its best positive
+for recall, every positive for mAP), how many items score above each.
+
+The metrics count that from float32 score blocks: ``score_blocks`` over
+float32 copies of the queries and the gallery, with the row counts of
+``SCORE_BLOCK_BYTES`` of float64 scores, so a block holds half those bytes.
+A threshold is the float64 score of a query and a positive, one row dot
+each (``_row_dots``: no BLAS, so a value depends only on its two rows).
+``_screen_thresholds`` gives it float32 bounds ``below < above``: an item
+whose float32 score is ``>= above`` provably scores above the threshold in
+any float64 evaluation and is counted, and one ``<= below`` provably scores
+below it and is skipped. Only the items in between, on real data about one
+per threshold (mostly the positive itself), are scored in float64 row dots
+and compared exactly, ties going to the lower gallery index. Recall, with
+one threshold per query, splits a block's items with two compares; mAP
+sorts each float32 row once and places every threshold by binary search.
+mAP scores its junk items in row dots too, to take them out of the counts.
+When a block's
+thresholds or in-between items are more than ``_PER_PAIR_SHARE`` of its
+pairs (a collapsed gallery, positives ranked far down), row dots would cost
+more than a product, so that block takes every score, thresholds included,
+from one float64 product of its rows, as before the screen existed. No full
+ranking or queries x gallery score matrix is ever built, so memory is
+bounded by the block budget.
 
 The metrics are exact for exact scores, such as dot products of coarsely
-quantized rows. On general floats a row of a block's product can differ in
-the last bits from the same row of a product with other rows, so where two
-scores are within a few ULPs of each other their order, and a metric through
-it, may depend on the block budget (and on the gallery size or BLAS thread
-count that shape the product).
+quantized rows. On general floats the float64 score of a pair comes either
+from a row dot (a screened block) or from a row of a block's product (a
+block that fell back), and the two may differ in the last bits; a row of a
+product can also differ from the same row of a product with other rows. So
+where two scores are within a few ULPs of each other their order, and a
+metric through it, may follow the row dots or the product. A screened
+block's result depends on neither the block budget nor the BLAS thread
+count; which blocks fall back rests on float32 counts, which another BLAS
+build or thread count could round differently at the limit.
 """
 
 from __future__ import annotations
@@ -51,9 +76,27 @@ __all__ = [
 
 SPLITS = ("easy", "medium", "hard")
 
-# Bytes of float64 scores one query block may hold. Counting ranks in a block
-# takes about three times this in temporaries, so it also bounds peak memory.
+# Bytes of float64 scores one query block may hold; the metrics' float32
+# blocks have the same rows in half the bytes. Counting ranks in a block takes
+# at most about three times this in temporaries (a block that falls back to
+# its float64 product), so it also bounds peak memory.
 SCORE_BLOCK_BYTES = 32 * 2**20
+
+# Unit roundoff of float32, and half its smallest subnormal (the largest
+# absolute error of a float32 rounding that underflows).
+_U32 = 2.0**-24
+_ETA32 = 2.0**-150
+# The screen's bound is proven for row norms up to this size (no float32
+# overflow anywhere) and for dims up to _SCREEN_MAX_DIM (d * 2**-24 <= 1/4).
+_SCREEN_MAX_NORM = 2.0**60
+_SCREEN_MAX_DIM = 2**22
+# A float32 screen scores the pairs it cannot decide with one float64 row dot
+# each while they are at most this share of the pairs it screened; above it
+# one float64 product is faster. Measured on the loss's memory term (n 32-64,
+# d 64-384, M 8k-16k, one BLAS thread of a 2-core Xeon: equal cost at about
+# 1/100); the metrics use the same share for a block's thresholds and for
+# its in-between items.
+_PER_PAIR_SHARE = 1 / 128
 
 
 @dataclass(frozen=True)
@@ -134,14 +177,6 @@ class Retrieval:
     queries: np.ndarray
     exclude_self: bool = False
 
-    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """``score_blocks``, each query's own entry at -inf under ``exclude_self``."""
-        for start, S in score_blocks(self.queries, self.index.gallery, SCORE_BLOCK_BYTES):
-            if self.exclude_self:
-                rows = np.arange(S.shape[0])
-                S[rows, start + rows] = -np.inf
-            yield start, S
-
 
 def retrieve(
     index: RetrievalIndex,
@@ -193,6 +228,205 @@ def score_blocks(
         start = stop
 
 
+def _screen_thresholds(z_norm, d: int, norm_bound: float, centers):
+    """Float32 bounds ``(below, above)`` around float64 ``centers``.
+
+    For a row ``z`` of norm ``z_norm`` and a row ``m`` with ``||m|| <=
+    norm_bound`` (float64, dim ``d``), ``s32`` is any float32 evaluation of
+    ``sum_k fl32(z_k) * fl32(m_k)`` (any summation order, FMA or not) and
+    ``s64`` any float64 one of ``sum_k z_k * m_k``. With ``u = 2**-24``,
+    ``eta = 2**-150`` and ``|fl32(x) - x| <= u|x| + eta``:
+
+    * rounding the inputs moves the exact sum by at most
+      ``(2u + u**2) ||z|| ||m|| + 2 eta sqrt(d) (||z|| + ||m||) + d eta**2``;
+    * every product passes through at most ``d`` float32 roundings, so the
+      accumulation adds at most ``gamma_d * sum_k |fl32(z_k) fl32(m_k)|``,
+      ``gamma_d = d u / (1 - d u) <= 2 d u`` for ``d u <= 1/4``, plus ``eta``
+      per underflowing product (sums of subnormals are exact);
+    * the float64 value is within ``d 2**-53 ||z|| ||m||`` (plus float64
+      underflow) of the exact sum, which is below ``2**-29 d u ||z|| ||m||``.
+
+    Summed, ``|s32 - s64| <= (2d + 5) u ||z|| ||m|| + (2d + 8) eta (||z|| +
+    ||m|| + 1)``. The slack uses ``2d + 8``; the spare ``3u`` covers the float64
+    rounding of the slack itself and of a norm bound. ``center - slack`` is
+    stepped one float64 ulp down and then rounded down to float32, and
+    ``center + slack`` one ulp up and rounded up, so ``s32 <= below`` gives
+    ``s64 <= s32 + slack < center`` and ``s32 >= above`` gives ``s64 >= s32 -
+    slack > center``. Both are strict, so an item decided either way never
+    ties the center. ``centers`` is a scalar or one value per row. Rows
+    outside the proven range (a norm above 2**60, or ``d`` above 2**22) get
+    NaN bounds, which decide nothing.
+    """
+    slack = (2 * d + 8) * (_U32 * z_norm * norm_bound + _ETA32 * (z_norm + norm_bound + 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        below64 = np.nextafter(centers - slack, -np.inf)
+        above64 = np.nextafter(centers + slack, np.inf)
+        below = below64.astype(np.float32)
+        above = above64.astype(np.float32)
+    below = np.where(below > below64, np.nextafter(below, np.float32(-np.inf)), below)
+    above = np.where(above < above64, np.nextafter(above, np.float32(np.inf)), above)
+    in_range = (z_norm <= _SCREEN_MAX_NORM) & (norm_bound <= _SCREEN_MAX_NORM)
+    in_range &= d <= _SCREEN_MAX_DIM
+    nan = np.float32(np.nan)
+    return np.where(in_range, below, nan), np.where(in_range, above, nan)
+
+
+def _row_dots(A, rows, B, cols, values: int) -> np.ndarray:
+    """``A[rows[i]] . B[cols[i]]`` for every i, by ``einsum`` over gathered
+    chunks of at most ``values`` values per operand (and at least one row).
+
+    No BLAS runs, so a value depends only on its two rows, never on the other
+    pairs, their number or the thread count.
+    """
+    out = np.empty(rows.size)
+    step = max(1, values // A.shape[1])
+    for start in range(0, rows.size, step):
+        chunk = slice(start, start + step)
+        np.einsum("ij,ij->i", A[rows[chunk]], B[cols[chunk]], out=out[chunk])
+    return out
+
+
+def _query_dots(retrieval: Retrieval, queries, items) -> np.ndarray:
+    """``_row_dots`` of query rows ``queries`` and gallery rows ``items``, in
+    chunks of 1/64 of the score block budget per operand."""
+    return _row_dots(retrieval.queries, queries, retrieval.index.gallery, items,
+                     SCORE_BLOCK_BYTES // 512)
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``arange(starts[i], starts[i] + sizes[i])`` for every i, concatenated."""
+    return np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+
+
+def _float32_blocks(retrieval: Retrieval) -> Iterator[tuple[int, np.ndarray]]:
+    """``score_blocks`` of the float32 queries and gallery, each query's own
+    entry at -inf under ``exclude_self``. Queries that are the gallery's own
+    array (leave-one-out) share its float32 copy."""
+    with np.errstate(over="ignore"):
+        gallery = retrieval.index.gallery.astype(np.float32)
+        queries = retrieval.queries
+        queries = gallery if queries is retrieval.index.gallery else queries.astype(np.float32)
+    for start, S32 in score_blocks(queries, gallery, SCORE_BLOCK_BYTES):
+        if retrieval.exclude_self:
+            rows = np.arange(S32.shape[0])
+            S32[rows, start + rows] = -np.inf
+        yield start, S32
+        del S32  # before the next block is scored, as the caller drops it too
+
+
+def _float64_block(retrieval: Retrieval, start: int, stop: int) -> np.ndarray:
+    """The float64 product of a block's rows, as ``score_blocks`` gives it."""
+    S = retrieval.queries[start:stop] @ retrieval.index.gallery.T
+    if retrieval.exclude_self:
+        rows = np.arange(stop - start)
+        S[rows, start + rows] = -np.inf
+    return S
+
+
+def _dense_ahead(S, rows, items, values) -> np.ndarray:
+    """Per threshold t: the items of row ``rows[t]`` of ``S`` with a score
+    above ``values[t]``, or equal to it at an index below ``items[t]``."""
+    columns = np.arange(S.shape[1])
+    out = np.empty(rows.size, dtype=np.int64)
+    step = max(1, S.shape[0] // 4)  # gathered rows take a quarter of the block
+    for start in range(0, rows.size, step):
+        chunk = slice(start, start + step)
+        R = S[rows[chunk]]
+        v = values[chunk, None]
+        out[chunk] = np.count_nonzero(R > v, axis=1) + np.count_nonzero(
+            (R == v) & (columns < items[chunk, None]), axis=1
+        )
+    return out
+
+
+def _query_bounds(retrieval: Retrieval, start: int, r: int, rows, values):
+    """``_screen_thresholds`` around ``values`` for queries ``start + rows``
+    of a block of ``r`` rows."""
+    Z = retrieval.queries[start : start + r]
+    z_norm = np.sqrt(np.einsum("ij,ij->i", Z, Z))
+    # Gallery rows passed the UNIT_ATOL norm check in RetrievalIndex.
+    return _screen_thresholds(z_norm[rows], Z.shape[1], 1.0 + UNIT_ATOL, values)
+
+
+def _screened_ahead(retrieval, start, S32, rows, items, values):
+    """``_dense_ahead`` of the float64 block from its float32 block ``S32``,
+    for at most one threshold per row.
+
+    Threshold t is gallery item ``items[t]`` with float64 score
+    ``values[t]`` for block row ``rows[t]``, and items are ordered by their
+    float64 row dots. Two passes over the block split each row's items: at
+    or above the threshold's ``above`` (ahead of it), at or below its
+    ``below`` (not ahead), and in between, which are scored in float64 and
+    compared exactly. A row with NaN bounds sends every item (but its own
+    under ``exclude_self``) to that comparison. Returns None when the items
+    in between are more than ``_PER_PAIR_SHARE`` of the block's pairs.
+    """
+    r, m = S32.shape
+    below, above = _query_bounds(retrieval, start, r, rows, values)
+    low = np.full(r, np.inf, dtype=np.float32)
+    high = np.full(r, np.inf, dtype=np.float32)
+    low[rows], high[rows] = below, above
+    top = S32 >= high[:, None]
+    between = S32 > low[:, None]
+    between ^= top
+    unproven = rows[np.isnan(below)]
+    between[unproven] = True
+    if retrieval.exclude_self:
+        between[unproven, start + unproven] = False
+    if np.count_nonzero(between) > _PER_PAIR_SHARE * r * m:
+        return None
+    at, cols = np.divmod(np.flatnonzero(between), m)
+    ahead = np.count_nonzero(top, axis=1)
+    del top, between
+    scores = _query_dots(retrieval, start + at, cols)
+    v = np.zeros(r)
+    v[rows] = values
+    p = np.zeros(r, dtype=np.int64)
+    p[rows] = items
+    later = (scores > v[at]) | ((scores == v[at]) & (cols < p[at]))
+    ahead += np.bincount(at[later], minlength=r)
+    return ahead[rows]
+
+
+def _ranked_ahead(retrieval, start, S32, rows, items, values):
+    """``_screened_ahead`` for any number of thresholds per row (``rows``
+    ascending).
+
+    Each row of ``S32`` is sorted once; a threshold's items at or above
+    ``above`` and in its band (strictly between ``below`` and ``above``) are
+    then two binary searches. Only thresholds whose band holds an item
+    besides their own score its items in float64 (all of the row's items
+    under NaN bounds). Returns None when those items are more than
+    ``_PER_PAIR_SHARE`` of the block's pairs.
+    """
+    r, m = S32.shape
+    below, above = _query_bounds(retrieval, start, r, rows, values)
+    ranked = np.sort(S32, axis=1)
+    band_from = np.empty(rows.size, dtype=np.int64)
+    band_to = np.empty(rows.size, dtype=np.int64)
+    present, first = np.unique(rows, return_index=True)
+    for q, a, b in zip(present, first, np.append(first[1:], rows.size)):
+        band_from[a:b] = np.searchsorted(ranked[q], below[a:b], "right")
+        band_to[a:b] = np.searchsorted(ranked[q], above[a:b], "left")
+    del ranked
+    unproven = np.isnan(below)
+    band_from[unproven], band_to[unproven] = 0, m
+    # A proven threshold's own item lies inside its band (the float32 and
+    # float64 scores are within the slack), so a band of one needs no work.
+    refine = np.flatnonzero(band_to - band_from > 1)
+    if np.sum(band_to[refine] - band_from[refine]) > _PER_PAIR_SHARE * r * m:
+        return None
+    ahead = m - band_to
+    for t in refine:
+        row = S32[rows[t]]
+        cols = (np.arange(m) if unproven[t]
+                else np.flatnonzero((row > below[t]) & (row < above[t])))
+        scores = _query_dots(retrieval, np.full(cols.size, start + rows[t]), cols)
+        v = values[t]
+        ahead[t] += np.count_nonzero((scores > v) | ((scores == v) & (cols < items[t])))
+    return ahead
+
+
 def _recall_from_first_hits(
     first_hits: np.ndarray, ks: list[int], num_queries: int
 ) -> dict[int, float]:
@@ -220,10 +454,12 @@ def recall_at_k(
     the usable ranking depth: the gallery size, minus one with
     ``exclude_self``.
 
-    Each query's first-hit rank is counted in its score block: its best
-    positive is the same-label item (self excluded) with the highest score,
-    lowest index among equals, and the rank is 1 + the number of other items
-    with a higher score, or an equal score and a lower index.
+    A query's best positive is the same-label item (self excluded) with the
+    highest score, lowest index among equals, and its first-hit rank is 1 +
+    the number of other items with a higher score, or an equal score and a
+    lower index. Per block, the positives come from one sort of the gallery
+    labels and are scored in row dots, a query's best one is the threshold,
+    and ``_screened_ahead`` counts the items ahead of it.
     """
     index = retrieval.index
     num_queries = retrieval.queries.shape[0]
@@ -242,21 +478,44 @@ def recall_at_k(
     depth = len(index) - int(retrieval.exclude_self)
     if ks[-1] > depth:
         raise ProtocolError(f"K={ks[-1]} exceeds usable ranking depth {depth}")
-    columns = np.arange(len(index))
+    # A query's same-label items are one run of the gallery sorted by label,
+    # in ascending index (the sort is stable).
+    by_label = np.argsort(gallery_labels, kind="stable")
+    sorted_labels = gallery_labels[by_label]
+    run_start = np.searchsorted(sorted_labels, query_labels, "left")
+    run_size = np.searchsorted(sorted_labels, query_labels, "right") - run_start
     first_hits = []
-    for start, S in retrieval.blocks():
-        rows = np.arange(S.shape[0])
-        positive = query_labels[start : start + rows.size, None] == gallery_labels
-        if retrieval.exclude_self:
-            positive[rows, start + rows] = False
-        found = positive.any(axis=1)
-        best = np.max(S, axis=1, where=positive, initial=-np.inf)[:, None]
-        tied = S == best
-        first = np.argmax(tied & positive, axis=1)[:, None]
-        ahead = np.count_nonzero(S > best, axis=1) + np.count_nonzero(
-            tied & (columns < first), axis=1
-        )
-        first_hits.append(ahead[found] + 1)
+    for start, S32 in _float32_blocks(retrieval):
+        r, m = S32.shape
+        sizes = run_size[start : start + r]
+        hits = None
+        if sizes.sum() - r * retrieval.exclude_self <= _PER_PAIR_SHARE * r * m:
+            owner = np.repeat(np.arange(r), sizes)
+            cols = by_label[_ranges(run_start[start : start + r], sizes)]
+            if retrieval.exclude_self:
+                other = cols != start + owner
+                owner, cols = owner[other], cols[other]
+            scores = _query_dots(retrieval, start + owner, cols)
+            rows, first = np.unique(owner, return_index=True)
+            best = np.maximum.reduceat(scores, first)
+            tied = scores == np.repeat(best, np.diff(first, append=owner.size))
+            best_cols = np.minimum.reduceat(np.where(tied, cols, m), first)
+            ahead = _screened_ahead(retrieval, start, S32, rows, best_cols, best)
+            hits = None if ahead is None else ahead + 1
+        if hits is None:
+            S = _float64_block(retrieval, start, start + r)
+            positive = query_labels[start : start + r, None] == gallery_labels
+            if retrieval.exclude_self:
+                own = np.arange(r)
+                positive[own, start + own] = False
+            found = np.flatnonzero(positive.any(axis=1))
+            best = np.max(S, axis=1, where=positive, initial=-np.inf)
+            best_cols = np.argmax((S == best[:, None]) & positive, axis=1)
+            del positive
+            hits = _dense_ahead(S, found, best_cols[found], best[found]) + 1
+            del S
+        first_hits.append(hits)
+        del S32
     return _recall_from_first_hits(
         np.concatenate(first_hits) if first_hits else np.zeros(0, np.int64),
         ks,
@@ -264,19 +523,15 @@ def recall_at_k(
     )
 
 
-def _effective_sets(gt: QueryGroundTruth, split: str):
+def _split_roles(split: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Positive and junk roles under ``split``: 0 easy, 1 hard, 2 junk."""
     if split == "medium":
-        positives = np.concatenate([gt.easy, gt.hard])
-        junk = gt.junk
-    elif split == "hard":
-        positives = gt.hard
-        junk = np.concatenate([gt.junk, gt.easy])
-    elif split == "easy":
-        positives = gt.easy
-        junk = np.concatenate([gt.junk, gt.hard])
-    else:
-        raise ProtocolError(f"unknown difficulty split {split!r}; expected one of {SPLITS}")
-    return positives, junk
+        return (0, 1), (2,)
+    if split == "hard":
+        return (1,), (2, 0)
+    if split == "easy":
+        return (0,), (2, 1)
+    raise ProtocolError(f"unknown difficulty split {split!r}; expected one of {SPLITS}")
 
 
 def _average_precision_from_ranks(ranks: np.ndarray) -> float:
@@ -306,32 +561,68 @@ def mean_average_precision(
     reports can name them. Raises ProtocolError when every query is skipped
     under a split, when a ground-truth index lies outside the gallery, or for
     an ``exclude_self`` retrieval (mark a query's own entry as junk instead).
+
+    Every easy, hard and junk item of every query gets its float64 score,
+    and every item that is a positive under some split also the number of
+    gallery items ahead of it (``_ranked_ahead``). A split's rank of a
+    positive is then 1 + that number minus the split's junk items ahead of
+    it, read off one sort of each query's items by score.
     """
     if retrieval.exclude_self:
         raise ProtocolError(
             "mean average precision needs a retrieval without exclude_self; "
             "list a query's own gallery entry as junk instead"
         )
-    index = retrieval.index
-    if len(ground_truths) != retrieval.queries.shape[0]:
+    num_queries, gallery_size = retrieval.queries.shape[0], len(retrieval.index)
+    if len(ground_truths) != num_queries:
         raise ShapeError("one ground-truth record per query required")
-    for gt in ground_truths:
-        gt.check_bounds(len(index))
-    columns = np.arange(len(index))
-    values = {split: [] for split in splits}
-    skipped = {split: [] for split in splits}
-    for start, S in retrieval.blocks():
-        for row, scores in enumerate(S):
-            q = start + row
-            for split in splits:
-                positives, junk = _effective_sets(ground_truths[q], split)
-                if positives.size == 0:
-                    skipped[split].append(q)
-                    continue
-                own = scores[positives][:, None]
-                ahead = (scores > own) | ((scores == own) & (columns < positives[:, None]))
-                ranks = 1 + np.count_nonzero(ahead, axis=1)
-                if junk.size:
-                    ranks -= np.count_nonzero(ahead[:, junk], axis=1)
-                values[split].append(_average_precision_from_ranks(np.sort(ranks)))
-    return {split: (_mean_of_scored(values[split], split), skipped[split]) for split in splits}
+    # Every query's easy, hard and junk items in query order: gallery index,
+    # query and role (0 easy, 1 hard, 2 junk).
+    sets = [arr for gt in ground_truths for arr in (gt.easy, gt.hard, gt.junk)]
+    sizes = np.array([arr.size for arr in sets], dtype=np.int64)
+    items = np.concatenate(sets) if sets else np.zeros(0, dtype=np.int64)
+    role = np.repeat(np.tile(np.arange(3), num_queries), sizes)
+    query = np.repeat(np.repeat(np.arange(num_queries), 3), sizes)
+    outside = (items < 0) | (items >= gallery_size)
+    if outside.any():
+        name = ("easy", "hard", "junk")[role[np.argmax(outside)]]
+        raise ProtocolError(f"{name} indices fall outside gallery of size {gallery_size}")
+    roles = {split: _split_roles(split) for split in splits}
+    threshold = np.isin(role, [code for positive, _ in roles.values() for code in positive])
+    value = np.empty(items.size)
+    ahead = np.zeros(items.size, dtype=np.int64)
+    for start, S32 in _float32_blocks(retrieval):
+        stop = start + S32.shape[0]
+        block = slice(*np.searchsorted(query, [start, stop]))
+        rows, cols, t = query[block] - start, items[block], threshold[block]
+        counts = None
+        if np.count_nonzero(t) <= _PER_PAIR_SHARE * S32.size:
+            value[block] = _query_dots(retrieval, query[block], cols)
+            counts = _ranked_ahead(retrieval, start, S32, rows[t], cols[t], value[block][t])
+        if counts is None:
+            S = _float64_block(retrieval, start, stop)
+            value[block] = S[rows, cols]
+            counts = _dense_ahead(S, rows[t], cols[t], value[block][t])
+            del S
+        ahead[block][t] = counts
+        del S32
+    # Each query's items in rank order: score descending, then index.
+    order = np.lexsort((items, -value, query))
+    query, role, ahead = query[order], role[order], ahead[order]
+    query_start = np.searchsorted(query, query, "left")
+    results = {}
+    for split, (positive_roles, junk_roles) in roles.items():
+        positive = np.isin(role, positive_roles)
+        junk = np.isin(role, junk_roles)
+        junk_before = np.cumsum(junk) - junk
+        junk_ahead = junk_before - junk_before[query_start]
+        # Ranks come out ascending within each query, as the order is rank order.
+        ranks = 1 + ahead[positive] - junk_ahead[positive]
+        per_query = np.bincount(query[positive], minlength=num_queries)
+        ends = np.cumsum(per_query[per_query > 0])
+        values = [_average_precision_from_ranks(r) for r in np.split(ranks, ends[:-1]) if r.size]
+        results[split] = (
+            _mean_of_scored(values, split),
+            np.flatnonzero(per_query == 0).tolist(),
+        )
+    return results

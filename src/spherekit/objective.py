@@ -17,18 +17,21 @@ Both losses return value and analytic gradient together; the trainer never
 differentiates numerically.
 
 The memory term does not score every (anchor, memory row) pair in float64.
-A float32 product ``s32 = float32(Z) @ float32(M).T`` screens them: a pair
-whose ``s32`` is ``<=`` a float32 threshold at or below ``beta - slack_i``
-provably has a float64 similarity ``<= beta``, so it is inactive. The slack
-``(2d + 8) * 2**-24 * ||z_i|| * max||m||`` (plus an underflow term) bounds
-the distance between the float32 score and the float64 one; see
-``_screen_thresholds`` for the derivation. A memory column is touched when
-its label occurs in the batch or when any of its scores is not ``<=`` the
-threshold (a NaN score counts as touched). Only the same-label pairs and
-the hinge candidates of touched columns are scored in float64; those values
-alone enter the loss and decide the active set, summed in row-major pair
-order. The gradient multiplies the columns with a positive or an active
-pair.
+A float32 product ``s32 = float32(Z) @ float32(M).T`` screens them with the
+bounds of ``evaluation._screen_thresholds``, the helper the retrieval metrics
+also use. It gives each row two float32 bounds around a float64 center,
+here ``beta``: ``s32 <= below`` proves a float64 similarity ``< beta`` and
+``s32 >= above`` one ``> beta``, in any float64 evaluation. The loss needs
+only the first, so a pair whose ``s32`` is ``<= below_i`` is inactive. The
+slack ``(2d + 8) * 2**-24 * ||z_i|| * max||m||`` (plus an underflow term)
+bounds the distance between the float32 score and the float64 one; the
+helper's docstring derives it. A memory column is touched when its label
+occurs in the batch or when any of its scores is not ``<=`` the bound (a
+NaN score or bound counts as touched). Only the same-label pairs and the
+hinge candidates of touched columns are scored in float64, by
+``evaluation._row_dots``; those values alone enter the loss and decide the
+active set, summed in row-major pair order. The gradient multiplies the
+columns with a positive or an active pair.
 
 The gain needs few pairs to pass the screen: a margin well above the typical
 different-label similarity. While at most 1/128 of the ``n x M`` pairs pass,
@@ -56,7 +59,7 @@ from .errors import (
     NumericalError,
     ShapeError,
 )
-from .evaluation import score_blocks
+from .evaluation import _PER_PAIR_SHARE, _row_dots, _screen_thresholds, score_blocks
 from .geometry import UNIT_ATOL
 
 if TYPE_CHECKING:  # avoids a runtime import cycle with .memory
@@ -170,19 +173,6 @@ class LossOutput:
     contrastive_grad: Optional[np.ndarray] = None
 
 
-# Unit roundoff of float32, and half its smallest subnormal (the largest
-# absolute error of a float32 rounding that underflows).
-_U32 = 2.0**-24
-_ETA32 = 2.0**-150
-# The screen's bound is proven for row norms up to this size (no float32
-# overflow anywhere) and for dims up to _SCREEN_MAX_DIM (d * 2**-24 <= 1/4).
-_SCREEN_MAX_NORM = 2.0**60
-_SCREEN_MAX_DIM = 2**22
-# Scored memory pairs get one row dot each while they are at most this share
-# of all n x M pairs; above it one float64 product over the memory is faster
-# (whole loss, n 32-64, d 64-384, M 8k-16k, one BLAS thread of a 2-core
-# Xeon: equal cost at about 1/100).
-_PER_PAIR_SHARE = 1 / 128
 # Values per block of the screen (``score_blocks`` at 8 bytes each) and per
 # operand of the gathered pair dots; a memory of no more pairs is not screened.
 _BLOCK_VALUES = 2**16
@@ -207,43 +197,6 @@ def _memory_arrays(memory: Optional["MemoryView"]):
     return descriptors, labels, memory.descriptors32, memory.norm_bound
 
 
-def _screen_thresholds(Z: np.ndarray, norm_bound: float, beta: float) -> np.ndarray:
-    """Float32 thresholds ``t_i`` such that ``s32 <= t_i`` proves ``s64 <= beta``.
-
-    For a batch row ``z`` and a memory row ``m`` (float64, dim ``d``), ``s32``
-    is any float32 evaluation of ``sum_k fl32(z_k) * fl32(m_k)`` (any
-    summation order, FMA or not) and ``s64`` any float64 one of
-    ``sum_k z_k * m_k``. With ``u = 2**-24``, ``eta = 2**-150`` and
-    ``|fl32(x) - x| <= u|x| + eta``:
-
-    * rounding the inputs moves the exact sum by at most
-      ``(2u + u**2) ||z|| ||m|| + 2 eta sqrt(d) (||z|| + ||m||) + d eta**2``;
-    * every product passes through at most ``d`` float32 roundings, so the
-      accumulation adds at most ``gamma_d * sum_k |fl32(z_k) fl32(m_k)|``,
-      ``gamma_d = d u / (1 - d u) <= 2 d u`` for ``d u <= 1/4``, plus ``eta``
-      per underflowing product (sums of subnormals are exact);
-    * the float64 value is within ``d 2**-53 ||z|| ||m||`` (plus float64
-      underflow) of the exact sum, which is below ``2**-29 d u ||z|| ||m||``.
-
-    Summed, ``|s32 - s64| <= (2d + 5) u ||z|| ||m|| + (2d + 8) eta (||z|| +
-    ||m|| + 1)``. The slack uses ``2d + 8``; the spare ``3u`` covers the float64
-    rounding of the slack itself and of a bank's norm bound. ``beta - slack``
-    is stepped one float64 ulp down and then rounded down to float32, so
-    ``t_i`` never exceeds it, and ``s32 <= t_i`` gives ``s64 <= s32 +
-    slack_i <= beta``. Rows outside the proven range (a norm above 2**60, or
-    ``d`` above 2**22) get a NaN threshold, which touches every column.
-    """
-    d = Z.shape[1]
-    z_norm = np.sqrt(np.einsum("ij,ij->i", Z, Z))
-    slack = (2 * d + 8) * (_U32 * z_norm * norm_bound + _ETA32 * (z_norm + norm_bound + 1.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        t64 = np.nextafter(beta - slack, -np.inf)
-        t32 = t64.astype(np.float32)
-    t32 = np.where(t32 > t64, np.nextafter(t32, np.float32(-np.inf)), t32)
-    in_range = (z_norm <= _SCREEN_MAX_NORM) & (norm_bound <= _SCREEN_MAX_NORM)
-    return np.where(in_range & (d <= _SCREEN_MAX_DIM), t32, np.float32(np.nan))
-
-
 def _memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z32, norm_bound, beta):
     """Float64 similarities of the positive and of the active memory pairs.
 
@@ -251,8 +204,8 @@ def _memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z32, norm_bound, beta):
     ``coef`` (+1 active, -1 positive, else 0) over the memory columns
     ``cols`` that have either kind of pair. The float32 screen picks the
     pairs to score, one ``score_blocks`` block of memory rows at a time. Few
-    are row dot products (``einsum``, no BLAS, so a value depends only on its
-    two rows), gathered a block at a time. As soon as the pairs passed so far
+    are row dot products (``_row_dots``: no BLAS, so a value depends only on
+    its two rows), gathered a block at a time. As soon as the pairs passed so far
     are more than ``_PER_PAIR_SHARE`` of the pairs screened so far, the rest
     of the screen is skipped and :func:`_memory_pairs_dense` scores them. It also
     scores a memory that fits in one block: the screen's fixed cost (about
@@ -267,7 +220,8 @@ def _memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z32, norm_bound, beta):
         with np.errstate(over="ignore"):
             mem_Z32 = mem_Z.astype(np.float32)
         norm_bound = float(np.sqrt(np.max(np.einsum("ij,ij->i", mem_Z, mem_Z))))
-    thresholds = _screen_thresholds(Z, norm_bound, beta)
+    z_norm = np.sqrt(np.einsum("ij,ij->i", Z, Z))
+    thresholds, _ = _screen_thresholds(z_norm, d, norm_bound, beta)
     # Rows too large for float32 have NaN thresholds, so none of their
     # pairs is screened out.
     with np.errstate(over="ignore"):
@@ -291,11 +245,7 @@ def _memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z32, norm_bound, beta):
     if count > _PER_PAIR_SHARE * n * m:
         return _memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta)
     rows, at = np.nonzero(scored)
-    sims = np.empty(count)
-    step = max(1, _BLOCK_VALUES // d)
-    for start in range(0, count, step):
-        block = slice(start, start + step)
-        np.einsum("ij,ij->i", Z[rows[block]], mem_Z[cols[at[block]]], out=sims[block])
+    sims = _row_dots(Z, rows, mem_Z, cols[at], _BLOCK_VALUES)
     same = same[scored]
     active = ~same & (sims > beta)
     coef = np.zeros((n, cols.size))

@@ -45,6 +45,17 @@ def quantized_unit_rows(rng, n, d, pool_size):
     return pool[rng.integers(0, pool_size, size=n)]
 
 
+def rows_at_similarity(rng, anchors, targets):
+    """One row per anchor whose dot product with it is ``targets`` (up to rounding)."""
+    norms = np.linalg.norm(anchors, axis=1)
+    direction = anchors / norms[:, None]
+    other = rng.standard_normal(anchors.shape)
+    other -= np.sum(other * direction, axis=1, keepdims=True) * direction
+    other /= np.linalg.norm(other, axis=1, keepdims=True)
+    along = targets / norms
+    return along[:, None] * direction + np.sqrt(1.0 - along**2)[:, None] * other
+
+
 def budget_for_rows(module, budget_name, rows, gallery_rows):
     """Set ``module.budget_name`` so that score blocks against a gallery of
     ``gallery_rows`` hold ``rows`` rows each; None keeps the module's budget."""

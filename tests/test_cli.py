@@ -11,7 +11,14 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import spherekit
-from spherekit import EncoderHead, QueryGroundTruth, objective, parse_run_config, train_run
+from spherekit import (
+    EncoderHead,
+    QueryGroundTruth,
+    evaluation,
+    objective,
+    parse_run_config,
+    train_run,
+)
 from spherekit.cli import main
 from spherekit.io import write_features, write_ground_truth, write_labels
 
@@ -515,13 +522,38 @@ def screened_memory_steps(monkeypatch, config):
     return calls["_memory_pairs"] - calls["_memory_pairs_dense"]
 
 
+def eval_routes(monkeypatch, argv):
+    """In-process ``spherekit eval``: how many score blocks the float32
+    screen counted, and how many fell back to their float64 product."""
+    routes = {"screened": 0, "fallback": 0}
+    screen = evaluation._screened_ahead
+    fallback = evaluation._float64_block
+
+    def screened(*args):
+        counts = screen(*args)
+        routes["screened"] += counts is not None
+        return counts
+
+    def fell_back(*args):
+        routes["fallback"] += 1
+        return fallback(*args)
+    monkeypatch.setattr(evaluation, "_screened_ahead", screened)
+    monkeypatch.setattr(evaluation, "_float64_block", fell_back)
+    assert main(argv) == 0
+    return routes
+
+
 class TestBlasThreadCount:
-    @pytest.mark.parametrize("case", ["category", "particular", "two_blocks"])
-    def test_eval_metrics_identical_for_one_and_two_threads(self, tmp_path, case):
+    @pytest.mark.parametrize("case", ["category", "particular", "two_blocks", "routes"])
+    def test_eval_metrics_identical_for_one_and_two_threads(self, tmp_path, monkeypatch, case):
         # Sizes above OpenBLAS's threading threshold, so two threads split
         # the score products; each subprocess gets its own thread count.
         # The 600-row gallery is one score block; the leave-one-out gallery
-        # of "two_blocks", 2,400 rows, splits into blocks of 1,747 and 653.
+        # of "two_blocks" and "routes", 2,400 rows, splits into blocks of
+        # 1,747 and 653. In "routes" a 300-row class gives the first block
+        # more positives than the screen takes, so it falls back to its
+        # float64 product, while the second block, of 10-row classes, is
+        # screened.
         mode = "particular" if case == "particular" else "category"
         rng = np.random.default_rng(14)
         means = rng.standard_normal((60, 24))
@@ -531,6 +563,9 @@ class TestBlasThreadCount:
         if case == "two_blocks":
             labels = np.repeat(np.arange(60), 40)
             assert spherekit.evaluation.SCORE_BLOCK_BYTES // (8 * labels.size) < labels.size
+        elif case == "routes":
+            labels = np.concatenate([np.zeros(300, np.int64), 1 + np.arange(2100) // 10])
+            means = rng.standard_normal((211, 24))
         write_features(tmp_path / "gal.emb",
                        means[labels] + rng.standard_normal((labels.size, 24)))
         write_labels(tmp_path / "gal.labels", labels)
@@ -559,14 +594,18 @@ class TestBlasThreadCount:
                "eval_ks": [1, 2, 4, 8, 16], "pca_out_dim": 16, "data": data}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        argv = ["eval", "--config", str(cfg_path), "--model", str(tmp_path / "head.json")]
+        if case == "routes":
+            routes = eval_routes(monkeypatch, [*argv, "--out-dir", str(tmp_path / "in")])
+            assert routes == {"screened": 1, "fallback": 1}
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"eval-{threads}"
-            run_cli_with_blas_threads(threads, "eval", "--config", str(cfg_path),
-                                      "--model", str(tmp_path / "head.json"),
-                                      "--out-dir", str(out))
+            run_cli_with_blas_threads(threads, *argv, "--out-dir", str(out))
             outputs.append((out / "metrics.json").read_bytes())
         assert outputs[0] == outputs[1]
+        if case == "routes":
+            assert outputs[0] == (tmp_path / "in" / "metrics.json").read_bytes()
 
     @pytest.mark.parametrize("case", ["category", "particular", "screened"])
     def test_train_artifacts_identical_for_one_and_two_threads(self, tmp_path, monkeypatch,

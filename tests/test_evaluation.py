@@ -39,7 +39,13 @@ from spherekit import evaluation, trainer
 from spherekit.errors import ShapeError
 from spherekit.evaluation import score_blocks
 
-from conftest import budget_for_rows, circle_ranking, quantized_unit_rows, unit_rows
+from conftest import (
+    budget_for_rows,
+    circle_ranking,
+    quantized_unit_rows,
+    rows_at_similarity,
+    unit_rows,
+)
 
 
 def full_rankings(G, Q, exclude_self=False):
@@ -123,6 +129,12 @@ def rank_of(index, query, item):
     return 1 + sum(value == 0.0 for value in rep.values())
 
 
+def rank_screen_path(screened):
+    """Make the metrics count every block through the float32 screen, or
+    take every block's scores from its float64 product."""
+    return mock.patch.object(evaluation, "_PER_PAIR_SHARE", 1.0 if screened else 0.0)
+
+
 def gt(easy=(), hard=(), junk=()):
     return QueryGroundTruth(
         easy=np.asarray(easy, dtype=np.int64),
@@ -138,9 +150,8 @@ class TestRetrieve:
         queries = unit_rows(rng, 4, 6)
         index = RetrievalIndex(gallery=gallery)
         sims = queries @ gallery.T
-        assert_array_equal(
-            np.vstack([S for _, S in retrieve(index, queries).blocks()]), sims
-        )
+        blocks = score_blocks(queries, gallery, evaluation.SCORE_BLOCK_BYTES)
+        assert_array_equal(np.vstack([S for _, S in blocks]), sims)
         for qi in range(4):
             # rank_of scores one query alone, as this product does
             row = (queries[qi][None, :] @ gallery.T)[0]
@@ -161,9 +172,14 @@ class TestRetrieve:
         rng = np.random.default_rng(62)
         Z = unit_rows(rng, 8, 5)
         retrieval = retrieve(RetrievalIndex(gallery=Z), Z, exclude_self=True)
-        S = np.vstack([S for _, S in retrieval.blocks()])
-        assert_array_equal(np.isinf(S), np.eye(8, dtype=bool))
-        assert np.all(np.diag(S) < 0)
+        # Each query outscores every other row against itself, yet is never
+        # ranked: not by the float32 screen, nor by the float64 fallback.
+        labels = np.arange(8) // 2
+        rankings = full_rankings(Z, Z, exclude_self=True)
+        expected = {k: recall_walk(rankings, labels, labels, k) for k in range(1, 8)}
+        for screened in (False, True):
+            with rank_screen_path(screened):
+                assert recall_at_k(retrieval, labels, range(1, 8)) == expected
         with pytest.raises(ProtocolError, match="usable ranking depth 7"):
             recall_at_k(retrieval, np.zeros(8, dtype=np.int64), (8,))
         with pytest.raises(ProtocolError, match="no query"):
@@ -423,8 +439,17 @@ class TestScoreBlocks:
         Q = np.eye(4)[[0, 1] * 300]
         G = np.eye(4)[[0, 1, 2, 3] * 100]
         rows = evaluation.SCORE_BLOCK_BYTES // (8 * G.shape[0])
-        sizes = [S.shape[0] for _, S in retrieve(RetrievalIndex(G), Q).blocks()]
+        sizes = []
+
+        def spy(queries, gallery, block_bytes):
+            for start, S in score_blocks(queries, gallery, block_bytes):
+                sizes.append(S.shape[0])
+                yield start, S
+        with mock.patch.object(evaluation, "score_blocks", spy):
+            recall_at_k(retrieve(RetrievalIndex(G), Q), np.zeros(600, np.int64), (1,),
+                        gallery_labels=np.zeros(400, np.int64))
         assert sizes[0] == min(rows, Q.shape[0])
+        assert sum(sizes) == Q.shape[0]
 
     def test_a_budget_below_two_rows_gives_two_row_blocks(self):
         sizes = [S.shape[0] for _, S in score_blocks(np.eye(5), np.eye(5), 8)]
@@ -567,16 +592,114 @@ class TestBlockedMeanAveragePrecision:
                     assert mean_average_precision(retrieval, records, splits) == expected
 
 
+class TestRankScreen:
+    """Ranks counted from float32 blocks equal the full float64 rankings."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        protocol=st.sampled_from(["leave_one_out", "split", "map"]),
+        n=st.integers(2, 30),
+        num_queries=st.integers(1, 12),
+        d=st.sampled_from([2, 3, 17, 64, 128]),
+        quantized=st.booleans(),
+        off_unit=st.booleans(),
+        huge=st.booleans(),
+        widths=st.floats(0.0, 3.0),
+        screened=st.booleans(),
+        rows=st.sampled_from([2, 3, None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_ranking(self, protocol, n, num_queries, d, quantized, off_unit,
+                                  huge, widths, screened, rows, seed):
+        rng = np.random.default_rng(seed)
+        num_labels = int(rng.integers(1, 5))
+        if quantized:
+            # Scores are multiples of 1/16 in any evaluation: ties everywhere.
+            pool = int(rng.integers(1, 8))
+            G = quantized_unit_rows(rng, n, d, pool)
+            Q = quantized_unit_rows(rng, num_queries, d, pool)
+        else:
+            G = unit_rows(rng, n, d)
+            Q = unit_rows(rng, num_queries, d)
+        if protocol == "leave_one_out":
+            Q = G
+        g_labels = rng.integers(0, num_labels, size=n)
+        q_labels = g_labels if protocol == "leave_one_out" else rng.integers(
+            0, num_labels, size=Q.shape[0])
+        records = random_ground_truths(rng, Q.shape[0], n)
+        if not quantized:
+            # Rows within +-widths slack widths of a query's score of one of
+            # its positives, at log-spread offsets from 1e-4 widths up, so
+            # some land where the float32 screen cannot decide.
+            anchors = rng.integers(0, Q.shape[0], size=n)
+            targets = []
+            for a in anchors:
+                if protocol == "map":
+                    positives = np.concatenate([records[a].easy, records[a].hard])
+                else:
+                    positives = np.flatnonzero(g_labels == q_labels[a])
+                targets.append(rng.choice(positives) if positives.size else rng.integers(n))
+            q_norms = np.linalg.norm(Q[anchors], axis=1)
+            width = (2 * d + 8) * 2.0**-24 * q_norms
+            offsets = rng.choice([-1.0, 1.0], size=n) * widths * 10.0 ** rng.uniform(-4, 0, n)
+            scores = np.einsum("ij,ij->i", Q[anchors], G[targets]) + offsets * width
+            near = rng.random(n) < 0.6
+            near &= np.abs(scores) < 0.999 * q_norms
+            G = G.copy()
+            G[near] = rows_at_similarity(rng, Q[anchors[near]], scores[near])
+            if protocol == "leave_one_out":
+                Q = G
+        # exclude_self only asks for as many queries as gallery rows, so the
+        # leave-one-out queries may be off the sphere too.
+        if off_unit:
+            Q = Q * rng.uniform(0.99, 1.01, size=(Q.shape[0], 1))
+        if huge:
+            # Outside the screen's proven range: its bounds are NaN.
+            Q = Q.copy()
+            Q[0] *= 2.0**61
+        exclude_self = protocol == "leave_one_out"
+        index = RetrievalIndex(gallery=G)
+        retrieval = retrieve(index, Q, exclude_self=exclude_self)
+        rankings = full_rankings(G, Q, exclude_self=exclude_self)
+        with rank_screen_path(screened), \
+                budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", rows, n):
+            if protocol == "map":
+                for split in ("easy", "medium", "hard"):
+                    expected = map_walk(rankings, records, split)
+                    if expected is None:
+                        continue
+                    got = mean_average_precision(retrieval, records, (split,))
+                    assert got == {split: expected}
+                return
+            ks = range(1, n - int(exclude_self) + 1)
+            gallery_labels = None if exclude_self else g_labels
+            expected = {k: recall_walk(rankings, q_labels, g_labels, k) for k in ks}
+            if not any(np.any(g_labels[r] == label) for r, label in zip(rankings, q_labels)):
+                return
+            assert recall_at_k(retrieval, q_labels, ks, gallery_labels=gallery_labels) == expected
+
+
 class TestBlockBudgetBoundsMemory:
     """Peak memory follows the score-block budgets, not gallery^2."""
 
     BUDGET = 2**20
 
-    @pytest.mark.parametrize("caller", ["recall", "map", "histograms", "mining"])
+    @pytest.mark.parametrize("caller", [
+        "recall", "map", "histograms", "mining",
+        "recall-d128", "map-d128", "recall-collapsed", "map-collapsed",
+    ])
     def test_peak_stays_under_five_budgets(self, caller):
-        # A full 4,000 x 4,000 score matrix would be 122 budgets.
+        # A full 4,000 x 4,000 score matrix would be 122 budgets. At d 128 the
+        # gathered positive rows would be 9 budgets if they were not chunked.
+        # In a collapsed gallery every row is within a few ULPs of one
+        # direction, so every item is in between and each block falls back.
+        caller, _, gallery = caller.partition("-")
         rng = np.random.default_rng(94)
-        Z = unit_rows(rng, 4000, 16)
+        if gallery == "collapsed":
+            Z = unit_rows(rng, 1, 16) + 1e-16 * rng.standard_normal((4000, 16))
+            Z /= np.linalg.norm(Z, axis=1, keepdims=True)
+        else:
+            Z = unit_rows(rng, 4000, 128 if gallery == "d128" else 16)
         labels = np.arange(4000) % 400
         if caller == "recall":
             retrieval = retrieve(RetrievalIndex(Z), Z, exclude_self=True)

@@ -32,7 +32,7 @@ from spherekit import (
 from spherekit import objective
 from spherekit.errors import ShapeError
 
-from conftest import FD_RTOL, central_diff, rel_err, safe_batch, unit_rows
+from conftest import FD_RTOL, central_diff, rel_err, rows_at_similarity, safe_batch, unit_rows
 
 
 def batch(Z, labels, validate=True):
@@ -327,17 +327,6 @@ def forced_memory_path(per_pair):
     return mock.patch.multiple(
         objective, _PER_PAIR_SHARE=1.0 if per_pair else 0.0, _BLOCK_VALUES=1
     )
-
-
-def rows_at_similarity(rng, anchors, targets):
-    """One row per anchor whose dot product with it is ``targets`` (up to rounding)."""
-    norms = np.linalg.norm(anchors, axis=1)
-    direction = anchors / norms[:, None]
-    other = rng.standard_normal(anchors.shape)
-    other -= np.sum(other * direction, axis=1, keepdims=True) * direction
-    other /= np.linalg.norm(other, axis=1, keepdims=True)
-    along = targets / norms
-    return along[:, None] * direction + np.sqrt(1.0 - along**2)[:, None] * other
 
 
 class TestMemoryScreen:
