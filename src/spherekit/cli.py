@@ -184,12 +184,16 @@ def _eval_descriptors(config: RunConfig, head: EncoderHead, train, fit_on, *data
 
     With ``pca_out_dim`` the descriptors are PCA projections of the head's
     raw outputs, the PCA fitted on ``train``'s raw outputs (``fit_on`` names
-    them in the report).
+    them in the report); when ``train`` is one of ``datasets`` its outputs
+    are reused.
     """
     outputs = [forward(head, ds.features) for ds in datasets]
     if config.pca_out_dim is None:
         return [Z for _, Z in outputs], None
-    pca_model = pca_fit(forward(head, train.features)[0], config.pca_out_dim)
+    fit_rows = next((E for ds, (E, _) in zip(datasets, outputs) if ds is train), None)
+    if fit_rows is None:
+        fit_rows = forward(head, train.features)[0]
+    pca_model = pca_fit(fit_rows, config.pca_out_dim)
     pca_block = {"out_dim": config.pca_out_dim, "fit_on": fit_on}
     return [pca_transform_rows(pca_model, E) for E, _ in outputs], pca_block
 
@@ -244,11 +248,13 @@ def _particular_eval(config: RunConfig, head: EncoderHead, args, out_dir: Path) 
 
     gallery = _load_file_dataset(data.eval_features, data.eval_labels)
     queries = _load_file_dataset(data.query_features, data.query_labels)
-    train = (
-        None
-        if config.pca_out_dim is None
-        else _load_file_dataset(data.train_features, data.train_labels)
-    )
+    train = None
+    if config.pca_out_dim is not None:
+        train_files = (data.train_features, data.train_labels)
+        if train_files == (data.eval_features, data.eval_labels):
+            train = gallery  # read and embedded once, for retrieval and the fit
+        else:
+            train = _load_file_dataset(*train_files)
     (Z_g, Z_q), pca_block = _eval_descriptors(
         config, head, train, "train-split embeddings", gallery, queries
     )

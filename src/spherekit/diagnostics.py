@@ -82,9 +82,13 @@ class SimilarityHistogram:
 def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
     """Histogram all unordered pairwise similarities, split by label match.
 
-    Rows are scored in blocks (``evaluation.score_blocks`` within
-    ``evaluation.SCORE_BLOCK_BYTES``) and each block's pairs above the
-    diagonal are binned, so memory stays bounded by the block, not by n^2.
+    Rows are scored in blocks of their product with themselves
+    (``evaluation._self_score_blocks`` within ``evaluation.SCORE_BLOCK_BYTES``):
+    a block holds its rows' pairs with every later row, so each unordered
+    pair is scored once and memory stays bounded by the block, not by n^2.
+    Every pair of a block is binned in place; its same-label pairs are read
+    from it along label runs, a bounded chunk at a time, and binned again;
+    the different-label counts are the difference.
     """
     Z = np.asarray(Z, dtype=np.float64)
     labels = np.asarray(labels)
@@ -95,23 +99,41 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
     if num_bins < 2:
         raise ShapeError(f"num_bins must be >= 2, got {num_bins}")
     edges = np.linspace(-1.0, 1.0, num_bins + 1)
+    # Unit-row dot products can exceed +/-1 by float dust. Open outer edges
+    # bin them in the end bins, as clipping them to +/-1 would. np.histogram
+    # uses half-open bins with a closed final bin, matching the
+    # right-exclusive-except-last convention.
+    open_edges = edges.copy()
+    open_edges[0], open_edges[-1] = -np.inf, np.inf
+    all_counts = np.zeros(num_bins, dtype=np.int64)
     pos_counts = np.zeros(num_bins, dtype=np.int64)
-    neg_counts = np.zeros(num_bins, dtype=np.int64)
-    columns = np.arange(Z.shape[0])
-    for start, S in evaluation.score_blocks(Z, Z, evaluation.SCORE_BLOCK_BYTES):
-        rows = columns[start : start + S.shape[0], None]
-        upper = columns[start:] > rows
-        # Unit-row dot products can exceed +/-1 by float dust; clipping keeps
-        # every pair inside the binned range.
-        pair_sims = S[:, start:][upper]
-        np.clip(pair_sims, -1.0, 1.0, out=pair_sims)
-        pair_same = (labels[rows] == labels[start:])[upper]
-        # np.histogram uses half-open bins with a closed final bin, matching
-        # the right-exclusive-except-last convention.
-        pos_counts += np.histogram(pair_sims[pair_same], bins=edges)[0]
-        neg_counts += np.histogram(pair_sims[~pair_same], bins=edges)[0]
+    # A row's same-label rows after it are the rest of its run of the rows
+    # sorted by label, in ascending index (the sort is stable).
+    by_label = np.argsort(labels, kind="stable")
+    place = np.empty_like(by_label)
+    place[by_label] = np.arange(by_label.size)
+    run_end = np.searchsorted(labels[by_label], labels, "right")
+    later = run_end - place - 1
+    chunk = max(1, evaluation.SCORE_BLOCK_BYTES // 512)
+    for start, S in evaluation._self_score_blocks(Z, evaluation.SCORE_BLOCK_BYTES):
+        r = S.shape[0]
+        sizes = later[start : start + r]
+        ends = np.cumsum(sizes)
+        a = 0
+        while a < r:
+            # Rows a:b hold at most `chunk` same-label pairs, or are one row.
+            b = max(a + 1, int(np.searchsorted(ends, ends[a] - sizes[a] + chunk, "right")))
+            rows = np.repeat(np.arange(a, b), sizes[a:b])
+            cols = by_label[evaluation._ranges(place[start + a : start + b] + 1, sizes[a:b])]
+            pos_counts += np.histogram(S[rows, cols - start], bins=open_edges)[0]
+            a = b
+        # Each row's own and earlier entries in the block's diagonal square
+        # go to -inf, into the first bin, and are taken out of it again.
+        S[:, :r][np.tri(r, dtype=bool)] = -np.inf
+        all_counts += np.histogram(S, bins=open_edges)[0]
+        all_counts[0] -= r * (r + 1) // 2
     return SimilarityHistogram(
-        bin_edges=edges, positive_counts=pos_counts, negative_counts=neg_counts
+        bin_edges=edges, positive_counts=pos_counts, negative_counts=all_counts - pos_counts
     )
 
 

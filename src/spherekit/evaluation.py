@@ -28,7 +28,7 @@ any float64 evaluation and is counted, and one ``<= below`` provably scores
 below it and is skipped. Only the items in between, on real data about one
 per threshold (mostly the positive itself), are scored in float64 row dots
 and compared exactly, ties going to the lower gallery index. Recall, with
-one threshold per query, splits a block's items with two compares; mAP
+one threshold per query, counts a block's items with two compares; mAP
 sorts each float32 row once and places every threshold by binary search.
 mAP scores its junk items in row dots too, to take them out of the counts.
 When a block's
@@ -38,6 +38,13 @@ more than a product, so that block takes every score, thresholds included,
 from one float64 product of its rows, as before the screen existed. No full
 ranking or queries x gallery score matrix is ever built, so memory is
 bounded by the block budget.
+
+Leave-one-out recall whose queries are the gallery itself scores each
+unordered pair once: ``_self_score_blocks`` gives each block's scores with
+itself and every later row only. The block counts them row-wise for its own
+queries and column-wise for the later ones, whose thresholds are all found
+before the first product; the bounds hold for any float32 evaluation of a
+dot product, so a transposed score is as good as its own.
 
 The metrics are exact for exact scores, such as dot products of coarsely
 quantized rows. On general floats the float64 score of a pair comes either
@@ -205,27 +212,48 @@ def retrieve(
     return Retrieval(index, queries, exclude_self)
 
 
+def _row_spans(num_rows: int, num_columns: int, block_bytes: int) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` of the row blocks of a product with ``num_columns``
+    columns: as many rows as fit ``block_bytes`` of float64 scores, and at
+    least 2. A 1-row product runs as a matrix-vector call whose sums can
+    differ in the last bits from the same row of a many-row product, so a
+    1-row tail is merged into the block before it; only a single row is ever
+    scored alone."""
+    block_rows = max(2, block_bytes // (8 * max(num_columns, 1)))
+    start = 0
+    while start < num_rows:
+        stop = min(start + block_rows, num_rows)
+        if num_rows - stop == 1:
+            stop = num_rows
+        yield start, stop
+        start = stop
+
+
 def score_blocks(
     queries: np.ndarray, gallery: np.ndarray, block_bytes: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(start, queries[start:stop] @ gallery.T)`` over blocks of rows.
 
-    Every blocked product in the package comes from here, each caller passing
-    its own budget. A block holds as many rows as fit ``block_bytes`` of
-    float64 scores, and at least 2. A 1-row product runs as a matrix-vector
-    call whose sums can differ in the last bits from the same row of a
-    many-row product, so a 1-row tail is merged into the block before it;
-    only a single query is ever scored alone.
+    Every blocked product in the package comes from here, or from
+    ``_self_score_blocks`` for a set of rows scored against itself, each
+    caller passing its own budget. A block holds as many rows as fit
+    ``block_bytes`` of float64 scores (``_row_spans``).
     """
-    block_rows = max(2, block_bytes // (8 * max(gallery.shape[0], 1)))
-    n = queries.shape[0]
-    start = 0
-    while start < n:
-        stop = min(start + block_rows, n)
-        if n - stop == 1:
-            stop = n
+    for start, stop in _row_spans(queries.shape[0], gallery.shape[0], block_bytes):
         yield start, queries[start:stop] @ gallery.T
-        start = stop
+
+
+def _self_score_blocks(X: np.ndarray, block_bytes: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(start, X[start:stop] @ X[start:].T)`` over the row blocks of
+    ``score_blocks(X, X, block_bytes)``.
+
+    Each block is the upper trapezoid of the symmetric product: its rows'
+    scores with themselves and with every later row. So every unordered pair
+    of rows is scored once, in the block of its lower row, and no block is
+    larger than the full product's.
+    """
+    for start, stop in _row_spans(X.shape[0], X.shape[0], block_bytes):
+        yield start, X[start:stop] @ X[start:].T
 
 
 def _screen_thresholds(z_norm, d: int, norm_bound: float, centers):
@@ -301,7 +329,7 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 def _float32_blocks(retrieval: Retrieval) -> Iterator[tuple[int, np.ndarray]]:
     """``score_blocks`` of the float32 queries and gallery, each query's own
     entry at -inf under ``exclude_self``. Queries that are the gallery's own
-    array (leave-one-out) share its float32 copy."""
+    array share its float32 copy."""
     with np.errstate(over="ignore"):
         gallery = retrieval.index.gallery.astype(np.float32)
         queries = retrieval.queries
@@ -348,44 +376,104 @@ def _query_bounds(retrieval: Retrieval, start: int, r: int, rows, values):
     return _screen_thresholds(z_norm[rows], Z.shape[1], 1.0 + UNIT_ATOL, values)
 
 
-def _screened_ahead(retrieval, start, S32, rows, items, values):
-    """``_dense_ahead`` of the float64 block from its float32 block ``S32``,
-    for at most one threshold per row.
+@dataclass(frozen=True)
+class _Thresholds:
+    """Per query: its best positive ``item``, that item's float64 score
+    ``value``, and float32 bounds ``below < above`` around it
+    (``_query_bounds``). A query without a threshold has bounds of +inf,
+    which count nothing."""
 
-    Threshold t is gallery item ``items[t]`` with float64 score
-    ``values[t]`` for block row ``rows[t]``, and items are ordered by their
-    float64 row dots. Two passes over the block split each row's items: at
-    or above the threshold's ``above`` (ahead of it), at or below its
-    ``below`` (not ahead), and in between, which are scored in float64 and
-    compared exactly. A row with NaN bounds sends every item (but its own
-    under ``exclude_self``) to that comparison. Returns None when the items
-    in between are more than ``_PER_PAIR_SHARE`` of the block's pairs.
+    value: np.ndarray
+    item: np.ndarray
+    below: np.ndarray
+    above: np.ndarray
+
+    @classmethod
+    def none(cls, n: int) -> "_Thresholds":
+        return cls(np.zeros(n), np.zeros(n, dtype=np.int64),
+                   np.full(n, np.inf, dtype=np.float32), np.full(n, np.inf, dtype=np.float32))
+
+    def __getitem__(self, index) -> "_Thresholds":
+        return _Thresholds(self.value[index], self.item[index], self.below[index],
+                           self.above[index])
+
+    @property
+    def found(self) -> np.ndarray:
+        """Which queries have a threshold (NaN bounds included)."""
+        return self.above != np.inf
+
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """The True entries of each row of a boolean array. Summing its bytes as
+    int8 into int32 runs about three times faster than ``count_nonzero``."""
+    return mask.view(np.int8).sum(axis=1, dtype=np.int32)
+
+
+def _band_counts(retrieval, L, first, queries, t: _Thresholds):
+    """Per line of float32 scores ``L``: the items at or above its
+    ``above``, and the items in its band, strictly between ``below`` and
+    ``above``; two compares over ``L``.
+
+    Line i holds the scores of query ``queries[i]`` and gallery items
+    ``first, first + 1, ...``; under ``exclude_self`` a query's own entry
+    must be -inf. A line with NaN bounds has every item but its own in its
+    band.
     """
-    r, m = S32.shape
-    below, above = _query_bounds(retrieval, start, r, rows, values)
-    low = np.full(r, np.inf, dtype=np.float32)
-    high = np.full(r, np.inf, dtype=np.float32)
-    low[rows], high[rows] = below, above
-    top = S32 >= high[:, None]
-    between = S32 > low[:, None]
-    between ^= top
-    unproven = rows[np.isnan(below)]
-    between[unproven] = True
-    if retrieval.exclude_self:
-        between[unproven, start + unproven] = False
-    if np.count_nonzero(between) > _PER_PAIR_SHARE * r * m:
+    width = L.shape[1]
+    top = _row_counts(L >= t.above[:, None])
+    band = _row_counts(L > t.below[:, None]) - top
+    unproven = np.isnan(t.below)
+    if unproven.any():
+        q = queries[unproven]
+        band[unproven] = width - (retrieval.exclude_self & (first <= q) & (q < first + width))
+    return top, band
+
+
+def _band_ahead(retrieval, L, first, queries, t: _Thresholds, band):
+    """Per line of ``L`` (as in ``_band_counts``, ``band`` its band sizes):
+    the band items ahead of its threshold, scored in float64 and compared
+    exactly, ties going to the lower gallery index.
+
+    A proven threshold's own item lies inside its band (the float32 and
+    float64 scores are within the slack), so a line whose band holds only
+    that item needs no work. The other lines are gathered an eighth of
+    ``L`` at a time.
+    """
+    width = L.shape[1]
+    ahead = np.zeros(L.shape[0], dtype=np.int64)
+    own = (first <= t.item) & (t.item < first + width)
+    lines = np.flatnonzero(band > own)
+    step = max(1, L.shape[0] // 8)
+    for start in range(0, lines.size, step):
+        rows = lines[start : start + step]
+        R = L[rows]
+        between = (R > t.below[rows, None]) & (R < t.above[rows, None])
+        unproven = np.flatnonzero(np.isnan(t.below[rows]))
+        between[unproven] = True
+        if retrieval.exclude_self:
+            self_cols = queries[rows[unproven]] - first
+            inside = (0 <= self_cols) & (self_cols < width)
+            between[unproven[inside], self_cols[inside]] = False
+        at, cols = np.divmod(np.flatnonzero(between), width)
+        del R, between
+        line, items = rows[at], first + cols
+        scores = _query_dots(retrieval, queries[line], items)
+        v = t.value[line]
+        later = (scores > v) | ((scores == v) & (items < t.item[line]))
+        ahead += np.bincount(line[later], minlength=L.shape[0])
+    return ahead
+
+
+def _screened_ahead(retrieval, L, first, queries, t: _Thresholds, limit):
+    """``_dense_ahead`` of the float64 scores behind the float32 lines ``L``
+    (as in ``_band_counts``), for one threshold per line: the items at or
+    above ``above`` plus the band items ahead of it (``_band_ahead``).
+    Returns None when the band items are more than ``limit``.
+    """
+    top, band = _band_counts(retrieval, L, first, queries, t)
+    if band.sum() > limit:
         return None
-    at, cols = np.divmod(np.flatnonzero(between), m)
-    ahead = np.count_nonzero(top, axis=1)
-    del top, between
-    scores = _query_dots(retrieval, start + at, cols)
-    v = np.zeros(r)
-    v[rows] = values
-    p = np.zeros(r, dtype=np.int64)
-    p[rows] = items
-    later = (scores > v[at]) | ((scores == v[at]) & (cols < p[at]))
-    ahead += np.bincount(at[later], minlength=r)
-    return ahead[rows]
+    return top + _band_ahead(retrieval, L, first, queries, t, band)
 
 
 def _ranked_ahead(retrieval, start, S32, rows, items, values):
@@ -427,6 +515,122 @@ def _ranked_ahead(retrieval, start, S32, rows, items, values):
     return ahead
 
 
+def _block_thresholds(retrieval, start, stop, by_label, run_start, run_size, out) -> bool:
+    """Fill ``out`` with the thresholds of queries ``start..stop``: each
+    one's best positive, the same-label item (self excluded) with the
+    highest row-dot score, lowest index among equals. A query's positives
+    are its run of the gallery sorted by label (``by_label``, ``run_start``,
+    ``run_size``). Returns False, filling nothing, when the positives are
+    more than ``_PER_PAIR_SHARE`` of the block's pairs.
+    """
+    r, m = stop - start, len(retrieval.index)
+    sizes = run_size[start:stop]
+    if sizes.sum() - r * retrieval.exclude_self > _PER_PAIR_SHARE * r * m:
+        return False
+    owner = np.repeat(np.arange(r), sizes)
+    cols = by_label[_ranges(run_start[start:stop], sizes)]
+    if retrieval.exclude_self:
+        other = cols != start + owner
+        owner, cols = owner[other], cols[other]
+    scores = _query_dots(retrieval, start + owner, cols)
+    rows, first = np.unique(owner, return_index=True)
+    best = np.maximum.reduceat(scores, first)
+    tied = scores == np.repeat(best, np.diff(first, append=owner.size))
+    out.value[rows] = best
+    out.item[rows] = np.minimum.reduceat(np.where(tied, cols, m), first)
+    out.below[rows], out.above[rows] = _query_bounds(retrieval, start, r, rows, best)
+    return True
+
+
+def _dense_first_hits(retrieval, start, stop, query_labels, gallery_labels) -> np.ndarray:
+    """First-hit ranks of the queries ``start..stop`` that have a positive,
+    every score, thresholds included, from the float64 product of their
+    rows (a block that falls back)."""
+    S = _float64_block(retrieval, start, stop)
+    positive = query_labels[start:stop, None] == gallery_labels
+    if retrieval.exclude_self:
+        own = np.arange(stop - start)
+        positive[own, start + own] = False
+    found = np.flatnonzero(positive.any(axis=1))
+    best = np.max(S, axis=1, where=positive, initial=-np.inf)
+    best_cols = np.argmax((S == best[:, None]) & positive, axis=1)
+    del positive
+    return _dense_ahead(S, found, best_cols[found], best[found]) + 1
+
+
+def _block_first_hits(retrieval, query_labels, gallery_labels, runs) -> list[np.ndarray]:
+    """First-hit ranks per block of ``_float32_blocks``: a block's float32
+    rows hold every item of its queries."""
+    first_hits = []
+    for start, S32 in _float32_blocks(retrieval):
+        r, m = S32.shape
+        stop = start + r
+        t = _Thresholds.none(r)
+        hits = None
+        if _block_thresholds(retrieval, start, stop, *runs, t):
+            ahead = _screened_ahead(retrieval, S32, 0, np.arange(start, stop), t,
+                                    _PER_PAIR_SHARE * r * m)
+            hits = None if ahead is None else (ahead + 1)[t.found]
+        if hits is None:
+            hits = _dense_first_hits(retrieval, start, stop, query_labels, gallery_labels)
+        first_hits.append(hits)
+        del S32
+    return first_hits
+
+
+def _self_first_hits(retrieval, labels, runs) -> list[np.ndarray]:
+    """First-hit ranks per block of the leave-one-out queries that are the
+    gallery itself, from ``_self_score_blocks`` of its float32 copy.
+
+    Every query's threshold is found first. A block's trapezoid then counts
+    its own queries row-wise, over the items from its first row on, and the
+    later queries column-wise, over its rows: the screen's bounds hold for
+    any float32 evaluation of a dot product, so a transposed entry is as
+    good as its own. A query's count is complete once its own block is done.
+    Blocks fall back as in ``_block_first_hits``; a block's band items are
+    counted as earlier blocks find them, and once they pass the share the
+    block stops collecting them and falls back.
+    """
+    gallery = retrieval.index.gallery
+    n = len(gallery)
+    spans = list(_row_spans(n, n, SCORE_BLOCK_BYTES))
+    thresholds = _Thresholds.none(n)
+    screened = np.array([_block_thresholds(retrieval, start, stop, *runs, thresholds[start:stop])
+                         for start, stop in spans])
+    starts = np.array([start for start, _ in spans])
+    limit = _PER_PAIR_SHARE * np.diff(np.append(starts, n)) * n
+    band = np.zeros(len(spans), dtype=np.int64)
+    ahead = np.zeros(n, dtype=np.int64)
+    first_hits = []
+    for b, (start, S32) in enumerate(_self_score_blocks(gallery.astype(np.float32),
+                                                         SCORE_BLOCK_BYTES)):
+        r = S32.shape[0]
+        stop = start + r
+        own = np.arange(r)
+        S32[own, own] = -np.inf
+        if screened[b + 1 :].any():
+            L, later, queries = S32[:, r:].T, thresholds[stop:], np.arange(stop, n)
+            top, counts = _band_counts(retrieval, L, start, queries, later)
+            band[b + 1 :] += np.add.reduceat(counts, starts[b + 1 :] - stop)
+            for c in np.flatnonzero(screened & (band > limit)):
+                screened[c] = False
+                lines = slice(spans[c][0] - stop, spans[c][1] - stop)
+                later.below[lines] = later.above[lines] = np.inf
+                counts[lines] = 0
+            ahead[stop:] += top + _band_ahead(retrieval, L, start, queries, later, counts)
+            del L, top, counts
+        hits = None
+        if screened[b]:
+            t = thresholds[start:stop]
+            count = _screened_ahead(retrieval, S32, start, start + own, t, limit[b] - band[b])
+            hits = None if count is None else (ahead[start:stop] + count + 1)[t.found]
+        if hits is None:
+            hits = _dense_first_hits(retrieval, start, stop, labels, labels)
+        first_hits.append(hits)
+        del S32
+    return first_hits
+
+
 def _recall_from_first_hits(
     first_hits: np.ndarray, ks: list[int], num_queries: int
 ) -> dict[int, float]:
@@ -459,7 +663,9 @@ def recall_at_k(
     the number of other items with a higher score, or an equal score and a
     lower index. Per block, the positives come from one sort of the gallery
     labels and are scored in row dots, a query's best one is the threshold,
-    and ``_screened_ahead`` counts the items ahead of it.
+    and ``_screened_ahead`` counts the items ahead of it. Leave-one-out
+    queries that are the gallery itself score each unordered pair once
+    (``_self_first_hits``).
     """
     index = retrieval.index
     num_queries = retrieval.queries.shape[0]
@@ -484,38 +690,11 @@ def recall_at_k(
     sorted_labels = gallery_labels[by_label]
     run_start = np.searchsorted(sorted_labels, query_labels, "left")
     run_size = np.searchsorted(sorted_labels, query_labels, "right") - run_start
-    first_hits = []
-    for start, S32 in _float32_blocks(retrieval):
-        r, m = S32.shape
-        sizes = run_size[start : start + r]
-        hits = None
-        if sizes.sum() - r * retrieval.exclude_self <= _PER_PAIR_SHARE * r * m:
-            owner = np.repeat(np.arange(r), sizes)
-            cols = by_label[_ranges(run_start[start : start + r], sizes)]
-            if retrieval.exclude_self:
-                other = cols != start + owner
-                owner, cols = owner[other], cols[other]
-            scores = _query_dots(retrieval, start + owner, cols)
-            rows, first = np.unique(owner, return_index=True)
-            best = np.maximum.reduceat(scores, first)
-            tied = scores == np.repeat(best, np.diff(first, append=owner.size))
-            best_cols = np.minimum.reduceat(np.where(tied, cols, m), first)
-            ahead = _screened_ahead(retrieval, start, S32, rows, best_cols, best)
-            hits = None if ahead is None else ahead + 1
-        if hits is None:
-            S = _float64_block(retrieval, start, start + r)
-            positive = query_labels[start : start + r, None] == gallery_labels
-            if retrieval.exclude_self:
-                own = np.arange(r)
-                positive[own, start + own] = False
-            found = np.flatnonzero(positive.any(axis=1))
-            best = np.max(S, axis=1, where=positive, initial=-np.inf)
-            best_cols = np.argmax((S == best[:, None]) & positive, axis=1)
-            del positive
-            hits = _dense_ahead(S, found, best_cols[found], best[found]) + 1
-            del S
-        first_hits.append(hits)
-        del S32
+    runs = (by_label, run_start, run_size)
+    if retrieval.exclude_self and retrieval.queries is index.gallery:
+        first_hits = _self_first_hits(retrieval, query_labels, runs)
+    else:
+        first_hits = _block_first_hits(retrieval, query_labels, gallery_labels, runs)
     return _recall_from_first_hits(
         np.concatenate(first_hits) if first_hits else np.zeros(0, np.int64),
         ks,

@@ -180,7 +180,9 @@ def read_ground_truth(path, gallery_size: int | None = None) -> dict[int, QueryG
     """Read ground truth records into a query_index -> sets mapping.
 
     Queries without a record are simply absent; evaluation treats them as
-    empty (they are skipped and reported, not scored zero).
+    empty (they are skipped and reported, not scored zero). With
+    ``gallery_size``, an index outside the gallery raises ProtocolError,
+    after every record has been parsed.
     """
     path = Path(path)
     try:
@@ -214,10 +216,18 @@ def read_ground_truth(path, gallery_size: int | None = None) -> dict[int, QueryG
                     f"{path}: record {i} field {name!r} must be a list of integers"
                 )
             sets[name] = np.asarray(values, dtype=np.int64)
-        gt = QueryGroundTruth(easy=sets["easy"], hard=sets["hard"], junk=sets["junk"])
-        if gallery_size is not None:
-            gt.check_bounds(gallery_size)
-        records[query_index] = gt
+        records[query_index] = QueryGroundTruth(
+            easy=sets["easy"], hard=sets["hard"], junk=sets["junk"]
+        )
+    if gallery_size is not None and records:
+        # One check over every index; the first offending record, in file
+        # order, then names its set.
+        gts = list(records.values())
+        merged = np.concatenate([arr for gt in gts for arr in (gt.easy, gt.hard, gt.junk)])
+        outside = (merged < 0) | (merged >= gallery_size)
+        if outside.any():
+            ends = np.cumsum([gt.easy.size + gt.hard.size + gt.junk.size for gt in gts])
+            gts[int(np.searchsorted(ends, np.argmax(outside), "right"))].check_bounds(gallery_size)
     return records
 
 

@@ -11,6 +11,8 @@ from unittest import mock
 
 import numpy as np
 
+from spherekit import evaluation
+
 FD_STEP = 1e-6
 FD_RTOL = 1e-4
 # Keep test points at least this far from hinge kinks and neighbor ties.
@@ -54,6 +56,25 @@ def rows_at_similarity(rng, anchors, targets):
     other /= np.linalg.norm(other, axis=1, keepdims=True)
     along = targets / norms
     return along[:, None] * direction + np.sqrt(1.0 - along**2)[:, None] * other
+
+
+def screen_routes(monkeypatch):
+    """Count the blocks the float32 screen counted and the blocks that fell
+    back to their float64 product."""
+    routes = {"screened": 0, "fallback": 0}
+    screen, fallback = evaluation._screened_ahead, evaluation._float64_block
+
+    def screened(*args):
+        counts = screen(*args)
+        routes["screened"] += counts is not None
+        return counts
+
+    def fell_back(*args):
+        routes["fallback"] += 1
+        return fallback(*args)
+    monkeypatch.setattr(evaluation, "_screened_ahead", screened)
+    monkeypatch.setattr(evaluation, "_float64_block", fell_back)
+    return routes
 
 
 def budget_for_rows(module, budget_name, rows, gallery_rows):

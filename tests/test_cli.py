@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,13 +15,15 @@ import spherekit
 from spherekit import (
     EncoderHead,
     QueryGroundTruth,
-    evaluation,
     objective,
     parse_run_config,
     train_run,
 )
+from spherekit import io as sk_io
 from spherekit.cli import main
 from spherekit.io import write_features, write_ground_truth, write_labels
+
+from conftest import screen_routes
 
 
 def write_config(path, **overrides):
@@ -231,6 +234,36 @@ class TestEval:
         for value in metrics["map"].values():
             assert 0.0 < value <= 1.0
         assert metrics["skipped_queries"] == {"medium": [], "hard": []}
+
+    def test_particular_pca_on_the_eval_files_reads_them_once(self, tmp_path, monkeypatch):
+        # Training files that are the eval files are read and embedded once,
+        # with the same metrics.json as copies of them under other names.
+        cfg_path = write_particular_setup(
+            tmp_path,
+            {
+                0: QueryGroundTruth(easy=np.array([0, 1]), hard=np.array([2]), junk=[]),
+                1: QueryGroundTruth(easy=np.array([4]), hard=np.array([5, 6]), junk=[]),
+            },
+        )
+        for suffix in ("emb", "labels"):
+            shutil.copy(tmp_path / f"gal.{suffix}", tmp_path / f"copy.{suffix}")
+        reads = []
+        read_features = sk_io.read_features
+        monkeypatch.setattr(sk_io, "read_features",
+                            lambda path: reads.append(Path(path).name) or read_features(path))
+        outputs = []
+        for stem in ("gal", "copy"):
+            cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
+            cfg["pca_out_dim"] = 3
+            cfg["data"].update(train_features=str(tmp_path / f"{stem}.emb"),
+                               train_labels=str(tmp_path / f"{stem}.labels"))
+            cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+            out = tmp_path / f"eval-{stem}"
+            assert main(["eval", "--config", str(cfg_path),
+                         "--model", str(tmp_path / "head.json"), "--out-dir", str(out)]) == 0
+            outputs.append((out / "metrics.json").read_bytes())
+        assert reads == ["gal.emb", "q.emb", "gal.emb", "q.emb", "copy.emb"]
+        assert outputs[0] == outputs[1]
 
     def test_every_query_empty_under_hard_exits_two(self, tmp_path, capsys):
         cfg_path = write_particular_setup(
@@ -525,20 +558,7 @@ def screened_memory_steps(monkeypatch, config):
 def eval_routes(monkeypatch, argv):
     """In-process ``spherekit eval``: how many score blocks the float32
     screen counted, and how many fell back to their float64 product."""
-    routes = {"screened": 0, "fallback": 0}
-    screen = evaluation._screened_ahead
-    fallback = evaluation._float64_block
-
-    def screened(*args):
-        counts = screen(*args)
-        routes["screened"] += counts is not None
-        return counts
-
-    def fell_back(*args):
-        routes["fallback"] += 1
-        return fallback(*args)
-    monkeypatch.setattr(evaluation, "_screened_ahead", screened)
-    monkeypatch.setattr(evaluation, "_float64_block", fell_back)
+    routes = screen_routes(monkeypatch)
     assert main(argv) == 0
     return routes
 
@@ -606,6 +626,29 @@ class TestBlasThreadCount:
         assert outputs[0] == outputs[1]
         if case == "routes":
             assert outputs[0] == (tmp_path / "in" / "metrics.json").read_bytes()
+
+    def test_diagnose_artifacts_identical_for_one_and_two_threads(self, tmp_path):
+        # The 2,400-row gallery scores its pairs in two blocks of its product
+        # with itself, of 1,747 and 653 rows, both above OpenBLAS's threading
+        # threshold, so two threads split them.
+        rng = np.random.default_rng(15)
+        labels = np.repeat(np.arange(60), 40)
+        assert spherekit.evaluation.SCORE_BLOCK_BYTES // (8 * labels.size) < labels.size
+        means = rng.standard_normal((60, 24))
+        write_features(tmp_path / "gal.emb", means[labels] + rng.standard_normal((labels.size, 24)))
+        write_labels(tmp_path / "gal.labels", labels)
+        write_head(tmp_path / "head.json", in_dim=24, out_dim=32)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"diagnose-{threads}"
+            run_cli_with_blas_threads(threads, "diagnose", "--model", str(tmp_path / "head.json"),
+                                      "--features", str(tmp_path / "gal.emb"),
+                                      "--labels", str(tmp_path / "gal.labels"),
+                                      "--out-dir", str(out))
+            outputs.append({name: (out / name).read_bytes()
+                            for name in ("hist.csv", "energy.csv", "summary.json")})
+        for name in outputs[0]:
+            assert outputs[0][name] == outputs[1][name], name
 
     @pytest.mark.parametrize("case", ["category", "particular", "screened"])
     def test_train_artifacts_identical_for_one_and_two_threads(self, tmp_path, monkeypatch,

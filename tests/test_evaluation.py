@@ -12,6 +12,7 @@ full rankings on quantized inputs whose scores are exact and full of ties,
 for several block sizes.
 """
 
+import contextlib
 import itertools
 import math
 import tracemalloc
@@ -44,6 +45,7 @@ from conftest import (
     circle_ranking,
     quantized_unit_rows,
     rows_at_similarity,
+    screen_routes,
     unit_rows,
 )
 
@@ -455,6 +457,18 @@ class TestScoreBlocks:
         sizes = [S.shape[0] for _, S in score_blocks(np.eye(5), np.eye(5), 8)]
         assert sizes == [2, 3]  # the 1-row tail joins the block before it
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 11])
+    @pytest.mark.parametrize("rows", [2, 3, 4, 10])
+    def test_self_blocks_are_the_trapezoids_of_the_same_blocks(self, n, rows):
+        # Quantized rows make every product exact, whatever its shape.
+        X = quantized_unit_rows(np.random.default_rng(91), n, 8, 5)
+        budget = 8 * n * rows
+        full = list(score_blocks(X, X, budget))
+        halves = list(evaluation._self_score_blocks(X, budget))
+        assert [start for start, _ in halves] == [start for start, _ in full]
+        for (start, S), (_, T) in zip(full, halves):
+            assert_array_equal(T, S[:, start:])
+
 
 class TestBlockedRecall:
     def test_ties_straddling_k(self):
@@ -529,6 +543,75 @@ class TestBlockedRecall:
                 else:
                     with pytest.raises(ProtocolError, match="no query"):
                         recall_at_k(retrieval, q_labels, ks, **kwargs)
+
+
+def unproven_first_thresholds():
+    """Give the first threshold of every ``_query_bounds`` call NaN bounds:
+    the bounds of a row outside the screen's proven range (a norm above
+    2**60), which a unit gallery cannot hold."""
+    bounds = evaluation._query_bounds
+
+    def unproven(*args):
+        below, above = bounds(*args)
+        below[:1] = above[:1] = np.nan
+        return below, above
+    return mock.patch.object(evaluation, "_query_bounds", unproven)
+
+
+class TestSelfScoredRecall:
+    """Leave-one-out recall over a gallery scored against itself once per
+    pair, its blocks' own queries row-wise and later ones column-wise."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.integers(2, 40),
+        d=st.sampled_from([4, 8, 16]),
+        pool=st.integers(1, 12),
+        num_labels=st.integers(1, 6),
+        rows=st.sampled_from([2, 3, None]),
+        screened=st.booleans(),
+        unproven=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_ranking(self, n, d, pool, num_labels, rows, screened, unproven,
+                                  seed):
+        rng = np.random.default_rng(seed)
+        G = quantized_unit_rows(rng, n, d, pool)
+        labels = rng.integers(0, num_labels, size=n)
+        rankings = full_rankings(G, G, exclude_self=True)
+        if not any(np.any(labels[r] == label) for r, label in zip(rankings, labels)):
+            return
+        ks = range(1, n)
+        expected = {k: recall_walk(rankings, labels, labels, k) for k in ks}
+        retrieval = retrieve(RetrievalIndex(gallery=G), G, exclude_self=True)
+        assert retrieval.queries is retrieval.index.gallery
+        with rank_screen_path(screened), \
+                budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", rows, n), \
+                (unproven_first_thresholds() if unproven else contextlib.nullcontext()):
+            assert recall_at_k(retrieval, labels, ks) == expected
+
+    def test_blocks_fall_back_while_others_are_screened(self, monkeypatch):
+        # Blocks of 6 rows at a share of 1/8 take at most 18 positives or
+        # in-between items each. Block 0 is one class, 30 positives, so it
+        # falls back before any product. Rows 6-10, each its own class, and
+        # block 3 (rows 18-23, three classes) are one direction, so each
+        # query of block 3 ties 10 items with its best positive. Block 1's
+        # columns hold 30 of those, so block 3 stops collecting them there
+        # and falls back. Blocks 1 and 2 are screened.
+        rng = np.random.default_rng(97)
+        G = unit_rows(rng, 24, 8)
+        G[6:11] = G[18:24] = np.eye(8)[0]
+        labels = np.array([0] * 6 + [20, 21, 22, 23, 24] + [1, 1, 2, 2, 3, 3, 4]
+                          + [7, 7, 8, 8, 9, 9])
+        rankings = full_rankings(G, G, exclude_self=True)
+        ks = range(1, 24)
+        expected = {k: recall_walk(rankings, labels, labels, k) for k in ks}
+        routes = screen_routes(monkeypatch)
+        monkeypatch.setattr(evaluation, "_PER_PAIR_SHARE", 1 / 8)
+        retrieval = retrieve(RetrievalIndex(gallery=G), G, exclude_self=True)
+        with budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", 6, 24):
+            assert recall_at_k(retrieval, labels, ks) == expected
+        assert routes == {"screened": 2, "fallback": 2}
 
 
 class TestBlockedMeanAveragePrecision:
@@ -687,12 +770,14 @@ class TestBlockBudgetBoundsMemory:
     @pytest.mark.parametrize("caller", [
         "recall", "map", "histograms", "mining",
         "recall-d128", "map-d128", "recall-collapsed", "map-collapsed",
+        "histograms-one-label",
     ])
     def test_peak_stays_under_five_budgets(self, caller):
         # A full 4,000 x 4,000 score matrix would be 122 budgets. At d 128 the
         # gathered positive rows would be 9 budgets if they were not chunked.
         # In a collapsed gallery every row is within a few ULPs of one
         # direction, so every item is in between and each block falls back.
+        # With one label every pair is a same-label pair of the histogram.
         caller, _, gallery = caller.partition("-")
         rng = np.random.default_rng(94)
         if gallery == "collapsed":
@@ -700,7 +785,7 @@ class TestBlockBudgetBoundsMemory:
             Z /= np.linalg.norm(Z, axis=1, keepdims=True)
         else:
             Z = unit_rows(rng, 4000, 128 if gallery == "d128" else 16)
-        labels = np.arange(4000) % 400
+        labels = np.zeros(4000, np.int64) if gallery == "one-label" else np.arange(4000) % 400
         if caller == "recall":
             retrieval = retrieve(RetrievalIndex(Z), Z, exclude_self=True)
             run = partial(recall_at_k, retrieval, labels, (1, 10))

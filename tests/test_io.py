@@ -195,6 +195,13 @@ class TestGroundTruth:
         read_ground_truth(path, gallery_size=8)
         with pytest.raises(ProtocolError, match="outside gallery"):
             read_ground_truth(path, gallery_size=7)
+        # The first offending record and set in file order is named.
+        write_ground_truth(path, {0: gt_record(easy=[1], hard=[2]),
+                                  1: gt_record(easy=[3], junk=[-1]),
+                                  2: gt_record(easy=[9])})
+        with pytest.raises(ProtocolError,
+                           match="^junk indices fall outside gallery of size 8$"):
+            read_ground_truth(path, gallery_size=8)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="cannot open"):
