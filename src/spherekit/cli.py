@@ -10,7 +10,6 @@ the message names the failing training step when there is one).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import io as sk_io
 from ._version import __version__
-from .config import RunConfig, load_run_config, dump_run_config
+from .config import RunConfig, _read_config, dump_run_config, parse_run_config
 from .diagnostics import (
     pca_energy_report,
     similarity_histograms,
@@ -81,12 +80,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    if getattr(args, "mode", None) is not None and args.mode != config.mode:
-        config = dataclasses.replace(config, mode=args.mode)
-    return config
+def _load_config(args) -> RunConfig:
+    """``--config`` with ``--seed`` and ``--mode`` applied before its
+    defaults resolve, so an absent margin takes the overriding mode's."""
+    raw = _read_config(args.config)
+    for key in ("seed", "mode"):
+        if getattr(args, key, None) is not None:
+            raw[key] = getattr(args, key)
+    return parse_run_config(raw)
 
 
 def _load_head(path) -> EncoderHead:
@@ -118,27 +119,8 @@ def _train_split(config: RunConfig):
     return _load_file_dataset(data.train_features, data.train_labels), None
 
 
-def _category_splits(config: RunConfig):
-    """Training and evaluation datasets for a category eval.
-
-    Eval files, when given, are the evaluation set, and the training files
-    are then read only for the PCA fit (``train`` is None without one).
-    Otherwise the evaluation set is the synthetic held-out split, or the
-    training files themselves.
-    """
-    data = config.data
-    if data is None or data.eval_features is None:
-        train, held_out = _train_split(config)
-        return train, (held_out if held_out is not None else train)
-    if data.eval_labels is None:
-        raise ConfigError("data.eval_features given without data.eval_labels")
-    eval_ds = _load_file_dataset(data.eval_features, data.eval_labels)
-    train = None if config.pca_out_dim is None else _train_split(config)[0]
-    return train, eval_ds
-
-
 def cmd_train(args) -> int:
-    config = _apply_overrides(load_run_config(args.config), args)
+    config = _load_config(args)
     out_dir = Path(args.out_dir)
     dataset, _ = _train_split(config)
     model, trace = train_run(config, dataset)
@@ -179,13 +161,55 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_descriptors(config: RunConfig, head: EncoderHead, train, fit_on, *datasets):
+def _eval_datasets(config: RunConfig, gt_path):
+    """Gallery, queries and PCA-fit datasets of an eval, in either mode.
+
+    The gallery is the eval files, else the synthetic held-out split or the
+    training set. The queries are the query files; a category eval without
+    them is leave-one-out on the gallery (queries None). The PCA fit, with
+    ``pca_out_dim`` only, is on the training set; training files that are
+    the eval files are the gallery, read and embedded once.
+    """
+    data = config.data
+    if config.mode == "particular":
+        if data is None:
+            raise ConfigError(
+                "particular-mode evaluation needs file-backed data with queries and ground truth"
+            )
+        if gt_path is None:
+            raise ConfigError("particular-mode evaluation needs --gt or data.ground_truth")
+        if data.eval_features is None or data.eval_labels is None:
+            raise ConfigError("particular-mode evaluation needs data.eval_features/eval_labels")
+        if data.query_features is None or data.query_labels is None:
+            raise ConfigError("particular-mode evaluation needs data.query_features/query_labels")
+    has_queries = data is not None and data.query_features is not None
+    if has_queries and data.query_labels is None:
+        raise ConfigError("data.query_features given without data.query_labels")
+    train = None
+    if data is None or data.eval_features is None:
+        train, held_out = _train_split(config)
+        gallery = held_out if held_out is not None else train
+    elif data.eval_labels is None:
+        raise ConfigError("data.eval_features given without data.eval_labels")
+    else:
+        gallery = _load_file_dataset(data.eval_features, data.eval_labels)
+    queries = _load_file_dataset(data.query_features, data.query_labels) if has_queries else None
+    if config.pca_out_dim is None:
+        return gallery, queries, None
+    if train is None:
+        train_files = (data.train_features, data.train_labels)
+        same = train_files == (data.eval_features, data.eval_labels)
+        train = gallery if same else _load_file_dataset(*train_files)
+    return gallery, queries, train
+
+
+def _eval_descriptors(config: RunConfig, head: EncoderHead, train, *datasets):
     """Unit descriptors of each dataset for retrieval, and the metrics' "pca".
 
     With ``pca_out_dim`` the descriptors are PCA projections of the head's
-    raw outputs, the PCA fitted on ``train``'s raw outputs (``fit_on`` names
-    them in the report); when ``train`` is one of ``datasets`` its outputs
-    are reused.
+    raw outputs, the PCA fitted on ``train``'s raw outputs; when ``train`` is
+    one of ``datasets`` its outputs are reused. The raw outputs are dropped
+    on return, before any scoring.
     """
     outputs = [forward(head, ds.features) for ds in datasets]
     if config.pca_out_dim is None:
@@ -194,100 +218,49 @@ def _eval_descriptors(config: RunConfig, head: EncoderHead, train, fit_on, *data
     if fit_rows is None:
         fit_rows = forward(head, train.features)[0]
     pca_model = pca_fit(fit_rows, config.pca_out_dim)
+    fit_on = {"category": "train-split embeddings before normalization",
+              "particular": "train-split embeddings"}[config.mode]
     pca_block = {"out_dim": config.pca_out_dim, "fit_on": fit_on}
     return [pca_transform_rows(pca_model, E) for E, _ in outputs], pca_block
 
 
-def _category_eval(config: RunConfig, head: EncoderHead, out_dir: Path) -> int:
-    data = config.data
-    has_queries = data is not None and data.query_features is not None
-    if has_queries and data.query_labels is None:
-        raise ConfigError("data.query_features given without data.query_labels")
-    train, eval_ds = _category_splits(config)
-    fit_on = "train-split embeddings before normalization"
-    if has_queries:
-        queries_ds = _load_file_dataset(data.query_features, data.query_labels)
-        (Z_eval, Z_q), pca_block = _eval_descriptors(
-            config, head, train, fit_on, eval_ds, queries_ds
-        )
-        retrieval = retrieve(RetrievalIndex(gallery=Z_eval), Z_q)
-    else:
-        queries_ds = eval_ds
-        (Z_eval,), pca_block = _eval_descriptors(config, head, train, fit_on, eval_ds)
-        retrieval = retrieve(RetrievalIndex(gallery=Z_eval), Z_eval, exclude_self=True)
-    recalls = recall_at_k(
-        retrieval, queries_ds.labels, config.eval_ks, gallery_labels=eval_ds.labels
-    )
-    metrics = {
-        "command": "eval",
-        "version": __version__,
-        "mode": "category",
-        "num_gallery": len(eval_ds),
-        "num_queries": len(queries_ds),
-        "pca": pca_block,
-        "recall": {str(k): v for k, v in recalls.items()},
-        "conventions": sk_io.CONVENTIONS,
-    }
-    sk_io.write_json_atomic(out_dir / "metrics.json", metrics)
-    return 0
-
-
-def _particular_eval(config: RunConfig, head: EncoderHead, args, out_dir: Path) -> int:
-    if config.data is None:
-        raise ConfigError(
-            "particular-mode evaluation needs file-backed data with queries and ground truth"
-        )
-    data = config.data
-    gt_path = args.gt if args.gt is not None else data.ground_truth
-    if gt_path is None:
-        raise ConfigError("particular-mode evaluation needs --gt or data.ground_truth")
-    if data.eval_features is None or data.eval_labels is None:
-        raise ConfigError("particular-mode evaluation needs data.eval_features/eval_labels")
-    if data.query_features is None or data.query_labels is None:
-        raise ConfigError("particular-mode evaluation needs data.query_features/query_labels")
-
-    gallery = _load_file_dataset(data.eval_features, data.eval_labels)
-    queries = _load_file_dataset(data.query_features, data.query_labels)
-    train = None
-    if config.pca_out_dim is not None:
-        train_files = (data.train_features, data.train_labels)
-        if train_files == (data.eval_features, data.eval_labels):
-            train = gallery  # read and embedded once, for retrieval and the fit
-        else:
-            train = _load_file_dataset(*train_files)
-    (Z_g, Z_q), pca_block = _eval_descriptors(
-        config, head, train, "train-split embeddings", gallery, queries
-    )
-    records = sk_io.read_ground_truth(gt_path, gallery_size=len(gallery))
-    no_record = QueryGroundTruth(easy=[], hard=[], junk=[])
-    ground_truths = [records.get(i, no_record) for i in range(len(queries))]
-    per_split = mean_average_precision(
-        retrieve(RetrievalIndex(gallery=Z_g), Z_q), ground_truths, ("medium", "hard")
-    )
-    maps = {split: value for split, (value, _) in per_split.items()}
-    skipped = {split: skip for split, (_, skip) in per_split.items()}
-    metrics = {
-        "command": "eval",
-        "version": __version__,
-        "mode": "particular",
-        "num_gallery": len(gallery),
-        "num_queries": len(queries),
-        "map": maps,
-        "skipped_queries": skipped,
-        "pca": pca_block,
-        "conventions": sk_io.CONVENTIONS,
-    }
-    sk_io.write_json_atomic(out_dir / "metrics.json", metrics)
-    return 0
-
-
 def cmd_eval(args) -> int:
-    config = _apply_overrides(load_run_config(args.config), args)
+    config = _load_config(args)
     head = _load_head(args.model)
     out_dir = Path(args.out_dir)
+    gt_path = args.gt if args.gt is not None or config.data is None else config.data.ground_truth
+    gallery, queries, train = _eval_datasets(config, gt_path)
+    datasets = [gallery] if queries is None else [gallery, queries]
+    descriptors, pca_block = _eval_descriptors(config, head, train, *datasets)
+    index = RetrievalIndex(gallery=descriptors[0])
+    metrics = {
+        "command": "eval",
+        "version": __version__,
+        "mode": config.mode,
+        "num_gallery": len(gallery),
+        "num_queries": len(datasets[-1]),
+        "pca": pca_block,
+        "conventions": sk_io.CONVENTIONS,
+    }
     if config.mode == "category":
-        return _category_eval(config, head, out_dir)
-    return _particular_eval(config, head, args, out_dir)
+        retrieval = retrieve(index, descriptors[-1], exclude_self=queries is None)
+        recalls = recall_at_k(
+            retrieval, datasets[-1].labels, config.eval_ks, gallery_labels=gallery.labels
+        )
+        metrics["recall"] = {str(k): v for k, v in recalls.items()}
+    else:
+        records = sk_io.read_ground_truth(gt_path, gallery_size=len(gallery))
+        no_record = QueryGroundTruth(easy=[], hard=[], junk=[])
+        ground_truths = [records.get(i, no_record) for i in range(len(queries))]
+        per_split = mean_average_precision(
+            retrieve(index, descriptors[1]), ground_truths, ("medium", "hard")
+        )
+        metrics.update(
+            map={split: value for split, (value, _) in per_split.items()},
+            skipped_queries={split: skip for split, (_, skip) in per_split.items()},
+        )
+    sk_io.write_json_atomic(out_dir / "metrics.json", metrics)
+    return 0
 
 
 def cmd_diagnose(args) -> int:
@@ -328,7 +301,7 @@ def cmd_diagnose(args) -> int:
     if args.gamma:
         if args.config is None:
             raise ConfigError("--gamma needs --config to define the training run")
-        config = load_run_config(args.config)
+        config = _load_config(args)
         _, trace = train_run(config, _train_split(config)[0])
         if trace.mean_gamma is None:
             raise NumericalError("no step yielded usable per-sample gradients")

@@ -269,6 +269,11 @@ def parse_run_config(raw: dict) -> RunConfig:
 
 def load_run_config(path) -> RunConfig:
     """Read and validate a JSON config file."""
+    return parse_run_config(_read_config(path))
+
+
+def _read_config(path) -> dict:
+    """The JSON object of a config file, not yet validated."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -280,7 +285,7 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must contain a JSON object")
-    return parse_run_config(raw)
+    return raw
 
 
 def dump_run_config(config: RunConfig) -> dict:

@@ -39,12 +39,15 @@ from one float64 product of its rows, as before the screen existed. No full
 ranking or queries x gallery score matrix is ever built, so memory is
 bounded by the block budget.
 
-Leave-one-out recall whose queries are the gallery itself scores each
-unordered pair once: ``_self_score_blocks`` gives each block's scores with
-itself and every later row only. The block counts them row-wise for its own
-queries and column-wise for the later ones, whose thresholds are all found
-before the first product; the bounds hold for any float32 evaluation of a
-dot product, so a transposed score is as good as its own.
+Recall has one driver for two block shapes. It finds every query's
+threshold before the first product. Leave-one-out queries that are the
+gallery's own array score each unordered pair once: ``_self_score_blocks``
+gives each block's scores with itself and every later row only, counted
+row-wise for the block's own queries and column-wise for the later ones (the
+bounds hold for any float32 evaluation of a dot product, so a transposed
+score is as good as its own). Other queries take the full rows of
+``score_blocks``, counted row-wise. Either way a query's own entry is -inf
+under ``exclude_self``, and a block falls back as above.
 
 The metrics are exact for exact scores, such as dot products of coarsely
 quantized rows. On general floats the float64 score of a pair comes either
@@ -326,20 +329,14 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
 
 
-def _float32_blocks(retrieval: Retrieval) -> Iterator[tuple[int, np.ndarray]]:
-    """``score_blocks`` of the float32 queries and gallery, each query's own
-    entry at -inf under ``exclude_self``. Queries that are the gallery's own
-    array share its float32 copy."""
+def _float32_copies(retrieval: Retrieval) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 copies of the queries and the gallery; queries that are the
+    gallery's own array share its copy."""
     with np.errstate(over="ignore"):
         gallery = retrieval.index.gallery.astype(np.float32)
         queries = retrieval.queries
         queries = gallery if queries is retrieval.index.gallery else queries.astype(np.float32)
-    for start, S32 in score_blocks(queries, gallery, SCORE_BLOCK_BYTES):
-        if retrieval.exclude_self:
-            rows = np.arange(S32.shape[0])
-            S32[rows, start + rows] = -np.inf
-        yield start, S32
-        del S32  # before the next block is scored, as the caller drops it too
+    return queries, gallery
 
 
 def _float64_block(retrieval: Retrieval, start: int, stop: int) -> np.ndarray:
@@ -558,74 +555,65 @@ def _dense_first_hits(retrieval, start, stop, query_labels, gallery_labels) -> n
     return _dense_ahead(S, found, best_cols[found], best[found]) + 1
 
 
-def _block_first_hits(retrieval, query_labels, gallery_labels, runs) -> list[np.ndarray]:
-    """First-hit ranks per block of ``_float32_blocks``: a block's float32
-    rows hold every item of its queries."""
-    first_hits = []
-    for start, S32 in _float32_blocks(retrieval):
-        r, m = S32.shape
-        stop = start + r
-        t = _Thresholds.none(r)
-        hits = None
-        if _block_thresholds(retrieval, start, stop, *runs, t):
-            ahead = _screened_ahead(retrieval, S32, 0, np.arange(start, stop), t,
-                                    _PER_PAIR_SHARE * r * m)
-            hits = None if ahead is None else (ahead + 1)[t.found]
-        if hits is None:
-            hits = _dense_first_hits(retrieval, start, stop, query_labels, gallery_labels)
-        first_hits.append(hits)
-        del S32
-    return first_hits
+def _first_hits(retrieval, query_labels, gallery_labels) -> list[np.ndarray]:
+    """First-hit ranks, per query block, of the queries that have a positive.
 
-
-def _self_first_hits(retrieval, labels, runs) -> list[np.ndarray]:
-    """First-hit ranks per block of the leave-one-out queries that are the
-    gallery itself, from ``_self_score_blocks`` of its float32 copy.
-
-    Every query's threshold is found first. A block's trapezoid then counts
-    its own queries row-wise, over the items from its first row on, and the
-    later queries column-wise, over its rows: the screen's bounds hold for
-    any float32 evaluation of a dot product, so a transposed entry is as
-    good as its own. A query's count is complete once its own block is done.
-    Blocks fall back as in ``_block_first_hits``; a block's band items are
-    counted as earlier blocks find them, and once they pass the share the
-    block stops collecting them and falls back.
+    Every query's threshold is found first. The blocks are the trapezoids of
+    ``_self_score_blocks`` for leave-one-out queries that are the gallery's
+    own array, whose later columns count the later queries column-wise as
+    each block passes, and otherwise the full rows of ``score_blocks``. A
+    block counts its own queries row-wise, or falls back to its float64
+    product when its positives or band items, those that earlier trapezoids
+    found included, are more than ``_PER_PAIR_SHARE`` of its pairs.
     """
-    gallery = retrieval.index.gallery
-    n = len(gallery)
-    spans = list(_row_spans(n, n, SCORE_BLOCK_BYTES))
+    n, m = retrieval.queries.shape[0], len(retrieval.index)
+    # A query's same-label items are one run of the gallery sorted by label,
+    # in ascending index (the sort is stable).
+    by_label = np.argsort(gallery_labels, kind="stable")
+    sorted_labels = gallery_labels[by_label]
+    run_start = np.searchsorted(sorted_labels, query_labels, "left")
+    run_size = np.searchsorted(sorted_labels, query_labels, "right") - run_start
+    runs = (by_label, run_start, run_size)
+    spans = list(_row_spans(n, m, SCORE_BLOCK_BYTES))
     thresholds = _Thresholds.none(n)
     screened = np.array([_block_thresholds(retrieval, start, stop, *runs, thresholds[start:stop])
                          for start, stop in spans])
     starts = np.array([start for start, _ in spans])
-    limit = _PER_PAIR_SHARE * np.diff(np.append(starts, n)) * n
+    limit = _PER_PAIR_SHARE * np.diff(np.append(starts, n)) * m
     band = np.zeros(len(spans), dtype=np.int64)
     ahead = np.zeros(n, dtype=np.int64)
+    trapezoid = retrieval.exclude_self and retrieval.queries is retrieval.index.gallery
+    queries, gallery = _float32_copies(retrieval)
+    if trapezoid:
+        blocks = _self_score_blocks(gallery, SCORE_BLOCK_BYTES)
+    else:
+        blocks = score_blocks(queries, gallery, SCORE_BLOCK_BYTES)
     first_hits = []
-    for b, (start, S32) in enumerate(_self_score_blocks(gallery.astype(np.float32),
-                                                         SCORE_BLOCK_BYTES)):
+    for b, (start, S32) in enumerate(blocks):
         r = S32.shape[0]
         stop = start + r
+        first = start if trapezoid else 0
         own = np.arange(r)
-        S32[own, own] = -np.inf
-        if screened[b + 1 :].any():
-            L, later, queries = S32[:, r:].T, thresholds[stop:], np.arange(stop, n)
-            top, counts = _band_counts(retrieval, L, start, queries, later)
+        if retrieval.exclude_self:
+            S32[own, start - first + own] = -np.inf
+        if trapezoid and screened[b + 1 :].any():
+            L, later, rows = S32[:, r:].T, thresholds[stop:], np.arange(stop, n)
+            top, counts = _band_counts(retrieval, L, start, rows, later)
             band[b + 1 :] += np.add.reduceat(counts, starts[b + 1 :] - stop)
             for c in np.flatnonzero(screened & (band > limit)):
                 screened[c] = False
                 lines = slice(spans[c][0] - stop, spans[c][1] - stop)
                 later.below[lines] = later.above[lines] = np.inf
                 counts[lines] = 0
-            ahead[stop:] += top + _band_ahead(retrieval, L, start, queries, later, counts)
+            ahead[stop:] += top + _band_ahead(retrieval, L, start, rows, later, counts)
             del L, top, counts
         hits = None
         if screened[b]:
             t = thresholds[start:stop]
-            count = _screened_ahead(retrieval, S32, start, start + own, t, limit[b] - band[b])
+            count = _screened_ahead(retrieval, S32, first, start + own, t, limit[b] - band[b])
             hits = None if count is None else (ahead[start:stop] + count + 1)[t.found]
         if hits is None:
-            hits = _dense_first_hits(retrieval, start, stop, labels, labels)
+            hits = _dense_first_hits(retrieval, start, stop, query_labels, gallery_labels)
         first_hits.append(hits)
         del S32
     return first_hits
@@ -663,9 +651,11 @@ def recall_at_k(
     the number of other items with a higher score, or an equal score and a
     lower index. Per block, the positives come from one sort of the gallery
     labels and are scored in row dots, a query's best one is the threshold,
-    and ``_screened_ahead`` counts the items ahead of it. Leave-one-out
-    queries that are the gallery itself score each unordered pair once
-    (``_self_first_hits``).
+    and ``_screened_ahead`` counts the items ahead of it. One driver
+    (``_first_hits``) takes the blocks in two shapes: the upper trapezoids of
+    ``_self_score_blocks`` for leave-one-out queries that are the gallery's
+    own array, each unordered pair scored once, and the full rows of
+    ``score_blocks`` for any other queries.
     """
     index = retrieval.index
     num_queries = retrieval.queries.shape[0]
@@ -684,17 +674,7 @@ def recall_at_k(
     depth = len(index) - int(retrieval.exclude_self)
     if ks[-1] > depth:
         raise ProtocolError(f"K={ks[-1]} exceeds usable ranking depth {depth}")
-    # A query's same-label items are one run of the gallery sorted by label,
-    # in ascending index (the sort is stable).
-    by_label = np.argsort(gallery_labels, kind="stable")
-    sorted_labels = gallery_labels[by_label]
-    run_start = np.searchsorted(sorted_labels, query_labels, "left")
-    run_size = np.searchsorted(sorted_labels, query_labels, "right") - run_start
-    runs = (by_label, run_start, run_size)
-    if retrieval.exclude_self and retrieval.queries is index.gallery:
-        first_hits = _self_first_hits(retrieval, query_labels, runs)
-    else:
-        first_hits = _block_first_hits(retrieval, query_labels, gallery_labels, runs)
+    first_hits = _first_hits(retrieval, query_labels, gallery_labels)
     return _recall_from_first_hits(
         np.concatenate(first_hits) if first_hits else np.zeros(0, np.int64),
         ks,
@@ -770,7 +750,7 @@ def mean_average_precision(
     threshold = np.isin(role, [code for positive, _ in roles.values() for code in positive])
     value = np.empty(items.size)
     ahead = np.zeros(items.size, dtype=np.int64)
-    for start, S32 in _float32_blocks(retrieval):
+    for start, S32 in score_blocks(*_float32_copies(retrieval), SCORE_BLOCK_BYTES):
         stop = start + S32.shape[0]
         block = slice(*np.searchsorted(query, [start, stop]))
         rows, cols, t = query[block] - start, items[block], threshold[block]

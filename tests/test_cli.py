@@ -20,6 +20,7 @@ from spherekit import (
     train_run,
 )
 from spherekit import io as sk_io
+from spherekit import cli
 from spherekit.cli import main
 from spherekit.io import write_features, write_ground_truth, write_labels
 
@@ -143,6 +144,19 @@ class TestTrain:
         meta = json.loads((out / "run.json").read_text())
         assert meta["config"]["seed"] == 99
 
+    @pytest.mark.parametrize("beta", [None, 0.4])
+    def test_mode_override_resolves_the_default_margin(self, tmp_path, beta):
+        # An absent beta takes the margin of the mode --mode sets; a given
+        # beta is kept.
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, **({} if beta is None else {"beta": beta}))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--mode", "particular",
+                     "--out-dir", str(out)]) == 0
+        config = json.loads((out / "run.json").read_text())["config"]
+        assert config["mode"] == "particular"
+        assert config["beta"] == (0.85 if beta is None else beta)
+
     def test_degenerate_batch_exits_three(self, tmp_path, capsys):
         v = [1.0, 0.5]
         w = [-0.5, 1.0]
@@ -235,9 +249,12 @@ class TestEval:
             assert 0.0 < value <= 1.0
         assert metrics["skipped_queries"] == {"medium": [], "hard": []}
 
-    def test_particular_pca_on_the_eval_files_reads_them_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("mode", ["category", "particular"])
+    def test_particular_pca_on_the_eval_files_reads_them_once(self, tmp_path, monkeypatch,
+                                                              mode):
         # Training files that are the eval files are read and embedded once,
-        # with the same metrics.json as copies of them under other names.
+        # with the same metrics.json as copies of them under other names, in
+        # either mode (a category eval of the query files: split-query recall).
         cfg_path = write_particular_setup(
             tmp_path,
             {
@@ -251,10 +268,14 @@ class TestEval:
         read_features = sk_io.read_features
         monkeypatch.setattr(sk_io, "read_features",
                             lambda path: reads.append(Path(path).name) or read_features(path))
+        embedded = []
+        forward = cli.forward
+        monkeypatch.setattr(cli, "forward",
+                            lambda head, X: embedded.append(len(X)) or forward(head, X))
         outputs = []
         for stem in ("gal", "copy"):
             cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
-            cfg["pca_out_dim"] = 3
+            cfg.update(mode=mode, pca_out_dim=3)
             cfg["data"].update(train_features=str(tmp_path / f"{stem}.emb"),
                                train_labels=str(tmp_path / f"{stem}.labels"))
             cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -263,7 +284,9 @@ class TestEval:
                          "--model", str(tmp_path / "head.json"), "--out-dir", str(out)]) == 0
             outputs.append((out / "metrics.json").read_bytes())
         assert reads == ["gal.emb", "q.emb", "gal.emb", "q.emb", "copy.emb"]
+        assert embedded == [8, 2, 8, 2, 8]
         assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["mode"] == mode
 
     def test_every_query_empty_under_hard_exits_two(self, tmp_path, capsys):
         cfg_path = write_particular_setup(
@@ -564,7 +587,8 @@ def eval_routes(monkeypatch, argv):
 
 
 class TestBlasThreadCount:
-    @pytest.mark.parametrize("case", ["category", "particular", "two_blocks", "routes"])
+    @pytest.mark.parametrize("case", ["category", "particular", "two_blocks", "routes",
+                                      "split"])
     def test_eval_metrics_identical_for_one_and_two_threads(self, tmp_path, monkeypatch, case):
         # Sizes above OpenBLAS's threading threshold, so two threads split
         # the score products; each subprocess gets its own thread count.
@@ -573,6 +597,9 @@ class TestBlasThreadCount:
         # 1,747 and 653. In "routes" a 300-row class gives the first block
         # more positives than the screen takes, so it falls back to its
         # float64 product, while the second block, of 10-row classes, is
+        # screened. "split" is a category eval of the 120 query rows against
+        # a 600-row gallery of 4-row classes: 480 positives, under the
+        # screen's share of the 120 x 600 block, so split-query recall is
         # screened.
         mode = "particular" if case == "particular" else "category"
         rng = np.random.default_rng(14)
@@ -586,6 +613,9 @@ class TestBlasThreadCount:
         elif case == "routes":
             labels = np.concatenate([np.zeros(300, np.int64), 1 + np.arange(2100) // 10])
             means = rng.standard_normal((211, 24))
+        elif case == "split":
+            labels = np.repeat(np.arange(150), 4)
+            means = rng.standard_normal((150, 24))
         write_features(tmp_path / "gal.emb",
                        means[labels] + rng.standard_normal((labels.size, 24)))
         write_labels(tmp_path / "gal.labels", labels)
@@ -606,25 +636,26 @@ class TestBlasThreadCount:
             "eval_features": str(tmp_path / "gal.emb"),
             "eval_labels": str(tmp_path / "gal.labels"),
         }
-        if mode == "particular":
+        if case in ("particular", "split"):
             data.update(query_features=str(tmp_path / "q.emb"),
-                        query_labels=str(tmp_path / "q.labels"),
-                        ground_truth=str(tmp_path / "gt.json"))
+                        query_labels=str(tmp_path / "q.labels"))
+        if mode == "particular":
+            data.update(ground_truth=str(tmp_path / "gt.json"))
         cfg = {"mode": mode, "iterations": 0, "seed": 0, "head": {"out_dim": 32},
                "eval_ks": [1, 2, 4, 8, 16], "pca_out_dim": 16, "data": data}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         argv = ["eval", "--config", str(cfg_path), "--model", str(tmp_path / "head.json")]
-        if case == "routes":
+        if case in ("routes", "split"):
             routes = eval_routes(monkeypatch, [*argv, "--out-dir", str(tmp_path / "in")])
-            assert routes == {"screened": 1, "fallback": 1}
+            assert routes == {"screened": 1, "fallback": int(case == "routes")}
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"eval-{threads}"
             run_cli_with_blas_threads(threads, *argv, "--out-dir", str(out))
             outputs.append((out / "metrics.json").read_bytes())
         assert outputs[0] == outputs[1]
-        if case == "routes":
+        if case in ("routes", "split"):
             assert outputs[0] == (tmp_path / "in" / "metrics.json").read_bytes()
 
     def test_diagnose_artifacts_identical_for_one_and_two_threads(self, tmp_path):

@@ -509,6 +509,33 @@ class TestBlockedRecall:
             recall_at_k(retrieve(index, Z[:2]), np.array([0, 0]), (1,),
                         gallery_labels=np.array([0, 0]))
 
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    def test_row_blocks_fall_back_while_others_are_screened(self, monkeypatch, exclude_self):
+        # Blocks of 6 queries against 12 gallery rows at a share of 1/8 take
+        # at most 9 positives or in-between items each. Block 0's queries
+        # share class 0 with gallery rows 0-5, 36 positives (30 with self
+        # excluded), so it falls back before any product; block 1's have 6
+        # and are screened. Under exclude_self the queries are the gallery
+        # rows doubled, off the unit sphere and not the gallery's array, so
+        # the full-row blocks must mask each query's own entry (score 2) on
+        # both routes.
+        rng = np.random.default_rng(98)
+        G = unit_rows(rng, 12, 8)
+        if exclude_self:
+            Q, labels = 2 * G, np.array([0] * 6 + [1, 1, 2, 2, 3, 3])
+        else:
+            Q, labels = unit_rows(rng, 12, 8), np.array([0] * 6 + [1, 2, 3, 4, 5, 6])
+        rankings = full_rankings(G, Q, exclude_self=exclude_self)
+        ks = range(1, 12)
+        expected = {k: recall_walk(rankings, labels, labels, k) for k in ks}
+        routes = screen_routes(monkeypatch)
+        monkeypatch.setattr(evaluation, "_PER_PAIR_SHARE", 1 / 8)
+        retrieval = retrieve(RetrievalIndex(gallery=G), Q, exclude_self=exclude_self)
+        assert retrieval.queries is not retrieval.index.gallery
+        with budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", 6, 12):
+            assert recall_at_k(retrieval, labels, ks, gallery_labels=labels) == expected
+        assert routes == {"screened": 1, "fallback": 1}
+
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(
         n=st.integers(2, 40),
