@@ -3,7 +3,14 @@
 Three instruments for judging an embedding beyond task metrics:
 
 * pairwise-similarity histograms for same-label vs different-label pairs,
-  plus their overlap (a separability score in [0, 1]);
+  plus their overlap (a separability score in [0, 1]). Rows of norm at most
+  1 + UNIT_ATOL are scored in float32 blocks, and a pair in a float64 row
+  dot only where its float32 score lies within the proven float32 error of
+  an interior bin edge; a block with more such pairs than the metrics'
+  per-pair share, and every block of other rows (a non-finite row, a larger
+  norm), is binned from its float64 product. A bin can differ from a
+  float64 product's only where a pair's row dot and product scores fall on
+  opposite sides of an edge, within a few ULPs of it;
 * the PCA energy profile of a descriptor set, summarized as the number of
   components needed to reach fixed energy thresholds (a dimensional-collapse
   gauge: fewer components for 90% energy means a flatter, more collapsed
@@ -19,6 +26,7 @@ Three instruments for judging an embedding beyond task metrics:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -26,7 +34,7 @@ import numpy as np
 
 from .errors import NumericalError, ShapeError
 from . import evaluation
-from .geometry import cumulative_energy, pca_fit
+from .geometry import UNIT_ATOL, cumulative_energy, pca_fit
 
 __all__ = [
     "ENERGY_THRESHOLDS",
@@ -79,6 +87,120 @@ class SimilarityHistogram:
         return self.bin_edges.shape[0] - 1
 
 
+@dataclass(frozen=True)
+class _EdgeScreen:
+    """Float32 bounds ``below < above`` around each interior edge of a
+    histogram (``evaluation._screen_thresholds``, the edges as centers and
+    the rows' largest norm standing for both norms of a pair). A pair's
+    float32 score ``>= above`` puts every float64 score of the pair above
+    the edge, and one ``<= below`` puts it below; a score strictly between
+    is undecided.
+
+    ``x = s * scale + scale`` puts edge k at k. An undecided score of edge
+    k has ``|x - k| < tol``: its distance to the edge times ``scale``, plus
+    the float32 rounding of x (at most ``4 * 2**-24 * scale``) and the
+    float64 edges' own rounding, well inside the ``2**-20 * scale`` that
+    ``tol`` adds. ``tol < 1/2`` makes k the integer nearest x, and keeps
+    each band within half a bin of its edge, so the bands are disjoint and
+    a decided score lies above exactly the edges whose ``above`` it reaches:
+    np.histogram over ``cuts`` (the ``above`` bounds, open at both ends)
+    bins it. The cuts count an undecided score of edge k in the bin below
+    k, and ``split`` takes it out again.
+    """
+
+    below: np.ndarray
+    above: np.ndarray
+    cuts: np.ndarray
+    scale: np.float32
+    tol: np.float32
+
+    @classmethod
+    def around(cls, Z, edges) -> "_EdgeScreen | None":
+        """The screen of ``edges`` for the pairs of rows of ``Z``, or None
+        when it cannot bound them: a non-finite row, a norm above 1 +
+        ``UNIT_ATOL``, or bands too wide (a large dim or many bins)."""
+        norm = math.sqrt(np.max(np.einsum("ij,ij->i", Z, Z)))
+        if not norm <= 1.0 + UNIT_ATOL:
+            return None
+        centers = edges[1:-1]
+        below, above = evaluation._screen_thresholds(norm, Z.shape[1], norm, centers)
+        scale = (edges.size - 1) / 2
+        tol = (max(np.max(above - centers), np.max(centers - below)) + 2.0**-20) * scale
+        if not tol < 0.5:  # NaN bounds fail too
+            return None
+        cuts = np.concatenate(([-np.inf], above, [np.inf])).astype(np.float32)
+        return cls(below, above, cuts, np.float32(scale), np.float32(tol))
+
+    def split(self, values):
+        """Per bin, the decided ones of float32 scores ``values``, and the
+        indices of the undecided ones."""
+        counts = np.histogram(values, self.cuts)[0]
+        x = values * self.scale
+        x += self.scale
+        k = np.rint(x)
+        with np.errstate(invalid="ignore"):  # a -inf score is near no edge
+            x -= k
+        near = np.flatnonzero(np.abs(x, out=x) < self.tol)
+        edge = k[near].astype(np.int64) - 1
+        inner = (0 <= edge) & (edge < self.above.size)
+        near, edge = near[inner], edge[inner]
+        score = values[near]
+        band = (score > self.below[edge]) & (score < self.above[edge])
+        near, edge = near[band], edge[band]
+        counts -= np.bincount(edge, minlength=counts.size)
+        return counts, near
+
+
+@dataclass(frozen=True)
+class _PairBins:
+    """Bins pairs of rows of ``Z`` by their float64 scores, from their
+    scores in a block: float64 scores as they are (no ``screen``), float32
+    ones through the ``screen``, rescoring the undecided pairs with row dots
+    of ``chunk`` values per operand."""
+
+    Z: np.ndarray
+    open_edges: np.ndarray
+    screen: _EdgeScreen | None
+    chunk: int
+
+    def pairs(self, rows, cols, values) -> np.ndarray:
+        """Bin counts of pairs ``(rows[i], cols[i])`` scored ``values``."""
+        if self.screen is None:
+            return np.histogram(values, self.open_edges)[0]
+        counts, undecided = self.screen.split(values)
+        return counts + self._rescored(rows[undecided], cols[undecided])
+
+    def block(self, start, S) -> np.ndarray | None:
+        """Bin counts of the pairs of the block ``S`` of ``_self_score_blocks``
+        at row ``start``, or None when more than ``_PER_PAIR_SHARE`` of its
+        entries are undecided.
+
+        Each row's own and earlier entries in the block's diagonal square go
+        to -inf, into the first bin, and are taken out of it again."""
+        r, width = S.shape
+        S[:, :r][np.tri(r, dtype=bool)] = -np.inf
+        counts = np.zeros(self.open_edges.size - 1, dtype=np.int64)
+        counts[0] -= r * (r + 1) // 2
+        if self.screen is None:
+            return counts + np.histogram(S, self.open_edges)[0]
+        limit = evaluation._PER_PAIR_SHARE * S.size
+        flat = S.reshape(-1)
+        undecided, total = [], 0
+        for i in range(0, flat.size, self.chunk):
+            decided, near = self.screen.split(flat[i : i + self.chunk])
+            counts += decided
+            total += near.size
+            if total > limit:
+                return None
+            undecided.append(near + i)
+        rows, cols = np.divmod(np.concatenate(undecided), width)
+        return counts + self._rescored(start + rows, start + cols)
+
+    def _rescored(self, rows, cols) -> np.ndarray:
+        scores = evaluation._row_dots(self.Z, rows, self.Z, cols, self.chunk)
+        return np.histogram(scores, self.open_edges)[0]
+
+
 def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
     """Histogram all unordered pairwise similarities, split by label match.
 
@@ -86,9 +208,24 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
     (``evaluation._self_score_blocks`` within ``evaluation.SCORE_BLOCK_BYTES``):
     a block holds its rows' pairs with every later row, so each unordered
     pair is scored once and memory stays bounded by the block, not by n^2.
-    Every pair of a block is binned in place; its same-label pairs are read
-    from it along label runs, a bounded chunk at a time, and binned again;
-    the different-label counts are the difference.
+    A block's pairs are binned a bounded chunk at a time; its same-label
+    pairs are read from it along label runs, a bounded chunk at a time, and
+    binned again; the different-label counts are the difference.
+
+    Rows of norm at most 1 + ``UNIT_ATOL`` are scored in float32 blocks of
+    the same rows, in half the bytes. A pair's float32 score decides its bin
+    unless it lies within the float32 error bound of an interior edge
+    (``_EdgeScreen``); only those undecided pairs are scored in float64, one
+    row dot each (``evaluation._row_dots``). A block whose undecided pairs
+    are more than ``evaluation._PER_PAIR_SHARE`` of its entries (most scores
+    on an edge, as with coarsely quantized rows) is binned from its float64
+    product instead, as is every block of rows the screen cannot bound (a
+    non-finite row, a larger norm). So every pair is binned by a float64
+    score, and a decided pair's bin is the one any float64 evaluation gives
+    it. A row dot and a product can differ in the last bits, so a pair's bin
+    can differ from that of a float64 product only when its row-dot and
+    product scores fall on opposite sides of an edge, within a few ULPs of
+    it.
     """
     Z = np.asarray(Z, dtype=np.float64)
     labels = np.asarray(labels)
@@ -115,8 +252,19 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
     run_end = np.searchsorted(labels[by_label], labels, "right")
     later = run_end - place - 1
     chunk = max(1, evaluation.SCORE_BLOCK_BYTES // 512)
-    for start, S in evaluation._self_score_blocks(Z, evaluation.SCORE_BLOCK_BYTES):
+    screened = _PairBins(Z, open_edges, _EdgeScreen.around(Z, edges), chunk)
+    dense = _PairBins(Z, open_edges, None, chunk)
+    X = Z if screened.screen is None else Z.astype(np.float32)
+    for start, S in evaluation._self_score_blocks(X, evaluation.SCORE_BLOCK_BYTES):
         r = S.shape[0]
+        bins = screened
+        counts = bins.block(start, S)
+        if counts is None:
+            del S
+            bins = dense
+            S = Z[start : start + r] @ Z[start:].T
+            counts = bins.block(start, S)
+        all_counts += counts
         sizes = later[start : start + r]
         ends = np.cumsum(sizes)
         a = 0
@@ -125,13 +273,8 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
             b = max(a + 1, int(np.searchsorted(ends, ends[a] - sizes[a] + chunk, "right")))
             rows = np.repeat(np.arange(a, b), sizes[a:b])
             cols = by_label[evaluation._ranges(place[start + a : start + b] + 1, sizes[a:b])]
-            pos_counts += np.histogram(S[rows, cols - start], bins=open_edges)[0]
+            pos_counts += bins.pairs(start + rows, cols, S[rows, cols - start])
             a = b
-        # Each row's own and earlier entries in the block's diagonal square
-        # go to -inf, into the first bin, and are taken out of it again.
-        S[:, :r][np.tri(r, dtype=bool)] = -np.inf
-        all_counts += np.histogram(S, bins=open_edges)[0]
-        all_counts[0] -= r * (r + 1) // 2
     return SimilarityHistogram(
         bin_edges=edges, positive_counts=pos_counts, negative_counts=all_counts - pos_counts
     )

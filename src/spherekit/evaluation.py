@@ -284,9 +284,12 @@ def _screen_thresholds(z_norm, d: int, norm_bound: float, centers):
     ``center + slack`` one ulp up and rounded up, so ``s32 <= below`` gives
     ``s64 <= s32 + slack < center`` and ``s32 >= above`` gives ``s64 >= s32 -
     slack > center``. Both are strict, so an item decided either way never
-    ties the center. ``centers`` is a scalar or one value per row. Rows
-    outside the proven range (a norm above 2**60, or ``d`` above 2**22) get
-    NaN bounds, which decide nothing.
+    ties the center. ``z_norm`` and ``centers`` broadcast: the metrics pass
+    one norm and one center per row (or a scalar center), and
+    ``diagnostics.similarity_histograms`` one scalar norm, the largest of its
+    rows' (so it also bounds ``||m||``), with one center per interior bin
+    edge. Rows outside the proven range (a norm above 2**60, or ``d`` above
+    2**22) get NaN bounds, which decide nothing.
     """
     slack = (2 * d + 8) * (_U32 * z_norm * norm_bound + _ETA32 * (z_norm + norm_bound + 1.0))
     with np.errstate(over="ignore", invalid="ignore"):

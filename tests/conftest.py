@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 
-from spherekit import evaluation
+from spherekit import diagnostics, evaluation
 
 FD_STEP = 1e-6
 FD_RTOL = 1e-4
@@ -74,6 +74,28 @@ def screen_routes(monkeypatch):
         return fallback(*args)
     monkeypatch.setattr(evaluation, "_screened_ahead", screened)
     monkeypatch.setattr(evaluation, "_float64_block", fell_back)
+    return routes
+
+
+def histogram_routes(monkeypatch):
+    """Count the blocks of ``similarity_histograms`` the float32 edge screen
+    binned, those it handed back to their float64 product, the float64
+    blocks binned as they are (a fallback's included), and the pairs scored
+    in float64 row dots."""
+    routes = {"screened": 0, "fallback": 0, "float64": 0, "rescored": 0}
+    block, row_dots = diagnostics._PairBins.block, evaluation._row_dots
+
+    def counted_block(bins, *args):
+        counts = block(bins, *args)
+        route = "float64" if bins.screen is None else "fallback" if counts is None else "screened"
+        routes[route] += 1
+        return counts
+
+    def counted_dots(A, rows, *args):
+        routes["rescored"] += rows.size
+        return row_dots(A, rows, *args)
+    monkeypatch.setattr(diagnostics._PairBins, "block", counted_block)
+    monkeypatch.setattr(evaluation, "_row_dots", counted_dots)
     return routes
 
 

@@ -24,7 +24,7 @@ from spherekit import cli
 from spherekit.cli import main
 from spherekit.io import write_features, write_ground_truth, write_labels
 
-from conftest import screen_routes
+from conftest import histogram_routes, screen_routes
 
 
 def write_config(path, **overrides):
@@ -658,28 +658,46 @@ class TestBlasThreadCount:
         if case in ("routes", "split"):
             assert outputs[0] == (tmp_path / "in" / "metrics.json").read_bytes()
 
-    def test_diagnose_artifacts_identical_for_one_and_two_threads(self, tmp_path):
+    def test_diagnose_artifacts_identical_for_one_and_two_threads(self, tmp_path, monkeypatch):
         # The 2,400-row gallery scores its pairs in two blocks of its product
         # with itself, of 1,747 and 653 rows, both above OpenBLAS's threading
-        # threshold, so two threads split them.
+        # threshold, so two threads split them. Blob rows through a random
+        # head are screened in both blocks. In "routes" the head copies the
+        # features into its first 24 outputs, and the first 300 rows are
+        # signed axes: most of their pairs score exactly 0, a bin edge, so
+        # the first block falls back to its float64 product, while the
+        # second, of blob rows, is screened.
         rng = np.random.default_rng(15)
         labels = np.repeat(np.arange(60), 40)
         assert spherekit.evaluation.SCORE_BLOCK_BYTES // (8 * labels.size) < labels.size
         means = rng.standard_normal((60, 24))
-        write_features(tmp_path / "gal.emb", means[labels] + rng.standard_normal((labels.size, 24)))
+        features = means[labels] + rng.standard_normal((labels.size, 24))
         write_labels(tmp_path / "gal.labels", labels)
-        write_head(tmp_path / "head.json", in_dim=24, out_dim=32)
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"diagnose-{threads}"
-            run_cli_with_blas_threads(threads, "diagnose", "--model", str(tmp_path / "head.json"),
-                                      "--features", str(tmp_path / "gal.emb"),
-                                      "--labels", str(tmp_path / "gal.labels"),
-                                      "--out-dir", str(out))
-            outputs.append({name: (out / name).read_bytes()
-                            for name in ("hist.csv", "energy.csv", "summary.json")})
-        for name in outputs[0]:
-            assert outputs[0][name] == outputs[1][name], name
+        names = ("hist.csv", "energy.csv", "summary.json")
+        routes = histogram_routes(monkeypatch)
+        for case, expected in (("blobs", (2, 0)), ("routes", (1, 1))):
+            head = tmp_path / f"head-{case}.json"
+            if case == "routes":
+                features[:300] = np.eye(24)[rng.integers(0, 24, size=300)] * rng.choice(
+                    [-1.0, 1.0], size=(300, 1))
+                identity = EncoderHead([(np.eye(32, 24), np.zeros(32))])
+                head.write_text(json.dumps({"head": identity.to_dict()}), encoding="utf-8")
+            else:
+                write_head(head, in_dim=24, out_dim=32)
+            gallery = tmp_path / f"gal-{case}.emb"
+            write_features(gallery, features)
+            argv = ["diagnose", "--model", str(head), "--features", str(gallery),
+                    "--labels", str(tmp_path / "gal.labels")]
+            routes.update(dict.fromkeys(routes, 0))
+            assert main([*argv, "--out-dir", str(tmp_path / f"{case}-in")]) == 0
+            assert (routes["screened"], routes["fallback"]) == expected, case
+            outputs = [{name: (tmp_path / f"{case}-in" / name).read_bytes() for name in names}]
+            for threads in ("1", "2"):
+                out = tmp_path / f"{case}-{threads}"
+                run_cli_with_blas_threads(threads, *argv, "--out-dir", str(out))
+                outputs.append({name: (out / name).read_bytes() for name in names})
+            for name in names:
+                assert outputs[0][name] == outputs[1][name] == outputs[2][name], (case, name)
 
     @pytest.mark.parametrize("case", ["category", "particular", "screened"])
     def test_train_artifacts_identical_for_one_and_two_threads(self, tmp_path, monkeypatch,

@@ -9,6 +9,8 @@ trace, which for unit rows is n(1 - |mean|^2)/(n-1).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spherekit import (
@@ -22,7 +24,13 @@ from spherekit import (
 from spherekit import evaluation
 from spherekit.errors import ShapeError
 
-from conftest import budget_for_rows, quantized_unit_rows, unit_rows
+from conftest import (
+    budget_for_rows,
+    histogram_routes,
+    quantized_unit_rows,
+    rows_at_similarity,
+    unit_rows,
+)
 
 
 def hist(pos_counts, neg_counts):
@@ -130,6 +138,134 @@ class TestSimilarityHistograms:
             similarity_histograms(Z, np.zeros(3, dtype=np.int64))
         with pytest.raises(ShapeError):
             similarity_histograms(Z, np.zeros(4, dtype=np.int64), num_bins=1)
+
+
+def assert_dense_counts(got, Z, labels, num_bins):
+    """``got`` equals np.histogram of the upper triangle of the full float64
+    product, split by label match."""
+    iu = np.triu_indices(len(Z), k=1)
+    scores = (Z @ Z.T)[iu]
+    same = labels[iu[0]] == labels[iu[1]]
+    edges = np.linspace(-1.0, 1.0, num_bins + 1)
+    edges[0], edges[-1] = -np.inf, np.inf
+    assert_array_equal(got.positive_counts, np.histogram(scores[same], edges)[0])
+    assert_array_equal(got.negative_counts, np.histogram(scores[~same], edges)[0])
+
+
+def rows_near_edges(rng, Z, rows, edges):
+    """Replace ``Z[rows]`` by rows that each score within 1e-9 of a random
+    interior edge with a random earlier row; returns those earlier rows."""
+    anchors = np.array([rng.integers(0, row) for row in rows], dtype=np.int64)
+    targets = edges[rng.integers(1, edges.size - 1, size=rows.size)]
+    targets += rng.uniform(-1e-9, 1e-9, size=rows.size)
+    Z[rows] = rows_at_similarity(rng, Z[anchors], targets)
+    return anchors
+
+
+def signed_axes(rng, n, d):
+    """n rows of +-1 on one random axis each: pairs score exactly 0 or +-1."""
+    return np.eye(d)[rng.integers(0, d, size=n)] * rng.choice([-1.0, 1.0], size=(n, 1))
+
+
+class TestHistogramScreen:
+    """Histograms binned from float32 blocks equal the dense float64 ones."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.integers(2, 60),
+        d=st.sampled_from([2, 16, 128]),
+        num_bins=st.sampled_from([2, 7, 8, 50]),
+        near_edges=st.floats(0.0, 1.0),
+        on_axes=st.floats(0.0, 1.0),
+        norm=st.sampled_from([1.0, 3.0]),
+        rows=st.sampled_from([2, 3, 7, None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_float64(self, n, d, num_bins, near_edges, on_axes, norm, rows,
+                                   seed):
+        # Random rows, some within 1e-9 of an edge with an earlier row (the
+        # screen cannot decide them), some on signed axes (scores exactly on
+        # the edge 0 of an even bin count); at norm 3 no row is on the sphere.
+        rng = np.random.default_rng(seed)
+        Z = unit_rows(rng, n, d)
+        labels = rng.integers(0, 4, size=n)
+        near = 1 + np.flatnonzero(rng.random(n - 1) < near_edges)
+        rows_near_edges(rng, Z, near, np.linspace(-1.0, 1.0, num_bins + 1))
+        axes = rng.random(n) < on_axes
+        Z[axes] = signed_axes(rng, int(axes.sum()), d)
+        Z *= norm
+        with budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", rows, n):
+            got = similarity_histograms(Z, labels, num_bins=num_bins)
+        assert_dense_counts(got, Z, labels, num_bins)
+
+    @pytest.mark.parametrize("num_bins", [50, 7])
+    @pytest.mark.parametrize("rows", [64, None])
+    def test_random_rows_are_screened(self, monkeypatch, num_bins, rows):
+        rng = np.random.default_rng(92)
+        Z = unit_rows(rng, 300, 128)
+        labels = rng.integers(0, 10, size=300)
+        routes = histogram_routes(monkeypatch)
+        with budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", rows, 300):
+            got = similarity_histograms(Z, labels, num_bins=num_bins)
+        assert_dense_counts(got, Z, labels, num_bins)
+        assert routes["screened"] == (1 if rows is None else 5)
+        assert routes["fallback"] == routes["float64"] == 0
+
+    @pytest.mark.parametrize("num_bins", [50, 7])
+    def test_pairs_near_an_edge_are_rescored(self, monkeypatch, num_bins):
+        # 40 rows score within 1e-9 of an interior edge with an earlier row
+        # of their label, far inside the screen's slack (about 1.6e-5 at d
+        # 128), so both the all-pairs and the same-label pass score them in
+        # row dots.
+        rng = np.random.default_rng(93)
+        Z = unit_rows(rng, 400, 128)
+        labels = rng.integers(0, 10, size=400)
+        near = np.arange(360, 400)
+        anchors = rows_near_edges(rng, Z, near, np.linspace(-1.0, 1.0, num_bins + 1))
+        labels[near] = labels[anchors]
+        routes = histogram_routes(monkeypatch)
+        got = similarity_histograms(Z, labels, num_bins=num_bins)
+        assert_dense_counts(got, Z, labels, num_bins)
+        assert routes["screened"] == 1 and routes["fallback"] == routes["float64"] == 0
+        assert routes["rescored"] >= 2 * near.size
+
+    @pytest.mark.parametrize("kind", ["orthogonal", "quantized"])
+    def test_blocks_of_scores_on_edges_fall_back(self, monkeypatch, kind):
+        # Most pairs of the first 100 rows score exactly on an interior edge:
+        # signed axes score 0 (an edge of 50 bins), quantized rows multiples
+        # of 1/16 (8 bins have edges at multiples of 1/4). Their block falls
+        # back to its float64 product; the blocks of the 200 random rows
+        # after them are screened.
+        rng = np.random.default_rng(94)
+        if kind == "orthogonal":
+            first, num_bins = signed_axes(rng, 100, 16), 50
+        else:
+            first, num_bins = quantized_unit_rows(rng, 100, 16, pool_size=6), 8
+        Z = np.concatenate([first, unit_rows(rng, 200, 16)])
+        labels = rng.integers(0, 10, size=300)
+        routes = histogram_routes(monkeypatch)
+        with budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", 100, 300):
+            got = similarity_histograms(Z, labels, num_bins=num_bins)
+        assert_dense_counts(got, Z, labels, num_bins)
+        assert routes == {"screened": 2, "fallback": 1, "float64": 1,
+                          "rescored": routes["rescored"]}
+
+    @pytest.mark.parametrize("kind", ["norm-3", "nan-row"])
+    def test_rows_the_screen_cannot_bound_take_float64_blocks(self, monkeypatch, kind):
+        # np.histogram drops NaN scores, so pairs of a NaN row land in no bin.
+        rng = np.random.default_rng(95)
+        Z = unit_rows(rng, 120, 16)
+        if kind == "norm-3":
+            Z *= 3.0
+        else:
+            Z[7, 3] = np.nan
+        labels = rng.integers(0, 5, size=120)
+        routes = histogram_routes(monkeypatch)
+        got = similarity_histograms(Z, labels, num_bins=50)
+        assert_dense_counts(got, Z, labels, 50)
+        assert routes == {"screened": 0, "fallback": 0, "float64": 1, "rescored": 0}
+        total = got.positive_counts.sum() + got.negative_counts.sum()
+        assert total == (120 * 119 if kind == "norm-3" else 119 * 118) // 2
 
 
 class TestHistogramOverlap:

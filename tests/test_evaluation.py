@@ -797,14 +797,16 @@ class TestBlockBudgetBoundsMemory:
     @pytest.mark.parametrize("caller", [
         "recall", "map", "histograms", "mining",
         "recall-d128", "map-d128", "recall-collapsed", "map-collapsed",
-        "histograms-one-label",
+        "histograms-one-label", "histograms-d128", "histograms-collapsed",
     ])
     def test_peak_stays_under_five_budgets(self, caller):
         # A full 4,000 x 4,000 score matrix would be 122 budgets. At d 128 the
         # gathered positive rows would be 9 budgets if they were not chunked.
         # In a collapsed gallery every row is within a few ULPs of one
-        # direction, so every item is in between and each block falls back.
-        # With one label every pair is a same-label pair of the histogram.
+        # direction, so every item is in between and each block falls back;
+        # the histogram's pairs score about +1, past its last interior edge,
+        # so its float32 screen decides them. At d 128 the histogram's
+        # float32 copy of the rows is 2 budgets. With one label every pair is a same-label pair of the histogram.
         caller, _, gallery = caller.partition("-")
         rng = np.random.default_rng(94)
         if gallery == "collapsed":

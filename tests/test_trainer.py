@@ -23,11 +23,13 @@ from spherekit import (
     OptimizerState,
     RunConfig,
     SamplingError,
+    SimilarityHistogram,
     SyntheticSpec,
     TupleSample,
     adamw_step,
     build_synthetic_dataset,
     forward,
+    histogram_overlap,
     make_synthetic,
     make_synthetic_grids,
     mine_hard_negatives,
@@ -627,6 +629,26 @@ class TestTrainRun:
         for snap in trace.snapshots:
             assert snap.components_for_90 >= 1
             assert 0.0 <= snap.overlap <= 1.0
+
+    def test_snapshot_overlap_is_the_dense_histograms(self):
+        # The last snapshot follows the last step, so it bins the pairs of
+        # the head the run returns: its overlap is that of np.histogram over
+        # the upper triangle of their full float64 product.
+        ds = tiny_dataset(num_classes=20, per_class=10, dim=16)
+        model, trace = train_run(
+            tiny_config(iterations=6, snapshot_every=3, head=HeadSpec(out_dim=16, hidden=None)),
+            dataset=ds,
+        )
+        Z = forward(model.head, ds.features)[1]
+        iu = np.triu_indices(len(Z), k=1)
+        scores = (Z @ Z.T)[iu]
+        same = ds.labels[iu[0]] == ds.labels[iu[1]]
+        edges = np.linspace(-1.0, 1.0, 51)
+        open_edges = np.concatenate([[-np.inf], edges[1:-1], [np.inf]])
+        dense = SimilarityHistogram(edges, np.histogram(scores[same], open_edges)[0],
+                                    np.histogram(scores[~same], open_edges)[0])
+        assert [s.step for s in trace.snapshots] == [2, 5]
+        assert trace.snapshots[-1].overlap == histogram_overlap(dense)
 
     def test_synthetic_config_without_dataset(self):
         config = tiny_config(
