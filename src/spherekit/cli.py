@@ -24,7 +24,7 @@ from .diagnostics import (
     similarity_histograms,
     histogram_overlap,
 )
-from .errors import ConfigError, FormatError, NumericalError, ToolkitError
+from .errors import ConfigError, FormatError, NumericalError, ProtocolError, ToolkitError
 from .evaluation import (
     QueryGroundTruth,
     RetrievalIndex,
@@ -250,6 +250,12 @@ def cmd_eval(args) -> int:
         metrics["recall"] = {str(k): v for k, v in recalls.items()}
     else:
         records = sk_io.read_ground_truth(gt_path, gallery_size=len(gallery))
+        last = max(records, default=-1)
+        if last >= len(queries):
+            raise ProtocolError(
+                f"ground truth has a record for query {last}, but the query file"
+                f" has {len(queries)} queries"
+            )
         no_record = QueryGroundTruth(easy=[], hard=[], junk=[])
         ground_truths = [records.get(i, no_record) for i in range(len(queries))]
         per_split = mean_average_precision(

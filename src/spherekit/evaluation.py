@@ -31,13 +31,15 @@ and compared exactly, ties going to the lower gallery index. Recall, with
 one threshold per query, counts a block's items with two compares; mAP
 sorts each float32 row once and places every threshold by binary search.
 mAP scores its junk items in row dots too, to take them out of the counts.
-When a block's
-thresholds or in-between items are more than ``_PER_PAIR_SHARE`` of its
-pairs (a collapsed gallery, positives ranked far down), row dots would cost
-more than a product, so that block takes every score, thresholds included,
-from one float64 product of its rows, as before the screen existed. No full
-ranking or queries x gallery score matrix is ever built, so memory is
-bounded by the block budget.
+Both refine their in-between items through one function (``_band_ahead``).
+A block whose thresholds or in-between items are more than
+``_PER_PAIR_SHARE`` of its pairs (a collapsed gallery, positives ranked far
+down), where row dots would cost more than a product, or one with a bound
+outside the screen's proven range (a query norm above 2**60 or a dim above
+2**22), takes every score, thresholds included, from one float64 product of
+its rows, as before the screen existed. So a block is either screened and
+counted or scored by its product. No full ranking or queries x gallery
+score matrix is ever built, so memory is bounded by the block budget.
 
 Recall has one driver for two block shapes. It finds every query's
 threshold before the first product. Leave-one-out queries that are the
@@ -289,7 +291,11 @@ def _screen_thresholds(z_norm, d: int, norm_bound: float, centers):
     ``diagnostics.similarity_histograms`` one scalar norm, the largest of its
     rows' (so it also bounds ``||m||``), with one center per interior bin
     edge. Rows outside the proven range (a norm above 2**60, or ``d`` above
-    2**22) get NaN bounds, which decide nothing.
+    2**22) get NaN bounds, which decide nothing. The metrics then score the
+    whole block by its float64 product (``_block_thresholds``,
+    ``_ranked_ahead``), ``diagnostics._EdgeScreen.around`` returns None, and
+    the loss (``objective._memory_pairs``) treats every pair of such a row
+    as passed.
     """
     slack = (2 * d + 8) * (_U32 * z_norm * norm_bound + _ETA32 * (z_norm + norm_bound + 1.0))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -399,7 +405,7 @@ class _Thresholds:
 
     @property
     def found(self) -> np.ndarray:
-        """Which queries have a threshold (NaN bounds included)."""
+        """Which queries have a threshold."""
         return self.above != np.inf
 
 
@@ -409,71 +415,55 @@ def _row_counts(mask: np.ndarray) -> np.ndarray:
     return mask.view(np.int8).sum(axis=1, dtype=np.int32)
 
 
-def _band_counts(retrieval, L, first, queries, t: _Thresholds):
+def _band_counts(L, t: _Thresholds):
     """Per line of float32 scores ``L``: the items at or above its
     ``above``, and the items in its band, strictly between ``below`` and
-    ``above``; two compares over ``L``.
-
-    Line i holds the scores of query ``queries[i]`` and gallery items
-    ``first, first + 1, ...``; under ``exclude_self`` a query's own entry
-    must be -inf. A line with NaN bounds has every item but its own in its
-    band.
-    """
-    width = L.shape[1]
+    ``above``; two compares over ``L``. Under ``exclude_self`` a query's
+    own entry must be -inf."""
     top = _row_counts(L >= t.above[:, None])
-    band = _row_counts(L > t.below[:, None]) - top
-    unproven = np.isnan(t.below)
-    if unproven.any():
-        q = queries[unproven]
-        band[unproven] = width - (retrieval.exclude_self & (first <= q) & (q < first + width))
-    return top, band
+    return top, _row_counts(L > t.below[:, None]) - top
 
 
-def _band_ahead(retrieval, L, first, queries, t: _Thresholds, band):
-    """Per line of ``L`` (as in ``_band_counts``, ``band`` its band sizes):
-    the band items ahead of its threshold, scored in float64 and compared
-    exactly, ties going to the lower gallery index.
+def _band_ahead(retrieval, L, lines, first, queries, t: _Thresholds, band):
+    """Per threshold i of ``t``, on line ``lines[i]`` of ``L`` (``band[i]``
+    its band size): the band items ahead of it, scored in float64 and
+    compared exactly, ties going to the lower gallery index.
 
-    A proven threshold's own item lies inside its band (the float32 and
-    float64 scores are within the slack), so a line whose band holds only
-    that item needs no work. The other lines are gathered an eighth of
-    ``L`` at a time.
+    A line holds the scores of gallery items ``first, first + 1, ...``, and
+    threshold i is one of query ``queries[i]``. A threshold's own item lies
+    inside its band (the float32 and float64 scores are within the slack),
+    so a threshold whose band holds only that item needs no work. The other
+    thresholds' lines are gathered an eighth of ``L`` at a time.
     """
     width = L.shape[1]
-    ahead = np.zeros(L.shape[0], dtype=np.int64)
+    ahead = np.zeros(lines.size, dtype=np.int64)
     own = (first <= t.item) & (t.item < first + width)
-    lines = np.flatnonzero(band > own)
+    refine = np.flatnonzero(band > own)
     step = max(1, L.shape[0] // 8)
-    for start in range(0, lines.size, step):
-        rows = lines[start : start + step]
-        R = L[rows]
-        between = (R > t.below[rows, None]) & (R < t.above[rows, None])
-        unproven = np.flatnonzero(np.isnan(t.below[rows]))
-        between[unproven] = True
-        if retrieval.exclude_self:
-            self_cols = queries[rows[unproven]] - first
-            inside = (0 <= self_cols) & (self_cols < width)
-            between[unproven[inside], self_cols[inside]] = False
+    for start in range(0, refine.size, step):
+        chunk = refine[start : start + step]
+        R = L[lines[chunk]]
+        between = (R > t.below[chunk, None]) & (R < t.above[chunk, None])
         at, cols = np.divmod(np.flatnonzero(between), width)
         del R, between
-        line, items = rows[at], first + cols
-        scores = _query_dots(retrieval, queries[line], items)
-        v = t.value[line]
-        later = (scores > v) | ((scores == v) & (items < t.item[line]))
-        ahead += np.bincount(line[later], minlength=L.shape[0])
+        which, items = chunk[at], first + cols
+        scores = _query_dots(retrieval, queries[which], items)
+        v = t.value[which]
+        later = (scores > v) | ((scores == v) & (items < t.item[which]))
+        ahead += np.bincount(which[later], minlength=lines.size)
     return ahead
 
 
 def _screened_ahead(retrieval, L, first, queries, t: _Thresholds, limit):
     """``_dense_ahead`` of the float64 scores behind the float32 lines ``L``
-    (as in ``_band_counts``), for one threshold per line: the items at or
+    (as in ``_band_ahead``), for one threshold per line: the items at or
     above ``above`` plus the band items ahead of it (``_band_ahead``).
     Returns None when the band items are more than ``limit``.
     """
-    top, band = _band_counts(retrieval, L, first, queries, t)
+    top, band = _band_counts(L, t)
     if band.sum() > limit:
         return None
-    return top + _band_ahead(retrieval, L, first, queries, t, band)
+    return top + _band_ahead(retrieval, L, np.arange(L.shape[0]), first, queries, t, band)
 
 
 def _ranked_ahead(retrieval, start, S32, rows, items, values):
@@ -482,13 +472,15 @@ def _ranked_ahead(retrieval, start, S32, rows, items, values):
 
     Each row of ``S32`` is sorted once; a threshold's items at or above
     ``above`` and in its band (strictly between ``below`` and ``above``) are
-    then two binary searches. Only thresholds whose band holds an item
-    besides their own score its items in float64 (all of the row's items
-    under NaN bounds). Returns None when those items are more than
+    then two binary searches, and ``_band_ahead`` refines the bands. Returns
+    None when a bound is unproven (NaN), or when the band items of
+    thresholds whose band holds an item besides their own are more than
     ``_PER_PAIR_SHARE`` of the block's pairs.
     """
     r, m = S32.shape
     below, above = _query_bounds(retrieval, start, r, rows, values)
+    if np.isnan(below).any():
+        return None
     ranked = np.sort(S32, axis=1)
     band_from = np.empty(rows.size, dtype=np.int64)
     band_to = np.empty(rows.size, dtype=np.int64)
@@ -497,22 +489,11 @@ def _ranked_ahead(retrieval, start, S32, rows, items, values):
         band_from[a:b] = np.searchsorted(ranked[q], below[a:b], "right")
         band_to[a:b] = np.searchsorted(ranked[q], above[a:b], "left")
     del ranked
-    unproven = np.isnan(below)
-    band_from[unproven], band_to[unproven] = 0, m
-    # A proven threshold's own item lies inside its band (the float32 and
-    # float64 scores are within the slack), so a band of one needs no work.
-    refine = np.flatnonzero(band_to - band_from > 1)
-    if np.sum(band_to[refine] - band_from[refine]) > _PER_PAIR_SHARE * r * m:
+    band = band_to - band_from
+    if np.sum(band[band > 1]) > _PER_PAIR_SHARE * r * m:
         return None
-    ahead = m - band_to
-    for t in refine:
-        row = S32[rows[t]]
-        cols = (np.arange(m) if unproven[t]
-                else np.flatnonzero((row > below[t]) & (row < above[t])))
-        scores = _query_dots(retrieval, np.full(cols.size, start + rows[t]), cols)
-        v = values[t]
-        ahead[t] += np.count_nonzero((scores > v) | ((scores == v) & (cols < items[t])))
-    return ahead
+    t = _Thresholds(values, items, below, above)
+    return m - band_to + _band_ahead(retrieval, S32, rows, 0, start + rows, t, band)
 
 
 def _block_thresholds(retrieval, start, stop, by_label, run_start, run_size, out) -> bool:
@@ -521,7 +502,8 @@ def _block_thresholds(retrieval, start, stop, by_label, run_start, run_size, out
     highest row-dot score, lowest index among equals. A query's positives
     are its run of the gallery sorted by label (``by_label``, ``run_start``,
     ``run_size``). Returns False, filling nothing, when the positives are
-    more than ``_PER_PAIR_SHARE`` of the block's pairs.
+    more than ``_PER_PAIR_SHARE`` of the block's pairs, or when a bound is
+    unproven (NaN, ``_screen_thresholds``).
     """
     r, m = stop - start, len(retrieval.index)
     sizes = run_size[start:stop]
@@ -535,10 +517,13 @@ def _block_thresholds(retrieval, start, stop, by_label, run_start, run_size, out
     scores = _query_dots(retrieval, start + owner, cols)
     rows, first = np.unique(owner, return_index=True)
     best = np.maximum.reduceat(scores, first)
+    below, above = _query_bounds(retrieval, start, r, rows, best)
+    if np.isnan(below).any():
+        return False
     tied = scores == np.repeat(best, np.diff(first, append=owner.size))
     out.value[rows] = best
     out.item[rows] = np.minimum.reduceat(np.where(tied, cols, m), first)
-    out.below[rows], out.above[rows] = _query_bounds(retrieval, start, r, rows, best)
+    out.below[rows], out.above[rows] = below, above
     return True
 
 
@@ -566,8 +551,9 @@ def _first_hits(retrieval, query_labels, gallery_labels) -> list[np.ndarray]:
     own array, whose later columns count the later queries column-wise as
     each block passes, and otherwise the full rows of ``score_blocks``. A
     block counts its own queries row-wise, or falls back to its float64
-    product when its positives or band items, those that earlier trapezoids
-    found included, are more than ``_PER_PAIR_SHARE`` of its pairs.
+    product when a bound is unproven or when its positives or band items,
+    those that earlier trapezoids found included, are more than
+    ``_PER_PAIR_SHARE`` of its pairs.
     """
     n, m = retrieval.queries.shape[0], len(retrieval.index)
     # A query's same-label items are one run of the gallery sorted by label,
@@ -601,14 +587,15 @@ def _first_hits(retrieval, query_labels, gallery_labels) -> list[np.ndarray]:
             S32[own, start - first + own] = -np.inf
         if trapezoid and screened[b + 1 :].any():
             L, later, rows = S32[:, r:].T, thresholds[stop:], np.arange(stop, n)
-            top, counts = _band_counts(retrieval, L, start, rows, later)
+            top, counts = _band_counts(L, later)
             band[b + 1 :] += np.add.reduceat(counts, starts[b + 1 :] - stop)
             for c in np.flatnonzero(screened & (band > limit)):
                 screened[c] = False
                 lines = slice(spans[c][0] - stop, spans[c][1] - stop)
                 later.below[lines] = later.above[lines] = np.inf
                 counts[lines] = 0
-            ahead[stop:] += top + _band_ahead(retrieval, L, start, rows, later, counts)
+            ahead[stop:] += top
+            ahead[stop:] += _band_ahead(retrieval, L, rows - stop, start, rows, later, counts)
             del L, top, counts
         hits = None
         if screened[b]:
@@ -643,8 +630,9 @@ def recall_at_k(
 
     ``labels`` are the query labels. In the leave-one-out protocol the query
     set is the gallery, so gallery items resolve against ``labels`` itself;
-    pass ``gallery_labels`` only for split query/gallery setups. Every query
-    counts in the denominator. Raises ProtocolError when no query has any
+    pass ``gallery_labels`` only for split query/gallery setups. Labels must
+    be integers, one per row, or ShapeError is raised. Every query counts in
+    the denominator. Raises ProtocolError when no query has any
     positive in the gallery (the metric would be vacuous) or when K exceeds
     the usable ranking depth: the gallery size, minus one with
     ``exclude_self``.
@@ -662,11 +650,13 @@ def recall_at_k(
     """
     index = retrieval.index
     num_queries = retrieval.queries.shape[0]
-    query_labels = np.ascontiguousarray(labels, dtype=np.int64)
-    if gallery_labels is not None:
-        gallery_labels = np.ascontiguousarray(gallery_labels, dtype=np.int64)
-    else:
-        gallery_labels = query_labels
+    query_labels = np.asarray(labels)
+    gallery_labels = query_labels if gallery_labels is None else np.asarray(gallery_labels)
+    for name, arr in (("query", query_labels), ("gallery", gallery_labels)):
+        if arr.size and not np.issubdtype(arr.dtype, np.integer):
+            raise ShapeError(f"{name} labels must be integers, got dtype {arr.dtype}")
+    query_labels = np.ascontiguousarray(query_labels, dtype=np.int64)
+    gallery_labels = np.ascontiguousarray(gallery_labels, dtype=np.int64)
     if query_labels.shape != (num_queries,):
         raise ShapeError("one label per query required")
     if gallery_labels.shape != (len(index),):

@@ -176,11 +176,18 @@ def write_ground_truth(path, records: dict[int, QueryGroundTruth]) -> None:
     write_text_atomic(path, canonical_json(payload))
 
 
+def _is_json_int(value) -> bool:
+    """True for a JSON integer as ``json`` parses it: an int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def read_ground_truth(path, gallery_size: int | None = None) -> dict[int, QueryGroundTruth]:
     """Read ground truth records into a query_index -> sets mapping.
 
-    Queries without a record are simply absent; evaluation treats them as
-    empty (they are skipped and reported, not scored zero). With
+    A record's ``query_index`` must be a non-negative JSON integer, and its
+    sets lists of JSON integers; anything else raises FormatError naming the
+    record. Queries without a record are simply absent; evaluation treats
+    them as empty (they are skipped and reported, not scored zero). With
     ``gallery_size``, an index outside the gallery raises ProtocolError,
     after every record has been parsed.
     """
@@ -200,18 +207,18 @@ def read_ground_truth(path, gallery_size: int | None = None) -> dict[int, QueryG
         unknown = set(rec) - {"query_index", "easy", "hard", "junk"}
         if unknown:
             raise FormatError(f"{path}: record {i} has unknown keys {sorted(unknown)}")
-        try:
-            query_index = int(rec["query_index"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: record {i} lacks a valid query_index") from exc
+        query_index = rec.get("query_index")
+        if not _is_json_int(query_index) or query_index < 0:
+            raise FormatError(
+                f"{path}: record {i} query_index must be a non-negative integer,"
+                f" got {query_index!r}"
+            )
         if query_index in records:
             raise FormatError(f"{path}: duplicate record for query {query_index}")
         sets = {}
         for name in ("easy", "hard", "junk"):
             values = rec.get(name, [])
-            if not isinstance(values, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in values
-            ):
+            if not isinstance(values, list) or not all(_is_json_int(v) for v in values):
                 raise FormatError(
                     f"{path}: record {i} field {name!r} must be a list of integers"
                 )

@@ -59,20 +59,24 @@ def rows_at_similarity(rng, anchors, targets):
 
 
 def screen_routes(monkeypatch):
-    """Count the blocks the float32 screen counted and the blocks that fell
+    """Count the blocks the float32 screen counted (recall's
+    ``_screened_ahead`` or mAP's ``_ranked_ahead``) and the blocks that fell
     back to their float64 product."""
     routes = {"screened": 0, "fallback": 0}
-    screen, fallback = evaluation._screened_ahead, evaluation._float64_block
 
-    def screened(*args):
-        counts = screen(*args)
-        routes["screened"] += counts is not None
-        return counts
+    def counted(screen):
+        def screened(*args):
+            counts = screen(*args)
+            routes["screened"] += counts is not None
+            return counts
+        return screened
+    fallback = evaluation._float64_block
 
     def fell_back(*args):
         routes["fallback"] += 1
         return fallback(*args)
-    monkeypatch.setattr(evaluation, "_screened_ahead", screened)
+    for name in ("_screened_ahead", "_ranked_ahead"):
+        monkeypatch.setattr(evaluation, name, counted(getattr(evaluation, name)))
     monkeypatch.setattr(evaluation, "_float64_block", fell_back)
     return routes
 

@@ -307,6 +307,29 @@ class TestEval:
         assert code == 2
         assert "every query is empty under the 'hard' split" in capsys.readouterr().err
 
+    def test_record_beyond_the_query_file_exits_two(self, tmp_path, capsys):
+        # Two query rows: dropping the record of query 7 would report query 1
+        # as skipped and exit 0.
+        cfg_path = write_particular_setup(
+            tmp_path,
+            {
+                0: QueryGroundTruth(easy=np.array([0, 1]), hard=np.array([2]), junk=[]),
+                7: QueryGroundTruth(easy=np.array([4]), hard=np.array([5]), junk=[]),
+            },
+        )
+        code = main(
+            [
+                "eval",
+                "--config", str(cfg_path),
+                "--model", str(tmp_path / "head.json"),
+                "--out-dir", str(tmp_path / "eval"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "record for query 7" in err and "has 2 queries" in err
+        assert not (tmp_path / "eval").exists()
+
     def test_k_beyond_leave_one_out_depth_exits_two(self, tmp_path, capsys):
         # the held-out class has 5 rows: leave-one-out ranks 4 others
         cfg_path = tmp_path / "cfg.json"

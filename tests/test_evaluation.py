@@ -217,6 +217,23 @@ class TestRetrievalIndex:
 
 
 class TestRecallAtK:
+    def test_rejects_non_integer_labels(self):
+        # Truncated to int64, labels [1.2, 1.7, 5.0] would put queries 0 and
+        # 1 in one class and report recall@1 2/3.
+        Z = np.eye(3)
+        index = RetrievalIndex(gallery=Z)
+        loo = retrieve(index, Z, exclude_self=True)
+        with pytest.raises(ShapeError, match="query labels must be integers"):
+            recall_at_k(loo, np.array([1.2, 1.7, 5.0]), (1,))
+        with pytest.raises(ShapeError, match="query labels must be integers"):
+            recall_at_k(loo, np.array([True, True, False]), (1,))
+        split = retrieve(index, Z[:2])
+        with pytest.raises(ShapeError, match="gallery labels must be integers"):
+            recall_at_k(split, np.array([0, 1]), (1,), gallery_labels=np.array([0.0, 1.0, 1.0]))
+        # Empty label lists stay valid: the empty query set has no positive.
+        with pytest.raises(ProtocolError, match="no query"):
+            recall_at_k(retrieve(index, Z[:0]), [], (1,), gallery_labels=[0, 0, 1])
+
     def test_against_counting_loop(self):
         rng = np.random.default_rng(70)
         Z = unit_rows(rng, 20, 6)
@@ -575,7 +592,8 @@ class TestBlockedRecall:
 def unproven_first_thresholds():
     """Give the first threshold of every ``_query_bounds`` call NaN bounds:
     the bounds of a row outside the screen's proven range (a norm above
-    2**60), which a unit gallery cannot hold."""
+    2**60), which a unit gallery cannot hold. Each block with a threshold
+    then falls back to its float64 product."""
     bounds = evaluation._query_bounds
 
     def unproven(*args):
@@ -787,6 +805,34 @@ class TestRankScreen:
             if not any(np.any(g_labels[r] == label) for r, label in zip(rankings, q_labels)):
                 return
             assert recall_at_k(retrieval, q_labels, ks, gallery_labels=gallery_labels) == expected
+
+
+    @pytest.mark.parametrize("metric", ["recall", "map"])
+    def test_unproven_block_falls_back_while_others_are_screened(self, monkeypatch, metric):
+        # Query 7 is scaled by 2**61, past the screen's proven range, so its
+        # bounds are NaN and its block of 6 queries (rows 6-11) takes its
+        # float64 product; block 0 is screened. The scaling is a power of 2,
+        # so every score of the query scales exactly and its ranking stays
+        # that of the unit row.
+        rng = np.random.default_rng(99)
+        G = unit_rows(rng, 12, 8)
+        Q = unit_rows(rng, 12, 8)
+        Q[7] *= 2.0**61
+        retrieval = retrieve(RetrievalIndex(gallery=G), Q)
+        rankings = full_rankings(G, Q)
+        labels = np.arange(12) % 6
+        records = random_ground_truths(rng, 12, 12)
+        records[7] = gt(easy=[1, 4], hard=[9], junk=[2])
+        routes = screen_routes(monkeypatch)
+        with rank_screen_path(True), budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", 6, 12):
+            if metric == "recall":
+                ks = range(1, 13)
+                got = recall_at_k(retrieval, labels, ks, gallery_labels=labels)
+                assert got == {k: recall_walk(rankings, labels, labels, k) for k in ks}
+            else:
+                got = mean_average_precision(retrieval, records, ("medium", "hard"))
+                assert got == {s: map_walk(rankings, records, s) for s in ("medium", "hard")}
+        assert routes == {"screened": 1, "fallback": 1}
 
 
 class TestBlockBudgetBoundsMemory:

@@ -189,6 +189,18 @@ class TestGroundTruth:
         with pytest.raises(FormatError):
             read_ground_truth(path)
 
+    @pytest.mark.parametrize("value", [1.9, True, "2", -1, None, "missing"])
+    def test_rejects_query_index_other_than_a_non_negative_integer(self, tmp_path, value):
+        # int() would read 1.9 and true as query 1 and "2" as query 2.
+        good = {"query_index": 0, "easy": [1], "hard": [], "junk": []}
+        bad = {"query_index": value, "easy": [2], "hard": [], "junk": []}
+        if value == "missing":
+            del bad["query_index"]
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps([good, bad]), encoding="utf-8")
+        with pytest.raises(FormatError, match="record 1 query_index must be a non-negative"):
+            read_ground_truth(path)
+
     def test_bounds_check_with_gallery_size(self, tmp_path):
         path = tmp_path / "gt.json"
         write_ground_truth(path, {0: gt_record(easy=[7])})
