@@ -17,7 +17,7 @@ kept (non-junk) items with a higher score, or an equal score and a lower
 index. So each query needs only, for a few thresholds (its best positive
 for recall, every positive for mAP), how many items score above each.
 
-The metrics count that from float32 score blocks: ``score_blocks`` over
+The metrics count that from float32 score blocks: ``score_tiles`` over
 float32 copies of the queries and the gallery, with the row counts of
 ``SCORE_BLOCK_BYTES`` of float64 scores, so a block holds half those bytes.
 A threshold is the float64 score of a query and a positive, one row dot
@@ -48,7 +48,7 @@ gives each block's scores with itself and every later row only, counted
 row-wise for the block's own queries and column-wise for the later ones (the
 bounds hold for any float32 evaluation of a dot product, so a transposed
 score is as good as its own). Other queries take the full rows of
-``score_blocks``, counted row-wise. Either way a query's own entry is -inf
+``score_tiles``, counted row-wise. Either way a query's own entry is -inf
 under ``exclude_self``, and a block falls back as above.
 
 The metrics are exact for exact scores, such as dot products of coarsely
@@ -83,7 +83,7 @@ __all__ = [
     "retrieve",
     "recall_at_k",
     "mean_average_precision",
-    "score_blocks",
+    "score_tiles",
 ]
 
 SPLITS = ("easy", "medium", "hard")
@@ -217,48 +217,82 @@ def retrieve(
     return Retrieval(index, queries, exclude_self)
 
 
-def _row_spans(num_rows: int, num_columns: int, block_bytes: int) -> Iterator[tuple[int, int]]:
-    """``(start, stop)`` of the row blocks of a product with ``num_columns``
-    columns: as many rows as fit ``block_bytes`` of float64 scores, and at
-    least 2. A 1-row product runs as a matrix-vector call whose sums can
-    differ in the last bits from the same row of a many-row product, so a
-    1-row tail is merged into the block before it; only a single row is ever
-    scored alone."""
-    block_rows = max(2, block_bytes // (8 * max(num_columns, 1)))
+def _tile_spans(
+    num_rows: int, num_columns: int, block_bytes: int, min_rows: int = 2
+) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+    """``(start, stop), (first, last)`` of the tiles of a product with
+    ``num_rows`` rows and ``num_columns`` columns, row-major: every column
+    span of a row span, then the next row span.
+
+    A row span holds as many rows as fit ``block_bytes`` of float64 scores
+    across every column, and at least 2. A 1-row product runs as a
+    matrix-vector call whose sums can differ in the last bits from the same
+    row of a many-row product, so a 1-row tail is merged into the span before
+    it; only a single row is ever scored alone. When fewer than ``min_rows``
+    full rows fit, a row span holds ``min_rows`` rows (all of them, if fewer)
+    and the columns are split into spans that fit the budget with them.
+    """
+    values = block_bytes // 8
+    block_rows = max(2, values // max(num_columns, 1))
+    block_columns = max(num_columns, 1)
+    if block_rows < min_rows:
+        block_rows = min(min_rows, num_rows)
+        block_columns = max(1, values // max(block_rows, 1))
     start = 0
     while start < num_rows:
         stop = min(start + block_rows, num_rows)
         if num_rows - stop == 1:
             stop = num_rows
-        yield start, stop
+        for first in range(0, max(num_columns, 1), block_columns):
+            yield (start, stop), (first, min(first + block_columns, num_columns))
         start = stop
 
 
-def score_blocks(
-    queries: np.ndarray, gallery: np.ndarray, block_bytes: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(start, queries[start:stop] @ gallery.T)`` over blocks of rows.
+def score_tiles(
+    queries: np.ndarray, gallery: np.ndarray, block_bytes: int, min_rows: int = 2
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield ``(start, first, queries[start:stop] @ gallery[first:last].T)``
+    over the tiles of ``_tile_spans``.
 
     Every blocked product in the package comes from here, or from
     ``_self_score_blocks`` for a set of rows scored against itself, each
-    caller passing its own budget. A block holds as many rows as fit
-    ``block_bytes`` of float64 scores (``_row_spans``).
+    caller passing its own budget. ``block_bytes`` counts 8 bytes a score
+    whatever the dtype, so a float32 tile holds half of it. With the default
+    ``min_rows`` a tile is a block of full rows (``first`` is 0); a caller
+    that asks for more rows than fit across every column gets narrower tiles
+    of that many rows.
     """
-    for start, stop in _row_spans(queries.shape[0], gallery.shape[0], block_bytes):
-        yield start, queries[start:stop] @ gallery.T
+    spans = _tile_spans(queries.shape[0], gallery.shape[0], block_bytes, min_rows)
+    for (start, stop), (first, last) in spans:
+        yield start, first, queries[start:stop] @ gallery[first:last].T
 
 
 def _self_score_blocks(X: np.ndarray, block_bytes: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(start, X[start:stop] @ X[start:].T)`` over the row blocks of
-    ``score_blocks(X, X, block_bytes)``.
+    ``score_tiles(X, X, block_bytes)``.
 
     Each block is the upper trapezoid of the symmetric product: its rows'
     scores with themselves and with every later row. So every unordered pair
     of rows is scored once, in the block of its lower row, and no block is
     larger than the full product's.
     """
-    for start, stop in _row_spans(X.shape[0], X.shape[0], block_bytes):
+    for (start, stop), _ in _tile_spans(X.shape[0], X.shape[0], block_bytes):
         yield start, X[start:stop] @ X[start:].T
+
+
+def _label_runs(labels: np.ndarray, of: np.ndarray):
+    """``(by_label, run_start, run_size)``: ``labels`` sorted stably, and per
+    entry of ``of`` the run of ``by_label`` whose labels equal it. A run
+    lists its rows in ascending index, since the sort is stable."""
+    by_label = np.argsort(labels, kind="stable")
+    sorted_labels = labels[by_label]
+    run_start = np.searchsorted(sorted_labels, of, "left")
+    return by_label, run_start, np.searchsorted(sorted_labels, of, "right") - run_start
+
+
+def _screen_slack(z_norm, d: int, norm_bound: float):
+    """The bound on ``|s32 - s64|`` of ``_screen_thresholds``."""
+    return (2 * d + 8) * (_U32 * z_norm * norm_bound + _ETA32 * (z_norm + norm_bound + 1.0))
 
 
 def _screen_thresholds(z_norm, d: int, norm_bound: float, centers):
@@ -297,7 +331,7 @@ def _screen_thresholds(z_norm, d: int, norm_bound: float, centers):
     the loss (``objective._memory_pairs``) treats every pair of such a row
     as passed.
     """
-    slack = (2 * d + 8) * (_U32 * z_norm * norm_bound + _ETA32 * (z_norm + norm_bound + 1.0))
+    slack = _screen_slack(z_norm, d, norm_bound)
     with np.errstate(over="ignore", invalid="ignore"):
         below64 = np.nextafter(centers - slack, -np.inf)
         above64 = np.nextafter(centers + slack, np.inf)
@@ -349,7 +383,7 @@ def _float32_copies(retrieval: Retrieval) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _float64_block(retrieval: Retrieval, start: int, stop: int) -> np.ndarray:
-    """The float64 product of a block's rows, as ``score_blocks`` gives it."""
+    """The float64 product of a block's rows, as ``score_tiles`` gives it."""
     S = retrieval.queries[start:stop] @ retrieval.index.gallery.T
     if retrieval.exclude_self:
         rows = np.arange(stop - start)
@@ -549,21 +583,16 @@ def _first_hits(retrieval, query_labels, gallery_labels) -> list[np.ndarray]:
     Every query's threshold is found first. The blocks are the trapezoids of
     ``_self_score_blocks`` for leave-one-out queries that are the gallery's
     own array, whose later columns count the later queries column-wise as
-    each block passes, and otherwise the full rows of ``score_blocks``. A
+    each block passes, and otherwise the full rows of ``score_tiles``. A
     block counts its own queries row-wise, or falls back to its float64
     product when a bound is unproven or when its positives or band items,
     those that earlier trapezoids found included, are more than
     ``_PER_PAIR_SHARE`` of its pairs.
     """
     n, m = retrieval.queries.shape[0], len(retrieval.index)
-    # A query's same-label items are one run of the gallery sorted by label,
-    # in ascending index (the sort is stable).
-    by_label = np.argsort(gallery_labels, kind="stable")
-    sorted_labels = gallery_labels[by_label]
-    run_start = np.searchsorted(sorted_labels, query_labels, "left")
-    run_size = np.searchsorted(sorted_labels, query_labels, "right") - run_start
-    runs = (by_label, run_start, run_size)
-    spans = list(_row_spans(n, m, SCORE_BLOCK_BYTES))
+    # A query's same-label items are one run of the gallery sorted by label.
+    runs = _label_runs(gallery_labels, query_labels)
+    spans = [rows for rows, _ in _tile_spans(n, m, SCORE_BLOCK_BYTES)]
     thresholds = _Thresholds.none(n)
     screened = np.array([_block_thresholds(retrieval, start, stop, *runs, thresholds[start:stop])
                          for start, stop in spans])
@@ -576,7 +605,7 @@ def _first_hits(retrieval, query_labels, gallery_labels) -> list[np.ndarray]:
     if trapezoid:
         blocks = _self_score_blocks(gallery, SCORE_BLOCK_BYTES)
     else:
-        blocks = score_blocks(queries, gallery, SCORE_BLOCK_BYTES)
+        blocks = ((start, S) for start, _, S in score_tiles(queries, gallery, SCORE_BLOCK_BYTES))
     first_hits = []
     for b, (start, S32) in enumerate(blocks):
         r = S32.shape[0]
@@ -632,9 +661,10 @@ def recall_at_k(
     set is the gallery, so gallery items resolve against ``labels`` itself;
     pass ``gallery_labels`` only for split query/gallery setups. Labels must
     be integers, one per row, or ShapeError is raised. Every query counts in
-    the denominator. Raises ProtocolError when no query has any
-    positive in the gallery (the metric would be vacuous) or when K exceeds
-    the usable ranking depth: the gallery size, minus one with
+    the denominator. Raises ProtocolError when a cutoff is not a positive
+    ``int`` or numpy integer (2.0, "2" and True are not), when no query has
+    any positive in the gallery (the metric would be vacuous) or when K
+    exceeds the usable ranking depth: the gallery size, minus one with
     ``exclude_self``.
 
     A query's best positive is the same-label item (self excluded) with the
@@ -646,7 +676,7 @@ def recall_at_k(
     (``_first_hits``) takes the blocks in two shapes: the upper trapezoids of
     ``_self_score_blocks`` for leave-one-out queries that are the gallery's
     own array, each unordered pair scored once, and the full rows of
-    ``score_blocks`` for any other queries.
+    ``score_tiles`` for any other queries.
     """
     index = retrieval.index
     num_queries = retrieval.queries.shape[0]
@@ -661,9 +691,12 @@ def recall_at_k(
         raise ShapeError("one label per query required")
     if gallery_labels.shape != (len(index),):
         raise ShapeError("one label per gallery row required")
-    ks = sorted(set(int(k) for k in ks))
-    if not ks or ks[0] < 1:
+    ks = list(ks)
+    if not ks or not all(
+        isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1 for k in ks
+    ):
         raise ProtocolError("recall cutoffs must be positive integers")
+    ks = sorted(set(int(k) for k in ks))
     depth = len(index) - int(retrieval.exclude_self)
     if ks[-1] > depth:
         raise ProtocolError(f"K={ks[-1]} exceeds usable ranking depth {depth}")
@@ -743,7 +776,7 @@ def mean_average_precision(
     threshold = np.isin(role, [code for positive, _ in roles.values() for code in positive])
     value = np.empty(items.size)
     ahead = np.zeros(items.size, dtype=np.int64)
-    for start, S32 in score_blocks(*_float32_copies(retrieval), SCORE_BLOCK_BYTES):
+    for start, _, S32 in score_tiles(*_float32_copies(retrieval), SCORE_BLOCK_BYTES):
         stop = start + S32.shape[0]
         block = slice(*np.searchsorted(query, [start, stop]))
         rows, cols, t = query[block] - start, items[block], threshold[block]

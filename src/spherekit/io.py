@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 FEATURE_MAGIC = b"EMB1"
+# The largest label an int64 array holds.
+_LABEL_MAX = 2**63 - 1
 
 # Tie-break, estimator, and protocol choices that affect reported numbers.
 # Emitted into run metadata so artifacts are interpretable on their own.
@@ -136,7 +138,9 @@ def write_labels(path, labels) -> None:
 
 
 def read_labels(path) -> np.ndarray:
-    """Read one nonnegative integer label per line."""
+    """Read one nonnegative integer label per line: ASCII decimal digits,
+    optionally surrounded by whitespace, at most 2**63 - 1. Raises
+    FormatError naming ``path:line`` for any other text."""
     path = Path(path)
     values = []
     try:
@@ -148,14 +152,15 @@ def read_labels(path) -> np.ndarray:
             text = line.strip()
             if not text:
                 raise FormatError(f"{path}:{lineno}: blank line in labels file")
-            try:
-                value = int(text)
-            except ValueError as exc:
+            if not (text.isascii() and text.isdigit()):
+                if text[:1] == "-" and text[1:].isascii() and text[1:].isdigit():
+                    raise FormatError(f"{path}:{lineno}: negative label {text}")
+                raise FormatError(f"{path}:{lineno}: not an integer label: {text!r}")
+            value = int(text[-19:])  # past 19 digits, only leading zeros fit
+            if value > _LABEL_MAX or text[:-19].strip("0"):
                 raise FormatError(
-                    f"{path}:{lineno}: not an integer label: {text!r}"
-                ) from exc
-            if value < 0:
-                raise FormatError(f"{path}:{lineno}: negative label {value}")
+                    f"{path}:{lineno}: label {text[:24]} is out of range (above 2**63 - 1)"
+                )
             values.append(value)
     return np.asarray(values, dtype=np.int64)
 

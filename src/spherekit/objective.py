@@ -38,7 +38,7 @@ different-label similarity. While at most 1/128 of the ``n x M`` pairs pass,
 each is one row dot product, in blocks of bounded size. Otherwise, and for a
 memory of at most 2**16 pairs, the term comes from one float64 product over
 the whole memory, exactly as before the screen existed; the screen scores
-blocks of memory rows (``evaluation.score_blocks``) and stops at the first
+blocks of memory rows (``evaluation.score_tiles``) and stops at the first
 block that shows the share exceeded, so that case costs little more than the
 product. The two evaluations of a pair may differ in the last bits, and the
 choice between them rests on float32 counts: a step whose count sits at the
@@ -59,7 +59,7 @@ from .errors import (
     NumericalError,
     ShapeError,
 )
-from .evaluation import _PER_PAIR_SHARE, _row_dots, _screen_thresholds, score_blocks
+from .evaluation import _PER_PAIR_SHARE, _row_dots, _screen_thresholds, score_tiles
 from .geometry import UNIT_ATOL
 
 if TYPE_CHECKING:  # avoids a runtime import cycle with .memory
@@ -173,7 +173,7 @@ class LossOutput:
     contrastive_grad: Optional[np.ndarray] = None
 
 
-# Values per block of the screen (``score_blocks`` at 8 bytes each) and per
+# Values per block of the screen (``score_tiles`` at 8 bytes each) and per
 # operand of the gathered pair dots; a memory of no more pairs is not screened.
 _BLOCK_VALUES = 2**16
 
@@ -203,7 +203,7 @@ def _memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z32, norm_bound, beta):
     Both come in row-major pair order, with the gradient coefficients
     ``coef`` (+1 active, -1 positive, else 0) over the memory columns
     ``cols`` that have either kind of pair. The float32 screen picks the
-    pairs to score, one ``score_blocks`` block of memory rows at a time. Few
+    pairs to score, one ``score_tiles`` block of memory rows at a time. Few
     are row dot products (``_row_dots``: no BLAS, so a value depends only on
     its two rows), gathered a block at a time. As soon as the pairs passed so far
     are more than ``_PER_PAIR_SHARE`` of the pairs screened so far, the rest
@@ -223,24 +223,35 @@ def _memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z32, norm_bound, beta):
     z_norm = np.sqrt(np.einsum("ij,ij->i", Z, Z))
     thresholds, _ = _screen_thresholds(z_norm, d, norm_bound, beta)
     # Rows too large for float32 have NaN thresholds, so none of their
-    # pairs is screened out.
+    # pairs is screened out; a NaN score passes too.
     with np.errstate(over="ignore"):
         Z32 = Z.astype(np.float32)
-    screened = np.empty((m, n), dtype=bool)
-    passed = 0
     # Memory-major (rows x n): this orientation of the product runs faster.
+    # A block is compared flat against the thresholds tiled to its rows, and
+    # its passed pairs are kept as flat indices (memory row * n + anchor).
+    tiled = thresholds[:0]
+    passed, count = [], 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, S in score_blocks(mem_Z32, Z32, 8 * _BLOCK_VALUES):
+        for start, _, S in score_tiles(mem_Z32, Z32, 8 * _BLOCK_VALUES):
             stop = start + S.shape[0]
-            np.less_equal(S, thresholds, out=screened[start:stop])
-            passed += S.size - np.count_nonzero(screened[start:stop])
-            if passed > _PER_PAIR_SHARE * n * stop:
+            if tiled.size < S.size:
+                tiled = np.tile(thresholds, S.shape[0])
+                screened = np.empty(S.size, dtype=bool)
+            screen = np.less_equal(S.ravel(), tiled[: S.size], out=screened[: S.size])
+            flat = np.flatnonzero(np.logical_not(screen, out=screen))
+            passed.append(start * n + flat)
+            count += flat.size
+            if count > _PER_PAIR_SHARE * n * stop:
                 break
-    if passed > _PER_PAIR_SHARE * n * stop:
+    if count > _PER_PAIR_SHARE * n * stop:
         return _memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta)
-    cols = np.flatnonzero(~screened.all(axis=1) | np.isin(mem_labels, labels))
+    mem_rows, anchors = np.divmod(np.concatenate(passed), n)
+    touched = np.isin(mem_labels, labels)
+    touched[mem_rows] = True
+    cols = np.flatnonzero(touched)
     same = labels[:, None] == mem_labels[cols]
-    scored = same | ~screened[cols].T
+    scored = same.copy()
+    scored[anchors, np.searchsorted(cols, mem_rows)] = True
     count = np.count_nonzero(scored)
     if count > _PER_PAIR_SHARE * n * m:
         return _memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta)

@@ -19,8 +19,8 @@ Category-level training samples class-balanced batches. Particular-object
 training builds tuples per epoch: an anchor-positive pair plus the five
 hardest negatives mined by descriptor similarity from a random candidate
 pool. Every pair of the epoch is drawn first; then all anchors are mined in
-one pass over blocks of ``MINING_BLOCK_BYTES`` of scores (mining draws no
-random numbers, so the draws are those of mining each pair as it is drawn).
+one pass over float32 tiles of ``MINING_BLOCK_BYTES`` of scores (mining draws
+no random numbers, so the draws are those of mining each pair as it is drawn).
 Tuples are rows of dataset indices (anchor, positive, five negatives),
 checked as arrays and flattened (five tuples per batch) into labeled batches
 that reuse the same step above. The per-epoch pair and candidate budgets
@@ -30,6 +30,7 @@ that reuse the same step above. The per-epoch pair and candidate budgets
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -52,7 +53,15 @@ from .errors import (
     ShapeError,
     TrainingError,
 )
-from .evaluation import score_blocks
+from .evaluation import (
+    _PER_PAIR_SHARE,
+    _label_runs,
+    _ranges,
+    _row_dots,
+    _screen_slack,
+    _screen_thresholds,
+    score_tiles,
+)
 from .geometry import TokenGrid, normalize_rows, pool
 from .memory import MemoryBank, MomentumTrack
 from .objective import (
@@ -96,10 +105,19 @@ TUPLES_PER_BATCH = 5
 PAIRS_PER_EPOCH_FULL = 2000
 CANDIDATES_PER_EPOCH_FULL = 22000
 
-# Bytes of float64 scores one block of mined anchors may hold. Scoring every
-# anchor of an epoch at once would hold anchors x candidates scores (22 MB at
-# 500 x 5,500) plus their label mask.
+# Bytes of scores one mining tile may hold: a float32 tile of _TILE_ROWS
+# anchors by 2,048 pool rows, screened, or a float64 block of full anchor
+# rows where a span of anchors falls back. Scoring every anchor of an epoch
+# at once would hold anchors x candidates scores (22 MB at 500 x 5,500). A
+# screened anchor's negatives do not depend on the tile shape: its kept
+# entries are scored in float64 row dots, which may order near-ties within a
+# few ULPs otherwise than the same row of a BLAS product would.
 MINING_BLOCK_BYTES = 2**20
+# Anchors per float32 tile. A thinner tile re-reads the pool more often, a
+# wider one screens fewer columns per anchor: one desk mining call (500 x 5,500
+# x 128, one thread of a 2-core Xeon, medians of 21) took 14% longer with 32
+# rows, 13% with 64, 3% with 256 and 11% with all 500 than with 128.
+_TILE_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -446,6 +464,112 @@ def sample_category_batch(
     )
 
 
+class _SameLabel:
+    """Each anchor's same-label pool rows, found in one stable sort of the
+    pool labels (``evaluation._label_runs``), set to -inf tile by tile."""
+
+    def __init__(self, pool_labels: np.ndarray, exclude_labels: np.ndarray):
+        self.by_label, self.run_start, self.run_size = _label_runs(pool_labels, exclude_labels)
+        sorted_labels = pool_labels[self.by_label]
+        # Pool rows in (label, index) order as one ascending key per row.
+        run_of = np.searchsorted(sorted_labels, sorted_labels, "left")
+        self.keys = run_of * self.by_label.size + self.by_label
+
+    def exclude(self, S: np.ndarray, start: int, first: int) -> None:
+        """Set the same-label entries of the tile ``S`` of anchors ``start, ...``
+        and pool rows ``first, ...`` to -inf."""
+        stop, last = start + S.shape[0], first + S.shape[1]
+        base = self.run_start[start:stop] * self.by_label.size
+        lo = np.searchsorted(self.keys, base + first)
+        hi = np.searchsorted(self.keys, base + last)
+        sizes = np.where(self.run_size[start:stop] > 0, hi - lo, 0)
+        rows = np.repeat(np.arange(S.shape[0]), sizes)
+        S[rows, self.by_label[_ranges(lo, sizes)] - first] = -np.inf
+
+
+class _SpanScreen:
+    """The float32 screen of one row span of anchors (``mine_hard_negatives``).
+
+    ``tau`` is a float32 score that at least k other-label entries of each
+    anchor reach, so at least k entries score at least ``tau - slack`` in
+    float64. ``below`` is the float32 bound under which an entry scores less
+    than that in any float64 evaluation: it can neither enter the top k nor
+    tie it. The span keeps the entries above ``below`` (row, pool index and
+    float32 score), sorted by row and descending score.
+    """
+
+    def __init__(self, z_norm, d: int, norm_bound: float, k: int, limit: float):
+        self.z_norm, self.d, self.norm_bound, self.k = z_norm, d, norm_bound, k
+        self.slack = _screen_slack(z_norm, d, norm_bound)
+        self.limit = limit
+        self.tau = np.full(z_norm.size, -np.inf, dtype=np.float32)
+        self.rows = self.cols = np.zeros(0, dtype=np.int64)
+        self.values = np.zeros(0, dtype=np.float32)
+
+    def below(self) -> np.ndarray:
+        floor = np.nextafter(self.tau.astype(np.float64) - self.slack, -np.inf)
+        return _screen_thresholds(self.z_norm, self.d, self.norm_bound, floor)[0]
+
+    def add(self, S: np.ndarray, first: int) -> bool:
+        """Screen the tile ``S`` of pool rows ``first, ...`` (same-label entries
+        -inf). Returns False once the kept entries are more than ``limit``."""
+        r, w = S.shape
+        k = self.k
+        if w >= k and self.tau.min() == -np.inf:
+            # The least of k disjoint column chunks' maxima is reached k times.
+            chunk_max = np.maximum.reduceat(S, np.arange(k) * w // k, axis=1)
+            np.maximum(self.tau, chunk_max.min(axis=1), out=self.tau)
+        flat = np.flatnonzero(S > self.below()[:, None])
+        rows, cols = np.divmod(flat, w)
+        rows = np.concatenate([self.rows, rows])
+        cols = np.concatenate([self.cols, first + cols])
+        values = np.concatenate([self.values, S.ravel()[flat]])
+        by_value = np.argsort(-values)
+        order = by_value[np.argsort(rows[by_value], kind="stable")]
+        rows, cols, values = rows[order], cols[order], values[order]
+        # Raise tau to each anchor's k-th kept score and drop what falls under.
+        counts = np.bincount(rows, minlength=r)
+        full = np.flatnonzero(counts >= k)
+        kth = values[np.cumsum(counts)[full] - counts[full] + k - 1]
+        self.tau[full] = np.maximum(self.tau[full], kth)
+        kept = values > self.below()[rows]
+        self.rows, self.cols, self.values = rows[kept], cols[kept], values[kept]
+        return self.rows.size <= self.limit
+
+    def top(self, anchors: np.ndarray, pool: np.ndarray) -> np.ndarray:
+        """Each anchor's k kept entries with the highest float64 row dots,
+        lowest pool index among equals; ``anchors`` are the span's rows."""
+        rows, cols = self.rows, self.cols
+        scores = _row_dots(anchors, rows, pool, cols, MINING_BLOCK_BYTES // 8)
+        order = np.lexsort((cols, -scores, rows))
+        counts = np.bincount(rows, minlength=anchors.shape[0])
+        first = np.cumsum(counts) - counts
+        return cols[order][first[:, None] + np.arange(self.k)]
+
+
+def _dense_negatives(anchors, pool, same_label: _SameLabel, start: int, k: int) -> np.ndarray:
+    """The top k of the anchors ``start, ...`` (the rows of ``anchors``) from
+    float64 products of full rows."""
+    n = pool.shape[0]
+    out = np.empty((anchors.shape[0], k), dtype=np.int64)
+    for s, _, S in score_tiles(anchors, pool, MINING_BLOCK_BYTES):
+        same_label.exclude(S, start + s, 0)
+        top = np.argpartition(S, n - k, axis=1)[:, n - k :]
+        kth = np.take_along_axis(S, top, axis=1).min(axis=1)
+        # argpartition picks arbitrarily among entries tied at the k-th score;
+        # where such ties straddle the cut, keep every entry strictly above it
+        # and fill with the lowest-index entries equal to it.
+        straddles = np.count_nonzero(S >= kth[:, None], axis=1) > k
+        for r in np.flatnonzero(straddles):
+            above = np.flatnonzero(S[r] > kth[r])
+            equal = np.flatnonzero(S[r] == kth[r])
+            top[r] = np.concatenate([above, equal[: k - above.size]])
+        scores = np.take_along_axis(S, top, axis=1)
+        order = np.lexsort((top, -scores), axis=-1)
+        out[s : s + S.shape[0]] = np.take_along_axis(top, order, axis=1)
+    return out
+
+
 def mine_hard_negatives(
     anchor_descriptors: np.ndarray,
     pool_descriptors: np.ndarray,
@@ -457,12 +581,34 @@ def mine_hard_negatives(
     differs from that anchor's ``exclude_labels`` entry; shape (anchors, k).
 
     Each row is ordered by descending similarity, ties resolved to the lowest
-    pool index. Anchors are scored in blocks of ``MINING_BLOCK_BYTES`` by
-    ``evaluation.score_blocks``. The result is exact for exact scores; at
-    near-ties within a few ULPs a negative at the k-th place may depend on the
-    block size, because a row of a matrix product can differ in the last bits
-    from the same dot product computed alone. Raises SamplingError when an
-    anchor has fewer than k candidates outside its label.
+    pool index. Raises SamplingError when an anchor has fewer than k
+    candidates outside its label. An anchor's same-label pool rows come from
+    one stable sort of ``pool_labels``; only those entries are set to -inf.
+
+    Anchors are scored in float32 tiles of ``MINING_BLOCK_BYTES`` from
+    ``evaluation.score_tiles``: spans of ``_TILE_ROWS`` anchors, each against
+    successive spans of pool rows. Per anchor, a float32 score ``tau`` that
+    at least k other-label entries reach gives, through the screen the loss
+    and the metrics use (``evaluation._screen_thresholds``), a float32 bound
+    under which an entry provably scores below the k-th float64 score. Each
+    tile raises ``tau`` (the least of k column chunks' maxima, then the k-th
+    entry kept so far) and keeps only the entries above the bound. The kept
+    entries, about k per anchor on real data, are scored in float64 row dots
+    (``evaluation._row_dots``) and the top k taken by (-score, pool index).
+
+    A span of anchors falls back to float64 products of full rows, as before
+    the screen existed, when its kept entries are more than
+    ``evaluation._PER_PAIR_SHARE`` of its pairs (quantized, tie-heavy rows)
+    or when a bound is unproven (NaN: a norm above 2**60, or non-finite
+    rows); its remaining float32 tiles are then skipped unscreened. A pool of
+    fewer than k / ``_PER_PAIR_SHARE`` rows (640 for k = 5) cannot pass, so
+    every anchor takes the float64 route at once.
+
+    The result is exact for exact scores. On general floats a kept entry's
+    score is a row dot, while a span that falls back reads a row of a BLAS
+    product; the two may differ in the last bits, so entries whose scores
+    are within a few ULPs of each other at the k-th place may be ordered
+    either way.
     """
     anchors = np.asarray(anchor_descriptors, dtype=np.float64)
     pool_descriptors = np.asarray(pool_descriptors, dtype=np.float64)
@@ -478,31 +624,42 @@ def mine_hard_negatives(
         raise ShapeError("one excluded label per anchor row required")
     if pool_labels.shape != (pool_descriptors.shape[0],):
         raise ShapeError("one label per pool row required")
-    n = pool_descriptors.shape[0]
+    n, d = pool_descriptors.shape
+    same_label = _SameLabel(pool_labels, exclude_labels)
+    available = n - same_label.run_size
+    if np.any(available < k):
+        r = int(np.argmax(available < k))
+        raise SamplingError(
+            f"pool has {available[r]} candidates outside label {exclude_labels[r]}, need {k}"
+        )
+    if k > _PER_PAIR_SHARE * n:  # every anchor keeps at least k entries
+        return _dense_negatives(anchors, pool_descriptors, same_label, 0, k)
     out = np.empty((anchors.shape[0], k), dtype=np.int64)
-    for start, S in score_blocks(anchors, pool_descriptors, MINING_BLOCK_BYTES):
-        same = exclude_labels[start : start + S.shape[0], None] == pool_labels
-        available = n - np.count_nonzero(same, axis=1)
-        if np.any(available < k):
-            r = int(np.argmax(available < k))
-            raise SamplingError(
-                f"pool has {available[r]} candidates outside label "
-                f"{exclude_labels[start + r]}, need {k}"
+    z_norm = np.sqrt(np.einsum("ij,ij->i", anchors, anchors))
+    norm_bound = float(np.sqrt(np.max(np.einsum("ij,ij->i", pool_descriptors, pool_descriptors))))
+    proven = ~np.isnan(_screen_thresholds(z_norm, d, norm_bound, 0.0)[0])
+    with np.errstate(over="ignore"):
+        anchors32 = anchors.astype(np.float32)
+        pool32 = pool_descriptors.astype(np.float32)
+    # score_tiles counts 8 bytes a score, so a float32 tile gets twice the budget.
+    tiles = score_tiles(anchors32, pool32, 2 * MINING_BLOCK_BYTES, _TILE_ROWS)
+    for start, span in itertools.groupby(tiles, key=lambda tile: tile[0]):
+        screen = None
+        for _, first, S in span:
+            if screen is None:
+                stop = start + S.shape[0]
+                screened = bool(proven[start:stop].all())
+                screen = _SpanScreen(z_norm[start:stop], d, norm_bound, k,
+                                     _PER_PAIR_SHARE * S.shape[0] * n)
+            if screened:
+                same_label.exclude(S, start, first)
+                screened = screen.add(S, first)
+        if screened:
+            out[start:stop] = screen.top(anchors[start:stop], pool_descriptors)
+        else:
+            out[start:stop] = _dense_negatives(
+                anchors[start:stop], pool_descriptors, same_label, start, k
             )
-        S[same] = -np.inf
-        top = np.argpartition(S, n - k, axis=1)[:, n - k :]
-        kth = np.take_along_axis(S, top, axis=1).min(axis=1)
-        # argpartition picks arbitrarily among entries tied at the k-th score;
-        # where such ties straddle the cut, keep every entry strictly above it
-        # and fill with the lowest-index entries equal to it.
-        straddles = np.count_nonzero(S >= kth[:, None], axis=1) > k
-        for r in np.flatnonzero(straddles):
-            above = np.flatnonzero(S[r] > kth[r])
-            equal = np.flatnonzero(S[r] == kth[r])
-            top[r] = np.concatenate([above, equal[: k - above.size]])
-        scores = np.take_along_axis(S, top, axis=1)
-        order = np.lexsort((top, -scores), axis=-1)
-        out[start : start + S.shape[0]] = np.take_along_axis(top, order, axis=1)
     return out
 
 

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 
-from spherekit import diagnostics, evaluation
+from spherekit import diagnostics, evaluation, trainer
 
 FD_STEP = 1e-6
 FD_RTOL = 1e-4
@@ -101,6 +101,31 @@ def histogram_routes(monkeypatch):
     monkeypatch.setattr(diagnostics._PairBins, "block", counted_block)
     monkeypatch.setattr(evaluation, "_row_dots", counted_dots)
     return routes
+
+
+def mining_routes(monkeypatch):
+    """Count the anchors ``mine_hard_negatives`` took through the float32
+    screen and those whose float64 products it scored (a fallback)."""
+    routes = {"screened": 0, "fallback": 0}
+    top, dense = trainer._SpanScreen.top, trainer._dense_negatives
+
+    def screened(screen, anchors, *args):
+        routes["screened"] += anchors.shape[0]
+        return top(screen, anchors, *args)
+
+    def fell_back(anchors, *args):
+        routes["fallback"] += anchors.shape[0]
+        return dense(anchors, *args)
+    monkeypatch.setattr(trainer._SpanScreen, "top", screened)
+    monkeypatch.setattr(trainer, "_dense_negatives", fell_back)
+    return routes
+
+
+def mining_tiles(rows, columns):
+    """Make mining's float32 tiles ``rows`` anchors by ``columns`` pool rows
+    (fewer at the edges) for pools wider than ``columns``; its float64
+    fallback blocks hold as many full rows as fit the same budget."""
+    return mock.patch.multiple(trainer, _TILE_ROWS=rows, MINING_BLOCK_BYTES=4 * rows * columns)
 
 
 def budget_for_rows(module, budget_name, rows, gallery_rows):

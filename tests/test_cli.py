@@ -401,6 +401,25 @@ class TestEval:
         assert code == 2
         assert "data.query_labels" in capsys.readouterr().err
 
+    def test_label_beyond_int64_exits_two(self, tmp_path, capsys):
+        rng = np.random.default_rng(20)
+        write_features(tmp_path / "eval.emb", rng.standard_normal((4, 5)))
+        (tmp_path / "eval.labels").write_text("0\n0\n1\n9223372036854775808\n",
+                                              encoding="utf-8")
+        write_head(tmp_path / "head.json", in_dim=5, out_dim=4)
+        cfg = {"mode": "category", "iterations": 0, "seed": 0, "head": {"out_dim": 4},
+               "eval_ks": [1],
+               "data": {"train_features": str(tmp_path / "eval.emb"),
+                        "train_labels": str(tmp_path / "eval.labels"),
+                        "eval_features": str(tmp_path / "eval.emb"),
+                        "eval_labels": str(tmp_path / "eval.labels")}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        code = main(["eval", "--config", str(cfg_path), "--model", str(tmp_path / "head.json"),
+                     "--out-dir", str(tmp_path / "eval")])
+        assert code == 2
+        assert "eval.labels:4: label 9223372036854775808 is out of range" in capsys.readouterr().err
+
     def test_file_category_eval_reads_train_files_only_for_pca(self, tmp_path):
         rng = np.random.default_rng(17)
         write_features(tmp_path / "train.emb", rng.standard_normal((12, 5)))

@@ -38,7 +38,7 @@ from spherekit import (
 )
 from spherekit import evaluation, trainer
 from spherekit.errors import ShapeError
-from spherekit.evaluation import score_blocks
+from spherekit.evaluation import score_tiles
 
 from conftest import (
     budget_for_rows,
@@ -152,8 +152,8 @@ class TestRetrieve:
         queries = unit_rows(rng, 4, 6)
         index = RetrievalIndex(gallery=gallery)
         sims = queries @ gallery.T
-        blocks = score_blocks(queries, gallery, evaluation.SCORE_BLOCK_BYTES)
-        assert_array_equal(np.vstack([S for _, S in blocks]), sims)
+        blocks = score_tiles(queries, gallery, evaluation.SCORE_BLOCK_BYTES)
+        assert_array_equal(np.vstack([S for _, _, S in blocks]), sims)
         for qi in range(4):
             # rank_of scores one query alone, as this product does
             row = (queries[qi][None, :] @ gallery.T)[0]
@@ -283,6 +283,20 @@ class TestRecallAtK:
         retrieval = retrieve(RetrievalIndex(gallery=Z), Z, exclude_self=True)
         with pytest.raises(ProtocolError):
             recall_at_k(retrieval, labels, ks=(0,))
+
+    @pytest.mark.parametrize("k", [1.9, 2.0, "2", True])
+    def test_cutoff_that_is_not_an_integer_raises(self, k):
+        # int(1.9) would read K as 1 and give {1: 0.5}.
+        Z = np.eye(4)
+        retrieval = retrieve(RetrievalIndex(gallery=Z), Z, exclude_self=True)
+        with pytest.raises(ProtocolError, match="positive integers"):
+            recall_at_k(retrieval, np.array([0, 0, 1, 1]), ks=(k,))
+
+    def test_numpy_integer_cutoffs_are_accepted(self):
+        Z = np.eye(4)
+        retrieval = retrieve(RetrievalIndex(gallery=Z), Z, exclude_self=True)
+        got = recall_at_k(retrieval, np.array([0, 0, 1, 1]), ks=np.array([1, 3]))
+        assert got == {1: 0.5, 3: 1.0}
 
     def test_label_count_mismatch(self):
         Z = np.eye(3)
@@ -443,7 +457,9 @@ class TestScoreBlocks:
         rng = np.random.default_rng(90)
         Q = unit_rows(rng, n, 4)
         G = unit_rows(rng, 7, 4)
-        blocks = list(score_blocks(Q, G, 8 * G.shape[0] * rows))
+        blocks = list(score_tiles(Q, G, 8 * G.shape[0] * rows))
+        assert all(first == 0 and S.shape[1] == G.shape[0] for _, first, S in blocks)
+        blocks = [(start, S) for start, _, S in blocks]
         starts = [start for start, _ in blocks]
         sizes = [S.shape[0] for _, S in blocks]
         assert starts == list(np.cumsum([0] + sizes[:-1]))
@@ -461,18 +477,39 @@ class TestScoreBlocks:
         sizes = []
 
         def spy(queries, gallery, block_bytes):
-            for start, S in score_blocks(queries, gallery, block_bytes):
+            for start, first, S in score_tiles(queries, gallery, block_bytes):
                 sizes.append(S.shape[0])
-                yield start, S
-        with mock.patch.object(evaluation, "score_blocks", spy):
+                yield start, first, S
+        with mock.patch.object(evaluation, "score_tiles", spy):
             recall_at_k(retrieve(RetrievalIndex(G), Q), np.zeros(600, np.int64), (1,),
                         gallery_labels=np.zeros(400, np.int64))
         assert sizes[0] == min(rows, Q.shape[0])
         assert sum(sizes) == Q.shape[0]
 
     def test_a_budget_below_two_rows_gives_two_row_blocks(self):
-        sizes = [S.shape[0] for _, S in score_blocks(np.eye(5), np.eye(5), 8)]
+        sizes = [S.shape[0] for _, _, S in score_tiles(np.eye(5), np.eye(5), 8)]
         assert sizes == [2, 3]  # the 1-row tail joins the block before it
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+    @pytest.mark.parametrize("m", [1, 5, 13])
+    @pytest.mark.parametrize("min_rows", [3, 4, 16])
+    def test_a_row_floor_splits_the_columns_into_tiles_of_the_budget(self, n, m, min_rows):
+        rng = np.random.default_rng(92)
+        Q, G = unit_rows(rng, n, 4), unit_rows(rng, m, 4)
+        budget = 8 * 6  # fewer full rows than the floor for every m > 3
+        tiles = list(score_tiles(Q, G, budget, min_rows))
+        covered = np.zeros((n, m), dtype=np.int64)
+        for start, first, S in tiles:
+            stop, last = start + S.shape[0], first + S.shape[1]
+            assert_array_equal(S, Q[start:stop] @ G[first:last].T)
+            covered[start:stop, first:last] += 1
+            if m > 3:  # a 1-row tail joins the span before it
+                assert S.shape[0] in (min(min_rows, n), n - start)
+                assert S.shape[1] <= max(1, 6 // min(min_rows, n))
+        assert np.all(covered == 1)
+        # Row-major: every column tile of a row span before the next span.
+        starts = [start for start, _, _ in tiles]
+        assert starts == sorted(starts)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 11])
     @pytest.mark.parametrize("rows", [2, 3, 4, 10])
@@ -480,7 +517,7 @@ class TestScoreBlocks:
         # Quantized rows make every product exact, whatever its shape.
         X = quantized_unit_rows(np.random.default_rng(91), n, 8, 5)
         budget = 8 * n * rows
-        full = list(score_blocks(X, X, budget))
+        full = [(start, S) for start, _, S in score_tiles(X, X, budget)]
         halves = list(evaluation._self_score_blocks(X, budget))
         assert [start for start, _ in halves] == [start for start, _ in full]
         for (start, S), (_, T) in zip(full, halves):

@@ -119,6 +119,12 @@ class TestLabels:
             ("1\n\n2\n", r":2: blank line"),
             ("1\nabc\n", r":2: not an integer"),
             ("1\n-3\n", r":2: negative label"),
+            ("1\n1_0\n", r":2: not an integer"),
+            ("1\n+3\n", r":2: not an integer"),
+            ("1\n\u0663\n", r":2: not an integer"),
+            ("1\n2.0\n", r":2: not an integer"),
+            ("1\n9223372036854775808\n", r":2: label 9223372036854775808 is out of range"),
+            ("1\n1" + "0" * 30 + "\n", r":2: label 1000.* is out of range"),
         ],
     )
     def test_read_errors_name_the_line(self, tmp_path, text, pattern):
@@ -126,6 +132,11 @@ class TestLabels:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(FormatError, match=pattern):
             read_labels(path)
+
+    def test_largest_label_and_leading_zeros_and_whitespace(self, tmp_path):
+        path = tmp_path / "edge.labels"
+        path.write_text("9223372036854775807\n" + "0" * 30 + "7\n 3 \n", encoding="utf-8")
+        assert read_labels(path).tolist() == [2**63 - 1, 7, 3]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="cannot open"):

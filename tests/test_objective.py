@@ -29,7 +29,7 @@ from spherekit import (
     contrastive_loss,
     koleo_loss,
 )
-from spherekit import objective
+from spherekit import evaluation, objective
 from spherekit.errors import ShapeError
 
 from conftest import FD_RTOL, central_diff, rel_err, rows_at_similarity, safe_batch, unit_rows
@@ -322,7 +322,7 @@ def forced_memory_path(per_pair):
     """Make the loss score memory pairs one by one, or all from one product.
 
     Blocks of one value make even a tiny memory go through the screen, two
-    rows (``score_blocks``' least) and one pair dot at a time.
+    rows (``score_tiles``' least) and one pair dot at a time.
     """
     return mock.patch.multiple(
         objective, _PER_PAIR_SHARE=1.0 if per_pair else 0.0, _BLOCK_VALUES=1
@@ -471,6 +471,95 @@ class TestMemoryScreen:
         assert_allclose(out.term_breakdown.negative - alone.term_breakdown.negative,
                         negative, rtol=1e-12, atol=1e-15)
         assert_allclose(out.grad - alone.grad, grad, rtol=0, atol=1e-12)
+
+
+def full_matrix_memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z32, norm_bound, beta):
+    """The memory term's pairs as the screen once found them: every block's
+    compare written into one memory x anchors boolean matrix, its touched
+    columns read off that matrix."""
+    n, d = Z.shape
+    m = mem_Z.shape[0]
+    share = objective._PER_PAIR_SHARE
+    if n * m <= objective._BLOCK_VALUES:
+        return objective._memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta)
+    z_norm = np.sqrt(np.einsum("ij,ij->i", Z, Z))
+    thresholds, _ = evaluation._screen_thresholds(z_norm, d, norm_bound, beta)
+    with np.errstate(over="ignore"):
+        Z32 = Z.astype(np.float32)
+    screened = np.empty((m, n), dtype=bool)
+    passed = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, _, S in evaluation.score_tiles(mem_Z32, Z32, 8 * objective._BLOCK_VALUES):
+            stop = start + S.shape[0]
+            np.less_equal(S, thresholds, out=screened[start:stop])
+            passed += S.size - np.count_nonzero(screened[start:stop])
+            if passed > share * n * stop:
+                break
+    if passed > share * n * stop:
+        return objective._memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta)
+    cols = np.flatnonzero(~screened.all(axis=1) | np.isin(mem_labels, labels))
+    same = labels[:, None] == mem_labels[cols]
+    scored = same | ~screened[cols].T
+    if np.count_nonzero(scored) > share * n * m:
+        return objective._memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta)
+    rows, at = np.nonzero(scored)
+    sims = evaluation._row_dots(Z, rows, mem_Z, cols[at], objective._BLOCK_VALUES)
+    same = same[scored]
+    active = ~same & (sims > beta)
+    coef = np.zeros((n, cols.size))
+    coef[scored] = active.astype(np.float64) - same
+    keep = np.flatnonzero(coef.any(axis=0))
+    return sims[same], sims[active], cols[keep], coef[:, keep]
+
+
+class TestMemoryPairsFlatScreen:
+    """``_memory_pairs`` keeps the screen's passed pairs as flat indices; its
+    outputs equal, bit for bit, those of the full boolean matrix."""
+
+    @pytest.mark.parametrize("case", ["screened", "nan_bounds", "early_break"])
+    def test_matches_full_matrix_formulation_bitwise(self, case, monkeypatch):
+        rng = np.random.default_rng(31)
+        n, m, d = 8, 400, 16
+        Z = unit_rows(rng, n, d)
+        labels = np.arange(n) % 3
+        mem_Z = unit_rows(rng, m, d)
+        mem_labels = n + np.arange(m)
+        mem_labels[[10, 11, 12]] = [0, 1, 2]  # a few positives
+        near = np.arange(m) % 50 == 0  # 8 rows near an anchor: hinge candidates
+        if case == "early_break":
+            near = np.arange(m) >= 300  # the last blocks pass every pair
+        mem_Z[near] = Z[np.arange(near.sum()) % n] + 1e-2 * mem_Z[near]
+        mem_Z /= np.linalg.norm(mem_Z, axis=1, keepdims=True)
+        if case == "nan_bounds":
+            Z[[2, 5]] *= 2.0**61  # NaN thresholds: every pair of these rows passes
+            mem_Z[7] = np.nan  # NaN scores pass too
+            monkeypatch.setattr(objective, "_PER_PAIR_SHARE", 0.5)
+        monkeypatch.setattr(objective, "_BLOCK_VALUES", 16 * n)  # 25 blocks of 16 rows
+        with np.errstate(over="ignore"):
+            mem_Z32 = mem_Z.astype(np.float32)
+        args = (Z, labels, mem_Z, mem_labels, mem_Z32, 1.0 + 1e-9, 0.9)
+        blocks, dense = [], []
+        tiles, dense_pairs = objective.score_tiles, objective._memory_pairs_dense
+
+        def counted_tiles(*a):
+            for tile in tiles(*a):
+                blocks.append(tile[0])
+                yield tile
+        monkeypatch.setattr(objective, "score_tiles", counted_tiles)
+        monkeypatch.setattr(objective, "_memory_pairs_dense",
+                            lambda *a: dense.append(1) or dense_pairs(*a))
+        got = objective._memory_pairs(*args)
+        monkeypatch.setattr(objective, "_memory_pairs_dense", dense_pairs)
+        expected = full_matrix_memory_pairs(*args)
+        assert len(got) == len(expected) == 4
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        if case == "early_break":
+            assert dense and 0 < len(blocks) < 25
+        else:
+            assert not dense and len(blocks) == 25
+            assert got[1].size > 0  # some hinge pairs were active
 
 
 class TestKoleo:

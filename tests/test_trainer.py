@@ -6,6 +6,7 @@ differences over every parameter entry.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,7 +45,15 @@ from spherekit.config import PoolingSpec
 from spherekit.errors import ShapeError
 from spherekit.trainer import check_tuple_rows
 
-from conftest import budget_for_rows, central_diff, quantized_unit_rows, rel_err
+from conftest import (
+    budget_for_rows,
+    central_diff,
+    mining_routes,
+    mining_tiles,
+    quantized_unit_rows,
+    rel_err,
+    unit_rows,
+)
 
 
 def tiny_config(**overrides):
@@ -404,6 +413,120 @@ class TestHardNegativeMining:
                 got = mine_hard_negatives(A, pool_Z, labels, exclude, k)
             assert got.dtype == np.int64
             assert_array_equal(got, sort_oracle(A, pool_Z, labels, exclude, k))
+
+
+class TestScreenedMining:
+    """Routes of the float32 screen: which anchors it scored and which fell
+    back to float64 products, against the per-anchor sort."""
+
+    def draw(self, rng, anchors, n, d=16, classes=60):
+        A, pool_Z = unit_rows(rng, anchors, d), unit_rows(rng, n, d)
+        return A, pool_Z, rng.integers(0, classes, size=n), rng.integers(0, classes, size=anchors)
+
+    def test_unit_rows_take_the_screen(self, monkeypatch):
+        rng = np.random.default_rng(120)
+        A, pool_Z, labels, exclude = self.draw(rng, 150, 1500)
+        routes = mining_routes(monkeypatch)
+        with mining_tiles(64, 256):  # 3 anchor spans x 6 pool spans
+            got = mine_hard_negatives(A, pool_Z, labels, exclude)
+        assert routes == {"screened": 150, "fallback": 0}
+        assert_array_equal(got, sort_oracle(A, pool_Z, labels, exclude, 5))
+
+    def test_default_tiles_take_the_screen(self, monkeypatch):
+        rng = np.random.default_rng(121)
+        A, pool_Z, labels, exclude = self.draw(rng, 200, 2500, d=32)
+        routes = mining_routes(monkeypatch)
+        got = mine_hard_negatives(A, pool_Z, labels, exclude)
+        assert routes == {"screened": 200, "fallback": 0}
+        assert_array_equal(got, sort_oracle(A, pool_Z, labels, exclude, 5))
+
+    def test_quantized_ties_fall_back(self, monkeypatch):
+        # Six directions: every anchor's k-th score ties with about a sixth
+        # of the pool, far more than the per-pair share.
+        rng = np.random.default_rng(122)
+        both = quantized_unit_rows(rng, 80 + 1200, 16, 6)
+        A, pool_Z = both[:80], both[80:]
+        labels, exclude = rng.integers(0, 40, size=1200), rng.integers(0, 40, size=80)
+        routes = mining_routes(monkeypatch)
+        with mining_tiles(32, 256):
+            got = mine_hard_negatives(A, pool_Z, labels, exclude)
+        assert routes == {"screened": 0, "fallback": 80}
+        assert_array_equal(got, sort_oracle(A, pool_Z, labels, exclude, 5))
+
+    def test_huge_anchor_falls_back_with_its_span(self, monkeypatch):
+        rng = np.random.default_rng(123)
+        A, pool_Z, labels, exclude = self.draw(rng, 96, 1000)
+        A[70] *= 2.0**61  # exact: every score of the row scales by a power of 2
+        routes = mining_routes(monkeypatch)
+        with mining_tiles(32, 512):
+            got = mine_hard_negatives(A, pool_Z, labels, exclude)
+        assert routes == {"screened": 64, "fallback": 32}
+        assert_array_equal(got, sort_oracle(A, pool_Z, labels, exclude, 5))
+
+    def test_small_pool_falls_back_whole(self, monkeypatch):
+        # k of 640 pool rows is more than the share: no anchor can pass.
+        rng = np.random.default_rng(124)
+        A, pool_Z, labels, exclude = self.draw(rng, 40, 639)
+        routes = mining_routes(monkeypatch)
+        got = mine_hard_negatives(A, pool_Z, labels, exclude)
+        assert routes == {"screened": 0, "fallback": 40}
+        assert_array_equal(got, sort_oracle(A, pool_Z, labels, exclude, 5))
+
+    def test_pool_narrower_than_a_tile_and_exactly_k_candidates(self, monkeypatch):
+        rng = np.random.default_rng(125)
+        A, pool_Z = unit_rows(rng, 12, 8), unit_rows(rng, 700, 8)
+        labels = np.zeros(700, dtype=np.int64)
+        labels[rng.choice(700, size=5, replace=False)] = [1, 2, 3, 4, 5]
+        exclude = np.where(np.arange(12) % 2 == 0, 0, 1)  # label 0: exactly 5 left
+        routes = mining_routes(monkeypatch)
+        got = mine_hard_negatives(A, pool_Z, labels, exclude)
+        assert routes == {"screened": 12, "fallback": 0}
+        assert_array_equal(got, sort_oracle(A, pool_Z, labels, exclude, 5))
+        assert_array_equal(np.sort(got[0]), np.flatnonzero(labels))
+
+    def test_last_pool_span_narrower_than_k(self, monkeypatch):
+        rng = np.random.default_rng(126)
+        A, pool_Z, labels, exclude = self.draw(rng, 20, 4 * 256 + 3)
+        routes = mining_routes(monkeypatch)
+        with mining_tiles(20, 256):
+            got = mine_hard_negatives(A, pool_Z, labels, exclude)
+        assert routes == {"screened": 20, "fallback": 0}
+        assert_array_equal(got, sort_oracle(A, pool_Z, labels, exclude, 5))
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        anchors=st.integers(1, 12),
+        n=st.integers(8, 40),
+        d=st.sampled_from([4, 8, 16]),
+        directions=st.integers(1, 6),
+        num_labels=st.integers(2, 5),
+        k=st.integers(1, 6),
+        tile=st.sampled_from([(1, 1), (4, 2), (3, 7), (5, 16)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_screen_forced_on_ties_matches_sort_oracle(self, anchors, n, d, directions,
+                                                       num_labels, k, tile, seed):
+        # With a per-pair share of 1 no span falls back, so tie-heavy quantized
+        # rows, tiles narrower than k and anchors short of candidates all go
+        # through the screen.
+        rng = np.random.default_rng(seed)
+        both = quantized_unit_rows(rng, anchors + n, d, directions)
+        A, pool_Z = both[:anchors], both[anchors:]
+        labels = rng.integers(0, num_labels, size=n)
+        exclude = rng.integers(0, num_labels, size=anchors)
+        short = [c for c in exclude if np.count_nonzero(labels != c) < k]
+        with mock.patch.object(trainer, "_PER_PAIR_SHARE", 1.0), mining_tiles(*tile):
+            if short:
+                with pytest.raises(SamplingError, match=f"outside label {short[0]}, "):
+                    mine_hard_negatives(A, pool_Z, labels, exclude, k)
+                return
+            top = trainer._SpanScreen.top
+            screened = []
+            with mock.patch.object(trainer._SpanScreen, "top",
+                                   lambda s, a, p: screened.append(a.shape[0]) or top(s, a, p)):
+                got = mine_hard_negatives(A, pool_Z, labels, exclude, k)
+        assert sum(screened) == anchors
+        assert_array_equal(got, sort_oracle(A, pool_Z, labels, exclude, k))
 
 
 class TestTupleRows:
