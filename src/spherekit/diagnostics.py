@@ -4,13 +4,16 @@ Three instruments for judging an embedding beyond task metrics:
 
 * pairwise-similarity histograms for same-label vs different-label pairs,
   plus their overlap (a separability score in [0, 1]). Rows of norm at most
-  1 + UNIT_ATOL are scored in float32 blocks, and a pair in a float64 row
-  dot only where its float32 score lies within the proven float32 error of
-  an interior bin edge; a block with more such pairs than the metrics'
-  per-pair share, and every block of other rows (a non-finite row, a larger
-  norm), is binned from its float64 product. A bin can differ from a
-  float64 product's only where a pair's row dot and product scores fall on
-  opposite sides of an edge, within a few ULPs of it;
+  1 + UNIT_ATOL are scored in float32 tiles of the metrics' size, row span
+  by row span, each unordered pair once, and a pair in a float64 row dot
+  only where its float32 score lies within the proven float32 error of an
+  interior bin edge; a span with more such pairs than the metrics' per-pair
+  share stops its tiles, and it and every span of other rows (a non-finite
+  row, a larger norm) are binned from float64 blocks of full rows within
+  the metrics' block budget. Memory is one tile, plus one float64 block only
+  where a span falls back. A bin can differ from a float64 product's only
+  where a pair's row dot and product scores fall on opposite sides of an
+  edge, within a few ULPs of it;
 * the PCA energy profile of a descriptor set, summarized as the number of
   components needed to reach fixed energy thresholds (a dimensional-collapse
   gauge: fewer components for 90% energy means a flatter, more collapsed
@@ -154,14 +157,16 @@ class _EdgeScreen:
 @dataclass(frozen=True)
 class _PairBins:
     """Bins pairs of rows of ``Z`` by their float64 scores, from their
-    scores in a block: float64 scores as they are (no ``screen``), float32
+    scores in a tile: float64 scores as they are (no ``screen``), float32
     ones through the ``screen``, rescoring the undecided pairs with row dots
-    of ``chunk`` values per operand."""
+    of ``chunk`` values per operand. ``runs`` finds each row's same-label
+    rows (``evaluation._LabelRuns`` of the labels against themselves)."""
 
     Z: np.ndarray
     open_edges: np.ndarray
     screen: _EdgeScreen | None
     chunk: int
+    runs: evaluation._LabelRuns
 
     def pairs(self, rows, cols, values) -> np.ndarray:
         """Bin counts of pairs ``(rows[i], cols[i])`` scored ``values``."""
@@ -170,31 +175,62 @@ class _PairBins:
         counts, undecided = self.screen.split(values)
         return counts + self._rescored(rows[undecided], cols[undecided])
 
-    def block(self, start, S) -> np.ndarray | None:
-        """Bin counts of the pairs of the block ``S`` of ``_self_score_blocks``
-        at row ``start``, or None when more than ``_PER_PAIR_SHARE`` of its
-        entries are undecided.
+    def span(self, start, stop, tiles) -> tuple[np.ndarray, np.ndarray] | None:
+        """Bin counts of all pairs and of the same-label pairs of the rows
+        ``start..stop`` with every later row, from the row span's upper
+        ``tiles`` (``(start, first, tile)``), or None, asking for no further
+        tile, once more than ``_PER_PAIR_SHARE`` of the span's entries are
+        undecided.
 
-        Each row's own and earlier entries in the block's diagonal square go
-        to -inf, into the first bin, and are taken out of it again."""
-        r, width = S.shape
-        S[:, :r][np.tri(r, dtype=bool)] = -np.inf
+        A tile's entries of a row with itself or an earlier row (in the
+        diagonal square) go to -inf, into the first bin, and are taken out of
+        it again. Counts add up over the tiles."""
         counts = np.zeros(self.open_edges.size - 1, dtype=np.int64)
-        counts[0] -= r * (r + 1) // 2
-        if self.screen is None:
-            return counts + np.histogram(S, self.open_edges)[0]
-        limit = evaluation._PER_PAIR_SHARE * S.size
-        flat = S.reshape(-1)
-        undecided, total = [], 0
-        for i in range(0, flat.size, self.chunk):
-            decided, near = self.screen.split(flat[i : i + self.chunk])
-            counts += decided
-            total += near.size
-            if total > limit:
-                return None
-            undecided.append(near + i)
-        rows, cols = np.divmod(np.concatenate(undecided), width)
-        return counts + self._rescored(start + rows, start + cols)
+        same = np.zeros_like(counts)
+        limit = evaluation._PER_PAIR_SHARE * (stop - start) * (self.Z.shape[0] - start)
+        total = 0
+        for a, first, S in tiles:
+            r, width = S.shape
+            if first < a + r:
+                lower = np.tri(r, width, a - first, dtype=bool)
+                S[lower] = -np.inf
+                counts[0] -= np.count_nonzero(lower)
+                del lower
+            if self.screen is None:
+                counts += np.histogram(S, self.open_edges)[0]
+            else:
+                flat = S.reshape(-1)
+                undecided = []
+                for i in range(0, flat.size, self.chunk):
+                    decided, near = self.screen.split(flat[i : i + self.chunk])
+                    counts += decided
+                    total += near.size
+                    if total > limit:
+                        return None
+                    undecided.append(near + i)
+                rows, cols = np.divmod(np.concatenate(undecided), width)
+                counts += self._rescored(a + rows, first + cols)
+            same += self._same_label(a, first, S)
+            del S
+        return counts, same
+
+    def _same_label(self, start, first, S) -> np.ndarray:
+        """Bin counts of the same-label pairs of the tile ``S`` (rows
+        ``start, ...``, columns ``first, ...``) whose column is the later row,
+        read along label runs a bounded chunk at a time."""
+        r, width = S.shape
+        lo, sizes = self.runs.window(start, start + r, first, first + width, after=True)
+        ends = np.cumsum(sizes)
+        counts = np.zeros(self.open_edges.size - 1, dtype=np.int64)
+        a = int(np.searchsorted(ends, 0, "right"))  # rows before hold no pair here
+        while a < r:
+            # Rows a:b hold at most `chunk` same-label pairs, or are one row.
+            b = max(a + 1, int(np.searchsorted(ends, ends[a] - sizes[a] + self.chunk, "right")))
+            rows = np.repeat(np.arange(a, b), sizes[a:b])
+            cols = self.runs.by_label[evaluation._ranges(lo[a:b], sizes[a:b])]
+            counts += self.pairs(start + rows, cols, S[rows, cols - first])
+            a = b
+        return counts
 
     def _rescored(self, rows, cols) -> np.ndarray:
         scores = evaluation._row_dots(self.Z, rows, self.Z, cols, self.chunk)
@@ -204,28 +240,30 @@ class _PairBins:
 def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
     """Histogram all unordered pairwise similarities, split by label match.
 
-    Rows are scored in blocks of their product with themselves
-    (``evaluation._self_score_blocks`` within ``evaluation.SCORE_BLOCK_BYTES``):
-    a block holds its rows' pairs with every later row, so each unordered
-    pair is scored once and memory stays bounded by the block, not by n^2.
-    A block's pairs are binned a bounded chunk at a time; its same-label
-    pairs are read from it along label runs, a bounded chunk at a time, and
-    binned again; the different-label counts are the difference.
+    Rows are scored in row spans of their product with themselves
+    (``evaluation._metric_spans``, upper trapezoids): a span holds its rows'
+    pairs with every later row, so each unordered pair is scored once, in
+    tiles of a fixed size, and memory stays bounded by one tile, not by n^2.
+    A tile's pairs are binned a bounded chunk at a time; its same-label pairs
+    are read from it along label runs, a bounded chunk at a time, and binned
+    again; the different-label counts are the difference. Counts add up over
+    tiles.
 
-    Rows of norm at most 1 + ``UNIT_ATOL`` are scored in float32 blocks of
-    the same rows, in half the bytes. A pair's float32 score decides its bin
-    unless it lies within the float32 error bound of an interior edge
-    (``_EdgeScreen``); only those undecided pairs are scored in float64, one
-    row dot each (``evaluation._row_dots``). A block whose undecided pairs
-    are more than ``evaluation._PER_PAIR_SHARE`` of its entries (most scores
-    on an edge, as with coarsely quantized rows) is binned from its float64
-    product instead, as is every block of rows the screen cannot bound (a
-    non-finite row, a larger norm). So every pair is binned by a float64
-    score, and a decided pair's bin is the one any float64 evaluation gives
-    it. A row dot and a product can differ in the last bits, so a pair's bin
-    can differ from that of a float64 product only when its row-dot and
-    product scores fall on opposite sides of an edge, within a few ULPs of
-    it.
+    Rows of norm at most 1 + ``UNIT_ATOL`` are scored in float32 tiles. A
+    pair's float32 score decides its bin unless it lies within the float32
+    error bound of an interior edge (``_EdgeScreen``); only those undecided
+    pairs are scored in float64, one row dot each (``evaluation._row_dots``).
+    A row span whose undecided pairs are more than
+    ``evaluation._PER_PAIR_SHARE`` of its entries (most scores on an edge, as
+    with coarsely quantized rows) computes no further tile and is binned from
+    the float64 products of its rows instead, in blocks of full rows within
+    ``evaluation.SCORE_BLOCK_BYTES``, as is every span of rows the screen
+    cannot bound (a non-finite row, a larger norm). So every pair is binned
+    by a float64 score, and a decided pair's bin is the one any float64
+    evaluation gives it. A row dot and a product can differ in the last bits,
+    so a pair's bin can differ from that of a float64 product only when its
+    row-dot and product scores fall on opposite sides of an edge, within a
+    few ULPs of it.
     """
     Z = np.asarray(Z, dtype=np.float64)
     labels = np.asarray(labels)
@@ -244,37 +282,20 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
     open_edges[0], open_edges[-1] = -np.inf, np.inf
     all_counts = np.zeros(num_bins, dtype=np.int64)
     pos_counts = np.zeros(num_bins, dtype=np.int64)
-    # A row's same-label rows after it are the rest of its run of the rows
-    # sorted by label, in ascending index (the sort is stable).
-    by_label = np.argsort(labels, kind="stable")
-    place = np.empty_like(by_label)
-    place[by_label] = np.arange(by_label.size)
-    run_end = np.searchsorted(labels[by_label], labels, "right")
-    later = run_end - place - 1
     chunk = max(1, evaluation.SCORE_BLOCK_BYTES // 512)
-    screened = _PairBins(Z, open_edges, _EdgeScreen.around(Z, edges), chunk)
-    dense = _PairBins(Z, open_edges, None, chunk)
+    runs = evaluation._LabelRuns(labels, labels)
+    screened = _PairBins(Z, open_edges, _EdgeScreen.around(Z, edges), chunk, runs)
+    dense = _PairBins(Z, open_edges, None, chunk, runs)
+    # Without a screen no float32 tile is asked for: every span is float64.
     X = Z if screened.screen is None else Z.astype(np.float32)
-    for start, S in evaluation._self_score_blocks(X, evaluation.SCORE_BLOCK_BYTES):
-        r = S.shape[0]
-        bins = screened
-        counts = bins.block(start, S)
+    for start, stop, tiles in evaluation._metric_spans(X, X, upper=True):
+        counts = None if screened.screen is None else screened.span(start, stop, tiles)
+        tiles.close()
         if counts is None:
-            del S
-            bins = dense
-            S = Z[start : start + r] @ Z[start:].T
-            counts = bins.block(start, S)
-        all_counts += counts
-        sizes = later[start : start + r]
-        ends = np.cumsum(sizes)
-        a = 0
-        while a < r:
-            # Rows a:b hold at most `chunk` same-label pairs, or are one row.
-            b = max(a + 1, int(np.searchsorted(ends, ends[a] - sizes[a] + chunk, "right")))
-            rows = np.repeat(np.arange(a, b), sizes[a:b])
-            cols = by_label[evaluation._ranges(place[start + a : start + b] + 1, sizes[a:b])]
-            pos_counts += bins.pairs(start + rows, cols, S[rows, cols - start])
-            a = b
+            blocks = evaluation._float64_tiles(Z, Z, start, stop, upper=True)
+            counts = dense.span(start, stop, blocks)
+        all_counts += counts[0]
+        pos_counts += counts[1]
     return SimilarityHistogram(
         bin_edges=edges, positive_counts=pos_counts, negative_counts=all_counts - pos_counts
     )

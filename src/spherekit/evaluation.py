@@ -17,50 +17,55 @@ kept (non-junk) items with a higher score, or an equal score and a lower
 index. So each query needs only, for a few thresholds (its best positive
 for recall, every positive for mAP), how many items score above each.
 
-The metrics count that from float32 score blocks: ``score_tiles`` over
-float32 copies of the queries and the gallery, with the row counts of
-``SCORE_BLOCK_BYTES`` of float64 scores, so a block holds half those bytes.
-A threshold is the float64 score of a query and a positive, one row dot
-each (``_row_dots``: no BLAS, so a value depends only on its two rows).
-``_screen_thresholds`` gives it float32 bounds ``below < above``: an item
-whose float32 score is ``>= above`` provably scores above the threshold in
-any float64 evaluation and is counted, and one ``<= below`` provably scores
-below it and is skipped. Only the items in between, on real data about one
-per threshold (mostly the positive itself), are scored in float64 row dots
-and compared exactly, ties going to the lower gallery index. Recall, with
-one threshold per query, counts a block's items with two compares; mAP
-sorts each float32 row once and places every threshold by binary search.
-mAP scores its junk items in row dots too, to take them out of the counts.
-Both refine their in-between items through one function (``_band_ahead``).
-A block whose thresholds or in-between items are more than
+The metrics count that from float32 tiles of the products of float32 copies
+of the queries and the gallery (``_metric_spans``). The queries are taken in
+row spans, each of the rows of ``SCORE_BLOCK_BYTES`` of float64 scores and at
+least ``_TILE_ROWS``, and a span's product in tiles of a sixteenth of those
+bytes, so memory is one tile, however wide the gallery. Counts add up over a
+span's tiles. A threshold is the float64 score of a query and a positive,
+one row dot each (``_row_dots``: no BLAS, so a value depends only on its two
+rows). ``_screen_thresholds`` gives it float32 bounds ``below < above``: an
+item whose float32 score is ``>= above`` provably scores above the threshold
+in any float64 evaluation and is counted, and one ``<= below`` provably
+scores below it and is skipped. Only the items in between, on real data
+about one per threshold (mostly the positive itself), are scored in float64
+row dots and compared exactly, ties going to the lower gallery index. Recall,
+with one threshold per query, counts a tile's items with two compares; mAP
+sorts each float32 row of a tile once and places every threshold by binary
+search. mAP scores its junk items in row dots too, to take them out of the
+counts. Both refine their in-between items through one function
+(``_band_ahead``). A span whose thresholds or in-between items are more than
 ``_PER_PAIR_SHARE`` of its pairs (a collapsed gallery, positives ranked far
 down), where row dots would cost more than a product, or one with a bound
 outside the screen's proven range (a query norm above 2**60 or a dim above
-2**22), takes every score, thresholds included, from one float64 product of
-its rows, as before the screen existed. So a block is either screened and
-counted or scored by its product. No full ranking or queries x gallery
-score matrix is ever built, so memory is bounded by the block budget.
+2**22), asks for no further tile and takes every score, thresholds included,
+from the float64 products of its rows, in blocks of full rows within
+``SCORE_BLOCK_BYTES`` (``_float64_blocks``), as before the screen existed.
+So a span is either screened and counted or scored by its products, and
+only a span that falls back holds a float64 block. No full ranking or
+queries x gallery score matrix is ever built.
 
-Recall has one driver for two block shapes. It finds every query's
-threshold before the first product. Leave-one-out queries that are the
-gallery's own array score each unordered pair once: ``_self_score_blocks``
-gives each block's scores with itself and every later row only, counted
-row-wise for the block's own queries and column-wise for the later ones (the
-bounds hold for any float32 evaluation of a dot product, so a transposed
-score is as good as its own). Other queries take the full rows of
-``score_tiles``, counted row-wise. Either way a query's own entry is -inf
-under ``exclude_self``, and a block falls back as above.
+Recall has one driver for two span shapes. It finds every query's threshold
+before the first product. Leave-one-out queries that are the gallery's own
+array score each unordered pair once: a span's tiles start at its diagonal
+(the upper trapezoid of the product), counted row-wise for the span's own
+queries and, in the columns past the span, column-wise for the later ones
+(the bounds hold for any float32 evaluation of a dot product, so a
+transposed score is as good as its own). Other queries take tiles across
+every column, counted row-wise. Either way a query's own entry is -inf under
+``exclude_self``, and a span falls back as above.
 
 The metrics are exact for exact scores, such as dot products of coarsely
 quantized rows. On general floats the float64 score of a pair comes either
-from a row dot (a screened block) or from a row of a block's product (a
-block that fell back), and the two may differ in the last bits; a row of a
+from a row dot (a screened span) or from a row of a block's product (a
+span that fell back), and the two may differ in the last bits; a row of a
 product can also differ from the same row of a product with other rows. So
 where two scores are within a few ULPs of each other their order, and a
 metric through it, may follow the row dots or the product. A screened
-block's result depends on neither the block budget nor the BLAS thread
-count; which blocks fall back rests on float32 counts, which another BLAS
-build or thread count could round differently at the limit.
+span's result depends on neither the block budget, the tile shape nor the
+BLAS thread count; which spans fall back rests on float32 counts, which
+another BLAS build, thread count or tile shape could round differently at
+the limit.
 """
 
 from __future__ import annotations
@@ -88,11 +93,23 @@ __all__ = [
 
 SPLITS = ("easy", "medium", "hard")
 
-# Bytes of float64 scores one query block may hold; the metrics' float32
-# blocks have the same rows in half the bytes. Counting ranks in a block takes
-# at most about three times this in temporaries (a block that falls back to
-# its float64 product), so it also bounds peak memory.
+# Bytes of float64 scores one block of full query rows may hold. A row span
+# of the metrics holds the rows of one such block, and at least _TILE_ROWS; a
+# span that falls back is scored from float64 blocks of its rows within this
+# budget, taking at most about three times it in temporaries, so it bounds the
+# worst-case memory. A screened span holds one float32 tile at a time, of a
+# sixteenth of this budget (2 MiB: 512 x 1,024 scores at _TILE_ROWS rows).
 SCORE_BLOCK_BYTES = 32 * 2**20
+# The least rows of a metric's row span, so a wide gallery is scored in tiles,
+# not in thin blocks of full rows (69 rows at 60,000). Leave-one-out recall
+# and histograms of unit rows at d 128, one thread of a 2-core Xeon, against
+# spans of at least 512 rows in tiles of 512 x 1,024 scores: at 4,000 rows
+# (spans of 1,048; medians of 7) tiles of 512 x 512, 256 x 1,024, 1,024 x
+# 1,024 and 512 x 2,048 took 7-12% longer in recall and 2-19% in histograms
+# (a repeat of the chosen shape read +9% and -4%); at 60,000 rows (single
+# runs) every shape lay within the host's drift of the chosen one, whose two
+# runs read 8.3 and 9.6 s in recall and 14.1 and 15.9 s in histograms.
+_TILE_ROWS = 512
 
 # Unit roundoff of float32, and half its smallest subnormal (the largest
 # absolute error of a float32 rounding that underflows).
@@ -106,8 +123,8 @@ _SCREEN_MAX_DIM = 2**22
 # each while they are at most this share of the pairs it screened; above it
 # one float64 product is faster. Measured on the loss's memory term (n 32-64,
 # d 64-384, M 8k-16k, one BLAS thread of a 2-core Xeon: equal cost at about
-# 1/100); the metrics use the same share for a block's thresholds and for
-# its in-between items.
+# 1/100); the metrics use the same share for a row span's thresholds and
+# for its in-between items.
 _PER_PAIR_SHARE = 1 / 128
 
 
@@ -218,11 +235,17 @@ def retrieve(
 
 
 def _tile_spans(
-    num_rows: int, num_columns: int, block_bytes: int, min_rows: int = 2
-) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
-    """``(start, stop), (first, last)`` of the tiles of a product with
-    ``num_rows`` rows and ``num_columns`` columns, row-major: every column
-    span of a row span, then the next row span.
+    num_rows: int,
+    num_columns: int,
+    block_bytes: int,
+    min_rows: int = 2,
+    tile_values: int | None = None,
+    upper: bool = False,
+    rows: tuple[int, int] | None = None,
+) -> Iterator[tuple[tuple[int, int], Iterator[tuple[int, int]]]]:
+    """``(start, stop), columns`` per row span of a product with ``num_rows``
+    rows and ``num_columns`` columns, in order; ``columns`` yields the
+    ``(first, last)`` column spans of the row span's tiles.
 
     A row span holds as many rows as fit ``block_bytes`` of float64 scores
     across every column, and at least 2. A 1-row product runs as a
@@ -230,54 +253,91 @@ def _tile_spans(
     row of a many-row product, so a 1-row tail is merged into the span before
     it; only a single row is ever scored alone. When fewer than ``min_rows``
     full rows fit, a row span holds ``min_rows`` rows (all of them, if fewer)
-    and the columns are split into spans that fit the budget with them.
+    and the columns are split into tiles that fit the budget with them.
+    ``tile_values`` instead caps every tile at that many scores, so a span
+    has as many columns per tile as fit with its rows. With ``upper`` a row
+    span's tiles start at the column of its first row: the upper trapezoid of
+    a set of rows scored against itself, each unordered pair once. ``rows``
+    limits the spans to the rows ``start..stop`` of the product.
     """
+    begin, end = rows or (0, num_rows)
     values = block_bytes // 8
-    block_rows = max(2, values // max(num_columns, 1))
-    block_columns = max(num_columns, 1)
-    if block_rows < min_rows:
-        block_rows = min(min_rows, num_rows)
-        block_columns = max(1, values // max(block_rows, 1))
-    start = 0
-    while start < num_rows:
-        stop = min(start + block_rows, num_rows)
-        if num_rows - stop == 1:
-            stop = num_rows
-        for first in range(0, max(num_columns, 1), block_columns):
-            yield (start, stop), (first, min(first + block_columns, num_columns))
+    span = max(2, values // max(num_columns, 1))
+    columns = max(num_columns, 1)
+    if span < min_rows:
+        span = min(min_rows, end - begin)
+        columns = max(1, values // max(span, 1))
+    if tile_values is not None:
+        columns = max(1, tile_values // max(min(span, end - begin), 1))
+    start = begin
+    while start < end:
+        stop = min(start + span, end)
+        if end - stop == 1:
+            stop = end
+        firsts = range(start if upper else 0, max(num_columns, 1), columns)
+        yield (start, stop), ((first, min(first + columns, num_columns)) for first in firsts)
         start = stop
+
+
+def _tiles(queries, gallery, start, stop, columns) -> Iterator[tuple[int, int, np.ndarray]]:
+    for first, last in columns:
+        yield start, first, queries[start:stop] @ gallery[first:last].T
+
+
+def _span_tiles(
+    queries: np.ndarray,
+    gallery: np.ndarray,
+    block_bytes: int,
+    min_rows: int = 2,
+    tile_values: int | None = None,
+    upper: bool = False,
+    rows: tuple[int, int] | None = None,
+) -> Iterator[tuple[int, int, Iterator[tuple[int, int, np.ndarray]]]]:
+    """Yield ``(start, stop, tiles)`` per row span of ``_tile_spans`` (same
+    arguments), where ``tiles`` yields ``(start, first, queries[start:stop] @
+    gallery[first:last].T)`` for each of the span's tiles.
+
+    Every blocked product in the package comes from here, each caller passing
+    its own budget. A tile is computed only when ``tiles`` is asked for it, so
+    a span that stops early (a float32 screen that falls back) computes no
+    more of its tiles.
+    """
+    spans = _tile_spans(queries.shape[0], gallery.shape[0], block_bytes, min_rows,
+                        tile_values, upper, rows)
+    for (start, stop), columns in spans:
+        yield start, stop, _tiles(queries, gallery, start, stop, columns)
 
 
 def score_tiles(
     queries: np.ndarray, gallery: np.ndarray, block_bytes: int, min_rows: int = 2
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield ``(start, first, queries[start:stop] @ gallery[first:last].T)``
-    over the tiles of ``_tile_spans``.
+    over the tiles of ``_tile_spans``, row span by row span (``_span_tiles``).
 
-    Every blocked product in the package comes from here, or from
-    ``_self_score_blocks`` for a set of rows scored against itself, each
-    caller passing its own budget. ``block_bytes`` counts 8 bytes a score
-    whatever the dtype, so a float32 tile holds half of it. With the default
-    ``min_rows`` a tile is a block of full rows (``first`` is 0); a caller
-    that asks for more rows than fit across every column gets narrower tiles
-    of that many rows.
+    ``block_bytes`` counts 8 bytes a score whatever the dtype, so a float32
+    tile holds half of it. With the default ``min_rows`` a tile is a block of
+    full rows (``first`` is 0); a caller that asks for more rows than fit
+    across every column gets narrower tiles of that many rows.
     """
-    spans = _tile_spans(queries.shape[0], gallery.shape[0], block_bytes, min_rows)
-    for (start, stop), (first, last) in spans:
-        yield start, first, queries[start:stop] @ gallery[first:last].T
+    for _, _, tiles in _span_tiles(queries, gallery, block_bytes, min_rows):
+        yield from tiles
 
 
-def _self_score_blocks(X: np.ndarray, block_bytes: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(start, X[start:stop] @ X[start:].T)`` over the row blocks of
-    ``score_tiles(X, X, block_bytes)``.
+def _metric_spans(queries, gallery, upper: bool = False):
+    """``_span_tiles`` of the metrics' float32 rows: row spans of the rows of
+    ``SCORE_BLOCK_BYTES`` of float64 scores, at least ``_TILE_ROWS``, in
+    tiles of a sixteenth of those bytes of float32 scores."""
+    return _span_tiles(queries, gallery, SCORE_BLOCK_BYTES, _TILE_ROWS,
+                       SCORE_BLOCK_BYTES // 64, upper)
 
-    Each block is the upper trapezoid of the symmetric product: its rows'
-    scores with themselves and with every later row. So every unordered pair
-    of rows is scored once, in the block of its lower row, and no block is
-    larger than the full product's.
-    """
-    for (start, stop), _ in _tile_spans(X.shape[0], X.shape[0], block_bytes):
-        yield start, X[start:stop] @ X[start:].T
+
+def _float64_tiles(queries, gallery, start: int, stop: int, upper: bool = False):
+    """The float64 product of rows ``start..stop``, which a span that falls
+    back is scored from, in blocks of full rows (from column ``start`` with
+    ``upper``) within ``SCORE_BLOCK_BYTES``: ``(start, first, block)``."""
+    spans = _span_tiles(queries, gallery, SCORE_BLOCK_BYTES, upper=upper, rows=(start, stop))
+    for _, _, tiles in spans:
+        yield from tiles
 
 
 def _label_runs(labels: np.ndarray, of: np.ndarray):
@@ -288,6 +348,28 @@ def _label_runs(labels: np.ndarray, of: np.ndarray):
     sorted_labels = labels[by_label]
     run_start = np.searchsorted(sorted_labels, of, "left")
     return by_label, run_start, np.searchsorted(sorted_labels, of, "right") - run_start
+
+
+class _LabelRuns:
+    """``_label_runs(labels, of)``, plus a key per row of ``labels`` that
+    orders them by (label, index), so each entry's same-label rows within a
+    column span of a tile are one binary search away."""
+
+    def __init__(self, labels: np.ndarray, of: np.ndarray):
+        self.by_label, self.run_start, self.run_size = _label_runs(labels, of)
+        sorted_labels = labels[self.by_label]
+        run_of = np.searchsorted(sorted_labels, sorted_labels, "left")
+        self.keys = run_of * self.by_label.size + self.by_label
+
+    def window(self, start: int, stop: int, first: int, last: int, after: bool = False):
+        """Per entry ``start..stop`` of ``of``: where its run's rows with an
+        index in ``first..last`` (and above the entry's own index, with
+        ``after``) begin in ``by_label``, and how many there are."""
+        base = self.run_start[start:stop] * self.by_label.size
+        low = np.maximum(first, np.arange(start + 1, stop + 1)) if after else first
+        lo = np.searchsorted(self.keys, base + low)
+        sizes = np.searchsorted(self.keys, base + last) - lo
+        return lo, np.where(self.run_size[start:stop] > 0, np.maximum(sizes, 0), 0)
 
 
 def _screen_slack(z_norm, d: int, norm_bound: float):
@@ -382,13 +464,22 @@ def _float32_copies(retrieval: Retrieval) -> tuple[np.ndarray, np.ndarray]:
     return queries, gallery
 
 
-def _float64_block(retrieval: Retrieval, start: int, stop: int) -> np.ndarray:
-    """The float64 product of a block's rows, as ``score_tiles`` gives it."""
-    S = retrieval.queries[start:stop] @ retrieval.index.gallery.T
-    if retrieval.exclude_self:
-        rows = np.arange(stop - start)
-        S[rows, start + rows] = -np.inf
-    return S
+def _exclude_own(S: np.ndarray, start: int, first: int) -> None:
+    """Set to -inf the entries of the tile ``S`` (rows ``start, ...``,
+    columns ``first, ...``) that score a query against its own gallery row."""
+    own = np.arange(max(start, first), min(start + S.shape[0], first + S.shape[1]))
+    S[own - start, own - first] = -np.inf
+
+
+def _float64_blocks(retrieval: Retrieval, start: int, stop: int):
+    """``(start, block)``: the float64 products of full rows of the queries
+    ``start..stop`` (``_float64_tiles``), a query's own entry -inf under
+    ``exclude_self``."""
+    for a, _, S in _float64_tiles(retrieval.queries, retrieval.index.gallery, start, stop):
+        if retrieval.exclude_self:
+            _exclude_own(S, a, 0)
+        yield a, S
+        del S
 
 
 def _dense_ahead(S, rows, items, values) -> np.ndarray:
@@ -409,7 +500,7 @@ def _dense_ahead(S, rows, items, values) -> np.ndarray:
 
 def _query_bounds(retrieval: Retrieval, start: int, r: int, rows, values):
     """``_screen_thresholds`` around ``values`` for queries ``start + rows``
-    of a block of ``r`` rows."""
+    of a row span of ``r`` rows."""
     Z = retrieval.queries[start : start + r]
     z_norm = np.sqrt(np.einsum("ij,ij->i", Z, Z))
     # Gallery rows passed the UNIT_ATOL norm check in RetrievalIndex.
@@ -488,46 +579,66 @@ def _band_ahead(retrieval, L, lines, first, queries, t: _Thresholds, band):
     return ahead
 
 
-def _screened_ahead(retrieval, L, first, queries, t: _Thresholds, limit):
-    """``_dense_ahead`` of the float64 scores behind the float32 lines ``L``
-    (as in ``_band_ahead``), for one threshold per line: the items at or
-    above ``above`` plus the band items ahead of it (``_band_ahead``).
-    Returns None when the band items are more than ``limit``.
+def _screened_ahead(retrieval, tiles, queries, t: _Thresholds, limit):
+    """``_dense_ahead`` of the float64 scores behind a row span's float32
+    ``tiles`` (``(start, first, tile)``), for one threshold per row (query
+    ``queries[i]``): per tile, its items at or above ``above`` plus its band
+    items ahead of the threshold (``_band_ahead``). Returns None, asking for
+    no further tile, once the band items are more than ``limit``.
     """
-    top, band = _band_counts(L, t)
-    if band.sum() > limit:
-        return None
-    return top + _band_ahead(retrieval, L, np.arange(L.shape[0]), first, queries, t, band)
+    lines = np.arange(queries.size)
+    ahead = np.zeros(queries.size, dtype=np.int64)
+    total = 0
+    for _, first, L in tiles:
+        top, band = _band_counts(L, t)
+        total += int(band.sum())
+        if total > limit:
+            return None
+        ahead += top
+        ahead += _band_ahead(retrieval, L, lines, first, queries, t, band)
+        del L
+    return ahead
 
 
-def _ranked_ahead(retrieval, start, S32, rows, items, values):
+def _ranked_ahead(retrieval, start, stop, tiles, rows, items, values):
     """``_screened_ahead`` for any number of thresholds per row (``rows``
-    ascending).
+    ascending, relative to ``start``) of the row span ``start..stop``.
 
-    Each row of ``S32`` is sorted once; a threshold's items at or above
+    Each row of a tile is sorted once; a threshold's items at or above
     ``above`` and in its band (strictly between ``below`` and ``above``) are
-    then two binary searches, and ``_band_ahead`` refines the bands. Returns
-    None when a bound is unproven (NaN), or when the band items of
-    thresholds whose band holds an item besides their own are more than
-    ``_PER_PAIR_SHARE`` of the block's pairs.
+    then two binary searches, and ``_band_ahead`` refines the bands; counts
+    add up over the tiles. Returns None when a bound is unproven (NaN), or,
+    asking for no further tile, once the band items of thresholds whose band
+    holds an item besides their own are more than ``_PER_PAIR_SHARE`` of the
+    span's pairs.
     """
-    r, m = S32.shape
+    r = stop - start
+    limit = _PER_PAIR_SHARE * r * len(retrieval.index)
     below, above = _query_bounds(retrieval, start, r, rows, values)
     if np.isnan(below).any():
         return None
-    ranked = np.sort(S32, axis=1)
-    band_from = np.empty(rows.size, dtype=np.int64)
-    band_to = np.empty(rows.size, dtype=np.int64)
-    present, first = np.unique(rows, return_index=True)
-    for q, a, b in zip(present, first, np.append(first[1:], rows.size)):
-        band_from[a:b] = np.searchsorted(ranked[q], below[a:b], "right")
-        band_to[a:b] = np.searchsorted(ranked[q], above[a:b], "left")
-    del ranked
-    band = band_to - band_from
-    if np.sum(band[band > 1]) > _PER_PAIR_SHARE * r * m:
-        return None
     t = _Thresholds(values, items, below, above)
-    return m - band_to + _band_ahead(retrieval, S32, rows, 0, start + rows, t, band)
+    present, first_of = np.unique(rows, return_index=True)
+    per_row = list(zip(present, first_of, np.append(first_of[1:], rows.size)))
+    # A score is at most `below` exactly when it is below the next float32.
+    bounds = np.stack([np.nextafter(below, np.float32(np.inf)), above], axis=1)
+    places = np.empty(bounds.shape, dtype=np.int64)
+    ahead = np.zeros(rows.size, dtype=np.int64)
+    band = np.zeros(rows.size, dtype=np.int64)
+    for _, first, S32 in tiles:
+        ranked = np.sort(S32, axis=1)
+        for q, a, b in per_row:
+            places[a:b] = np.searchsorted(ranked[q], bounds[a:b])
+        del ranked
+        band_from, band_to = places.T
+        tile_band = band_to - band_from
+        band += tile_band
+        if np.sum(band[band > 1]) > limit:
+            return None
+        ahead += S32.shape[1] - band_to
+        ahead += _band_ahead(retrieval, S32, rows, first, start + rows, t, tile_band)
+        del S32
+    return ahead
 
 
 def _block_thresholds(retrieval, start, stop, by_label, run_start, run_size, out) -> bool:
@@ -536,7 +647,7 @@ def _block_thresholds(retrieval, start, stop, by_label, run_start, run_size, out
     highest row-dot score, lowest index among equals. A query's positives
     are its run of the gallery sorted by label (``by_label``, ``run_start``,
     ``run_size``). Returns False, filling nothing, when the positives are
-    more than ``_PER_PAIR_SHARE`` of the block's pairs, or when a bound is
+    more than ``_PER_PAIR_SHARE`` of the span's pairs, or when a bound is
     unproven (NaN, ``_screen_thresholds``).
     """
     r, m = stop - start, len(retrieval.index)
@@ -563,78 +674,91 @@ def _block_thresholds(retrieval, start, stop, by_label, run_start, run_size, out
 
 def _dense_first_hits(retrieval, start, stop, query_labels, gallery_labels) -> np.ndarray:
     """First-hit ranks of the queries ``start..stop`` that have a positive,
-    every score, thresholds included, from the float64 product of their
-    rows (a block that falls back)."""
-    S = _float64_block(retrieval, start, stop)
-    positive = query_labels[start:stop, None] == gallery_labels
-    if retrieval.exclude_self:
-        own = np.arange(stop - start)
-        positive[own, start + own] = False
-    found = np.flatnonzero(positive.any(axis=1))
-    best = np.max(S, axis=1, where=positive, initial=-np.inf)
-    best_cols = np.argmax((S == best[:, None]) & positive, axis=1)
-    del positive
-    return _dense_ahead(S, found, best_cols[found], best[found]) + 1
+    every score, thresholds included, from the float64 products of their
+    rows (a span that falls back, ``_float64_blocks``)."""
+    hits = []
+    for a, S in _float64_blocks(retrieval, start, stop):
+        b = a + S.shape[0]
+        positive = query_labels[a:b, None] == gallery_labels
+        if retrieval.exclude_self:
+            own = np.arange(b - a)
+            positive[own, a + own] = False
+        found = np.flatnonzero(positive.any(axis=1))
+        best = np.max(S, axis=1, where=positive, initial=-np.inf)
+        best_cols = np.argmax((S == best[:, None]) & positive, axis=1)
+        del positive
+        hits.append(_dense_ahead(S, found, best_cols[found], best[found]) + 1)
+        del S
+    return np.concatenate(hits)
 
 
 def _first_hits(retrieval, query_labels, gallery_labels) -> list[np.ndarray]:
-    """First-hit ranks, per query block, of the queries that have a positive.
+    """First-hit ranks, per row span, of the queries that have a positive.
 
-    Every query's threshold is found first. The blocks are the trapezoids of
-    ``_self_score_blocks`` for leave-one-out queries that are the gallery's
-    own array, whose later columns count the later queries column-wise as
-    each block passes, and otherwise the full rows of ``score_tiles``. A
-    block counts its own queries row-wise, or falls back to its float64
-    product when a bound is unproven or when its positives or band items,
-    those that earlier trapezoids found included, are more than
-    ``_PER_PAIR_SHARE`` of its pairs.
+    Every query's threshold is found first. The spans are those of
+    ``_metric_spans``: upper trapezoids for leave-one-out queries that are the
+    gallery's own array, each unordered pair scored once, whose columns past
+    the span count the later queries column-wise as its tiles pass, and
+    otherwise full rows. A span counts its own queries row-wise, or falls
+    back to the float64 products of its rows when a bound is unproven or
+    when its positives or band items, those that earlier spans' tiles found
+    included, are more than ``_PER_PAIR_SHARE`` of its pairs. A span stops
+    computing tiles once neither its own queries nor a later screened span
+    need them.
     """
     n, m = retrieval.queries.shape[0], len(retrieval.index)
     # A query's same-label items are one run of the gallery sorted by label.
     runs = _label_runs(gallery_labels, query_labels)
-    spans = [rows for rows, _ in _tile_spans(n, m, SCORE_BLOCK_BYTES)]
+    trapezoid = retrieval.exclude_self and retrieval.queries is retrieval.index.gallery
+    queries, gallery = _float32_copies(retrieval)
+    spans = list(_metric_spans(queries, gallery, trapezoid))
     thresholds = _Thresholds.none(n)
     screened = np.array([_block_thresholds(retrieval, start, stop, *runs, thresholds[start:stop])
-                         for start, stop in spans])
-    starts = np.array([start for start, _ in spans])
+                         for start, stop, _ in spans])
+    starts = np.array([start for start, _, _ in spans])
     limit = _PER_PAIR_SHARE * np.diff(np.append(starts, n)) * m
     band = np.zeros(len(spans), dtype=np.int64)
     ahead = np.zeros(n, dtype=np.int64)
-    trapezoid = retrieval.exclude_self and retrieval.queries is retrieval.index.gallery
-    queries, gallery = _float32_copies(retrieval)
-    if trapezoid:
-        blocks = _self_score_blocks(gallery, SCORE_BLOCK_BYTES)
-    else:
-        blocks = ((start, S) for start, _, S in score_tiles(queries, gallery, SCORE_BLOCK_BYTES))
+
+    def counted(b, stop, tiles):
+        """The span's tiles with its queries' own entries at -inf, after
+        counting the later queries in their columns past the span."""
+        for start, first, S32 in tiles:
+            if retrieval.exclude_self:
+                _exclude_own(S32, start, first)
+            lo, hi = max(first, stop), first + S32.shape[1]
+            if trapezoid and lo < hi and screened[b + 1 :].any():
+                L, later, rows = S32[:, lo - first :].T, thresholds[lo:hi], np.arange(lo, hi)
+                top, counts = _band_counts(L, later)
+                c0, c1 = np.searchsorted(starts, [lo, hi - 1], "right") - [1, 0]
+                band[c0:c1] += np.add.reduceat(counts, np.maximum(starts[c0:c1], lo) - lo)
+                for c in c0 + np.flatnonzero(screened[c0:c1] & (band[c0:c1] > limit[c0:c1])):
+                    screened[c] = False
+                    first_row, last_row = spans[c][:2]
+                    thresholds.below[first_row:last_row] = np.inf
+                    thresholds.above[first_row:last_row] = np.inf
+                    counts[max(first_row, lo) - lo : last_row - lo] = 0
+                ahead[lo:hi] += top
+                ahead[lo:hi] += _band_ahead(retrieval, L, rows - lo, start, rows, later, counts)
+                del L, top, counts
+            yield start, first, S32
+            del S32
+
     first_hits = []
-    for b, (start, S32) in enumerate(blocks):
-        r = S32.shape[0]
-        stop = start + r
-        first = start if trapezoid else 0
-        own = np.arange(r)
-        if retrieval.exclude_self:
-            S32[own, start - first + own] = -np.inf
-        if trapezoid and screened[b + 1 :].any():
-            L, later, rows = S32[:, r:].T, thresholds[stop:], np.arange(stop, n)
-            top, counts = _band_counts(L, later)
-            band[b + 1 :] += np.add.reduceat(counts, starts[b + 1 :] - stop)
-            for c in np.flatnonzero(screened & (band > limit)):
-                screened[c] = False
-                lines = slice(spans[c][0] - stop, spans[c][1] - stop)
-                later.below[lines] = later.above[lines] = np.inf
-                counts[lines] = 0
-            ahead[stop:] += top
-            ahead[stop:] += _band_ahead(retrieval, L, rows - stop, start, rows, later, counts)
-            del L, top, counts
+    for b, (start, stop, tiles) in enumerate(spans):
+        tiles = counted(b, stop, tiles)
         hits = None
         if screened[b]:
             t = thresholds[start:stop]
-            count = _screened_ahead(retrieval, S32, first, start + own, t, limit[b] - band[b])
+            count = _screened_ahead(retrieval, tiles, np.arange(start, stop), t,
+                                    limit[b] - band[b])
             hits = None if count is None else (ahead[start:stop] + count + 1)[t.found]
+        while trapezoid and screened[b + 1 :].any() and next(tiles, None) is not None:
+            pass  # the later queries count the rest of the span column-wise
+        tiles.close()
         if hits is None:
             hits = _dense_first_hits(retrieval, start, stop, query_labels, gallery_labels)
         first_hits.append(hits)
-        del S32
     return first_hits
 
 
@@ -670,13 +794,12 @@ def recall_at_k(
     A query's best positive is the same-label item (self excluded) with the
     highest score, lowest index among equals, and its first-hit rank is 1 +
     the number of other items with a higher score, or an equal score and a
-    lower index. Per block, the positives come from one sort of the gallery
+    lower index. Per row span, the positives come from one sort of the gallery
     labels and are scored in row dots, a query's best one is the threshold,
-    and ``_screened_ahead`` counts the items ahead of it. One driver
-    (``_first_hits``) takes the blocks in two shapes: the upper trapezoids of
-    ``_self_score_blocks`` for leave-one-out queries that are the gallery's
-    own array, each unordered pair scored once, and the full rows of
-    ``score_tiles`` for any other queries.
+    and ``_screened_ahead`` counts the items ahead of it, tile by tile. One
+    driver (``_first_hits``) takes the row spans in two shapes: upper
+    trapezoids for leave-one-out queries that are the gallery's own array,
+    each unordered pair scored once, and every column for any other queries.
     """
     index = retrieval.index
     num_queries = retrieval.queries.shape[0]
@@ -737,7 +860,7 @@ def mean_average_precision(
     splits: Sequence[str],
 ) -> dict[str, tuple[float, list[int]]]:
     """``{split: (mean AP, skipped query indices)}`` from one pass over the
-    score blocks.
+    score tiles.
 
     Junk-for-the-split entries are deleted from each ranking before ranks are
     assigned: a positive's rank is 1 + the number of kept items with a higher
@@ -776,21 +899,24 @@ def mean_average_precision(
     threshold = np.isin(role, [code for positive, _ in roles.values() for code in positive])
     value = np.empty(items.size)
     ahead = np.zeros(items.size, dtype=np.int64)
-    for start, _, S32 in score_tiles(*_float32_copies(retrieval), SCORE_BLOCK_BYTES):
-        stop = start + S32.shape[0]
+    for start, stop, tiles in _metric_spans(*_float32_copies(retrieval)):
         block = slice(*np.searchsorted(query, [start, stop]))
         rows, cols, t = query[block] - start, items[block], threshold[block]
         counts = None
-        if np.count_nonzero(t) <= _PER_PAIR_SHARE * S32.size:
+        if np.count_nonzero(t) <= _PER_PAIR_SHARE * (stop - start) * gallery_size:
             value[block] = _query_dots(retrieval, query[block], cols)
-            counts = _ranked_ahead(retrieval, start, S32, rows[t], cols[t], value[block][t])
-        if counts is None:
-            S = _float64_block(retrieval, start, stop)
-            value[block] = S[rows, cols]
-            counts = _dense_ahead(S, rows[t], cols[t], value[block][t])
+            counts = _ranked_ahead(retrieval, start, stop, tiles, rows[t], cols[t],
+                                   value[block][t])
+        tiles.close()
+        if counts is not None:
+            ahead[block][t] = counts
+            continue
+        for a, S in _float64_blocks(retrieval, start, stop):
+            sub = slice(*np.searchsorted(query, [a, a + S.shape[0]]))
+            rows, cols, t = query[sub] - a, items[sub], threshold[sub]
+            value[sub] = S[rows, cols]
+            ahead[sub][t] = _dense_ahead(S, rows[t], cols[t], value[sub][t])
             del S
-        ahead[block][t] = counts
-        del S32
     # Each query's items in rank order: score descending, then index.
     order = np.lexsort((items, -value, query))
     query, role, ahead = query[order], role[order], ahead[order]

@@ -30,7 +30,6 @@ that reuse the same step above. The per-epoch pair and candidate budgets
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -55,11 +54,12 @@ from .errors import (
 )
 from .evaluation import (
     _PER_PAIR_SHARE,
-    _label_runs,
+    _LabelRuns,
     _ranges,
     _row_dots,
     _screen_slack,
     _screen_thresholds,
+    _span_tiles,
     score_tiles,
 )
 from .geometry import TokenGrid, normalize_rows, pool
@@ -464,25 +464,14 @@ def sample_category_batch(
     )
 
 
-class _SameLabel:
+class _SameLabel(_LabelRuns):
     """Each anchor's same-label pool rows, found in one stable sort of the
-    pool labels (``evaluation._label_runs``), set to -inf tile by tile."""
-
-    def __init__(self, pool_labels: np.ndarray, exclude_labels: np.ndarray):
-        self.by_label, self.run_start, self.run_size = _label_runs(pool_labels, exclude_labels)
-        sorted_labels = pool_labels[self.by_label]
-        # Pool rows in (label, index) order as one ascending key per row.
-        run_of = np.searchsorted(sorted_labels, sorted_labels, "left")
-        self.keys = run_of * self.by_label.size + self.by_label
+    pool labels (``evaluation._LabelRuns``), set to -inf tile by tile."""
 
     def exclude(self, S: np.ndarray, start: int, first: int) -> None:
         """Set the same-label entries of the tile ``S`` of anchors ``start, ...``
         and pool rows ``first, ...`` to -inf."""
-        stop, last = start + S.shape[0], first + S.shape[1]
-        base = self.run_start[start:stop] * self.by_label.size
-        lo = np.searchsorted(self.keys, base + first)
-        hi = np.searchsorted(self.keys, base + last)
-        sizes = np.where(self.run_size[start:stop] > 0, hi - lo, 0)
+        lo, sizes = self.window(start, start + S.shape[0], first, first + S.shape[1])
         rows = np.repeat(np.arange(S.shape[0]), sizes)
         S[rows, self.by_label[_ranges(lo, sizes)] - first] = -np.inf
 
@@ -581,12 +570,13 @@ def mine_hard_negatives(
     differs from that anchor's ``exclude_labels`` entry; shape (anchors, k).
 
     Each row is ordered by descending similarity, ties resolved to the lowest
-    pool index. Raises SamplingError when an anchor has fewer than k
+    pool index. Raises ShapeError, before any work, when k is not an integer
+    of at least 1, and SamplingError when an anchor has fewer than k
     candidates outside its label. An anchor's same-label pool rows come from
     one stable sort of ``pool_labels``; only those entries are set to -inf.
 
     Anchors are scored in float32 tiles of ``MINING_BLOCK_BYTES`` from
-    ``evaluation.score_tiles``: spans of ``_TILE_ROWS`` anchors, each against
+    ``evaluation._span_tiles``: spans of ``_TILE_ROWS`` anchors, each against
     successive spans of pool rows. Per anchor, a float32 score ``tau`` that
     at least k other-label entries reach gives, through the screen the loss
     and the metrics use (``evaluation._screen_thresholds``), a float32 bound
@@ -600,9 +590,10 @@ def mine_hard_negatives(
     the screen existed, when its kept entries are more than
     ``evaluation._PER_PAIR_SHARE`` of its pairs (quantized, tie-heavy rows)
     or when a bound is unproven (NaN: a norm above 2**60, or non-finite
-    rows); its remaining float32 tiles are then skipped unscreened. A pool of
-    fewer than k / ``_PER_PAIR_SHARE`` rows (640 for k = 5) cannot pass, so
-    every anchor takes the float64 route at once.
+    rows); it computes no further float32 tile (none at all for a NaN bound,
+    known before the first). A pool of fewer than k / ``_PER_PAIR_SHARE``
+    rows (640 for k = 5) cannot pass, so every anchor takes the float64 route
+    at once.
 
     The result is exact for exact scores. On general floats a kept entry's
     score is a row dot, while a span that falls back reads a row of a BLAS
@@ -610,6 +601,8 @@ def mine_hard_negatives(
     are within a few ULPs of each other at the k-th place may be ordered
     either way.
     """
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
+        raise ShapeError(f"k must be an integer of at least 1, got {k!r}")
     anchors = np.asarray(anchor_descriptors, dtype=np.float64)
     pool_descriptors = np.asarray(pool_descriptors, dtype=np.float64)
     pool_labels = np.asarray(pool_labels)
@@ -641,19 +634,19 @@ def mine_hard_negatives(
     with np.errstate(over="ignore"):
         anchors32 = anchors.astype(np.float32)
         pool32 = pool_descriptors.astype(np.float32)
-    # score_tiles counts 8 bytes a score, so a float32 tile gets twice the budget.
-    tiles = score_tiles(anchors32, pool32, 2 * MINING_BLOCK_BYTES, _TILE_ROWS)
-    for start, span in itertools.groupby(tiles, key=lambda tile: tile[0]):
-        screen = None
-        for _, first, S in span:
-            if screen is None:
-                stop = start + S.shape[0]
-                screened = bool(proven[start:stop].all())
-                screen = _SpanScreen(z_norm[start:stop], d, norm_bound, k,
-                                     _PER_PAIR_SHARE * S.shape[0] * n)
-            if screened:
+    # _span_tiles counts 8 bytes a score, so a float32 tile gets twice the budget.
+    spans = _span_tiles(anchors32, pool32, 2 * MINING_BLOCK_BYTES, _TILE_ROWS)
+    for start, stop, tiles in spans:
+        screened = bool(proven[start:stop].all())
+        if screened:
+            screen = _SpanScreen(z_norm[start:stop], d, norm_bound, k,
+                                 _PER_PAIR_SHARE * (stop - start) * n)
+            for _, first, S in tiles:
                 same_label.exclude(S, start, first)
                 screened = screen.add(S, first)
+                if not screened:
+                    break  # the span's remaining tiles are never computed
+        tiles.close()
         if screened:
             out[start:stop] = screen.top(anchors[start:stop], pool_descriptors)
         else:
@@ -735,7 +728,12 @@ def build_synthetic_dataset(
 def split_holdout(
     dataset: LabeledFeatureDataset, holdout_classes: int
 ) -> tuple[LabeledFeatureDataset, LabeledFeatureDataset | None]:
-    """Split off the highest ``holdout_classes`` labels as a disjoint eval set."""
+    """Split off the highest ``holdout_classes`` labels as a disjoint eval set.
+
+    When the held-out rows are the last rows, as the synthetic builders lay
+    them out (by class), the two sets are row slices of the dataset's one
+    feature array; otherwise each is a copy of its rows.
+    """
     if holdout_classes == 0:
         return dataset, None
     labels = np.unique(dataset.labels)
@@ -744,9 +742,13 @@ def split_holdout(
             f"cannot hold out {holdout_classes} of {labels.size} classes"
         )
     mask = np.isin(dataset.labels, labels[-holdout_classes:])
-    train = LabeledFeatureDataset(dataset.features[~mask], dataset.labels[~mask])
-    eval_ = LabeledFeatureDataset(dataset.features[mask], dataset.labels[mask])
-    return train, eval_
+    kept = mask.size - np.count_nonzero(mask)
+    if mask[kept:].all():
+        train, held = slice(None, kept), slice(kept, None)
+    else:
+        train, held = ~mask, mask
+    return (LabeledFeatureDataset(dataset.features[train], dataset.labels[train]),
+            LabeledFeatureDataset(dataset.features[held], dataset.labels[held]))
 
 
 def synthetic_splits(

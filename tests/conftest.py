@@ -6,6 +6,7 @@ near the hinge threshold and no row has an ambiguous or tiny nearest
 neighbor; both would make the objective non-differentiable at the test point.
 """
 
+import collections
 import contextlib
 from unittest import mock
 
@@ -58,11 +59,40 @@ def rows_at_similarity(rng, anchors, targets):
     return along[:, None] * direction + np.sqrt(1.0 - along**2)[:, None] * other
 
 
+class Routes(dict):
+    """Route counts per row span, comparing equal to a plain dict of them;
+    ``tiles`` counts the tiles the spans computed (``count_tiles``)."""
+
+    def __init__(self, routes, tiles):
+        super().__init__(routes)
+        self.tiles = tiles
+
+
+def count_tiles(monkeypatch, module):
+    """Count the tiles ``module._span_tiles`` computes, per dtype and row span:
+    ``{"float32": {(start, stop): tiles}, "float64": {...}}``. A span that
+    falls back is scored in float64 spans of its rows, one block each."""
+    counts = {"float32": collections.Counter(), "float64": collections.Counter()}
+    spans = module._span_tiles
+
+    def counted_tiles(per_span, key, tiles):
+        for tile in tiles:
+            per_span[key] += 1
+            yield tile
+
+    def counted(queries, *args, **kwargs):
+        for start, stop, tiles in spans(queries, *args, **kwargs):
+            yield start, stop, counted_tiles(counts[queries.dtype.name], (start, stop), tiles)
+    monkeypatch.setattr(module, "_span_tiles", counted)
+    return counts
+
+
 def screen_routes(monkeypatch):
-    """Count the blocks the float32 screen counted (recall's
-    ``_screened_ahead`` or mAP's ``_ranked_ahead``) and the blocks that fell
-    back to their float64 product."""
-    routes = {"screened": 0, "fallback": 0}
+    """Count the row spans the float32 screen counted (recall's
+    ``_screened_ahead`` or mAP's ``_ranked_ahead``) and the spans that fell
+    back to the float64 products of their rows; ``tiles`` counts each span's
+    tiles (``count_tiles``)."""
+    routes = Routes({"screened": 0, "fallback": 0}, count_tiles(monkeypatch, evaluation))
 
     def counted(screen):
         def screened(*args):
@@ -70,27 +100,29 @@ def screen_routes(monkeypatch):
             routes["screened"] += counts is not None
             return counts
         return screened
-    fallback = evaluation._float64_block
+    fallback = evaluation._float64_blocks
 
     def fell_back(*args):
         routes["fallback"] += 1
         return fallback(*args)
     for name in ("_screened_ahead", "_ranked_ahead"):
         monkeypatch.setattr(evaluation, name, counted(getattr(evaluation, name)))
-    monkeypatch.setattr(evaluation, "_float64_block", fell_back)
+    monkeypatch.setattr(evaluation, "_float64_blocks", fell_back)
     return routes
 
 
 def histogram_routes(monkeypatch):
-    """Count the blocks of ``similarity_histograms`` the float32 edge screen
-    binned, those it handed back to their float64 product, the float64
-    blocks binned as they are (a fallback's included), and the pairs scored
-    in float64 row dots."""
-    routes = {"screened": 0, "fallback": 0, "float64": 0, "rescored": 0}
-    block, row_dots = diagnostics._PairBins.block, evaluation._row_dots
+    """Count the row spans of ``similarity_histograms`` the float32 edge
+    screen binned, those it handed back to the float64 products of their
+    rows, the float64 spans binned as they are (a fallback's included), and
+    the pairs scored in float64 row dots; ``tiles`` counts each span's tiles
+    (``count_tiles``)."""
+    routes = Routes({"screened": 0, "fallback": 0, "float64": 0, "rescored": 0},
+                    count_tiles(monkeypatch, evaluation))
+    span, row_dots = diagnostics._PairBins.span, evaluation._row_dots
 
-    def counted_block(bins, *args):
-        counts = block(bins, *args)
+    def counted_span(bins, *args):
+        counts = span(bins, *args)
         route = "float64" if bins.screen is None else "fallback" if counts is None else "screened"
         routes[route] += 1
         return counts
@@ -98,15 +130,16 @@ def histogram_routes(monkeypatch):
     def counted_dots(A, rows, *args):
         routes["rescored"] += rows.size
         return row_dots(A, rows, *args)
-    monkeypatch.setattr(diagnostics._PairBins, "block", counted_block)
+    monkeypatch.setattr(diagnostics._PairBins, "span", counted_span)
     monkeypatch.setattr(evaluation, "_row_dots", counted_dots)
     return routes
 
 
 def mining_routes(monkeypatch):
     """Count the anchors ``mine_hard_negatives`` took through the float32
-    screen and those whose float64 products it scored (a fallback)."""
-    routes = {"screened": 0, "fallback": 0}
+    screen and those whose float64 products it scored (a fallback);
+    ``tiles`` counts each anchor span's tiles (``count_tiles``)."""
+    routes = Routes({"screened": 0, "fallback": 0}, count_tiles(monkeypatch, trainer))
     top, dense = trainer._SpanScreen.top, trainer._dense_negatives
 
     def screened(screen, anchors, *args):
@@ -128,12 +161,27 @@ def mining_tiles(rows, columns):
     return mock.patch.multiple(trainer, _TILE_ROWS=rows, MINING_BLOCK_BYTES=4 * rows * columns)
 
 
+def metric_tiles(rows, columns):
+    """Make the metrics' float32 tiles ``rows`` rows by ``columns`` columns
+    (fewer at the edges, and a 1-row tail joins the span before it) against
+    galleries of at least ``8 * columns`` rows; against narrower ones a span
+    holds the full rows of its float64 budget, ``64 * rows * columns`` bytes,
+    and tiles as many columns as fit with them."""
+    return mock.patch.multiple(evaluation, _TILE_ROWS=rows,
+                               SCORE_BLOCK_BYTES=64 * rows * columns)
+
+
 def budget_for_rows(module, budget_name, rows, gallery_rows):
     """Set ``module.budget_name`` so that score blocks against a gallery of
-    ``gallery_rows`` hold ``rows`` rows each; None keeps the module's budget."""
+    ``gallery_rows`` hold ``rows`` full rows each; None keeps the module's
+    budget. The metrics' row spans then hold the same rows (``_TILE_ROWS``
+    too), and their float32 tiles an eighth of the gallery's columns."""
     if rows is None:
         return contextlib.nullcontext()
-    return mock.patch.object(module, budget_name, 8 * gallery_rows * rows)
+    patches = {budget_name: 8 * gallery_rows * rows}
+    if module is evaluation:
+        patches["_TILE_ROWS"] = rows
+    return mock.patch.multiple(module, **patches)
 
 
 def circle_ranking(perm):

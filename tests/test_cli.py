@@ -133,6 +133,35 @@ class TestTrain:
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert outputs[0] == outputs[1]
 
+    def test_readme_run_does_not_depend_on_the_holdout_split_sharing_rows(self, tmp_path,
+                                                                         monkeypatch):
+        # The README config's held-out classes are its last rows, so its two
+        # sets are row slices of one feature array. Artifacts equal those of
+        # a run whose sets are copies, as a mask split gives them.
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block)["synthetic"]["holdout_classes"] == 8
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(block, encoding="utf-8")
+        split = spherekit.trainer.split_holdout
+        shared = []
+
+        def copied(dataset, holdout_classes):
+            train, held = split(dataset, holdout_classes)
+            shared.append(train.features.base is held.features.base is dataset.features)
+            return (spherekit.LabeledFeatureDataset(train.features.copy(), train.labels),
+                    spherekit.LabeledFeatureDataset(held.features.copy(), held.labels))
+        outputs = []
+        for copies in (False, True):
+            if copies:
+                monkeypatch.setattr(spherekit.trainer, "split_holdout", copied)
+            # Identical argv both times, so the recorded command lines match.
+            assert main(["train", "--config", "config.json", "--out-dir", "run"]) == 0
+            outputs.append({p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()})
+            shutil.rmtree(tmp_path / "run")
+        assert shared == [True]
+        assert outputs[0] == outputs[1]
+
     def test_seed_override_lands_in_metadata(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path)

@@ -43,6 +43,8 @@ from spherekit.evaluation import score_tiles
 from conftest import (
     budget_for_rows,
     circle_ranking,
+    histogram_routes,
+    metric_tiles,
     quantized_unit_rows,
     rows_at_similarity,
     screen_routes,
@@ -476,11 +478,14 @@ class TestScoreBlocks:
         rows = evaluation.SCORE_BLOCK_BYTES // (8 * G.shape[0])
         sizes = []
 
-        def spy(queries, gallery, block_bytes):
-            for start, first, S in score_tiles(queries, gallery, block_bytes):
-                sizes.append(S.shape[0])
-                yield start, first, S
-        with mock.patch.object(evaluation, "score_tiles", spy):
+        spans = evaluation._span_tiles
+
+        def spy(queries, *args, **kwargs):
+            for start, stop, tiles in spans(queries, *args, **kwargs):
+                if queries.dtype == np.float32:  # not a float64 fallback
+                    sizes.append(stop - start)
+                yield start, stop, tiles
+        with mock.patch.object(evaluation, "_span_tiles", spy):
             recall_at_k(retrieve(RetrievalIndex(G), Q), np.zeros(600, np.int64), (1,),
                         gallery_labels=np.zeros(400, np.int64))
         assert sizes[0] == min(rows, Q.shape[0])
@@ -518,9 +523,10 @@ class TestScoreBlocks:
         X = quantized_unit_rows(np.random.default_rng(91), n, 8, 5)
         budget = 8 * n * rows
         full = [(start, S) for start, _, S in score_tiles(X, X, budget)]
-        halves = list(evaluation._self_score_blocks(X, budget))
-        assert [start for start, _ in halves] == [start for start, _ in full]
-        for (start, S), (_, T) in zip(full, halves):
+        halves = [[tile for tile in tiles]
+                  for _, _, tiles in evaluation._span_tiles(X, X, budget, upper=True)]
+        assert [tiles[0][:2] for tiles in halves] == [(start, start) for start, _ in full]
+        for (start, S), [(_, _, T)] in zip(full, halves):
             assert_array_equal(T, S[:, start:])
 
 
@@ -872,6 +878,127 @@ class TestRankScreen:
         assert routes == {"screened": 1, "fallback": 1}
 
 
+def dense_histograms(Z, labels, num_bins):
+    """Same-label and different-label np.histogram of the upper triangle of
+    the full float64 product, outer edges open."""
+    iu = np.triu_indices(len(Z), k=1)
+    scores = (Z @ Z.T)[iu]
+    same = labels[iu[0]] == labels[iu[1]]
+    edges = np.linspace(-1.0, 1.0, num_bins + 1)
+    edges[0], edges[-1] = -np.inf, np.inf
+    return np.histogram(scores[same], edges)[0], np.histogram(scores[~same], edges)[0]
+
+
+class TestTileShapes:
+    """The metrics from float32 tiles of any shape equal the full-ranking and
+    dense oracles, and so agree across shapes."""
+
+    # Tile rows x columns: single columns, tiles inside a span's diagonal
+    # square (fewer columns than rows), ragged edges; None is the default.
+    SHAPES = [(2, 1), (3, 1), (4, 2), (2, 3), (5, 4), (3, 16), None]
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.integers(2, 40),
+        num_queries=st.integers(1, 12),
+        d=st.sampled_from([4, 8, 16]),
+        pool=st.integers(1, 12),
+        num_labels=st.integers(1, 6),
+        tied=st.integers(0, 12),
+        share=st.sampled_from([1 / 8, 1 / 3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_metrics_match_the_oracles_across_tile_shapes(self, n, num_queries, d, pool,
+                                                          num_labels, tied, share, seed):
+        # Quantized rows score exactly, so every shape and route must give
+        # the oracles' values. The first `tied` rows are one row, whose pairs
+        # all tie: below a share of 1 their span tends to fall back while
+        # later spans are screened (in about 90 of the metric calls here).
+        rng = np.random.default_rng(seed)
+        G = quantized_unit_rows(rng, n, d, pool)
+        G[:tied] = G[0]
+        Q = quantized_unit_rows(rng, num_queries, d, pool)
+        labels = rng.integers(0, num_labels, size=n)
+        q_labels = rng.integers(0, num_labels, size=num_queries)
+        records = random_ground_truths(rng, num_queries, n)
+        index = RetrievalIndex(G)
+        loo, split = retrieve(index, G, exclude_self=True), retrieve(index, Q)
+        expected = {}
+        for name, retrieval, ks, q in (("loo", loo, range(1, n), labels),
+                                       ("split", split, range(1, n + 1), q_labels)):
+            rankings = full_rankings(G, retrieval.queries, exclude_self=name == "loo")
+            if any(np.any(labels[r] == label) for r, label in zip(rankings, q)):
+                expected[name] = {k: recall_walk(rankings, q, labels, k) for k in ks}
+        map_expected = {s: map_walk(full_rankings(G, Q), records, s) for s in evaluation.SPLITS}
+        positive, negative = dense_histograms(G, labels, 8)
+        for shape in self.SHAPES:
+            with (metric_tiles(*shape) if shape else contextlib.nullcontext()), \
+                    mock.patch.object(evaluation, "_PER_PAIR_SHARE", share):
+                if "loo" in expected:
+                    assert recall_at_k(loo, labels, range(1, n)) == expected["loo"], shape
+                if "split" in expected:
+                    got = recall_at_k(split, q_labels, range(1, n + 1), gallery_labels=labels)
+                    assert got == expected["split"], shape
+                for name, value in map_expected.items():
+                    if value is not None:
+                        got = mean_average_precision(split, records, (name,))
+                        assert got == {name: value}, shape
+                hist = similarity_histograms(G, labels, num_bins=8)
+                assert_array_equal(hist.positive_counts, positive)
+                assert_array_equal(hist.negative_counts, negative)
+
+    @pytest.mark.parametrize("shape", [(64, 1), (64, 7), (64, 32)])
+    def test_a_span_falls_back_while_the_others_are_screened(self, monkeypatch, shape):
+        # Spans of 64 of 300 rows, in pairs of one label. The first 64 rows
+        # alternate two axes, so their pairs score exactly 1 or 0: a query
+        # among them ties its positive (the other axis, score 0) with 32
+        # items, and half their pairs lie on the histogram's edge 0. That
+        # span falls back, in every metric; the 4 spans of random rows are
+        # screened.
+        rng = np.random.default_rng(131)
+        Z = np.concatenate([np.eye(16)[np.arange(64) % 2], unit_rows(rng, 236, 16)])
+        labels = np.arange(300) // 2
+        Q = Z[:150].copy()  # split queries: the full rows of each span
+        records = [gt(easy=np.setdiff1d(np.flatnonzero(labels == labels[q]), q)[:4], junk=[q])
+                   for q in range(150)]
+        index = RetrievalIndex(Z)
+        rankings = full_rankings(Z, Z, exclude_self=True)
+        split_rankings = full_rankings(Z, Q)
+        ks = (1, 2, 5, 20)
+        with metric_tiles(*shape):
+            routes = screen_routes(monkeypatch)
+            got = recall_at_k(retrieve(index, Z, exclude_self=True), labels, ks)
+            assert got == {k: recall_walk(rankings, labels, labels, k) for k in ks}
+            assert routes == {"screened": 4, "fallback": 1}
+            # The later spans still need every tile of the first, column-wise;
+            # its float64 blocks cover its rows and no others.
+            tiles = -(-300 // shape[1])
+            assert routes.tiles["float32"][0, 64] == tiles
+            float64_rows = sorted(routes.tiles["float64"])
+            assert float64_rows[0][0] == 0 and float64_rows[-1][1] == 64
+
+            routes = screen_routes(monkeypatch)
+            got = recall_at_k(retrieve(index, Q), labels[:150], ks, gallery_labels=labels)
+            assert got == {k: recall_walk(split_rankings, labels[:150], labels, k) for k in ks}
+            assert routes == {"screened": 2, "fallback": 1}
+            # Here nothing else needs them: the span stops at its limit.
+            assert routes.tiles["float32"][0, 64] < tiles
+
+            routes = screen_routes(monkeypatch)
+            got = mean_average_precision(retrieve(index, Q), records, ("easy",))
+            assert got == {"easy": map_walk(split_rankings, records, "easy")}
+            assert routes == {"screened": 2, "fallback": 1}
+
+            routes = histogram_routes(monkeypatch)
+            hist = similarity_histograms(Z, labels)
+            positive, negative = dense_histograms(Z, labels, 50)
+            assert_array_equal(hist.positive_counts, positive)
+            assert_array_equal(hist.negative_counts, negative)
+            assert routes == {"screened": 4, "fallback": 1, "float64": 1,
+                              "rescored": routes["rescored"]}
+            assert routes.tiles["float32"][0, 64] < tiles
+
+
 class TestBlockBudgetBoundsMemory:
     """Peak memory follows the score-block budgets, not gallery^2."""
 
@@ -921,3 +1048,32 @@ class TestBlockBudgetBoundsMemory:
             finally:
                 tracemalloc.stop()
         assert peak < 5 * self.BUDGET, peak / self.BUDGET
+
+    @pytest.mark.parametrize("caller", ["recall", "map"])
+    def test_peak_above_the_inputs_does_not_grow_with_the_gallery(self, caller):
+        # 200 queries against 4,000 and 32,000 gallery rows at d 16, the same
+        # budget: the tiles keep their size, so only the per-row inputs grow,
+        # the gallery's float32 copy and its label sort (4 d + 32 bytes a row).
+        peaks = []
+        for m in (4000, 32000):
+            rng = np.random.default_rng(95)
+            Z = unit_rows(rng, m, 16)
+            labels = np.arange(m) % 400
+            retrieval = retrieve(RetrievalIndex(Z), Z[:200].copy())
+            if caller == "recall":
+                run = partial(recall_at_k, retrieval, labels[:200], (1, 10),
+                              gallery_labels=labels)
+            else:
+                records = []
+                for _ in range(200):
+                    chosen = rng.choice(m, size=30, replace=False)
+                    records.append(gt(easy=chosen[:10], hard=chosen[10:20], junk=chosen[20:]))
+                run = partial(mean_average_precision, retrieval, records, ("medium", "hard"))
+            with mock.patch.object(evaluation, "SCORE_BLOCK_BYTES", self.BUDGET):
+                tracemalloc.start()
+                try:
+                    run()
+                    peaks.append(tracemalloc.get_traced_memory()[1] - m * (4 * 16 + 32))
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 0.1 * self.BUDGET, [p / self.BUDGET for p in peaks]

@@ -5,6 +5,7 @@ step by step as a reference. Head gradients are checked by central finite
 differences over every parameter entry.
 """
 
+import re
 import tracemalloc
 from unittest import mock
 
@@ -453,6 +454,41 @@ class TestScreenedMining:
         assert routes == {"screened": 0, "fallback": 80}
         assert_array_equal(got, sort_oracle(A, pool_Z, labels, exclude, 5))
 
+    def test_a_span_computes_no_tile_after_it_falls_back(self, monkeypatch):
+        # The inputs of test_quantized_ties_fall_back: each of the three spans
+        # of anchors falls back on its first tile of 256 pool rows and asks
+        # for none of its other four.
+        rng = np.random.default_rng(122)
+        both = quantized_unit_rows(rng, 80 + 1200, 16, 6)
+        A, pool_Z = both[:80], both[80:]
+        labels, exclude = rng.integers(0, 40, size=1200), rng.integers(0, 40, size=80)
+        routes = mining_routes(monkeypatch)
+        with mining_tiles(32, 256):
+            got = mine_hard_negatives(A, pool_Z, labels, exclude)
+        assert routes == {"screened": 0, "fallback": 80}
+        assert routes.tiles["float32"] == {(0, 32): 1, (32, 64): 1, (64, 80): 1}
+        assert_array_equal(got, sort_oracle(A, pool_Z, labels, exclude, 5))
+
+    def test_a_span_with_an_unproven_bound_computes_no_tile(self, monkeypatch):
+        rng = np.random.default_rng(123)
+        A, pool_Z, labels, exclude = self.draw(rng, 96, 1000)
+        A[70] *= 2.0**61
+        routes = mining_routes(monkeypatch)
+        with mining_tiles(32, 512):
+            got = mine_hard_negatives(A, pool_Z, labels, exclude)
+        assert routes.tiles["float32"] == {(0, 32): 2, (32, 64): 2}
+        assert_array_equal(got, sort_oracle(A, pool_Z, labels, exclude, 5))
+
+    @pytest.mark.parametrize("k", [0, -1, 2.0, True, "5"])
+    def test_k_below_one_or_not_an_integer_raises(self, monkeypatch, k):
+        rng = np.random.default_rng(127)
+        A, pool_Z, labels, exclude = self.draw(rng, 4, 50)
+        routes = mining_routes(monkeypatch)
+        message = re.escape(f"k must be an integer of at least 1, got {k!r}")
+        with pytest.raises(ShapeError, match=message):
+            mine_hard_negatives(A, pool_Z, labels, exclude, k)
+        assert routes.tiles == {"float32": {}, "float64": {}}
+
     def test_huge_anchor_falls_back_with_its_span(self, monkeypatch):
         rng = np.random.default_rng(123)
         A, pool_Z, labels, exclude = self.draw(rng, 96, 1000)
@@ -625,6 +661,39 @@ class TestSyntheticData:
         assert_array_equal(hold.labels, labels[mask])
         assert_array_equal(train.features, ds.features[~mask])
         assert_array_equal(train.labels, labels[~mask])
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_split_holdout_slices_equal_the_mask_split(self, shuffled):
+        rng = np.random.default_rng(45)
+        labels = np.repeat(np.arange(6), 4)
+        if shuffled:
+            labels = rng.permutation(labels)
+        ds = LabeledFeatureDataset(rng.standard_normal((24, 3)), labels)
+        train, hold = split_holdout(ds, 2)
+        mask = labels >= 4
+        assert_array_equal(train.features, ds.features[~mask])
+        assert_array_equal(train.labels, labels[~mask])
+        assert_array_equal(hold.features, ds.features[mask])
+        assert_array_equal(hold.labels, labels[mask])
+        # Held-out rows that form the tail leave both sets views of one array.
+        for part in (train, hold):
+            assert (part.features.base is ds.features) == (not shuffled)
+
+    def test_split_holdout_of_rows_by_class_copies_no_features(self):
+        spec = SyntheticSpec(num_classes=200, per_class=10, feature_dim=64, noise_sigma=0.1,
+                             seed=3, holdout_classes=20)
+        ds = make_synthetic(spec)
+        split_holdout(ds, spec.holdout_classes)  # modules numpy imports on first use
+        tracemalloc.start()
+        try:
+            split_holdout(ds, spec.holdout_classes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The built features stay the one copy: the split adds its labels and
+        # a finiteness mask of a byte per value (copies of both halves would
+        # add the feature bytes again).
+        assert peak < 0.25 * ds.features.nbytes
 
     def test_split_holdout_zero_keeps_everything(self):
         ds = tiny_dataset()
