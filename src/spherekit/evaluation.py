@@ -24,26 +24,28 @@ least ``_TILE_ROWS``, and a span's product in tiles of a sixteenth of those
 bytes, so memory is one tile, however wide the gallery. Counts add up over a
 span's tiles. A threshold is the float64 score of a query and a positive,
 one row dot each (``_row_dots``: no BLAS, so a value depends only on its two
-rows). ``_screen_thresholds`` gives it float32 bounds ``below < above``: an
-item whose float32 score is ``>= above`` provably scores above the threshold
-in any float64 evaluation and is counted, and one ``<= below`` provably
-scores below it and is skipped. Only the items in between, on real data
-about one per threshold (mostly the positive itself), are scored in float64
-row dots and compared exactly, ties going to the lower gallery index. Recall,
-with one threshold per query, counts a tile's items with two compares; mAP
-sorts each float32 row of a tile once and places every threshold by binary
-search. mAP scores its junk items in row dots too, to take them out of the
-counts. Both refine their in-between items through one function
-(``_band_ahead``). A span whose thresholds or in-between items are more than
-``_PER_PAIR_SHARE`` of its pairs (a collapsed gallery, positives ranked far
-down), where row dots would cost more than a product, or one with a bound
-outside the screen's proven range (a query norm above 2**60 or a dim above
-2**22), asks for no further tile and takes every score, thresholds included,
-from the float64 products of its rows, in blocks of full rows within
-``SCORE_BLOCK_BYTES`` (``_float64_blocks``), as before the screen existed.
-So a span is either screened and counted or scored by its products, and
-only a span that falls back holds a float64 block. No full ranking or
-queries x gallery score matrix is ever built.
+rows); recall gathers its positives a bounded chunk at a time, so memory
+stays one tile plus bounded chunks however many positives a query has.
+``_screen_thresholds`` gives a threshold float32 bounds ``below < above``:
+an item whose float32 score is ``>= above`` provably scores above the
+threshold in any float64 evaluation and is counted, and one ``<= below``
+provably scores below it and is skipped. The items in between, the band, on
+real data about one per threshold (mostly the positive itself), are scored
+in float64 row dots and compared exactly, ties going to the lower gallery
+index. Recall, with one threshold per query, counts a tile's items with two
+compares; mAP sorts each float32 row of a tile once and places every
+threshold by binary search. mAP scores its junk items in row dots too, to
+take them out of the counts. Both refine their band items through one
+function (``_band_ahead``). A query whose bound is unproven (a norm above
+2**60, a dim above 2**22, or a float32 copy that overflows) gets bounds -inf
+and +inf, so every item of its line is band. Every span takes this one
+route, whatever its share of band items: a degenerate gallery costs row
+dots, not memory. On 4,000 unit rows at d 128 (one BLAS thread of a 2-core
+Xeon), leave-one-out recall over two classes (2,000 positives a query, all
+scored for the thresholds) takes about 1.7 s, and over a collapsed gallery
+(scores within about 1e-5 of each other, every item in every band) about
+3.1 s, where a float64 product of each span took 0.3 and 0.2 s. No full
+ranking or queries x gallery score matrix is ever built.
 
 Recall has one driver for two span shapes. It finds every query's threshold
 before the first product. Leave-one-out queries that are the gallery's own
@@ -53,19 +55,15 @@ queries and, in the columns past the span, column-wise for the later ones
 (the bounds hold for any float32 evaluation of a dot product, so a
 transposed score is as good as its own). Other queries take tiles across
 every column, counted row-wise. Either way a query's own entry is -inf under
-``exclude_self``, and a span falls back as above.
+``exclude_self``.
 
-The metrics are exact for exact scores, such as dot products of coarsely
-quantized rows. On general floats the float64 score of a pair comes either
-from a row dot (a screened span) or from a row of a block's product (a
-span that fell back), and the two may differ in the last bits; a row of a
-product can also differ from the same row of a product with other rows. So
-where two scores are within a few ULPs of each other their order, and a
-metric through it, may follow the row dots or the product. A screened
-span's result depends on neither the block budget, the tile shape nor the
-BLAS thread count; which spans fall back rests on float32 counts, which
-another BLAS build, thread count or tile shape could round differently at
-the limit.
+The metrics are exact for the row-dot scores: a query's ranks are those of a
+stable sort of its float64 row dots, so they depend on neither the block
+budget, the tile shape, the BLAS build nor its thread count. A BLAS product
+can differ from a row dot in the last bits, so where two scores are within a
+few ULPs of each other a ranking of product scores may order them the other
+way; on exact scores, such as dot products of coarsely quantized rows, the
+two agree.
 """
 
 from __future__ import annotations
@@ -94,21 +92,23 @@ __all__ = [
 SPLITS = ("easy", "medium", "hard")
 
 # Bytes of float64 scores one block of full query rows may hold. A row span
-# of the metrics holds the rows of one such block, and at least _TILE_ROWS; a
-# span that falls back is scored from float64 blocks of its rows within this
-# budget, taking at most about three times it in temporaries, so it bounds the
-# worst-case memory. A screened span holds one float32 tile at a time, of a
-# sixteenth of this budget (2 MiB: 512 x 1,024 scores at _TILE_ROWS rows).
+# of the metrics holds the rows of one such block, and at least _TILE_ROWS,
+# and one float32 tile at a time, of a sixteenth of this budget (2 MiB: 512 x
+# 1,024 scores at _TILE_ROWS rows). A span of the similarity histogram that
+# falls back is scored from float64 blocks of its rows within this budget,
+# taking at most about three times it in temporaries, so it bounds the
+# worst-case memory.
 SCORE_BLOCK_BYTES = 32 * 2**20
-# The least rows of a metric's row span, so a wide gallery is scored in tiles,
-# not in thin blocks of full rows (69 rows at 60,000). Leave-one-out recall
-# and histograms of unit rows at d 128, one thread of a 2-core Xeon, against
-# spans of at least 512 rows in tiles of 512 x 1,024 scores: at 4,000 rows
-# (spans of 1,048; medians of 7) tiles of 512 x 512, 256 x 1,024, 1,024 x
-# 1,024 and 512 x 2,048 took 7-12% longer in recall and 2-19% in histograms
-# (a repeat of the chosen shape read +9% and -4%); at 60,000 rows (single
-# runs) every shape lay within the host's drift of the chosen one, whose two
-# runs read 8.3 and 9.6 s in recall and 14.1 and 15.9 s in histograms.
+# The least rows of a metric's row span at the default budget (a smaller one
+# shrinks it with the tile, _metric_spans), so a wide gallery is scored in
+# tiles, not in thin blocks of full rows (69 rows at 60,000). Leave-one-out
+# recall and histograms of unit rows at d 128, one thread of a 2-core Xeon,
+# against spans of at least 512 rows in tiles of 512 x 1,024 scores: at 4,000
+# rows (spans of 1,048; medians of 7) tiles of 512 x 512, 256 x 1,024, 1,024 x
+# 1,024 and 512 x 2,048 took 7-12% longer in recall and 2-19% in histograms (a
+# repeat of the chosen shape read +9% and -4%); at 60,000 rows (single runs)
+# every shape lay within the host's drift of the chosen one, whose two runs
+# read 8.3 and 9.6 s in recall and 14.1 and 15.9 s in histograms.
 _TILE_ROWS = 512
 
 # Unit roundoff of float32, and half its smallest subnormal (the largest
@@ -123,8 +123,9 @@ _SCREEN_MAX_DIM = 2**22
 # each while they are at most this share of the pairs it screened; above it
 # one float64 product is faster. Measured on the loss's memory term (n 32-64,
 # d 64-384, M 8k-16k, one BLAS thread of a 2-core Xeon: equal cost at about
-# 1/100); the metrics use the same share for a row span's thresholds and
-# for its in-between items.
+# 1/100); mining and the similarity histogram use the same share for a row
+# span's undecided pairs. Recall and mAP do not read it: they score every
+# undecided item in row dots, however many there are.
 _PER_PAIR_SHARE = 1 / 128
 
 
@@ -138,12 +139,19 @@ class RetrievalIndex:
     gallery: np.ndarray
 
     def __post_init__(self):
-        gallery = np.asarray(self.gallery, dtype=np.float64)
+        gallery = np.ascontiguousarray(self.gallery, dtype=np.float64)
         if gallery.ndim != 2 or gallery.shape[0] < 1:
             raise ShapeError("gallery must be a nonempty 2-D array")
-        if not np.all(np.isfinite(gallery)):
-            raise NumericalError("gallery contains non-finite values")
-        norms = np.linalg.norm(gallery, axis=1)
+        # Norms in row chunks of SCORE_BLOCK_BYTES // 512 values, so the
+        # temporaries stay small; a row's norm is the same reduction of its
+        # contiguous row as over the whole array.
+        norms = np.empty(gallery.shape[0])
+        step = max(1, SCORE_BLOCK_BYTES // 512 // max(gallery.shape[1], 1))
+        for start in range(0, gallery.shape[0], step):
+            chunk = gallery[start : start + step]
+            if not np.all(np.isfinite(chunk)):
+                raise NumericalError("gallery contains non-finite values")
+            norms[start : start + step] = np.linalg.norm(chunk, axis=1)
         off = np.abs(norms - 1.0)
         if float(off.max()) > UNIT_ATOL:
             i = int(np.argmax(off))
@@ -299,8 +307,8 @@ def _span_tiles(
 
     Every blocked product in the package comes from here, each caller passing
     its own budget. A tile is computed only when ``tiles`` is asked for it, so
-    a span that stops early (a float32 screen that falls back) computes no
-    more of its tiles.
+    a span that stops early (a histogram's float32 screen that falls back)
+    computes no more of its tiles.
     """
     spans = _tile_spans(queries.shape[0], gallery.shape[0], block_bytes, min_rows,
                         tile_values, upper, rows)
@@ -325,16 +333,21 @@ def score_tiles(
 
 def _metric_spans(queries, gallery, upper: bool = False):
     """``_span_tiles`` of the metrics' float32 rows: row spans of the rows of
-    ``SCORE_BLOCK_BYTES`` of float64 scores, at least ``_TILE_ROWS``, in
-    tiles of a sixteenth of those bytes of float32 scores."""
-    return _span_tiles(queries, gallery, SCORE_BLOCK_BYTES, _TILE_ROWS,
-                       SCORE_BLOCK_BYTES // 64, upper)
+    ``SCORE_BLOCK_BYTES`` of float64 scores, in tiles of a sixteenth of those
+    bytes of float32 scores. The row floor is ``_TILE_ROWS``, or under a
+    smaller budget the rows of a tile twice as wide as it is tall, so the
+    tile keeps the default's shape (512 x 1,024) instead of thinning to a
+    few columns (512 x 32 at a budget of 1 MiB, now 90 x 182)."""
+    tile = SCORE_BLOCK_BYTES // 64
+    return _span_tiles(queries, gallery, SCORE_BLOCK_BYTES,
+                       min(_TILE_ROWS, math.isqrt(tile // 2)), tile, upper)
 
 
 def _float64_tiles(queries, gallery, start: int, stop: int, upper: bool = False):
-    """The float64 product of rows ``start..stop``, which a span that falls
-    back is scored from, in blocks of full rows (from column ``start`` with
-    ``upper``) within ``SCORE_BLOCK_BYTES``: ``(start, first, block)``."""
+    """The float64 product of rows ``start..stop``, which a histogram span
+    that falls back is scored from, in blocks of full rows (from column
+    ``start`` with ``upper``) within ``SCORE_BLOCK_BYTES``: ``(start, first,
+    block)``."""
     spans = _span_tiles(queries, gallery, SCORE_BLOCK_BYTES, upper=upper, rows=(start, stop))
     for _, _, tiles in spans:
         yield from tiles
@@ -407,11 +420,10 @@ def _screen_thresholds(z_norm, d: int, norm_bound: float, centers):
     ``diagnostics.similarity_histograms`` one scalar norm, the largest of its
     rows' (so it also bounds ``||m||``), with one center per interior bin
     edge. Rows outside the proven range (a norm above 2**60, or ``d`` above
-    2**22) get NaN bounds, which decide nothing. The metrics then score the
-    whole block by its float64 product (``_block_thresholds``,
-    ``_ranked_ahead``), ``diagnostics._EdgeScreen.around`` returns None, and
-    the loss (``objective._memory_pairs``) treats every pair of such a row
-    as passed.
+    2**22) get NaN bounds, which decide nothing. The metrics then score
+    every item of such a row's line in float64 (``_query_bounds``),
+    ``diagnostics._EdgeScreen.around`` returns None, and the loss
+    (``objective._memory_pairs``) treats every pair of such a row as passed.
     """
     slack = _screen_slack(z_norm, d, norm_bound)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -456,11 +468,17 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 def _float32_copies(retrieval: Retrieval) -> tuple[np.ndarray, np.ndarray]:
     """Float32 copies of the queries and the gallery; queries that are the
-    gallery's own array share its copy."""
+    gallery's own array share its copy. Other queries whose bound is
+    unproven (``_query_bounds``) get a row of zeros, so their float32 scores
+    stay finite (the copy of an entry above 2**128 overflows) and all lie in
+    their bands; unit rows always score finitely."""
     with np.errstate(over="ignore"):
         gallery = retrieval.index.gallery.astype(np.float32)
-        queries = retrieval.queries
-        queries = gallery if queries is retrieval.index.gallery else queries.astype(np.float32)
+        if retrieval.queries is retrieval.index.gallery:
+            return gallery, gallery
+        queries = retrieval.queries.astype(np.float32)
+    below, _ = _query_bounds(retrieval, 0, queries.shape[0], slice(None), 0.0)
+    queries[below == -np.inf] = 0
     return queries, gallery
 
 
@@ -471,40 +489,18 @@ def _exclude_own(S: np.ndarray, start: int, first: int) -> None:
     S[own - start, own - first] = -np.inf
 
 
-def _float64_blocks(retrieval: Retrieval, start: int, stop: int):
-    """``(start, block)``: the float64 products of full rows of the queries
-    ``start..stop`` (``_float64_tiles``), a query's own entry -inf under
-    ``exclude_self``."""
-    for a, _, S in _float64_tiles(retrieval.queries, retrieval.index.gallery, start, stop):
-        if retrieval.exclude_self:
-            _exclude_own(S, a, 0)
-        yield a, S
-        del S
-
-
-def _dense_ahead(S, rows, items, values) -> np.ndarray:
-    """Per threshold t: the items of row ``rows[t]`` of ``S`` with a score
-    above ``values[t]``, or equal to it at an index below ``items[t]``."""
-    columns = np.arange(S.shape[1])
-    out = np.empty(rows.size, dtype=np.int64)
-    step = max(1, S.shape[0] // 4)  # gathered rows take a quarter of the block
-    for start in range(0, rows.size, step):
-        chunk = slice(start, start + step)
-        R = S[rows[chunk]]
-        v = values[chunk, None]
-        out[chunk] = np.count_nonzero(R > v, axis=1) + np.count_nonzero(
-            (R == v) & (columns < items[chunk, None]), axis=1
-        )
-    return out
-
-
 def _query_bounds(retrieval: Retrieval, start: int, r: int, rows, values):
     """``_screen_thresholds`` around ``values`` for queries ``start + rows``
-    of a row span of ``r`` rows."""
+    of a row span of ``r`` rows. A query outside the screen's proven range
+    (NaN bounds) gets -inf and +inf instead, which decide none of its items:
+    its whole line is band, scored in float64."""
     Z = retrieval.queries[start : start + r]
     z_norm = np.sqrt(np.einsum("ij,ij->i", Z, Z))
     # Gallery rows passed the UNIT_ATOL norm check in RetrievalIndex.
-    return _screen_thresholds(z_norm[rows], Z.shape[1], 1.0 + UNIT_ATOL, values)
+    below, above = _screen_thresholds(z_norm[rows], Z.shape[1], 1.0 + UNIT_ATOL, values)
+    unproven = np.isnan(below)
+    below[unproven], above[unproven] = -np.inf, np.inf
+    return below, above
 
 
 @dataclass(frozen=True)
@@ -519,11 +515,6 @@ class _Thresholds:
     below: np.ndarray
     above: np.ndarray
 
-    @classmethod
-    def none(cls, n: int) -> "_Thresholds":
-        return cls(np.zeros(n), np.zeros(n, dtype=np.int64),
-                   np.full(n, np.inf, dtype=np.float32), np.full(n, np.inf, dtype=np.float32))
-
     def __getitem__(self, index) -> "_Thresholds":
         return _Thresholds(self.value[index], self.item[index], self.below[index],
                            self.above[index])
@@ -531,22 +522,13 @@ class _Thresholds:
     @property
     def found(self) -> np.ndarray:
         """Which queries have a threshold."""
-        return self.above != np.inf
+        return self.below != np.inf
 
 
 def _row_counts(mask: np.ndarray) -> np.ndarray:
     """The True entries of each row of a boolean array. Summing its bytes as
     int8 into int32 runs about three times faster than ``count_nonzero``."""
     return mask.view(np.int8).sum(axis=1, dtype=np.int32)
-
-
-def _band_counts(L, t: _Thresholds):
-    """Per line of float32 scores ``L``: the items at or above its
-    ``above``, and the items in its band, strictly between ``below`` and
-    ``above``; two compares over ``L``. Under ``exclude_self`` a query's
-    own entry must be -inf."""
-    top = _row_counts(L >= t.above[:, None])
-    return top, _row_counts(L > t.below[:, None]) - top
 
 
 def _band_ahead(retrieval, L, lines, first, queries, t: _Thresholds, band):
@@ -579,23 +561,24 @@ def _band_ahead(retrieval, L, lines, first, queries, t: _Thresholds, band):
     return ahead
 
 
-def _screened_ahead(retrieval, tiles, queries, t: _Thresholds, limit):
-    """``_dense_ahead`` of the float64 scores behind a row span's float32
-    ``tiles`` (``(start, first, tile)``), for one threshold per row (query
-    ``queries[i]``): per tile, its items at or above ``above`` plus its band
-    items ahead of the threshold (``_band_ahead``). Returns None, asking for
-    no further tile, once the band items are more than ``limit``.
-    """
-    lines = np.arange(queries.size)
+def _lines_ahead(retrieval, L, first, queries, t: _Thresholds) -> np.ndarray:
+    """Per line i of float32 scores ``L`` (gallery items ``first, first + 1,
+    ...``) with threshold ``t[i]`` of query ``queries[i]``: the items at or
+    above its ``above`` plus its band items ahead of it (``_band_ahead``);
+    two compares over ``L``. Under ``exclude_self`` a query's own entry must
+    be -inf."""
+    top = _row_counts(L >= t.above[:, None])
+    band = _row_counts(L > t.below[:, None]) - top
+    return top + _band_ahead(retrieval, L, np.arange(queries.size), first, queries, t, band)
+
+
+def _screened_ahead(retrieval, tiles, queries, t: _Thresholds) -> np.ndarray:
+    """The gallery items ahead of each threshold of a row span, one per row
+    (query ``queries[i]``), from the span's float32 ``tiles`` (``(start,
+    first, tile)``): ``_lines_ahead`` added up over the tiles."""
     ahead = np.zeros(queries.size, dtype=np.int64)
-    total = 0
     for _, first, L in tiles:
-        top, band = _band_counts(L, t)
-        total += int(band.sum())
-        if total > limit:
-            return None
-        ahead += top
-        ahead += _band_ahead(retrieval, L, lines, first, queries, t, band)
+        ahead += _lines_ahead(retrieval, L, first, queries, t)
         del L
     return ahead
 
@@ -607,16 +590,9 @@ def _ranked_ahead(retrieval, start, stop, tiles, rows, items, values):
     Each row of a tile is sorted once; a threshold's items at or above
     ``above`` and in its band (strictly between ``below`` and ``above``) are
     then two binary searches, and ``_band_ahead`` refines the bands; counts
-    add up over the tiles. Returns None when a bound is unproven (NaN), or,
-    asking for no further tile, once the band items of thresholds whose band
-    holds an item besides their own are more than ``_PER_PAIR_SHARE`` of the
-    span's pairs.
+    add up over the tiles.
     """
-    r = stop - start
-    limit = _PER_PAIR_SHARE * r * len(retrieval.index)
-    below, above = _query_bounds(retrieval, start, r, rows, values)
-    if np.isnan(below).any():
-        return None
+    below, above = _query_bounds(retrieval, start, stop - start, rows, values)
     t = _Thresholds(values, items, below, above)
     present, first_of = np.unique(rows, return_index=True)
     per_row = list(zip(present, first_of, np.append(first_of[1:], rows.size)))
@@ -624,142 +600,88 @@ def _ranked_ahead(retrieval, start, stop, tiles, rows, items, values):
     bounds = np.stack([np.nextafter(below, np.float32(np.inf)), above], axis=1)
     places = np.empty(bounds.shape, dtype=np.int64)
     ahead = np.zeros(rows.size, dtype=np.int64)
-    band = np.zeros(rows.size, dtype=np.int64)
     for _, first, S32 in tiles:
         ranked = np.sort(S32, axis=1)
         for q, a, b in per_row:
             places[a:b] = np.searchsorted(ranked[q], bounds[a:b])
         del ranked
         band_from, band_to = places.T
-        tile_band = band_to - band_from
-        band += tile_band
-        if np.sum(band[band > 1]) > limit:
-            return None
         ahead += S32.shape[1] - band_to
-        ahead += _band_ahead(retrieval, S32, rows, first, start + rows, t, tile_band)
+        ahead += _band_ahead(retrieval, S32, rows, first, start + rows, t, band_to - band_from)
         del S32
     return ahead
 
 
-def _block_thresholds(retrieval, start, stop, by_label, run_start, run_size, out) -> bool:
-    """Fill ``out`` with the thresholds of queries ``start..stop``: each
-    one's best positive, the same-label item (self excluded) with the
-    highest row-dot score, lowest index among equals. A query's positives
-    are its run of the gallery sorted by label (``by_label``, ``run_start``,
-    ``run_size``). Returns False, filling nothing, when the positives are
-    more than ``_PER_PAIR_SHARE`` of the span's pairs, or when a bound is
-    unproven (NaN, ``_screen_thresholds``).
-    """
-    r, m = stop - start, len(retrieval.index)
-    sizes = run_size[start:stop]
-    if sizes.sum() - r * retrieval.exclude_self > _PER_PAIR_SHARE * r * m:
-        return False
-    owner = np.repeat(np.arange(r), sizes)
-    cols = by_label[_ranges(run_start[start:stop], sizes)]
-    if retrieval.exclude_self:
-        other = cols != start + owner
-        owner, cols = owner[other], cols[other]
-    scores = _query_dots(retrieval, start + owner, cols)
-    rows, first = np.unique(owner, return_index=True)
-    best = np.maximum.reduceat(scores, first)
-    below, above = _query_bounds(retrieval, start, r, rows, best)
-    if np.isnan(below).any():
-        return False
-    tied = scores == np.repeat(best, np.diff(first, append=owner.size))
-    out.value[rows] = best
-    out.item[rows] = np.minimum.reduceat(np.where(tied, cols, m), first)
-    out.below[rows], out.above[rows] = below, above
-    return True
-
-
-def _dense_first_hits(retrieval, start, stop, query_labels, gallery_labels) -> np.ndarray:
-    """First-hit ranks of the queries ``start..stop`` that have a positive,
-    every score, thresholds included, from the float64 products of their
-    rows (a span that falls back, ``_float64_blocks``)."""
-    hits = []
-    for a, S in _float64_blocks(retrieval, start, stop):
-        b = a + S.shape[0]
-        positive = query_labels[a:b, None] == gallery_labels
-        if retrieval.exclude_self:
-            own = np.arange(b - a)
-            positive[own, a + own] = False
-        found = np.flatnonzero(positive.any(axis=1))
-        best = np.max(S, axis=1, where=positive, initial=-np.inf)
-        best_cols = np.argmax((S == best[:, None]) & positive, axis=1)
-        del positive
-        hits.append(_dense_ahead(S, found, best_cols[found], best[found]) + 1)
-        del S
-    return np.concatenate(hits)
-
-
-def _first_hits(retrieval, query_labels, gallery_labels) -> list[np.ndarray]:
-    """First-hit ranks, per row span, of the queries that have a positive.
-
-    Every query's threshold is found first. The spans are those of
-    ``_metric_spans``: upper trapezoids for leave-one-out queries that are the
-    gallery's own array, each unordered pair scored once, whose columns past
-    the span count the later queries column-wise as its tiles pass, and
-    otherwise full rows. A span counts its own queries row-wise, or falls
-    back to the float64 products of its rows when a bound is unproven or
-    when its positives or band items, those that earlier spans' tiles found
-    included, are more than ``_PER_PAIR_SHARE`` of its pairs. A span stops
-    computing tiles once neither its own queries nor a later screened span
-    need them.
+def _thresholds(retrieval, by_label, run_start, run_size) -> _Thresholds:
+    """Every query's threshold: its best positive, the same-label item (self
+    excluded) with the highest row-dot score, lowest index among equals. A
+    query's positives are its run of the gallery sorted by label
+    (``by_label``, ``run_start``, ``run_size``), in ascending index. All
+    queries' runs are scored in order, ``SCORE_BLOCK_BYTES // 512`` pairs at
+    a time, so a run may span chunks: a later chunk's best replaces a
+    query's only when it scores higher.
     """
     n, m = retrieval.queries.shape[0], len(retrieval.index)
-    # A query's same-label items are one run of the gallery sorted by label.
-    runs = _label_runs(gallery_labels, query_labels)
+    t = _Thresholds(np.full(n, -np.inf), np.full(n, m),
+                    np.full(n, np.inf, dtype=np.float32), np.full(n, np.inf, dtype=np.float32))
+    ends = np.cumsum(run_size)
+    shift = run_start - (ends - run_size)  # from a pair's place to its run's entry
+    step = max(1, SCORE_BLOCK_BYTES // 512)
+    for lo in range(0, int(ends[-1]) if n else 0, step):
+        pairs = np.arange(lo, min(lo + step, ends[-1]))
+        owner = np.searchsorted(ends, pairs, "right")
+        cols = by_label[pairs + shift[owner]]
+        if retrieval.exclude_self:
+            other = cols != owner
+            owner, cols = owner[other], cols[other]
+        if owner.size == 0:
+            continue
+        scores = _query_dots(retrieval, owner, cols)
+        first = np.flatnonzero(np.diff(owner, prepend=-1))
+        rows, best = owner[first], np.maximum.reduceat(scores, first)
+        tied = scores == np.repeat(best, np.diff(first, append=owner.size))
+        higher = best > t.value[rows]
+        rows = rows[higher]
+        t.value[rows] = best[higher]
+        t.item[rows] = np.minimum.reduceat(np.where(tied, cols, m), first)[higher]
+    found = np.flatnonzero(t.item < m)
+    t.below[found], t.above[found] = _query_bounds(retrieval, 0, n, found, t.value[found])
+    return t
+
+
+def _first_hits(retrieval, query_labels, gallery_labels) -> np.ndarray:
+    """First-hit ranks of the queries that have a positive, in query order.
+
+    Every query's threshold is found first (``_thresholds``). The row spans
+    are those of ``_metric_spans``: upper trapezoids for leave-one-out
+    queries that are the gallery's own array, each unordered pair scored
+    once, whose columns past the span count the later queries column-wise
+    as its tiles pass, and otherwise full rows. Each span counts its own
+    queries row-wise (``_screened_ahead``).
+    """
+    n = retrieval.queries.shape[0]
     trapezoid = retrieval.exclude_self and retrieval.queries is retrieval.index.gallery
     queries, gallery = _float32_copies(retrieval)
-    spans = list(_metric_spans(queries, gallery, trapezoid))
-    thresholds = _Thresholds.none(n)
-    screened = np.array([_block_thresholds(retrieval, start, stop, *runs, thresholds[start:stop])
-                         for start, stop, _ in spans])
-    starts = np.array([start for start, _, _ in spans])
-    limit = _PER_PAIR_SHARE * np.diff(np.append(starts, n)) * m
-    band = np.zeros(len(spans), dtype=np.int64)
+    thresholds = _thresholds(retrieval, *_label_runs(gallery_labels, query_labels))
     ahead = np.zeros(n, dtype=np.int64)
 
-    def counted(b, stop, tiles):
+    def counted(stop, tiles):
         """The span's tiles with its queries' own entries at -inf, after
         counting the later queries in their columns past the span."""
         for start, first, S32 in tiles:
             if retrieval.exclude_self:
                 _exclude_own(S32, start, first)
             lo, hi = max(first, stop), first + S32.shape[1]
-            if trapezoid and lo < hi and screened[b + 1 :].any():
-                L, later, rows = S32[:, lo - first :].T, thresholds[lo:hi], np.arange(lo, hi)
-                top, counts = _band_counts(L, later)
-                c0, c1 = np.searchsorted(starts, [lo, hi - 1], "right") - [1, 0]
-                band[c0:c1] += np.add.reduceat(counts, np.maximum(starts[c0:c1], lo) - lo)
-                for c in c0 + np.flatnonzero(screened[c0:c1] & (band[c0:c1] > limit[c0:c1])):
-                    screened[c] = False
-                    first_row, last_row = spans[c][:2]
-                    thresholds.below[first_row:last_row] = np.inf
-                    thresholds.above[first_row:last_row] = np.inf
-                    counts[max(first_row, lo) - lo : last_row - lo] = 0
-                ahead[lo:hi] += top
-                ahead[lo:hi] += _band_ahead(retrieval, L, rows - lo, start, rows, later, counts)
-                del L, top, counts
+            if trapezoid and lo < hi:
+                ahead[lo:hi] += _lines_ahead(retrieval, S32[:, lo - first :].T, start,
+                                             np.arange(lo, hi), thresholds[lo:hi])
             yield start, first, S32
             del S32
 
-    first_hits = []
-    for b, (start, stop, tiles) in enumerate(spans):
-        tiles = counted(b, stop, tiles)
-        hits = None
-        if screened[b]:
-            t = thresholds[start:stop]
-            count = _screened_ahead(retrieval, tiles, np.arange(start, stop), t,
-                                    limit[b] - band[b])
-            hits = None if count is None else (ahead[start:stop] + count + 1)[t.found]
-        while trapezoid and screened[b + 1 :].any() and next(tiles, None) is not None:
-            pass  # the later queries count the rest of the span column-wise
-        tiles.close()
-        if hits is None:
-            hits = _dense_first_hits(retrieval, start, stop, query_labels, gallery_labels)
-        first_hits.append(hits)
-    return first_hits
+    for start, stop, tiles in _metric_spans(queries, gallery, trapezoid):
+        ahead[start:stop] += _screened_ahead(retrieval, counted(stop, tiles),
+                                             np.arange(start, stop), thresholds[start:stop])
+    return (ahead + 1)[thresholds.found]
 
 
 def _recall_from_first_hits(
@@ -794,12 +716,13 @@ def recall_at_k(
     A query's best positive is the same-label item (self excluded) with the
     highest score, lowest index among equals, and its first-hit rank is 1 +
     the number of other items with a higher score, or an equal score and a
-    lower index. Per row span, the positives come from one sort of the gallery
-    labels and are scored in row dots, a query's best one is the threshold,
-    and ``_screened_ahead`` counts the items ahead of it, tile by tile. One
-    driver (``_first_hits``) takes the row spans in two shapes: upper
-    trapezoids for leave-one-out queries that are the gallery's own array,
-    each unordered pair scored once, and every column for any other queries.
+    lower index. The positives come from one sort of the gallery labels and
+    are scored in row dots a bounded chunk at a time, a query's best one is
+    the threshold (``_thresholds``), and ``_screened_ahead`` counts the items
+    ahead of it per row span, tile by tile. One driver (``_first_hits``) takes
+    the row spans in two shapes: upper trapezoids for leave-one-out queries
+    that are the gallery's own array, each unordered pair scored once, and
+    every column for any other queries.
     """
     index = retrieval.index
     num_queries = retrieval.queries.shape[0]
@@ -824,11 +747,7 @@ def recall_at_k(
     if ks[-1] > depth:
         raise ProtocolError(f"K={ks[-1]} exceeds usable ranking depth {depth}")
     first_hits = _first_hits(retrieval, query_labels, gallery_labels)
-    return _recall_from_first_hits(
-        np.concatenate(first_hits) if first_hits else np.zeros(0, np.int64),
-        ks,
-        num_queries,
-    )
+    return _recall_from_first_hits(first_hits, ks, num_queries)
 
 
 def _split_roles(split: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -902,21 +821,9 @@ def mean_average_precision(
     for start, stop, tiles in _metric_spans(*_float32_copies(retrieval)):
         block = slice(*np.searchsorted(query, [start, stop]))
         rows, cols, t = query[block] - start, items[block], threshold[block]
-        counts = None
-        if np.count_nonzero(t) <= _PER_PAIR_SHARE * (stop - start) * gallery_size:
-            value[block] = _query_dots(retrieval, query[block], cols)
-            counts = _ranked_ahead(retrieval, start, stop, tiles, rows[t], cols[t],
-                                   value[block][t])
-        tiles.close()
-        if counts is not None:
-            ahead[block][t] = counts
-            continue
-        for a, S in _float64_blocks(retrieval, start, stop):
-            sub = slice(*np.searchsorted(query, [a, a + S.shape[0]]))
-            rows, cols, t = query[sub] - a, items[sub], threshold[sub]
-            value[sub] = S[rows, cols]
-            ahead[sub][t] = _dense_ahead(S, rows[t], cols[t], value[sub][t])
-            del S
+        value[block] = _query_dots(retrieval, query[block], cols)
+        ahead[block][t] = _ranked_ahead(retrieval, start, stop, tiles, rows[t], cols[t],
+                                        value[block][t])
     # Each query's items in rank order: score descending, then index.
     order = np.lexsort((items, -value, query))
     query, role, ahead = query[order], role[order], ahead[order]

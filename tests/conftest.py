@@ -89,25 +89,17 @@ def count_tiles(monkeypatch, module):
 
 def screen_routes(monkeypatch):
     """Count the row spans the float32 screen counted (recall's
-    ``_screened_ahead`` or mAP's ``_ranked_ahead``) and the spans that fell
-    back to the float64 products of their rows; ``tiles`` counts each span's
-    tiles (``count_tiles``)."""
-    routes = Routes({"screened": 0, "fallback": 0}, count_tiles(monkeypatch, evaluation))
+    ``_screened_ahead`` or mAP's ``_ranked_ahead``); ``tiles`` counts each
+    span's tiles (``count_tiles``)."""
+    routes = Routes({"screened": 0}, count_tiles(monkeypatch, evaluation))
 
     def counted(screen):
         def screened(*args):
-            counts = screen(*args)
-            routes["screened"] += counts is not None
-            return counts
+            routes["screened"] += 1
+            return screen(*args)
         return screened
-    fallback = evaluation._float64_blocks
-
-    def fell_back(*args):
-        routes["fallback"] += 1
-        return fallback(*args)
     for name in ("_screened_ahead", "_ranked_ahead"):
         monkeypatch.setattr(evaluation, name, counted(getattr(evaluation, name)))
-    monkeypatch.setattr(evaluation, "_float64_blocks", fell_back)
     return routes
 
 
@@ -166,9 +158,13 @@ def metric_tiles(rows, columns):
     (fewer at the edges, and a 1-row tail joins the span before it) against
     galleries of at least ``8 * columns`` rows; against narrower ones a span
     holds the full rows of its float64 budget, ``64 * rows * columns`` bytes,
-    and tiles as many columns as fit with them."""
-    return mock.patch.multiple(evaluation, _TILE_ROWS=rows,
-                               SCORE_BLOCK_BYTES=64 * rows * columns)
+    and tiles as many columns as fit with them. Unlike the metrics' own row
+    floor, ``rows`` does not shrink for tiles less than twice as wide."""
+    budget = 64 * rows * columns
+
+    def spans(queries, gallery, upper=False):
+        return evaluation._span_tiles(queries, gallery, budget, rows, rows * columns, upper)
+    return mock.patch.multiple(evaluation, _metric_spans=spans, SCORE_BLOCK_BYTES=budget)
 
 
 def budget_for_rows(module, budget_name, rows, gallery_rows):

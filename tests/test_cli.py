@@ -651,7 +651,7 @@ def screened_memory_steps(monkeypatch, config):
 
 def eval_routes(monkeypatch, argv):
     """In-process ``spherekit eval``: how many score blocks the float32
-    screen counted, and how many fell back to their float64 product."""
+    screen counted (``screen_routes``)."""
     routes = screen_routes(monkeypatch)
     assert main(argv) == 0
     return routes
@@ -659,19 +659,19 @@ def eval_routes(monkeypatch, argv):
 
 class TestBlasThreadCount:
     @pytest.mark.parametrize("case", ["category", "particular", "two_blocks", "routes",
-                                      "split"])
+                                      "split", "cub"])
     def test_eval_metrics_identical_for_one_and_two_threads(self, tmp_path, monkeypatch, case):
         # Sizes above OpenBLAS's threading threshold, so two threads split
         # the score products; each subprocess gets its own thread count.
         # The 600-row gallery is one score block; the leave-one-out gallery
         # of "two_blocks" and "routes", 2,400 rows, splits into blocks of
         # 1,747 and 653. In "routes" a 300-row class gives the first block
-        # more positives than the screen takes, so it falls back to its
-        # float64 product, while the second block, of 10-row classes, is
-        # screened. "split" is a category eval of the 120 query rows against
-        # a 600-row gallery of 4-row classes: 480 positives, under the
-        # screen's share of the 120 x 600 block, so split-query recall is
-        # screened.
+        # 90,000 positives, a fifth of its pairs, and the second block has
+        # 10-row classes; both are screened. "split" is a category eval of
+        # the 120 query rows against a 600-row gallery of 4-row classes,
+        # screened in one block. "cub" is a CUB-shaped leave-one-out gallery,
+        # 100 classes of 59 rows (a positive share of 1/100), in 8 blocks of
+        # 710 rows and a last one of 220, all screened.
         mode = "particular" if case == "particular" else "category"
         rng = np.random.default_rng(14)
         means = rng.standard_normal((60, 24))
@@ -687,6 +687,9 @@ class TestBlasThreadCount:
         elif case == "split":
             labels = np.repeat(np.arange(150), 4)
             means = rng.standard_normal((150, 24))
+        elif case == "cub":
+            labels = np.repeat(np.arange(100), 59)
+            means = rng.standard_normal((100, 24))
         write_features(tmp_path / "gal.emb",
                        means[labels] + rng.standard_normal((labels.size, 24)))
         write_labels(tmp_path / "gal.labels", labels)
@@ -717,16 +720,17 @@ class TestBlasThreadCount:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         argv = ["eval", "--config", str(cfg_path), "--model", str(tmp_path / "head.json")]
-        if case in ("routes", "split"):
+        if case in ("routes", "split", "cub"):
             routes = eval_routes(monkeypatch, [*argv, "--out-dir", str(tmp_path / "in")])
-            assert routes == {"screened": 1, "fallback": int(case == "routes")}
+            assert routes == {"screened": {"routes": 2, "split": 1, "cub": 9}[case]}
+            assert not routes.tiles["float64"]
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"eval-{threads}"
             run_cli_with_blas_threads(threads, *argv, "--out-dir", str(out))
             outputs.append((out / "metrics.json").read_bytes())
         assert outputs[0] == outputs[1]
-        if case in ("routes", "split"):
+        if case in ("routes", "split", "cub"):
             assert outputs[0] == (tmp_path / "in" / "metrics.json").read_bytes()
 
     def test_diagnose_artifacts_identical_for_one_and_two_threads(self, tmp_path, monkeypatch):

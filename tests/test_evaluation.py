@@ -2,7 +2,8 @@
 
 The metrics count ranks in blocks of scores and build no ranking, so the
 reference here is the full one: a stable sort of each query's negated score
-row (``full_rankings``), which orders by (negated similarity, position).
+row (``full_rankings``), which orders by (negated similarity, position). Its
+scores are row dots, the float64 evaluation the metrics rank by.
 Average precision is checked against a walk-the-ranking oracle that skips
 junk and accumulates precision at each hit; recall against a counting loop.
 Oracle arithmetic mirrors rank order term by term, so the comparisons are
@@ -15,6 +16,7 @@ for several block sizes.
 import contextlib
 import itertools
 import math
+import re
 import tracemalloc
 from functools import partial
 from unittest import mock
@@ -52,10 +54,21 @@ from conftest import (
 )
 
 
+def row_dot_scores(G, Q):
+    """``Q @ G.T`` evaluated as the metrics evaluate a pair: one ``einsum``
+    row dot of the two rows. A BLAS product can differ in the last bits, and
+    so order scores within a few ULPs of each other the other way."""
+    scores = np.empty((Q.shape[0], G.shape[0]))
+    for i in range(Q.shape[0]):
+        np.einsum("ij,ij->i", np.repeat(Q[i : i + 1], G.shape[0], axis=0), G, out=scores[i])
+    return scores
+
+
 def full_rankings(G, Q, exclude_self=False):
-    """Every query's whole gallery ordering: a stable sort of ``-Q @ G.T``,
-    with the query's own entry removed under ``exclude_self``."""
-    order = np.argsort(-(Q @ G.T), axis=1, kind="stable")
+    """Every query's whole gallery ordering: a stable sort of its negated
+    row-dot scores (``row_dot_scores``), with the query's own entry removed
+    under ``exclude_self``."""
+    order = np.argsort(-row_dot_scores(G, Q), axis=1, kind="stable")
     if exclude_self:
         return [ranking[ranking != i] for i, ranking in enumerate(order)]
     return list(order)
@@ -133,12 +146,6 @@ def rank_of(index, query, item):
     return 1 + sum(value == 0.0 for value in rep.values())
 
 
-def rank_screen_path(screened):
-    """Make the metrics count every block through the float32 screen, or
-    take every block's scores from its float64 product."""
-    return mock.patch.object(evaluation, "_PER_PAIR_SHARE", 1.0 if screened else 0.0)
-
-
 def gt(easy=(), hard=(), junk=()):
     return QueryGroundTruth(
         easy=np.asarray(easy, dtype=np.int64),
@@ -177,13 +184,11 @@ class TestRetrieve:
         Z = unit_rows(rng, 8, 5)
         retrieval = retrieve(RetrievalIndex(gallery=Z), Z, exclude_self=True)
         # Each query outscores every other row against itself, yet is never
-        # ranked: not by the float32 screen, nor by the float64 fallback.
+        # ranked.
         labels = np.arange(8) // 2
         rankings = full_rankings(Z, Z, exclude_self=True)
         expected = {k: recall_walk(rankings, labels, labels, k) for k in range(1, 8)}
-        for screened in (False, True):
-            with rank_screen_path(screened):
-                assert recall_at_k(retrieval, labels, range(1, 8)) == expected
+        assert recall_at_k(retrieval, labels, range(1, 8)) == expected
         with pytest.raises(ProtocolError, match="usable ranking depth 7"):
             recall_at_k(retrieval, np.zeros(8, dtype=np.int64), (8,))
         with pytest.raises(ProtocolError, match="no query"):
@@ -216,6 +221,36 @@ class TestRetrievalIndex:
         G[2] *= 0.9
         with pytest.raises(ShapeError, match="row 2"):
             RetrievalIndex(gallery=G)
+
+    def test_norm_check_reports_the_whole_array_norm(self):
+        # Rows checked in chunks report the norm of the whole-array check,
+        # and a non-finite row in a later chunk wins over an earlier off-unit
+        # row.
+        rng = np.random.default_rng(66)
+        G = unit_rows(rng, 3000, 32)
+        G[2500] *= 1.5
+        norm = np.linalg.norm(G, axis=1)[2500]
+        with mock.patch.object(evaluation, "SCORE_BLOCK_BYTES", 512 * 32 * 100):
+            message = f"gallery row 2500 has norm {norm!r}, expected unit"
+            with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+                RetrievalIndex(gallery=G)
+            G[10] *= 0.5
+            G[2999, 3] = np.inf
+            with pytest.raises(NumericalError, match="non-finite"):
+                RetrievalIndex(gallery=G)
+
+    def test_norm_check_holds_no_gallery_sized_temporary(self):
+        # A 20,000 x 128 gallery is 19.5 MiB; norms over all rows at once
+        # squared it into a temporary of the same size.
+        G = unit_rows(np.random.default_rng(67), 20000, 128)
+        tracemalloc.start()
+        try:
+            index = RetrievalIndex(gallery=G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert index.gallery is G
+        assert peak < G.nbytes / 8, peak / G.nbytes
 
 
 class TestRecallAtK:
@@ -491,6 +526,22 @@ class TestScoreBlocks:
         assert sizes[0] == min(rows, Q.shape[0])
         assert sum(sizes) == Q.shape[0]
 
+    @pytest.mark.parametrize("m, budget, shape", [
+        (4000, None, (1048, 500)), (60000, None, (512, 1024)),
+        (32000, 2**20, (90, 182)), (4000, 2**20, (90, 182)),
+    ])
+    def test_metric_tiles_keep_their_shape(self, m, budget, shape):
+        # The default budget's spans hold 512 rows or more, in tiles of 2 MiB
+        # of float32 scores; a smaller budget shrinks the row floor with the
+        # tile instead of thinning it (512 x 32 at 1 MiB).
+        X = np.zeros((m, 1), dtype=np.float32)
+        budget = budget or evaluation.SCORE_BLOCK_BYTES
+        with mock.patch.object(evaluation, "SCORE_BLOCK_BYTES", budget):
+            start, stop, tiles = next(evaluation._metric_spans(X, X))
+            _, first, S = next(tiles)
+        assert (start, first) == (0, 0)
+        assert (stop - start, S.shape[1]) == shape
+
     def test_a_budget_below_two_rows_gives_two_row_blocks(self):
         sizes = [S.shape[0] for _, _, S in score_tiles(np.eye(5), np.eye(5), 8)]
         assert sizes == [2, 3]  # the 1-row tail joins the block before it
@@ -570,15 +621,14 @@ class TestBlockedRecall:
                         gallery_labels=np.array([0, 0]))
 
     @pytest.mark.parametrize("exclude_self", [False, True])
-    def test_row_blocks_fall_back_while_others_are_screened(self, monkeypatch, exclude_self):
-        # Blocks of 6 queries against 12 gallery rows at a share of 1/8 take
-        # at most 9 positives or in-between items each. Block 0's queries
+    def test_row_blocks_with_many_positives_are_screened(self, monkeypatch, exclude_self):
+        # Blocks of 6 queries against 12 gallery rows. Block 0's queries
         # share class 0 with gallery rows 0-5, 36 positives (30 with self
-        # excluded), so it falls back before any product; block 1's have 6
-        # and are screened. Under exclude_self the queries are the gallery
-        # rows doubled, off the unit sphere and not the gallery's array, so
-        # the full-row blocks must mask each query's own entry (score 2) on
-        # both routes.
+        # excluded), half of the block's pairs; block 1's have 6. Both are
+        # screened, whatever the share. Under exclude_self the queries are
+        # the gallery rows doubled, off the unit sphere and not the
+        # gallery's array, so the full-row blocks must mask each query's own
+        # entry (score 2).
         rng = np.random.default_rng(98)
         G = unit_rows(rng, 12, 8)
         if exclude_self:
@@ -594,7 +644,8 @@ class TestBlockedRecall:
         assert retrieval.queries is not retrieval.index.gallery
         with budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", 6, 12):
             assert recall_at_k(retrieval, labels, ks, gallery_labels=labels) == expected
-        assert routes == {"screened": 1, "fallback": 1}
+        assert routes == {"screened": 2}
+        assert not routes.tiles["float64"]
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(
@@ -633,15 +684,15 @@ class TestBlockedRecall:
 
 
 def unproven_first_thresholds():
-    """Give the first threshold of every ``_query_bounds`` call NaN bounds:
-    the bounds of a row outside the screen's proven range (a norm above
-    2**60), which a unit gallery cannot hold. Each block with a threshold
-    then falls back to its float64 product."""
+    """Give the first threshold of every ``_query_bounds`` call the bounds
+    of a row outside the screen's proven range (a norm above 2**60), which
+    a unit gallery cannot hold: -inf and +inf, so every item of its line is
+    scored in float64."""
     bounds = evaluation._query_bounds
 
     def unproven(*args):
         below, above = bounds(*args)
-        below[:1] = above[:1] = np.nan
+        below[:1], above[:1] = -np.inf, np.inf
         return below, above
     return mock.patch.object(evaluation, "_query_bounds", unproven)
 
@@ -657,12 +708,10 @@ class TestSelfScoredRecall:
         pool=st.integers(1, 12),
         num_labels=st.integers(1, 6),
         rows=st.sampled_from([2, 3, None]),
-        screened=st.booleans(),
         unproven=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_full_ranking(self, n, d, pool, num_labels, rows, screened, unproven,
-                                  seed):
+    def test_matches_full_ranking(self, n, d, pool, num_labels, rows, unproven, seed):
         rng = np.random.default_rng(seed)
         G = quantized_unit_rows(rng, n, d, pool)
         labels = rng.integers(0, num_labels, size=n)
@@ -673,19 +722,16 @@ class TestSelfScoredRecall:
         expected = {k: recall_walk(rankings, labels, labels, k) for k in ks}
         retrieval = retrieve(RetrievalIndex(gallery=G), G, exclude_self=True)
         assert retrieval.queries is retrieval.index.gallery
-        with rank_screen_path(screened), \
-                budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", rows, n), \
+        with budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", rows, n), \
                 (unproven_first_thresholds() if unproven else contextlib.nullcontext()):
             assert recall_at_k(retrieval, labels, ks) == expected
 
-    def test_blocks_fall_back_while_others_are_screened(self, monkeypatch):
-        # Blocks of 6 rows at a share of 1/8 take at most 18 positives or
-        # in-between items each. Block 0 is one class, 30 positives, so it
-        # falls back before any product. Rows 6-10, each its own class, and
-        # block 3 (rows 18-23, three classes) are one direction, so each
-        # query of block 3 ties 10 items with its best positive. Block 1's
-        # columns hold 30 of those, so block 3 stops collecting them there
-        # and falls back. Blocks 1 and 2 are screened.
+    def test_blocks_with_many_ties_are_screened(self, monkeypatch):
+        # Blocks of 6 rows. Block 0 is one class, 30 positives. Rows 6-10,
+        # each its own class, and block 3 (rows 18-23, three classes) are
+        # one direction, so each query of block 3 ties 10 items with its
+        # best positive, 30 of them in block 1's columns. Every block is
+        # screened, whatever the share, and scores its ties in row dots.
         rng = np.random.default_rng(97)
         G = unit_rows(rng, 24, 8)
         G[6:11] = G[18:24] = np.eye(8)[0]
@@ -699,7 +745,8 @@ class TestSelfScoredRecall:
         retrieval = retrieve(RetrievalIndex(gallery=G), G, exclude_self=True)
         with budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", 6, 24):
             assert recall_at_k(retrieval, labels, ks) == expected
-        assert routes == {"screened": 2, "fallback": 2}
+        assert routes == {"screened": 4}
+        assert not routes.tiles["float64"]
 
 
 class TestBlockedMeanAveragePrecision:
@@ -776,12 +823,11 @@ class TestRankScreen:
         off_unit=st.booleans(),
         huge=st.booleans(),
         widths=st.floats(0.0, 3.0),
-        screened=st.booleans(),
         rows=st.sampled_from([2, 3, None]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_full_ranking(self, protocol, n, num_queries, d, quantized, off_unit,
-                                  huge, widths, screened, rows, seed):
+                                  huge, widths, rows, seed):
         rng = np.random.default_rng(seed)
         num_labels = int(rng.integers(1, 5))
         if quantized:
@@ -825,15 +871,15 @@ class TestRankScreen:
         if off_unit:
             Q = Q * rng.uniform(0.99, 1.01, size=(Q.shape[0], 1))
         if huge:
-            # Outside the screen's proven range: its bounds are NaN.
+            # Outside the screen's proven range: every item of its line is
+            # scored in float64. 2**130 also overflows its float32 copy.
             Q = Q.copy()
-            Q[0] *= 2.0**61
+            Q[0] *= 2.0 ** int(rng.choice([61, 130]))
         exclude_self = protocol == "leave_one_out"
         index = RetrievalIndex(gallery=G)
         retrieval = retrieve(index, Q, exclude_self=exclude_self)
         rankings = full_rankings(G, Q, exclude_self=exclude_self)
-        with rank_screen_path(screened), \
-                budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", rows, n):
+        with budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", rows, n):
             if protocol == "map":
                 for split in ("easy", "medium", "hard"):
                     expected = map_walk(rankings, records, split)
@@ -850,24 +896,26 @@ class TestRankScreen:
             assert recall_at_k(retrieval, q_labels, ks, gallery_labels=gallery_labels) == expected
 
 
+    @pytest.mark.parametrize("scale", [61, 130])
     @pytest.mark.parametrize("metric", ["recall", "map"])
-    def test_unproven_block_falls_back_while_others_are_screened(self, monkeypatch, metric):
-        # Query 7 is scaled by 2**61, past the screen's proven range, so its
-        # bounds are NaN and its block of 6 queries (rows 6-11) takes its
-        # float64 product; block 0 is screened. The scaling is a power of 2,
-        # so every score of the query scales exactly and its ranking stays
-        # that of the unit row.
+    def test_unproven_query_is_scored_in_its_screened_block(self, monkeypatch, metric, scale):
+        # Query 7 is scaled by 2**61 or 2**130, past the screen's proven
+        # range (2**130 also overflows its float32 copy), so every item of
+        # its line is scored in float64 while its block of 6 queries (rows
+        # 6-11) is screened, as is block 0. The scaling is a power of 2, so
+        # every score of the query scales exactly and its ranking stays that
+        # of the unit row.
         rng = np.random.default_rng(99)
         G = unit_rows(rng, 12, 8)
         Q = unit_rows(rng, 12, 8)
-        Q[7] *= 2.0**61
+        Q[7] *= 2.0**scale
         retrieval = retrieve(RetrievalIndex(gallery=G), Q)
         rankings = full_rankings(G, Q)
         labels = np.arange(12) % 6
         records = random_ground_truths(rng, 12, 12)
         records[7] = gt(easy=[1, 4], hard=[9], junk=[2])
         routes = screen_routes(monkeypatch)
-        with rank_screen_path(True), budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", 6, 12):
+        with budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", 6, 12):
             if metric == "recall":
                 ks = range(1, 13)
                 got = recall_at_k(retrieval, labels, ks, gallery_labels=labels)
@@ -875,7 +923,95 @@ class TestRankScreen:
             else:
                 got = mean_average_precision(retrieval, records, ("medium", "hard"))
                 assert got == {s: map_walk(rankings, records, s) for s in ("medium", "hard")}
-        assert routes == {"screened": 1, "fallback": 1}
+        assert routes == {"screened": 2}
+        assert not routes.tiles["float64"]
+
+
+def blob_rows(rng, classes, per, d, sigma):
+    """``per`` unit rows around each of ``classes`` random unit means, in
+    class order, with their labels."""
+    labels = np.repeat(np.arange(classes), per)
+    X = unit_rows(rng, classes, d)[labels] + sigma * rng.standard_normal((labels.size, d))
+    return X / np.linalg.norm(X, axis=1, keepdims=True), labels
+
+
+class TestDatasetShapes:
+    """Galleries whose positives or band items are more than 1/128 of a
+    row span's pairs, where the metrics once scored a span by its float64
+    product: every span is screened, no float64 block is scored, and the
+    metrics equal the oracles, with one span and with many."""
+
+    SHAPES = [None, (64, 128)]
+
+    def assert_recall(self, monkeypatch, G, labels, ks):
+        # Leave-one-out over the gallery's own array, and every tenth row as
+        # a split query against the rest.
+        index = RetrievalIndex(G)
+        loo = retrieve(index, G, exclude_self=True)
+        rankings = full_rankings(G, G, exclude_self=True)
+        expected_loo = {k: recall_walk(rankings, labels, labels, k) for k in ks}
+        q = np.arange(G.shape[0]) % 10 == 0
+        split = retrieve(RetrievalIndex(G[~q]), G[q])
+        rankings = full_rankings(G[~q], G[q])
+        expected_split = {k: recall_walk(rankings, labels[q], labels[~q], k) for k in ks}
+        for shape in self.SHAPES:
+            with metric_tiles(*shape) if shape else contextlib.nullcontext():
+                routes = screen_routes(monkeypatch)
+                assert recall_at_k(loo, labels, ks) == expected_loo, shape
+                got = recall_at_k(split, labels[q], ks, gallery_labels=labels[~q])
+                assert got == expected_split, shape
+            assert routes["screened"] >= 2 and not routes.tiles["float64"]
+
+    def test_cub_shaped_recall(self, monkeypatch):
+        # 100 classes of 20 rows: 19 positives a query, 1/105 of the gallery.
+        G, labels = blob_rows(np.random.default_rng(140), 100, 20, 64, 0.12)
+        self.assert_recall(monkeypatch, G, labels, (1, 2, 4, 8, 100))
+
+    def test_two_class_recall(self, monkeypatch):
+        # Half the gallery is positive for every query.
+        G = unit_rows(np.random.default_rng(141), 600, 16)
+        self.assert_recall(monkeypatch, G, np.arange(600) % 2, (1, 2, 10, 300))
+
+    def test_collapsed_recall_and_map(self, monkeypatch):
+        # Every score lies within about 1e-5 of every other, inside every
+        # threshold's band: every item is scored in row dots.
+        rng = np.random.default_rng(142)
+        G = unit_rows(rng, 1, 16) + 1e-3 * rng.standard_normal((600, 16))
+        G /= np.linalg.norm(G, axis=1, keepdims=True)
+        spread = np.ptp(G @ G.T)
+        assert 1e-6 < spread < 1e-4, spread
+        labels = np.arange(600) % 37
+        self.assert_recall(monkeypatch, G, labels, (1, 2, 10, 100))
+        Q = G[:50].copy()
+        records = random_ground_truths(rng, 50, 600)
+        rankings = full_rankings(G, Q)
+        routes = screen_routes(monkeypatch)
+        got = mean_average_precision(retrieve(RetrievalIndex(G), Q), records, evaluation.SPLITS)
+        assert got == {s: map_walk(rankings, records, s) for s in evaluation.SPLITS}
+        assert routes == {"screened": 1} and not routes.tiles["float64"]
+
+    def test_roxford_shaped_map(self, monkeypatch):
+        # 70 queries against 5,000 rows, each with 45 easy and 45 hard
+        # positives near it and 30 junk items: 1/56 of the pairs are
+        # thresholds.
+        rng = np.random.default_rng(143)
+        G = unit_rows(rng, 5000, 32)
+        Q = unit_rows(rng, 70, 32)
+        records = []
+        for i in range(70):
+            chosen = rng.choice(5000, size=120, replace=False)
+            near = Q[i] + 0.25 * rng.standard_normal((90, 32))
+            G[chosen[:90]] = near / np.linalg.norm(near, axis=1, keepdims=True)
+            records.append(gt(easy=np.sort(chosen[:45]), hard=np.sort(chosen[45:90]),
+                              junk=np.sort(chosen[90:])))
+        rankings = full_rankings(G, Q)
+        expected = {s: map_walk(rankings, records, s) for s in evaluation.SPLITS}
+        retrieval = retrieve(RetrievalIndex(G), Q)
+        for shape in self.SHAPES:
+            with metric_tiles(*shape) if shape else contextlib.nullcontext():
+                routes = screen_routes(monkeypatch)
+                assert mean_average_precision(retrieval, records, evaluation.SPLITS) == expected
+            assert routes["screened"] >= 1 and not routes.tiles["float64"]
 
 
 def dense_histograms(Z, labels, num_bins):
@@ -912,8 +1048,9 @@ class TestTileShapes:
                                                           num_labels, tied, share, seed):
         # Quantized rows score exactly, so every shape and route must give
         # the oracles' values. The first `tied` rows are one row, whose pairs
-        # all tie: below a share of 1 their span tends to fall back while
-        # later spans are screened (in about 90 of the metric calls here).
+        # all tie: recall and mAP score them in row dots, and below a share
+        # of 1 the histogram's span of them tends to fall back while later
+        # spans are screened.
         rng = np.random.default_rng(seed)
         G = quantized_unit_rows(rng, n, d, pool)
         G[:tied] = G[0]
@@ -948,13 +1085,13 @@ class TestTileShapes:
                 assert_array_equal(hist.negative_counts, negative)
 
     @pytest.mark.parametrize("shape", [(64, 1), (64, 7), (64, 32)])
-    def test_a_span_falls_back_while_the_others_are_screened(self, monkeypatch, shape):
+    def test_a_tied_span_falls_back_only_in_the_histogram(self, monkeypatch, shape):
         # Spans of 64 of 300 rows, in pairs of one label. The first 64 rows
         # alternate two axes, so their pairs score exactly 1 or 0: a query
         # among them ties its positive (the other axis, score 0) with 32
-        # items, and half their pairs lie on the histogram's edge 0. That
-        # span falls back, in every metric; the 4 spans of random rows are
-        # screened.
+        # items, and half their pairs lie on the histogram's edge 0. Recall
+        # and mAP screen that span like the 4 spans of random rows, scoring
+        # the ties in row dots; the histogram's span falls back.
         rng = np.random.default_rng(131)
         Z = np.concatenate([np.eye(16)[np.arange(64) % 2], unit_rows(rng, 236, 16)])
         labels = np.arange(300) // 2
@@ -969,25 +1106,25 @@ class TestTileShapes:
             routes = screen_routes(monkeypatch)
             got = recall_at_k(retrieve(index, Z, exclude_self=True), labels, ks)
             assert got == {k: recall_walk(rankings, labels, labels, k) for k in ks}
-            assert routes == {"screened": 4, "fallback": 1}
-            # The later spans still need every tile of the first, column-wise;
-            # its float64 blocks cover its rows and no others.
+            assert routes == {"screened": 5}
+            # Every span computes every tile of its trapezoid, and no float64
+            # block is scored.
             tiles = -(-300 // shape[1])
             assert routes.tiles["float32"][0, 64] == tiles
-            float64_rows = sorted(routes.tiles["float64"])
-            assert float64_rows[0][0] == 0 and float64_rows[-1][1] == 64
+            assert not routes.tiles["float64"]
 
             routes = screen_routes(monkeypatch)
             got = recall_at_k(retrieve(index, Q), labels[:150], ks, gallery_labels=labels)
             assert got == {k: recall_walk(split_rankings, labels[:150], labels, k) for k in ks}
-            assert routes == {"screened": 2, "fallback": 1}
-            # Here nothing else needs them: the span stops at its limit.
-            assert routes.tiles["float32"][0, 64] < tiles
+            assert routes == {"screened": 3}
+            assert routes.tiles["float32"][0, 64] == tiles
+            assert not routes.tiles["float64"]
 
             routes = screen_routes(monkeypatch)
             got = mean_average_precision(retrieve(index, Q), records, ("easy",))
             assert got == {"easy": map_walk(split_rankings, records, "easy")}
-            assert routes == {"screened": 2, "fallback": 1}
+            assert routes == {"screened": 3}
+            assert not routes.tiles["float64"]
 
             routes = histogram_routes(monkeypatch)
             hist = similarity_histograms(Z, labels)
@@ -1008,15 +1145,18 @@ class TestBlockBudgetBoundsMemory:
         "recall", "map", "histograms", "mining",
         "recall-d128", "map-d128", "recall-collapsed", "map-collapsed",
         "histograms-one-label", "histograms-d128", "histograms-collapsed",
+        "recall-two-class",
     ])
     def test_peak_stays_under_five_budgets(self, caller):
         # A full 4,000 x 4,000 score matrix would be 122 budgets. At d 128 the
         # gathered positive rows would be 9 budgets if they were not chunked.
         # In a collapsed gallery every row is within a few ULPs of one
-        # direction, so every item is in between and each block falls back;
+        # direction, so every item is in its band and scored in row dots;
         # the histogram's pairs score about +1, past its last interior edge,
         # so its float32 screen decides them. At d 128 the histogram's
         # float32 copy of the rows is 2 budgets. With one label every pair is a same-label pair of the histogram.
+        # With two classes every query has 2,000 positives, 8,000,000 pairs
+        # that recall scores for its thresholds a bounded chunk at a time.
         caller, _, gallery = caller.partition("-")
         rng = np.random.default_rng(94)
         if gallery == "collapsed":
@@ -1024,7 +1164,9 @@ class TestBlockBudgetBoundsMemory:
             Z /= np.linalg.norm(Z, axis=1, keepdims=True)
         else:
             Z = unit_rows(rng, 4000, 128 if gallery == "d128" else 16)
-        labels = np.zeros(4000, np.int64) if gallery == "one-label" else np.arange(4000) % 400
+        labels = np.arange(4000) % (2 if gallery == "two-class" else 400)
+        if gallery == "one-label":
+            labels[:] = 0
         if caller == "recall":
             retrieval = retrieve(RetrievalIndex(Z), Z, exclude_self=True)
             run = partial(recall_at_k, retrieval, labels, (1, 10))
