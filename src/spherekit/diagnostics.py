@@ -292,7 +292,8 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
         counts = None if screened.screen is None else screened.span(start, stop, tiles)
         tiles.close()
         if counts is None:
-            blocks = evaluation._float64_tiles(Z, Z, start, stop, upper=True)
+            blocks = evaluation._float64_tiles(Z, Z, start, stop,
+                                               evaluation.SCORE_BLOCK_BYTES, upper=True)
             counts = dense.span(start, stop, blocks)
         all_counts += counts[0]
         pos_counts += counts[1]

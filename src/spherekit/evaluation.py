@@ -111,10 +111,10 @@ SCORE_BLOCK_BYTES = 32 * 2**20
 # read 8.3 and 9.6 s in recall and 14.1 and 15.9 s in histograms.
 _TILE_ROWS = 512
 
-# Unit roundoff of float32, and half its smallest subnormal (the largest
-# absolute error of a float32 rounding that underflows).
-_U32 = 2.0**-24
-_ETA32 = 2.0**-150
+# Per tile precision: the unit roundoff u, and eta, half the smallest
+# subnormal (the largest absolute error of a rounding that underflows).
+# Float64's eta, 2**-1075, is no float64, so it is rounded up to 2**-1074.
+_ROUNDING = {np.float32: (2.0**-24, 2.0**-150), np.float64: (2.0**-53, 2.0**-1074)}
 # The screen's bound is proven for row norms up to this size (no float32
 # overflow anywhere) and for dims up to _SCREEN_MAX_DIM (d * 2**-24 <= 1/4).
 _SCREEN_MAX_NORM = 2.0**60
@@ -123,8 +123,10 @@ _SCREEN_MAX_DIM = 2**22
 # each while they are at most this share of the pairs it screened; above it
 # one float64 product is faster. Measured on the loss's memory term (n 32-64,
 # d 64-384, M 8k-16k, one BLAS thread of a 2-core Xeon: equal cost at about
-# 1/100); mining and the similarity histogram use the same share for a row
-# span's undecided pairs. Recall and mAP do not read it: they score every
+# 1/100); the similarity histogram uses the same share for a row span's
+# undecided pairs, and mining for a span's kept entries, past which the span
+# is screened again over float64 tiles: the same negatives, so the share
+# chooses speed only. Recall and mAP do not read it: they score every
 # undecided item in row dots, however many there are.
 _PER_PAIR_SHARE = 1 / 128
 
@@ -343,12 +345,13 @@ def _metric_spans(queries, gallery, upper: bool = False):
                        min(_TILE_ROWS, math.isqrt(tile // 2)), tile, upper)
 
 
-def _float64_tiles(queries, gallery, start: int, stop: int, upper: bool = False):
-    """The float64 product of rows ``start..stop``, which a histogram span
-    that falls back is scored from, in blocks of full rows (from column
-    ``start`` with ``upper``) within ``SCORE_BLOCK_BYTES``: ``(start, first,
-    block)``."""
-    spans = _span_tiles(queries, gallery, SCORE_BLOCK_BYTES, upper=upper, rows=(start, stop))
+def _float64_tiles(queries, gallery, start: int, stop: int, block_bytes: int,
+                   min_rows: int = 2, upper: bool = False):
+    """The float64 product of rows ``start..stop`` (from column ``start`` with
+    ``upper``), ``(start, first, tile)`` over the tiles of ``_tile_spans``
+    within the caller's ``block_bytes`` and ``min_rows``."""
+    spans = _span_tiles(queries, gallery, block_bytes, min_rows, upper=upper,
+                        rows=(start, stop))
     for _, _, tiles in spans:
         yield from tiles
 
@@ -385,18 +388,20 @@ class _LabelRuns:
         return lo, np.where(self.run_size[start:stop] > 0, np.maximum(sizes, 0), 0)
 
 
-def _screen_slack(z_norm, d: int, norm_bound: float):
-    """The bound on ``|s32 - s64|`` of ``_screen_thresholds``."""
-    return (2 * d + 8) * (_U32 * z_norm * norm_bound + _ETA32 * (z_norm + norm_bound + 1.0))
+def _screen_slack(z_norm, d: int, norm_bound: float, dtype=np.float32):
+    """The bound on ``|s - s64|`` of ``_screen_thresholds`` for ``dtype`` tiles."""
+    u, eta = _ROUNDING[dtype]
+    return (2 * d + 8) * (u * z_norm * norm_bound + eta * (z_norm + norm_bound + 1.0))
 
 
-def _screen_thresholds(z_norm, d: int, norm_bound: float, centers):
-    """Float32 bounds ``(below, above)`` around float64 ``centers``.
+def _screen_thresholds(z_norm, d: int, norm_bound: float, centers, dtype=np.float32):
+    """Bounds ``(below, above)`` of ``dtype`` around float64 ``centers``.
 
     For a row ``z`` of norm ``z_norm`` and a row ``m`` with ``||m|| <=
-    norm_bound`` (float64, dim ``d``), ``s32`` is any float32 evaluation of
-    ``sum_k fl32(z_k) * fl32(m_k)`` (any summation order, FMA or not) and
-    ``s64`` any float64 one of ``sum_k z_k * m_k``. With ``u = 2**-24``,
+    norm_bound`` (float64, dim ``d``), ``s`` is a score of a ``dtype`` tile
+    and ``s64`` any float64 evaluation of ``sum_k z_k * m_k``, such as a row
+    dot. A float32 ``s`` is any evaluation of ``sum_k fl32(z_k) *
+    fl32(m_k)`` (any summation order, FMA or not). With ``u = 2**-24``,
     ``eta = 2**-150`` and ``|fl32(x) - x| <= u|x| + eta``:
 
     * rounding the inputs moves the exact sum by at most
@@ -408,34 +413,44 @@ def _screen_thresholds(z_norm, d: int, norm_bound: float, centers):
     * the float64 value is within ``d 2**-53 ||z|| ||m||`` (plus float64
       underflow) of the exact sum, which is below ``2**-29 d u ||z|| ||m||``.
 
-    Summed, ``|s32 - s64| <= (2d + 5) u ||z|| ||m|| + (2d + 8) eta (||z|| +
-    ||m|| + 1)``. The slack uses ``2d + 8``; the spare ``3u`` covers the float64
-    rounding of the slack itself and of a norm bound. ``center - slack`` is
-    stepped one float64 ulp down and then rounded down to float32, and
-    ``center + slack`` one ulp up and rounded up, so ``s32 <= below`` gives
-    ``s64 <= s32 + slack < center`` and ``s32 >= above`` gives ``s64 >= s32 -
-    slack > center``. Both are strict, so an item decided either way never
-    ties the center. ``z_norm`` and ``centers`` broadcast: the metrics pass
-    one norm and one center per row (or a scalar center), and
+    Summed, ``|s - s64| <= (2d + 5) u ||z|| ||m|| + (2d + 8) eta (||z|| +
+    ||m|| + 1)``. A float64 ``s``, a row of a BLAS product say, rounds no
+    input: with ``u = 2**-53`` and ``eta = 2**-1075`` each float64 evaluation
+    lies within ``gamma_d ||z|| ||m||`` of the exact sum, plus ``eta`` per
+    underflowing product (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2002, ch. 3), so ``|s - s64| <= 2 gamma_d ||z|| ||m|| + 2 d
+    eta``, where ``2 gamma_d <= 2 d u + 4 d**2 u**2`` and ``d**2 u <=
+    2**-9``. Both bounds assume that the BLAS sums each entry's d products in
+    some order (OpenBLAS and MKL gemm do, Strassen-type routines do not).
+    Either precision takes the slack ``(2d + 8) (u ||z|| ||m|| + eta (||z||
+    + ||m|| + 1))``; the spare ``3u`` (float64: nearly ``8u``) covers the
+    float64 rounding of the slack itself and of a norm bound. ``center -
+    slack`` is stepped one float64 ulp down and then rounded down to
+    ``dtype``, and ``center + slack`` one ulp up and rounded up, so ``s <=
+    below`` gives ``s64 <= s + slack < center`` and ``s >= above`` gives
+    ``s64 >= s - slack > center``. Both are strict, so an item decided either
+    way never ties the center. ``z_norm`` and ``centers`` broadcast: the
+    metrics pass one norm and one center per row (or a scalar center), and
     ``diagnostics.similarity_histograms`` one scalar norm, the largest of its
     rows' (so it also bounds ``||m||``), with one center per interior bin
     edge. Rows outside the proven range (a norm above 2**60, or ``d`` above
     2**22) get NaN bounds, which decide nothing. The metrics then score
     every item of such a row's line in float64 (``_query_bounds``),
-    ``diagnostics._EdgeScreen.around`` returns None, and the loss
-    (``objective._memory_pairs``) treats every pair of such a row as passed.
+    ``diagnostics._EdgeScreen.around`` returns None, the loss
+    (``objective._memory_pairs``) treats every pair of such a row as passed,
+    and mining (``trainer._SpanScreen``) keeps every entry of such an anchor.
     """
-    slack = _screen_slack(z_norm, d, norm_bound)
+    slack = _screen_slack(z_norm, d, norm_bound, dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         below64 = np.nextafter(centers - slack, -np.inf)
         above64 = np.nextafter(centers + slack, np.inf)
-        below = below64.astype(np.float32)
-        above = above64.astype(np.float32)
-    below = np.where(below > below64, np.nextafter(below, np.float32(-np.inf)), below)
-    above = np.where(above < above64, np.nextafter(above, np.float32(np.inf)), above)
+        below = below64.astype(dtype)
+        above = above64.astype(dtype)
+    below = np.where(below > below64, np.nextafter(below, dtype(-np.inf)), below)
+    above = np.where(above < above64, np.nextafter(above, dtype(np.inf)), above)
     in_range = (z_norm <= _SCREEN_MAX_NORM) & (norm_bound <= _SCREEN_MAX_NORM)
     in_range &= d <= _SCREEN_MAX_DIM
-    nan = np.float32(np.nan)
+    nan = dtype(np.nan)
     return np.where(in_range, below, nan), np.where(in_range, above, nan)
 
 

@@ -19,8 +19,11 @@ Category-level training samples class-balanced batches. Particular-object
 training builds tuples per epoch: an anchor-positive pair plus the five
 hardest negatives mined by descriptor similarity from a random candidate
 pool. Every pair of the epoch is drawn first; then all anchors are mined in
-one pass over float32 tiles of ``MINING_BLOCK_BYTES`` of scores (mining draws
-no random numbers, so the draws are those of mining each pair as it is drawn).
+one pass over tiles of ``MINING_BLOCK_BYTES`` of scores, by one selection
+rule in two precisions: float32 tiles, and float64 tiles where a span of
+anchors cannot be screened in float32. Either way an anchor's negatives are
+its top k by float64 row dot, ties to the lower pool index (mining draws no
+random numbers, so the draws are those of mining each pair as it is drawn).
 Tuples are rows of dataset indices (anchor, positive, five negatives),
 checked as arrays and flattened (five tuples per batch) into labeled batches
 that reuse the same step above. The per-epoch pair and candidate budgets
@@ -55,12 +58,12 @@ from .errors import (
 from .evaluation import (
     _PER_PAIR_SHARE,
     _LabelRuns,
+    _float64_tiles,
     _ranges,
     _row_dots,
     _screen_slack,
     _screen_thresholds,
     _span_tiles,
-    score_tiles,
 )
 from .geometry import TokenGrid, normalize_rows, pool
 from .memory import MemoryBank, MomentumTrack
@@ -106,12 +109,11 @@ PAIRS_PER_EPOCH_FULL = 2000
 CANDIDATES_PER_EPOCH_FULL = 22000
 
 # Bytes of scores one mining tile may hold: a float32 tile of _TILE_ROWS
-# anchors by 2,048 pool rows, screened, or a float64 block of full anchor
-# rows where a span of anchors falls back. Scoring every anchor of an epoch
-# at once would hold anchors x candidates scores (22 MB at 500 x 5,500). A
-# screened anchor's negatives do not depend on the tile shape: its kept
-# entries are scored in float64 row dots, which may order near-ties within a
-# few ULPs otherwise than the same row of a BLAS product would.
+# anchors by 2,048 pool rows, or a float64 tile of a span's anchors by 1,024
+# where the span falls back. Scoring every anchor of an epoch at once would
+# hold anchors x candidates scores (22 MB at 500 x 5,500). An anchor's
+# negatives depend on neither the tile shape nor its precision: its kept
+# entries are scored in float64 row dots.
 MINING_BLOCK_BYTES = 2**20
 # Anchors per float32 tile. A thinner tile re-reads the pool more often, a
 # wider one screens fewer columns per anchor: one desk mining call (500 x 5,500
@@ -477,53 +479,61 @@ class _SameLabel(_LabelRuns):
 
 
 class _SpanScreen:
-    """The float32 screen of one row span of anchors (``mine_hard_negatives``).
+    """The screen of one row span of anchors (``mine_hard_negatives``) over
+    tiles of ``dtype`` scores.
 
-    ``tau`` is a float32 score that at least k other-label entries of each
+    ``tau`` is a tile score that at least k other-label entries of each
     anchor reach, so at least k entries score at least ``tau - slack`` in
-    float64. ``below`` is the float32 bound under which an entry scores less
+    float64 row dots. ``below`` is the bound under which an entry scores less
     than that in any float64 evaluation: it can neither enter the top k nor
-    tie it. The span keeps the entries above ``below`` (row, pool index and
-    float32 score), sorted by row and descending score.
+    tie it. An anchor whose bound is unproven gets ``below`` -inf and keeps
+    every entry. The span keeps the entries above ``below`` (row, pool index
+    and tile score), sorted by row and descending score.
     """
 
-    def __init__(self, z_norm, d: int, norm_bound: float, k: int, limit: float):
+    def __init__(self, z_norm, d: int, norm_bound: float, k: int, dtype):
         self.z_norm, self.d, self.norm_bound, self.k = z_norm, d, norm_bound, k
-        self.slack = _screen_slack(z_norm, d, norm_bound)
-        self.limit = limit
-        self.tau = np.full(z_norm.size, -np.inf, dtype=np.float32)
+        self.dtype = dtype
+        self.slack = _screen_slack(z_norm, d, norm_bound, dtype)
+        self.tau = np.full(z_norm.size, -np.inf, dtype=dtype)
         self.rows = self.cols = np.zeros(0, dtype=np.int64)
-        self.values = np.zeros(0, dtype=np.float32)
+        self.values = np.zeros(0, dtype=dtype)
 
     def below(self) -> np.ndarray:
         floor = np.nextafter(self.tau.astype(np.float64) - self.slack, -np.inf)
-        return _screen_thresholds(self.z_norm, self.d, self.norm_bound, floor)[0]
+        below = _screen_thresholds(self.z_norm, self.d, self.norm_bound, floor, self.dtype)[0]
+        return np.where(np.isnan(below), -np.inf, below)
 
-    def add(self, S: np.ndarray, first: int) -> bool:
-        """Screen the tile ``S`` of pool rows ``first, ...`` (same-label entries
-        -inf). Returns False once the kept entries are more than ``limit``."""
-        r, w = S.shape
+    def scan(self, tiles, same_label: _SameLabel, start: int, limit: float = np.inf) -> bool:
+        """Screen ``tiles`` (``(start, first, S)``) of the anchors ``start,
+        ...``, same-label entries set to -inf. Returns False, asking for no
+        further tile, once the kept entries are more than ``limit``."""
         k = self.k
-        if w >= k and self.tau.min() == -np.inf:
-            # The least of k disjoint column chunks' maxima is reached k times.
-            chunk_max = np.maximum.reduceat(S, np.arange(k) * w // k, axis=1)
-            np.maximum(self.tau, chunk_max.min(axis=1), out=self.tau)
-        flat = np.flatnonzero(S > self.below()[:, None])
-        rows, cols = np.divmod(flat, w)
-        rows = np.concatenate([self.rows, rows])
-        cols = np.concatenate([self.cols, first + cols])
-        values = np.concatenate([self.values, S.ravel()[flat]])
-        by_value = np.argsort(-values)
-        order = by_value[np.argsort(rows[by_value], kind="stable")]
-        rows, cols, values = rows[order], cols[order], values[order]
-        # Raise tau to each anchor's k-th kept score and drop what falls under.
-        counts = np.bincount(rows, minlength=r)
-        full = np.flatnonzero(counts >= k)
-        kth = values[np.cumsum(counts)[full] - counts[full] + k - 1]
-        self.tau[full] = np.maximum(self.tau[full], kth)
-        kept = values > self.below()[rows]
-        self.rows, self.cols, self.values = rows[kept], cols[kept], values[kept]
-        return self.rows.size <= self.limit
+        for _, first, S in tiles:
+            same_label.exclude(S, start, first)
+            r, w = S.shape
+            if w >= k and self.tau.min() == -np.inf:
+                # The least of k disjoint column chunks' maxima is reached k times.
+                chunk_max = np.maximum.reduceat(S, np.arange(k) * w // k, axis=1)
+                np.maximum(self.tau, chunk_max.min(axis=1), out=self.tau)
+            flat = np.flatnonzero(S > self.below()[:, None])
+            rows, cols = np.divmod(flat, w)
+            rows = np.concatenate([self.rows, rows])
+            cols = np.concatenate([self.cols, first + cols])
+            values = np.concatenate([self.values, S.ravel()[flat]])
+            by_value = np.argsort(-values)
+            order = by_value[np.argsort(rows[by_value], kind="stable")]
+            rows, cols, values = rows[order], cols[order], values[order]
+            # Raise tau to each anchor's k-th kept score and drop what falls under.
+            counts = np.bincount(rows, minlength=r)
+            full = np.flatnonzero(counts >= k)
+            kth = values[np.cumsum(counts)[full] - counts[full] + k - 1]
+            self.tau[full] = np.maximum(self.tau[full], kth)
+            kept = values > self.below()[rows]
+            self.rows, self.cols, self.values = rows[kept], cols[kept], values[kept]
+            if self.rows.size > limit:
+                return False
+        return True
 
     def top(self, anchors: np.ndarray, pool: np.ndarray) -> np.ndarray:
         """Each anchor's k kept entries with the highest float64 row dots,
@@ -536,29 +546,6 @@ class _SpanScreen:
         return cols[order][first[:, None] + np.arange(self.k)]
 
 
-def _dense_negatives(anchors, pool, same_label: _SameLabel, start: int, k: int) -> np.ndarray:
-    """The top k of the anchors ``start, ...`` (the rows of ``anchors``) from
-    float64 products of full rows."""
-    n = pool.shape[0]
-    out = np.empty((anchors.shape[0], k), dtype=np.int64)
-    for s, _, S in score_tiles(anchors, pool, MINING_BLOCK_BYTES):
-        same_label.exclude(S, start + s, 0)
-        top = np.argpartition(S, n - k, axis=1)[:, n - k :]
-        kth = np.take_along_axis(S, top, axis=1).min(axis=1)
-        # argpartition picks arbitrarily among entries tied at the k-th score;
-        # where such ties straddle the cut, keep every entry strictly above it
-        # and fill with the lowest-index entries equal to it.
-        straddles = np.count_nonzero(S >= kth[:, None], axis=1) > k
-        for r in np.flatnonzero(straddles):
-            above = np.flatnonzero(S[r] > kth[r])
-            equal = np.flatnonzero(S[r] == kth[r])
-            top[r] = np.concatenate([above, equal[: k - above.size]])
-        scores = np.take_along_axis(S, top, axis=1)
-        order = np.lexsort((top, -scores), axis=-1)
-        out[s : s + S.shape[0]] = np.take_along_axis(top, order, axis=1)
-    return out
-
-
 def mine_hard_negatives(
     anchor_descriptors: np.ndarray,
     pool_descriptors: np.ndarray,
@@ -569,37 +556,34 @@ def mine_hard_negatives(
     """Per anchor row, pool indices of the k most similar entries whose label
     differs from that anchor's ``exclude_labels`` entry; shape (anchors, k).
 
-    Each row is ordered by descending similarity, ties resolved to the lowest
-    pool index. Raises ShapeError, before any work, when k is not an integer
-    of at least 1, and SamplingError when an anchor has fewer than k
-    candidates outside its label. An anchor's same-label pool rows come from
-    one stable sort of ``pool_labels``; only those entries are set to -inf.
+    Similarity is the float64 row dot (``evaluation._row_dots``); each row is
+    ordered by descending similarity, ties to the lowest pool index. Raises
+    ShapeError, before any work, when k is not an integer of at least 1,
+    NumericalError, naming the input and the row, on a non-finite anchor or
+    pool row, and SamplingError when an anchor has fewer than k candidates
+    outside its label. An anchor's same-label pool rows come from one stable
+    sort of ``pool_labels``; only those entries are set to -inf.
 
-    Anchors are scored in float32 tiles of ``MINING_BLOCK_BYTES`` from
-    ``evaluation._span_tiles``: spans of ``_TILE_ROWS`` anchors, each against
-    successive spans of pool rows. Per anchor, a float32 score ``tau`` that
-    at least k other-label entries reach gives, through the screen the loss
-    and the metrics use (``evaluation._screen_thresholds``), a float32 bound
-    under which an entry provably scores below the k-th float64 score. Each
-    tile raises ``tau`` (the least of k column chunks' maxima, then the k-th
-    entry kept so far) and keeps only the entries above the bound. The kept
-    entries, about k per anchor on real data, are scored in float64 row dots
-    (``evaluation._row_dots``) and the top k taken by (-score, pool index).
+    Spans of ``_TILE_ROWS`` anchors (``evaluation._span_tiles``) go through
+    one screen (``_SpanScreen``) against successive tiles of pool rows. Per
+    anchor, a tile score ``tau`` that at least k other-label entries reach
+    gives, through the screen the loss and the metrics use
+    (``evaluation._screen_thresholds``), a bound under which an entry
+    provably scores below the k-th row dot. Each tile raises ``tau`` (the
+    least of k column chunks' maxima, then the k-th entry kept so far) and
+    keeps only the entries above the bound; the kept entries, about k per
+    anchor on real data, are scored in row dots and the top k taken by
+    (-row dot, pool index).
 
-    A span of anchors falls back to float64 products of full rows, as before
-    the screen existed, when its kept entries are more than
-    ``evaluation._PER_PAIR_SHARE`` of its pairs (quantized, tie-heavy rows)
-    or when a bound is unproven (NaN: a norm above 2**60, or non-finite
-    rows); it computes no further float32 tile (none at all for a NaN bound,
-    known before the first). A pool of fewer than k / ``_PER_PAIR_SHARE``
-    rows (640 for k = 5) cannot pass, so every anchor takes the float64 route
-    at once.
-
-    The result is exact for exact scores. On general floats a kept entry's
-    score is a row dot, while a span that falls back reads a row of a BLAS
-    product; the two may differ in the last bits, so entries whose scores
-    are within a few ULPs of each other at the k-th place may be ordered
-    either way.
+    A span is screened over float32 tiles of ``MINING_BLOCK_BYTES``, or over
+    float64 tiles of its rows within the same budget, with no limit, when its
+    kept entries pass ``evaluation._PER_PAIR_SHARE`` of its pairs (quantized,
+    tie-heavy rows; it computes no further float32 tile), a bound is unproven
+    (a norm above 2**60), or the pool has fewer than k / ``_PER_PAIR_SHARE``
+    rows (640 for k = 5). The float64 slack, about 2 d 2**-53 of a score,
+    keeps only the near-ties of an anchor's k-th place, and an unproven
+    anchor keeps every entry. Both precisions pick the same top k, so the
+    route chooses speed only.
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise ShapeError(f"k must be an integer of at least 1, got {k!r}")
@@ -617,6 +601,10 @@ def mine_hard_negatives(
         raise ShapeError("one excluded label per anchor row required")
     if pool_labels.shape != (pool_descriptors.shape[0],):
         raise ShapeError("one label per pool row required")
+    for name, rows in (("anchor", anchors), ("pool", pool_descriptors)):
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:
+            raise NumericalError(f"{name} row {bad[0]} contains non-finite values")
     n, d = pool_descriptors.shape
     same_label = _SameLabel(pool_labels, exclude_labels)
     available = n - same_label.run_size
@@ -625,34 +613,27 @@ def mine_hard_negatives(
         raise SamplingError(
             f"pool has {available[r]} candidates outside label {exclude_labels[r]}, need {k}"
         )
-    if k > _PER_PAIR_SHARE * n:  # every anchor keeps at least k entries
-        return _dense_negatives(anchors, pool_descriptors, same_label, 0, k)
     out = np.empty((anchors.shape[0], k), dtype=np.int64)
     z_norm = np.sqrt(np.einsum("ij,ij->i", anchors, anchors))
     norm_bound = float(np.sqrt(np.max(np.einsum("ij,ij->i", pool_descriptors, pool_descriptors))))
-    proven = ~np.isnan(_screen_thresholds(z_norm, d, norm_bound, 0.0)[0])
+    # A float32 screen needs a proven bound, and k entries an anchor within the share.
+    try32 = ~np.isnan(_screen_thresholds(z_norm, d, norm_bound, 0.0)[0])
+    try32 &= k <= _PER_PAIR_SHARE * n
     with np.errstate(over="ignore"):
         anchors32 = anchors.astype(np.float32)
         pool32 = pool_descriptors.astype(np.float32)
     # _span_tiles counts 8 bytes a score, so a float32 tile gets twice the budget.
     spans = _span_tiles(anchors32, pool32, 2 * MINING_BLOCK_BYTES, _TILE_ROWS)
     for start, stop, tiles in spans:
-        screened = bool(proven[start:stop].all())
-        if screened:
-            screen = _SpanScreen(z_norm[start:stop], d, norm_bound, k,
-                                 _PER_PAIR_SHARE * (stop - start) * n)
-            for _, first, S in tiles:
-                same_label.exclude(S, start, first)
-                screened = screen.add(S, first)
-                if not screened:
-                    break  # the span's remaining tiles are never computed
+        span = slice(start, stop)
+        screen = _SpanScreen(z_norm[span], d, norm_bound, k, np.float32)
+        limit = _PER_PAIR_SHARE * (stop - start) * n
+        if not (try32[span].all() and screen.scan(tiles, same_label, start, limit)):
+            screen = _SpanScreen(z_norm[span], d, norm_bound, k, np.float64)
+            screen.scan(_float64_tiles(anchors, pool_descriptors, start, stop,
+                                       MINING_BLOCK_BYTES, stop - start), same_label, start)
         tiles.close()
-        if screened:
-            out[start:stop] = screen.top(anchors[start:stop], pool_descriptors)
-        else:
-            out[start:stop] = _dense_negatives(
-                anchors[start:stop], pool_descriptors, same_label, start, k
-            )
+        out[span] = screen.top(anchors[span], pool_descriptors)
     return out
 
 

@@ -128,28 +128,24 @@ def histogram_routes(monkeypatch):
 
 
 def mining_routes(monkeypatch):
-    """Count the anchors ``mine_hard_negatives`` took through the float32
-    screen and those whose float64 products it scored (a fallback);
-    ``tiles`` counts each anchor span's tiles (``count_tiles``)."""
+    """Count the anchors ``mine_hard_negatives`` screened in float32 tiles
+    and those it screened again in float64 tiles (a fallback), from the
+    precision of the ``_SpanScreen`` whose ``top`` ran; ``tiles`` counts each
+    anchor span's float32 tiles (``count_tiles``)."""
     routes = Routes({"screened": 0, "fallback": 0}, count_tiles(monkeypatch, trainer))
-    top, dense = trainer._SpanScreen.top, trainer._dense_negatives
+    top = trainer._SpanScreen.top
 
-    def screened(screen, anchors, *args):
-        routes["screened"] += anchors.shape[0]
+    def counted(screen, anchors, *args):
+        routes["screened" if screen.dtype is np.float32 else "fallback"] += anchors.shape[0]
         return top(screen, anchors, *args)
-
-    def fell_back(anchors, *args):
-        routes["fallback"] += anchors.shape[0]
-        return dense(anchors, *args)
-    monkeypatch.setattr(trainer._SpanScreen, "top", screened)
-    monkeypatch.setattr(trainer, "_dense_negatives", fell_back)
+    monkeypatch.setattr(trainer._SpanScreen, "top", counted)
     return routes
 
 
 def mining_tiles(rows, columns):
     """Make mining's float32 tiles ``rows`` anchors by ``columns`` pool rows
-    (fewer at the edges) for pools wider than ``columns``; its float64
-    fallback blocks hold as many full rows as fit the same budget."""
+    (fewer at the edges) for pools wider than ``columns``; its float64 tiles
+    hold a span's rows and as many pool rows as fit the same budget."""
     return mock.patch.multiple(trainer, _TILE_ROWS=rows, MINING_BLOCK_BYTES=4 * rows * columns)
 
 

@@ -5,6 +5,7 @@ step by step as a reference. Head gradients are checked by central finite
 differences over every parameter entry.
 """
 
+import collections
 import re
 import tracemalloc
 from unittest import mock
@@ -22,6 +23,7 @@ from spherekit import (
     HeadSpec,
     LabeledFeatureDataset,
     MomentumTrack,
+    NumericalError,
     OptimizerState,
     RunConfig,
     SamplingError,
@@ -328,12 +330,17 @@ class TestCategorySampler:
             assert_array_equal(batch.indices, expected)
 
 
-def sort_oracle(anchors, pool_Z, labels, exclude_labels, k):
-    """Per anchor: sort every other-label pool entry by (-score, index)."""
+def sort_oracle(anchors, pool_Z, labels, exclude_labels, k, row_dots=False):
+    """Per anchor: sort every other-label pool entry by (-score, index). The
+    scores are a BLAS product's, or with ``row_dots`` one row dot each, the
+    scores mining ranks by."""
     out = []
     for anchor, exclude in zip(anchors, exclude_labels):
         valid = [i for i in range(len(labels)) if labels[i] != exclude]
-        sims = pool_Z @ anchor
+        if row_dots:
+            sims = np.einsum("ij,ij->i", np.tile(anchor, (len(pool_Z), 1)), pool_Z)
+        else:
+            sims = pool_Z @ anchor
         out.append(sorted(valid, key=lambda i: (-sims[i], i))[:k])
     return np.asarray(out, dtype=np.int64).reshape(len(anchors), k)
 
@@ -417,8 +424,8 @@ class TestHardNegativeMining:
 
 
 class TestScreenedMining:
-    """Routes of the float32 screen: which anchors it scored and which fell
-    back to float64 products, against the per-anchor sort."""
+    """Routes of the screen: which anchors it screened in float32 tiles and
+    which fell back to float64 tiles, against the per-anchor sort."""
 
     def draw(self, rng, anchors, n, d=16, classes=60):
         A, pool_Z = unit_rows(rng, anchors, d), unit_rows(rng, n, d)
@@ -479,6 +486,47 @@ class TestScreenedMining:
         assert routes.tiles["float32"] == {(0, 32): 2, (32, 64): 2}
         assert_array_equal(got, sort_oracle(A, pool_Z, labels, exclude, 5))
 
+    @pytest.mark.parametrize("name", ["anchor", "pool"])
+    def test_non_finite_row_raises_before_any_tile(self, monkeypatch, name):
+        rng = np.random.default_rng(128)
+        A, pool_Z, labels, exclude = self.draw(rng, 4, 1000)
+        if name == "anchor":
+            A[2, 5] = np.inf
+        else:
+            pool_Z[3, 0] = np.nan
+        row = 2 if name == "anchor" else 3
+        routes = mining_routes(monkeypatch)
+        with pytest.raises(NumericalError, match=f"^{name} row {row} contains non-finite"):
+            mine_hard_negatives(A, pool_Z, labels, exclude)
+        assert routes.tiles == {"float32": {}, "float64": {}}
+
+    @pytest.mark.parametrize("rows", ["unit", "huge", "collapsed"])
+    def test_both_routes_pick_the_same_negatives(self, monkeypatch, rows):
+        # A share of 1 screens every span in float32 tiles (but the one with
+        # an unproven bound), a share of 0 every span in float64 tiles.
+        # Collapsed rows, 1e-16 apart, score within a few ULPs of each other,
+        # where a BLAS product and the row dots order them differently: only
+        # a float64 slack that covers both evaluations keeps all of a top k.
+        rng = np.random.default_rng(129)
+        A, pool_Z, labels, exclude = self.draw(rng, 150, 1500)
+        huge = rows == "huge"
+        if huge:
+            A[70] *= 2.0**61
+        elif rows == "collapsed":
+            both = unit_rows(rng, 1, 128) + 1e-16 * rng.standard_normal((150 + 1500, 128))
+            both /= np.linalg.norm(both, axis=1, keepdims=True)
+            A, pool_Z = both[:150], both[150:]
+        routes = mining_routes(monkeypatch)
+        with mining_tiles(64, 256):  # 3 anchor spans x 6 pool spans
+            with mock.patch.object(trainer, "_PER_PAIR_SHARE", 1.0):
+                screened = mine_hard_negatives(A, pool_Z, labels, exclude)
+            assert routes == {"screened": 86 if huge else 150, "fallback": 64 if huge else 0}
+            with mock.patch.object(trainer, "_PER_PAIR_SHARE", 0.0):
+                fallback = mine_hard_negatives(A, pool_Z, labels, exclude)
+        assert routes == {"screened": 86 if huge else 150, "fallback": 214 if huge else 150}
+        assert_array_equal(screened, fallback)
+        assert_array_equal(screened, sort_oracle(A, pool_Z, labels, exclude, 5, row_dots=True))
+
     @pytest.mark.parametrize("k", [0, -1, 2.0, True, "5"])
     def test_k_below_one_or_not_an_integer_raises(self, monkeypatch, k):
         rng = np.random.default_rng(127)
@@ -506,6 +554,7 @@ class TestScreenedMining:
         routes = mining_routes(monkeypatch)
         got = mine_hard_negatives(A, pool_Z, labels, exclude)
         assert routes == {"screened": 0, "fallback": 40}
+        assert not routes.tiles["float32"]
         assert_array_equal(got, sort_oracle(A, pool_Z, labels, exclude, 5))
 
     def test_pool_narrower_than_a_tile_and_exactly_k_candidates(self, monkeypatch):
@@ -529,6 +578,7 @@ class TestScreenedMining:
         assert routes == {"screened": 20, "fallback": 0}
         assert_array_equal(got, sort_oracle(A, pool_Z, labels, exclude, 5))
 
+    @pytest.mark.parametrize("share", [1.0, 0.0])
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(
         anchors=st.integers(1, 12),
@@ -540,28 +590,29 @@ class TestScreenedMining:
         tile=st.sampled_from([(1, 1), (4, 2), (3, 7), (5, 16)]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_screen_forced_on_ties_matches_sort_oracle(self, anchors, n, d, directions,
+    def test_screen_forced_on_ties_matches_sort_oracle(self, share, anchors, n, d, directions,
                                                        num_labels, k, tile, seed):
-        # With a per-pair share of 1 no span falls back, so tie-heavy quantized
-        # rows, tiles narrower than k and anchors short of candidates all go
-        # through the screen.
+        # With a per-pair share of 1 no span falls back, and with 0 every span
+        # does, so tie-heavy quantized rows, tiles narrower than k and anchors
+        # short of candidates all go through the screen in either precision.
         rng = np.random.default_rng(seed)
         both = quantized_unit_rows(rng, anchors + n, d, directions)
         A, pool_Z = both[:anchors], both[anchors:]
         labels = rng.integers(0, num_labels, size=n)
         exclude = rng.integers(0, num_labels, size=anchors)
         short = [c for c in exclude if np.count_nonzero(labels != c) < k]
-        with mock.patch.object(trainer, "_PER_PAIR_SHARE", 1.0), mining_tiles(*tile):
+        with mock.patch.object(trainer, "_PER_PAIR_SHARE", share), mining_tiles(*tile):
             if short:
                 with pytest.raises(SamplingError, match=f"outside label {short[0]}, "):
                     mine_hard_negatives(A, pool_Z, labels, exclude, k)
                 return
             top = trainer._SpanScreen.top
-            screened = []
+            screened = collections.Counter()
             with mock.patch.object(trainer._SpanScreen, "top",
-                                   lambda s, a, p: screened.append(a.shape[0]) or top(s, a, p)):
+                                   lambda s, a, p: screened.update({s.dtype: a.shape[0]})
+                                   or top(s, a, p)):
                 got = mine_hard_negatives(A, pool_Z, labels, exclude, k)
-        assert sum(screened) == anchors
+        assert screened == {np.float32 if share else np.float64: anchors}
         assert_array_equal(got, sort_oracle(A, pool_Z, labels, exclude, k))
 
 
