@@ -8,8 +8,8 @@ Three instruments for judging an embedding beyond task metrics:
   by row span, each unordered pair once, and a pair in a float64 row dot
   only where its float32 score lies within the proven float32 error of an
   interior bin edge; a span with more such pairs than the metrics' per-pair
-  share stops its tiles, and it and every span of other rows (a non-finite
-  row, a larger norm) are binned from float64 blocks of full rows within
+  share stops its tiles, and it and every span of other rows (a larger
+  norm, bands too wide) are binned from float64 blocks of full rows within
   the metrics' block budget. Memory is one tile, plus one float64 block only
   where a span falls back. A bin can differ from a float64 product's only
   where a pair's row dot and product scores fall on opposite sides of an
@@ -56,6 +56,9 @@ ENERGY_THRESHOLDS = (50, 90, 95)
 # Per-sample gradients with norm at or below this are treated as zero and
 # skipped when measuring gradient-direction dispersion.
 GRAD_NORM_FLOOR = 1e-12
+
+# Scores per _EdgeScreen.split at any budget: its fixed cost swamps far smaller chunks.
+_SPLIT_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -119,17 +122,17 @@ class _EdgeScreen:
 
     @classmethod
     def around(cls, Z, edges) -> "_EdgeScreen | None":
-        """The screen of ``edges`` for the pairs of rows of ``Z``, or None
-        when it cannot bound them: a non-finite row, a norm above 1 +
-        ``UNIT_ATOL``, or bands too wide (a large dim or many bins)."""
+        """The screen of ``edges`` for the pairs of the finite rows of ``Z``,
+        or None when it cannot bound them: a norm above 1 + ``UNIT_ATOL``, or
+        bands too wide (a large dim or many bins)."""
         norm = math.sqrt(np.max(np.einsum("ij,ij->i", Z, Z)))
-        if not norm <= 1.0 + UNIT_ATOL:
+        if norm > 1.0 + UNIT_ATOL:
             return None
         centers = edges[1:-1]
         below, above = evaluation._screen_thresholds(norm, Z.shape[1], norm, centers)
         scale = (edges.size - 1) / 2
         tol = (max(np.max(above - centers), np.max(centers - below)) + 2.0**-20) * scale
-        if not tol < 0.5:  # NaN bounds fail too
+        if tol >= 0.5:
             return None
         cuts = np.concatenate(([-np.inf], above, [np.inf])).astype(np.float32)
         return cls(below, above, cuts, np.float32(scale), np.float32(tol))
@@ -201,8 +204,8 @@ class _PairBins:
             else:
                 flat = S.reshape(-1)
                 undecided = []
-                for i in range(0, flat.size, self.chunk):
-                    decided, near = self.screen.split(flat[i : i + self.chunk])
+                for i in range(0, flat.size, _SPLIT_VALUES):
+                    decided, near = self.screen.split(flat[i : i + _SPLIT_VALUES])
                     counts += decided
                     total += near.size
                     if total > limit:
@@ -249,21 +252,22 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
     again; the different-label counts are the difference. Counts add up over
     tiles.
 
-    Rows of norm at most 1 + ``UNIT_ATOL`` are scored in float32 tiles. A
-    pair's float32 score decides its bin unless it lies within the float32
-    error bound of an interior edge (``_EdgeScreen``); only those undecided
-    pairs are scored in float64, one row dot each (``evaluation._row_dots``).
-    A row span whose undecided pairs are more than
+    A non-finite row raises NumericalError naming it, before any tile. Rows
+    of norm at most 1 + ``UNIT_ATOL`` are scored in float32 tiles. A pair's
+    float32 score decides its bin unless it lies within the float32 error
+    bound of an interior edge (``_EdgeScreen``); only those undecided pairs
+    are scored in float64, one row dot each (``evaluation._row_dots``). A
+    row span whose undecided pairs are more than
     ``evaluation._PER_PAIR_SHARE`` of its entries (most scores on an edge, as
     with coarsely quantized rows) computes no further tile and is binned from
     the float64 products of its rows instead, in blocks of full rows within
-    ``evaluation.SCORE_BLOCK_BYTES``, as is every span of rows the screen
-    cannot bound (a non-finite row, a larger norm). So every pair is binned
-    by a float64 score, and a decided pair's bin is the one any float64
-    evaluation gives it. A row dot and a product can differ in the last bits,
-    so a pair's bin can differ from that of a float64 product only when its
-    row-dot and product scores fall on opposite sides of an edge, within a
-    few ULPs of it.
+    ``evaluation.SCORE_BLOCK_BYTES``; so is every span when a norm is above
+    1 + ``UNIT_ATOL`` or the bands are too wide (a large dim or many bins).
+    Every pair is thus binned by a float64 score, and a decided pair's bin
+    is the one any float64 evaluation gives it. A row dot and a product can
+    differ in the last bits, so a pair's bin can differ from that of a
+    float64 product only when its row-dot and product scores fall on
+    opposite sides of an edge, within a few ULPs of it.
     """
     Z = np.asarray(Z, dtype=np.float64)
     labels = np.asarray(labels)
@@ -271,8 +275,11 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
         raise ShapeError("need at least two embedding rows")
     if labels.shape != (Z.shape[0],):
         raise ShapeError("one label per row required")
-    if num_bins < 2:
-        raise ShapeError(f"num_bins must be >= 2, got {num_bins}")
+    if not isinstance(num_bins, (int, np.integer)) or isinstance(num_bins, bool) or num_bins < 2:
+        raise ShapeError(f"num_bins must be an integer >= 2, got {num_bins!r}")
+    bad = np.flatnonzero(~np.isfinite(Z).all(axis=1))
+    if bad.size:
+        raise NumericalError(f"row {bad[0]} contains non-finite values")
     edges = np.linspace(-1.0, 1.0, num_bins + 1)
     # Unit-row dot products can exceed +/-1 by float dust. Open outer edges
     # bin them in the end bins, as clipping them to +/-1 would. np.histogram

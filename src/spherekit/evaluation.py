@@ -36,9 +36,9 @@ index. Recall, with one threshold per query, counts a tile's items with two
 compares; mAP sorts each float32 row of a tile once and places every
 threshold by binary search. mAP scores its junk items in row dots too, to
 take them out of the counts. Both refine their band items through one
-function (``_band_ahead``). A query whose bound is unproven (a norm above
-2**60, a dim above 2**22, or a float32 copy that overflows) gets bounds -inf
-and +inf, so every item of its line is band. Every span takes this one
+function (``_band_ahead``). A query outside the screen's proven range (a
+norm above 2**60, a dim above 2**22) gets bounds -inf and +inf and a float32
+row of zeros, so every item of its line is band. Every span takes this one
 route, whatever its share of band items: a degenerate gallery costs row
 dots, not memory. On 4,000 unit rows at d 128 (one BLAS thread of a 2-core
 Xeon), leave-one-out recall over two classes (2,000 positives a query, all
@@ -75,7 +75,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import NumericalError, ProtocolError, ShapeError
-from .geometry import UNIT_ATOL
+from .geometry import UNIT_ATOL, _check_unit_norms
 
 __all__ = [
     "SPLITS",
@@ -154,10 +154,7 @@ class RetrievalIndex:
             if not np.all(np.isfinite(chunk)):
                 raise NumericalError("gallery contains non-finite values")
             norms[start : start + step] = np.linalg.norm(chunk, axis=1)
-        off = np.abs(norms - 1.0)
-        if float(off.max()) > UNIT_ATOL:
-            i = int(np.argmax(off))
-            raise ShapeError(f"gallery row {i} has norm {norms[i]!r}, expected unit")
+        _check_unit_norms(norms, ShapeError, "gallery row {} has norm {!r}, expected unit")
         object.__setattr__(self, "gallery", gallery)
 
     def __len__(self) -> int:
@@ -434,14 +431,10 @@ def _screen_thresholds(z_norm, d: int, norm_bound: float, centers, dtype=np.floa
     ``diagnostics.similarity_histograms`` one scalar norm, the largest of its
     rows' (so it also bounds ``||m||``), with one center per interior bin
     edge. Rows outside the proven range (a norm above 2**60, or ``d`` above
-    2**22) get NaN bounds, which decide nothing. The metrics then score
-    every item of such a row's line in float64 (``_query_bounds``),
-    ``diagnostics._EdgeScreen.around`` returns None, the loss
-    (``objective._memory_pairs``) treats every pair of such a row as passed,
-    and mining (``trainer._SpanScreen``) keeps every entry of such an anchor.
+    2**22) get bounds -inf and +inf, which decide none of their items.
     """
-    slack = _screen_slack(z_norm, d, norm_bound, dtype)
     with np.errstate(over="ignore", invalid="ignore"):
+        slack = _screen_slack(z_norm, d, norm_bound, dtype)
         below64 = np.nextafter(centers - slack, -np.inf)
         above64 = np.nextafter(centers + slack, np.inf)
         below = below64.astype(dtype)
@@ -450,8 +443,7 @@ def _screen_thresholds(z_norm, d: int, norm_bound: float, centers, dtype=np.floa
     above = np.where(above < above64, np.nextafter(above, dtype(np.inf)), above)
     in_range = (z_norm <= _SCREEN_MAX_NORM) & (norm_bound <= _SCREEN_MAX_NORM)
     in_range &= d <= _SCREEN_MAX_DIM
-    nan = dtype(np.nan)
-    return np.where(in_range, below, nan), np.where(in_range, above, nan)
+    return np.where(in_range, below, dtype(-np.inf)), np.where(in_range, above, dtype(np.inf))
 
 
 def _row_dots(A, rows, B, cols, values: int) -> np.ndarray:
@@ -483,10 +475,10 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 def _float32_copies(retrieval: Retrieval) -> tuple[np.ndarray, np.ndarray]:
     """Float32 copies of the queries and the gallery; queries that are the
-    gallery's own array share its copy. Other queries whose bound is
-    unproven (``_query_bounds``) get a row of zeros, so their float32 scores
-    stay finite (the copy of an entry above 2**128 overflows) and all lie in
-    their bands; unit rows always score finitely."""
+    gallery's own array share its copy. Other queries outside the screen's
+    proven range (bounds -inf and +inf) get a row of zeros, so their float32
+    scores stay finite (the copy of an entry above 2**128 overflows) and lie
+    strictly between the bounds; unit rows always score finitely."""
     with np.errstate(over="ignore"):
         gallery = retrieval.index.gallery.astype(np.float32)
         if retrieval.queries is retrieval.index.gallery:
@@ -507,15 +499,11 @@ def _exclude_own(S: np.ndarray, start: int, first: int) -> None:
 def _query_bounds(retrieval: Retrieval, start: int, r: int, rows, values):
     """``_screen_thresholds`` around ``values`` for queries ``start + rows``
     of a row span of ``r`` rows. A query outside the screen's proven range
-    (NaN bounds) gets -inf and +inf instead, which decide none of its items:
-    its whole line is band, scored in float64."""
+    gets -inf and +inf: its whole line is band, scored in float64."""
     Z = retrieval.queries[start : start + r]
     z_norm = np.sqrt(np.einsum("ij,ij->i", Z, Z))
     # Gallery rows passed the UNIT_ATOL norm check in RetrievalIndex.
-    below, above = _screen_thresholds(z_norm[rows], Z.shape[1], 1.0 + UNIT_ATOL, values)
-    unproven = np.isnan(below)
-    below[unproven], above[unproven] = -np.inf, np.inf
-    return below, above
+    return _screen_thresholds(z_norm[rows], Z.shape[1], 1.0 + UNIT_ATOL, values)
 
 
 @dataclass(frozen=True)

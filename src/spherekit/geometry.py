@@ -86,6 +86,15 @@ class TokenGrid:
         return self.cls_token.shape[0]
 
 
+def _check_unit_norms(norms: np.ndarray, error: type[Exception], message: str) -> None:
+    """Raise ``error(message.format(i, norms[i]))`` for the row ``i`` farthest
+    from 1 if it is off by more than ``UNIT_ATOL``, which the screens trust."""
+    off = np.abs(norms - 1.0)
+    if float(off.max()) > UNIT_ATOL:
+        i = int(np.argmax(off))
+        raise error(message.format(i, norms[i]))
+
+
 def normalize_rows(X) -> np.ndarray:
     """Row-wise unit normalization of a matrix; errors name the offending row."""
     X = _as_float_matrix(X, "X")
@@ -189,7 +198,7 @@ class PcaModel:
 def pca_fit(X, out_dim: int) -> PcaModel:
     """Fit PCA by eigendecomposition of the unbiased sample covariance.
 
-    No whitening: projections keep the data's scale. Requires
+    No whitening: projections keep the data's scale. Requires an integer
     1 <= out_dim <= min(n - 1, D) so every kept direction is estimable.
     """
     X = _as_float_matrix(X, "X")
@@ -199,6 +208,8 @@ def pca_fit(X, out_dim: int) -> PcaModel:
     if not np.all(np.isfinite(X)):
         raise NumericalError("PCA input contains non-finite values")
     max_dim = min(n - 1, d)
+    if not isinstance(out_dim, (int, np.integer)) or isinstance(out_dim, bool):
+        raise ShapeError(f"out_dim must be an integer, got {out_dim!r}")
     if not 1 <= out_dim <= max_dim:
         raise ShapeError(
             f"out_dim must be in [1, {max_dim}] for {n} samples in dim {d}, got {out_dim}"

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NormalizationError, ShapeError
-from .geometry import UNIT_ATOL
+from .geometry import UNIT_ATOL, _check_unit_norms
 from .objective import LabeledEmbeddingBatch
 
 __all__ = ["MemoryView", "MemoryBank", "MomentumTrack"]
@@ -81,13 +81,8 @@ class MemoryBank:
         """Insert batch rows in order, overwriting the oldest entries when full."""
         if batch.dim != self.dim:
             raise ShapeError(f"batch dim {batch.dim} != bank dim {self.dim}")
-        norms = np.linalg.norm(batch.embeddings, axis=1)
-        off = np.abs(norms - 1.0)
-        if float(off.max()) > UNIT_ATOL:
-            i = int(np.argmax(off))
-            raise NormalizationError(
-                f"batch row {i} has norm {norms[i]!r}; memory stores unit descriptors"
-            )
+        _check_unit_norms(np.linalg.norm(batch.embeddings, axis=1), NormalizationError,
+                          "batch row {} has norm {!r}; memory stores unit descriptors")
         if self.capacity == 0:
             return
         # Only the last `capacity` rows of a batch survive.

@@ -26,8 +26,9 @@ only the first, so a pair whose ``s32`` is ``<= below_i`` is inactive. The
 slack ``(2d + 8) * 2**-24 * ||z_i|| * max||m||`` (plus an underflow term)
 bounds the distance between the float32 score and the float64 one; the
 helper's docstring derives it. A memory column is touched when its label
-occurs in the batch or when any of its scores is not ``<=`` the bound (a
-NaN score or bound counts as touched). Only the same-label pairs and the
+occurs in the batch or when any of its scores is not ``<=`` the bound. An
+anchor outside the helper's proven range gets the bound -inf and a float32
+row of zeros, so all of its pairs pass. Only the same-label pairs and the
 hinge candidates of touched columns are scored in float64, by
 ``evaluation._row_dots``; those values alone enter the loss and decide the
 active set, summed in row-major pair order. The gradient multiplies the
@@ -35,15 +36,16 @@ columns with a positive or an active pair.
 
 The gain needs few pairs to pass the screen: a margin well above the typical
 different-label similarity. While at most 1/128 of the ``n x M`` pairs pass,
-each is one row dot product, in blocks of bounded size. Otherwise, and for a
-memory of at most 2**16 pairs, the term comes from one float64 product over
-the whole memory, exactly as before the screen existed; the screen scores
-blocks of memory rows (``evaluation.score_tiles``) and stops at the first
-block that shows the share exceeded, so that case costs little more than the
-product. The two evaluations of a pair may differ in the last bits, and the
-choice between them rests on float32 counts: a step whose count sits at the
-limit could choose differently under a float32 product that rounds
-differently (another BLAS build or thread count).
+each is one row dot product, in blocks of bounded size. Otherwise, for a
+memory of at most 2**16 pairs, and for one outside the helper's proven range
+(every bound -inf), the term comes from one float64 product over the whole
+memory, exactly as before the screen existed; the screen scores blocks of
+memory rows (``evaluation.score_tiles``) and stops at the first block that
+shows the share exceeded, so that case costs little more than the product.
+The two evaluations of a pair may differ in the last bits, and the choice
+between them rests on float32 counts: a step whose count sits at the limit
+could choose differently under a float32 product that rounds differently
+(another BLAS build or thread count).
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from .errors import (
     ShapeError,
 )
 from .evaluation import _PER_PAIR_SHARE, _row_dots, _screen_thresholds, score_tiles
-from .geometry import UNIT_ATOL
+from .geometry import _check_unit_norms
 
 if TYPE_CHECKING:  # avoids a runtime import cycle with .memory
     from .memory import MemoryView
@@ -114,13 +116,8 @@ class LabeledEmbeddingBatch:
         if not np.all(np.isfinite(embeddings)):
             raise NumericalError("batch embeddings contain non-finite values")
         if validate:
-            norms = np.linalg.norm(embeddings, axis=1)
-            off = np.abs(norms - 1.0)
-            if float(off.max()) > UNIT_ATOL:
-                i = int(np.argmax(off))
-                raise NormalizationError(
-                    f"batch row {i} has norm {norms[i]!r}, expected unit"
-                )
+            _check_unit_norms(np.linalg.norm(embeddings, axis=1), NormalizationError,
+                              "batch row {} has norm {!r}, expected unit")
         object.__setattr__(self, "embeddings", embeddings)
         object.__setattr__(self, "labels", np.ascontiguousarray(labels, dtype=np.int64))
 
@@ -181,8 +178,9 @@ _BLOCK_VALUES = 2**16
 def _memory_arrays(memory: Optional["MemoryView"]):
     """Unpack a memory view, treating None and the empty view identically.
 
-    Returns None or ``(descriptors, labels, descriptors32, norm_bound)``;
-    the last two are None on a view built by hand.
+    Returns None or ``(descriptors, labels, descriptors32, norm_bound)``; the
+    last two come from the bank, or for a view built by hand from its rows,
+    after a non-finite row raises NumericalError naming it.
     """
     if memory is None:
         return None
@@ -194,7 +192,15 @@ def _memory_arrays(memory: Optional["MemoryView"]):
         raise ShapeError("memory descriptors must be 2-D")
     if labels.shape != (descriptors.shape[0],):
         raise ShapeError("memory labels must be one per descriptor row")
-    return descriptors, labels, memory.descriptors32, memory.norm_bound
+    if memory.descriptors32 is not None:
+        return descriptors, labels, memory.descriptors32, memory.norm_bound
+    bad = np.flatnonzero(~np.isfinite(descriptors).all(axis=1))
+    if bad.size:
+        raise NumericalError(f"memory row {bad[0]} contains non-finite values")
+    with np.errstate(over="ignore"):
+        descriptors32 = descriptors.astype(np.float32)
+    norm_bound = float(np.sqrt(np.max(np.einsum("ij,ij->i", descriptors, descriptors))))
+    return descriptors, labels, descriptors32, norm_bound
 
 
 def _memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z32, norm_bound, beta):
@@ -214,37 +220,29 @@ def _memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z32, norm_bound, beta):
     """
     n, d = Z.shape
     m = mem_Z.shape[0]
-    if n * m <= _BLOCK_VALUES:
-        return _memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta)
-    if mem_Z32 is None:  # a view built by hand
-        with np.errstate(over="ignore"):
-            mem_Z32 = mem_Z.astype(np.float32)
-        norm_bound = float(np.sqrt(np.max(np.einsum("ij,ij->i", mem_Z, mem_Z))))
     z_norm = np.sqrt(np.einsum("ij,ij->i", Z, Z))
     thresholds, _ = _screen_thresholds(z_norm, d, norm_bound, beta)
-    # Rows too large for float32 have NaN thresholds, so none of their
-    # pairs is screened out; a NaN score passes too.
+    if n * m <= _BLOCK_VALUES or thresholds.max() == -np.inf:
+        return _memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta)
     with np.errstate(over="ignore"):
         Z32 = Z.astype(np.float32)
+    Z32[thresholds == -np.inf] = 0  # finite scores of 0: all of the row's pairs pass
     # Memory-major (rows x n): this orientation of the product runs faster.
     # A block is compared flat against the thresholds tiled to its rows, and
     # its passed pairs are kept as flat indices (memory row * n + anchor).
     tiled = thresholds[:0]
     passed, count = [], 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start, _, S in score_tiles(mem_Z32, Z32, 8 * _BLOCK_VALUES):
-            stop = start + S.shape[0]
-            if tiled.size < S.size:
-                tiled = np.tile(thresholds, S.shape[0])
-                screened = np.empty(S.size, dtype=bool)
-            screen = np.less_equal(S.ravel(), tiled[: S.size], out=screened[: S.size])
-            flat = np.flatnonzero(np.logical_not(screen, out=screen))
-            passed.append(start * n + flat)
-            count += flat.size
-            if count > _PER_PAIR_SHARE * n * stop:
-                break
-    if count > _PER_PAIR_SHARE * n * stop:
-        return _memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta)
+    for start, _, S in score_tiles(mem_Z32, Z32, 8 * _BLOCK_VALUES):
+        stop = start + S.shape[0]
+        if tiled.size < S.size:
+            tiled = np.tile(thresholds, S.shape[0])
+            screened = np.empty(S.size, dtype=bool)
+        screen = np.less_equal(S.ravel(), tiled[: S.size], out=screened[: S.size])
+        flat = np.flatnonzero(np.logical_not(screen, out=screen))
+        passed.append(start * n + flat)
+        count += flat.size
+        if count > _PER_PAIR_SHARE * n * stop:
+            return _memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta)
     mem_rows, anchors = np.divmod(np.concatenate(passed), n)
     touched = np.isin(mem_labels, labels)
     touched[mem_rows] = True

@@ -486,9 +486,9 @@ class _SpanScreen:
     anchor reach, so at least k entries score at least ``tau - slack`` in
     float64 row dots. ``below`` is the bound under which an entry scores less
     than that in any float64 evaluation: it can neither enter the top k nor
-    tie it. An anchor whose bound is unproven gets ``below`` -inf and keeps
-    every entry. The span keeps the entries above ``below`` (row, pool index
-    and tile score), sorted by row and descending score.
+    tie it. An anchor outside the screen's proven range gets ``below`` -inf
+    and keeps every entry. The span keeps the entries above ``below`` (row,
+    pool index and tile score), sorted by row and descending score.
     """
 
     def __init__(self, z_norm, d: int, norm_bound: float, k: int, dtype):
@@ -501,8 +501,7 @@ class _SpanScreen:
 
     def below(self) -> np.ndarray:
         floor = np.nextafter(self.tau.astype(np.float64) - self.slack, -np.inf)
-        below = _screen_thresholds(self.z_norm, self.d, self.norm_bound, floor, self.dtype)[0]
-        return np.where(np.isnan(below), -np.inf, below)
+        return _screen_thresholds(self.z_norm, self.d, self.norm_bound, floor, self.dtype)[0]
 
     def scan(self, tiles, same_label: _SameLabel, start: int, limit: float = np.inf) -> bool:
         """Screen ``tiles`` (``(start, first, S)``) of the anchors ``start,
@@ -578,12 +577,12 @@ def mine_hard_negatives(
     A span is screened over float32 tiles of ``MINING_BLOCK_BYTES``, or over
     float64 tiles of its rows within the same budget, with no limit, when its
     kept entries pass ``evaluation._PER_PAIR_SHARE`` of its pairs (quantized,
-    tie-heavy rows; it computes no further float32 tile), a bound is unproven
-    (a norm above 2**60), or the pool has fewer than k / ``_PER_PAIR_SHARE``
+    tie-heavy rows; it computes no further float32 tile), a bound is -inf (a
+    norm above 2**60), or the pool has fewer than k / ``_PER_PAIR_SHARE``
     rows (640 for k = 5). The float64 slack, about 2 d 2**-53 of a score,
-    keeps only the near-ties of an anchor's k-th place, and an unproven
-    anchor keeps every entry. Both precisions pick the same top k, so the
-    route chooses speed only.
+    keeps only the near-ties of an anchor's k-th place, and an anchor whose
+    bound is -inf keeps every entry. Both precisions pick the same top k, so
+    the route chooses speed only.
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise ShapeError(f"k must be an integer of at least 1, got {k!r}")
@@ -617,7 +616,7 @@ def mine_hard_negatives(
     z_norm = np.sqrt(np.einsum("ij,ij->i", anchors, anchors))
     norm_bound = float(np.sqrt(np.max(np.einsum("ij,ij->i", pool_descriptors, pool_descriptors))))
     # A float32 screen needs a proven bound, and k entries an anchor within the share.
-    try32 = ~np.isnan(_screen_thresholds(z_norm, d, norm_bound, 0.0)[0])
+    try32 = _screen_thresholds(z_norm, d, norm_bound, 0.0)[0] > -np.inf
     try32 &= k <= _PER_PAIR_SHARE * n
     with np.errstate(over="ignore"):
         anchors32 = anchors.astype(np.float32)
@@ -715,6 +714,9 @@ def split_holdout(
     them out (by class), the two sets are row slices of the dataset's one
     feature array; otherwise each is a copy of its rows.
     """
+    bad = not isinstance(holdout_classes, (int, np.integer)) or isinstance(holdout_classes, bool)
+    if bad or holdout_classes < 0:
+        raise ConfigError(f"holdout_classes must be an integer >= 0, got {holdout_classes!r}")
     if holdout_classes == 0:
         return dataset, None
     labels = np.unique(dataset.labels)
@@ -855,9 +857,8 @@ class _RunState:
                 if self.track is not None
                 else self.head
             )
-            E_mem, _ = refresh_encoder.apply(features)
             try:
-                Z_mem = normalize_rows(E_mem)
+                _, Z_mem = forward(refresh_encoder, features)
             except NormalizationError as exc:
                 raise TrainingError(f"post-step embedding degenerate ({exc})", step) from exc
             self.bank.enqueue(LabeledEmbeddingBatch(Z_mem, labels, validate=False))

@@ -7,6 +7,8 @@ a covariance matrix is positive semidefinite, its nuclear norm equals its
 trace, which for unit rows is n(1 - |mean|^2)/(n-1).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from spherekit import (
     similarity_histograms,
     step_gradient_dispersion,
 )
-from spherekit import evaluation
+from spherekit import diagnostics, evaluation
 from spherekit.errors import ShapeError
 
 from conftest import (
@@ -139,6 +141,20 @@ class TestSimilarityHistograms:
         with pytest.raises(ShapeError):
             similarity_histograms(Z, np.zeros(4, dtype=np.int64), num_bins=1)
 
+    @pytest.mark.parametrize("num_bins", [2.5, 8.0, True, "8"])
+    def test_num_bins_that_is_not_an_integer_raises(self, num_bins):
+        Z = unit_rows(np.random.default_rng(85), 4, 3)
+        with pytest.raises(ShapeError, match="num_bins must be an integer"):
+            similarity_histograms(Z, np.zeros(4, dtype=np.int64), num_bins=num_bins)
+
+    def test_numpy_integer_num_bins_is_accepted(self):
+        Z = unit_rows(np.random.default_rng(85), 4, 3)
+        labels = np.zeros(4, dtype=np.int64)
+        got = similarity_histograms(Z, labels, num_bins=np.int64(8))
+        expected = similarity_histograms(Z, labels, num_bins=8)
+        assert_array_equal(got.positive_counts, expected.positive_counts)
+        assert_array_equal(got.negative_counts, expected.negative_counts)
+
 
 def assert_dense_counts(got, Z, labels, num_bins):
     """``got`` equals np.histogram of the upper triangle of the full float64
@@ -250,22 +266,48 @@ class TestHistogramScreen:
         assert routes == {"screened": 2, "fallback": 1, "float64": 1,
                           "rescored": routes["rescored"]}
 
-    @pytest.mark.parametrize("kind", ["norm-3", "nan-row"])
-    def test_rows_the_screen_cannot_bound_take_float64_blocks(self, monkeypatch, kind):
-        # np.histogram drops NaN scores, so pairs of a NaN row land in no bin.
+    def test_rows_the_screen_cannot_bound_take_float64_blocks(self, monkeypatch):
         rng = np.random.default_rng(95)
-        Z = unit_rows(rng, 120, 16)
-        if kind == "norm-3":
-            Z *= 3.0
-        else:
-            Z[7, 3] = np.nan
+        Z = 3.0 * unit_rows(rng, 120, 16)
         labels = rng.integers(0, 5, size=120)
         routes = histogram_routes(monkeypatch)
         got = similarity_histograms(Z, labels, num_bins=50)
         assert_dense_counts(got, Z, labels, 50)
         assert routes == {"screened": 0, "fallback": 0, "float64": 1, "rescored": 0}
-        total = got.positive_counts.sum() + got.negative_counts.sum()
-        assert total == (120 * 119 if kind == "norm-3" else 119 * 118) // 2
+        assert got.positive_counts.sum() + got.negative_counts.sum() == 120 * 119 // 2
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_row_is_refused_before_any_tile(self, monkeypatch, value):
+        # np.histogram drops NaN scores, so a NaN row's pairs would land in
+        # no bin: 119 * 118 / 2 of the 120 * 119 / 2 pairs counted.
+        rng = np.random.default_rng(95)
+        Z = unit_rows(rng, 120, 16)
+        Z[7, 3] = value
+        routes = histogram_routes(monkeypatch)
+        with pytest.raises(NumericalError, match="row 7 contains non-finite values"):
+            similarity_histograms(Z, rng.integers(0, 5, size=120), num_bins=50)
+        assert routes == {"screened": 0, "fallback": 0, "float64": 0, "rescored": 0}
+        assert not routes.tiles["float32"] and not routes.tiles["float64"]
+
+    def test_a_small_budget_splits_each_tile_once(self, monkeypatch):
+        # At 1 MiB a float32 tile holds 90 x 182 scores; each goes to the
+        # edge screen in one chunk (at most 2**16 scores at any budget), not
+        # in chunks of the budget's 1/512. The counts do not depend on it.
+        rng = np.random.default_rng(96)
+        Z = unit_rows(rng, 2000, 16)
+        labels = rng.integers(0, 50, size=2000)
+        default = similarity_histograms(Z, labels)
+        sizes, split = [], diagnostics._EdgeScreen.split
+
+        def spied(screen, values):
+            sizes.append(values.size)
+            return split(screen, values)
+        monkeypatch.setattr(diagnostics._EdgeScreen, "split", spied)
+        with mock.patch.object(evaluation, "SCORE_BLOCK_BYTES", 2**20):
+            small = similarity_histograms(Z, labels)
+        assert max(sizes) == 90 * 182
+        assert_array_equal(small.positive_counts, default.positive_counts)
+        assert_array_equal(small.negative_counts, default.negative_counts)
 
 
 class TestHistogramOverlap:

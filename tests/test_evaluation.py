@@ -487,6 +487,28 @@ def block_sizes(num_queries):
     return [b for b in (2, 3, num_queries - 1, num_queries) if b >= 2] + [None]
 
 
+class TestScreenThresholds:
+    """Rows outside the screen's proven range get bounds that decide nothing."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("center", [0.5, -np.inf])
+    @pytest.mark.parametrize("case", ["row-norm", "norm-bound", "dim"])
+    def test_unproven_rows_get_infinite_bounds_never_nan(self, case, center, dtype):
+        # Row norms 1 (proven unless the norm bound or the dim is not), just
+        # past 2**60, 1e300 (its slack overflows) and inf.
+        z_norm = np.array([1.0, 2.0**60 * (1 + 2.0**-52), 1e300, np.inf])
+        norm_bound = 2.0**61 if case == "norm-bound" else 1.0
+        d = 2**22 + 1 if case == "dim" else 16
+        below, above = evaluation._screen_thresholds(z_norm, d, norm_bound,
+                                                     np.full(4, center), dtype)
+        assert below.dtype == above.dtype == dtype
+        assert not np.isnan(below).any() and not np.isnan(above).any()
+        unproven = slice(0 if case != "row-norm" else 1, None)
+        assert np.all(below[unproven] == -np.inf) and np.all(above[unproven] == np.inf)
+        if case == "row-norm" and center == 0.5:
+            assert -np.inf < below[0] < center < above[0] < np.inf
+
+
 class TestScoreBlocks:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 10, 11])
     @pytest.mark.parametrize("rows", [2, 3, 4, 10])

@@ -245,6 +245,13 @@ class TestPca:
         with pytest.raises(ShapeError):
             pca_fit(rng.standard_normal((10, 3)), out_dim=4)  # above d
 
+    @pytest.mark.parametrize("out_dim", [2.0, True, "2", None])
+    def test_out_dim_that_is_not_an_integer_raises(self, out_dim):
+        X = np.random.default_rng(27).standard_normal((10, 5))
+        with pytest.raises(ShapeError, match="out_dim must be an integer"):
+            pca_fit(X, out_dim)
+        assert pca_fit(X, np.int64(2)).out_dim == 2
+
 
 class TestCumulativeEnergy:
     def test_example(self):

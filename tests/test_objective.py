@@ -452,6 +452,49 @@ class TestMemoryScreen:
         self.check_peak_and_values(Z, labels, bank.view(), 0.9, n * m * 8,
                                    per_pair=True)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n, m", [(8, 50), (64, 3000)])
+    def test_non_finite_row_of_a_hand_built_view_raises(self, monkeypatch, n, m, value):
+        # 8 x 50 pairs take the dense product and 64 x 3,000 the screen.
+        # Memory row 7 carries a label no anchor has; skipped, a NaN row
+        # would leave the loss and gradient as they are without it.
+        rng = np.random.default_rng(13)
+        Z = unit_rows(rng, n, 16)
+        mem_Z = unit_rows(rng, m, 16)
+        mem_Z[7, 3] = value
+        view = MemoryView(mem_Z, 4 + np.arange(m) % 4)
+        tiles = []
+        monkeypatch.setattr(objective, "score_tiles", lambda *a: tiles.append(1) or iter(()))
+        with pytest.raises(NumericalError, match="memory row 7 contains non-finite values"):
+            contrastive_loss(batch(Z, np.arange(n) % 4), view, 0.5)
+        assert not tiles
+
+    @pytest.mark.parametrize("row", ["2**61", "2**130", "one-entry-overflows"])
+    def test_an_anchor_past_the_proven_range_keeps_all_its_pairs(self, monkeypatch, row):
+        # Anchor 3's bound is -inf. At 2**130 its float32 copy overflows; with
+        # only its first entry past float32 (2**128), a pair whose memory row
+        # has a negative first entry scores -inf in float32 however far above
+        # the margin it is. Screened as a row of zeros, every pair is scored.
+        rng = np.random.default_rng(14)
+        Z = unit_rows(rng, 8, 16)
+        if row == "one-entry-overflows":
+            Z[3] = 0.0
+            Z[3, :2] = [2.0**128, 1.5 * 2.0**127]
+        else:
+            Z[3] *= 2.0 ** int(row[3:])
+        mem_Z = unit_rows(rng, 400, 16)
+        assert np.any((mem_Z[:, 0] < 0) & (mem_Z @ Z[3] > 0.5))
+        labels, mem_labels = np.arange(8) % 3, rng.integers(0, 6, size=400)
+        monkeypatch.setattr(objective, "_BLOCK_VALUES", 16 * 8)
+        monkeypatch.setattr(objective, "_PER_PAIR_SHARE", 1.0)
+        dense = objective._memory_pairs_dense(Z, labels, mem_Z, mem_labels, 0.5)
+        got = objective._memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z.astype(np.float32),
+                                      1.0 + 1e-9, 0.5)
+        assert_array_equal(got[2], dense[2])
+        assert_array_equal(got[3], dense[3])
+        assert_allclose(got[0], dense[0], rtol=1e-12)
+        assert_allclose(got[1], dense[1], rtol=1e-12)
+
     @staticmethod
     def check_peak_and_values(Z, labels, view, beta, max_bytes, per_pair):
         probe = batch(Z, labels)
@@ -516,7 +559,7 @@ class TestMemoryPairsFlatScreen:
     """``_memory_pairs`` keeps the screen's passed pairs as flat indices; its
     outputs equal, bit for bit, those of the full boolean matrix."""
 
-    @pytest.mark.parametrize("case", ["screened", "nan_bounds", "early_break"])
+    @pytest.mark.parametrize("case", ["screened", "unproven", "unproven_memory", "early_break"])
     def test_matches_full_matrix_formulation_bitwise(self, case, monkeypatch):
         rng = np.random.default_rng(31)
         n, m, d = 8, 400, 16
@@ -530,14 +573,17 @@ class TestMemoryPairsFlatScreen:
             near = np.arange(m) >= 300  # the last blocks pass every pair
         mem_Z[near] = Z[np.arange(near.sum()) % n] + 1e-2 * mem_Z[near]
         mem_Z /= np.linalg.norm(mem_Z, axis=1, keepdims=True)
-        if case == "nan_bounds":
-            Z[[2, 5]] *= 2.0**61  # NaN thresholds: every pair of these rows passes
-            mem_Z[7] = np.nan  # NaN scores pass too
+        if case == "unproven":
+            # Norms past 2**60: thresholds of -inf, so every pair of these
+            # rows passes (they score 0 in float32).
+            Z[[2, 5]] *= 2.0**61
             monkeypatch.setattr(objective, "_PER_PAIR_SHARE", 0.5)
         monkeypatch.setattr(objective, "_BLOCK_VALUES", 16 * n)  # 25 blocks of 16 rows
-        with np.errstate(over="ignore"):
-            mem_Z32 = mem_Z.astype(np.float32)
-        args = (Z, labels, mem_Z, mem_labels, mem_Z32, 1.0 + 1e-9, 0.9)
+        mem_Z32 = mem_Z.astype(np.float32)
+        # A memory norm bound past 2**60 gives every anchor -inf: the dense
+        # product, with no block screened.
+        norm_bound = 2.0**61 if case == "unproven_memory" else 1.0 + 1e-9
+        args = (Z, labels, mem_Z, mem_labels, mem_Z32, norm_bound, 0.9)
         blocks, dense = [], []
         tiles, dense_pairs = objective.score_tiles, objective._memory_pairs_dense
 
@@ -557,6 +603,8 @@ class TestMemoryPairsFlatScreen:
             assert a.tobytes() == b.tobytes()
         if case == "early_break":
             assert dense and 0 < len(blocks) < 25
+        elif case == "unproven_memory":
+            assert dense and not blocks
         else:
             assert not dense and len(blocks) == 25
             assert got[1].size > 0  # some hinge pairs were active

@@ -701,6 +701,20 @@ class TestSyntheticData:
         assert set(np.unique(hold.labels)) == {3, 4}
         assert len(train) + len(hold) == len(ds)
 
+    @pytest.mark.parametrize("count", [-1, True, False, 2.5, 2.0, "2", None])
+    def test_split_holdout_refuses_a_count_that_is_not_an_integer_of_at_least_0(self, count):
+        # labels[-holdout_classes:] would hold out every class but the first
+        # for -1, and one class for True.
+        with pytest.raises(ConfigError, match=re.escape(f"got {count!r}")):
+            split_holdout(tiny_dataset(num_classes=10), count)
+
+    def test_split_holdout_accepts_numpy_integers(self):
+        ds = tiny_dataset(num_classes=5)
+        train, hold = split_holdout(ds, np.int64(2))
+        assert set(np.unique(hold.labels)) == {3, 4}
+        train, hold = split_holdout(ds, np.int64(0))
+        assert train is ds and hold is None
+
     def test_split_holdout_mask_matches_per_label_set_lookup(self):
         rng = np.random.default_rng(44)
         labels = rng.permutation(np.repeat(np.array([9, -2, 0, 31, 5, 7]), [3, 4, 2, 5, 1, 3]))
