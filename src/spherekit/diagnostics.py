@@ -3,17 +3,15 @@
 Three instruments for judging an embedding beyond task metrics:
 
 * pairwise-similarity histograms for same-label vs different-label pairs,
-  plus their overlap (a separability score in [0, 1]). Rows of norm at most
-  1 + UNIT_ATOL are scored in float32 tiles of the metrics' size, row span
-  by row span, each unordered pair once, and a pair in a float64 row dot
-  only where its float32 score lies within the proven float32 error of an
-  interior bin edge; a span with more such pairs than the metrics' per-pair
-  share stops its tiles, and it and every span of other rows (a larger
-  norm, bands too wide) are binned from float64 blocks of full rows within
-  the metrics' block budget. Memory is one tile, plus one float64 block only
-  where a span falls back. A bin can differ from a float64 product's only
-  where a pair's row dot and product scores fall on opposite sides of an
-  edge, within a few ULPs of it;
+  plus their overlap (a separability score in [0, 1]). Every pair lands in
+  the bin of its float64 row dot. Rows of norm at most 1 + UNIT_ATOL are
+  scored in float32 tiles of the metrics' size, row span by row span, each
+  unordered pair once, and a pair in a row dot only where its float32 score
+  lies within the proven float32 error of an interior bin edge; a span with
+  more such pairs than the metrics' per-pair share stops its tiles, and it
+  and every span of other rows (a larger norm, bands too wide) go through
+  the same edge screen again over float64 tiles of its rows, as many scores
+  as a float32 tile. Memory is one tile;
 * the PCA energy profile of a descriptor set, summarized as the number of
   components needed to reach fixed energy thresholds (a dimensional-collapse
   gauge: fewer components for 90% energy means a flatter, more collapsed
@@ -30,7 +28,7 @@ Three instruments for judging an embedding beyond task metrics:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -95,61 +93,63 @@ class SimilarityHistogram:
 
 @dataclass(frozen=True)
 class _EdgeScreen:
-    """Float32 bounds ``below < above`` around each interior edge of a
-    histogram (``evaluation._screen_thresholds``, the edges as centers and
-    the rows' largest norm standing for both norms of a pair). A pair's
-    float32 score ``>= above`` puts every float64 score of the pair above
-    the edge, and one ``<= below`` puts it below; a score strictly between
-    is undecided.
+    """Bounds ``below < above`` around each interior edge of a histogram,
+    for scores of ``cuts.dtype`` tiles (``evaluation._screen_thresholds``,
+    the edges as centers and the rows' largest norm standing for both norms
+    of a pair). A pair's tile score ``>= above`` puts every float64 score of
+    the pair above the edge, its row dot included, and one ``<= below`` puts
+    it below; a score strictly between is undecided.
 
-    ``x = s * scale + scale`` puts edge k at k. An undecided score of edge
-    k has ``|x - k| < tol``: its distance to the edge times ``scale``, plus
-    the float32 rounding of x (at most ``4 * 2**-24 * scale``) and the
-    float64 edges' own rounding, well inside the ``2**-20 * scale`` that
-    ``tol`` adds. ``tol < 1/2`` makes k the integer nearest x, and keeps
-    each band within half a bin of its edge, so the bands are disjoint and
-    a decided score lies above exactly the edges whose ``above`` it reaches:
-    np.histogram over ``cuts`` (the ``above`` bounds, open at both ends)
-    bins it. The cuts count an undecided score of edge k in the bin below
-    k, and ``split`` takes it out again.
+    ``x = s * scale + scale`` puts edge k at k; clipped to half a bin inside
+    the outer edges, it is an interior edge's k or near none. An undecided
+    score of edge k has ``|x - k| < tol``: its distance to the edge times
+    ``scale``, plus the rounding of x (at most ``4 * 2**-24 * scale`` in
+    float32) and the float64 edges' own rounding, well inside the ``2**-20 *
+    scale`` that ``tol`` adds. ``tol < 1/2`` makes k the integer nearest x,
+    and keeps each band within half a bin of its edge, so the bands are
+    disjoint and a decided score lies above exactly the edges whose
+    ``above`` it reaches: np.histogram over ``cuts`` (the ``above`` bounds,
+    open at both ends) bins it. The cuts count an undecided score of edge k
+    in the bin below k, and ``split`` takes it out again. Wider bands decide
+    no score.
     """
 
     below: np.ndarray
     above: np.ndarray
     cuts: np.ndarray
-    scale: np.float32
-    tol: np.float32
+    scale: np.floating
+    tol: np.floating
 
     @classmethod
-    def around(cls, Z, edges) -> "_EdgeScreen | None":
-        """The screen of ``edges`` for the pairs of the finite rows of ``Z``,
-        or None when it cannot bound them: a norm above 1 + ``UNIT_ATOL``, or
-        bands too wide (a large dim or many bins)."""
-        norm = math.sqrt(np.max(np.einsum("ij,ij->i", Z, Z)))
-        if norm > 1.0 + UNIT_ATOL:
-            return None
+    def around(cls, norm: float, d: int, edges, dtype) -> "_EdgeScreen | None":
+        """The screen of ``edges`` for ``dtype`` tiles of rows of dim ``d``
+        and norm at most ``norm``. In float32 it is None for a norm above 1 +
+        ``UNIT_ATOL`` or bands too wide (a large dim or many bins); a float64
+        screen bounds any finite rows, and decides no score where its bands
+        are too wide (rows past the proven range, or norms of about 2e6 at d
+        16 and 50 bins)."""
         centers = edges[1:-1]
-        below, above = evaluation._screen_thresholds(norm, Z.shape[1], norm, centers)
+        below, above = evaluation._screen_thresholds(norm, d, norm, centers, dtype)
         scale = (edges.size - 1) / 2
         tol = (max(np.max(above - centers), np.max(centers - below)) + 2.0**-20) * scale
-        if tol >= 0.5:
+        if dtype is np.float32 and (norm > 1.0 + UNIT_ATOL or tol >= 0.5):
             return None
-        cuts = np.concatenate(([-np.inf], above, [np.inf])).astype(np.float32)
-        return cls(below, above, cuts, np.float32(scale), np.float32(tol))
+        cuts = np.concatenate(([-np.inf], above, [np.inf])).astype(dtype)
+        return cls(below, above, cuts, dtype(scale), dtype(tol))
 
     def split(self, values):
-        """Per bin, the decided ones of float32 scores ``values``, and the
+        """Per bin, the decided ones of tile scores ``values``, and the
         indices of the undecided ones."""
+        if not self.tol < 0.5:
+            return np.zeros(self.cuts.size - 1, dtype=np.int64), np.arange(values.size)
         counts = np.histogram(values, self.cuts)[0]
         x = values * self.scale
         x += self.scale
+        np.clip(x, 0.5, self.cuts.size - 1.5, out=x)  # half a bin off the outer edges
         k = np.rint(x)
-        with np.errstate(invalid="ignore"):  # a -inf score is near no edge
-            x -= k
+        x -= k
         near = np.flatnonzero(np.abs(x, out=x) < self.tol)
         edge = k[near].astype(np.int64) - 1
-        inner = (0 <= edge) & (edge < self.above.size)
-        near, edge = near[inner], edge[inner]
         score = values[near]
         band = (score > self.below[edge]) & (score < self.above[edge])
         near, edge = near[band], edge[band]
@@ -159,60 +159,59 @@ class _EdgeScreen:
 
 @dataclass(frozen=True)
 class _PairBins:
-    """Bins pairs of rows of ``Z`` by their float64 scores, from their
-    scores in a tile: float64 scores as they are (no ``screen``), float32
-    ones through the ``screen``, rescoring the undecided pairs with row dots
-    of ``chunk`` values per operand. ``runs`` finds each row's same-label
-    rows (``evaluation._LabelRuns`` of the labels against themselves)."""
+    """Bins pairs of rows of ``Z`` by their float64 row dots, from their
+    scores in a tile through the ``screen``, rescoring the undecided pairs
+    with row dots of ``chunk`` values per operand. ``runs`` finds each row's
+    same-label rows (``evaluation._LabelRuns`` of the labels against
+    themselves)."""
 
     Z: np.ndarray
     open_edges: np.ndarray
-    screen: _EdgeScreen | None
+    screen: _EdgeScreen
     chunk: int
     runs: evaluation._LabelRuns
 
     def pairs(self, rows, cols, values) -> np.ndarray:
         """Bin counts of pairs ``(rows[i], cols[i])`` scored ``values``."""
-        if self.screen is None:
-            return np.histogram(values, self.open_edges)[0]
         counts, undecided = self.screen.split(values)
         return counts + self._rescored(rows[undecided], cols[undecided])
 
-    def span(self, start, stop, tiles) -> tuple[np.ndarray, np.ndarray] | None:
+    def span(self, start, stop, tiles, limit=np.inf) -> tuple[np.ndarray, np.ndarray] | None:
         """Bin counts of all pairs and of the same-label pairs of the rows
         ``start..stop`` with every later row, from the row span's upper
         ``tiles`` (``(start, first, tile)``), or None, asking for no further
-        tile, once more than ``_PER_PAIR_SHARE`` of the span's entries are
-        undecided.
+        tile, once more than ``limit`` of the span's pairs are undecided.
 
         A tile's entries of a row with itself or an earlier row (in the
-        diagonal square) go to -inf, into the first bin, and are taken out of
-        it again. Counts add up over the tiles."""
+        diagonal square) go to -2.0, below the first cut, and are taken out
+        of the first bin again, or out of the undecided pairs where the
+        screen decides no score. Counts add up over the tiles."""
         counts = np.zeros(self.open_edges.size - 1, dtype=np.int64)
         same = np.zeros_like(counts)
-        limit = evaluation._PER_PAIR_SHARE * (stop - start) * (self.Z.shape[0] - start)
         total = 0
         for a, first, S in tiles:
             r, width = S.shape
+            lower = 0
             if first < a + r:
-                lower = np.tri(r, width, a - first, dtype=bool)
-                S[lower] = -np.inf
-                counts[0] -= np.count_nonzero(lower)
-                del lower
-            if self.screen is None:
-                counts += np.histogram(S, self.open_edges)[0]
-            else:
-                flat = S.reshape(-1)
-                undecided = []
-                for i in range(0, flat.size, _SPLIT_VALUES):
-                    decided, near = self.screen.split(flat[i : i + _SPLIT_VALUES])
-                    counts += decided
-                    total += near.size
-                    if total > limit:
-                        return None
-                    undecided.append(near + i)
-                rows, cols = np.divmod(np.concatenate(undecided), width)
-                counts += self._rescored(a + rows, first + cols)
+                mask = np.tri(r, width, a - first, dtype=bool)
+                S[mask] = -2.0
+                lower = np.count_nonzero(mask)
+                del mask
+            flat = S.reshape(-1)
+            undecided = []
+            for i in range(0, flat.size, _SPLIT_VALUES):
+                decided, near = self.screen.split(flat[i : i + _SPLIT_VALUES])
+                counts += decided
+                total += near.size
+                if total > limit:
+                    return None
+                undecided.append(near + i)
+            rows, cols = np.divmod(np.concatenate(undecided), width)
+            rows += a
+            cols += first
+            upper = rows < cols
+            counts[0] -= lower - np.count_nonzero(~upper)
+            counts += self._rescored(rows[upper], cols[upper])
             same += self._same_label(a, first, S)
             del S
         return counts, same
@@ -252,22 +251,22 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
     again; the different-label counts are the difference. Counts add up over
     tiles.
 
-    A non-finite row raises NumericalError naming it, before any tile. Rows
+    A non-finite row raises NumericalError naming it, before any tile. Every
+    pair lands in the bin of its float64 row dot (``evaluation._row_dots``),
+    whatever the route, the budget, the BLAS build or its thread count. Rows
     of norm at most 1 + ``UNIT_ATOL`` are scored in float32 tiles. A pair's
     float32 score decides its bin unless it lies within the float32 error
     bound of an interior edge (``_EdgeScreen``); only those undecided pairs
-    are scored in float64, one row dot each (``evaluation._row_dots``). A
-    row span whose undecided pairs are more than
+    are scored in row dots. A row span whose undecided pairs are more than
     ``evaluation._PER_PAIR_SHARE`` of its entries (most scores on an edge, as
-    with coarsely quantized rows) computes no further tile and is binned from
-    the float64 products of its rows instead, in blocks of full rows within
-    ``evaluation.SCORE_BLOCK_BYTES``; so is every span when a norm is above
-    1 + ``UNIT_ATOL`` or the bands are too wide (a large dim or many bins).
-    Every pair is thus binned by a float64 score, and a decided pair's bin
-    is the one any float64 evaluation gives it. A row dot and a product can
-    differ in the last bits, so a pair's bin can differ from that of a
-    float64 product only when its row-dot and product scores fall on
-    opposite sides of an edge, within a few ULPs of it.
+    with coarsely quantized rows) computes no further float32 tile and is
+    screened again over float64 tiles of its rows, as many scores as a
+    float32 tile, with no limit; so is every span when a norm is above 1 +
+    ``UNIT_ATOL`` or the float32 bands are too wide (a large dim or many
+    bins). The float64 bands are about ``2 d 2**-53`` of a score wide, so
+    there only pairs within that of an edge are row-dotted, or every pair
+    where even those bands are too wide (norms past 2**60 or about 2e6 at d
+    16 and 50 bins). The share thus chooses speed only.
     """
     Z = np.asarray(Z, dtype=np.float64)
     labels = np.asarray(labels)
@@ -291,17 +290,21 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
     pos_counts = np.zeros(num_bins, dtype=np.int64)
     chunk = max(1, evaluation.SCORE_BLOCK_BYTES // 512)
     runs = evaluation._LabelRuns(labels, labels)
-    screened = _PairBins(Z, open_edges, _EdgeScreen.around(Z, edges), chunk, runs)
-    dense = _PairBins(Z, open_edges, None, chunk, runs)
-    # Without a screen no float32 tile is asked for: every span is float64.
-    X = Z if screened.screen is None else Z.astype(np.float32)
+    norm, d = math.sqrt(np.max(np.einsum("ij,ij->i", Z, Z))), Z.shape[1]
+    exact = _PairBins(Z, open_edges, _EdgeScreen.around(norm, d, edges, np.float64), chunk, runs)
+    screen = _EdgeScreen.around(norm, d, edges, np.float32)
+    screened = None if screen is None else replace(exact, screen=screen)
+    # Without a float32 screen no float32 tile is asked for: every span is float64.
+    X = Z if screened is None else Z.astype(np.float32)
     for start, stop, tiles in evaluation._metric_spans(X, X, upper=True):
-        counts = None if screened.screen is None else screened.span(start, stop, tiles)
+        limit = evaluation._PER_PAIR_SHARE * (stop - start) * (Z.shape[0] - start)
+        counts = None if screened is None else screened.span(start, stop, tiles, limit)
         tiles.close()
         if counts is None:
-            blocks = evaluation._float64_tiles(Z, Z, start, stop,
-                                               evaluation.SCORE_BLOCK_BYTES, upper=True)
-            counts = dense.span(start, stop, blocks)
+            # Float64 tiles of the span's rows, as many scores as a float32 tile.
+            tiles = evaluation._float64_tiles(Z, Z, start, stop, evaluation.SCORE_BLOCK_BYTES // 8,
+                                              stop - start, upper=True)
+            counts = exact.span(start, stop, tiles)
         all_counts += counts[0]
         pos_counts += counts[1]
     return SimilarityHistogram(

@@ -95,9 +95,8 @@ SPLITS = ("easy", "medium", "hard")
 # of the metrics holds the rows of one such block, and at least _TILE_ROWS,
 # and one float32 tile at a time, of a sixteenth of this budget (2 MiB: 512 x
 # 1,024 scores at _TILE_ROWS rows). A span of the similarity histogram that
-# falls back is scored from float64 blocks of its rows within this budget,
-# taking at most about three times it in temporaries, so it bounds the
-# worst-case memory.
+# falls back is screened over float64 tiles of its rows, as many scores as a
+# float32 tile, so no route holds more than a tile of scores.
 SCORE_BLOCK_BYTES = 32 * 2**20
 # The least rows of a metric's row span at the default budget (a smaller one
 # shrinks it with the tile, _metric_spans), so a wide gallery is scored in
@@ -125,9 +124,9 @@ _SCREEN_MAX_DIM = 2**22
 # d 64-384, M 8k-16k, one BLAS thread of a 2-core Xeon: equal cost at about
 # 1/100); the similarity histogram uses the same share for a row span's
 # undecided pairs, and mining for a span's kept entries, past which the span
-# is screened again over float64 tiles: the same negatives, so the share
-# chooses speed only. Recall and mAP do not read it: they score every
-# undecided item in row dots, however many there are.
+# is screened again over float64 tiles: the same bins and negatives, so in
+# both the share chooses speed only. Recall and mAP do not read it: they
+# score every undecided item in row dots, however many there are.
 _PER_PAIR_SHARE = 1 / 128
 
 
@@ -346,7 +345,9 @@ def _float64_tiles(queries, gallery, start: int, stop: int, block_bytes: int,
                    min_rows: int = 2, upper: bool = False):
     """The float64 product of rows ``start..stop`` (from column ``start`` with
     ``upper``), ``(start, first, tile)`` over the tiles of ``_tile_spans``
-    within the caller's ``block_bytes`` and ``min_rows``."""
+    within the caller's ``block_bytes`` and ``min_rows``: the second screen
+    of a histogram span or a mining span whose float32 screen gave up, or
+    that has none."""
     spans = _span_tiles(queries, gallery, block_bytes, min_rows, upper=upper,
                         rows=(start, stop))
     for _, _, tiles in spans:

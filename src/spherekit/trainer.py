@@ -113,7 +113,10 @@ CANDIDATES_PER_EPOCH_FULL = 22000
 # where the span falls back. Scoring every anchor of an epoch at once would
 # hold anchors x candidates scores (22 MB at 500 x 5,500). An anchor's
 # negatives depend on neither the tile shape nor its precision: its kept
-# entries are scored in float64 row dots.
+# entries are scored in float64 row dots. A span takes in a tile's entries
+# at most a 64th of this many at a time, and a float64 span cuts its kept
+# entries to each anchor's top k past that many, since each kept entry
+# costs about 70 bytes of index and sort temporaries.
 MINING_BLOCK_BYTES = 2**20
 # Anchors per float32 tile. A thinner tile re-reads the pool more often, a
 # wider one screens fewer columns per anchor: one desk mining call (500 x 5,500
@@ -488,7 +491,7 @@ class _SpanScreen:
     than that in any float64 evaluation: it can neither enter the top k nor
     tie it. An anchor outside the screen's proven range gets ``below`` -inf
     and keeps every entry. The span keeps the entries above ``below`` (row,
-    pool index and tile score), sorted by row and descending score.
+    pool index and tile score).
     """
 
     def __init__(self, z_norm, d: int, norm_bound: float, k: int, dtype):
@@ -503,11 +506,15 @@ class _SpanScreen:
         floor = np.nextafter(self.tau.astype(np.float64) - self.slack, -np.inf)
         return _screen_thresholds(self.z_norm, self.d, self.norm_bound, floor, self.dtype)[0]
 
-    def scan(self, tiles, same_label: _SameLabel, start: int, limit: float = np.inf) -> bool:
+    def scan(self, tiles, same_label: _SameLabel, start: int, limit: float, operands=None) -> bool:
         """Screen ``tiles`` (``(start, first, S)``) of the anchors ``start,
-        ...``, same-label entries set to -inf. Returns False, asking for no
-        further tile, once the kept entries are more than ``limit``."""
-        k = self.k
+        ...``, same-label entries set to -inf, keeping a tile's entries above
+        the bound a few rows at a time, at most ``MINING_BLOCK_BYTES // 64``
+        of them (or one row). Once the kept entries are more than ``limit``
+        it returns False, asking for no further tile, or, given the span's
+        ``operands`` (its anchors and the pool), cuts each anchor's kept
+        entries to its top k (``best``): k entries beat every entry cut."""
+        k, piece = self.k, MINING_BLOCK_BYTES // 64
         for _, first, S in tiles:
             same_label.exclude(S, start, first)
             r, w = S.shape
@@ -515,34 +522,57 @@ class _SpanScreen:
                 # The least of k disjoint column chunks' maxima is reached k times.
                 chunk_max = np.maximum.reduceat(S, np.arange(k) * w // k, axis=1)
                 np.maximum(self.tau, chunk_max.min(axis=1), out=self.tau)
-            flat = np.flatnonzero(S > self.below()[:, None])
-            rows, cols = np.divmod(flat, w)
-            rows = np.concatenate([self.rows, rows])
-            cols = np.concatenate([self.cols, first + cols])
-            values = np.concatenate([self.values, S.ravel()[flat]])
-            by_value = np.argsort(-values)
-            order = by_value[np.argsort(rows[by_value], kind="stable")]
-            rows, cols, values = rows[order], cols[order], values[order]
-            # Raise tau to each anchor's k-th kept score and drop what falls under.
-            counts = np.bincount(rows, minlength=r)
-            full = np.flatnonzero(counts >= k)
-            kth = values[np.cumsum(counts)[full] - counts[full] + k - 1]
-            self.tau[full] = np.maximum(self.tau[full], kth)
-            kept = values > self.below()[rows]
-            self.rows, self.cols, self.values = rows[kept], cols[kept], values[kept]
-            if self.rows.size > limit:
-                return False
+            above = S > self.below()[:, None]
+            sizes = np.zeros(r, dtype=np.int64)
+            if np.count_nonzero(above) > piece:  # else all rows are one piece
+                sizes = np.count_nonzero(above, axis=1)
+            ends = np.cumsum(sizes)
+            a = 0
+            while a < r:
+                b = max(a + 1, int(np.searchsorted(ends, ends[a] - sizes[a] + piece, "right")))
+                self._keep(a, first, S[a:b], above[a:b])
+                a = b
+                if self.rows.size > limit:
+                    if operands is None:
+                        return False
+                    best = self.best(*operands)
+                    self.rows, self.cols = self.rows[best], self.cols[best]
+                    self.values = self.values[best]
         return True
 
-    def top(self, anchors: np.ndarray, pool: np.ndarray) -> np.ndarray:
-        """Each anchor's k kept entries with the highest float64 row dots,
-        lowest pool index among equals; ``anchors`` are the span's rows."""
+    def _keep(self, a: int, first: int, S: np.ndarray, above: np.ndarray) -> None:
+        """Add the entries ``above`` of tile rows ``S`` (anchors ``a, ...``,
+        pool rows ``first, ...``) to the kept ones, raise tau to each anchor's
+        k-th kept score and drop what falls under."""
+        k = self.k
+        flat = np.flatnonzero(above)
+        rows, cols = np.divmod(flat, S.shape[1])
+        rows = np.concatenate([self.rows, a + rows])
+        cols = np.concatenate([self.cols, first + cols])
+        values = np.concatenate([self.values, S.ravel()[flat]])
+        by_value = np.argsort(-values)
+        order = by_value[np.argsort(rows[by_value], kind="stable")]
+        rows, cols, values = rows[order], cols[order], values[order]
+        counts = np.bincount(rows, minlength=self.tau.size)
+        full = np.flatnonzero(counts >= k)
+        kth = values[np.cumsum(counts)[full] - counts[full] + k - 1]
+        self.tau[full] = np.maximum(self.tau[full], kth)
+        kept = values > self.below()[rows]
+        self.rows, self.cols, self.values = rows[kept], cols[kept], values[kept]
+
+    def best(self, anchors: np.ndarray, pool: np.ndarray) -> np.ndarray:
+        """Indices of each anchor's k kept entries (all, if fewer) with the
+        highest float64 row dots, lowest pool index among equals, by anchor;
+        ``anchors`` are the span's rows."""
         rows, cols = self.rows, self.cols
-        scores = _row_dots(anchors, rows, pool, cols, MINING_BLOCK_BYTES // 8)
+        scores = _row_dots(anchors, rows, pool, cols, MINING_BLOCK_BYTES // 64)
         order = np.lexsort((cols, -scores, rows))
         counts = np.bincount(rows, minlength=anchors.shape[0])
-        first = np.cumsum(counts) - counts
-        return cols[order][first[:, None] + np.arange(self.k)]
+        return order[np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts) < self.k]
+
+    def top(self, anchors: np.ndarray, pool: np.ndarray) -> np.ndarray:
+        """Each anchor's top k kept entries (``best``), as pool indices."""
+        return self.cols[self.best(anchors, pool)].reshape(-1, self.k)
 
 
 def mine_hard_negatives(
@@ -581,8 +611,11 @@ def mine_hard_negatives(
     norm above 2**60), or the pool has fewer than k / ``_PER_PAIR_SHARE``
     rows (640 for k = 5). The float64 slack, about 2 d 2**-53 of a score,
     keeps only the near-ties of an anchor's k-th place, and an anchor whose
-    bound is -inf keeps every entry. Both precisions pick the same top k, so
-    the route chooses speed only.
+    bound is -inf keeps every entry; whenever a float64 span's kept entries
+    pass ``MINING_BLOCK_BYTES // 64`` (rows collapsed to within a few ULPs
+    keep them all), each anchor's are cut to its top k, so memory stays a
+    few tiles. Both precisions pick the same top k, so the route chooses
+    speed only.
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise ShapeError(f"k must be an integer of at least 1, got {k!r}")
@@ -630,7 +663,8 @@ def mine_hard_negatives(
         if not (try32[span].all() and screen.scan(tiles, same_label, start, limit)):
             screen = _SpanScreen(z_norm[span], d, norm_bound, k, np.float64)
             screen.scan(_float64_tiles(anchors, pool_descriptors, start, stop,
-                                       MINING_BLOCK_BYTES, stop - start), same_label, start)
+                                       MINING_BLOCK_BYTES, stop - start), same_label, start,
+                        MINING_BLOCK_BYTES // 64, (anchors[span], pool_descriptors))
         tiles.close()
         out[span] = screen.top(anchors[span], pool_descriptors)
     return out

@@ -71,7 +71,7 @@ class Routes(dict):
 def count_tiles(monkeypatch, module):
     """Count the tiles ``module._span_tiles`` computes, per dtype and row span:
     ``{"float32": {(start, stop): tiles}, "float64": {...}}``. A span that
-    falls back is scored in float64 spans of its rows, one block each."""
+    falls back is scored in float64 tiles of one span of its rows."""
     counts = {"float32": collections.Counter(), "float64": collections.Counter()}
     spans = module._span_tiles
 
@@ -105,17 +105,18 @@ def screen_routes(monkeypatch):
 
 def histogram_routes(monkeypatch):
     """Count the row spans of ``similarity_histograms`` the float32 edge
-    screen binned, those it handed back to the float64 products of their
-    rows, the float64 spans binned as they are (a fallback's included), and
-    the pairs scored in float64 row dots; ``tiles`` counts each span's tiles
-    (``count_tiles``)."""
+    screen binned, those it handed back to the float64 screen, the spans the
+    float64 screen binned (a fallback's included), from the precision of the
+    screen's cuts, and the pairs scored in float64 row dots; ``tiles`` counts
+    each span's tiles (``count_tiles``)."""
     routes = Routes({"screened": 0, "fallback": 0, "float64": 0, "rescored": 0},
                     count_tiles(monkeypatch, evaluation))
     span, row_dots = diagnostics._PairBins.span, evaluation._row_dots
 
     def counted_span(bins, *args):
         counts = span(bins, *args)
-        route = "float64" if bins.screen is None else "fallback" if counts is None else "screened"
+        route = ("float64" if bins.screen.cuts.dtype == np.float64
+                 else "fallback" if counts is None else "screened")
         routes[route] += 1
         return counts
 

@@ -156,11 +156,12 @@ class TestSimilarityHistograms:
         assert_array_equal(got.negative_counts, expected.negative_counts)
 
 
-def assert_dense_counts(got, Z, labels, num_bins):
+def assert_dense_counts(got, Z, labels, num_bins, row_dots=False):
     """``got`` equals np.histogram of the upper triangle of the full float64
-    product, split by label match."""
+    product, or with ``row_dots`` of every pair's row dot, split by label
+    match."""
     iu = np.triu_indices(len(Z), k=1)
-    scores = (Z @ Z.T)[iu]
+    scores = evaluation._row_dots(Z, iu[0], Z, iu[1], 2**16) if row_dots else (Z @ Z.T)[iu]
     same = labels[iu[0]] == labels[iu[1]]
     edges = np.linspace(-1.0, 1.0, num_bins + 1)
     edges[0], edges[-1] = -np.inf, np.inf
@@ -275,6 +276,54 @@ class TestHistogramScreen:
         assert_dense_counts(got, Z, labels, 50)
         assert routes == {"screened": 0, "fallback": 0, "float64": 1, "rescored": 0}
         assert got.positive_counts.sum() + got.negative_counts.sum() == 120 * 119 // 2
+
+    @pytest.mark.parametrize("kind", ["quantized", "axes", "near-edges", "norm-3"])
+    def test_both_routes_bin_the_same_counts(self, monkeypatch, kind):
+        # With a per-pair share of 1 no span falls back, and with 0 every
+        # span with an undecided pair does, so the same pairs are binned from
+        # float32 tiles and from float64 tiles; norm-3 rows have no float32
+        # screen and take float64 tiles either way. Both routes give every
+        # pair the bin of its row dot.
+        rng = np.random.default_rng(97)
+        num_bins = 8 if kind == "quantized" else 50
+        if kind == "quantized":
+            Z = quantized_unit_rows(rng, 300, 16, pool_size=6)
+        elif kind == "axes":
+            Z = signed_axes(rng, 300, 16)
+        else:
+            Z = unit_rows(rng, 300, 16)
+        if kind == "near-edges":
+            rows_near_edges(rng, Z, np.arange(151, 300, 2), np.linspace(-1.0, 1.0, 51))
+        elif kind == "norm-3":
+            Z *= 3.0
+        labels = rng.integers(0, 10, size=300)
+        spans = {1.0: {"screened": 3, "fallback": 0, "float64": 0},
+                 0.0: {"screened": 0, "fallback": 3, "float64": 3}}
+        for share, expected in spans.items():
+            if kind == "norm-3":
+                expected = {"screened": 0, "fallback": 0, "float64": 3}
+            routes = histogram_routes(monkeypatch)
+            with mock.patch.object(evaluation, "_PER_PAIR_SHARE", share), \
+                    budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", 100, 300):
+                got = similarity_histograms(Z, labels, num_bins=num_bins)
+            assert routes == {**expected, "rescored": routes["rescored"]}
+            assert_dense_counts(got, Z, labels, num_bins, row_dots=True)
+
+    def test_rows_no_float64_band_can_screen_are_all_row_dotted(self, monkeypatch):
+        # Rows of norm 2**30 and 2**-30: their pairs score all over [-1, 1]
+        # and far past it, and the float64 bands, about 2**16 wide, decide
+        # none of them. Every pair is binned by its row dot, and none of the
+        # diagonal square's entries.
+        rng = np.random.default_rng(98)
+        Z = unit_rows(rng, 120, 16) * np.where(np.arange(120) % 2, 2.0**30, 2.0**-30)[:, None]
+        labels = rng.integers(0, 5, size=120)
+        routes = histogram_routes(monkeypatch)
+        got = similarity_histograms(Z, labels, num_bins=50)
+        same = int(np.sum(labels[:, None] == labels[None, :]) - 120) // 2
+        assert routes == {"screened": 0, "fallback": 0, "float64": 1,
+                          "rescored": 120 * 119 // 2 + same}
+        assert_dense_counts(got, Z, labels, 50, row_dots=True)
+        assert 0 < got.positive_counts[1:-1].sum() + got.negative_counts[1:-1].sum()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_a_non_finite_row_is_refused_before_any_tile(self, monkeypatch, value):

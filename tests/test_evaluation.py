@@ -1167,7 +1167,7 @@ class TestBlockBudgetBoundsMemory:
         "recall", "map", "histograms", "mining",
         "recall-d128", "map-d128", "recall-collapsed", "map-collapsed",
         "histograms-one-label", "histograms-d128", "histograms-collapsed",
-        "recall-two-class",
+        "recall-two-class", "mining-collapsed",
     ])
     def test_peak_stays_under_five_budgets(self, caller):
         # A full 4,000 x 4,000 score matrix would be 122 budgets. At d 128 the
@@ -1175,8 +1175,10 @@ class TestBlockBudgetBoundsMemory:
         # In a collapsed gallery every row is within a few ULPs of one
         # direction, so every item is in its band and scored in row dots;
         # the histogram's pairs score about +1, past its last interior edge,
-        # so its float32 screen decides them. At d 128 the histogram's
-        # float32 copy of the rows is 2 budgets. With one label every pair is a same-label pair of the histogram.
+        # so its float32 screen decides them, while mining's float64 screen
+        # keeps every entry until it cuts each anchor's to its top k. At d
+        # 128 the histogram's float32 copy of the rows is 2 budgets. With one
+        # label every pair is a same-label pair of the histogram.
         # With two classes every query has 2,000 positives, 8,000,000 pairs
         # that recall scores for its thresholds a bounded chunk at a time.
         caller, _, gallery = caller.partition("-")
