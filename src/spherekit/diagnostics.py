@@ -57,6 +57,10 @@ GRAD_NORM_FLOOR = 1e-12
 
 # Scores per _EdgeScreen.split at any budget: its fixed cost swamps far smaller chunks.
 _SPLIT_VALUES = 2**16
+# The largest squared row norm the histogram scores. For rows of norm at most
+# 2**511 (about 6.7e153) every partial sum of a pair's dot product stays below
+# 2**1023 in any order, so no score overflows to inf or to NaN.
+_MAX_SQUARED_NORM = 2.0**1022
 
 
 @dataclass(frozen=True)
@@ -251,7 +255,9 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
     again; the different-label counts are the difference. Counts add up over
     tiles.
 
-    A non-finite row raises NumericalError naming it, before any tile. Every
+    A non-finite row, or one of norm above 2**511 (about 6.7e153, where a
+    pair's score could overflow), raises NumericalError naming it, before any
+    tile. Every
     pair lands in the bin of its float64 row dot (``evaluation._row_dots``),
     whatever the route, the budget, the BLAS build or its thread count. Rows
     of norm at most 1 + ``UNIT_ATOL`` are scored in float32 tiles. A pair's
@@ -279,6 +285,11 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
     bad = np.flatnonzero(~np.isfinite(Z).all(axis=1))
     if bad.size:
         raise NumericalError(f"row {bad[0]} contains non-finite values")
+    squared_norms = np.einsum("ij,ij->i", Z, Z)
+    bad = np.flatnonzero(squared_norms > _MAX_SQUARED_NORM)
+    if bad.size:
+        raise NumericalError(
+            f"row {bad[0]} has a norm above 2**511; its pair scores could overflow")
     edges = np.linspace(-1.0, 1.0, num_bins + 1)
     # Unit-row dot products can exceed +/-1 by float dust. Open outer edges
     # bin them in the end bins, as clipping them to +/-1 would. np.histogram
@@ -290,7 +301,7 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
     pos_counts = np.zeros(num_bins, dtype=np.int64)
     chunk = max(1, evaluation.SCORE_BLOCK_BYTES // 512)
     runs = evaluation._LabelRuns(labels, labels)
-    norm, d = math.sqrt(np.max(np.einsum("ij,ij->i", Z, Z))), Z.shape[1]
+    norm, d = math.sqrt(np.max(squared_norms)), Z.shape[1]
     exact = _PairBins(Z, open_edges, _EdgeScreen.around(norm, d, edges, np.float64), chunk, runs)
     screen = _EdgeScreen.around(norm, d, edges, np.float32)
     screened = None if screen is None else replace(exact, screen=screen)

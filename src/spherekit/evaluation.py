@@ -32,24 +32,28 @@ threshold in any float64 evaluation and is counted, and one ``<= below``
 provably scores below it and is skipped. The items in between, the band, on
 real data about one per threshold (mostly the positive itself), are scored
 in float64 row dots and compared exactly, ties going to the lower gallery
-index. Recall, with one threshold per query, counts a tile's items with two
-compares; mAP sorts each float32 row of a tile once and places every
-threshold by binary search. mAP scores its junk items in row dots too, to
-take them out of the counts. Both refine their band items through one
-function (``_band_ahead``). A query outside the screen's proven range (a
-norm above 2**60, a dim above 2**22) gets bounds -inf and +inf and a float32
-row of zeros, so every item of its line is band. Every span takes this one
-route, whatever its share of band items: a degenerate gallery costs row
-dots, not memory. On 4,000 unit rows at d 128 (one BLAS thread of a 2-core
-Xeon), leave-one-out recall over two classes (2,000 positives a query, all
-scored for the thresholds) takes about 1.7 s, and over a collapsed gallery
-(scores within about 1e-5 of each other, every item in every band) about
-3.1 s, where a float64 product of each span took 0.3 and 0.2 s. No full
-ranking or queries x gallery score matrix is ever built.
+index. Recall, with one threshold per query, counts a tile's items above
+``below`` with one compare, and compares against ``above`` only the lines
+that hold any (on desk inputs about a quarter of them); mAP sorts each
+float32 row of a tile once and places every threshold by binary search.
+mAP scores its junk items in row dots too, to take them out of the counts.
+Both refine their band items through one function (``_band_ahead``). A
+query outside the screen's proven range (a norm above 2**60, a dim above
+2**22) gets bounds -inf and +inf and a float32 row of zeros, so every item
+of its line is band. Every span takes this one route, whatever its share of
+band items: a degenerate gallery costs row dots, not memory. On 4,000 unit
+rows at d 128 (one BLAS thread of a 2-core Xeon), leave-one-out recall over
+two classes (2,000 positives a query, 3,998,000 same-label pairs scored for
+the thresholds) takes about 0.9 s, and over a collapsed gallery (scores
+within about 1e-5 of each other, every item in every band) about 3.2 s,
+where a float64 product of each span took 0.3 and 0.2 s. No full ranking
+or queries x gallery score matrix is ever built.
 
 Recall has one driver for two span shapes. It finds every query's threshold
 before the first product. Leave-one-out queries that are the gallery's own
-array score each unordered pair once: a span's tiles start at its diagonal
+array, with its labels, score each unordered same-label pair once for their
+thresholds (a row dot is the same either way round), and each unordered
+pair once in the tiles: a span's tiles start at its diagonal
 (the upper trapezoid of the product), counted row-wise for the span's own
 queries and, in the columns past the span, column-wise for the later ones
 (the bounds hold for any float32 evaluation of a dot product, so a
@@ -69,6 +73,7 @@ two agree.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -166,6 +171,16 @@ def _check_no_duplicates(arrays: dict[str, np.ndarray]) -> None:
             raise ProtocolError(f"{name} contains duplicate gallery indices")
 
 
+def _name_repeat(arrays: dict[str, np.ndarray]) -> None:
+    """Raise ProtocolError naming a repeated index of the easy, hard and junk
+    ``arrays``, if any: a set's own repeat first, in that order, then an
+    overlap of two sets."""
+    _check_no_duplicates(arrays)
+    for a, b in (("easy", "hard"), ("easy", "junk"), ("hard", "junk")):
+        if np.intersect1d(arrays[a], arrays[b]).size:
+            raise ProtocolError(f"{a} and {b} sets overlap")
+
+
 @dataclass(frozen=True)
 class QueryGroundTruth:
     """Easy/hard/junk gallery index sets for one query; pairwise disjoint."""
@@ -188,12 +203,19 @@ class QueryGroundTruth:
         # per-set and pairwise checks run, to name it.
         merged = np.concatenate(list(arrays.values()))
         if np.unique(merged).size != merged.size:
-            _check_no_duplicates(arrays)
-            for a, b in (("easy", "hard"), ("easy", "junk"), ("hard", "junk")):
-                if np.intersect1d(arrays[a], arrays[b]).size:
-                    raise ProtocolError(f"{a} and {b} sets overlap")
+            _name_repeat(arrays)
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _checked(cls, easy: np.ndarray, hard: np.ndarray, junk: np.ndarray) -> "QueryGroundTruth":
+        """A record of 1-D int64 arrays that its caller has already checked
+        for repeats, as ``io.read_ground_truth`` does for every record at
+        once; they are kept as given, with no check and no copy."""
+        gt = object.__new__(cls)
+        for name, arr in (("easy", easy), ("hard", hard), ("junk", junk)):
+            object.__setattr__(gt, name, arr)
+        return gt
 
     def check_bounds(self, gallery_size: int) -> None:
         for name in ("easy", "hard", "junk"):
@@ -568,11 +590,17 @@ def _band_ahead(retrieval, L, lines, first, queries, t: _Thresholds, band):
 def _lines_ahead(retrieval, L, first, queries, t: _Thresholds) -> np.ndarray:
     """Per line i of float32 scores ``L`` (gallery items ``first, first + 1,
     ...``) with threshold ``t[i]`` of query ``queries[i]``: the items at or
-    above its ``above`` plus its band items ahead of it (``_band_ahead``);
-    two compares over ``L``. Under ``exclude_self`` a query's own entry must
-    be -inf."""
-    top = _row_counts(L >= t.above[:, None])
-    band = _row_counts(L > t.below[:, None]) - top
+    above its ``above`` plus its band items ahead of it (``_band_ahead``).
+    One compare over ``L`` counts the items above ``below``; only the lines
+    with any are compared again, against ``above``. Under ``exclude_self`` a
+    query's own entry must be -inf."""
+    band = _row_counts(L > t.below[:, None])
+    top = np.zeros_like(band)
+    lines = np.flatnonzero(band)
+    if lines.size == band.size:
+        lines = slice(None)  # every line: compare L in place, not a gathered copy
+    top[lines] = _row_counts(L[lines] >= t.above[lines, None])
+    band -= top
     return top + _band_ahead(retrieval, L, np.arange(queries.size), first, queries, t, band)
 
 
@@ -616,7 +644,7 @@ def _ranked_ahead(retrieval, start, stop, tiles, rows, items, values):
     return ahead
 
 
-def _thresholds(retrieval, by_label, run_start, run_size) -> _Thresholds:
+def _thresholds(retrieval, by_label, run_start, run_size, both_ends=False) -> _Thresholds:
     """Every query's threshold: its best positive, the same-label item (self
     excluded) with the highest row-dot score, lowest index among equals. A
     query's positives are its run of the gallery sorted by label
@@ -624,6 +652,13 @@ def _thresholds(retrieval, by_label, run_start, run_size) -> _Thresholds:
     queries' runs are scored in order, ``SCORE_BLOCK_BYTES // 512`` pairs at
     a time, so a run may span chunks: a later chunk's best replaces a
     query's only when it scores higher.
+
+    With ``both_ends`` the queries are the gallery and each query's run holds
+    only its later positives, so each unordered same-label pair is scored
+    once (a row dot is the same either way round) and counts for both of
+    its ends. An item's earlier positives are all in the runs of earlier
+    queries, so a chunk offers it those before its own run, and candidates
+    still reach every query in ascending index.
     """
     n, m = retrieval.queries.shape[0], len(retrieval.index)
     t = _Thresholds(np.full(n, -np.inf), np.full(n, m),
@@ -641,6 +676,15 @@ def _thresholds(retrieval, by_label, run_start, run_size) -> _Thresholds:
         if owner.size == 0:
             continue
         scores = _query_dots(retrieval, owner, cols)
+        if both_ends:
+            # The later end first: its candidates here have lower indices
+            # than any of its own run's.
+            before = t.value[cols]
+            np.maximum.at(t.value, cols, scores)
+            best = t.value[cols]
+            won = (scores == best) & (best > before)
+            t.item[cols[won]] = m
+            np.minimum.at(t.item, cols[won], owner[won])
         first = np.flatnonzero(np.diff(owner, prepend=-1))
         rows, best = owner[first], np.maximum.reduceat(scores, first)
         tied = scores == np.repeat(best, np.diff(first, append=owner.size))
@@ -656,7 +700,9 @@ def _thresholds(retrieval, by_label, run_start, run_size) -> _Thresholds:
 def _first_hits(retrieval, query_labels, gallery_labels) -> np.ndarray:
     """First-hit ranks of the queries that have a positive, in query order.
 
-    Every query's threshold is found first (``_thresholds``). The row spans
+    Every query's threshold is found first (``_thresholds``; for
+    leave-one-out queries that are the gallery's own array, with labels
+    that are the gallery's, each same-label pair once). The row spans
     are those of ``_metric_spans``: upper trapezoids for leave-one-out
     queries that are the gallery's own array, each unordered pair scored
     once, whose columns past the span count the later queries column-wise
@@ -666,7 +712,14 @@ def _first_hits(retrieval, query_labels, gallery_labels) -> np.ndarray:
     n = retrieval.queries.shape[0]
     trapezoid = retrieval.exclude_self and retrieval.queries is retrieval.index.gallery
     queries, gallery = _float32_copies(retrieval)
-    thresholds = _thresholds(retrieval, *_label_runs(gallery_labels, query_labels))
+    by_label, run_start, run_size = _label_runs(gallery_labels, query_labels)
+    both_ends = trapezoid and np.array_equal(query_labels, gallery_labels)
+    if both_ends:
+        # Each query's run from the item after its own place in by_label.
+        later = np.empty(n, dtype=np.int64)
+        later[by_label] = np.arange(1, n + 1)
+        run_start, run_size = later, run_start + run_size - later
+    thresholds = _thresholds(retrieval, by_label, run_start, run_size, both_ends)
     ahead = np.zeros(n, dtype=np.int64)
 
     def counted(stop, tiles):
@@ -765,10 +818,16 @@ def _split_roles(split: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     raise ProtocolError(f"unknown difficulty split {split!r}; expected one of {SPLITS}")
 
 
-def _average_precision_from_ranks(ranks: np.ndarray) -> float:
-    """``(1/|P|) * sum_k k / rank_k`` from the positives' ascending 1-based
-    ranks after junk removal, one rank per positive."""
-    return math.fsum((k + 1) / int(r) for k, r in enumerate(ranks)) / len(ranks)
+def _average_precisions(ranks: list[int], counts: list[int]) -> list[float]:
+    """``(1/|P|) * sum_k k / rank_k`` per query, from the positives' ascending
+    1-based ranks after junk removal, the queries' ``counts`` (all nonzero)
+    of them in turn."""
+    values, start = [], 0
+    for count in counts:
+        terms = map(operator.truediv, range(1, count + 1), ranks[start : start + count])
+        values.append(math.fsum(terms) / count)
+        start += count
+    return values
 
 
 def _mean_of_scored(values: list[float], split: str) -> float:
@@ -841,8 +900,7 @@ def mean_average_precision(
         # Ranks come out ascending within each query, as the order is rank order.
         ranks = 1 + ahead[positive] - junk_ahead[positive]
         per_query = np.bincount(query[positive], minlength=num_queries)
-        ends = np.cumsum(per_query[per_query > 0])
-        values = [_average_precision_from_ranks(r) for r in np.split(ranks, ends[:-1]) if r.size]
+        values = _average_precisions(ranks.tolist(), per_query[per_query > 0].tolist())
         results[split] = (
             _mean_of_scored(values, split),
             np.flatnonzero(per_query == 0).tolist(),

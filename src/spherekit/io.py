@@ -20,17 +20,19 @@ round-trip representation.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import struct
 import tempfile
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import FormatError
-from .evaluation import QueryGroundTruth
+from .evaluation import QueryGroundTruth, _name_repeat
 
 __all__ = [
     "FEATURE_MAGIC",
@@ -52,6 +54,9 @@ __all__ = [
 FEATURE_MAGIC = b"EMB1"
 # The largest label an int64 array holds.
 _LABEL_MAX = 2**63 - 1
+# 10**k for the place values of labels of up to 18 digits, and a last entry 0
+# for a newline's place of -1.
+_POWERS_OF_TEN = np.append(10 ** np.arange(18, dtype=np.int64), 0)
 
 # Tie-break, estimator, and protocol choices that affect reported numbers.
 # Emitted into run metadata so artifacts are interpretable on their own.
@@ -137,31 +142,59 @@ def write_labels(path, labels) -> None:
     write_text_atomic(path, "".join(f"{int(v)}\n" for v in labels))
 
 
+def _digit_lines(data: bytes) -> np.ndarray | None:
+    """The labels of ``data`` if it is lines of 1-18 ASCII digits, each ended
+    by ``\n`` (the last one may lack it), read in one array pass; None for
+    any other text, an empty file included."""
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    if ends.size == 0:
+        return None
+    sizes = np.diff(ends, prepend=-1) - 1
+    digits = raw - ord("0")  # wraps around below "0": a digit is at most 9
+    if sizes.min() < 1 or sizes.max() > 18 or np.count_nonzero(digits <= 9) != sizes.sum():
+        return None
+    # A digit's place value; each newline's place is -1, whose power is 0.
+    place = np.repeat(ends - 1, sizes + 1) - np.arange(digits.size)
+    return np.add.reduceat(_POWERS_OF_TEN[place] * digits, ends - sizes)
+
+
 def read_labels(path) -> np.ndarray:
     """Read one nonnegative integer label per line: ASCII decimal digits,
     optionally surrounded by whitespace, at most 2**63 - 1. Raises
-    FormatError naming ``path:line`` for any other text."""
+    FormatError naming ``path:line`` for any other text.
+
+    A file of lines of 1-18 ASCII digits ended by ``\n`` is read in one array
+    pass. Any other file (CR or CRLF line ends, padding, 19 or more digits,
+    an error, no lines) is read line by line as text with universal newlines,
+    which names the first bad line.
+    """
     path = Path(path)
-    values = []
     try:
-        f = open(path, "r", encoding="utf-8")
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise FormatError(f"{path}: cannot open labels file: {exc}") from exc
-    with f:
-        for lineno, line in enumerate(f, start=1):
-            text = line.strip()
-            if not text:
-                raise FormatError(f"{path}:{lineno}: blank line in labels file")
-            if not (text.isascii() and text.isdigit()):
-                if text[:1] == "-" and text[1:].isascii() and text[1:].isdigit():
-                    raise FormatError(f"{path}:{lineno}: negative label {text}")
-                raise FormatError(f"{path}:{lineno}: not an integer label: {text!r}")
-            value = int(text[-19:])  # past 19 digits, only leading zeros fit
-            if value > _LABEL_MAX or text[:-19].strip("0"):
-                raise FormatError(
-                    f"{path}:{lineno}: label {text[:24]} is out of range (above 2**63 - 1)"
-                )
-            values.append(value)
+    labels = _digit_lines(data)
+    if labels is not None:
+        return labels
+    values = []
+    for lineno, line in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), start=1):
+        text = line.strip()
+        if not text:
+            raise FormatError(f"{path}:{lineno}: blank line in labels file")
+        if not (text.isascii() and text.isdigit()):
+            if text[:1] == "-" and text[1:].isascii() and text[1:].isdigit():
+                raise FormatError(f"{path}:{lineno}: negative label {text}")
+            raise FormatError(f"{path}:{lineno}: not an integer label: {text!r}")
+        value = int(text[-19:])  # past 19 digits, only leading zeros fit
+        if value > _LABEL_MAX or text[:-19].strip("0"):
+            raise FormatError(
+                f"{path}:{lineno}: label {text[:24]} is out of range (above 2**63 - 1)"
+            )
+        values.append(value)
     return np.asarray(values, dtype=np.int64)
 
 
@@ -181,9 +214,49 @@ def write_ground_truth(path, records: dict[int, QueryGroundTruth]) -> None:
     write_text_atomic(path, canonical_json(payload))
 
 
-def _is_json_int(value) -> bool:
-    """True for a JSON integer as ``json`` parses it: an int, not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _record_sets(path, i: int, rec, seen: set) -> tuple[int, list[list]]:
+    """Record ``i``'s query index and its easy, hard and junk lists, after
+    every per-record JSON check (FormatError naming the record). ``json``
+    gives a JSON integer exactly the type int (a bool has its own type). A
+    set that is not a list of integers is reported after any earlier set of
+    the record that holds an integer no int64 holds (OverflowError), as
+    converting each set in turn would."""
+    if not isinstance(rec, dict):
+        raise FormatError(f"{path}: record {i} is not an object")
+    unknown = set(rec) - {"query_index", "easy", "hard", "junk"}
+    if unknown:
+        raise FormatError(f"{path}: record {i} has unknown keys {sorted(unknown)}")
+    query_index = rec.get("query_index")
+    if type(query_index) is not int or query_index < 0:
+        raise FormatError(
+            f"{path}: record {i} query_index must be a non-negative integer,"
+            f" got {query_index!r}"
+        )
+    if query_index in seen:
+        raise FormatError(f"{path}: duplicate record for query {query_index}")
+    sets = []
+    for name in ("easy", "hard", "junk"):
+        values = rec.get(name, [])
+        if not isinstance(values, list) or not set(map(type, values)) <= {int}:
+            for earlier in sets:
+                np.asarray(earlier, dtype=np.int64)
+            raise FormatError(
+                f"{path}: record {i} field {name!r} must be a list of integers"
+            )
+        sets.append(values)
+    seen.add(query_index)
+    return query_index, sets
+
+
+def _first_repeat(flat: np.ndarray, sizes: np.ndarray) -> int | None:
+    """The first record that holds an index twice, or None, from one sort of
+    the records' indices ``flat`` (three sets a record, of ``sizes``) by
+    (record, index)."""
+    record = np.repeat(np.arange(sizes.size) // 3, sizes)
+    order = np.lexsort((flat, record))
+    record, flat = record[order], flat[order]
+    repeat = (record[1:] == record[:-1]) & (flat[1:] == flat[:-1])
+    return int(record[1:][repeat][0]) if repeat.any() else None
 
 
 def read_ground_truth(path, gallery_size: int | None = None) -> dict[int, QueryGroundTruth]:
@@ -191,10 +264,17 @@ def read_ground_truth(path, gallery_size: int | None = None) -> dict[int, QueryG
 
     A record's ``query_index`` must be a non-negative JSON integer, and its
     sets lists of JSON integers; anything else raises FormatError naming the
-    record. Queries without a record are simply absent; evaluation treats
-    them as empty (they are skipped and reported, not scored zero). With
-    ``gallery_size``, an index outside the gallery raises ProtocolError,
-    after every record has been parsed.
+    record. An index no int64 holds raises OverflowError, and sets that
+    repeat an index ProtocolError, as ``QueryGroundTruth`` would. A file
+    raises the error of its first offending record in file order. Queries
+    without a record are simply absent; evaluation treats them as empty
+    (they are skipped and reported, not scored zero). With ``gallery_size``,
+    an index outside the gallery raises ProtocolError, after every record
+    has been parsed.
+
+    Only the JSON checks run per record. The indices of every record go into
+    one int64 array, checked for repeats by one sort and against the gallery
+    by one compare, and each record's sets are slices of it.
     """
     path = Path(path)
     try:
@@ -205,42 +285,46 @@ def read_ground_truth(path, gallery_size: int | None = None) -> dict[int, QueryG
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, list):
         raise FormatError(f"{path}: expected a JSON array of records")
-    records: dict[int, QueryGroundTruth] = {}
+    keys, sets, seen, error = [], [], set(), None
     for i, rec in enumerate(payload):
-        if not isinstance(rec, dict):
-            raise FormatError(f"{path}: record {i} is not an object")
-        unknown = set(rec) - {"query_index", "easy", "hard", "junk"}
-        if unknown:
-            raise FormatError(f"{path}: record {i} has unknown keys {sorted(unknown)}")
-        query_index = rec.get("query_index")
-        if not _is_json_int(query_index) or query_index < 0:
-            raise FormatError(
-                f"{path}: record {i} query_index must be a non-negative integer,"
-                f" got {query_index!r}"
-            )
-        if query_index in records:
-            raise FormatError(f"{path}: duplicate record for query {query_index}")
-        sets = {}
-        for name in ("easy", "hard", "junk"):
-            values = rec.get(name, [])
-            if not isinstance(values, list) or not all(_is_json_int(v) for v in values):
-                raise FormatError(
-                    f"{path}: record {i} field {name!r} must be a list of integers"
-                )
-            sets[name] = np.asarray(values, dtype=np.int64)
-        records[query_index] = QueryGroundTruth(
-            easy=sets["easy"], hard=sets["hard"], junk=sets["junk"]
-        )
-    if gallery_size is not None and records:
+        try:
+            query_index, record_sets = _record_sets(path, i, rec, seen)
+        except (FormatError, OverflowError) as exc:
+            error = exc  # raised unless an earlier record repeats an index
+            break
+        keys.append(query_index)
+        sets += record_sets
+    try:
+        flat = np.fromiter(chain.from_iterable(sets), dtype=np.int64)
+    except OverflowError:
+        # The first record with an index no int64 holds fails in converting
+        # it, unless an earlier record repeats an index.
+        for first in range(0, len(sets), 3):
+            try:
+                for values in sets[first : first + 3]:
+                    np.asarray(values, dtype=np.int64)
+            except OverflowError as exc:
+                error = exc
+                break
+        del sets[first:]
+        flat = np.fromiter(chain.from_iterable(sets), dtype=np.int64)
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    ends = np.cumsum(sizes).tolist()
+    slices = [flat[start:end] for start, end in zip([0] + ends, ends)]
+    repeat = _first_repeat(flat, sizes)
+    if repeat is not None:
+        _name_repeat(dict(zip(("easy", "hard", "junk"), slices[3 * repeat : 3 * repeat + 3])))
+    if error is not None:
+        raise error
+    gts = [QueryGroundTruth._checked(*slices[j : j + 3]) for j in range(0, len(slices), 3)]
+    if gallery_size is not None:
         # One check over every index; the first offending record, in file
         # order, then names its set.
-        gts = list(records.values())
-        merged = np.concatenate([arr for gt in gts for arr in (gt.easy, gt.hard, gt.junk)])
-        outside = (merged < 0) | (merged >= gallery_size)
+        outside = (flat < 0) | (flat >= gallery_size)
         if outside.any():
-            ends = np.cumsum([gt.easy.size + gt.hard.size + gt.junk.size for gt in gts])
-            gts[int(np.searchsorted(ends, np.argmax(outside), "right"))].check_bounds(gallery_size)
-    return records
+            gts[int(np.searchsorted(ends, np.argmax(outside), "right")) // 3].check_bounds(
+                gallery_size)
+    return dict(zip(keys, gts))
 
 
 def format_float(x) -> str:

@@ -338,6 +338,29 @@ class TestHistogramScreen:
         assert routes == {"screened": 0, "fallback": 0, "float64": 0, "rescored": 0}
         assert not routes.tiles["float32"] and not routes.tiles["float64"]
 
+    def test_a_row_whose_pair_scores_could_overflow_is_refused(self, monkeypatch):
+        # Rows scaled by 1e200, every seventh one set to 1e-200 in each entry:
+        # finite rows, but a pair of large ones scores past float64's range,
+        # and a row dot summing +inf and -inf terms is NaN, in no bin.
+        rng = np.random.default_rng(99)
+        Z = unit_rows(rng, 300, 16) * 1e200
+        Z[::7] = 1e-200
+        routes = histogram_routes(monkeypatch)
+        with pytest.raises(NumericalError, match="^row 1 has a norm above 2\\*\\*511"):
+            similarity_histograms(Z, rng.integers(0, 5, size=300), num_bins=50)
+        assert routes == {"screened": 0, "fallback": 0, "float64": 0, "rescored": 0}
+        assert not routes.tiles["float32"] and not routes.tiles["float64"]
+
+    def test_rows_of_norm_up_to_two_to_the_511_are_scored(self):
+        # At the largest norm taken, every score is finite and lands in a
+        # bin: the end bins, since the pairs score far past [-1, 1].
+        rng = np.random.default_rng(100)
+        Z = unit_rows(rng, 40, 16) * 2.0**511 * (1 - 2.0**-40)
+        got = similarity_histograms(Z, np.arange(40) % 3, num_bins=8)
+        assert got.positive_counts.sum() + got.negative_counts.sum() == 40 * 39 // 2
+        with pytest.raises(NumericalError, match="row 0 has a norm above"):
+            similarity_histograms(Z * 2**3, np.arange(40) % 3, num_bins=8)
+
     def test_a_small_budget_splits_each_tile_once(self, monkeypatch):
         # At 1 MiB a float32 tile holds 90 x 182 scores; each goes to the
         # edge screen in one chunk (at most 2**16 scores at any budget), not

@@ -771,6 +771,64 @@ class TestSelfScoredRecall:
         assert not routes.tiles["float64"]
 
 
+class TestSelfScoredThresholds:
+    """Leave-one-out queries that are the gallery, with its labels, score
+    each unordered same-label pair once for their thresholds."""
+
+    @pytest.mark.parametrize("d", [3, 16, 128, 384])
+    def test_row_dots_are_symmetric_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        A = rng.standard_normal((300, d)) * rng.uniform(1e-3, 1e3, size=(300, 1))
+        i, j = rng.integers(0, 300, size=(2, 20000))
+        for values in (d, 7 * d, 2**16):
+            forward = evaluation._row_dots(A, i, A, j, values)
+            backward = evaluation._row_dots(A, j, A, i, values)
+            assert_array_equal(forward.view(np.int64), backward.view(np.int64))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_both_ends_give_the_one_sided_thresholds(self, monkeypatch, seed):
+        # Quantized rows tie often, so the lowest-index rule decides many
+        # thresholds; chunks of 1 and 7 pairs split the runs anywhere.
+        rng = np.random.default_rng(seed)
+        n = 60
+        G = quantized_unit_rows(rng, n, 8, int(rng.integers(2, 10)))
+        labels = rng.integers(0, int(rng.integers(1, 6)), size=n)
+        retrieval = retrieve(RetrievalIndex(gallery=G), G, exclude_self=True)
+        by_label, run_start, run_size = evaluation._label_runs(labels, labels)
+        later = np.empty(n, dtype=np.int64)
+        later[by_label] = np.arange(1, n + 1)
+        scored, dots = [], evaluation._query_dots
+
+        def counted(retrieval, queries, items):
+            scored.append(queries.size)
+            return dots(retrieval, queries, items)
+        monkeypatch.setattr(evaluation, "_query_dots", counted)
+        sizes = np.bincount(labels)
+        for step in (1, 7, 2**16):
+            with mock.patch.object(evaluation, "SCORE_BLOCK_BYTES", 512 * step):
+                scored.clear()
+                one = evaluation._thresholds(retrieval, by_label, run_start, run_size)
+                assert sum(scored) == np.sum(sizes * (sizes - 1))
+                scored.clear()
+                both = evaluation._thresholds(retrieval, by_label, later,
+                                              run_start + run_size - later, both_ends=True)
+                assert sum(scored) == np.sum(sizes * (sizes - 1)) // 2
+            for name in ("value", "item", "below", "above"):
+                assert_array_equal(getattr(both, name), getattr(one, name))
+
+    def test_other_gallery_labels_score_every_query_run(self):
+        # The queries are the gallery, but the gallery labels are not the
+        # query labels, so positives are not symmetric.
+        rng = np.random.default_rng(7)
+        G = quantized_unit_rows(rng, 30, 8, 5)
+        labels = rng.integers(0, 3, size=30)
+        g_labels = np.roll(labels, 1)
+        rankings = full_rankings(G, G, exclude_self=True)
+        expected = {k: recall_walk(rankings, labels, g_labels, k) for k in range(1, 30)}
+        retrieval = retrieve(RetrievalIndex(gallery=G), G, exclude_self=True)
+        assert recall_at_k(retrieval, labels, range(1, 30), gallery_labels=g_labels) == expected
+
+
 class TestBlockedMeanAveragePrecision:
     def test_ties_among_positives_and_junk(self):
         # items 0-3 tie; junk 0 is dropped, so positive 1 ranks first and

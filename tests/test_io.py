@@ -143,6 +143,100 @@ class TestLabels:
             read_labels(tmp_path / "absent.labels")
 
 
+def reference_read_labels(path):
+    """The per-line rules ``read_labels`` keeps: each line of the file in
+    text mode (UTF-8, universal newlines), stripped, then checked."""
+    values = []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            text = line.strip()
+            if not text:
+                raise FormatError(f"{path}:{lineno}: blank line in labels file")
+            if not (text.isascii() and text.isdigit()):
+                if text[:1] == "-" and text[1:].isascii() and text[1:].isdigit():
+                    raise FormatError(f"{path}:{lineno}: negative label {text}")
+                raise FormatError(f"{path}:{lineno}: not an integer label: {text!r}")
+            value = int(text[-19:])
+            if value > 2**63 - 1 or text[:-19].strip("0"):
+                raise FormatError(
+                    f"{path}:{lineno}: label {text[:24]} is out of range (above 2**63 - 1)"
+                )
+            values.append(value)
+    return np.asarray(values, dtype=np.int64)
+
+
+def outcome(read, *args):
+    """A reader's array, or the type and message of what it raised."""
+    try:
+        return read(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, expected):
+    if isinstance(expected, np.ndarray):
+        assert isinstance(got, np.ndarray), got
+        assert got.dtype == expected.dtype == np.int64
+        assert_array_equal(got, expected)
+    else:
+        assert got == expected
+
+
+LABEL_FILES = {
+    "digits": b"0\n5\n2\n19\n",
+    "eighteen-digits": b"999999999999999999\n000000000000000001\n7\n",
+    "no-final-newline": b"3\n1\n4",
+    "one-line-no-newline": b"42",
+    "empty": b"",
+    "lone-newline": b"\n",
+    "blank-line": b"1\n\n2\n",
+    "blank-last-line": b"1\n2\n\n",
+    "negative": b"1\n-3\n",
+    "non-digit": b"1\n1a\n",
+    "plus-sign": b"1\n+3\n",
+    "decimal-point": b"1\n2.0\n",
+    "nineteen-digits-leading-zeros": b"1\n0000000000000000007\n",
+    "thirty-digits-leading-zeros": b"0" * 30 + b"9\n",
+    "largest": b"9223372036854775807\n",
+    "two-to-the-63": b"1\n9223372036854775808\n",
+    "nineteen-nines": b"9999999999999999999\n",
+    "many-digits": b"1" + b"0" * 30 + b"\n",
+    "crlf": b"1\r\n2\r\n",
+    "lone-cr": b"1\r2\r3",
+    "cr-then-bad": b"1\r\rx\n",
+    "padded": b" 3 \n\t4\n5  \n",
+    "unicode-whitespace": "\u00a03\u2003\n4\n".encode(),
+    "unicode-line-separator": "3\u20284\n".encode(),
+    "form-feed": b"3\x0c4\n",
+    "next-line": "3\x854\n".encode(),
+    "arabic-digit": "1\n\u0663\n".encode(),
+    "byte-order-mark": "\ufeff1\n".encode(),
+    "not-utf8": b"1\n\xff\n",
+    "nul": b"1\n\x002\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_FILES))
+def test_read_labels_matches_the_per_line_rules(tmp_path, name):
+    path = tmp_path / f"{name}.labels"
+    path.write_bytes(LABEL_FILES[name])
+    assert_same_outcome(outcome(read_labels, path), outcome(reference_read_labels, path))
+
+
+def test_read_labels_of_a_large_file_matches_the_per_line_rules(tmp_path):
+    rng = np.random.default_rng(3)
+    labels = rng.integers(0, 10 ** rng.integers(1, 19, size=5000), dtype=np.int64)
+    path = tmp_path / "many.labels"
+    write_labels(path, labels)
+    assert_array_equal(read_labels(path), labels)
+    text = path.read_bytes()
+    for index, line in ((4999, b"x\n"), (2500, b"-1\n"), (17, b"\n")):
+        lines = text.splitlines(keepends=True)
+        lines[index] = line
+        path.write_bytes(b"".join(lines))
+        assert_same_outcome(outcome(read_labels, path), outcome(reference_read_labels, path))
+
+
 def gt_record(easy=(), hard=(), junk=()):
     return QueryGroundTruth(
         easy=np.asarray(easy, dtype=np.int64),
@@ -229,6 +323,117 @@ class TestGroundTruth:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="cannot open"):
             read_ground_truth(tmp_path / "absent.json")
+
+
+
+def reference_read_ground_truth(path, gallery_size=None):
+    """The per-record rules ``read_ground_truth`` keeps: each record's JSON
+    checks, then its int64 sets, then its ``QueryGroundTruth``, in file
+    order; then the bounds of the first record outside the gallery."""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(payload, list):
+        raise FormatError(f"{path}: expected a JSON array of records")
+    records = {}
+    for i, rec in enumerate(payload):
+        if not isinstance(rec, dict):
+            raise FormatError(f"{path}: record {i} is not an object")
+        unknown = set(rec) - {"query_index", "easy", "hard", "junk"}
+        if unknown:
+            raise FormatError(f"{path}: record {i} has unknown keys {sorted(unknown)}")
+        query_index = rec.get("query_index")
+        if type(query_index) is not int or query_index < 0:
+            raise FormatError(
+                f"{path}: record {i} query_index must be a non-negative integer,"
+                f" got {query_index!r}"
+            )
+        if query_index in records:
+            raise FormatError(f"{path}: duplicate record for query {query_index}")
+        sets = {}
+        for name in ("easy", "hard", "junk"):
+            values = rec.get(name, [])
+            if not isinstance(values, list) or not all(type(v) is int for v in values):
+                raise FormatError(
+                    f"{path}: record {i} field {name!r} must be a list of integers"
+                )
+            sets[name] = np.asarray(values, dtype=np.int64)
+        records[query_index] = QueryGroundTruth(**sets)
+    if gallery_size is not None:
+        for gt in records.values():
+            gt.check_bounds(gallery_size)
+    return records
+
+
+def record(query_index=0, **sets):
+    return {"query_index": query_index, **sets}
+
+
+GROUND_TRUTH_FILES = {
+    "valid": [record(0, easy=[1, 2], hard=[3], junk=[0]), record(4, easy=[5]),
+              record(2), record(3, junk=[7, 6])],
+    "empty-array": [],
+    "not-an-object": [record(0, easy=[1]), [1, 2]],
+    "unknown-key": [record(0, easy=[1]), record(1, extra=1)],
+    "query-index-float": [record(0), record(1.5)],
+    "query-index-bool": [record(0), record(True)],
+    "query-index-negative": [record(0), record(-1)],
+    "query-index-missing": [record(0), {"easy": [1]}],
+    "duplicate-record": [record(0, easy=[1]), record(0, easy=[2])],
+    "set-not-a-list": [record(0, easy=[1]), record(1, hard=3)],
+    "set-holds-float": [record(0, easy=[1]), record(1, easy=[2], junk=[1.0])],
+    "set-holds-bool": [record(0, easy=[True])],
+    "set-holds-string": [record(0, hard=["1"])],
+    "set-holds-null": [record(0, junk=[None])],
+    "repeat-in-easy": [record(0, easy=[1]), record(1, easy=[2, 2])],
+    "repeat-in-hard": [record(0, hard=[3, 1, 3])],
+    "repeat-in-junk": [record(0, junk=[4, 4])],
+    "easy-and-hard-overlap": [record(0, easy=[1, 2], hard=[2])],
+    "easy-and-junk-overlap": [record(0, easy=[1], junk=[5, 1])],
+    "hard-and-junk-overlap": [record(0, hard=[9], junk=[9])],
+    "junk-repeat-before-overlap": [record(0, easy=[1], hard=[1], junk=[2, 2])],
+    "repeat-across-records": [record(0, easy=[1]), record(1, easy=[1], hard=[2])],
+    "repeat-then-float": [record(0, easy=[1]), record(1, easy=[2, 2]),
+                          record(2, easy=[3.0])],
+    "float-then-repeat": [record(0, easy=[1]), record(1, easy=[2.0]), record(2, easy=[3, 3])],
+    "repeat-then-duplicate-record": [record(0, hard=[1, 1]), record(0)],
+    "repeat-and-float-in-one-record": [record(0, easy=[1, 1], hard=[0.5])],
+    "too-large": [record(0, easy=[1]), record(1, hard=[2**63])],
+    "too-small": [record(0, junk=[-(2**63) - 1])],
+    "largest-int64": [record(0, easy=[2**63 - 1, -(2**63)])],
+    "too-large-then-float": [record(0, easy=[2**63], hard=[1.5])],
+    "float-then-too-large": [record(0, easy=[1.5], hard=[2**63])],
+    "repeat-then-too-large": [record(0, easy=[1, 1]), record(1, easy=[2**64])],
+    "too-large-then-repeat": [record(0, easy=[2**64]), record(1, easy=[1, 1])],
+    "too-large-beside-repeat": [record(0, easy=[1, 1], junk=[2**64])],
+    "outside-gallery": [record(0, easy=[1], hard=[2]), record(1, easy=[3], junk=[-1]),
+                        record(2, easy=[9])],
+    "outside-gallery-then-float": [record(0, easy=[99]), record(1, easy=[0.5])],
+}
+
+
+@pytest.mark.parametrize("gallery_size", [None, 8])
+@pytest.mark.parametrize("name", sorted(GROUND_TRUTH_FILES))
+def test_read_ground_truth_matches_the_per_record_rules(tmp_path, name, gallery_size):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(GROUND_TRUTH_FILES[name]), encoding="utf-8")
+    expected = outcome(reference_read_ground_truth, path, gallery_size)
+    got = outcome(read_ground_truth, path, gallery_size)
+    if isinstance(expected, dict):
+        assert isinstance(got, dict), got
+        assert list(got) == list(expected)
+        for key, gt in expected.items():
+            for name in ("easy", "hard", "junk"):
+                assert_same_outcome(getattr(got[key], name), getattr(gt, name))
+    else:
+        assert got == expected
+
+
+def test_read_ground_truth_names_the_first_repeat_before_a_later_float(tmp_path):
+    # Record 1 repeats an index and record 2 holds a float: the repeat is
+    # the first offending record in file order.
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps(GROUND_TRUTH_FILES["repeat-then-float"]), encoding="utf-8")
+    with pytest.raises(ProtocolError, match="^easy contains duplicate gallery indices$"):
+        read_ground_truth(path)
 
 
 class TestCanonicalJson:
