@@ -98,29 +98,29 @@ class SimilarityHistogram:
 @dataclass(frozen=True)
 class _EdgeScreen:
     """Bounds ``below < above`` around each interior edge of a histogram,
-    for scores of ``cuts.dtype`` tiles (``evaluation._screen_thresholds``,
-    the edges as centers and the rows' largest norm standing for both norms
-    of a pair). A pair's tile score ``>= above`` puts every float64 score of
-    the pair above the edge, its row dot included, and one ``<= below`` puts
-    it below; a score strictly between is undecided.
+    for scores of ``dtype`` tiles (``evaluation._screen_thresholds``, the
+    edges as centers and the rows' largest norm standing for both norms of a
+    pair). A pair's tile score ``>= above`` puts every float64 score of the
+    pair above the edge, its row dot included, and one ``<= below`` puts it
+    below; a score strictly between is undecided. A decided score's bin is
+    the number of ``above`` bounds it reaches.
 
-    ``x = s * scale + scale`` puts edge k at k; clipped to half a bin inside
-    the outer edges, it is an interior edge's k or near none. An undecided
-    score of edge k has ``|x - k| < tol``: its distance to the edge times
-    ``scale``, plus the rounding of x (at most ``4 * 2**-24 * scale`` in
-    float32) and the float64 edges' own rounding, well inside the ``2**-20 *
-    scale`` that ``tol`` adds. ``tol < 1/2`` makes k the integer nearest x,
-    and keeps each band within half a bin of its edge, so the bands are
-    disjoint and a decided score lies above exactly the edges whose
-    ``above`` it reaches: np.histogram over ``cuts`` (the ``above`` bounds,
-    open at both ends) bins it. The cuts count an undecided score of edge k
-    in the bin below k, and ``split`` takes it out again. Wider bands decide
-    no score.
+    ``x = s * scale + scale``, clipped to ``[1/2, B - 1/2]`` for B bins, puts
+    edge k at k. Its rounding (at most ``4 * 2**-24 * scale`` in float32 for
+    ``|s| <= 2``) and the float64 edges' own are well inside the ``2**-20 *
+    scale`` that ``tol`` adds to the widest band times ``scale``, so ``x >=
+    k + tol`` gives ``s - edge_k > tol / scale - 2**-20 >= above_k -
+    edge_k``, and ``x <= k - tol`` gives ``s < below_k``. A score with ``|x -
+    k| >= tol`` for every k thus reaches ``above_k`` for exactly the
+    ``floor(x)`` edges ``k <= x``: ``floor(x)`` is its bin. ``tol < 1/2``
+    keeps the bands disjoint, so a score within ``tol`` of edge k (the
+    integer nearest x) is decided for every other edge: its bin is k if it
+    reaches ``above_k``, k - 1 if it is at most ``below_k``, else it is
+    undecided. Wider bands decide no score.
     """
 
     below: np.ndarray
     above: np.ndarray
-    cuts: np.ndarray
     scale: np.floating
     tol: np.floating
 
@@ -138,27 +138,28 @@ class _EdgeScreen:
         tol = (max(np.max(above - centers), np.max(centers - below)) + 2.0**-20) * scale
         if dtype is np.float32 and (norm > 1.0 + UNIT_ATOL or tol >= 0.5):
             return None
-        cuts = np.concatenate(([-np.inf], above, [np.inf])).astype(dtype)
-        return cls(below, above, cuts, dtype(scale), dtype(tol))
+        return cls(below, above, dtype(scale), dtype(tol))
 
     def split(self, values):
         """Per bin, the decided ones of tile scores ``values``, and the
         indices of the undecided ones."""
+        bins = self.above.size + 1
         if not self.tol < 0.5:
-            return np.zeros(self.cuts.size - 1, dtype=np.int64), np.arange(values.size)
-        counts = np.histogram(values, self.cuts)[0]
+            return np.zeros(bins, dtype=np.int64), np.arange(values.size)
         x = values * self.scale
         x += self.scale
-        np.clip(x, 0.5, self.cuts.size - 1.5, out=x)  # half a bin off the outer edges
+        np.clip(x, 0.5, bins - 0.5, out=x)  # half a bin off the outer edges
+        at = x.astype(np.intp)  # floor(x), as x > 0
         k = np.rint(x)
         x -= k
         near = np.flatnonzero(np.abs(x, out=x) < self.tol)
         edge = k[near].astype(np.int64) - 1
         score = values[near]
-        band = (score > self.below[edge]) & (score < self.above[edge])
-        near, edge = near[band], edge[band]
-        counts -= np.bincount(edge, minlength=counts.size)
-        return counts, near
+        up = score >= self.above[edge]
+        at[near] = edge + up
+        near = near[~up & (score > self.below[edge])]
+        at[near] = bins  # undecided: counted past the last bin
+        return np.bincount(at, minlength=bins + 1)[:bins], near
 
 
 @dataclass(frozen=True)
@@ -239,6 +240,8 @@ class _PairBins:
         return counts
 
     def _rescored(self, rows, cols) -> np.ndarray:
+        if rows.size == 0:
+            return np.zeros(self.open_edges.size - 1, dtype=np.int64)
         scores = evaluation._row_dots(self.Z, rows, self.Z, cols, self.chunk)
         return np.histogram(scores, self.open_edges)[0]
 

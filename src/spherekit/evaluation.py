@@ -127,11 +127,11 @@ _SCREEN_MAX_DIM = 2**22
 # each while they are at most this share of the pairs it screened; above it
 # one float64 product is faster. Measured on the loss's memory term (n 32-64,
 # d 64-384, M 8k-16k, one BLAS thread of a 2-core Xeon: equal cost at about
-# 1/100); the similarity histogram uses the same share for a row span's
-# undecided pairs, and mining for a span's kept entries, past which the span
-# is screened again over float64 tiles: the same bins and negatives, so in
-# both the share chooses speed only. Recall and mAP do not read it: they
-# score every undecided item in row dots, however many there are.
+# 1/100). The memory term's passes, a histogram span's undecided pairs and a
+# mining span's kept entries past it are screened again over float64 tiles:
+# the same decisions, bins and negatives, so the share chooses speed only.
+# Recall and mAP do not read it: they score every undecided item in row
+# dots, however many there are.
 _PER_PAIR_SHARE = 1 / 128
 
 
@@ -615,29 +615,41 @@ def _screened_ahead(retrieval, tiles, queries, t: _Thresholds) -> np.ndarray:
     return ahead
 
 
+def _places(ranked: np.ndarray, rows: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Per bound ``bounds[i, j]``, ``np.searchsorted(ranked[rows[i]],
+    bounds[i, j])`` (rows ascending), for every bound at once: each count
+    grows by each power of two, largest first, while it ends on an entry
+    below the bound."""
+    width = ranked.shape[1]
+    flat = ranked.reshape(-1)
+    last = (rows * width)[:, None] - 1  # plus a count: the entry it ends on
+    places = np.zeros(bounds.shape, dtype=np.int64)
+    step = 1 << (width.bit_length() - 1)
+    while step:
+        probe = places + step
+        below = (probe <= width) & (flat[last + np.minimum(probe, width)] < bounds)
+        np.add(places, step, out=places, where=below)
+        step >>= 1
+    return places
+
+
 def _ranked_ahead(retrieval, start, stop, tiles, rows, items, values):
     """``_screened_ahead`` for any number of thresholds per row (``rows``
     ascending, relative to ``start``) of the row span ``start..stop``.
 
     Each row of a tile is sorted once; a threshold's items at or above
     ``above`` and in its band (strictly between ``below`` and ``above``) are
-    then two binary searches, and ``_band_ahead`` refines the bands; counts
-    add up over the tiles.
+    then two binary searches, one run for every bound of a tile
+    (``_places``), and ``_band_ahead`` refines the bands; counts add up over
+    the tiles.
     """
     below, above = _query_bounds(retrieval, start, stop - start, rows, values)
     t = _Thresholds(values, items, below, above)
-    present, first_of = np.unique(rows, return_index=True)
-    per_row = list(zip(present, first_of, np.append(first_of[1:], rows.size)))
     # A score is at most `below` exactly when it is below the next float32.
     bounds = np.stack([np.nextafter(below, np.float32(np.inf)), above], axis=1)
-    places = np.empty(bounds.shape, dtype=np.int64)
     ahead = np.zeros(rows.size, dtype=np.int64)
     for _, first, S32 in tiles:
-        ranked = np.sort(S32, axis=1)
-        for q, a, b in per_row:
-            places[a:b] = np.searchsorted(ranked[q], bounds[a:b])
-        del ranked
-        band_from, band_to = places.T
+        band_from, band_to = _places(np.sort(S32, axis=1), rows, bounds).T
         ahead += S32.shape[1] - band_to
         ahead += _band_ahead(retrieval, S32, rows, first, start + rows, t, band_to - band_from)
         del S32

@@ -16,36 +16,31 @@ Two ingredients, combined additively:
 Both losses return value and analytic gradient together; the trainer never
 differentiates numerically.
 
-The memory term does not score every (anchor, memory row) pair in float64.
-A float32 product ``s32 = float32(Z) @ float32(M).T`` screens them with the
-bounds of ``evaluation._screen_thresholds``, the helper the retrieval metrics
-also use. It gives each row two float32 bounds around a float64 center,
-here ``beta``: ``s32 <= below`` proves a float64 similarity ``< beta`` and
-``s32 >= above`` one ``> beta``, in any float64 evaluation. The loss needs
-only the first, so a pair whose ``s32`` is ``<= below_i`` is inactive. The
-slack ``(2d + 8) * 2**-24 * ||z_i|| * max||m||`` (plus an underflow term)
-bounds the distance between the float32 score and the float64 one; the
-helper's docstring derives it. A memory column is touched when its label
-occurs in the batch or when any of its scores is not ``<=`` the bound. An
-anchor outside the helper's proven range gets the bound -inf and a float32
-row of zeros, so all of its pairs pass. Only the same-label pairs and the
-hinge candidates of touched columns are scored in float64, by
-``evaluation._row_dots``; those values alone enter the loss and decide the
-active set, summed in row-major pair order. The gradient multiplies the
-columns with a positive or an active pair.
+The memory term takes its positives from the labels. It decides the other
+pairs through one screen around ``beta`` in two precisions
+(``evaluation._screen_thresholds``, as the metrics, the histogram and
+mining do): a tile score ``<= below`` proves the float64 row dot
+(``evaluation._row_dots``: no BLAS, so a value depends only on its two
+rows) ``< beta``, one ``>= above`` proves it ``> beta``, and only the pairs
+strictly between are row-dotted, so every decision is the row dot's. The
+tiles are blocks of memory rows (``evaluation.score_tiles``) of the float32
+product with the bank's float32 copy, or of the float64 product with the
+memory when the float32 passes (scores above ``below``) exceed
+``_PER_PAIR_SHARE`` of the pairs screened, the memory fits one block, or a
+float32 bound is -inf (a norm past 2**60). The float64 bounds are about
+``2d * 2**-53`` of a score wide; an anchor past the proven range scores 0
+in its float64 tiles, between bounds -inf and +inf, so all its pairs are
+row-dotted.
 
-The gain needs few pairs to pass the screen: a margin well above the typical
-different-label similarity. While at most 1/128 of the ``n x M`` pairs pass,
-each is one row dot product, in blocks of bounded size. Otherwise, for a
-memory of at most 2**16 pairs, and for one outside the helper's proven range
-(every bound -inf), the term comes from one float64 product over the whole
-memory, exactly as before the screen existed; the screen scores blocks of
-memory rows (``evaluation.score_tiles``) and stops at the first block that
-shows the share exceeded, so that case costs little more than the product.
-The two evaluations of a pair may differ in the last bits, and the choice
-between them rests on float32 counts: a step whose count sits at the limit
-could choose differently under a float32 product that rounds differently
-(another BLAS build or thread count).
+Value and gradient come from the decided sets: with ``P`` and ``A`` the
+positive and active indicators over their memory rows ``M``, ``sum_pos (1 -
+s) = n_pos - sum_i z_i . (P M)_i``, ``sum_act (s - beta) = sum_i z_i . (A
+M)_i - n_act beta`` and the gradient is ``(A M - P M) / N``. So the loss and
+gradient, ``trace.csv`` and ``head.json`` depend only on the decisions,
+never on the precision: the share chooses speed only. The hinge sum's
+rounding error is absolute, about the row dots' own ``n_act d 2**-53``:
+thousands of active pairs within a few ULPs of ``beta`` can sum to 1e-13
+off their row dots' sum, even below 0.
 """
 
 from __future__ import annotations
@@ -171,7 +166,7 @@ class LossOutput:
 
 
 # Values per block of the screen (``score_tiles`` at 8 bytes each) and per
-# operand of the gathered pair dots; a memory of no more pairs is not screened.
+# operand of the gathered pair dots; a memory of no more pairs takes float64 tiles.
 _BLOCK_VALUES = 2**16
 
 
@@ -203,76 +198,65 @@ def _memory_arrays(memory: Optional["MemoryView"]):
     return descriptors, labels, descriptors32, norm_bound
 
 
-def _memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z32, norm_bound, beta):
-    """Float64 similarities of the positive and of the active memory pairs.
-
-    Both come in row-major pair order, with the gradient coefficients
-    ``coef`` (+1 active, -1 positive, else 0) over the memory columns
-    ``cols`` that have either kind of pair. The float32 screen picks the
-    pairs to score, one ``score_tiles`` block of memory rows at a time. Few
-    are row dot products (``_row_dots``: no BLAS, so a value depends only on
-    its two rows), gathered a block at a time. As soon as the pairs passed so far
-    are more than ``_PER_PAIR_SHARE`` of the pairs screened so far, the rest
-    of the screen is skipped and :func:`_memory_pairs_dense` scores them. It also
-    scores a memory that fits in one block: the screen's fixed cost (about
-    0.2 ms on one thread of a 2-core Xeon) is more than the product it would
-    save there.
-    """
-    n, d = Z.shape
-    m = mem_Z.shape[0]
-    z_norm = np.sqrt(np.einsum("ij,ij->i", Z, Z))
-    thresholds, _ = _screen_thresholds(z_norm, d, norm_bound, beta)
-    if n * m <= _BLOCK_VALUES or thresholds.max() == -np.inf:
-        return _memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta)
-    with np.errstate(over="ignore"):
-        Z32 = Z.astype(np.float32)
-    Z32[thresholds == -np.inf] = 0  # finite scores of 0: all of the row's pairs pass
-    # Memory-major (rows x n): this orientation of the product runs faster.
-    # A block is compared flat against the thresholds tiled to its rows, and
-    # its passed pairs are kept as flat indices (memory row * n + anchor).
-    tiled = thresholds[:0]
-    passed, count = [], 0
-    for start, _, S in score_tiles(mem_Z32, Z32, 8 * _BLOCK_VALUES):
+def _decided(Z, mem_Z, below, above, same, limit):
+    """``(active, hinge, band)`` of the tiles of ``mem_Z @ Z.T`` (memory-major
+    runs faster), ``same`` (flat same-label pairs, memory row * n + anchor,
+    ascending) set to -inf: a (memory rows, anchors) mask of the scores ``>=
+    above``, a mask of their memory rows, and the flat pairs strictly between
+    the bounds. None, asking for no further tile, once the scores above
+    ``below`` are more than ``limit`` per memory row screened."""
+    n, m = Z.shape[0], mem_Z.shape[0]
+    active = np.zeros(m * n, dtype=bool)
+    hinge = np.zeros(m, dtype=bool)
+    tiled, band, passed = below[:0], [np.zeros(0, dtype=np.int64)], 0
+    for start, _, S in score_tiles(mem_Z, Z, 8 * _BLOCK_VALUES):
         stop = start + S.shape[0]
-        if tiled.size < S.size:
-            tiled = np.tile(thresholds, S.shape[0])
-            screened = np.empty(S.size, dtype=bool)
-        screen = np.less_equal(S.ravel(), tiled[: S.size], out=screened[: S.size])
-        flat = np.flatnonzero(np.logical_not(screen, out=screen))
-        passed.append(start * n + flat)
-        count += flat.size
-        if count > _PER_PAIR_SHARE * n * stop:
-            return _memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta)
-    mem_rows, anchors = np.divmod(np.concatenate(passed), n)
-    touched = np.isin(mem_labels, labels)
-    touched[mem_rows] = True
-    cols = np.flatnonzero(touched)
-    same = labels[:, None] == mem_labels[cols]
-    scored = same.copy()
-    scored[anchors, np.searchsorted(cols, mem_rows)] = True
-    count = np.count_nonzero(scored)
-    if count > _PER_PAIR_SHARE * n * m:
-        return _memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta)
-    rows, at = np.nonzero(scored)
-    sims = _row_dots(Z, rows, mem_Z, cols[at], _BLOCK_VALUES)
-    same = same[scored]
-    active = ~same & (sims > beta)
-    coef = np.zeros((n, cols.size))
-    coef[scored] = active.astype(np.float64) - same
-    # A column with no positive and no active pair adds exact zeros to the
-    # gradient, so only those with one are kept.
-    keep = np.flatnonzero(coef.any(axis=0))
-    return sims[same], sims[active], cols[keep], coef[:, keep]
+        flat = S.reshape(-1)
+        lo, hi = np.searchsorted(same, [start * n, stop * n])
+        flat[same[lo:hi] - start * n] = -np.inf
+        if tiled.size < flat.size:
+            tiled = np.tile(below, S.shape[0])
+        passes = np.flatnonzero(flat > tiled[: flat.size])
+        passed += passes.size
+        if passed > limit * stop:
+            return None
+        if passes.size:  # on real data most tiles have none
+            up = flat[passes] >= above[passes % n]
+            active[start * n + passes[up]] = True
+            hinge[start + passes[up] // n] = True
+            band.append(start * n + passes[~up])
+    return active.reshape(m, n), hinge, np.concatenate(band)
 
 
-def _memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta):
-    """:func:`_memory_pairs` from one float64 product over the whole memory."""
-    sims = Z @ mem_Z.T
-    same = labels[:, None] == mem_labels[None, :]
-    active = ~same & (sims > beta)
-    cols = np.flatnonzero(np.any(same | active, axis=0))
-    coef = active[:, cols].astype(np.float64) - same[:, cols]
-    return sims[same], sims[active], cols, coef
+def _memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z32, norm_bound, beta):
+    """``(positives, hinges, active)``: the memory rows that share a label
+    with an anchor, those with an active pair, and the (memory rows,
+    anchors) mask of the active pairs, of different labels and a float64
+    row dot above ``beta``; decided on float32 tiles while their passes stay
+    within ``_PER_PAIR_SHARE``, else on float64 tiles. A memory of one block
+    takes float64 tiles at once: the float32 screen's fixed cost (about 0.2
+    ms on one thread of a 2-core Xeon) is more than it saves there."""
+    n, d = Z.shape
+    positives = np.flatnonzero(np.isin(mem_labels, labels))
+    same = (positives[:, None] * n + np.arange(n))[mem_labels[positives, None] == labels]
+    z_norm = np.sqrt(np.einsum("ij,ij->i", Z, Z))
+    decided = None
+    if n * mem_Z.shape[0] > _BLOCK_VALUES:
+        below, above = _screen_thresholds(z_norm, d, norm_bound, beta)
+        if below.min() > -np.inf:
+            decided = _decided(Z.astype(np.float32), mem_Z32, below, above, same,
+                               _PER_PAIR_SHARE * n)
+    if decided is None:
+        below, above = _screen_thresholds(z_norm, d, norm_bound, beta, np.float64)
+        # An anchor past the proven range scores 0, strictly between -inf and +inf.
+        decided = _decided(np.where((below > -np.inf)[:, None], Z, 0.0), mem_Z, below, above,
+                           same, np.inf)
+    active, hinge, band = decided
+    mem_rows, anchors = np.divmod(band, n)
+    hit = _row_dots(Z, anchors, mem_Z, mem_rows, _BLOCK_VALUES) > beta
+    active[mem_rows[hit], anchors[hit]] = True
+    hinge[mem_rows[hit]] = True
+    return positives, np.flatnonzero(hinge), active
 
 
 def contrastive_loss(
@@ -305,17 +289,18 @@ def contrastive_loss(
 
     arrays = _memory_arrays(memory)
     if arrays is not None:
-        mem_Z, mem_labels, mem_Z32, norm_bound = arrays
+        mem_Z, mem_labels = arrays[:2]
         if mem_Z.shape[1] != Z.shape[1]:
             raise ShapeError(
                 f"memory dim {mem_Z.shape[1]} != batch dim {Z.shape[1]}"
             )
-        positives, actives, cols, coef = _memory_pairs(
-            Z, labels, mem_Z, mem_labels, mem_Z32, norm_bound, beta
-        )
-        positive += float(np.sum(1.0 - positives)) / n
-        negative += float(np.sum(actives - beta)) / n
-        grad += coef @ mem_Z[cols] / n
+        positives, hinges, mem_active = _memory_pairs(Z, labels, *arrays, beta)
+        P = (labels[:, None] == mem_labels[positives]).astype(np.float64)
+        A = mem_active[hinges].T.astype(np.float64)
+        PM, AM = P @ mem_Z[positives], A @ mem_Z[hinges]
+        positive += (np.count_nonzero(P) - float(np.einsum("ij,ij->", Z, PM))) / n
+        negative += (float(np.einsum("ij,ij->", Z, AM)) - np.count_nonzero(A) * beta) / n
+        grad += (AM - PM) / n
 
     value = positive + negative
     if not np.isfinite(value):

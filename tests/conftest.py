@@ -107,7 +107,7 @@ def histogram_routes(monkeypatch):
     """Count the row spans of ``similarity_histograms`` the float32 edge
     screen binned, those it handed back to the float64 screen, the spans the
     float64 screen binned (a fallback's included), from the precision of the
-    screen's cuts, and the pairs scored in float64 row dots; ``tiles`` counts
+    screen's bounds, and the pairs scored in float64 row dots; ``tiles`` counts
     each span's tiles (``count_tiles``)."""
     routes = Routes({"screened": 0, "fallback": 0, "float64": 0, "rescored": 0},
                     count_tiles(monkeypatch, evaluation))
@@ -115,7 +115,7 @@ def histogram_routes(monkeypatch):
 
     def counted_span(bins, *args):
         counts = span(bins, *args)
-        route = ("float64" if bins.screen.cuts.dtype == np.float64
+        route = ("float64" if bins.screen.above.dtype == np.float64
                  else "fallback" if counts is None else "screened")
         routes[route] += 1
         return counts

@@ -122,6 +122,35 @@ class TestTrain:
         assert head.in_dim == 5
         assert head.out_dim == 4
 
+    def test_forced_memory_routes_write_identical_artifacts(self, tmp_path, monkeypatch):
+        # Both precisions of the memory screen decide the same pairs, and
+        # the loss takes value and gradient from the decided sets, so
+        # forcing float32 tiles (a share of 1) or float64 tiles (a share of
+        # 0, from any step with a pass) writes the same bytes. A 2,280-row
+        # memory passes 2**16 pairs at batch 64 from 1,024 rows on.
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, iterations=40, seed=6, head={"out_dim": 32}, batch_size=64,
+                     instances_per_class=4, beta=0.8, memory_capacity_ratio=1.0,
+                     momentum_m=0.9,
+                     synthetic={"num_classes": 200, "per_class": 12, "feature_dim": 48,
+                                "noise_sigma": 0.3, "seed": 2, "holdout_classes": 10})
+        routes = memory_routes(monkeypatch)
+        outputs, float64_steps = [], []
+        for share in (1.0, 0.0):
+            monkeypatch.setattr(objective, "_PER_PAIR_SHARE", share)
+            routes.clear()
+            out = tmp_path / f"share-{share}"
+            assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+            outputs.append({name: (out / name).read_bytes()
+                            for name in ("head.json", "trace.csv", "run.json")})
+            float64_steps.append(sum(np.float64 in route for route in routes))
+            assert len(routes) == 39  # every step after the first has a memory
+        # Float32 tiles decided some steps under a share of 1, float64 tiles
+        # more under a share of 0.
+        assert float64_steps[0] < 39 and float64_steps[1] > float64_steps[0]
+        for name in outputs[0]:
+            assert outputs[0][name] == outputs[1][name], name
+
     def test_integral_float_counts_run_as_integers(self, tmp_path):
         # JSON Schema counts 3.0 as an integer; the run must not see a float.
         outputs = []
@@ -630,23 +659,31 @@ def run_cli_with_blas_threads(threads, *args):
     assert done.returncode == 0, done.stderr
 
 
+def memory_routes(monkeypatch):
+    """Per memory term of an in-process run, the dtypes of the tiles that
+    decided its pairs, in order (``objective.score_tiles``)."""
+    routes = []
+    pairs, tiles = objective._memory_pairs, objective.score_tiles
+
+    def counted_pairs(*args):
+        routes.append([])
+        return pairs(*args)
+
+    def counted_tiles(*args):
+        for tile in tiles(*args):
+            routes[-1].append(tile[2].dtype)
+            yield tile
+    monkeypatch.setattr(objective, "_memory_pairs", counted_pairs)
+    monkeypatch.setattr(objective, "score_tiles", counted_tiles)
+    return routes
+
+
 def screened_memory_steps(monkeypatch, config):
-    """In-process ``train_run``: how many steps' memory terms took the screen,
-    that is, did not fall back to the dense float64 product."""
-    calls = {"_memory_pairs": 0, "_memory_pairs_dense": 0}
-
-    def counted(name):
-        original = getattr(objective, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-        monkeypatch.setattr(objective, name, wrapper)
-
-    counted("_memory_pairs")
-    counted("_memory_pairs_dense")
+    """In-process ``train_run``: how many steps' memory terms were decided on
+    float32 tiles alone, with no float64 tile."""
+    routes = memory_routes(monkeypatch)
     train_run(config)
-    return calls["_memory_pairs"] - calls["_memory_pairs_dense"]
+    return sum(np.float64 not in route for route in routes)
 
 
 def eval_routes(monkeypatch, argv):

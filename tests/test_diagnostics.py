@@ -382,6 +382,30 @@ class TestHistogramScreen:
         assert_array_equal(small.negative_counts, default.negative_counts)
 
 
+class TestEdgeScreenSplit:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("num_bins", [8, 50, 200])
+    def test_counts_are_the_cut_bins_of_the_decided_scores(self, dtype, num_bins):
+        # Scores over [-1.1, 1.1], a third of them within two band widths of
+        # an interior edge, the edges themselves and the -2.0 of a tile's
+        # diagonal square. A decided score's bin is the number of ``above``
+        # bounds it reaches; a score strictly inside a band is undecided.
+        rng = np.random.default_rng(num_bins)
+        edges = np.linspace(-1.0, 1.0, num_bins + 1)
+        screen = diagnostics._EdgeScreen.around(1.0, 16, edges, dtype)
+        width = screen.above.astype(np.float64) - screen.below
+        k = rng.integers(0, num_bins - 1, size=20_000)
+        near = edges[1:-1][k] + rng.uniform(-2, 2, size=k.size) * width[k]
+        values = np.concatenate([rng.uniform(-1.1, 1.1, size=40_000), near,
+                                 edges[1:-1], np.full(10, -2.0)]).astype(dtype)
+        counts, undecided = screen.split(values)
+        inside = ((values[:, None] > screen.below) & (values[:, None] < screen.above)).any(axis=1)
+        bins = np.searchsorted(screen.above, values, "right")
+        assert 0 < inside.sum() < values.size
+        assert_array_equal(undecided, np.flatnonzero(inside))
+        assert_array_equal(counts, np.bincount(bins[~inside], minlength=num_bins))
+
+
 class TestHistogramOverlap:
     def test_identical_distributions(self):
         h = hist([1, 2, 3, 4], [2, 4, 6, 8])  # same shape, double mass

@@ -509,6 +509,22 @@ class TestScreenThresholds:
             assert -np.inf < below[0] < center < above[0] < np.inf
 
 
+class TestPlaces:
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, 1024, 1025])
+    def test_equals_searchsorted_per_row(self, width):
+        # Coarse scores with many ties, signed zeros and infinities, against
+        # bounds drawn from the same values and from between them.
+        rng = np.random.default_rng(width)
+        values = np.array([-np.inf, -1.0, -0.5, -0.0, 0.0, 2.0**-149, 0.25, 1.0, np.inf],
+                          dtype=np.float32)
+        ranked = np.sort(rng.choice(values, size=(40, width)), axis=1)
+        rows = np.sort(rng.integers(0, 40, size=300))
+        bounds = np.where(rng.random((300, 2)) < 0.5, rng.choice(values, size=(300, 2)),
+                          rng.uniform(-1.5, 1.5, size=(300, 2))).astype(np.float32)
+        expected = np.stack([np.searchsorted(ranked[q], b) for q, b in zip(rows, bounds)])
+        assert_array_equal(evaluation._places(ranked, rows, bounds), expected)
+
+
 class TestScoreBlocks:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 10, 11])
     @pytest.mark.parametrize("rows", [2, 3, 4, 10])

@@ -296,20 +296,14 @@ class TestMemoryTermProperty:
         assert np.allclose(out.grad, grad)
 
 
-def per_pair_memory_reference(Z, labels, beta, mem_Z, mem_labels, per_pair=True):
-    """Memory term from float64 similarities of every (anchor, memory row) pair.
-
-    They are one row dot per pair, or with ``per_pair=False`` one product
-    over the whole memory: the two evaluations the loss reads from.
-    """
+def per_pair_memory_reference(Z, labels, beta, mem_Z, mem_labels):
+    """Memory term from the float64 row dot of every (anchor, memory row)
+    pair, the evaluation the loss decides its active pairs by."""
     n, m = len(Z), len(mem_Z)
-    if per_pair:
-        sims = np.stack([
-            np.einsum("ij,ij->i", np.repeat(Z[i : i + 1], m, axis=0), mem_Z)
-            for i in range(n)
-        ])
-    else:
-        sims = Z @ mem_Z.T
+    sims = np.stack([
+        np.einsum("ij,ij->i", np.repeat(Z[i : i + 1], m, axis=0), mem_Z)
+        for i in range(n)
+    ])
     same = labels[:, None] == mem_labels[None, :]
     active = ~same & (sims > beta)
     positive = math.fsum(1.0 - sims[same]) / n
@@ -318,19 +312,34 @@ def per_pair_memory_reference(Z, labels, beta, mem_Z, mem_labels, per_pair=True)
     return positive, negative, grad
 
 
-def forced_memory_path(per_pair):
-    """Make the loss score memory pairs one by one, or all from one product.
+def forced_memory_path(float32):
+    """Make the loss decide memory pairs on float32 tiles (a share of 1: no
+    passes send them on) or on float64 tiles (a share of 0: the first pass
+    does).
 
     Blocks of one value make even a tiny memory go through the screen, two
     rows (``score_tiles``' least) and one pair dot at a time.
     """
     return mock.patch.multiple(
-        objective, _PER_PAIR_SHARE=1.0 if per_pair else 0.0, _BLOCK_VALUES=1
+        objective, _PER_PAIR_SHARE=1.0 if float32 else 0.0, _BLOCK_VALUES=1
     )
 
 
+def tile_dtypes(monkeypatch):
+    """The dtype of each tile the memory term's ``score_tiles`` yields, in order."""
+    seen, tiles = [], objective.score_tiles
+
+    def spied(*args):
+        for tile in tiles(*args):
+            seen.append(tile[2].dtype)
+            yield tile
+    monkeypatch.setattr(objective, "score_tiles", spied)
+    return seen
+
+
 class TestMemoryScreen:
-    """The float32 screen drops only pairs whose float64 value is at most beta."""
+    """Either precision of the screen decides only pairs whose row dot is on
+    the decided side of beta."""
 
     @settings(max_examples=120, deadline=None, database=None, derandomize=True)
     @given(
@@ -341,15 +350,15 @@ class TestMemoryScreen:
         widths=st.floats(0.0, 3.0),
         off_sphere=st.booleans(),
         through_bank=st.booleans(),
-        per_pair=st.booleans(),
+        float32=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     @example(n=8, m=30, d=384, beta=0.5, widths=3.0, off_sphere=True,
-             through_bank=False, per_pair=True, seed=0)
+             through_bank=False, float32=True, seed=0)
     @example(n=8, m=30, d=128, beta=0.5, widths=1.0, off_sphere=False,
-             through_bank=True, per_pair=False, seed=1)
+             through_bank=True, float32=False, seed=1)
     def test_matches_per_pair_float64(self, n, m, d, beta, widths, off_sphere,
-                                      through_bank, per_pair, seed):
+                                      through_bank, float32, seed):
         rng = np.random.default_rng(seed)
         Z = unit_rows(rng, n, d)
         if off_sphere:
@@ -376,13 +385,13 @@ class TestMemoryScreen:
                 mem_Z = mem_Z * rng.uniform(0.99, 1.01, size=(m, 1))
             view = MemoryView(mem_Z, mem_labels)
         probe = batch(Z, labels, validate=False)
-        # Force the loss's choice between its two float64 evaluations, and
-        # screen these small memories two rows at a time.
-        with forced_memory_path(per_pair):
+        # Force the precision of the screen's tiles, and screen these small
+        # memories two rows at a time.
+        with forced_memory_path(float32):
             out = contrastive_loss(probe, view, beta)
         alone = contrastive_loss(probe, None, beta)
         positive, negative, grad = per_pair_memory_reference(
-            Z, labels, beta, mem_Z, mem_labels, per_pair
+            Z, labels, beta, mem_Z, mem_labels
         )
         assert_allclose(out.term_breakdown.positive - alone.term_breakdown.positive,
                         positive, rtol=1e-12, atol=1e-15)
@@ -414,9 +423,8 @@ class TestMemoryScreen:
         # 64 anchors against a full 16,000-row bank at d 128 (category-xbm
         # size) with many pairs past the screen: every column a positive,
         # every pair a hinge candidate near 1, or beta 0.1 over random rows
-        # (about 1 pair in 8). The values then come from one product over
-        # the memory, and the term holds less than four n x M float64
-        # matrices at once.
+        # (about 1 pair in 8). The pairs are then decided on float64 tiles,
+        # and the term holds less than four n x M float64 matrices at once.
         rng = np.random.default_rng(11)
         n, m, d = 64, 16_000, 128
         Z = unit_rows(rng, n, d)
@@ -433,29 +441,35 @@ class TestMemoryScreen:
             beta = 0.1
         bank = MemoryBank(capacity=m, dim=d)
         bank.enqueue(batch(mem_Z, mem_labels))
-        self.check_peak_and_values(Z, labels, bank.view(), beta, 4 * n * m * 8,
-                                   per_pair=False)
+        self.check_peak_and_values(Z, labels, bank.view(), beta, 4 * n * m * 8)
 
-    def test_per_pair_dots_are_gathered_in_blocks(self):
-        # All 64 anchors share the label of 125 memory rows: 8,000 positive
-        # pairs, the most that are still row dots. Gathered at once their
-        # rows would take two n x M float64 matrices; in blocks the term
-        # holds less than one.
+    def test_per_pair_dots_are_gathered_in_blocks(self, monkeypatch):
+        # 64 copies of one anchor, and the last 125 memory rows 5e-6 under
+        # the margin against it, a third of the float32 slack: 8,000 pairs
+        # that no float32 score decides, the most that stay on float32
+        # tiles. Gathered at once their rows would take two n x M float64
+        # matrices; in blocks the term holds less than one. None of them is
+        # active (a hinge sum of pairs on the margin is the subject of
+        # TestMemoryRoutes.test_hinge_sum_on_the_margin_is_within_its_rounding);
+        # the anchors share the label of the first 125 rows: 8,000 positives.
         rng = np.random.default_rng(12)
         n, m, d = 64, 16_000, 128
-        Z = unit_rows(rng, n, d)
+        Z = np.repeat(unit_rows(rng, 1, d), n, axis=0)
         labels = np.zeros(n, dtype=np.int64)
         mem_Z = unit_rows(rng, m, d)
-        mem_labels = np.where(np.arange(m) < 125, 0, 1 + np.arange(m))
+        mem_Z[-125:] = rows_at_similarity(rng, Z[np.zeros(125, dtype=np.int64)],
+                                          np.full(125, 0.9 - 5e-6))
+        mem_labels = np.where(np.arange(m) < 125, 0, np.arange(m))
         bank = MemoryBank(capacity=m, dim=d)
         bank.enqueue(batch(mem_Z, mem_labels))
-        self.check_peak_and_values(Z, labels, bank.view(), 0.9, n * m * 8,
-                                   per_pair=True)
+        dtypes = tile_dtypes(monkeypatch)
+        self.check_peak_and_values(Z, labels, bank.view(), 0.9, n * m * 8)
+        assert set(dtypes) == {np.dtype(np.float32)}
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("n, m", [(8, 50), (64, 3000)])
     def test_non_finite_row_of_a_hand_built_view_raises(self, monkeypatch, n, m, value):
-        # 8 x 50 pairs take the dense product and 64 x 3,000 the screen.
+        # 8 x 50 pairs fit one block and 64 x 3,000 take float32 tiles.
         # Memory row 7 carries a label no anchor has; skipped, a NaN row
         # would leave the loss and gradient as they are without it.
         rng = np.random.default_rng(13)
@@ -471,10 +485,12 @@ class TestMemoryScreen:
 
     @pytest.mark.parametrize("row", ["2**61", "2**130", "one-entry-overflows"])
     def test_an_anchor_past_the_proven_range_keeps_all_its_pairs(self, monkeypatch, row):
-        # Anchor 3's bound is -inf. At 2**130 its float32 copy overflows; with
-        # only its first entry past float32 (2**128), a pair whose memory row
-        # has a negative first entry scores -inf in float32 however far above
-        # the margin it is. Screened as a row of zeros, every pair is scored.
+        # Anchor 3's float32 bound is -inf. At 2**130 its float32 copy
+        # overflows; with only its first entry past float32 (2**128), a pair
+        # whose memory row has a negative first entry would score -inf in
+        # float32 however far above the margin it is. So the pairs go to
+        # float64 tiles, where anchor 3 scores 0, between its bounds -inf and
+        # +inf: every pair of it is a row dot.
         rng = np.random.default_rng(14)
         Z = unit_rows(rng, 8, 16)
         if row == "one-entry-overflows":
@@ -487,16 +503,17 @@ class TestMemoryScreen:
         labels, mem_labels = np.arange(8) % 3, rng.integers(0, 6, size=400)
         monkeypatch.setattr(objective, "_BLOCK_VALUES", 16 * 8)
         monkeypatch.setattr(objective, "_PER_PAIR_SHARE", 1.0)
-        dense = objective._memory_pairs_dense(Z, labels, mem_Z, mem_labels, 0.5)
+        dtypes = tile_dtypes(monkeypatch)
         got = objective._memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z.astype(np.float32),
                                       1.0 + 1e-9, 0.5)
-        assert_array_equal(got[2], dense[2])
-        assert_array_equal(got[3], dense[3])
-        assert_allclose(got[0], dense[0], rtol=1e-12)
-        assert_allclose(got[1], dense[1], rtol=1e-12)
+        expected = full_matrix_memory_pairs(Z, labels, mem_Z, mem_labels, 0.5)
+        for a, b in zip(got, expected):
+            assert_array_equal(a, b)
+        assert got[2][:, 3].any()
+        assert set(dtypes) == {np.dtype(np.float64)}
 
     @staticmethod
-    def check_peak_and_values(Z, labels, view, beta, max_bytes, per_pair):
+    def check_peak_and_values(Z, labels, view, beta, max_bytes):
         probe = batch(Z, labels)
         alone = contrastive_loss(probe, None, beta)
         tracemalloc.start()
@@ -507,7 +524,7 @@ class TestMemoryScreen:
             tracemalloc.stop()
         assert peak < max_bytes
         positive, negative, grad = per_pair_memory_reference(
-            Z, labels, beta, view.descriptors, view.labels, per_pair
+            Z, labels, beta, view.descriptors, view.labels
         )
         assert_allclose(out.term_breakdown.positive - alone.term_breakdown.positive,
                         positive, rtol=1e-12)
@@ -516,48 +533,22 @@ class TestMemoryScreen:
         assert_allclose(out.grad - alone.grad, grad, rtol=0, atol=1e-12)
 
 
-def full_matrix_memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z32, norm_bound, beta):
-    """The memory term's pairs as the screen once found them: every block's
-    compare written into one memory x anchors boolean matrix, its touched
-    columns read off that matrix."""
-    n, d = Z.shape
-    m = mem_Z.shape[0]
-    share = objective._PER_PAIR_SHARE
-    if n * m <= objective._BLOCK_VALUES:
-        return objective._memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta)
-    z_norm = np.sqrt(np.einsum("ij,ij->i", Z, Z))
-    thresholds, _ = evaluation._screen_thresholds(z_norm, d, norm_bound, beta)
-    with np.errstate(over="ignore"):
-        Z32 = Z.astype(np.float32)
-    screened = np.empty((m, n), dtype=bool)
-    passed = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start, _, S in evaluation.score_tiles(mem_Z32, Z32, 8 * objective._BLOCK_VALUES):
-            stop = start + S.shape[0]
-            np.less_equal(S, thresholds, out=screened[start:stop])
-            passed += S.size - np.count_nonzero(screened[start:stop])
-            if passed > share * n * stop:
-                break
-    if passed > share * n * stop:
-        return objective._memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta)
-    cols = np.flatnonzero(~screened.all(axis=1) | np.isin(mem_labels, labels))
-    same = labels[:, None] == mem_labels[cols]
-    scored = same | ~screened[cols].T
-    if np.count_nonzero(scored) > share * n * m:
-        return objective._memory_pairs_dense(Z, labels, mem_Z, mem_labels, beta)
-    rows, at = np.nonzero(scored)
-    sims = evaluation._row_dots(Z, rows, mem_Z, cols[at], objective._BLOCK_VALUES)
-    same = same[scored]
+def full_matrix_memory_pairs(Z, labels, mem_Z, mem_labels, beta):
+    """The memory term's decided sets from one row dot per pair: the memory
+    rows that share a label with an anchor, those with an active pair, and
+    the (memory rows, anchors) matrix of the active pairs."""
+    n, m = len(Z), len(mem_Z)
+    mem_rows, anchors = np.divmod(np.arange(m * n), n)
+    sims = evaluation._row_dots(Z, anchors, mem_Z, mem_rows, 2**16).reshape(m, n)
+    same = mem_labels[:, None] == labels
     active = ~same & (sims > beta)
-    coef = np.zeros((n, cols.size))
-    coef[scored] = active.astype(np.float64) - same
-    keep = np.flatnonzero(coef.any(axis=0))
-    return sims[same], sims[active], cols[keep], coef[:, keep]
+    return np.flatnonzero(same.any(axis=1)), np.flatnonzero(active.any(axis=1)), active
 
 
 class TestMemoryPairsFlatScreen:
-    """``_memory_pairs`` keeps the screen's passed pairs as flat indices; its
-    outputs equal, bit for bit, those of the full boolean matrix."""
+    """``_memory_pairs`` keeps the undecided pairs as flat indices; the sets it
+    decides equal, bit for bit, those of one row dot per pair, whichever
+    tiles decided them."""
 
     @pytest.mark.parametrize("case", ["screened", "unproven", "unproven_memory", "early_break"])
     def test_matches_full_matrix_formulation_bitwise(self, case, monkeypatch):
@@ -574,40 +565,99 @@ class TestMemoryPairsFlatScreen:
         mem_Z[near] = Z[np.arange(near.sum()) % n] + 1e-2 * mem_Z[near]
         mem_Z /= np.linalg.norm(mem_Z, axis=1, keepdims=True)
         if case == "unproven":
-            # Norms past 2**60: thresholds of -inf, so every pair of these
-            # rows passes (they score 0 in float32).
+            # Norms past 2**60: float32 bounds of -inf, so no float32 tile is
+            # screened, and every pair of these rows is a row dot.
             Z[[2, 5]] *= 2.0**61
-            monkeypatch.setattr(objective, "_PER_PAIR_SHARE", 0.5)
         monkeypatch.setattr(objective, "_BLOCK_VALUES", 16 * n)  # 25 blocks of 16 rows
-        mem_Z32 = mem_Z.astype(np.float32)
-        # A memory norm bound past 2**60 gives every anchor -inf: the dense
-        # product, with no block screened.
+        # A memory norm bound past 2**60 gives every anchor -inf: float64
+        # tiles, every pair a row dot.
         norm_bound = 2.0**61 if case == "unproven_memory" else 1.0 + 1e-9
-        args = (Z, labels, mem_Z, mem_labels, mem_Z32, norm_bound, 0.9)
-        blocks, dense = [], []
-        tiles, dense_pairs = objective.score_tiles, objective._memory_pairs_dense
-
-        def counted_tiles(*a):
-            for tile in tiles(*a):
-                blocks.append(tile[0])
-                yield tile
-        monkeypatch.setattr(objective, "score_tiles", counted_tiles)
-        monkeypatch.setattr(objective, "_memory_pairs_dense",
-                            lambda *a: dense.append(1) or dense_pairs(*a))
-        got = objective._memory_pairs(*args)
-        monkeypatch.setattr(objective, "_memory_pairs_dense", dense_pairs)
-        expected = full_matrix_memory_pairs(*args)
-        assert len(got) == len(expected) == 4
+        dtypes = tile_dtypes(monkeypatch)
+        got = objective._memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z.astype(np.float32),
+                                      norm_bound, 0.9)
+        expected = full_matrix_memory_pairs(Z, labels, mem_Z, mem_labels, 0.9)
+        assert len(got) == len(expected) == 3
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
+        float32 = dtypes.count(np.dtype(np.float32))
         if case == "early_break":
-            assert dense and 0 < len(blocks) < 25
-        elif case == "unproven_memory":
-            assert dense and not blocks
+            assert 0 < float32 < 25 and dtypes[float32:] == [np.dtype(np.float64)] * 25
+        elif case == "screened":
+            assert dtypes == [np.dtype(np.float32)] * 25
         else:
-            assert not dense and len(blocks) == 25
-            assert got[1].size > 0  # some hinge pairs were active
+            assert dtypes == [np.dtype(np.float64)] * 25
+        assert got[2].any()  # some hinge pairs are active
+
+
+class TestMemoryRoutes:
+    """Both precisions decide the same pairs, and value and gradient come
+    from the decided sets, so a step has the same bytes on either route."""
+
+    @pytest.mark.parametrize("case", ["random", "at_margin", "low_beta", "same_label"])
+    def test_forced_routes_give_identical_bytes(self, case, monkeypatch):
+        # 64 anchors against 2,000 memory rows at d 128: two blocks. In
+        # "at_margin" every memory row lies within three float32 slacks of
+        # the margin against an anchor, a fifth of them on it to rounding,
+        # so both precisions leave pairs to row dots.
+        rng = np.random.default_rng(41)
+        n, m, d = 64, 2_000, 128
+        Z = unit_rows(rng, n, d)
+        labels = np.arange(n) % 16
+        mem_Z = unit_rows(rng, m, d)
+        mem_labels = rng.integers(16, 80, size=m)
+        beta = 0.5
+        if case == "at_margin":
+            width = (2 * d + 8) * 2.0**-24
+            offsets = np.where(rng.random(m) < 0.2, 0.0, rng.uniform(-3, 3, size=m))
+            mem_Z = rows_at_similarity(rng, Z[rng.integers(0, n, size=m)],
+                                       beta + offsets * width)
+        elif case == "low_beta":
+            beta = 0.1
+        elif case == "same_label":
+            mem_labels = rng.integers(0, 32, size=m)
+        # Hinge pairs in the first block, so a share of 0 leaves float32 tiles.
+        mem_Z[:20] = Z[:20] + 0.1 * unit_rows(rng, 20, d)
+        mem_Z[:20] /= np.linalg.norm(mem_Z[:20], axis=1, keepdims=True)
+        assert n * m > objective._BLOCK_VALUES
+        bank = MemoryBank(capacity=m, dim=d)
+        bank.enqueue(batch(mem_Z, mem_labels))
+        dtypes = tile_dtypes(monkeypatch)
+        outs = []
+        for share in (1.0, 0.0):
+            monkeypatch.setattr(objective, "_PER_PAIR_SHARE", share)
+            dtypes.clear()
+            outs.append(contrastive_loss(batch(Z, labels), bank.view(), beta))
+            # A share of 0 stops at the first float32 tile.
+            assert dtypes[0] == np.float32
+            assert set(dtypes[1:]) == {np.dtype(np.float32 if share else np.float64)}
+        a, b = outs
+        terms = [(o.value, o.term_breakdown.positive, o.term_breakdown.negative) for o in outs]
+        assert np.array(terms[0]).tobytes() == np.array(terms[1]).tobytes()
+        assert a.grad.tobytes() == b.grad.tobytes()
+        assert a.term_breakdown.negative > 0
+
+    def test_hinge_sum_on_the_margin_is_within_its_rounding(self):
+        # 64 copies of one anchor and the last 125 memory rows on the margin
+        # against it, to rounding: of their 8,000 pairs about half are
+        # active, each adding about 1e-16. Summed through the products the
+        # hinge carries an absolute error, not a relative one; it stays
+        # within the row dots' own rounding bound, n_act d 2**-53.
+        rng = np.random.default_rng(12)
+        n, m, d = 64, 16_000, 128
+        Z = np.repeat(unit_rows(rng, 1, d), n, axis=0)
+        labels = np.arange(n)
+        mem_Z = unit_rows(rng, m, d)
+        mem_Z[-125:] = rows_at_similarity(rng, Z[np.zeros(125, dtype=np.int64)],
+                                          np.full(125, 0.9))
+        mem_labels = n + np.arange(m)
+        out = contrastive_loss(batch(Z, labels), MemoryView(mem_Z, mem_labels), 0.9)
+        alone = contrastive_loss(batch(Z, labels), None, 0.9)
+        _, negative, _ = per_pair_memory_reference(Z, labels, 0.9, mem_Z, mem_labels)
+        active = full_matrix_memory_pairs(Z, labels, mem_Z, mem_labels, 0.9)[2]
+        assert 1_000 < np.count_nonzero(active) < 7_000
+        error = out.term_breakdown.negative - alone.term_breakdown.negative - negative
+        assert abs(error) <= np.count_nonzero(active) * d * 2.0**-53 / n
 
 
 class TestKoleo:
