@@ -25,17 +25,20 @@ rows) ``< beta``, one ``>= above`` proves it ``> beta``, and only the pairs
 strictly between are row-dotted, so every decision is the row dot's. The
 tiles are blocks of memory rows (``evaluation.score_tiles``) of the float32
 product with the bank's float32 copy, or of the float64 product with the
-memory when the float32 passes (scores above ``below``) exceed
-``_PER_PAIR_SHARE`` of the pairs screened, the memory fits one block, or a
-float32 bound is -inf (a norm past 2**60). The float64 bounds are about
-``2d * 2**-53`` of a score wide; an anchor past the proven range scores 0
-in its float64 tiles, between bounds -inf and +inf, so all its pairs are
-row-dotted.
+memory when the float32 passes (different-label scores above ``below``)
+exceed ``_PER_PAIR_SHARE`` of the pairs screened, the memory fits one
+block, or a float32 bound is -inf (a norm past 2**60). The float64 bounds
+are about ``2d * 2**-53`` of a score wide; an anchor past the proven range
+scores 0 in its float64 tiles, between bounds -inf and +inf, so all its
+pairs are row-dotted. A tile is compared once, against the least
+``below``; only its passes are classified, into (memory row, anchor)
+pairs, so no step holds a memory × batch array.
 
 Value and gradient come from the decided sets: with ``P`` and ``A`` the
-positive and active indicators over their memory rows ``M``, ``sum_pos (1 -
-s) = n_pos - sum_i z_i . (P M)_i``, ``sum_act (s - beta) = sum_i z_i . (A
-M)_i - n_act beta`` and the gradient is ``(A M - P M) / N``. So the loss and
+positive and active indicators over their memory rows ``M`` (``A``
+scattered from the active pairs), ``sum_pos (1 - s) = n_pos - sum_i z_i .
+(P M)_i``, ``sum_act (s - beta) = sum_i z_i . (A M)_i - n_act beta`` and
+the gradient is ``(A M - P M) / N``. So the loss and
 gradient, ``trace.csv`` and ``head.json`` depend only on the decisions,
 never on the precision: the share chooses speed only. The hinge sum's
 rounding error is absolute, about the row dots' own ``n_act d 2**-53``:
@@ -198,65 +201,58 @@ def _memory_arrays(memory: Optional["MemoryView"]):
     return descriptors, labels, descriptors32, norm_bound
 
 
-def _decided(Z, mem_Z, below, above, same, limit):
-    """``(active, hinge, band)`` of the tiles of ``mem_Z @ Z.T`` (memory-major
-    runs faster), ``same`` (flat same-label pairs, memory row * n + anchor,
-    ascending) set to -inf: a (memory rows, anchors) mask of the scores ``>=
-    above``, a mask of their memory rows, and the flat pairs strictly between
-    the bounds. None, asking for no further tile, once the scores above
-    ``below`` are more than ``limit`` per memory row screened."""
-    n, m = Z.shape[0], mem_Z.shape[0]
-    active = np.zeros(m * n, dtype=bool)
-    hinge = np.zeros(m, dtype=bool)
-    tiled, band, passed = below[:0], [np.zeros(0, dtype=np.int64)], 0
+def _decided(Z, labels, mem_Z, mem_labels, below, above, limit):
+    """``(memory rows, anchors, up)`` of the different-label pairs scoring
+    above their anchor's ``below`` in the tiles of ``mem_Z @ Z.T``
+    (memory-major runs faster), ascending; ``up`` marks those ``>= above``.
+    A tile is compared once, against the least ``below``; only its passes
+    are classified. None, asking for no further tile, once the pairs are more
+    than ``limit`` per memory row screened."""
+    n = Z.shape[0]
+    floor, passed = below.min(), 0
+    kept = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=bool),)]
     for start, _, S in score_tiles(mem_Z, Z, 8 * _BLOCK_VALUES):
-        stop = start + S.shape[0]
-        flat = S.reshape(-1)
-        lo, hi = np.searchsorted(same, [start * n, stop * n])
-        flat[same[lo:hi] - start * n] = -np.inf
-        if tiled.size < flat.size:
-            tiled = np.tile(below, S.shape[0])
-        passes = np.flatnonzero(flat > tiled[: flat.size])
-        passed += passes.size
-        if passed > limit * stop:
-            return None
+        passes = np.flatnonzero(S > floor)
         if passes.size:  # on real data most tiles have none
-            up = flat[passes] >= above[passes % n]
-            active[start * n + passes[up]] = True
-            hinge[start + passes[up] // n] = True
-            band.append(start * n + passes[~up])
-    return active.reshape(m, n), hinge, np.concatenate(band)
+            rows, anchors = np.divmod(passes + start * n, n)
+            scores = S.reshape(-1)[passes]
+            keep = (scores > below[anchors]) & (mem_labels[rows] != labels[anchors])
+            rows, anchors, scores = rows[keep], anchors[keep], scores[keep]
+            passed += rows.size
+            if passed > limit * (start + S.shape[0]):
+                return None
+            kept.append((rows, anchors, scores >= above[anchors]))
+    return tuple(map(np.concatenate, zip(*kept)))
 
 
 def _memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z32, norm_bound, beta):
-    """``(positives, hinges, active)``: the memory rows that share a label
-    with an anchor, those with an active pair, and the (memory rows,
-    anchors) mask of the active pairs, of different labels and a float64
-    row dot above ``beta``; decided on float32 tiles while their passes stay
-    within ``_PER_PAIR_SHARE``, else on float64 tiles. A memory of one block
+    """``(positives, hinges, (memory rows, anchors))``: the memory rows that
+    share a label with an anchor, those with an active pair, and the active
+    pairs, ascending: of different labels and a float64 row dot above
+    ``beta``, decided on float32 tiles while their passes stay within
+    ``_PER_PAIR_SHARE``, else on float64 tiles. A memory of one block
     takes float64 tiles at once: the float32 screen's fixed cost (about 0.2
     ms on one thread of a 2-core Xeon) is more than it saves there."""
     n, d = Z.shape
     positives = np.flatnonzero(np.isin(mem_labels, labels))
-    same = (positives[:, None] * n + np.arange(n))[mem_labels[positives, None] == labels]
     z_norm = np.sqrt(np.einsum("ij,ij->i", Z, Z))
     decided = None
     if n * mem_Z.shape[0] > _BLOCK_VALUES:
         below, above = _screen_thresholds(z_norm, d, norm_bound, beta)
         if below.min() > -np.inf:
-            decided = _decided(Z.astype(np.float32), mem_Z32, below, above, same,
-                               _PER_PAIR_SHARE * n)
+            decided = _decided(Z.astype(np.float32), labels, mem_Z32, mem_labels,
+                               below, above, _PER_PAIR_SHARE * n)
     if decided is None:
         below, above = _screen_thresholds(z_norm, d, norm_bound, beta, np.float64)
         # An anchor past the proven range scores 0, strictly between -inf and +inf.
-        decided = _decided(np.where((below > -np.inf)[:, None], Z, 0.0), mem_Z, below, above,
-                           same, np.inf)
-    active, hinge, band = decided
-    mem_rows, anchors = np.divmod(band, n)
-    hit = _row_dots(Z, anchors, mem_Z, mem_rows, _BLOCK_VALUES) > beta
-    active[mem_rows[hit], anchors[hit]] = True
-    hinge[mem_rows[hit]] = True
-    return positives, np.flatnonzero(hinge), active
+        decided = _decided(np.where((below > -np.inf)[:, None], Z, 0.0), labels, mem_Z,
+                           mem_labels, below, above, np.inf)
+    rows, anchors, up = decided
+    band = np.flatnonzero(~up)
+    up[band] = _row_dots(Z, anchors[band], mem_Z, rows[band], _BLOCK_VALUES) > beta
+    hinge = np.zeros(mem_Z.shape[0], dtype=bool)
+    hinge[rows[up]] = True
+    return positives, np.flatnonzero(hinge), (rows[up], anchors[up])
 
 
 def contrastive_loss(
@@ -294,12 +290,15 @@ def contrastive_loss(
             raise ShapeError(
                 f"memory dim {mem_Z.shape[1]} != batch dim {Z.shape[1]}"
             )
-        positives, hinges, mem_active = _memory_pairs(Z, labels, *arrays, beta)
+        positives, hinges, (rows, anchors) = _memory_pairs(Z, labels, *arrays, beta)
         P = (labels[:, None] == mem_labels[positives]).astype(np.float64)
-        A = mem_active[hinges].T.astype(np.float64)
-        PM, AM = P @ mem_Z[positives], A @ mem_Z[hinges]
+        column = np.empty(mem_Z.shape[0], dtype=np.intp)
+        column[hinges] = np.arange(hinges.size)
+        A = np.zeros((hinges.size, n))
+        A[column[rows], anchors] = 1.0
+        PM, AM = P @ mem_Z[positives], A.T @ mem_Z[hinges]
         positive += (np.count_nonzero(P) - float(np.einsum("ij,ij->", Z, PM))) / n
-        negative += (float(np.einsum("ij,ij->", Z, AM)) - np.count_nonzero(A) * beta) / n
+        negative += (float(np.einsum("ij,ij->", Z, AM)) - rows.size * beta) / n
         grad += (AM - PM) / n
 
     value = positive + negative
@@ -321,7 +320,7 @@ def koleo_loss(batch: LabeledEmbeddingBatch) -> LossOutput:
     because the logarithm diverges.
     """
     Z = batch.embeddings
-    n, _ = Z.shape
+    n, d = Z.shape
     if n < 2:
         raise ShapeError("entropy term needs at least 2 rows")
     sq_norms = np.sum(Z * Z, axis=1)
@@ -338,11 +337,11 @@ def koleo_loss(batch: LabeledEmbeddingBatch) -> LossOutput:
     value = float(-np.mean(np.log(rho)))
 
     # d/dz_i of -log rho_i is -(z_i - z_nn(i)) / rho_i^2; the neighbor row
-    # receives the opposite contribution.
+    # receives the opposite contribution, in row order (numpy's fast 1-D add.at).
     diffs = Z - Z[nn]
     scaled = diffs / (n * rho * rho)[:, None]
     grad = -scaled
-    np.add.at(grad, nn, scaled)
+    np.add.at(grad.reshape(-1), (nn[:, None] * d + np.arange(d)).ravel(), scaled.ravel())
     if not np.isfinite(value):
         raise NumericalError(f"entropy term is {value!r}")
     return LossOutput(

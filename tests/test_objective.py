@@ -466,6 +466,19 @@ class TestMemoryScreen:
         self.check_peak_and_values(Z, labels, bank.view(), 0.9, n * m * 8)
         assert set(dtypes) == {np.dtype(np.float32)}
 
+    def test_desk_step_holds_less_than_one_pair_per_byte(self):
+        # 64 anchors of 16 labels against a full 15,200-row bank at d 128 and
+        # beta 0.5, a category-xbm step: random rows, about 130 of them
+        # sharing an anchor's label. The pairs are decided from each tile's
+        # passes alone, with no (memory rows, anchors) mask, so the term
+        # holds less than n x M bytes.
+        rng = np.random.default_rng(15)
+        n, m, d = 64, 15_200, 128
+        bank = MemoryBank(capacity=m, dim=d)
+        bank.enqueue(batch(unit_rows(rng, m, d), rng.integers(0, 1_900, size=m)))
+        self.check_peak_and_values(unit_rows(rng, n, d), np.arange(n) // 4, bank.view(),
+                                   0.5, n * m)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("n, m", [(8, 50), (64, 3000)])
     def test_non_finite_row_of_a_hand_built_view_raises(self, monkeypatch, n, m, value):
@@ -506,10 +519,8 @@ class TestMemoryScreen:
         dtypes = tile_dtypes(monkeypatch)
         got = objective._memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z.astype(np.float32),
                                       1.0 + 1e-9, 0.5)
-        expected = full_matrix_memory_pairs(Z, labels, mem_Z, mem_labels, 0.5)
-        for a, b in zip(got, expected):
-            assert_array_equal(a, b)
-        assert got[2][:, 3].any()
+        assert_same_memory_pairs(got, full_matrix_memory_pairs(Z, labels, mem_Z, mem_labels, 0.5))
+        assert 3 in got[2][1]
         assert set(dtypes) == {np.dtype(np.float64)}
 
     @staticmethod
@@ -536,17 +547,25 @@ class TestMemoryScreen:
 def full_matrix_memory_pairs(Z, labels, mem_Z, mem_labels, beta):
     """The memory term's decided sets from one row dot per pair: the memory
     rows that share a label with an anchor, those with an active pair, and
-    the (memory rows, anchors) matrix of the active pairs."""
+    the active pairs as (memory rows, anchors), ascending."""
     n, m = len(Z), len(mem_Z)
     mem_rows, anchors = np.divmod(np.arange(m * n), n)
     sims = evaluation._row_dots(Z, anchors, mem_Z, mem_rows, 2**16).reshape(m, n)
     same = mem_labels[:, None] == labels
     active = ~same & (sims > beta)
-    return np.flatnonzero(same.any(axis=1)), np.flatnonzero(active.any(axis=1)), active
+    return np.flatnonzero(same.any(axis=1)), np.flatnonzero(active.any(axis=1)), np.nonzero(active)
+
+
+def assert_same_memory_pairs(got, expected):
+    """``_memory_pairs``' sets equal ``full_matrix_memory_pairs``' bit for bit."""
+    assert len(got) == 3
+    for a, b in zip((*got[:2], *got[2]), (*expected[:2], *expected[2])):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 class TestMemoryPairsFlatScreen:
-    """``_memory_pairs`` keeps the undecided pairs as flat indices; the sets it
+    """``_memory_pairs`` classifies only the passes of each tile; the sets it
     decides equal, bit for bit, those of one row dot per pair, whichever
     tiles decided them."""
 
@@ -575,11 +594,7 @@ class TestMemoryPairsFlatScreen:
         dtypes = tile_dtypes(monkeypatch)
         got = objective._memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z.astype(np.float32),
                                       norm_bound, 0.9)
-        expected = full_matrix_memory_pairs(Z, labels, mem_Z, mem_labels, 0.9)
-        assert len(got) == len(expected) == 3
-        for a, b in zip(got, expected):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
+        assert_same_memory_pairs(got, full_matrix_memory_pairs(Z, labels, mem_Z, mem_labels, 0.9))
         float32 = dtypes.count(np.dtype(np.float32))
         if case == "early_break":
             assert 0 < float32 < 25 and dtypes[float32:] == [np.dtype(np.float64)] * 25
@@ -587,7 +602,42 @@ class TestMemoryPairsFlatScreen:
             assert dtypes == [np.dtype(np.float32)] * 25
         else:
             assert dtypes == [np.dtype(np.float64)] * 25
-        assert got[2].any()  # some hinge pairs are active
+        assert got[2][0].size  # some hinge pairs are active
+
+    @pytest.mark.parametrize("share", [1.0, 0.0])
+    def test_mixed_tiles_match_full_matrix_formulation_bitwise(self, share, monkeypatch):
+        # Two blocks of 16 rows at beta 0.1 and d 16. Block 0 is random
+        # rows, a third of its pairs active; in block 1 each row lies within
+        # one float32 slack of beta against one anchor, every other row on
+        # it to rounding, pairs only row dots decide on either route. Half
+        # the rows share a label with some anchor. A share of 1 keeps
+        # float32 tiles; a share of 0 leaves them at the first tile for
+        # float64 ones.
+        rng = np.random.default_rng(32)
+        n, m, d, beta = 8, 32, 16, 0.1
+        Z = unit_rows(rng, n, d)
+        labels = np.arange(n) % 3
+        mem_Z = unit_rows(rng, m, d)
+        width = (2 * d + 8) * 2.0**-24
+        offsets = np.where(np.arange(16) % 2, 0.0, rng.uniform(-1, 1, size=16))
+        mem_Z[16:] = rows_at_similarity(rng, Z[np.arange(16) % n], beta + offsets * width)
+        mem_labels = rng.integers(0, 6, size=m)
+        monkeypatch.setattr(objective, "_BLOCK_VALUES", 16 * n)
+        monkeypatch.setattr(objective, "_PER_PAIR_SHARE", share)
+        dtypes = tile_dtypes(monkeypatch)
+        dotted, row_dots = [], objective._row_dots
+        monkeypatch.setattr(objective, "_row_dots",
+                            lambda *a: dotted.append(a[1].size) or row_dots(*a))
+        got = objective._memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z.astype(np.float32),
+                                      1.0 + 1e-9, beta)
+        expected = full_matrix_memory_pairs(Z, labels, mem_Z, mem_labels, beta)
+        assert_same_memory_pairs(got, expected)
+        if share:
+            assert dtypes == [np.dtype(np.float32)] * 2
+        else:
+            assert dtypes == [np.dtype(np.float32)] + [np.dtype(np.float64)] * 2
+        assert np.count_nonzero(expected[2][0] < 16) > n * 16 // 5
+        assert sum(dotted) >= 4
 
 
 class TestMemoryRoutes:
@@ -654,10 +704,10 @@ class TestMemoryRoutes:
         out = contrastive_loss(batch(Z, labels), MemoryView(mem_Z, mem_labels), 0.9)
         alone = contrastive_loss(batch(Z, labels), None, 0.9)
         _, negative, _ = per_pair_memory_reference(Z, labels, 0.9, mem_Z, mem_labels)
-        active = full_matrix_memory_pairs(Z, labels, mem_Z, mem_labels, 0.9)[2]
-        assert 1_000 < np.count_nonzero(active) < 7_000
+        active = full_matrix_memory_pairs(Z, labels, mem_Z, mem_labels, 0.9)[2][0].size
+        assert 1_000 < active < 7_000
         error = out.term_breakdown.negative - alone.term_breakdown.negative - negative
-        assert abs(error) <= np.count_nonzero(active) * d * 2.0**-53 / n
+        assert abs(error) <= active * d * 2.0**-53 / n
 
 
 class TestKoleo:
@@ -710,6 +760,32 @@ class TestKoleo:
         a = koleo_loss(batch(Z, np.zeros(9, dtype=np.int64))).value
         b = koleo_loss(batch(ZQ, np.zeros(9, dtype=np.int64))).value
         assert_allclose(b, a, rtol=0, atol=1e-9)
+
+    def test_hub_neighbour_scatter_matches_row_scatter_bitwise(self):
+        # Rows on a cap of angle 0.3 around a hub row, in directions far
+        # apart at d 64: the hub is most rows' nearest neighbour, so its
+        # gradient row sums many contributions, in row order as a row-wise
+        # ``add.at`` adds them.
+        rng = np.random.default_rng(304)
+        n, d = 48, 64
+        hub = unit_rows(rng, 1, d)
+        away = rng.standard_normal((n, d))
+        away -= (away @ hub.T) * hub
+        away /= np.linalg.norm(away, axis=1, keepdims=True)
+        Z = np.cos(0.3) * hub + np.sin(0.3) * away
+        Z[0] = hub[0]
+        out = koleo_loss(batch(Z, np.zeros(n, dtype=np.int64)))
+        sq_norms = np.sum(Z * Z, axis=1)
+        d2 = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (Z @ Z.T)
+        np.maximum(d2, 0.0, out=d2)
+        np.fill_diagonal(d2, np.inf)
+        nn = np.argmin(d2, axis=1)
+        assert np.count_nonzero(nn == 0) > n // 2
+        rho = np.sqrt(d2[np.arange(n), nn])
+        scaled = (Z - Z[nn]) / (n * rho * rho)[:, None]
+        grad = -scaled
+        np.add.at(grad, nn, scaled)
+        assert out.grad.tobytes() == grad.tobytes()
 
     def test_duplicate_rows_raise(self):
         Z = [[1.0, 0.0], [1.0, 0.0]]
