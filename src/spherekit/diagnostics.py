@@ -258,9 +258,9 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
     again; the different-label counts are the difference. Counts add up over
     tiles.
 
-    A non-finite row, or one of norm above 2**511 (about 6.7e153, where a
-    pair's score could overflow), raises NumericalError naming it, before any
-    tile. Every
+    Labels that are not integers raise ShapeError, and a non-finite row, or
+    one of norm above 2**511 (about 6.7e153, where a pair's score could
+    overflow), NumericalError naming it, before any tile. Every
     pair lands in the bin of its float64 row dot (``evaluation._row_dots``),
     whatever the route, the budget, the BLAS build or its thread count. Rows
     of norm at most 1 + ``UNIT_ATOL`` are scored in float32 tiles. A pair's
@@ -283,6 +283,7 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
         raise ShapeError("need at least two embedding rows")
     if labels.shape != (Z.shape[0],):
         raise ShapeError("one label per row required")
+    evaluation._check_integer_labels(labels, "labels")
     if not isinstance(num_bins, (int, np.integer)) or isinstance(num_bins, bool) or num_bins < 2:
         raise ShapeError(f"num_bins must be an integer >= 2, got {num_bins!r}")
     bad = np.flatnonzero(~np.isfinite(Z).all(axis=1))
@@ -316,8 +317,8 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
         tiles.close()
         if counts is None:
             # Float64 tiles of the span's rows, as many scores as a float32 tile.
-            tiles = evaluation._float64_tiles(Z, Z, start, stop, evaluation.SCORE_BLOCK_BYTES // 8,
-                                              stop - start, upper=True)
+            _, _, tiles = next(evaluation._span_tiles(
+                Z, Z, stop - start, evaluation.SCORE_BLOCK_BYTES // 64, True, (start, stop)))
             counts = exact.span(start, stop, tiles)
         all_counts += counts[0]
         pos_counts += counts[1]

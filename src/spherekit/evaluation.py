@@ -19,9 +19,9 @@ for recall, every positive for mAP), how many items score above each.
 
 The metrics count that from float32 tiles of the products of float32 copies
 of the queries and the gallery (``_metric_spans``). The queries are taken in
-row spans, each of the rows of ``SCORE_BLOCK_BYTES`` of float64 scores and at
-least ``_TILE_ROWS``, and a span's product in tiles of a sixteenth of those
-bytes, so memory is one tile, however wide the gallery. Counts add up over a
+row spans, each of as many rows as fit ``SCORE_BLOCK_BYTES // 8`` scores and
+at least ``_TILE_ROWS``, and a span's product in tiles of an eighth of those
+scores, so memory is one tile, however wide the gallery. Counts add up over a
 span's tiles. A threshold is the float64 score of a query and a positive,
 one row dot each (``_row_dots``: no BLAS, so a value depends only on its two
 rows); recall gathers its positives a bounded chunk at a time, so memory
@@ -91,17 +91,15 @@ __all__ = [
     "retrieve",
     "recall_at_k",
     "mean_average_precision",
-    "score_tiles",
 ]
 
 SPLITS = ("easy", "medium", "hard")
 
-# Bytes of float64 scores one block of full query rows may hold. A row span
-# of the metrics holds the rows of one such block, and at least _TILE_ROWS,
-# and one float32 tile at a time, of a sixteenth of this budget (2 MiB: 512 x
-# 1,024 scores at _TILE_ROWS rows). A span of the similarity histogram that
-# falls back is screened over float64 tiles of its rows, as many scores as a
-# float32 tile, so no route holds more than a tile of scores.
+# The metrics' budget in bytes of float64 scores: a row span holds as many
+# full query rows as fit SCORE_BLOCK_BYTES // 8 scores, and at least
+# _TILE_ROWS, one float32 tile of SCORE_BLOCK_BYTES // 64 scores at a time
+# (2 MiB: 512 x 1,024). A histogram span that falls back is screened over
+# float64 tiles of as many scores, so no route holds more than a tile.
 SCORE_BLOCK_BYTES = 32 * 2**20
 # The least rows of a metric's row span at the default budget (a smaller one
 # shrinks it with the tile, _metric_spans), so a wide gallery is scored in
@@ -163,6 +161,12 @@ class RetrievalIndex:
 
     def __len__(self) -> int:
         return self.gallery.shape[0]
+
+
+def _check_integer_labels(labels: np.ndarray, what: str) -> None:
+    """Raise ShapeError unless ``labels`` are integers; an empty array passes."""
+    if labels.size and not np.issubdtype(labels.dtype, np.integer):
+        raise ShapeError(f"{what} must be integers, got dtype {labels.dtype}")
 
 
 def _check_no_duplicates(arrays: dict[str, np.ndarray]) -> None:
@@ -262,118 +266,47 @@ def retrieve(
     return Retrieval(index, queries, exclude_self)
 
 
-def _tile_spans(
-    num_rows: int,
-    num_columns: int,
-    block_bytes: int,
-    min_rows: int = 2,
-    tile_values: int | None = None,
-    upper: bool = False,
-    rows: tuple[int, int] | None = None,
-) -> Iterator[tuple[tuple[int, int], Iterator[tuple[int, int]]]]:
-    """``(start, stop), columns`` per row span of a product with ``num_rows``
-    rows and ``num_columns`` columns, in order; ``columns`` yields the
-    ``(first, last)`` column spans of the row span's tiles.
-
-    A row span holds as many rows as fit ``block_bytes`` of float64 scores
-    across every column, and at least 2. A 1-row product runs as a
-    matrix-vector call whose sums can differ in the last bits from the same
-    row of a many-row product, so a 1-row tail is merged into the span before
-    it; only a single row is ever scored alone. When fewer than ``min_rows``
-    full rows fit, a row span holds ``min_rows`` rows (all of them, if fewer)
-    and the columns are split into tiles that fit the budget with them.
-    ``tile_values`` instead caps every tile at that many scores, so a span
-    has as many columns per tile as fit with its rows. With ``upper`` a row
-    span's tiles start at the column of its first row: the upper trapezoid of
-    a set of rows scored against itself, each unordered pair once. ``rows``
-    limits the spans to the rows ``start..stop`` of the product.
-    """
-    begin, end = rows or (0, num_rows)
-    values = block_bytes // 8
-    span = max(2, values // max(num_columns, 1))
-    columns = max(num_columns, 1)
-    if span < min_rows:
-        span = min(min_rows, end - begin)
-        columns = max(1, values // max(span, 1))
-    if tile_values is not None:
-        columns = max(1, tile_values // max(min(span, end - begin), 1))
-    start = begin
-    while start < end:
-        stop = min(start + span, end)
-        if end - stop == 1:
-            stop = end
-        firsts = range(start if upper else 0, max(num_columns, 1), columns)
-        yield (start, stop), ((first, min(first + columns, num_columns)) for first in firsts)
-        start = stop
-
-
-def _tiles(queries, gallery, start, stop, columns) -> Iterator[tuple[int, int, np.ndarray]]:
-    for first, last in columns:
-        yield start, first, queries[start:stop] @ gallery[first:last].T
-
-
 def _span_tiles(
     queries: np.ndarray,
     gallery: np.ndarray,
-    block_bytes: int,
-    min_rows: int = 2,
-    tile_values: int | None = None,
+    rows: int,
+    values: int,
     upper: bool = False,
-    rows: tuple[int, int] | None = None,
+    within: tuple[int, int] | None = None,
 ) -> Iterator[tuple[int, int, Iterator[tuple[int, int, np.ndarray]]]]:
-    """Yield ``(start, stop, tiles)`` per row span of ``_tile_spans`` (same
-    arguments), where ``tiles`` yields ``(start, first, queries[start:stop] @
-    gallery[first:last].T)`` for each of the span's tiles.
+    """Yield ``(start, stop, tiles)`` per span of ``rows`` rows of ``queries``
+    (of its rows ``within``, a ``(start, stop)`` pair), in order; ``tiles``
+    yields ``(start, first, queries[start:stop] @ gallery[first:last].T)`` in
+    column order, as many columns as fit ``values`` scores with ``rows`` rows
+    (all the rows, if fewer), and at least one. With ``upper`` a span starts
+    at the column of its first row: the upper trapezoid of rows scored
+    against themselves, each unordered pair once.
 
-    Every blocked product in the package comes from here, each caller passing
-    its own budget. A tile is computed only when ``tiles`` is asked for it, so
-    a span that stops early (a histogram's float32 screen that falls back)
-    computes no more of its tiles.
+    Every blocked product in the package comes from here, its caller stating
+    the shape; no decision taken from a tile depends on its shape or last
+    bits. A tile is computed only when asked for, so a span that stops early
+    (a screen that falls back) computes no more of its tiles.
     """
-    spans = _tile_spans(queries.shape[0], gallery.shape[0], block_bytes, min_rows,
-                        tile_values, upper, rows)
-    for (start, stop), columns in spans:
-        yield start, stop, _tiles(queries, gallery, start, stop, columns)
+    begin, end = within or (0, queries.shape[0])
+    width = max(1, values // max(min(rows, end - begin), 1))
 
-
-def score_tiles(
-    queries: np.ndarray, gallery: np.ndarray, block_bytes: int, min_rows: int = 2
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield ``(start, first, queries[start:stop] @ gallery[first:last].T)``
-    over the tiles of ``_tile_spans``, row span by row span (``_span_tiles``).
-
-    ``block_bytes`` counts 8 bytes a score whatever the dtype, so a float32
-    tile holds half of it. With the default ``min_rows`` a tile is a block of
-    full rows (``first`` is 0); a caller that asks for more rows than fit
-    across every column gets narrower tiles of that many rows.
-    """
-    for _, _, tiles in _span_tiles(queries, gallery, block_bytes, min_rows):
-        yield from tiles
+    def tiles(start, stop):
+        for first in range(start if upper else 0, gallery.shape[0], width):
+            yield start, first, queries[start:stop] @ gallery[first : first + width].T
+    for start in range(begin, end, rows):
+        stop = min(start + rows, end)
+        yield start, stop, tiles(start, stop)
 
 
 def _metric_spans(queries, gallery, upper: bool = False):
-    """``_span_tiles`` of the metrics' float32 rows: row spans of the rows of
-    ``SCORE_BLOCK_BYTES`` of float64 scores, in tiles of a sixteenth of those
-    bytes of float32 scores. The row floor is ``_TILE_ROWS``, or under a
-    smaller budget the rows of a tile twice as wide as it is tall, so the
-    tile keeps the default's shape (512 x 1,024) instead of thinning to a
-    few columns (512 x 32 at a budget of 1 MiB, now 90 x 182)."""
+    """``_span_tiles`` of the metrics' float32 rows: spans of as many rows as
+    fit ``SCORE_BLOCK_BYTES // 8`` scores across the gallery, and at least
+    ``_TILE_ROWS`` or, under a smaller budget, the rows of a tile twice as
+    wide as it is tall (90 x 182 at 1 MiB, not 512 x 32), in tiles of
+    ``SCORE_BLOCK_BYTES // 64`` scores."""
     tile = SCORE_BLOCK_BYTES // 64
-    return _span_tiles(queries, gallery, SCORE_BLOCK_BYTES,
-                       min(_TILE_ROWS, math.isqrt(tile // 2)), tile, upper)
-
-
-def _float64_tiles(queries, gallery, start: int, stop: int, block_bytes: int,
-                   min_rows: int = 2, upper: bool = False):
-    """The float64 product of rows ``start..stop`` (from column ``start`` with
-    ``upper``), ``(start, first, tile)`` over the tiles of ``_tile_spans``
-    within the caller's ``block_bytes`` and ``min_rows``: the second screen
-    of a histogram span or a mining span whose float32 screen gave up, or
-    that has none."""
-    spans = _span_tiles(queries, gallery, block_bytes, min_rows, upper=upper,
-                        rows=(start, stop))
-    for _, _, tiles in spans:
-        yield from tiles
+    rows = max(1, min(_TILE_ROWS, math.isqrt(tile // 2)), SCORE_BLOCK_BYTES // 8 // len(gallery))
+    return _span_tiles(queries, gallery, rows, tile, upper)
 
 
 def _label_runs(labels: np.ndarray, of: np.ndarray):
@@ -797,9 +730,8 @@ def recall_at_k(
     num_queries = retrieval.queries.shape[0]
     query_labels = np.asarray(labels)
     gallery_labels = query_labels if gallery_labels is None else np.asarray(gallery_labels)
-    for name, arr in (("query", query_labels), ("gallery", gallery_labels)):
-        if arr.size and not np.issubdtype(arr.dtype, np.integer):
-            raise ShapeError(f"{name} labels must be integers, got dtype {arr.dtype}")
+    _check_integer_labels(query_labels, "query labels")
+    _check_integer_labels(gallery_labels, "gallery labels")
     query_labels = np.ascontiguousarray(query_labels, dtype=np.int64)
     gallery_labels = np.ascontiguousarray(gallery_labels, dtype=np.int64)
     if query_labels.shape != (num_queries,):

@@ -23,7 +23,7 @@ mining do): a tile score ``<= below`` proves the float64 row dot
 (``evaluation._row_dots``: no BLAS, so a value depends only on its two
 rows) ``< beta``, one ``>= above`` proves it ``> beta``, and only the pairs
 strictly between are row-dotted, so every decision is the row dot's. The
-tiles are blocks of memory rows (``evaluation.score_tiles``) of the float32
+tiles hold whole anchor rows (``evaluation._span_tiles``) of the float32
 product with the bank's float32 copy, or of the float64 product with the
 memory when the float32 passes (different-label scores above ``below``)
 exceed ``_PER_PAIR_SHARE`` of the pairs screened, the memory fits one
@@ -59,7 +59,13 @@ from .errors import (
     NumericalError,
     ShapeError,
 )
-from .evaluation import _PER_PAIR_SHARE, _row_dots, _screen_thresholds, score_tiles
+from .evaluation import (
+    _PER_PAIR_SHARE,
+    _check_integer_labels,
+    _row_dots,
+    _screen_thresholds,
+    _span_tiles,
+)
 from .geometry import _check_unit_norms
 
 if TYPE_CHECKING:  # avoids a runtime import cycle with .memory
@@ -109,8 +115,7 @@ class LabeledEmbeddingBatch:
             raise ShapeError(
                 f"batch must be (N >= 2, d >= 2), got {embeddings.shape}"
             )
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ShapeError(f"labels must be integers, got dtype {labels.dtype}")
+        _check_integer_labels(labels, "labels")
         if not np.all(np.isfinite(embeddings)):
             raise NumericalError("batch embeddings contain non-finite values")
         if validate:
@@ -168,8 +173,8 @@ class LossOutput:
     contrastive_grad: Optional[np.ndarray] = None
 
 
-# Values per block of the screen (``score_tiles`` at 8 bytes each) and per
-# operand of the gathered pair dots; a memory of no more pairs takes float64 tiles.
+# Scores per tile of the screen, in either precision, and per operand of the
+# gathered pair dots; a memory of no more pairs takes float64 tiles.
 _BLOCK_VALUES = 2**16
 
 
@@ -178,7 +183,8 @@ def _memory_arrays(memory: Optional["MemoryView"]):
 
     Returns None or ``(descriptors, labels, descriptors32, norm_bound)``; the
     last two come from the bank, or for a view built by hand from its rows,
-    after a non-finite row raises NumericalError naming it.
+    after a non-finite row raises NumericalError naming it. Labels that are
+    not integers raise ShapeError.
     """
     if memory is None:
         return None
@@ -190,6 +196,7 @@ def _memory_arrays(memory: Optional["MemoryView"]):
         raise ShapeError("memory descriptors must be 2-D")
     if labels.shape != (descriptors.shape[0],):
         raise ShapeError("memory labels must be one per descriptor row")
+    _check_integer_labels(labels, "memory labels")
     if memory.descriptors32 is not None:
         return descriptors, labels, memory.descriptors32, memory.norm_bound
     bad = np.flatnonzero(~np.isfinite(descriptors).all(axis=1))
@@ -205,13 +212,16 @@ def _decided(Z, labels, mem_Z, mem_labels, below, above, limit):
     """``(memory rows, anchors, up)`` of the different-label pairs scoring
     above their anchor's ``below`` in the tiles of ``mem_Z @ Z.T``
     (memory-major runs faster), ascending; ``up`` marks those ``>= above``.
-    A tile is compared once, against the least ``below``; only its passes
-    are classified. None, asking for no further tile, once the pairs are more
-    than ``limit`` per memory row screened."""
+    A tile holds whole anchor rows, ``_BLOCK_VALUES`` scores or, if more,
+    one memory row's; it is compared once, against the least ``below``, and
+    only its passes are classified. None, asking for no further tile, once the pairs
+    are more than ``limit`` per memory row screened."""
     n = Z.shape[0]
     floor, passed = below.min(), 0
     kept = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=bool),)]
-    for start, _, S in score_tiles(mem_Z, Z, 8 * _BLOCK_VALUES):
+    block = max(1, _BLOCK_VALUES // n)
+    for _, _, tiles in _span_tiles(mem_Z, Z, block, block * n):
+        start, _, S = next(tiles)  # whole anchor rows: one tile a span
         passes = np.flatnonzero(S > floor)
         if passes.size:  # on real data most tiles have none
             rows, anchors = np.divmod(passes + start * n, n)

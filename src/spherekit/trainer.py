@@ -58,7 +58,7 @@ from .errors import (
 from .evaluation import (
     _PER_PAIR_SHARE,
     _LabelRuns,
-    _float64_tiles,
+    _check_integer_labels,
     _ranges,
     _row_dots,
     _screen_slack,
@@ -108,15 +108,16 @@ TUPLES_PER_BATCH = 5
 PAIRS_PER_EPOCH_FULL = 2000
 CANDIDATES_PER_EPOCH_FULL = 22000
 
-# Bytes of scores one mining tile may hold: a float32 tile of _TILE_ROWS
-# anchors by 2,048 pool rows, or a float64 tile of a span's anchors by 1,024
-# where the span falls back. Scoring every anchor of an epoch at once would
-# hold anchors x candidates scores (22 MB at 500 x 5,500). An anchor's
-# negatives depend on neither the tile shape nor its precision: its kept
-# entries are scored in float64 row dots. A span takes in a tile's entries
-# at most a 64th of this many at a time, and a float64 span cuts its kept
-# entries to each anchor's top k past that many, since each kept entry
-# costs about 70 bytes of index and sort temporaries.
+# Bytes of scores one mining tile may hold: MINING_BLOCK_BYTES // 4 float32
+# scores (262,144: _TILE_ROWS anchors by 2,048 pool rows), or where a span
+# falls back MINING_BLOCK_BYTES // 8 float64 scores (131,072: its anchors by
+# 1,024). Scoring every anchor of an epoch at once would hold anchors x
+# candidates scores (22 MB at 500 x 5,500). An anchor's negatives depend on
+# neither the tile shape nor its precision: its kept entries are scored in
+# float64 row dots. A span takes in a tile's entries at most a 64th of this
+# many at a time, and a float64 span cuts its kept entries to each anchor's
+# top k past that many, since each kept entry costs about 70 bytes of index
+# and sort temporaries.
 MINING_BLOCK_BYTES = 2**20
 # Anchors per float32 tile. A thinner tile re-reads the pool more often, a
 # wider one screens fewer columns per anchor: one desk mining call (500 x 5,500
@@ -143,8 +144,7 @@ class LabeledFeatureDataset:
             raise ShapeError("features must be a nonempty 2-D array")
         if labels.shape != (features.shape[0],):
             raise ShapeError("one label per feature row required")
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ShapeError(f"labels must be integers, got dtype {labels.dtype}")
+        _check_integer_labels(labels, "labels")
         if not np.all(np.isfinite(features)):
             raise NumericalError("features contain non-finite values")
         labels = np.array(labels, dtype=np.int64)
@@ -587,11 +587,12 @@ def mine_hard_negatives(
 
     Similarity is the float64 row dot (``evaluation._row_dots``); each row is
     ordered by descending similarity, ties to the lowest pool index. Raises
-    ShapeError, before any work, when k is not an integer of at least 1,
-    NumericalError, naming the input and the row, on a non-finite anchor or
-    pool row, and SamplingError when an anchor has fewer than k candidates
-    outside its label. An anchor's same-label pool rows come from one stable
-    sort of ``pool_labels``; only those entries are set to -inf.
+    ShapeError, before any work, when k is not an integer of at least 1 or a
+    label is not an integer, NumericalError, naming the input and the row, on
+    a non-finite anchor or pool row, and SamplingError when an anchor has
+    fewer than k candidates outside its label. An anchor's same-label pool
+    rows come from one stable sort of ``pool_labels``; only those entries are
+    set to -inf.
 
     Spans of ``_TILE_ROWS`` anchors (``evaluation._span_tiles``) go through
     one screen (``_SpanScreen``) against successive tiles of pool rows. Per
@@ -633,6 +634,8 @@ def mine_hard_negatives(
         raise ShapeError("one excluded label per anchor row required")
     if pool_labels.shape != (pool_descriptors.shape[0],):
         raise ShapeError("one label per pool row required")
+    _check_integer_labels(pool_labels, "pool labels")
+    _check_integer_labels(exclude_labels, "excluded labels")
     for name, rows in (("anchor", anchors), ("pool", pool_descriptors)):
         bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
         if bad.size:
@@ -654,17 +657,18 @@ def mine_hard_negatives(
     with np.errstate(over="ignore"):
         anchors32 = anchors.astype(np.float32)
         pool32 = pool_descriptors.astype(np.float32)
-    # _span_tiles counts 8 bytes a score, so a float32 tile gets twice the budget.
-    spans = _span_tiles(anchors32, pool32, 2 * MINING_BLOCK_BYTES, _TILE_ROWS)
-    for start, stop, tiles in spans:
+    # Spans of as many anchors as fit a float32 tile across the pool, at least _TILE_ROWS.
+    values = MINING_BLOCK_BYTES // 4
+    for start, stop, tiles in _span_tiles(anchors32, pool32, max(_TILE_ROWS, values // n), values):
         span = slice(start, stop)
         screen = _SpanScreen(z_norm[span], d, norm_bound, k, np.float32)
         limit = _PER_PAIR_SHARE * (stop - start) * n
         if not (try32[span].all() and screen.scan(tiles, same_label, start, limit)):
             screen = _SpanScreen(z_norm[span], d, norm_bound, k, np.float64)
-            screen.scan(_float64_tiles(anchors, pool_descriptors, start, stop,
-                                       MINING_BLOCK_BYTES, stop - start), same_label, start,
-                        MINING_BLOCK_BYTES // 64, (anchors[span], pool_descriptors))
+            _, _, tiles64 = next(_span_tiles(anchors, pool_descriptors, stop - start,
+                                             MINING_BLOCK_BYTES // 8, within=(start, stop)))
+            screen.scan(tiles64, same_label, start, MINING_BLOCK_BYTES // 64,
+                        (anchors[span], pool_descriptors))
         tiles.close()
         out[span] = screen.top(anchors[span], pool_descriptors)
     return out

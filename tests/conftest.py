@@ -146,29 +146,32 @@ def mining_routes(monkeypatch):
 def mining_tiles(rows, columns):
     """Make mining's float32 tiles ``rows`` anchors by ``columns`` pool rows
     (fewer at the edges) for pools wider than ``columns``; its float64 tiles
-    hold a span's rows and as many pool rows as fit the same budget."""
+    hold a span's rows and as many pool rows as fit ``rows * columns / 2``
+    scores, the same bytes."""
     return mock.patch.multiple(trainer, _TILE_ROWS=rows, MINING_BLOCK_BYTES=4 * rows * columns)
 
 
 def metric_tiles(rows, columns):
     """Make the metrics' float32 tiles ``rows`` rows by ``columns`` columns
-    (fewer at the edges, and a 1-row tail joins the span before it) against
-    galleries of at least ``8 * columns`` rows; against narrower ones a span
-    holds the full rows of its float64 budget, ``64 * rows * columns`` bytes,
-    and tiles as many columns as fit with them. Unlike the metrics' own row
-    floor, ``rows`` does not shrink for tiles less than twice as wide."""
-    budget = 64 * rows * columns
+    (fewer at the edges) against galleries of at least ``8 * columns`` rows;
+    against narrower ones a span holds as many full rows as fit
+    ``8 * rows * columns`` scores, and tiles as many columns as fit
+    ``rows * columns`` scores with them. Unlike the metrics' own row floor,
+    ``rows`` does not shrink for tiles less than twice as wide."""
+    values = rows * columns
 
     def spans(queries, gallery, upper=False):
-        return evaluation._span_tiles(queries, gallery, budget, rows, rows * columns, upper)
-    return mock.patch.multiple(evaluation, _metric_spans=spans, SCORE_BLOCK_BYTES=budget)
+        span = max(rows, 8 * values // gallery.shape[0])
+        return evaluation._span_tiles(queries, gallery, span, values, upper)
+    return mock.patch.multiple(evaluation, _metric_spans=spans, SCORE_BLOCK_BYTES=64 * values)
 
 
 def budget_for_rows(module, budget_name, rows, gallery_rows):
     """Set ``module.budget_name`` so that score blocks against a gallery of
-    ``gallery_rows`` hold ``rows`` full rows each; None keeps the module's
-    budget. The metrics' row spans then hold the same rows (``_TILE_ROWS``
-    too), and their float32 tiles an eighth of the gallery's columns."""
+    ``gallery_rows`` hold ``rows`` full rows each, ``rows * gallery_rows``
+    scores of 8 bytes; None keeps the module's budget. The metrics' row spans
+    then hold the same rows (``_TILE_ROWS`` too), and their float32 tiles an
+    eighth of the gallery's columns."""
     if rows is None:
         return contextlib.nullcontext()
     patches = {budget_name: 8 * gallery_rows * rows}

@@ -661,20 +661,19 @@ def run_cli_with_blas_threads(threads, *args):
 
 def memory_routes(monkeypatch):
     """Per memory term of an in-process run, the dtypes of the tiles that
-    decided its pairs, in order (``objective.score_tiles``)."""
+    decided its pairs, in order (``objective._span_tiles``)."""
     routes = []
-    pairs, tiles = objective._memory_pairs, objective.score_tiles
+    pairs, spans = objective._memory_pairs, objective._span_tiles
 
     def counted_pairs(*args):
         routes.append([])
         return pairs(*args)
 
-    def counted_tiles(*args):
-        for tile in tiles(*args):
-            routes[-1].append(tile[2].dtype)
-            yield tile
+    def counted_spans(*args):
+        for start, stop, tiles in spans(*args):
+            yield start, stop, (routes[-1].append(tile[2].dtype) or tile for tile in tiles)
     monkeypatch.setattr(objective, "_memory_pairs", counted_pairs)
-    monkeypatch.setattr(objective, "score_tiles", counted_tiles)
+    monkeypatch.setattr(objective, "_span_tiles", counted_spans)
     return routes
 
 

@@ -141,6 +141,19 @@ class TestSimilarityHistograms:
         with pytest.raises(ShapeError):
             similarity_histograms(Z, np.zeros(4, dtype=np.int64), num_bins=1)
 
+    @pytest.mark.parametrize("labels", [
+        [np.nan, np.nan, 0, 0, 1, 1],  # nan != nan: no same-label pair
+        [0.0, 0.0, 1.0, 1.0, 2.0, 2.0],
+        ["a", "a", "b", "b", "c", "c"],
+        [True, True, False, False, True, False],
+    ])
+    def test_non_integer_labels_raise_before_any_tile(self, monkeypatch, labels):
+        Z = unit_rows(np.random.default_rng(86), 6, 3)
+        routes = histogram_routes(monkeypatch)
+        with pytest.raises(ShapeError, match="labels must be integers"):
+            similarity_histograms(Z, np.array(labels))
+        assert routes.tiles == {"float32": {}, "float64": {}}
+
     @pytest.mark.parametrize("num_bins", [2.5, 8.0, True, "8"])
     def test_num_bins_that_is_not_an_integer_raises(self, num_bins):
         Z = unit_rows(np.random.default_rng(85), 4, 3)

@@ -28,19 +28,21 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spherekit import (
+    LabeledEmbeddingBatch,
+    MemoryView,
     NumericalError,
     ProtocolError,
     QueryGroundTruth,
     RetrievalIndex,
+    contrastive_loss,
     mean_average_precision,
     mine_hard_negatives,
     recall_at_k,
     retrieve,
     similarity_histograms,
 )
-from spherekit import evaluation, trainer
+from spherekit import evaluation, objective, trainer
 from spherekit.errors import ShapeError
-from spherekit.evaluation import score_tiles
 
 from conftest import (
     budget_for_rows,
@@ -161,8 +163,8 @@ class TestRetrieve:
         queries = unit_rows(rng, 4, 6)
         index = RetrievalIndex(gallery=gallery)
         sims = queries @ gallery.T
-        blocks = score_tiles(queries, gallery, evaluation.SCORE_BLOCK_BYTES)
-        assert_array_equal(np.vstack([S for _, _, S in blocks]), sims)
+        spans = evaluation._metric_spans(queries, gallery)
+        assert_array_equal(np.vstack([S for _, _, tiles in spans for _, _, S in tiles]), sims)
         for qi in range(4):
             # rank_of scores one query alone, as this product does
             row = (queries[qi][None, :] @ gallery.T)[0]
@@ -526,24 +528,55 @@ class TestPlaces:
 
 
 class TestScoreBlocks:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 10, 11])
-    @pytest.mark.parametrize("rows", [2, 3, 4, 10])
-    def test_blocks_cover_rows_in_order_and_never_hold_one_row(self, n, rows):
-        rng = np.random.default_rng(90)
-        Q = unit_rows(rng, n, 4)
-        G = unit_rows(rng, 7, 4)
-        blocks = list(score_tiles(Q, G, 8 * G.shape[0] * rows))
-        assert all(first == 0 and S.shape[1] == G.shape[0] for _, first, S in blocks)
-        blocks = [(start, S) for start, _, S in blocks]
-        starts = [start for start, _ in blocks]
-        sizes = [S.shape[0] for _, S in blocks]
-        assert starts == list(np.cumsum([0] + sizes[:-1]))
-        assert sum(sizes) == n
-        assert max(sizes) <= rows + 1  # a 1-row tail joins the last block
-        if n > 1:
-            assert min(sizes) >= 2
-        for start, S in blocks:
-            assert_array_equal(S, Q[start : start + S.shape[0]] @ G.T)
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+    @pytest.mark.parametrize("m", [1, 5, 13])
+    @pytest.mark.parametrize("rows", [1, 3, 4, 16])
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_tiles_cover_every_pair_once_in_row_major_order(self, n, m, rows, upper):
+        rng = np.random.default_rng(92)
+        Q, G = unit_rows(rng, n, 4), unit_rows(rng, m, 4)
+        for values, within in itertools.product((1, 6, 100), (None, (n // 3, n))):
+            begin, end = within or (0, n)
+            expected = np.zeros((n, m), dtype=np.int64)
+            for row in range(begin, end):  # with upper, from the span's first row
+                expected[row, begin + (row - begin) // rows * rows if upper else 0:] = 1
+            covered = np.zeros((n, m), dtype=np.int64)
+            order, spans = [], evaluation._span_tiles(Q, G, rows, values, upper, within)
+            for start, stop, tiles in spans:
+                assert (start - begin) % rows == 0 and stop == min(start + rows, end)
+                for tile_start, first, S in tiles:
+                    last = first + S.shape[1]
+                    assert tile_start == start and S.shape[0] == stop - start
+                    assert S.size <= max(values, S.shape[0])  # at least one column
+                    assert_array_equal(S, Q[start:stop] @ G[first:last].T)
+                    covered[start:stop, first:last] += 1
+                    order.append((start, first))
+            assert_array_equal(covered, expected)
+            assert order == sorted(order)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+    @pytest.mark.parametrize("m", [1, 5, 13])
+    @pytest.mark.parametrize("values", [3, 4, 16])
+    def test_memory_blocks_keep_whole_anchor_rows(self, monkeypatch, n, m, values):
+        # The memory term reads a tile's memory rows from its start alone, so
+        # a block holds whole anchor rows: as many memory rows as fit `values`
+        # scores, and one where more anchors than `values` do not fit.
+        rng = np.random.default_rng(93)
+        Z, mem_Z = unit_rows(rng, n, 4), unit_rows(rng, m, 4)
+        shapes, spans = [], objective._span_tiles
+
+        def spied(*args):
+            for start, stop, tiles in spans(*args):
+                yield start, stop, (shapes.append(tile[:2] + tile[2].shape) or tile
+                                    for tile in tiles)
+        monkeypatch.setattr(objective, "_span_tiles", spied)
+        monkeypatch.setattr(objective, "_BLOCK_VALUES", values)
+        rows, anchors, _ = objective._decided(Z, np.zeros(n), mem_Z, np.ones(m),
+                                              np.full(n, -np.inf), np.full(n, np.inf), np.inf)
+        # Every pair once, memory row by memory row.
+        assert_array_equal(np.stack([rows, anchors]), np.divmod(np.arange(m * n), n))
+        block = max(1, values // n)
+        assert shapes == [(start, 0, min(block, m - start), n) for start in range(0, m, block)]
 
     def test_default_rows_follow_the_byte_budget(self):
         Q = np.eye(4)[[0, 1] * 300]
@@ -580,42 +613,62 @@ class TestScoreBlocks:
         assert (start, first) == (0, 0)
         assert (stop - start, S.shape[1]) == shape
 
-    def test_a_budget_below_two_rows_gives_two_row_blocks(self):
-        sizes = [S.shape[0] for _, _, S in score_tiles(np.eye(5), np.eye(5), 8)]
-        assert sizes == [2, 3]  # the 1-row tail joins the block before it
+    @pytest.mark.parametrize("share", [None, 0.0])
+    def test_tile_shape_changes_no_byte(self, share):
+        # Random rows, so a product's last bits can move with its shape (a
+        # 1-row span is a matrix-vector product): no output may. Shapes are
+        # the defaults, 1-row spans and tiles of 3 x 5 of every blocked
+        # product (a fallback's span keeps its rows), and memory blocks of 1
+        # and 3 rows. A share of 0 sends the memory term, every mining span
+        # and every histogram span with an undecided pair to float64 tiles.
+        rng = np.random.default_rng(94)
+        G, Q, A = unit_rows(rng, 40, 48), unit_rows(rng, 7, 48), unit_rows(rng, 10, 48)
+        pool, Z, mem_Z = unit_rows(rng, 300, 48), unit_rows(rng, 8, 48), unit_rows(rng, 300, 48)
+        labels, q_labels = rng.integers(0, 4, size=40), rng.integers(0, 4, size=7)
+        pool_labels, exclude = rng.integers(0, 30, size=300), rng.integers(0, 30, size=10)
+        records = random_ground_truths(rng, 7, 40)
+        probe = LabeledEmbeddingBatch(Z, np.arange(8) % 4)
+        view = MemoryView(mem_Z, rng.integers(0, 12, size=300))
+        index, ks = RetrievalIndex(G), (1, 2, 4, 8)
+        span_tiles = evaluation._span_tiles
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
-    @pytest.mark.parametrize("m", [1, 5, 13])
-    @pytest.mark.parametrize("min_rows", [3, 4, 16])
-    def test_a_row_floor_splits_the_columns_into_tiles_of_the_budget(self, n, m, min_rows):
-        rng = np.random.default_rng(92)
-        Q, G = unit_rows(rng, n, 4), unit_rows(rng, m, 4)
-        budget = 8 * 6  # fewer full rows than the floor for every m > 3
-        tiles = list(score_tiles(Q, G, budget, min_rows))
-        covered = np.zeros((n, m), dtype=np.int64)
-        for start, first, S in tiles:
-            stop, last = start + S.shape[0], first + S.shape[1]
-            assert_array_equal(S, Q[start:stop] @ G[first:last].T)
-            covered[start:stop, first:last] += 1
-            if m > 3:  # a 1-row tail joins the span before it
-                assert S.shape[0] in (min(min_rows, n), n - start)
-                assert S.shape[1] <= max(1, 6 // min(min_rows, n))
-        assert np.all(covered == 1)
-        # Row-major: every column tile of a row span before the next span.
-        starts = [start for start, _, _ in tiles]
-        assert starts == sorted(starts)
+        def outputs(rows=None, columns=None):
+            def shaped(queries, gallery, span, values, upper=False, within=None):
+                span = span if within else rows
+                return span_tiles(queries, gallery, span, span * columns, upper, within)
+            with contextlib.ExitStack() as stack:
+                if rows:
+                    for module in (evaluation, trainer):
+                        stack.enter_context(mock.patch.object(module, "_span_tiles", shaped))
+                    stack.enter_context(mock.patch.object(objective, "_BLOCK_VALUES", rows * 8))
+                if share is not None:
+                    for module in (evaluation, trainer, objective):
+                        stack.enter_context(mock.patch.object(module, "_PER_PAIR_SHARE", share))
+                recall = [recall_at_k(retrieve(index, G, exclude_self=True), labels, ks),
+                          recall_at_k(retrieve(index, Q), q_labels, ks, gallery_labels=labels)]
+                maps = mean_average_precision(retrieve(index, Q), records, evaluation.SPLITS)
+                hist = similarity_histograms(G, labels)
+                negatives = mine_hard_negatives(A, pool, pool_labels, exclude, 2)
+                loss = contrastive_loss(probe, view, 0.3)
+            return [np.array([list(r.values()) for r in recall]).tobytes(),
+                    np.array([ap for ap, _ in maps.values()]).tobytes(),
+                    np.array([q for _, skipped in maps.values() for q in skipped]).tobytes(),
+                    hist.positive_counts.tobytes(), hist.negative_counts.tobytes(),
+                    negatives.tobytes(), np.float64(loss.value).tobytes(), loss.grad.tobytes()]
+        default = outputs()
+        assert outputs(1, 10**6) == default
+        assert outputs(3, 5) == default
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 11])
-    @pytest.mark.parametrize("rows", [2, 3, 4, 10])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 10])
     def test_self_blocks_are_the_trapezoids_of_the_same_blocks(self, n, rows):
         # Quantized rows make every product exact, whatever its shape.
         X = quantized_unit_rows(np.random.default_rng(91), n, 8, 5)
-        budget = 8 * n * rows
-        full = [(start, S) for start, _, S in score_tiles(X, X, budget)]
-        halves = [[tile for tile in tiles]
-                  for _, _, tiles in evaluation._span_tiles(X, X, budget, upper=True)]
-        assert [tiles[0][:2] for tiles in halves] == [(start, start) for start, _ in full]
-        for (start, S), [(_, _, T)] in zip(full, halves):
+        full = [next(tiles) for _, _, tiles in evaluation._span_tiles(X, X, rows, rows * n)]
+        halves = [list(tiles)
+                  for _, _, tiles in evaluation._span_tiles(X, X, rows, rows * n, upper=True)]
+        assert [tiles[0][:2] for tiles in halves] == [(start, start) for start, _, _ in full]
+        for (start, _, S), [(_, _, T)] in zip(full, halves):
             assert_array_equal(T, S[:, start:])
 
 

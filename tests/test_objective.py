@@ -317,8 +317,9 @@ def forced_memory_path(float32):
     passes send them on) or on float64 tiles (a share of 0: the first pass
     does).
 
-    Blocks of one value make even a tiny memory go through the screen, two
-    rows (``score_tiles``' least) and one pair dot at a time.
+    Blocks of one score make even a tiny memory go through the screen, one
+    memory row (the least block of whole anchor rows) and one pair dot at a
+    time.
     """
     return mock.patch.multiple(
         objective, _PER_PAIR_SHARE=1.0 if float32 else 0.0, _BLOCK_VALUES=1
@@ -326,14 +327,13 @@ def forced_memory_path(float32):
 
 
 def tile_dtypes(monkeypatch):
-    """The dtype of each tile the memory term's ``score_tiles`` yields, in order."""
-    seen, tiles = [], objective.score_tiles
+    """The dtype of each tile the memory term's ``_span_tiles`` yields, in order."""
+    seen, spans = [], objective._span_tiles
 
     def spied(*args):
-        for tile in tiles(*args):
-            seen.append(tile[2].dtype)
-            yield tile
-    monkeypatch.setattr(objective, "score_tiles", spied)
+        for start, stop, tiles in spans(*args):
+            yield start, stop, (seen.append(tile[2].dtype) or tile for tile in tiles)
+    monkeypatch.setattr(objective, "_span_tiles", spied)
     return seen
 
 
@@ -386,7 +386,7 @@ class TestMemoryScreen:
             view = MemoryView(mem_Z, mem_labels)
         probe = batch(Z, labels, validate=False)
         # Force the precision of the screen's tiles, and screen these small
-        # memories two rows at a time.
+        # memories one row at a time.
         with forced_memory_path(float32):
             out = contrastive_loss(probe, view, beta)
         alone = contrastive_loss(probe, None, beta)
@@ -491,10 +491,26 @@ class TestMemoryScreen:
         mem_Z[7, 3] = value
         view = MemoryView(mem_Z, 4 + np.arange(m) % 4)
         tiles = []
-        monkeypatch.setattr(objective, "score_tiles", lambda *a: tiles.append(1) or iter(()))
+        monkeypatch.setattr(objective, "_span_tiles", lambda *a: tiles.append(1) or iter(()))
         with pytest.raises(NumericalError, match="memory row 7 contains non-finite values"):
             contrastive_loss(batch(Z, np.arange(n) % 4), view, 0.5)
         assert not tiles
+
+    @pytest.mark.parametrize("mem_labels", [
+        np.full(50, np.nan), np.arange(50) % 4 + 0.0, np.array(["a", "b"] * 25),
+    ])
+    def test_non_integer_labels_of_a_hand_built_view_raise(self, monkeypatch, mem_labels):
+        rng = np.random.default_rng(15)
+        view = MemoryView(unit_rows(rng, 50, 16), mem_labels)
+        tiles = []
+        monkeypatch.setattr(objective, "_span_tiles", lambda *a: tiles.append(1) or iter(()))
+        with pytest.raises(ShapeError, match="memory labels must be integers"):
+            contrastive_loss(batch(unit_rows(rng, 8, 16), np.arange(8) % 4), view, 0.5)
+        assert not tiles
+        # An empty view is no memory, whatever its labels' dtype.
+        probe = batch(unit_rows(rng, 8, 16), np.arange(8) % 4)
+        empty = contrastive_loss(probe, MemoryView(np.zeros((0, 16)), np.array([])), 0.5)
+        assert empty.value == contrastive_loss(probe, None, 0.5).value
 
     @pytest.mark.parametrize("row", ["2**61", "2**130", "one-entry-overflows"])
     def test_an_anchor_past_the_proven_range_keeps_all_its_pairs(self, monkeypatch, row):

@@ -537,6 +537,28 @@ class TestScreenedMining:
             mine_hard_negatives(A, pool_Z, labels, exclude, k)
         assert routes.tiles == {"float32": {}, "float64": {}}
 
+    @pytest.mark.parametrize("which", ["pool", "excluded"])
+    @pytest.mark.parametrize("kind", ["nan", "float", "str"])
+    def test_non_integer_labels_raise_before_any_tile(self, monkeypatch, which, kind):
+        # NaN labels would read as 0 candidates outside label nan.
+        rng = np.random.default_rng(128)
+        A, pool_Z, labels, exclude = self.draw(rng, 4, 50)
+        value = {"nan": np.nan, "float": 1.0, "str": "a"}[kind]
+        if which == "pool":
+            labels = np.full(labels.shape, value)
+        else:
+            exclude = np.full(exclude.shape, value)
+        routes = mining_routes(monkeypatch)
+        with pytest.raises(ShapeError, match=f"{which} labels must be integers"):
+            mine_hard_negatives(A, pool_Z, labels, exclude)
+        assert routes.tiles == {"float32": {}, "float64": {}}
+
+    def test_empty_labels_of_any_dtype_are_accepted(self):
+        rng = np.random.default_rng(129)
+        A, pool_Z, labels, _ = self.draw(rng, 4, 50)
+        got = mine_hard_negatives(A[:0], pool_Z, labels, np.array([]))
+        assert got.shape == (0, 5) and got.dtype == np.int64
+
     def test_huge_anchor_falls_back_with_its_span(self, monkeypatch):
         rng = np.random.default_rng(123)
         A, pool_Z, labels, exclude = self.draw(rng, 96, 1000)
