@@ -6,12 +6,14 @@ Three instruments for judging an embedding beyond task metrics:
   plus their overlap (a separability score in [0, 1]). Every pair lands in
   the bin of its float64 row dot. Rows of norm at most 1 + UNIT_ATOL are
   scored in float32 tiles of the metrics' size, row span by row span, each
-  unordered pair once, and a pair in a row dot only where its float32 score
-  lies within the proven float32 error of an interior bin edge; a span with
-  more such pairs than the metrics' per-pair share stops its tiles, and it
-  and every span of other rows (a larger norm, bands too wide) go through
-  the same edge screen again over float64 tiles of its rows, as many scores
-  as a float32 tile. Memory is one tile;
+  unordered pair once; each score is binned once, and counted as same-label
+  where the label codes of its row and column are equal. A pair is scored
+  in a row dot only where its float32 score lies within the proven float32
+  error of an interior bin edge; a span with more such pairs than the
+  metrics' per-pair share stops its tiles, and it and every span of other
+  rows (a larger norm, bands too wide) go through the same edge screen
+  again over float64 tiles of its rows, as many scores as a float32 tile.
+  Memory is one tile;
 * the PCA energy profile of a descriptor set, summarized as the number of
   components needed to reach fixed energy thresholds (a dimensional-collapse
   gauge: fewer components for 90% energy means a flatter, more collapsed
@@ -55,7 +57,7 @@ ENERGY_THRESHOLDS = (50, 90, 95)
 # skipped when measuring gradient-direction dispersion.
 GRAD_NORM_FLOOR = 1e-12
 
-# Scores per _EdgeScreen.split at any budget: its fixed cost swamps far smaller chunks.
+# Scores per _EdgeScreen.binned at any budget: its fixed cost swamps far smaller chunks.
 _SPLIT_VALUES = 2**16
 # The largest squared row norm the histogram scores. For rows of norm at most
 # 2**511 (about 6.7e153) every partial sum of a pair's dot product stays below
@@ -140,12 +142,12 @@ class _EdgeScreen:
             return None
         return cls(below, above, dtype(scale), dtype(tol))
 
-    def split(self, values):
-        """Per bin, the decided ones of tile scores ``values``, and the
-        indices of the undecided ones."""
+    def binned(self, values):
+        """Per tile score of ``values``, its bin, or the bin count where it
+        is undecided, and the indices of the undecided ones."""
         bins = self.above.size + 1
         if not self.tol < 0.5:
-            return np.zeros(bins, dtype=np.int64), np.arange(values.size)
+            return np.full(values.size, bins), np.arange(values.size)
         x = values * self.scale
         x += self.scale
         np.clip(x, 0.5, bins - 0.5, out=x)  # half a bin off the outer edges
@@ -158,28 +160,22 @@ class _EdgeScreen:
         up = score >= self.above[edge]
         at[near] = edge + up
         near = near[~up & (score > self.below[edge])]
-        at[near] = bins  # undecided: counted past the last bin
-        return np.bincount(at, minlength=bins + 1)[:bins], near
+        at[near] = bins
+        return at, near
 
 
 @dataclass(frozen=True)
 class _PairBins:
     """Bins pairs of rows of ``Z`` by their float64 row dots, from their
     scores in a tile through the ``screen``, rescoring the undecided pairs
-    with row dots of ``chunk`` values per operand. ``runs`` finds each row's
-    same-label rows (``evaluation._LabelRuns`` of the labels against
-    themselves)."""
+    with row dots of ``chunk`` values per operand; two rows share a label
+    where their ``codes`` (``evaluation._label_codes``) are equal."""
 
     Z: np.ndarray
     open_edges: np.ndarray
     screen: _EdgeScreen
     chunk: int
-    runs: evaluation._LabelRuns
-
-    def pairs(self, rows, cols, values) -> np.ndarray:
-        """Bin counts of pairs ``(rows[i], cols[i])`` scored ``values``."""
-        counts, undecided = self.screen.split(values)
-        return counts + self._rescored(rows[undecided], cols[undecided])
+    codes: np.ndarray
 
     def span(self, start, stop, tiles, limit=np.inf) -> tuple[np.ndarray, np.ndarray] | None:
         """Bin counts of all pairs and of the same-label pairs of the rows
@@ -187,63 +183,41 @@ class _PairBins:
         ``tiles`` (``(start, first, tile)``), or None, asking for no further
         tile, once more than ``limit`` of the span's pairs are undecided.
 
-        A tile's entries of a row with itself or an earlier row (in the
-        diagonal square) go to -2.0, below the first cut, and are taken out
-        of the first bin again, or out of the undecided pairs where the
-        screen decides no score. Counts add up over the tiles."""
-        counts = np.zeros(self.open_edges.size - 1, dtype=np.int64)
-        same = np.zeros_like(counts)
+        Each score is binned once, into the all-pair counts and, where the
+        tile's row and column codes are equal, the same-label counts. A
+        tile's entries of a row with itself or an earlier row (in the
+        diagonal square) go to a discard slot past the undecided one. The
+        undecided pairs of a tile are row-dotted once and binned in both
+        counts alike. Counts add up over the tiles."""
+        bins = self.open_edges.size - 1
+        counts = np.zeros((2, bins + 2), dtype=np.int64)
         total = 0
         for a, first, S in tiles:
             r, width = S.shape
-            lower = 0
-            if first < a + r:
-                mask = np.tri(r, width, a - first, dtype=bool)
-                S[mask] = -2.0
-                lower = np.count_nonzero(mask)
-                del mask
+            same = (self.codes[a : a + r, None] == self.codes[first : first + width]).reshape(-1)
+            lower = np.tri(r, width, a - first, dtype=bool).reshape(-1) if first < a + r else None
             flat = S.reshape(-1)
             undecided = []
             for i in range(0, flat.size, _SPLIT_VALUES):
-                decided, near = self.screen.split(flat[i : i + _SPLIT_VALUES])
-                counts += decided
+                part = slice(i, i + _SPLIT_VALUES)
+                at, near = self.screen.binned(flat[part])
+                if lower is not None:
+                    at[lower[part]] = bins + 1
+                    near = near[at[near] == bins]
+                counts[0] += np.bincount(at, minlength=bins + 2)
+                counts[1] += np.bincount(at[same[part]], minlength=bins + 2)
                 total += near.size
                 if total > limit:
                     return None
                 undecided.append(near + i)
-            rows, cols = np.divmod(np.concatenate(undecided), width)
-            rows += a
-            cols += first
-            upper = rows < cols
-            counts[0] -= lower - np.count_nonzero(~upper)
-            counts += self._rescored(rows[upper], cols[upper])
-            same += self._same_label(a, first, S)
+            near = np.concatenate(undecided)
+            if near.size:
+                rows, cols = np.divmod(near, width)
+                scores = evaluation._row_dots(self.Z, rows + a, self.Z, cols + first, self.chunk)
+                counts[0, :bins] += np.histogram(scores, self.open_edges)[0]
+                counts[1, :bins] += np.histogram(scores[same[near]], self.open_edges)[0]
             del S
-        return counts, same
-
-    def _same_label(self, start, first, S) -> np.ndarray:
-        """Bin counts of the same-label pairs of the tile ``S`` (rows
-        ``start, ...``, columns ``first, ...``) whose column is the later row,
-        read along label runs a bounded chunk at a time."""
-        r, width = S.shape
-        lo, sizes = self.runs.window(start, start + r, first, first + width, after=True)
-        ends = np.cumsum(sizes)
-        counts = np.zeros(self.open_edges.size - 1, dtype=np.int64)
-        a = int(np.searchsorted(ends, 0, "right"))  # rows before hold no pair here
-        while a < r:
-            # Rows a:b hold at most `chunk` same-label pairs, or are one row.
-            b = max(a + 1, int(np.searchsorted(ends, ends[a] - sizes[a] + self.chunk, "right")))
-            rows = np.repeat(np.arange(a, b), sizes[a:b])
-            cols = self.runs.by_label[evaluation._ranges(lo[a:b], sizes[a:b])]
-            counts += self.pairs(start + rows, cols, S[rows, cols - first])
-            a = b
-        return counts
-
-    def _rescored(self, rows, cols) -> np.ndarray:
-        if rows.size == 0:
-            return np.zeros(self.open_edges.size - 1, dtype=np.int64)
-        scores = evaluation._row_dots(self.Z, rows, self.Z, cols, self.chunk)
-        return np.histogram(scores, self.open_edges)[0]
+        return counts[0, :bins], counts[1, :bins]
 
 
 def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
@@ -253,10 +227,11 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
     (``evaluation._metric_spans``, upper trapezoids): a span holds its rows'
     pairs with every later row, so each unordered pair is scored once, in
     tiles of a fixed size, and memory stays bounded by one tile, not by n^2.
-    A tile's pairs are binned a bounded chunk at a time; its same-label pairs
-    are read from it along label runs, a bounded chunk at a time, and binned
-    again; the different-label counts are the difference. Counts add up over
-    tiles.
+    A tile's scores are binned once, a bounded chunk at a time, into the
+    all-pair counts and, where the dense codes of the labels
+    (``evaluation._label_codes``) of a score's row and column are equal, the
+    same-label counts; the different-label counts are the difference. Counts
+    add up over tiles.
 
     Labels that are not integers raise ShapeError, and a non-finite row, or
     one of norm above 2**511 (about 6.7e153, where a pair's score could
@@ -304,9 +279,9 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
     all_counts = np.zeros(num_bins, dtype=np.int64)
     pos_counts = np.zeros(num_bins, dtype=np.int64)
     chunk = max(1, evaluation.SCORE_BLOCK_BYTES // 512)
-    runs = evaluation._LabelRuns(labels, labels)
+    codes = evaluation._label_codes(labels)[0]
     norm, d = math.sqrt(np.max(squared_norms)), Z.shape[1]
-    exact = _PairBins(Z, open_edges, _EdgeScreen.around(norm, d, edges, np.float64), chunk, runs)
+    exact = _PairBins(Z, open_edges, _EdgeScreen.around(norm, d, edges, np.float64), chunk, codes)
     screen = _EdgeScreen.around(norm, d, edges, np.float32)
     screened = None if screen is None else replace(exact, screen=screen)
     # Without a float32 screen no float32 tile is asked for: every span is float64.

@@ -319,26 +319,14 @@ def _label_runs(labels: np.ndarray, of: np.ndarray):
     return by_label, run_start, np.searchsorted(sorted_labels, of, "right") - run_start
 
 
-class _LabelRuns:
-    """``_label_runs(labels, of)``, plus a key per row of ``labels`` that
-    orders them by (label, index), so each entry's same-label rows within a
-    column span of a tile are one binary search away."""
-
-    def __init__(self, labels: np.ndarray, of: np.ndarray):
-        self.by_label, self.run_start, self.run_size = _label_runs(labels, of)
-        sorted_labels = labels[self.by_label]
-        run_of = np.searchsorted(sorted_labels, sorted_labels, "left")
-        self.keys = run_of * self.by_label.size + self.by_label
-
-    def window(self, start: int, stop: int, first: int, last: int, after: bool = False):
-        """Per entry ``start..stop`` of ``of``: where its run's rows with an
-        index in ``first..last`` (and above the entry's own index, with
-        ``after``) begin in ``by_label``, and how many there are."""
-        base = self.run_start[start:stop] * self.by_label.size
-        low = np.maximum(first, np.arange(start + 1, stop + 1)) if after else first
-        lo = np.searchsorted(self.keys, base + low)
-        sizes = np.searchsorted(self.keys, base + last) - lo
-        return lo, np.where(self.run_size[start:stop] > 0, np.maximum(sizes, 0), 0)
+def _label_codes(*labels: np.ndarray) -> list[np.ndarray]:
+    """Per array of ``labels``, its labels as dense codes, equal where the
+    labels are (``np.unique`` over all of them), in the smallest unsigned
+    dtype that holds their number: a tile's same-label entries are then one
+    broadcast compare of small integers."""
+    values, codes = np.unique(np.concatenate(labels), return_inverse=True)
+    codes = codes.reshape(-1).astype(np.min_scalar_type(values.size))
+    return np.split(codes, np.cumsum([part.size for part in labels[:-1]]))
 
 
 def _screen_slack(z_norm, d: int, norm_bound: float, dtype=np.float32):
@@ -422,11 +410,6 @@ def _query_dots(retrieval: Retrieval, queries, items) -> np.ndarray:
     chunks of 1/64 of the score block budget per operand."""
     return _row_dots(retrieval.queries, queries, retrieval.index.gallery, items,
                      SCORE_BLOCK_BYTES // 512)
-
-
-def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``arange(starts[i], starts[i] + sizes[i])`` for every i, concatenated."""
-    return np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
 
 
 def _float32_copies(retrieval: Retrieval) -> tuple[np.ndarray, np.ndarray]:

@@ -26,13 +26,13 @@ strictly between are row-dotted, so every decision is the row dot's. The
 tiles hold whole anchor rows (``evaluation._span_tiles``) of the float32
 product with the bank's float32 copy, or of the float64 product with the
 memory when the float32 passes (different-label scores above ``below``)
-exceed ``_PER_PAIR_SHARE`` of the pairs screened, the memory fits one
-block, or a float32 bound is -inf (a norm past 2**60). The float64 bounds
-are about ``2d * 2**-53`` of a score wide; an anchor past the proven range
-scores 0 in its float64 tiles, between bounds -inf and +inf, so all its
-pairs are row-dotted. A tile is compared once, against the least
-``below``; only its passes are classified, into (memory row, anchor)
-pairs, so no step holds a memory × batch array.
+exceed ``_PER_PAIR_SHARE`` of the pairs screened or a float32 bound is
+-inf (a norm past 2**60). The float64 bounds are about ``2d * 2**-53`` of a
+score wide; an anchor past the proven range scores 0 in its float64 tiles,
+between bounds -inf and +inf, so all its pairs are row-dotted. A tile is
+compared once, against the least ``below``; only its passes are
+classified, into (memory row, anchor) pairs, so no step holds a memory ×
+batch array.
 
 Value and gradient come from the decided sets: with ``P`` and ``A`` the
 positive and active indicators over their memory rows ``M`` (``A``
@@ -174,7 +174,7 @@ class LossOutput:
 
 
 # Scores per tile of the screen, in either precision, and per operand of the
-# gathered pair dots; a memory of no more pairs takes float64 tiles.
+# gathered pair dots.
 _BLOCK_VALUES = 2**16
 
 
@@ -240,18 +240,15 @@ def _memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z32, norm_bound, beta):
     share a label with an anchor, those with an active pair, and the active
     pairs, ascending: of different labels and a float64 row dot above
     ``beta``, decided on float32 tiles while their passes stay within
-    ``_PER_PAIR_SHARE``, else on float64 tiles. A memory of one block
-    takes float64 tiles at once: the float32 screen's fixed cost (about 0.2
-    ms on one thread of a 2-core Xeon) is more than it saves there."""
+    ``_PER_PAIR_SHARE``, else on float64 tiles."""
     n, d = Z.shape
     positives = np.flatnonzero(np.isin(mem_labels, labels))
     z_norm = np.sqrt(np.einsum("ij,ij->i", Z, Z))
     decided = None
-    if n * mem_Z.shape[0] > _BLOCK_VALUES:
-        below, above = _screen_thresholds(z_norm, d, norm_bound, beta)
-        if below.min() > -np.inf:
-            decided = _decided(Z.astype(np.float32), labels, mem_Z32, mem_labels,
-                               below, above, _PER_PAIR_SHARE * n)
+    below, above = _screen_thresholds(z_norm, d, norm_bound, beta)
+    if below.min() > -np.inf:
+        decided = _decided(Z.astype(np.float32), labels, mem_Z32, mem_labels,
+                           below, above, _PER_PAIR_SHARE * n)
     if decided is None:
         below, above = _screen_thresholds(z_norm, d, norm_bound, beta, np.float64)
         # An anchor past the proven range scores 0, strictly between -inf and +inf.

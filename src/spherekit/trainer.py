@@ -57,9 +57,8 @@ from .errors import (
 )
 from .evaluation import (
     _PER_PAIR_SHARE,
-    _LabelRuns,
     _check_integer_labels,
-    _ranges,
+    _label_codes,
     _row_dots,
     _screen_slack,
     _screen_thresholds,
@@ -469,18 +468,6 @@ def sample_category_batch(
     )
 
 
-class _SameLabel(_LabelRuns):
-    """Each anchor's same-label pool rows, found in one stable sort of the
-    pool labels (``evaluation._LabelRuns``), set to -inf tile by tile."""
-
-    def exclude(self, S: np.ndarray, start: int, first: int) -> None:
-        """Set the same-label entries of the tile ``S`` of anchors ``start, ...``
-        and pool rows ``first, ...`` to -inf."""
-        lo, sizes = self.window(start, start + S.shape[0], first, first + S.shape[1])
-        rows = np.repeat(np.arange(S.shape[0]), sizes)
-        S[rows, self.by_label[_ranges(lo, sizes)] - first] = -np.inf
-
-
 class _SpanScreen:
     """The screen of one row span of anchors (``mine_hard_negatives``) over
     tiles of ``dtype`` scores.
@@ -506,18 +493,19 @@ class _SpanScreen:
         floor = np.nextafter(self.tau.astype(np.float64) - self.slack, -np.inf)
         return _screen_thresholds(self.z_norm, self.d, self.norm_bound, floor, self.dtype)[0]
 
-    def scan(self, tiles, same_label: _SameLabel, start: int, limit: float, operands=None) -> bool:
-        """Screen ``tiles`` (``(start, first, S)``) of the anchors ``start,
-        ...``, same-label entries set to -inf, keeping a tile's entries above
-        the bound a few rows at a time, at most ``MINING_BLOCK_BYTES // 64``
-        of them (or one row). Once the kept entries are more than ``limit``
-        it returns False, asking for no further tile, or, given the span's
-        ``operands`` (its anchors and the pool), cuts each anchor's kept
-        entries to its top k (``best``): k entries beat every entry cut."""
+    def scan(self, tiles, codes, limit: float, operands=None) -> bool:
+        """Screen ``tiles`` (``(start, first, S)``) of the span's anchors,
+        same-label entries (``codes``: the anchors' label codes and the
+        pool's) set to -inf, keeping a tile's entries above the bound a few
+        rows at a time, at most ``MINING_BLOCK_BYTES // 64`` of them (or one
+        row). Once the kept entries are more than ``limit`` it returns False,
+        asking for no further tile, or, given the span's ``operands`` (its
+        anchors and the pool), cuts each anchor's kept entries to its top k
+        (``best``): k entries beat every entry cut."""
         k, piece = self.k, MINING_BLOCK_BYTES // 64
         for _, first, S in tiles:
-            same_label.exclude(S, start, first)
             r, w = S.shape
+            S[codes[0][:, None] == codes[1][first : first + w]] = -np.inf
             if w >= k and self.tau.min() == -np.inf:
                 # The least of k disjoint column chunks' maxima is reached k times.
                 chunk_max = np.maximum.reduceat(S, np.arange(k) * w // k, axis=1)
@@ -590,9 +578,9 @@ def mine_hard_negatives(
     ShapeError, before any work, when k is not an integer of at least 1 or a
     label is not an integer, NumericalError, naming the input and the row, on
     a non-finite anchor or pool row, and SamplingError when an anchor has
-    fewer than k candidates outside its label. An anchor's same-label pool
-    rows come from one stable sort of ``pool_labels``; only those entries are
-    set to -inf.
+    fewer than k candidates outside its label. Labels are compared as dense
+    codes (``evaluation._label_codes``), tile by tile; only an anchor's
+    same-label entries are set to -inf.
 
     Spans of ``_TILE_ROWS`` anchors (``evaluation._span_tiles``) go through
     one screen (``_SpanScreen``) against successive tiles of pool rows. Per
@@ -641,8 +629,9 @@ def mine_hard_negatives(
         if bad.size:
             raise NumericalError(f"{name} row {bad[0]} contains non-finite values")
     n, d = pool_descriptors.shape
-    same_label = _SameLabel(pool_labels, exclude_labels)
-    available = n - same_label.run_size
+    pool_codes, anchor_codes = _label_codes(pool_labels, exclude_labels)
+    per_code = np.bincount(pool_codes, minlength=int(anchor_codes.max(initial=0)) + 1)
+    available = n - per_code[anchor_codes]
     if np.any(available < k):
         r = int(np.argmax(available < k))
         raise SamplingError(
@@ -663,11 +652,12 @@ def mine_hard_negatives(
         span = slice(start, stop)
         screen = _SpanScreen(z_norm[span], d, norm_bound, k, np.float32)
         limit = _PER_PAIR_SHARE * (stop - start) * n
-        if not (try32[span].all() and screen.scan(tiles, same_label, start, limit)):
+        codes = anchor_codes[span], pool_codes
+        if not (try32[span].all() and screen.scan(tiles, codes, limit)):
             screen = _SpanScreen(z_norm[span], d, norm_bound, k, np.float64)
             _, _, tiles64 = next(_span_tiles(anchors, pool_descriptors, stop - start,
                                              MINING_BLOCK_BYTES // 8, within=(start, stop)))
-            screen.scan(tiles64, same_label, start, MINING_BLOCK_BYTES // 64,
+            screen.scan(tiles64, codes, MINING_BLOCK_BYTES // 64,
                         (anchors[span], pool_descriptors))
         tiles.close()
         out[span] = screen.top(anchors[span], pool_descriptors)

@@ -59,6 +59,16 @@ def rows_at_similarity(rng, anchors, targets):
     return along[:, None] * direction + np.sqrt(1.0 - along**2)[:, None] * other
 
 
+def relabelled(rng, dense, kind):
+    """Labels equal exactly where the ``dense`` labels (0, 1, ...) are, of
+    one ``kind``: negative, near 2**62, or sparse over about 2**50."""
+    m = int(dense.max()) + 1
+    values = {"negative": -1 - 3 * np.arange(m),
+              "2**62": 2**62 - np.arange(m),
+              "sparse": rng.choice(2**40, size=m, replace=False) * 997 - 2**50}[kind]
+    return values[dense]
+
+
 class Routes(dict):
     """Route counts per row span, comparing equal to a plain dict of them;
     ``tiles`` counts the tiles the spans computed (``count_tiles``)."""
@@ -107,22 +117,33 @@ def histogram_routes(monkeypatch):
     """Count the row spans of ``similarity_histograms`` the float32 edge
     screen binned, those it handed back to the float64 screen, the spans the
     float64 screen binned (a fallback's included), from the precision of the
-    screen's bounds, and the pairs scored in float64 row dots; ``tiles`` counts
-    each span's tiles (``count_tiles``)."""
+    screen's bounds, and the pairs scored in float64 row dots (each undecided
+    pair of a span once: a span that row-dots a pair twice fails the test);
+    ``dotted`` lists each span's row-dotted pairs as ``(rows, cols)`` and
+    ``tiles`` counts each span's tiles (``count_tiles``)."""
     routes = Routes({"screened": 0, "fallback": 0, "float64": 0, "rescored": 0},
                     count_tiles(monkeypatch, evaluation))
+    routes.dotted, inside = [], []
     span, row_dots = diagnostics._PairBins.span, evaluation._row_dots
 
     def counted_span(bins, *args):
+        routes.dotted.append([])
+        inside.append(True)
         counts = span(bins, *args)
+        inside.clear()
         route = ("float64" if bins.screen.above.dtype == np.float64
                  else "fallback" if counts is None else "screened")
         routes[route] += 1
+        keys = np.concatenate([np.zeros(0, dtype=np.intp)] + [
+            rows * len(bins.Z) + cols for rows, cols in routes.dotted[-1]])
+        assert np.unique(keys).size == keys.size, "a pair was row-dotted twice in one span"
         return counts
 
-    def counted_dots(A, rows, *args):
+    def counted_dots(A, rows, B, cols, *args):
         routes["rescored"] += rows.size
-        return row_dots(A, rows, *args)
+        if inside:
+            routes.dotted[-1].append((rows, cols))
+        return row_dots(A, rows, B, cols, *args)
     monkeypatch.setattr(diagnostics._PairBins, "span", counted_span)
     monkeypatch.setattr(evaluation, "_row_dots", counted_dots)
     return routes

@@ -30,6 +30,7 @@ from conftest import (
     budget_for_rows,
     histogram_routes,
     quantized_unit_rows,
+    relabelled,
     rows_at_similarity,
     unit_rows,
 )
@@ -154,6 +155,24 @@ class TestSimilarityHistograms:
             similarity_histograms(Z, np.array(labels))
         assert routes.tiles == {"float32": {}, "float64": {}}
 
+    @pytest.mark.parametrize("kind", ["negative", "2**62", "sparse"])
+    @pytest.mark.parametrize("distinct", [6, 256])
+    def test_labels_bin_as_their_dense_relabelling(self, kind, distinct):
+        # Labels are compared as dense codes; 256 distinct labels take
+        # uint16 codes, 6 take uint8. The counts are those of labels 0, 1, ...
+        # equal where the given ones are.
+        rng = np.random.default_rng(87)
+        Z = unit_rows(rng, 700, 16)
+        dense = rng.permutation(np.arange(700) % distinct)
+        labels = relabelled(rng, dense, kind)
+        codes = evaluation._label_codes(labels)[0]
+        assert codes.dtype == (np.uint8 if distinct < 256 else np.uint16)
+        got = similarity_histograms(Z, labels)
+        expected = similarity_histograms(Z, dense)
+        assert_array_equal(got.positive_counts, expected.positive_counts)
+        assert_array_equal(got.negative_counts, expected.negative_counts)
+        assert_dense_counts(got, Z, labels, 50, row_dots=True)
+
     @pytest.mark.parametrize("num_bins", [2.5, 8.0, True, "8"])
     def test_num_bins_that_is_not_an_integer_raises(self, num_bins):
         Z = unit_rows(np.random.default_rng(85), 4, 3)
@@ -245,8 +264,8 @@ class TestHistogramScreen:
     def test_pairs_near_an_edge_are_rescored(self, monkeypatch, num_bins):
         # 40 rows score within 1e-9 of an interior edge with an earlier row
         # of their label, far inside the screen's slack (about 1.6e-5 at d
-        # 128), so both the all-pairs and the same-label pass score them in
-        # row dots.
+        # 128), so each such pair is scored in one row dot, and counted in
+        # both the all-pair and the same-label counts.
         rng = np.random.default_rng(93)
         Z = unit_rows(rng, 400, 128)
         labels = rng.integers(0, 10, size=400)
@@ -257,7 +276,11 @@ class TestHistogramScreen:
         got = similarity_histograms(Z, labels, num_bins=num_bins)
         assert_dense_counts(got, Z, labels, num_bins)
         assert routes["screened"] == 1 and routes["fallback"] == routes["float64"] == 0
-        assert routes["rescored"] >= 2 * near.size
+        dotted = np.concatenate([rows * 400 + cols for rows, cols in routes.dotted[0]])
+        assert routes["rescored"] == dotted.size
+        assert_array_equal(np.unique(dotted, return_counts=True)[1], 1)
+        kept = anchors < near[0]  # a replaced anchor no longer scores near the edge
+        assert np.isin((anchors * 400 + near)[kept], dotted).all()
 
     @pytest.mark.parametrize("kind", ["orthogonal", "quantized"])
     def test_blocks_of_scores_on_edges_fall_back(self, monkeypatch, kind):
@@ -325,16 +348,15 @@ class TestHistogramScreen:
     def test_rows_no_float64_band_can_screen_are_all_row_dotted(self, monkeypatch):
         # Rows of norm 2**30 and 2**-30: their pairs score all over [-1, 1]
         # and far past it, and the float64 bands, about 2**16 wide, decide
-        # none of them. Every pair is binned by its row dot, and none of the
-        # diagonal square's entries.
+        # none of them. Every pair is binned by its row dot, once, and none
+        # of the diagonal square's entries.
         rng = np.random.default_rng(98)
         Z = unit_rows(rng, 120, 16) * np.where(np.arange(120) % 2, 2.0**30, 2.0**-30)[:, None]
         labels = rng.integers(0, 5, size=120)
         routes = histogram_routes(monkeypatch)
         got = similarity_histograms(Z, labels, num_bins=50)
-        same = int(np.sum(labels[:, None] == labels[None, :]) - 120) // 2
         assert routes == {"screened": 0, "fallback": 0, "float64": 1,
-                          "rescored": 120 * 119 // 2 + same}
+                          "rescored": 120 * 119 // 2}
         assert_dense_counts(got, Z, labels, 50, row_dots=True)
         assert 0 < got.positive_counts[1:-1].sum() + got.negative_counts[1:-1].sum()
 
@@ -374,7 +396,7 @@ class TestHistogramScreen:
         with pytest.raises(NumericalError, match="row 0 has a norm above"):
             similarity_histograms(Z * 2**3, np.arange(40) % 3, num_bins=8)
 
-    def test_a_small_budget_splits_each_tile_once(self, monkeypatch):
+    def test_a_small_budget_bins_each_tile_once(self, monkeypatch):
         # At 1 MiB a float32 tile holds 90 x 182 scores; each goes to the
         # edge screen in one chunk (at most 2**16 scores at any budget), not
         # in chunks of the budget's 1/512. The counts do not depend on it.
@@ -382,12 +404,12 @@ class TestHistogramScreen:
         Z = unit_rows(rng, 2000, 16)
         labels = rng.integers(0, 50, size=2000)
         default = similarity_histograms(Z, labels)
-        sizes, split = [], diagnostics._EdgeScreen.split
+        sizes, binned = [], diagnostics._EdgeScreen.binned
 
         def spied(screen, values):
             sizes.append(values.size)
-            return split(screen, values)
-        monkeypatch.setattr(diagnostics._EdgeScreen, "split", spied)
+            return binned(screen, values)
+        monkeypatch.setattr(diagnostics._EdgeScreen, "binned", spied)
         with mock.patch.object(evaluation, "SCORE_BLOCK_BYTES", 2**20):
             small = similarity_histograms(Z, labels)
         assert max(sizes) == 90 * 182
@@ -395,14 +417,15 @@ class TestHistogramScreen:
         assert_array_equal(small.negative_counts, default.negative_counts)
 
 
-class TestEdgeScreenSplit:
+class TestEdgeScreenBinned:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("num_bins", [8, 50, 200])
-    def test_counts_are_the_cut_bins_of_the_decided_scores(self, dtype, num_bins):
+    def test_bins_are_the_cut_bins_of_the_decided_scores(self, dtype, num_bins):
         # Scores over [-1.1, 1.1], a third of them within two band widths of
-        # an interior edge, the edges themselves and the -2.0 of a tile's
-        # diagonal square. A decided score's bin is the number of ``above``
-        # bounds it reaches; a score strictly inside a band is undecided.
+        # an interior edge, the edges themselves and scores far below the
+        # first edge. A decided score's bin is the number of ``above``
+        # bounds it reaches; a score strictly inside a band is undecided,
+        # and its bin is the bin count.
         rng = np.random.default_rng(num_bins)
         edges = np.linspace(-1.0, 1.0, num_bins + 1)
         screen = diagnostics._EdgeScreen.around(1.0, 16, edges, dtype)
@@ -411,12 +434,22 @@ class TestEdgeScreenSplit:
         near = edges[1:-1][k] + rng.uniform(-2, 2, size=k.size) * width[k]
         values = np.concatenate([rng.uniform(-1.1, 1.1, size=40_000), near,
                                  edges[1:-1], np.full(10, -2.0)]).astype(dtype)
-        counts, undecided = screen.split(values)
+        at, undecided = screen.binned(values)
         inside = ((values[:, None] > screen.below) & (values[:, None] < screen.above)).any(axis=1)
         bins = np.searchsorted(screen.above, values, "right")
         assert 0 < inside.sum() < values.size
         assert_array_equal(undecided, np.flatnonzero(inside))
-        assert_array_equal(counts, np.bincount(bins[~inside], minlength=num_bins))
+        assert_array_equal(at, np.where(inside, num_bins, bins))
+
+    def test_bands_too_wide_leave_every_score_undecided(self):
+        # Rows of norm 2**30 at d 16: the float64 bands are far wider than a
+        # bin, so no score is decided.
+        edges = np.linspace(-1.0, 1.0, 51)
+        screen = diagnostics._EdgeScreen.around(2.0**30, 16, edges, np.float64)
+        values = np.linspace(-1.0, 1.0, 101)
+        at, undecided = screen.binned(values)
+        assert_array_equal(at, np.full(101, 50))
+        assert_array_equal(undecided, np.arange(101))
 
 
 class TestHistogramOverlap:

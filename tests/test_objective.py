@@ -317,9 +317,8 @@ def forced_memory_path(float32):
     passes send them on) or on float64 tiles (a share of 0: the first pass
     does).
 
-    Blocks of one score make even a tiny memory go through the screen, one
-    memory row (the least block of whole anchor rows) and one pair dot at a
-    time.
+    Blocks of one score screen one memory row (the least block of whole
+    anchor rows) and one pair dot at a time.
     """
     return mock.patch.multiple(
         objective, _PER_PAIR_SHARE=1.0 if float32 else 0.0, _BLOCK_VALUES=1
@@ -479,10 +478,27 @@ class TestMemoryScreen:
         self.check_peak_and_values(unit_rows(rng, n, d), np.arange(n) // 4, bank.view(),
                                    0.5, n * m)
 
+    @pytest.mark.parametrize("beta", [0.1, 0.5])
+    def test_a_memory_of_one_tile_takes_the_float32_screen(self, monkeypatch, beta):
+        # 8 anchors x 50 memory rows fit one tile. Its pairs are screened in
+        # float32 like those of any memory (a share of 1: no passes send them
+        # on), and decided as their row dots.
+        rng = np.random.default_rng(16)
+        Z, mem_Z = unit_rows(rng, 8, 16), unit_rows(rng, 50, 16)
+        labels, mem_labels = np.arange(8) % 4, np.arange(50) % 6
+        monkeypatch.setattr(objective, "_PER_PAIR_SHARE", 1.0)
+        dtypes = tile_dtypes(monkeypatch)
+        got = objective._memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z.astype(np.float32),
+                                      1.0 + 1e-9, beta)
+        assert dtypes == [np.dtype(np.float32)]
+        assert_same_memory_pairs(
+            got, full_matrix_memory_pairs(Z, labels, mem_Z, mem_labels, beta))
+        assert got[2][0].size  # some hinge pairs are active
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("n, m", [(8, 50), (64, 3000)])
     def test_non_finite_row_of_a_hand_built_view_raises(self, monkeypatch, n, m, value):
-        # 8 x 50 pairs fit one block and 64 x 3,000 take float32 tiles.
+        # 8 x 50 pairs fit one tile and 64 x 3,000 take several.
         # Memory row 7 carries a label no anchor has; skipped, a NaN row
         # would leave the loss and gradient as they are without it.
         rng = np.random.default_rng(13)
