@@ -324,6 +324,10 @@ def _label_codes(*labels: np.ndarray) -> list[np.ndarray]:
     labels are (``np.unique`` over all of them), in the smallest unsigned
     dtype that holds their number: a tile's same-label entries are then one
     broadcast compare of small integers."""
+    if np.result_type(*labels).kind == "f":
+        # Signed with uint64 labels concatenate to float64, which merges
+        # labels above 2**53; as Python ints they compare exactly.
+        labels = [part.astype(object) for part in labels]
     values, codes = np.unique(np.concatenate(labels), return_inverse=True)
     codes = codes.reshape(-1).astype(np.min_scalar_type(values.size))
     return np.split(codes, np.cumsum([part.size for part in labels[:-1]]))

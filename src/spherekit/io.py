@@ -8,8 +8,9 @@ Formats:
 * labels file: UTF-8 text, one nonnegative integer per line.
 * ground-truth file: a JSON array of records
   ``{"query_index": int, "easy": [...], "hard": [...], "junk": [...]}``.
-* JSON artifacts are written canonically: sorted keys, two-space indent, one
-  trailing newline.
+* JSON artifacts are written canonically (``canonical_json``): the bytes of
+  ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` and one
+  trailing newline. Dict keys must be ``str``.
 
 Every writer is atomic: content goes to a temporary file in the target
 directory which is then renamed over the destination, so a crash never
@@ -22,10 +23,12 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import struct
 import tempfile
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -97,7 +100,8 @@ def write_features(path, X) -> None:
         raise FormatError("feature matrix contains non-finite values")
     rows, cols = data.shape
     header = FEATURE_MAGIC + struct.pack("<II", rows, cols)
-    write_bytes_atomic(path, header + data.tobytes(order="C"))
+    # The array's own buffer follows the header: no bytes copy of the payload.
+    _atomic_write(path, lambda f: f.writelines((header, data)))
 
 
 def read_features(path) -> np.ndarray:
@@ -139,7 +143,7 @@ def write_labels(path, labels) -> None:
         raise FormatError("labels must be a 1-D integer array")
     if labels.size and labels.min() < 0:
         raise FormatError("labels must be nonnegative")
-    write_text_atomic(path, "".join(f"{int(v)}\n" for v in labels))
+    write_text_atomic(path, "\n".join(map(str, labels.tolist())) + "\n" if labels.size else "")
 
 
 def _digit_lines(data: bytes) -> np.ndarray | None:
@@ -206,9 +210,9 @@ def write_ground_truth(path, records: dict[int, QueryGroundTruth]) -> None:
         payload.append(
             {
                 "query_index": int(query_index),
-                "easy": [int(v) for v in gt.easy],
-                "hard": [int(v) for v in gt.hard],
-                "junk": [int(v) for v in gt.junk],
+                "easy": gt.easy.tolist(),
+                "hard": gt.hard.tolist(),
+                "junk": gt.junk.tolist(),
             }
         )
     write_text_atomic(path, canonical_json(payload))
@@ -333,8 +337,60 @@ def format_float(x) -> str:
 
 
 def canonical_json(obj) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Canonical JSON text: the text of ``json.dumps(obj, sort_keys=True,
+    indent=2, allow_nan=False)`` plus one trailing newline.
+
+    Dict keys must be ``str`` (TypeError otherwise; ``json.dumps`` would
+    convert int, float, bool and None keys). NaN and infinities raise
+    ValueError, and any other type than dict, list, tuple, str, int, float,
+    bool and None raises TypeError, as in ``json.dumps``.
+    """
+    return _json_text(obj, "") + "\n"
+
+
+def _json_text(obj, indent: str) -> str:
+    """``obj`` as canonical JSON whose lines after the first start with
+    ``indent``. A list or tuple of items all exactly float (finite) or all
+    exactly int is one join of their reprs, where ``json.dumps`` with an
+    indent runs its pure-Python encoder item by item: a head's weights then
+    cost little more than ``float.__repr__`` of each."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        return float.__repr__(obj)
+    inner = indent + "  "
+    separator = ",\n" + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        types = set(map(type, obj))
+        if types == {float} and all(map(math.isfinite, obj)):
+            body = separator.join(map(float.__repr__, obj))
+        elif types == {int}:
+            body = separator.join(map(int.__repr__, obj))
+        else:
+            body = separator.join([_json_text(item, inner) for item in obj])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        body = separator.join(
+            [f"{encode_basestring_ascii(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj)])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _atomic_write(path, write_payload) -> None:

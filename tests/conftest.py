@@ -61,10 +61,12 @@ def rows_at_similarity(rng, anchors, targets):
 
 def relabelled(rng, dense, kind):
     """Labels equal exactly where the ``dense`` labels (0, 1, ...) are, of
-    one ``kind``: negative, near 2**62, or sparse over about 2**50."""
+    one ``kind``: negative, near 2**62, uint64 from 2**60 (float64 would
+    merge them), or sparse over about 2**50."""
     m = int(dense.max()) + 1
     values = {"negative": -1 - 3 * np.arange(m),
               "2**62": 2**62 - np.arange(m),
+              "uint64": np.uint64(2**60) + np.arange(m, dtype=np.uint64),
               "sparse": rng.choice(2**40, size=m, replace=False) * 997 - 2**50}[kind]
     return values[dense]
 

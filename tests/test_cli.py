@@ -122,6 +122,21 @@ class TestTrain:
         assert head.in_dim == 5
         assert head.out_dim == 4
 
+    def test_json_artifacts_are_the_text_of_json_dumps(self, tmp_path):
+        # A two-layer head and snapshots: nested float lists and every kind
+        # of run.json value. Floats read back exactly, so the reference is
+        # json.dumps of what each file holds.
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, head={"out_dim": 4, "hidden": 6}, snapshot_every=1)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        for name in ("head.json", "run.json"):
+            text = (out / name).read_text(encoding="utf-8")
+            reference = json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False)
+            assert text == reference + "\n"
+        assert len(json.loads((out / "head.json").read_text())["head"]["layers"]) == 2
+        assert json.loads((out / "run.json").read_text())["snapshots"]
+
     def test_forced_memory_routes_write_identical_artifacts(self, tmp_path, monkeypatch):
         # Both precisions of the memory screen decide the same pairs, and
         # the loss takes value and gradient from the decided sets, so

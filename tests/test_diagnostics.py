@@ -155,7 +155,7 @@ class TestSimilarityHistograms:
             similarity_histograms(Z, np.array(labels))
         assert routes.tiles == {"float32": {}, "float64": {}}
 
-    @pytest.mark.parametrize("kind", ["negative", "2**62", "sparse"])
+    @pytest.mark.parametrize("kind", ["negative", "2**62", "uint64", "sparse"])
     @pytest.mark.parametrize("distinct", [6, 256])
     def test_labels_bin_as_their_dense_relabelling(self, kind, distinct):
         # Labels are compared as dense codes; 256 distinct labels take

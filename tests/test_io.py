@@ -9,6 +9,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from spherekit import FormatError, ProtocolError, QueryGroundTruth
@@ -436,6 +438,38 @@ def test_read_ground_truth_names_the_first_repeat_before_a_later_float(tmp_path)
         read_ground_truth(path)
 
 
+def reference_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**100), max_value=2**100),
+    JSON_FLOATS,
+    st.text(),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        # Lists of exactly floats, exactly ints, or both, as a head's rows are.
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+        st.lists(st.integers(), max_size=6),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
+        st.dictionaries(st.text(), inner, max_size=6),
+    ),
+    max_leaves=40,
+)
+
+
 class TestCanonicalJson:
     def test_sorted_indented_trailing_newline(self):
         text = canonical_json({"b": 1, "a": 2})
@@ -444,6 +478,46 @@ class TestCanonicalJson:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             canonical_json({"x": float("nan")})
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_text_is_that_of_json_dumps(self, obj):
+        assert canonical_json(obj) == reference_json(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [[0.1, -0.0], [1.0, 5e-324, 1e308]],
+        {"w": [[1.5] * 3, [2, 3]], "b": (0.25, 0.5), "é": ["\u2603", "a\"b\\c\n"]},
+        [True, False, 1, 2],
+        [1, 2.5],
+        [np.float64(0.1), 0.2],
+        [10**30, -(2**70)],
+        [[], {}, (), ""],
+    ])
+    def test_examples_are_those_of_json_dumps(self, obj):
+        assert canonical_json(obj) == reference_json(obj)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+    @pytest.mark.parametrize("where", [
+        lambda v: v,
+        lambda v: {"x": v},
+        lambda v: [0.5, v, 1.5],
+        lambda v: [[0.5], [1.5, v]],
+        lambda v: (v,),
+        lambda v: [1, v],
+    ])
+    def test_rejects_non_finite_floats(self, value, where):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            canonical_json(where(value))
+
+    @pytest.mark.parametrize("obj", [np.int64(3), [np.int64(3)], {"x": {1, 2}}, [b"x"]])
+    def test_rejects_values_json_cannot_hold(self, obj):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            canonical_json(obj)
+
+    @pytest.mark.parametrize("key", [1, 1.5, True, None, (1, 2)])
+    def test_rejects_keys_that_are_not_str(self, key):
+        with pytest.raises(TypeError, match="keys must be str"):
+            canonical_json({"a": {key: 1, "b": 2}})
 
     def test_format_float_uses_repr(self):
         assert format_float(0.1) == "0.1"

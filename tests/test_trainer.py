@@ -560,20 +560,21 @@ class TestScreenedMining:
         got = mine_hard_negatives(A[:0], pool_Z, labels, np.array([]))
         assert got.shape == (0, 5) and got.dtype == np.int64
 
-    @pytest.mark.parametrize("kind", ["negative", "2**62", "sparse"])
+    @pytest.mark.parametrize("kind", ["negative", "2**62", "uint64", "sparse"])
     @pytest.mark.parametrize("distinct", [6, 256, 70_000])
     def test_labels_mine_as_their_dense_relabelling(self, kind, distinct):
         # Labels are compared as dense codes, uint8 for 6 distinct labels,
         # uint16 for 256 and uint32 for 70,000 (a pool of one row a label);
         # anchors exclude pool labels and labels the pool lacks. The picks
         # are those of labels 0, 1, ... equal where the given ones are.
+        # Excluded labels are int64, so uint64 pool labels mix signedness.
         rng = np.random.default_rng(130)
         n = max(2000, distinct)
         A, pool_Z = unit_rows(rng, 40, 8), unit_rows(rng, n, 8)
         dense = rng.permutation(np.arange(n) % distinct)
         exclude = np.concatenate([dense[:30], distinct + np.arange(10)])
         both = relabelled(rng, np.concatenate([dense, exclude]), kind)
-        labels, exclude_labels = both[:n], both[n:]
+        labels, exclude_labels = both[:n], both[n:].astype(np.int64)
         codes = evaluation._label_codes(labels, exclude_labels)
         dtype = {6: np.uint8, 256: np.uint16, 70_000: np.uint32}[distinct]
         assert [c.dtype for c in codes] == [dtype, dtype]
