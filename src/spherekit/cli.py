@@ -32,7 +32,7 @@ from .evaluation import (
     recall_at_k,
     retrieve,
 )
-from .geometry import pca_fit, pca_transform_rows
+from .geometry import _row_norms, pca_fit, pca_transform_rows
 from .trainer import (
     EncoderHead,
     LabeledFeatureDataset,
@@ -211,17 +211,22 @@ def _eval_descriptors(config: RunConfig, head: EncoderHead, train, *datasets):
     one of ``datasets`` its outputs are reused. The raw outputs are dropped
     on return, before any scoring.
     """
-    outputs = [forward(head, ds.features) for ds in datasets]
     if config.pca_out_dim is None:
-        return [Z for _, Z in outputs], None
-    fit_rows = next((E for ds, (E, _) in zip(datasets, outputs) if ds is train), None)
+        return [forward(head, ds.features)[1] for ds in datasets], None
+
+    def raw(ds):
+        E = head.apply(ds.features)[0]
+        _row_norms(E)  # a row forward could not normalize raises here too
+        return E
+    outputs = [raw(ds) for ds in datasets]
+    fit_rows = next((E for ds, E in zip(datasets, outputs) if ds is train), None)
     if fit_rows is None:
-        fit_rows = forward(head, train.features)[0]
+        fit_rows = raw(train)
     pca_model = pca_fit(fit_rows, config.pca_out_dim)
     fit_on = {"category": "train-split embeddings before normalization",
               "particular": "train-split embeddings"}[config.mode]
     pca_block = {"out_dim": config.pca_out_dim, "fit_on": fit_on}
-    return [pca_transform_rows(pca_model, E) for E, _ in outputs], pca_block
+    return [pca_transform_rows(pca_model, E) for E in outputs], pca_block
 
 
 def cmd_eval(args) -> int:

@@ -6,14 +6,14 @@ Three instruments for judging an embedding beyond task metrics:
   plus their overlap (a separability score in [0, 1]). Every pair lands in
   the bin of its float64 row dot. Rows of norm at most 1 + UNIT_ATOL are
   scored in float32 tiles of the metrics' size, row span by row span, each
-  unordered pair once; each score is binned once, and counted as same-label
-  where the label codes of its row and column are equal. A pair is scored
-  in a row dot only where its float32 score lies within the proven float32
-  error of an interior bin edge; a span with more such pairs than the
-  metrics' per-pair share stops its tiles, and it and every span of other
-  rows (a larger norm, bands too wide) go through the same edge screen
-  again over float64 tiles of its rows, as many scores as a float32 tile.
-  Memory is one tile;
+  unordered pair once (both ways in a diagonal strip's block); each pair is
+  binned once, and counted as same-label where the label codes of its row
+  and column are equal. A pair is scored in a row dot only where its
+  float32 score lies within the proven float32 error of an interior bin
+  edge; a span with more such pairs than the metrics' per-pair share stops
+  its tiles, and it and every span of other rows (a larger norm, bands too
+  wide) go through the same edge screen again over float64 tiles of its
+  rows, as many scores as a float32 tile. Memory is one tile;
 * the PCA energy profile of a descriptor set, summarized as the number of
   components needed to reach fixed energy thresholds (a dimensional-collapse
   gauge: fewer components for 90% energy means a flatter, more collapsed
@@ -185,10 +185,10 @@ class _PairBins:
 
         Each score is binned once, into the all-pair counts and, where the
         tile's row and column codes are equal, the same-label counts. A
-        tile's entries of a row with itself or an earlier row (in the
-        diagonal square) go to a discard slot past the undecided one. The
-        undecided pairs of a tile are row-dotted once and binned in both
-        counts alike. Counts add up over the tiles."""
+        tile's entries of a row with itself or an earlier row (in a diagonal
+        strip's block, rows from the tile's ``start``) go to a discard slot
+        past the undecided one. The undecided pairs of a tile are row-dotted
+        once and binned in both counts alike. Counts add up over the tiles."""
         bins = self.open_edges.size - 1
         counts = np.zeros((2, bins + 2), dtype=np.int64)
         total = 0
@@ -225,7 +225,7 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
 
     Rows are scored in row spans of their product with themselves
     (``evaluation._metric_spans``, upper trapezoids): a span holds its rows'
-    pairs with every later row, so each unordered pair is scored once, in
+    pairs with every later row, so each unordered pair is binned once, in
     tiles of a fixed size, and memory stays bounded by one tile, not by n^2.
     A tile's scores are binned once, a bounded chunk at a time, into the
     all-pair counts and, where the dense codes of the labels

@@ -53,13 +53,13 @@ Recall has one driver for two span shapes. It finds every query's threshold
 before the first product. Leave-one-out queries that are the gallery's own
 array, with its labels, score each unordered same-label pair once for their
 thresholds (a row dot is the same either way round), and each unordered
-pair once in the tiles: a span's tiles start at its diagonal
-(the upper trapezoid of the product), counted row-wise for the span's own
-queries and, in the columns past the span, column-wise for the later ones
-(the bounds hold for any float32 evaluation of a dot product, so a
-transposed score is as good as its own). Other queries take tiles across
-every column, counted row-wise. Either way a query's own entry is -inf under
-``exclude_self``.
+pair once in the tiles (but those in a diagonal strip's block): a span's
+square is strips, each from its own first row's column, then the columns past it.
+A tile counts its own queries row-wise and, past its last row, the later
+queries column-wise (the bounds hold for any float32 evaluation of a dot
+product, so a transposed score is as good as its own). Other queries take
+tiles across every column, counted row-wise. Either way a query's own entry
+is -inf under ``exclude_self``.
 
 The metrics are exact for the row-dot scores: a query's ranks are those of a
 stable sort of its float64 row dots, so they depend on neither the block
@@ -110,7 +110,11 @@ SCORE_BLOCK_BYTES = 32 * 2**20
 # 1,024 and 512 x 2,048 took 7-12% longer in recall and 2-19% in histograms (a
 # repeat of the chosen shape read +9% and -4%); at 60,000 rows (single runs)
 # every shape lay within the host's drift of the chosen one, whose two runs
-# read 8.3 and 9.6 s in recall and 14.1 and 15.9 s in histograms.
+# read 8.3 and 9.6 s in recall and 14.1 and 15.9 s in histograms. An upper
+# span's diagonal square goes in strips of _TILE_ROWS // 4 rows: at 4,000 rows
+# (5,920), strips of 64, 128 and 256 rows and the whole square took 82, 75, 74
+# and 78 ms (108, 105, 100, 109) in recall and 136, 127, 129 and 150 ms (197,
+# 187, 198, 212) in histograms, medians of 21 (11).
 _TILE_ROWS = 512
 
 # Per tile precision: the unit roundoff u, and eta, half the smallest
@@ -199,14 +203,14 @@ class QueryGroundTruth:
             arr = np.asarray(getattr(self, name))
             if arr.size == 0:
                 arr = np.zeros(0, dtype=np.int64)
-            if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
+            if arr.ndim != 1 or arr.dtype.kind not in "iu":  # any integer dtype
                 _check_no_duplicates(arrays)  # an earlier set's repeat is reported first
                 raise ProtocolError(f"{name} must be a 1-D integer array")
             arrays[name] = np.ascontiguousarray(arr, dtype=np.int64)
-        # One sort over all three sets finds any repeat; only then do the
+        # One set of all three sets' items finds any repeat; only then do the
         # per-set and pairwise checks run, to name it.
-        merged = np.concatenate(list(arrays.values()))
-        if np.unique(merged).size != merged.size:
+        items = [arr.tolist() for arr in arrays.values()]
+        if len(set().union(*items)) != sum(map(len, items)):
             _name_repeat(arrays)
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
@@ -276,11 +280,11 @@ def _span_tiles(
 ) -> Iterator[tuple[int, int, Iterator[tuple[int, int, np.ndarray]]]]:
     """Yield ``(start, stop, tiles)`` per span of ``rows`` rows of ``queries``
     (of its rows ``within``, a ``(start, stop)`` pair), in order; ``tiles``
-    yields ``(start, first, queries[start:stop] @ gallery[first:last].T)`` in
-    column order, as many columns as fit ``values`` scores with ``rows`` rows
-    (all the rows, if fewer), and at least one. With ``upper`` a span starts
-    at the column of its first row: the upper trapezoid of rows scored
-    against themselves, each unordered pair once.
+    yields ``(a, first, queries[a:b] @ gallery[first:last].T)``, ``a..b`` the
+    span's rows, in column order, as many columns as fit ``values`` scores
+    with them and at least one. With ``upper`` (rows against themselves)
+    strips of ``_TILE_ROWS // 4`` rows ``a..b`` over columns ``a..stop`` come
+    first: the upper trapezoid, every pair once but in a strip's diagonal block.
 
     Every blocked product in the package comes from here, its caller stating
     the shape; no decision taken from a tile depends on its shape or last
@@ -289,9 +293,15 @@ def _span_tiles(
     """
     begin, end = within or (0, queries.shape[0])
     width = max(1, values // max(min(rows, end - begin), 1))
+    strip = max(1, _TILE_ROWS // 4)
 
     def tiles(start, stop):
-        for first in range(start if upper else 0, gallery.shape[0], width):
+        for a in range(start, stop, strip) if upper else ():
+            b = min(a + strip, stop)
+            step = max(1, values // (b - a))
+            for first in range(a, stop, step):
+                yield a, first, queries[a:b] @ gallery[first : min(first + step, stop)].T
+        for first in range(stop if upper else 0, gallery.shape[0], width):
             yield start, first, queries[start:stop] @ gallery[first : first + width].T
     for start in range(begin, end, rows):
         stop = min(start + rows, end)
@@ -526,11 +536,12 @@ def _lines_ahead(retrieval, L, first, queries, t: _Thresholds) -> np.ndarray:
 
 def _screened_ahead(retrieval, tiles, queries, t: _Thresholds) -> np.ndarray:
     """The gallery items ahead of each threshold of a row span, one per row
-    (query ``queries[i]``), from the span's float32 ``tiles`` (``(start,
-    first, tile)``): ``_lines_ahead`` added up over the tiles."""
+    (query ``queries[i]``, ascending), from the span's float32 ``tiles``
+    (``(start, first, tile)``): ``_lines_ahead`` of each tile's rows, added up."""
     ahead = np.zeros(queries.size, dtype=np.int64)
-    for _, first, L in tiles:
-        ahead += _lines_ahead(retrieval, L, first, queries, t)
+    for start, first, L in tiles:
+        rows = slice(start - queries[0], start - queries[0] + L.shape[0])
+        ahead[rows] += _lines_ahead(retrieval, L, first, queries[rows], t[rows])
         del L
     return ahead
 
@@ -636,10 +647,9 @@ def _first_hits(retrieval, query_labels, gallery_labels) -> np.ndarray:
     leave-one-out queries that are the gallery's own array, with labels
     that are the gallery's, each same-label pair once). The row spans
     are those of ``_metric_spans``: upper trapezoids for leave-one-out
-    queries that are the gallery's own array, each unordered pair scored
-    once, whose columns past the span count the later queries column-wise
-    as its tiles pass, and otherwise full rows. Each span counts its own
-    queries row-wise (``_screened_ahead``).
+    queries that are the gallery's own array, whose tiles count the later
+    queries column-wise past their own rows as they pass, and otherwise full
+    rows. Each tile counts its own queries row-wise (``_screened_ahead``).
     """
     n = retrieval.queries.shape[0]
     trapezoid = retrieval.exclude_self and retrieval.queries is retrieval.index.gallery
@@ -654,13 +664,13 @@ def _first_hits(retrieval, query_labels, gallery_labels) -> np.ndarray:
     thresholds = _thresholds(retrieval, by_label, run_start, run_size, both_ends)
     ahead = np.zeros(n, dtype=np.int64)
 
-    def counted(stop, tiles):
-        """The span's tiles with its queries' own entries at -inf, after
-        counting the later queries in their columns past the span."""
+    def counted(tiles):
+        """The span's tiles with their queries' own entries at -inf, after
+        counting the later queries in their columns past the tile's rows."""
         for start, first, S32 in tiles:
             if retrieval.exclude_self:
                 _exclude_own(S32, start, first)
-            lo, hi = max(first, stop), first + S32.shape[1]
+            lo, hi = max(first, start + S32.shape[0]), first + S32.shape[1]
             if trapezoid and lo < hi:
                 ahead[lo:hi] += _lines_ahead(retrieval, S32[:, lo - first :].T, start,
                                              np.arange(lo, hi), thresholds[lo:hi])
@@ -668,7 +678,7 @@ def _first_hits(retrieval, query_labels, gallery_labels) -> np.ndarray:
             del S32
 
     for start, stop, tiles in _metric_spans(queries, gallery, trapezoid):
-        ahead[start:stop] += _screened_ahead(retrieval, counted(stop, tiles),
+        ahead[start:stop] += _screened_ahead(retrieval, counted(tiles),
                                              np.arange(start, stop), thresholds[start:stop])
     return (ahead + 1)[thresholds.found]
 
@@ -710,8 +720,8 @@ def recall_at_k(
     the threshold (``_thresholds``), and ``_screened_ahead`` counts the items
     ahead of it per row span, tile by tile. One driver (``_first_hits``) takes
     the row spans in two shapes: upper trapezoids for leave-one-out queries
-    that are the gallery's own array, each unordered pair scored once, and
-    every column for any other queries.
+    that are the gallery's own array (``_span_tiles``), and every column for
+    any other queries.
     """
     index = retrieval.index
     num_queries = retrieval.queries.shape[0]

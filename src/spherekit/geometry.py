@@ -95,15 +95,19 @@ def _check_unit_norms(norms: np.ndarray, error: type[Exception], message: str) -
         raise error(message.format(i, norms[i]))
 
 
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """A float matrix's row norms; NormalizationError names a zero or non-finite one."""
+    norms = np.linalg.norm(X, axis=1)
+    bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
+    if bad.size:
+        raise NormalizationError(f"row {bad[0]} has norm {norms[bad[0]]!r}")
+    return norms
+
+
 def normalize_rows(X) -> np.ndarray:
     """Row-wise unit normalization of a matrix; errors name the offending row."""
     X = _as_float_matrix(X, "X")
-    norms = np.linalg.norm(X, axis=1)
-    bad = ~np.isfinite(norms) | (norms == 0.0)
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise NormalizationError(f"row {i} has norm {norms[i]!r}")
-    return X / norms[:, None]
+    return X / _row_norms(X)[:, None]
 
 
 def pool(grid: TokenGrid, mode: str, p: float = 3.0) -> np.ndarray:

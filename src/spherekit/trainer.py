@@ -296,7 +296,8 @@ class EncoderHead:
         cache = [X]
         h = X
         for i, (W, b) in enumerate(self.layers):
-            a = h @ W.T + b
+            a = h @ W.T
+            a += b  # in place: the same add, without a second full-size array
             if i < len(self.layers) - 1:
                 h = np.tanh(a)
                 cache.append(h)

@@ -81,20 +81,24 @@ class Routes(dict):
 
 
 def count_tiles(monkeypatch, module):
-    """Count the tiles ``module._span_tiles`` computes, per dtype and row span:
-    ``{"float32": {(start, stop): tiles}, "float64": {...}}``. A span that
-    falls back is scored in float64 tiles of one span of its rows."""
-    counts = {"float32": collections.Counter(), "float64": collections.Counter()}
+    """Count the tiles ``module._span_tiles`` computes, per dtype and row span,
+    by kind: ``{"float32": {(start, stop): {"strip": tiles, "rows": tiles}},
+    "float64": {...}}``. A ``"strip"`` tile is one of an upper span's
+    diagonal strips, a ``"rows"`` tile one over all the span's rows (every
+    tile of a span that is not upper). A span that falls back is scored in
+    float64 tiles of one span of its rows."""
+    counts = {"float32": collections.defaultdict(collections.Counter),
+              "float64": collections.defaultdict(collections.Counter)}
     spans = module._span_tiles
 
-    def counted_tiles(per_span, key, tiles):
+    def counted_tiles(per_dtype, start, stop, upper, tiles):
         for tile in tiles:
-            per_span[key] += 1
+            per_dtype[start, stop]["strip" if upper and tile[1] < stop else "rows"] += 1
             yield tile
 
-    def counted(queries, *args, **kwargs):
-        for start, stop, tiles in spans(queries, *args, **kwargs):
-            yield start, stop, counted_tiles(counts[queries.dtype.name], (start, stop), tiles)
+    def counted(queries, gallery, rows, values, upper=False, within=None):
+        for start, stop, tiles in spans(queries, gallery, rows, values, upper, within):
+            yield start, stop, counted_tiles(counts[queries.dtype.name], start, stop, upper, tiles)
     monkeypatch.setattr(module, "_span_tiles", counted)
     return counts
 

@@ -342,9 +342,9 @@ class TestEval:
         monkeypatch.setattr(sk_io, "read_features",
                             lambda path: reads.append(Path(path).name) or read_features(path))
         embedded = []
-        forward = cli.forward
-        monkeypatch.setattr(cli, "forward",
-                            lambda head, X: embedded.append(len(X)) or forward(head, X))
+        apply = EncoderHead.apply
+        monkeypatch.setattr(EncoderHead, "apply",
+                            lambda head, X: embedded.append(len(X)) or apply(head, X))
         outputs = []
         for stem in ("gal", "copy"):
             cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
@@ -360,6 +360,33 @@ class TestEval:
         assert embedded == [8, 2, 8, 2, 8]
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["mode"] == mode
+
+    @pytest.mark.parametrize("mode", ["category", "particular"])
+    @pytest.mark.parametrize("stem", ["gal", "q", "train"])
+    def test_a_zero_head_output_exits_three_under_pca(self, tmp_path, capsys, mode, stem):
+        # The head has zero biases, so a zero feature row has a zero output,
+        # which PCA alone would project. Under PCA the eval refuses it as the
+        # normalization does without PCA (which does not embed the train
+        # split), with the same message.
+        cfg_path = write_particular_setup(
+            tmp_path,
+            {
+                0: QueryGroundTruth(easy=np.array([0, 1]), hard=np.array([2]), junk=[]),
+                1: QueryGroundTruth(easy=np.array([4]), hard=np.array([5, 6]), junk=[]),
+            },
+        )
+        features = sk_io.read_features(tmp_path / f"{stem}.emb")
+        features[1] = 0.0
+        write_features(tmp_path / f"{stem}.emb", features)
+        results = []
+        for pca in ({}, {"pca_out_dim": 3}):
+            cfg = {**json.loads(cfg_path.read_text(encoding="utf-8")), "mode": mode, **pca}
+            cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+            code = main(["eval", "--config", str(cfg_path), "--model",
+                         str(tmp_path / "head.json"), "--out-dir", str(tmp_path / "out")])
+            results.append((code, capsys.readouterr().err))
+        refused = (3, f"error: row 1 has norm {np.float64(0.0)!r}\n")
+        assert results == [(0, "") if stem == "train" else refused, refused]
 
     def test_every_query_empty_under_hard_exits_two(self, tmp_path, capsys):
         cfg_path = write_particular_setup(

@@ -532,27 +532,47 @@ class TestScoreBlocks:
     @pytest.mark.parametrize("m", [1, 5, 13])
     @pytest.mark.parametrize("rows", [1, 3, 4, 16])
     @pytest.mark.parametrize("upper", [False, True])
-    def test_tiles_cover_every_pair_once_in_row_major_order(self, n, m, rows, upper):
+    def test_tiles_cover_every_pair_once_in_row_major_order(self, monkeypatch, n, m, rows,
+                                                            upper):
+        # Without `upper`, n queries against m gallery rows. With it, the n
+        # rows against themselves in strips of m rows (_TILE_ROWS // 4): of
+        # one row, several to a span, or one over each span.
         rng = np.random.default_rng(92)
-        Q, G = unit_rows(rng, n, 4), unit_rows(rng, m, 4)
+        Q = unit_rows(rng, n, 4)
+        G = Q if upper else unit_rows(rng, m, 4)
+        monkeypatch.setattr(evaluation, "_TILE_ROWS", 4 * m)
         for values, within in itertools.product((1, 6, 100), (None, (n // 3, n))):
             begin, end = within or (0, n)
-            expected = np.zeros((n, m), dtype=np.int64)
-            for row in range(begin, end):  # with upper, from the span's first row
-                expected[row, begin + (row - begin) // rows * rows if upper else 0:] = 1
-            covered = np.zeros((n, m), dtype=np.int64)
+            # A row's strip starts at a multiple of m rows into its span.
+            first_row = np.arange(n) - (np.arange(n) - begin) % rows % m
+            expected = np.zeros((n, G.shape[0]), dtype=np.int64)
+            for row in range(begin, end):  # with upper, from its strip's first row
+                expected[row, first_row[row] if upper else 0:] = 1
+            covered = np.zeros_like(expected)
             order, spans = [], evaluation._span_tiles(Q, G, rows, values, upper, within)
             for start, stop, tiles in spans:
                 assert (start - begin) % rows == 0 and stop == min(start + rows, end)
                 for tile_start, first, S in tiles:
-                    last = first + S.shape[1]
-                    assert tile_start == start and S.shape[0] == stop - start
+                    last, strip = first + S.shape[1], upper and first < stop
+                    if strip:  # rows a..b of the span, columns a..stop
+                        assert (tile_start - start) % m == 0 and tile_start <= first
+                        assert S.shape[0] == min(m, stop - tile_start) and last <= stop
+                    else:
+                        assert tile_start == start and S.shape[0] == stop - start
                     assert S.size <= max(values, S.shape[0])  # at least one column
-                    assert_array_equal(S, Q[start:stop] @ G[first:last].T)
-                    covered[start:stop, first:last] += 1
-                    order.append((start, first))
+                    tile_rows = slice(tile_start, tile_start + S.shape[0])
+                    assert_array_equal(S, Q[tile_rows] @ G[first:last].T)
+                    covered[tile_rows, first:last] += 1
+                    # Row-major: the strips in row order, then the columns past the span.
+                    order.append((start, not strip, tile_start, first))
             assert_array_equal(covered, expected)
             assert order == sorted(order)
+            if upper:
+                # Each unordered pair of the rows once, but the pairs within
+                # one strip's diagonal block, twice.
+                block = (first_row[:, None] == first_row)[begin:end, begin:end]
+                pairs = covered[begin:end, begin:end]
+                assert_array_equal(pairs + pairs.T, 1 + block)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
     @pytest.mark.parametrize("m", [1, 5, 13])
@@ -661,15 +681,33 @@ class TestScoreBlocks:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 11])
     @pytest.mark.parametrize("rows", [1, 2, 3, 4, 10])
-    def test_self_blocks_are_the_trapezoids_of_the_same_blocks(self, n, rows):
-        # Quantized rows make every product exact, whatever its shape.
+    def test_self_blocks_are_the_trapezoids_of_the_same_blocks(self, monkeypatch, n, rows):
+        # Quantized rows make every product exact, whatever its shape. In
+        # strips of 2 rows, an upper span's tiles are its full block's
+        # entries from each row's strip start on, each once.
         X = quantized_unit_rows(np.random.default_rng(91), n, 8, 5)
+        monkeypatch.setattr(evaluation, "_TILE_ROWS", 8)
         full = [next(tiles) for _, _, tiles in evaluation._span_tiles(X, X, rows, rows * n)]
-        halves = [list(tiles)
-                  for _, _, tiles in evaluation._span_tiles(X, X, rows, rows * n, upper=True)]
-        assert [tiles[0][:2] for tiles in halves] == [(start, start) for start, _, _ in full]
-        for (start, _, S), [(_, _, T)] in zip(full, halves):
-            assert_array_equal(T, S[:, start:])
+        halves = list(evaluation._span_tiles(X, X, rows, rows * n, upper=True))
+        assert [span[:2] for span in halves] == [(s, min(s + rows, n)) for s, _, _ in full]
+        for (start, _, S), (_, stop, tiles) in zip(full, halves):
+            staircase = np.zeros_like(S)
+            for a, first, T in tiles:
+                part = np.s_[a - start : a - start + T.shape[0], first : first + T.shape[1]]
+                assert_array_equal(T, S[part])
+                staircase[part] += 1
+            strip_start = start + (np.arange(stop - start) // 2) * 2
+            assert_array_equal(staircase, np.arange(n) >= strip_start[:, None])
+
+    def test_strips_cut_the_scores_of_upper_spans(self):
+        # Leave-one-out at 4,000 rows: spans of 1,048 rows whose diagonal
+        # squares, whole, made 10,013,824 scores for 7,998,000 pairs; in
+        # strips of 128 rows, 8,250,496.
+        n = 4000
+        X = np.zeros((n, 1), dtype=np.float32)
+        sizes = [S.size for _, _, tiles in evaluation._metric_spans(X, X, upper=True)
+                 for _, _, S in tiles]
+        assert n * (n - 1) // 2 < sum(sizes) <= 8_500_000
 
 
 class TestBlockedRecall:
@@ -1233,6 +1271,31 @@ class TestTileShapes:
                 assert_array_equal(hist.positive_counts, positive)
                 assert_array_equal(hist.negative_counts, negative)
 
+    @pytest.mark.parametrize("strip", [1, 2, 3, 7])
+    @pytest.mark.parametrize("share", [1.0, 0.0])
+    def test_strips_of_any_height_match_the_oracles(self, monkeypatch, strip, share):
+        # Upper spans of 7, 16 and all 40 rows cut into strips of `strip`
+        # rows (_TILE_ROWS // 4), so a strip's later rows count its earlier
+        # ones down their columns. The first 6 rows are one row: their pairs
+        # tie. A share of 0 screens each histogram span again in float64
+        # tiles, cut into the same strips.
+        rng = np.random.default_rng(132)
+        G = quantized_unit_rows(rng, 40, 8, 6)
+        G[:6] = G[0]
+        labels = rng.integers(0, 4, size=40)
+        rankings = full_rankings(G, G, exclude_self=True)
+        expected = {k: recall_walk(rankings, labels, labels, k) for k in range(1, 40)}
+        positive, negative = dense_histograms(G, labels, 8)
+        loo = retrieve(RetrievalIndex(G), G, exclude_self=True)
+        monkeypatch.setattr(evaluation, "_TILE_ROWS", 4 * strip)
+        monkeypatch.setattr(evaluation, "_PER_PAIR_SHARE", share)
+        for shape in [(7, 5), (16, 3), (10, 40)]:
+            with metric_tiles(*shape):
+                assert recall_at_k(loo, labels, range(1, 40)) == expected, shape
+                hist = similarity_histograms(G, labels, num_bins=8)
+                assert_array_equal(hist.positive_counts, positive)
+                assert_array_equal(hist.negative_counts, negative)
+
     @pytest.mark.parametrize("shape", [(64, 1), (64, 7), (64, 32)])
     def test_a_tied_span_falls_back_only_in_the_histogram(self, monkeypatch, shape):
         # Spans of 64 of 300 rows, in pairs of one label. The first 64 rows
@@ -1256,17 +1319,19 @@ class TestTileShapes:
             got = recall_at_k(retrieve(index, Z, exclude_self=True), labels, ks)
             assert got == {k: recall_walk(rankings, labels, labels, k) for k in ks}
             assert routes == {"screened": 5}
-            # Every span computes every tile of its trapezoid, and no float64
-            # block is scored.
-            tiles = -(-300 // shape[1])
-            assert routes.tiles["float32"][0, 64] == tiles
+            # Every span computes every tile of its trapezoid: its diagonal
+            # square, one strip of its 64 rows (under strips of 128), and
+            # the 236 columns past it, each in tiles of `shape[1]` columns.
+            # No float64 block is scored.
+            trapezoid = {"strip": -(-64 // shape[1]), "rows": -(-236 // shape[1])}
+            assert routes.tiles["float32"][0, 64] == trapezoid
             assert not routes.tiles["float64"]
 
             routes = screen_routes(monkeypatch)
             got = recall_at_k(retrieve(index, Q), labels[:150], ks, gallery_labels=labels)
             assert got == {k: recall_walk(split_rankings, labels[:150], labels, k) for k in ks}
             assert routes == {"screened": 3}
-            assert routes.tiles["float32"][0, 64] == tiles
+            assert routes.tiles["float32"][0, 64] == {"rows": -(-300 // shape[1])}
             assert not routes.tiles["float64"]
 
             routes = screen_routes(monkeypatch)
@@ -1282,7 +1347,7 @@ class TestTileShapes:
             assert_array_equal(hist.negative_counts, negative)
             assert routes == {"screened": 4, "fallback": 1, "float64": 1,
                               "rescored": routes["rescored"]}
-            assert routes.tiles["float32"][0, 64] < tiles
+            assert routes.tiles["float32"][0, 64].total() < sum(trapezoid.values())
 
 
 class TestBlockBudgetBoundsMemory:

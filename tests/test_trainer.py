@@ -102,6 +102,20 @@ class TestEncoderHead:
         assert_array_equal(Z, normalize_rows(E))
 
     @pytest.mark.parametrize("hidden", [None, 5])
+    def test_apply_is_its_layers_byte_for_byte(self, hidden):
+        rng = np.random.default_rng(36)
+        head = EncoderHead.initialize(rng, 6, 4, hidden=hidden)
+        for _, b in head.layers:
+            b[:] = rng.standard_normal(b.shape)
+        X = rng.standard_normal((9, 6))
+        expected = X
+        for i, (W, b) in enumerate(head.layers):
+            expected = expected @ W.T + b
+            if i < len(head.layers) - 1:
+                expected = np.tanh(expected)
+        assert head.apply(X)[0].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("hidden", [None, 5])
     def test_backward_matches_finite_differences(self, hidden):
         rng = np.random.default_rng(31)
         head = EncoderHead.initialize(rng, 4, 3, hidden=hidden)
@@ -474,7 +488,8 @@ class TestScreenedMining:
         with mining_tiles(32, 256):
             got = mine_hard_negatives(A, pool_Z, labels, exclude)
         assert routes == {"screened": 0, "fallback": 80}
-        assert routes.tiles["float32"] == {(0, 32): 1, (32, 64): 1, (64, 80): 1}
+        assert routes.tiles["float32"] == {span: {"rows": 1}
+                                           for span in [(0, 32), (32, 64), (64, 80)]}
         assert_array_equal(got, sort_oracle(A, pool_Z, labels, exclude, 5))
 
     def test_a_span_with_an_unproven_bound_computes_no_tile(self, monkeypatch):
@@ -484,7 +499,7 @@ class TestScreenedMining:
         routes = mining_routes(monkeypatch)
         with mining_tiles(32, 512):
             got = mine_hard_negatives(A, pool_Z, labels, exclude)
-        assert routes.tiles["float32"] == {(0, 32): 2, (32, 64): 2}
+        assert routes.tiles["float32"] == {(0, 32): {"rows": 2}, (32, 64): {"rows": 2}}
         assert_array_equal(got, sort_oracle(A, pool_Z, labels, exclude, 5))
 
     @pytest.mark.parametrize("name", ["anchor", "pool"])
