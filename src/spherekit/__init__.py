@@ -16,7 +16,6 @@ from .config import (
     RunConfig,
     SyntheticSpec,
     dump_run_config,
-    load_run_config,
     parse_run_config,
 )
 from .diagnostics import (

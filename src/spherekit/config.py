@@ -34,7 +34,6 @@ __all__ = [
     "RunConfig",
     "CONFIG_SCHEMA",
     "parse_run_config",
-    "load_run_config",
     "dump_run_config",
 ]
 
@@ -265,11 +264,6 @@ def parse_run_config(raw: dict) -> RunConfig:
             f"instances_per_class {config.instances_per_class}"
         )
     return config
-
-
-def load_run_config(path) -> RunConfig:
-    """Read and validate a JSON config file."""
-    return parse_run_config(_read_config(path))
 
 
 def _read_config(path) -> dict:

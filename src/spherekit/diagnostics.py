@@ -35,8 +35,8 @@ from typing import Iterable
 
 import numpy as np
 
+from . import _screen, evaluation
 from .errors import NumericalError, ShapeError
-from . import evaluation
 from .geometry import UNIT_ATOL, cumulative_energy, pca_fit
 
 __all__ = [
@@ -100,7 +100,7 @@ class SimilarityHistogram:
 @dataclass(frozen=True)
 class _EdgeScreen:
     """Bounds ``below < above`` around each interior edge of a histogram,
-    for scores of ``dtype`` tiles (``evaluation._screen_thresholds``, the
+    for scores of ``dtype`` tiles (``_screen._screen_thresholds``, the
     edges as centers and the rows' largest norm standing for both norms of a
     pair). A pair's tile score ``>= above`` puts every float64 score of the
     pair above the edge, its row dot included, and one ``<= below`` puts it
@@ -135,7 +135,7 @@ class _EdgeScreen:
         are too wide (rows past the proven range, or norms of about 2e6 at d
         16 and 50 bins)."""
         centers = edges[1:-1]
-        below, above = evaluation._screen_thresholds(norm, d, norm, centers, dtype)
+        below, above = _screen._screen_thresholds(norm, d, norm, centers, dtype)
         scale = (edges.size - 1) / 2
         tol = (max(np.max(above - centers), np.max(centers - below)) + 2.0**-20) * scale
         if dtype is np.float32 and (norm > 1.0 + UNIT_ATOL or tol >= 0.5):
@@ -169,7 +169,7 @@ class _PairBins:
     """Bins pairs of rows of ``Z`` by their float64 row dots, from their
     scores in a tile through the ``screen``, rescoring the undecided pairs
     with row dots of ``chunk`` values per operand; two rows share a label
-    where their ``codes`` (``evaluation._label_codes``) are equal."""
+    where their ``codes`` (``_screen._label_codes``) are equal."""
 
     Z: np.ndarray
     open_edges: np.ndarray
@@ -177,11 +177,11 @@ class _PairBins:
     chunk: int
     codes: np.ndarray
 
-    def span(self, start, stop, tiles, limit=np.inf) -> tuple[np.ndarray, np.ndarray] | None:
+    def span(self, start, stop, tiles, limit) -> tuple[np.ndarray, np.ndarray] | None:
         """Bin counts of all pairs and of the same-label pairs of the rows
         ``start..stop`` with every later row, from the row span's upper
         ``tiles`` (``(start, first, tile)``), or None, asking for no further
-        tile, once more than ``limit`` of the span's pairs are undecided.
+        tile, once more than ``limit`` pairs per span row are undecided.
 
         Each score is binned once, into the all-pair counts and, where the
         tile's row and column codes are equal, the same-label counts. A
@@ -207,13 +207,13 @@ class _PairBins:
                 counts[0] += np.bincount(at, minlength=bins + 2)
                 counts[1] += np.bincount(at[same[part]], minlength=bins + 2)
                 total += near.size
-                if total > limit:
+                if total > limit * (stop - start):
                     return None
                 undecided.append(near + i)
             near = np.concatenate(undecided)
             if near.size:
                 rows, cols = np.divmod(near, width)
-                scores = evaluation._row_dots(self.Z, rows + a, self.Z, cols + first, self.chunk)
+                scores = _screen._row_dots(self.Z, rows + a, self.Z, cols + first, self.chunk)
                 counts[0, :bins] += np.histogram(scores, self.open_edges)[0]
                 counts[1, :bins] += np.histogram(scores[same[near]], self.open_edges)[0]
             del S
@@ -224,30 +224,30 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
     """Histogram all unordered pairwise similarities, split by label match.
 
     Rows are scored in row spans of their product with themselves
-    (``evaluation._metric_spans``, upper trapezoids): a span holds its rows'
+    (``_screen._metric_shape``, upper trapezoids): a span holds its rows'
     pairs with every later row, so each unordered pair is binned once, in
     tiles of a fixed size, and memory stays bounded by one tile, not by n^2.
     A tile's scores are binned once, a bounded chunk at a time, into the
     all-pair counts and, where the dense codes of the labels
-    (``evaluation._label_codes``) of a score's row and column are equal, the
+    (``_screen._label_codes``) of a score's row and column are equal, the
     same-label counts; the different-label counts are the difference. Counts
     add up over tiles.
 
     Labels that are not integers raise ShapeError, and a non-finite row, or
     one of norm above 2**511 (about 6.7e153, where a pair's score could
     overflow), NumericalError naming it, before any tile. Every
-    pair lands in the bin of its float64 row dot (``evaluation._row_dots``),
+    pair lands in the bin of its float64 row dot (``_screen._row_dots``),
     whatever the route, the budget, the BLAS build or its thread count. Rows
     of norm at most 1 + ``UNIT_ATOL`` are scored in float32 tiles. A pair's
     float32 score decides its bin unless it lies within the float32 error
     bound of an interior edge (``_EdgeScreen``); only those undecided pairs
     are scored in row dots. A row span whose undecided pairs are more than
-    ``evaluation._PER_PAIR_SHARE`` of its entries (most scores on an edge, as
+    ``_screen._PER_PAIR_SHARE`` of its entries (most scores on an edge, as
     with coarsely quantized rows) computes no further float32 tile and is
-    screened again over float64 tiles of its rows, as many scores as a
-    float32 tile, with no limit; so is every span when a norm is above 1 +
-    ``UNIT_ATOL`` or the float32 bands are too wide (a large dim or many
-    bins). The float64 bands are about ``2 d 2**-53`` of a score wide, so
+    screened again (``_screen._screened_spans``) over float64 tiles of its
+    rows, as many scores as a float32 tile, with no limit; so is every span
+    when a norm is above 1 + ``UNIT_ATOL`` or the float32 bands are too wide
+    (a large dim or many bins). The float64 bands are about ``2 d 2**-53`` of a score wide, so
     there only pairs within that of an edge are row-dotted, or every pair
     where even those bands are too wide (norms past 2**60 or about 2e6 at d
     16 and 50 bins). The share thus chooses speed only.
@@ -258,7 +258,7 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
         raise ShapeError("need at least two embedding rows")
     if labels.shape != (Z.shape[0],):
         raise ShapeError("one label per row required")
-    evaluation._check_integer_labels(labels, "labels")
+    _screen._check_integer_labels(labels, "labels")
     if not isinstance(num_bins, (int, np.integer)) or isinstance(num_bins, bool) or num_bins < 2:
         raise ShapeError(f"num_bins must be an integer >= 2, got {num_bins!r}")
     bad = np.flatnonzero(~np.isfinite(Z).all(axis=1))
@@ -279,22 +279,17 @@ def similarity_histograms(Z, labels, num_bins: int = 50) -> SimilarityHistogram:
     all_counts = np.zeros(num_bins, dtype=np.int64)
     pos_counts = np.zeros(num_bins, dtype=np.int64)
     chunk = max(1, evaluation.SCORE_BLOCK_BYTES // 512)
-    codes = evaluation._label_codes(labels)[0]
+    codes = _screen._label_codes(labels)[0]
     norm, d = math.sqrt(np.max(squared_norms)), Z.shape[1]
     exact = _PairBins(Z, open_edges, _EdgeScreen.around(norm, d, edges, np.float64), chunk, codes)
     screen = _EdgeScreen.around(norm, d, edges, np.float32)
-    screened = None if screen is None else replace(exact, screen=screen)
     # Without a float32 screen no float32 tile is asked for: every span is float64.
-    X = Z if screened is None else Z.astype(np.float32)
-    for start, stop, tiles in evaluation._metric_spans(X, X, upper=True):
-        limit = evaluation._PER_PAIR_SHARE * (stop - start) * (Z.shape[0] - start)
-        counts = None if screened is None else screened.span(start, stop, tiles, limit)
-        tiles.close()
-        if counts is None:
-            # Float64 tiles of the span's rows, as many scores as a float32 tile.
-            _, _, tiles = next(evaluation._span_tiles(
-                Z, Z, stop - start, evaluation.SCORE_BLOCK_BYTES // 64, True, (start, stop)))
-            counts = exact.span(start, stop, tiles)
+    screened = (lambda *span: None) if screen is None else replace(exact, screen=screen).span
+    X = Z if screen is None else Z.astype(np.float32)
+    # Float64 tiles of a span's rows hold as many scores as a float32 tile.
+    rows, tile = _screen._metric_shape(Z.shape[0], evaluation.SCORE_BLOCK_BYTES)
+    for counts in _screen._screened_spans((X, Z), (X, Z), rows, (tile, tile),
+                                          (screened, exact.span), upper=True):
         all_counts += counts[0]
         pos_counts += counts[1]
     return SimilarityHistogram(

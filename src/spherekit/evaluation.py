@@ -17,37 +17,37 @@ kept (non-junk) items with a higher score, or an equal score and a lower
 index. So each query needs only, for a few thresholds (its best positive
 for recall, every positive for mAP), how many items score above each.
 
-The metrics count that from float32 tiles of the products of float32 copies
-of the queries and the gallery (``_metric_spans``). The queries are taken in
-row spans, each of as many rows as fit ``SCORE_BLOCK_BYTES // 8`` scores and
-at least ``_TILE_ROWS``, and a span's product in tiles of an eighth of those
-scores, so memory is one tile, however wide the gallery. Counts add up over a
-span's tiles. A threshold is the float64 score of a query and a positive,
-one row dot each (``_row_dots``: no BLAS, so a value depends only on its two
-rows); recall gathers its positives a bounded chunk at a time, so memory
-stays one tile plus bounded chunks however many positives a query has.
-``_screen_thresholds`` gives a threshold float32 bounds ``below < above``:
-an item whose float32 score is ``>= above`` provably scores above the
-threshold in any float64 evaluation and is counted, and one ``<= below``
-provably scores below it and is skipped. The items in between, the band, on
-real data about one per threshold (mostly the positive itself), are scored
-in float64 row dots and compared exactly, ties going to the lower gallery
-index. Recall, with one threshold per query, counts a tile's items above
-``below`` with one compare, and compares against ``above`` only the lines
-that hold any (on desk inputs about a quarter of them); mAP sorts each
-float32 row of a tile once and places every threshold by binary search.
-mAP scores its junk items in row dots too, to take them out of the counts.
-Both refine their band items through one function (``_band_ahead``). A
-query outside the screen's proven range (a norm above 2**60, a dim above
-2**22) gets bounds -inf and +inf and a float32 row of zeros, so every item
-of its line is band. Every span takes this one route, whatever its share of
-band items: a degenerate gallery costs row dots, not memory. On 4,000 unit
-rows at d 128 (one BLAS thread of a 2-core Xeon), leave-one-out recall over
-two classes (2,000 positives a query, 3,998,000 same-label pairs scored for
-the thresholds) takes about 0.9 s, and over a collapsed gallery (scores
-within about 1e-5 of each other, every item in every band) about 3.2 s,
-where a float64 product of each span took 0.3 and 0.2 s. No full ranking
-or queries x gallery score matrix is ever built.
+The metrics count that from float32 tiles of the products of float32 copies of
+the queries and the gallery (``_screen._metric_spans``). The queries are taken
+in row spans, each of as many rows as fit ``SCORE_BLOCK_BYTES // 8`` scores
+and at least ``_screen._TILE_ROWS``, and a span's product in tiles of an
+eighth of those scores, so memory is one tile, however wide the gallery.
+Counts add up over a span's tiles. A threshold is the float64 score of a query
+and a positive, one row dot each (``_screen._row_dots``: no BLAS, so a value
+depends only on its two rows); recall gathers its positives a bounded chunk at
+a time, so memory stays one tile plus bounded chunks however many positives a
+query has. ``_screen._screen_thresholds`` gives a threshold float32 bounds
+``below < above``: an item whose float32 score is ``>= above`` provably scores
+above the threshold in any float64 evaluation and is counted, and one ``<=
+below`` provably scores below it and is skipped. The items in between, the
+band, on real data about one per threshold (mostly the positive itself), are
+scored in float64 row dots and compared exactly, ties going to the lower
+gallery index. Recall, with one threshold per query, counts a tile's items
+above ``below`` with one compare, and compares against ``above`` only the
+lines that hold any (on desk inputs about a quarter of them); mAP sorts each
+float32 row of a tile once and places every threshold by binary search. mAP
+scores its junk items in row dots too, to take them out of the counts. Both
+refine their band items through one function (``_band_ahead``). A query
+outside the screen's proven range (a norm above 2**60, a dim above 2**22) gets
+bounds -inf and +inf and a float32 row of zeros, so every item of its line is
+band. Every span takes this one route, whatever its share of band items: a
+degenerate gallery costs row dots, not memory. On 4,000 unit rows at d 128
+(one BLAS thread of a 2-core Xeon), leave-one-out recall over two classes
+(2,000 positives a query, 3,998,000 same-label pairs scored for the
+thresholds) takes about 0.9 s, and over a collapsed gallery (scores within
+about 1e-5 of each other, every item in every band) about 3.2 s, where a
+float64 product of each span took 0.3 and 0.2 s. No full ranking or queries x
+gallery score matrix is ever built.
 
 Recall has one driver for two span shapes. It finds every query's threshold
 before the first product. Leave-one-out queries that are the gallery's own
@@ -75,10 +75,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _screen
 from .errors import NumericalError, ProtocolError, ShapeError
 from .geometry import UNIT_ATOL, _check_unit_norms
 
@@ -97,44 +98,10 @@ SPLITS = ("easy", "medium", "hard")
 
 # The metrics' budget in bytes of float64 scores: a row span holds as many
 # full query rows as fit SCORE_BLOCK_BYTES // 8 scores, and at least
-# _TILE_ROWS, one float32 tile of SCORE_BLOCK_BYTES // 64 scores at a time
-# (2 MiB: 512 x 1,024). A histogram span that falls back is screened over
-# float64 tiles of as many scores, so no route holds more than a tile.
+# _screen._TILE_ROWS, one float32 tile of SCORE_BLOCK_BYTES // 64 scores at a
+# time (2 MiB: 512 x 1,024). A histogram span that falls back is screened
+# over float64 tiles of as many scores, so no route holds more than a tile.
 SCORE_BLOCK_BYTES = 32 * 2**20
-# The least rows of a metric's row span at the default budget (a smaller one
-# shrinks it with the tile, _metric_spans), so a wide gallery is scored in
-# tiles, not in thin blocks of full rows (69 rows at 60,000). Leave-one-out
-# recall and histograms of unit rows at d 128, one thread of a 2-core Xeon,
-# against spans of at least 512 rows in tiles of 512 x 1,024 scores: at 4,000
-# rows (spans of 1,048; medians of 7) tiles of 512 x 512, 256 x 1,024, 1,024 x
-# 1,024 and 512 x 2,048 took 7-12% longer in recall and 2-19% in histograms (a
-# repeat of the chosen shape read +9% and -4%); at 60,000 rows (single runs)
-# every shape lay within the host's drift of the chosen one, whose two runs
-# read 8.3 and 9.6 s in recall and 14.1 and 15.9 s in histograms. An upper
-# span's diagonal square goes in strips of _TILE_ROWS // 4 rows: at 4,000 rows
-# (5,920), strips of 64, 128 and 256 rows and the whole square took 82, 75, 74
-# and 78 ms (108, 105, 100, 109) in recall and 136, 127, 129 and 150 ms (197,
-# 187, 198, 212) in histograms, medians of 21 (11).
-_TILE_ROWS = 512
-
-# Per tile precision: the unit roundoff u, and eta, half the smallest
-# subnormal (the largest absolute error of a rounding that underflows).
-# Float64's eta, 2**-1075, is no float64, so it is rounded up to 2**-1074.
-_ROUNDING = {np.float32: (2.0**-24, 2.0**-150), np.float64: (2.0**-53, 2.0**-1074)}
-# The screen's bound is proven for row norms up to this size (no float32
-# overflow anywhere) and for dims up to _SCREEN_MAX_DIM (d * 2**-24 <= 1/4).
-_SCREEN_MAX_NORM = 2.0**60
-_SCREEN_MAX_DIM = 2**22
-# A float32 screen scores the pairs it cannot decide with one float64 row dot
-# each while they are at most this share of the pairs it screened; above it
-# one float64 product is faster. Measured on the loss's memory term (n 32-64,
-# d 64-384, M 8k-16k, one BLAS thread of a 2-core Xeon: equal cost at about
-# 1/100). The memory term's passes, a histogram span's undecided pairs and a
-# mining span's kept entries past it are screened again over float64 tiles:
-# the same decisions, bins and negatives, so the share chooses speed only.
-# Recall and mAP do not read it: they score every undecided item in row
-# dots, however many there are.
-_PER_PAIR_SHARE = 1 / 128
 
 
 @dataclass(frozen=True)
@@ -165,12 +132,6 @@ class RetrievalIndex:
 
     def __len__(self) -> int:
         return self.gallery.shape[0]
-
-
-def _check_integer_labels(labels: np.ndarray, what: str) -> None:
-    """Raise ShapeError unless ``labels`` are integers; an empty array passes."""
-    if labels.size and not np.issubdtype(labels.dtype, np.integer):
-        raise ShapeError(f"{what} must be integers, got dtype {labels.dtype}")
 
 
 def _check_no_duplicates(arrays: dict[str, np.ndarray]) -> None:
@@ -270,55 +231,6 @@ def retrieve(
     return Retrieval(index, queries, exclude_self)
 
 
-def _span_tiles(
-    queries: np.ndarray,
-    gallery: np.ndarray,
-    rows: int,
-    values: int,
-    upper: bool = False,
-    within: tuple[int, int] | None = None,
-) -> Iterator[tuple[int, int, Iterator[tuple[int, int, np.ndarray]]]]:
-    """Yield ``(start, stop, tiles)`` per span of ``rows`` rows of ``queries``
-    (of its rows ``within``, a ``(start, stop)`` pair), in order; ``tiles``
-    yields ``(a, first, queries[a:b] @ gallery[first:last].T)``, ``a..b`` the
-    span's rows, in column order, as many columns as fit ``values`` scores
-    with them and at least one. With ``upper`` (rows against themselves)
-    strips of ``_TILE_ROWS // 4`` rows ``a..b`` over columns ``a..stop`` come
-    first: the upper trapezoid, every pair once but in a strip's diagonal block.
-
-    Every blocked product in the package comes from here, its caller stating
-    the shape; no decision taken from a tile depends on its shape or last
-    bits. A tile is computed only when asked for, so a span that stops early
-    (a screen that falls back) computes no more of its tiles.
-    """
-    begin, end = within or (0, queries.shape[0])
-    width = max(1, values // max(min(rows, end - begin), 1))
-    strip = max(1, _TILE_ROWS // 4)
-
-    def tiles(start, stop):
-        for a in range(start, stop, strip) if upper else ():
-            b = min(a + strip, stop)
-            step = max(1, values // (b - a))
-            for first in range(a, stop, step):
-                yield a, first, queries[a:b] @ gallery[first : min(first + step, stop)].T
-        for first in range(stop if upper else 0, gallery.shape[0], width):
-            yield start, first, queries[start:stop] @ gallery[first : first + width].T
-    for start in range(begin, end, rows):
-        stop = min(start + rows, end)
-        yield start, stop, tiles(start, stop)
-
-
-def _metric_spans(queries, gallery, upper: bool = False):
-    """``_span_tiles`` of the metrics' float32 rows: spans of as many rows as
-    fit ``SCORE_BLOCK_BYTES // 8`` scores across the gallery, and at least
-    ``_TILE_ROWS`` or, under a smaller budget, the rows of a tile twice as
-    wide as it is tall (90 x 182 at 1 MiB, not 512 x 32), in tiles of
-    ``SCORE_BLOCK_BYTES // 64`` scores."""
-    tile = SCORE_BLOCK_BYTES // 64
-    rows = max(1, min(_TILE_ROWS, math.isqrt(tile // 2)), SCORE_BLOCK_BYTES // 8 // len(gallery))
-    return _span_tiles(queries, gallery, rows, tile, upper)
-
-
 def _label_runs(labels: np.ndarray, of: np.ndarray):
     """``(by_label, run_start, run_size)``: ``labels`` sorted stably, and per
     entry of ``of`` the run of ``by_label`` whose labels equal it. A run
@@ -329,101 +241,11 @@ def _label_runs(labels: np.ndarray, of: np.ndarray):
     return by_label, run_start, np.searchsorted(sorted_labels, of, "right") - run_start
 
 
-def _label_codes(*labels: np.ndarray) -> list[np.ndarray]:
-    """Per array of ``labels``, its labels as dense codes, equal where the
-    labels are (``np.unique`` over all of them), in the smallest unsigned
-    dtype that holds their number: a tile's same-label entries are then one
-    broadcast compare of small integers."""
-    if np.result_type(*labels).kind == "f":
-        # Signed with uint64 labels concatenate to float64, which merges
-        # labels above 2**53; as Python ints they compare exactly.
-        labels = [part.astype(object) for part in labels]
-    values, codes = np.unique(np.concatenate(labels), return_inverse=True)
-    codes = codes.reshape(-1).astype(np.min_scalar_type(values.size))
-    return np.split(codes, np.cumsum([part.size for part in labels[:-1]]))
-
-
-def _screen_slack(z_norm, d: int, norm_bound: float, dtype=np.float32):
-    """The bound on ``|s - s64|`` of ``_screen_thresholds`` for ``dtype`` tiles."""
-    u, eta = _ROUNDING[dtype]
-    return (2 * d + 8) * (u * z_norm * norm_bound + eta * (z_norm + norm_bound + 1.0))
-
-
-def _screen_thresholds(z_norm, d: int, norm_bound: float, centers, dtype=np.float32):
-    """Bounds ``(below, above)`` of ``dtype`` around float64 ``centers``.
-
-    For a row ``z`` of norm ``z_norm`` and a row ``m`` with ``||m|| <=
-    norm_bound`` (float64, dim ``d``), ``s`` is a score of a ``dtype`` tile
-    and ``s64`` any float64 evaluation of ``sum_k z_k * m_k``, such as a row
-    dot. A float32 ``s`` is any evaluation of ``sum_k fl32(z_k) *
-    fl32(m_k)`` (any summation order, FMA or not). With ``u = 2**-24``,
-    ``eta = 2**-150`` and ``|fl32(x) - x| <= u|x| + eta``:
-
-    * rounding the inputs moves the exact sum by at most
-      ``(2u + u**2) ||z|| ||m|| + 2 eta sqrt(d) (||z|| + ||m||) + d eta**2``;
-    * every product passes through at most ``d`` float32 roundings, so the
-      accumulation adds at most ``gamma_d * sum_k |fl32(z_k) fl32(m_k)|``,
-      ``gamma_d = d u / (1 - d u) <= 2 d u`` for ``d u <= 1/4``, plus ``eta``
-      per underflowing product (sums of subnormals are exact);
-    * the float64 value is within ``d 2**-53 ||z|| ||m||`` (plus float64
-      underflow) of the exact sum, which is below ``2**-29 d u ||z|| ||m||``.
-
-    Summed, ``|s - s64| <= (2d + 5) u ||z|| ||m|| + (2d + 8) eta (||z|| +
-    ||m|| + 1)``. A float64 ``s``, a row of a BLAS product say, rounds no
-    input: with ``u = 2**-53`` and ``eta = 2**-1075`` each float64 evaluation
-    lies within ``gamma_d ||z|| ||m||`` of the exact sum, plus ``eta`` per
-    underflowing product (Higham, "Accuracy and Stability of Numerical
-    Algorithms", 2002, ch. 3), so ``|s - s64| <= 2 gamma_d ||z|| ||m|| + 2 d
-    eta``, where ``2 gamma_d <= 2 d u + 4 d**2 u**2`` and ``d**2 u <=
-    2**-9``. Both bounds assume that the BLAS sums each entry's d products in
-    some order (OpenBLAS and MKL gemm do, Strassen-type routines do not).
-    Either precision takes the slack ``(2d + 8) (u ||z|| ||m|| + eta (||z||
-    + ||m|| + 1))``; the spare ``3u`` (float64: nearly ``8u``) covers the
-    float64 rounding of the slack itself and of a norm bound. ``center -
-    slack`` is stepped one float64 ulp down and then rounded down to
-    ``dtype``, and ``center + slack`` one ulp up and rounded up, so ``s <=
-    below`` gives ``s64 <= s + slack < center`` and ``s >= above`` gives
-    ``s64 >= s - slack > center``. Both are strict, so an item decided either
-    way never ties the center. ``z_norm`` and ``centers`` broadcast: the
-    metrics pass one norm and one center per row (or a scalar center), and
-    ``diagnostics.similarity_histograms`` one scalar norm, the largest of its
-    rows' (so it also bounds ``||m||``), with one center per interior bin
-    edge. Rows outside the proven range (a norm above 2**60, or ``d`` above
-    2**22) get bounds -inf and +inf, which decide none of their items.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        slack = _screen_slack(z_norm, d, norm_bound, dtype)
-        below64 = np.nextafter(centers - slack, -np.inf)
-        above64 = np.nextafter(centers + slack, np.inf)
-        below = below64.astype(dtype)
-        above = above64.astype(dtype)
-    below = np.where(below > below64, np.nextafter(below, dtype(-np.inf)), below)
-    above = np.where(above < above64, np.nextafter(above, dtype(np.inf)), above)
-    in_range = (z_norm <= _SCREEN_MAX_NORM) & (norm_bound <= _SCREEN_MAX_NORM)
-    in_range &= d <= _SCREEN_MAX_DIM
-    return np.where(in_range, below, dtype(-np.inf)), np.where(in_range, above, dtype(np.inf))
-
-
-def _row_dots(A, rows, B, cols, values: int) -> np.ndarray:
-    """``A[rows[i]] . B[cols[i]]`` for every i, by ``einsum`` over gathered
-    chunks of at most ``values`` values per operand (and at least one row).
-
-    No BLAS runs, so a value depends only on its two rows, never on the other
-    pairs, their number or the thread count.
-    """
-    out = np.empty(rows.size)
-    step = max(1, values // A.shape[1])
-    for start in range(0, rows.size, step):
-        chunk = slice(start, start + step)
-        np.einsum("ij,ij->i", A[rows[chunk]], B[cols[chunk]], out=out[chunk])
-    return out
-
-
 def _query_dots(retrieval: Retrieval, queries, items) -> np.ndarray:
     """``_row_dots`` of query rows ``queries`` and gallery rows ``items``, in
     chunks of 1/64 of the score block budget per operand."""
-    return _row_dots(retrieval.queries, queries, retrieval.index.gallery, items,
-                     SCORE_BLOCK_BYTES // 512)
+    return _screen._row_dots(retrieval.queries, queries, retrieval.index.gallery, items,
+                             SCORE_BLOCK_BYTES // 512)
 
 
 def _float32_copies(retrieval: Retrieval) -> tuple[np.ndarray, np.ndarray]:
@@ -456,7 +278,7 @@ def _query_bounds(retrieval: Retrieval, start: int, r: int, rows, values):
     Z = retrieval.queries[start : start + r]
     z_norm = np.sqrt(np.einsum("ij,ij->i", Z, Z))
     # Gallery rows passed the UNIT_ATOL norm check in RetrievalIndex.
-    return _screen_thresholds(z_norm[rows], Z.shape[1], 1.0 + UNIT_ATOL, values)
+    return _screen._screen_thresholds(z_norm[rows], Z.shape[1], 1.0 + UNIT_ATOL, values)
 
 
 @dataclass(frozen=True)
@@ -646,7 +468,7 @@ def _first_hits(retrieval, query_labels, gallery_labels) -> np.ndarray:
     Every query's threshold is found first (``_thresholds``; for
     leave-one-out queries that are the gallery's own array, with labels
     that are the gallery's, each same-label pair once). The row spans
-    are those of ``_metric_spans``: upper trapezoids for leave-one-out
+    are those of ``_screen._metric_spans``: upper trapezoids for leave-one-out
     queries that are the gallery's own array, whose tiles count the later
     queries column-wise past their own rows as they pass, and otherwise full
     rows. Each tile counts its own queries row-wise (``_screened_ahead``).
@@ -677,7 +499,7 @@ def _first_hits(retrieval, query_labels, gallery_labels) -> np.ndarray:
             yield start, first, S32
             del S32
 
-    for start, stop, tiles in _metric_spans(queries, gallery, trapezoid):
+    for start, stop, tiles in _screen._metric_spans(queries, gallery, SCORE_BLOCK_BYTES, trapezoid):
         ahead[start:stop] += _screened_ahead(retrieval, counted(tiles),
                                              np.arange(start, stop), thresholds[start:stop])
     return (ahead + 1)[thresholds.found]
@@ -720,15 +542,15 @@ def recall_at_k(
     the threshold (``_thresholds``), and ``_screened_ahead`` counts the items
     ahead of it per row span, tile by tile. One driver (``_first_hits``) takes
     the row spans in two shapes: upper trapezoids for leave-one-out queries
-    that are the gallery's own array (``_span_tiles``), and every column for
+    that are the gallery's own array (``_screen._span_tiles``), and every column for
     any other queries.
     """
     index = retrieval.index
     num_queries = retrieval.queries.shape[0]
     query_labels = np.asarray(labels)
     gallery_labels = query_labels if gallery_labels is None else np.asarray(gallery_labels)
-    _check_integer_labels(query_labels, "query labels")
-    _check_integer_labels(gallery_labels, "gallery labels")
+    _screen._check_integer_labels(query_labels, "query labels")
+    _screen._check_integer_labels(gallery_labels, "gallery labels")
     query_labels = np.ascontiguousarray(query_labels, dtype=np.int64)
     gallery_labels = np.ascontiguousarray(gallery_labels, dtype=np.int64)
     if query_labels.shape != (num_queries,):
@@ -822,7 +644,7 @@ def mean_average_precision(
     threshold = np.isin(role, [code for positive, _ in roles.values() for code in positive])
     value = np.empty(items.size)
     ahead = np.zeros(items.size, dtype=np.int64)
-    for start, stop, tiles in _metric_spans(*_float32_copies(retrieval)):
+    for start, stop, tiles in _screen._metric_spans(*_float32_copies(retrieval), SCORE_BLOCK_BYTES):
         block = slice(*np.searchsorted(query, [start, stop]))
         rows, cols, t = query[block] - start, items[block], threshold[block]
         value[block] = _query_dots(retrieval, query[block], cols)

@@ -18,21 +18,21 @@ differentiates numerically.
 
 The memory term takes its positives from the labels. It decides the other
 pairs through one screen around ``beta`` in two precisions
-(``evaluation._screen_thresholds``, as the metrics, the histogram and
-mining do): a tile score ``<= below`` proves the float64 row dot
-(``evaluation._row_dots``: no BLAS, so a value depends only on its two
-rows) ``< beta``, one ``>= above`` proves it ``> beta``, and only the pairs
+(``_screen._screen_thresholds``, as the metrics, the histogram and mining
+do): a tile score ``<= below`` proves the float64 row dot
+(``_screen._row_dots``: no BLAS, so a value depends only on its two rows)
+``< beta``, one ``>= above`` proves it ``> beta``, and only the pairs
 strictly between are row-dotted, so every decision is the row dot's. The
-tiles hold whole anchor rows (``evaluation._span_tiles``) of the float32
-product with the bank's float32 copy, or of the float64 product with the
-memory when the float32 passes (different-label scores above ``below``)
-exceed ``_PER_PAIR_SHARE`` of the pairs screened or a float32 bound is
--inf (a norm past 2**60). The float64 bounds are about ``2d * 2**-53`` of a
-score wide; an anchor past the proven range scores 0 in its float64 tiles,
-between bounds -inf and +inf, so all its pairs are row-dotted. A tile is
-compared once, against the least ``below``; only its passes are
-classified, into (memory row, anchor) pairs, so no step holds a memory ×
-batch array.
+memory is one span of ``_screen._screened_spans``, in tiles of whole anchor
+rows of the float32 product with the bank's float32 copy, or of the float64
+product with the memory when the float32 passes (different-label scores
+above ``below``) exceed ``_screen._PER_PAIR_SHARE`` of the pairs screened or
+a float32 bound is -inf (a norm past 2**60). The float64 bounds are about
+``2d * 2**-53`` of a score wide; an anchor past the proven range scores 0 in
+its float64 tiles, between bounds -inf and +inf, so all its pairs are
+row-dotted. A tile is compared once, against the least ``below``; only its
+passes are classified, into (memory row, anchor) pairs, so no step holds a
+memory × batch array.
 
 Value and gradient come from the decided sets: with ``P`` and ``A`` the
 positive and active indicators over their memory rows ``M`` (``A``
@@ -53,18 +53,12 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from . import _screen
 from .errors import (
     DegenerateBatchError,
     NormalizationError,
     NumericalError,
     ShapeError,
-)
-from .evaluation import (
-    _PER_PAIR_SHARE,
-    _check_integer_labels,
-    _row_dots,
-    _screen_thresholds,
-    _span_tiles,
 )
 from .geometry import _check_unit_norms
 
@@ -115,7 +109,7 @@ class LabeledEmbeddingBatch:
             raise ShapeError(
                 f"batch must be (N >= 2, d >= 2), got {embeddings.shape}"
             )
-        _check_integer_labels(labels, "labels")
+        _screen._check_integer_labels(labels, "labels")
         if not np.all(np.isfinite(embeddings)):
             raise NumericalError("batch embeddings contain non-finite values")
         if validate:
@@ -196,7 +190,7 @@ def _memory_arrays(memory: Optional["MemoryView"]):
         raise ShapeError("memory descriptors must be 2-D")
     if labels.shape != (descriptors.shape[0],):
         raise ShapeError("memory labels must be one per descriptor row")
-    _check_integer_labels(labels, "memory labels")
+    _screen._check_integer_labels(labels, "memory labels")
     if memory.descriptors32 is not None:
         return descriptors, labels, memory.descriptors32, memory.norm_bound
     bad = np.flatnonzero(~np.isfinite(descriptors).all(axis=1))
@@ -208,20 +202,17 @@ def _memory_arrays(memory: Optional["MemoryView"]):
     return descriptors, labels, descriptors32, norm_bound
 
 
-def _decided(Z, labels, mem_Z, mem_labels, below, above, limit):
+def _decided(tiles, labels, mem_labels, below, above, limit):
     """``(memory rows, anchors, up)`` of the different-label pairs scoring
-    above their anchor's ``below`` in the tiles of ``mem_Z @ Z.T``
-    (memory-major runs faster), ascending; ``up`` marks those ``>= above``.
-    A tile holds whole anchor rows, ``_BLOCK_VALUES`` scores or, if more,
-    one memory row's; it is compared once, against the least ``below``, and
-    only its passes are classified. None, asking for no further tile, once the pairs
-    are more than ``limit`` per memory row screened."""
-    n = Z.shape[0]
+    above their anchor's ``below`` in ``tiles`` of memory rows by whole
+    anchor rows, ascending; ``up`` marks those ``>= above``. A tile is
+    compared once, against the least ``below``, and only its passes are
+    classified. None, asking for no further tile, once the pairs are more
+    than ``limit`` per memory row screened."""
+    n = labels.size
     floor, passed = below.min(), 0
     kept = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=bool),)]
-    block = max(1, _BLOCK_VALUES // n)
-    for _, _, tiles in _span_tiles(mem_Z, Z, block, block * n):
-        start, _, S = next(tiles)  # whole anchor rows: one tile a span
+    for start, _, S in tiles:
         passes = np.flatnonzero(S > floor)
         if passes.size:  # on real data most tiles have none
             rows, anchors = np.divmod(passes + start * n, n)
@@ -239,24 +230,30 @@ def _memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z32, norm_bound, beta):
     """``(positives, hinges, (memory rows, anchors))``: the memory rows that
     share a label with an anchor, those with an active pair, and the active
     pairs, ascending: of different labels and a float64 row dot above
-    ``beta``, decided on float32 tiles while their passes stay within
-    ``_PER_PAIR_SHARE``, else on float64 tiles."""
+    ``beta``. The memory is one span of ``_screen._screened_spans``, in
+    tiles of ``mem_Z @ Z.T`` (memory-major runs faster) that hold whole
+    anchor rows, ``_BLOCK_VALUES`` scores or, if more, one memory row's."""
     n, d = Z.shape
     positives = np.flatnonzero(np.isin(mem_labels, labels))
     z_norm = np.sqrt(np.einsum("ij,ij->i", Z, Z))
-    decided = None
-    below, above = _screen_thresholds(z_norm, d, norm_bound, beta)
-    if below.min() > -np.inf:
-        decided = _decided(Z.astype(np.float32), labels, mem_Z32, mem_labels,
-                           below, above, _PER_PAIR_SHARE * n)
-    if decided is None:
-        below, above = _screen_thresholds(z_norm, d, norm_bound, beta, np.float64)
-        # An anchor past the proven range scores 0, strictly between -inf and +inf.
-        decided = _decided(np.where((below > -np.inf)[:, None], Z, 0.0), labels, mem_Z,
-                           mem_labels, below, above, np.inf)
-    rows, anchors, up = decided
+    bounds = _screen._screen_thresholds(z_norm, d, norm_bound, beta)
+    proven = bounds[0] > -np.inf
+    # An anchor past the proven range asks for no float32 tile, and scores 0
+    # in the float64 ones, strictly between its float64 bounds -inf and +inf.
+    Z32 = Z.astype(np.float32) if proven.all() else Z
+    Z64 = Z if proven.all() else np.where(proven[:, None], Z, 0.0)
+
+    def screened(start, stop, tiles, limit):
+        return _decided(tiles, labels, mem_labels, *bounds, limit) if proven.all() else None
+
+    def exact(start, stop, tiles, limit):
+        bounds64 = _screen._screen_thresholds(z_norm, d, norm_bound, beta, np.float64)
+        return _decided(tiles, labels, mem_labels, *bounds64, limit)
+    block = max(1, _BLOCK_VALUES // n)
+    (rows, anchors, up), = _screen._screened_spans(
+        (mem_Z32, mem_Z), (Z32, Z64), block, (block * n,) * 2, (screened, exact), one_span=True)
     band = np.flatnonzero(~up)
-    up[band] = _row_dots(Z, anchors[band], mem_Z, rows[band], _BLOCK_VALUES) > beta
+    up[band] = _screen._row_dots(Z, anchors[band], mem_Z, rows[band], _BLOCK_VALUES) > beta
     hinge = np.zeros(mem_Z.shape[0], dtype=bool)
     hinge[rows[up]] = True
     return positives, np.flatnonzero(hinge), (rows[up], anchors[up])

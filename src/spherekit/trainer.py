@@ -39,6 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _screen
 from .config import PoolingSpec, RunConfig, SyntheticSpec
 from .diagnostics import (
     histogram_overlap,
@@ -54,15 +55,6 @@ from .errors import (
     SamplingError,
     ShapeError,
     TrainingError,
-)
-from .evaluation import (
-    _PER_PAIR_SHARE,
-    _check_integer_labels,
-    _label_codes,
-    _row_dots,
-    _screen_slack,
-    _screen_thresholds,
-    _span_tiles,
 )
 from .geometry import TokenGrid, normalize_rows, pool
 from .memory import MemoryBank, MomentumTrack
@@ -108,7 +100,7 @@ PAIRS_PER_EPOCH_FULL = 2000
 CANDIDATES_PER_EPOCH_FULL = 22000
 
 # Bytes of scores one mining tile may hold: MINING_BLOCK_BYTES // 4 float32
-# scores (262,144: _TILE_ROWS anchors by 2,048 pool rows), or where a span
+# scores (262,144: _MINING_ROWS anchors by 2,048 pool rows), or where a span
 # falls back MINING_BLOCK_BYTES // 8 float64 scores (131,072: its anchors by
 # 1,024). Scoring every anchor of an epoch at once would hold anchors x
 # candidates scores (22 MB at 500 x 5,500). An anchor's negatives depend on
@@ -122,7 +114,7 @@ MINING_BLOCK_BYTES = 2**20
 # wider one screens fewer columns per anchor: one desk mining call (500 x 5,500
 # x 128, one thread of a 2-core Xeon, medians of 21) took 14% longer with 32
 # rows, 13% with 64, 3% with 256 and 11% with all 500 than with 128.
-_TILE_ROWS = 128
+_MINING_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -143,7 +135,7 @@ class LabeledFeatureDataset:
             raise ShapeError("features must be a nonempty 2-D array")
         if labels.shape != (features.shape[0],):
             raise ShapeError("one label per feature row required")
-        _check_integer_labels(labels, "labels")
+        _screen._check_integer_labels(labels, "labels")
         if not np.all(np.isfinite(features)):
             raise NumericalError("features contain non-finite values")
         labels = np.array(labels, dtype=np.int64)
@@ -485,14 +477,15 @@ class _SpanScreen:
     def __init__(self, z_norm, d: int, norm_bound: float, k: int, dtype):
         self.z_norm, self.d, self.norm_bound, self.k = z_norm, d, norm_bound, k
         self.dtype = dtype
-        self.slack = _screen_slack(z_norm, d, norm_bound, dtype)
+        self.slack = _screen._screen_slack(z_norm, d, norm_bound, dtype)
         self.tau = np.full(z_norm.size, -np.inf, dtype=dtype)
         self.rows = self.cols = np.zeros(0, dtype=np.int64)
         self.values = np.zeros(0, dtype=dtype)
 
     def below(self) -> np.ndarray:
         floor = np.nextafter(self.tau.astype(np.float64) - self.slack, -np.inf)
-        return _screen_thresholds(self.z_norm, self.d, self.norm_bound, floor, self.dtype)[0]
+        return _screen._screen_thresholds(self.z_norm, self.d, self.norm_bound, floor,
+                                          self.dtype)[0]
 
     def scan(self, tiles, codes, limit: float, operands=None) -> bool:
         """Screen ``tiles`` (``(start, first, S)``) of the span's anchors,
@@ -554,7 +547,7 @@ class _SpanScreen:
         highest float64 row dots, lowest pool index among equals, by anchor;
         ``anchors`` are the span's rows."""
         rows, cols = self.rows, self.cols
-        scores = _row_dots(anchors, rows, pool, cols, MINING_BLOCK_BYTES // 64)
+        scores = _screen._row_dots(anchors, rows, pool, cols, MINING_BLOCK_BYTES // 64)
         order = np.lexsort((cols, -scores, rows))
         counts = np.bincount(rows, minlength=anchors.shape[0])
         return order[np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts) < self.k]
@@ -574,20 +567,20 @@ def mine_hard_negatives(
     """Per anchor row, pool indices of the k most similar entries whose label
     differs from that anchor's ``exclude_labels`` entry; shape (anchors, k).
 
-    Similarity is the float64 row dot (``evaluation._row_dots``); each row is
+    Similarity is the float64 row dot (``_screen._row_dots``); each row is
     ordered by descending similarity, ties to the lowest pool index. Raises
     ShapeError, before any work, when k is not an integer of at least 1 or a
     label is not an integer, NumericalError, naming the input and the row, on
     a non-finite anchor or pool row, and SamplingError when an anchor has
     fewer than k candidates outside its label. Labels are compared as dense
-    codes (``evaluation._label_codes``), tile by tile; only an anchor's
+    codes (``_screen._label_codes``), tile by tile; only an anchor's
     same-label entries are set to -inf.
 
-    Spans of ``_TILE_ROWS`` anchors (``evaluation._span_tiles``) go through
+    Spans of ``_MINING_ROWS`` anchors (``_screen._screened_spans``) go through
     one screen (``_SpanScreen``) against successive tiles of pool rows. Per
     anchor, a tile score ``tau`` that at least k other-label entries reach
     gives, through the screen the loss and the metrics use
-    (``evaluation._screen_thresholds``), a bound under which an entry
+    (``_screen._screen_thresholds``), a bound under which an entry
     provably scores below the k-th row dot. Each tile raises ``tau`` (the
     least of k column chunks' maxima, then the k-th entry kept so far) and
     keeps only the entries above the bound; the kept entries, about k per
@@ -596,7 +589,7 @@ def mine_hard_negatives(
 
     A span is screened over float32 tiles of ``MINING_BLOCK_BYTES``, or over
     float64 tiles of its rows within the same budget, with no limit, when its
-    kept entries pass ``evaluation._PER_PAIR_SHARE`` of its pairs (quantized,
+    kept entries pass ``_screen._PER_PAIR_SHARE`` of its pairs (quantized,
     tie-heavy rows; it computes no further float32 tile), a bound is -inf (a
     norm above 2**60), or the pool has fewer than k / ``_PER_PAIR_SHARE``
     rows (640 for k = 5). The float64 slack, about 2 d 2**-53 of a score,
@@ -623,14 +616,14 @@ def mine_hard_negatives(
         raise ShapeError("one excluded label per anchor row required")
     if pool_labels.shape != (pool_descriptors.shape[0],):
         raise ShapeError("one label per pool row required")
-    _check_integer_labels(pool_labels, "pool labels")
-    _check_integer_labels(exclude_labels, "excluded labels")
+    _screen._check_integer_labels(pool_labels, "pool labels")
+    _screen._check_integer_labels(exclude_labels, "excluded labels")
     for name, rows in (("anchor", anchors), ("pool", pool_descriptors)):
         bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
         if bad.size:
             raise NumericalError(f"{name} row {bad[0]} contains non-finite values")
     n, d = pool_descriptors.shape
-    pool_codes, anchor_codes = _label_codes(pool_labels, exclude_labels)
+    pool_codes, anchor_codes = _screen._label_codes(pool_labels, exclude_labels)
     per_code = np.bincount(pool_codes, minlength=int(anchor_codes.max(initial=0)) + 1)
     available = n - per_code[anchor_codes]
     if np.any(available < k):
@@ -638,31 +631,31 @@ def mine_hard_negatives(
         raise SamplingError(
             f"pool has {available[r]} candidates outside label {exclude_labels[r]}, need {k}"
         )
-    out = np.empty((anchors.shape[0], k), dtype=np.int64)
     z_norm = np.sqrt(np.einsum("ij,ij->i", anchors, anchors))
     norm_bound = float(np.sqrt(np.max(np.einsum("ij,ij->i", pool_descriptors, pool_descriptors))))
-    # A float32 screen needs a proven bound, and k entries an anchor within the share.
-    try32 = _screen_thresholds(z_norm, d, norm_bound, 0.0)[0] > -np.inf
-    try32 &= k <= _PER_PAIR_SHARE * n
+    proven = _screen._screen_thresholds(z_norm, d, norm_bound, 0.0)[0] > -np.inf
     with np.errstate(over="ignore"):
         anchors32 = anchors.astype(np.float32)
         pool32 = pool_descriptors.astype(np.float32)
-    # Spans of as many anchors as fit a float32 tile across the pool, at least _TILE_ROWS.
+
+    def screened(start, stop, tiles, limit):
+        # A float32 screen needs a proven bound, and k entries an anchor within the share.
+        screen = _SpanScreen(z_norm[start:stop], d, norm_bound, k, np.float32)
+        if k <= limit and proven[start:stop].all() and screen.scan(
+                tiles, (anchor_codes[start:stop], pool_codes), limit * (stop - start)):
+            return screen.top(anchors[start:stop], pool_descriptors)
+
+    def exact(start, stop, tiles, _):
+        screen = _SpanScreen(z_norm[start:stop], d, norm_bound, k, np.float64)
+        screen.scan(tiles, (anchor_codes[start:stop], pool_codes), MINING_BLOCK_BYTES // 64,
+                    (anchors[start:stop], pool_descriptors))
+        return screen.top(anchors[start:stop], pool_descriptors)
+    # Spans of as many anchors as fit a float32 tile across the pool, at least _MINING_ROWS.
     values = MINING_BLOCK_BYTES // 4
-    for start, stop, tiles in _span_tiles(anchors32, pool32, max(_TILE_ROWS, values // n), values):
-        span = slice(start, stop)
-        screen = _SpanScreen(z_norm[span], d, norm_bound, k, np.float32)
-        limit = _PER_PAIR_SHARE * (stop - start) * n
-        codes = anchor_codes[span], pool_codes
-        if not (try32[span].all() and screen.scan(tiles, codes, limit)):
-            screen = _SpanScreen(z_norm[span], d, norm_bound, k, np.float64)
-            _, _, tiles64 = next(_span_tiles(anchors, pool_descriptors, stop - start,
-                                             MINING_BLOCK_BYTES // 8, within=(start, stop)))
-            screen.scan(tiles64, codes, MINING_BLOCK_BYTES // 64,
-                        (anchors[span], pool_descriptors))
-        tiles.close()
-        out[span] = screen.top(anchors[span], pool_descriptors)
-    return out
+    tops = _screen._screened_spans((anchors32, anchors), (pool32, pool_descriptors),
+                                   max(_MINING_ROWS, values // n),
+                                   (values, MINING_BLOCK_BYTES // 8), (screened, exact))
+    return np.concatenate([np.empty((0, k), dtype=np.int64), *tops])
 
 
 def check_tuple_rows(rows: np.ndarray, labels: np.ndarray) -> None:

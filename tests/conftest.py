@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 
-from spherekit import diagnostics, evaluation, trainer
+from spherekit import _screen, diagnostics, evaluation, trainer
 
 FD_STEP = 1e-6
 FD_RTOL = 1e-4
@@ -80,8 +80,8 @@ class Routes(dict):
         self.tiles = tiles
 
 
-def count_tiles(monkeypatch, module):
-    """Count the tiles ``module._span_tiles`` computes, per dtype and row span,
+def count_tiles(monkeypatch):
+    """Count the tiles ``_screen._span_tiles`` computes, per dtype and row span,
     by kind: ``{"float32": {(start, stop): {"strip": tiles, "rows": tiles}},
     "float64": {...}}``. A ``"strip"`` tile is one of an upper span's
     diagonal strips, a ``"rows"`` tile one over all the span's rows (every
@@ -89,7 +89,7 @@ def count_tiles(monkeypatch, module):
     float64 tiles of one span of its rows."""
     counts = {"float32": collections.defaultdict(collections.Counter),
               "float64": collections.defaultdict(collections.Counter)}
-    spans = module._span_tiles
+    spans = _screen._span_tiles
 
     def counted_tiles(per_dtype, start, stop, upper, tiles):
         for tile in tiles:
@@ -99,7 +99,7 @@ def count_tiles(monkeypatch, module):
     def counted(queries, gallery, rows, values, upper=False, within=None):
         for start, stop, tiles in spans(queries, gallery, rows, values, upper, within):
             yield start, stop, counted_tiles(counts[queries.dtype.name], start, stop, upper, tiles)
-    monkeypatch.setattr(module, "_span_tiles", counted)
+    monkeypatch.setattr(_screen, "_span_tiles", counted)
     return counts
 
 
@@ -107,7 +107,7 @@ def screen_routes(monkeypatch):
     """Count the row spans the float32 screen counted (recall's
     ``_screened_ahead`` or mAP's ``_ranked_ahead``); ``tiles`` counts each
     span's tiles (``count_tiles``)."""
-    routes = Routes({"screened": 0}, count_tiles(monkeypatch, evaluation))
+    routes = Routes({"screened": 0}, count_tiles(monkeypatch))
 
     def counted(screen):
         def screened(*args):
@@ -128,9 +128,9 @@ def histogram_routes(monkeypatch):
     ``dotted`` lists each span's row-dotted pairs as ``(rows, cols)`` and
     ``tiles`` counts each span's tiles (``count_tiles``)."""
     routes = Routes({"screened": 0, "fallback": 0, "float64": 0, "rescored": 0},
-                    count_tiles(monkeypatch, evaluation))
+                    count_tiles(monkeypatch))
     routes.dotted, inside = [], []
-    span, row_dots = diagnostics._PairBins.span, evaluation._row_dots
+    span, row_dots = diagnostics._PairBins.span, _screen._row_dots
 
     def counted_span(bins, *args):
         routes.dotted.append([])
@@ -151,7 +151,7 @@ def histogram_routes(monkeypatch):
             routes.dotted[-1].append((rows, cols))
         return row_dots(A, rows, B, cols, *args)
     monkeypatch.setattr(diagnostics._PairBins, "span", counted_span)
-    monkeypatch.setattr(evaluation, "_row_dots", counted_dots)
+    monkeypatch.setattr(_screen, "_row_dots", counted_dots)
     return routes
 
 
@@ -160,7 +160,7 @@ def mining_routes(monkeypatch):
     and those it screened again in float64 tiles (a fallback), from the
     precision of the ``_SpanScreen`` whose ``top`` ran; ``tiles`` counts each
     anchor span's float32 tiles (``count_tiles``)."""
-    routes = Routes({"screened": 0, "fallback": 0}, count_tiles(monkeypatch, trainer))
+    routes = Routes({"screened": 0, "fallback": 0}, count_tiles(monkeypatch))
     top = trainer._SpanScreen.top
 
     def counted(screen, anchors, *args):
@@ -175,9 +175,10 @@ def mining_tiles(rows, columns):
     (fewer at the edges) for pools wider than ``columns``; its float64 tiles
     hold a span's rows and as many pool rows as fit ``rows * columns / 2``
     scores, the same bytes."""
-    return mock.patch.multiple(trainer, _TILE_ROWS=rows, MINING_BLOCK_BYTES=4 * rows * columns)
+    return mock.patch.multiple(trainer, _MINING_ROWS=rows, MINING_BLOCK_BYTES=4 * rows * columns)
 
 
+@contextlib.contextmanager
 def metric_tiles(rows, columns):
     """Make the metrics' float32 tiles ``rows`` rows by ``columns`` columns
     (fewer at the edges) against galleries of at least ``8 * columns`` rows;
@@ -187,24 +188,26 @@ def metric_tiles(rows, columns):
     ``rows`` does not shrink for tiles less than twice as wide."""
     values = rows * columns
 
-    def spans(queries, gallery, upper=False):
-        span = max(rows, 8 * values // gallery.shape[0])
-        return evaluation._span_tiles(queries, gallery, span, values, upper)
-    return mock.patch.multiple(evaluation, _metric_spans=spans, SCORE_BLOCK_BYTES=64 * values)
+    def shape(gallery_rows, block_bytes):
+        return max(rows, 8 * values // gallery_rows), values
+    with mock.patch.object(_screen, "_metric_shape", shape), \
+            mock.patch.object(evaluation, "SCORE_BLOCK_BYTES", 64 * values):
+        yield
 
 
+@contextlib.contextmanager
 def budget_for_rows(module, budget_name, rows, gallery_rows):
     """Set ``module.budget_name`` so that score blocks against a gallery of
     ``gallery_rows`` hold ``rows`` full rows each, ``rows * gallery_rows``
     scores of 8 bytes; None keeps the module's budget. The metrics' row spans
-    then hold the same rows (``_TILE_ROWS`` too), and their float32 tiles an
+    then hold the same rows (``_screen._TILE_ROWS`` too), and their float32 tiles an
     eighth of the gallery's columns."""
-    if rows is None:
-        return contextlib.nullcontext()
-    patches = {budget_name: 8 * gallery_rows * rows}
-    if module is evaluation:
-        patches["_TILE_ROWS"] = rows
-    return mock.patch.multiple(module, **patches)
+    with contextlib.ExitStack() as stack:
+        if rows is not None:
+            stack.enter_context(mock.patch.object(module, budget_name, 8 * gallery_rows * rows))
+            if module is evaluation:
+                stack.enter_context(mock.patch.object(_screen, "_TILE_ROWS", rows))
+        yield
 
 
 def circle_ranking(perm):

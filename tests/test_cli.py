@@ -19,6 +19,7 @@ from spherekit import (
     parse_run_config,
     train_run,
 )
+from spherekit import _screen
 from spherekit import io as sk_io
 from spherekit import cli
 from spherekit.cli import main
@@ -152,7 +153,7 @@ class TestTrain:
         routes = memory_routes(monkeypatch)
         outputs, float64_steps = [], []
         for share in (1.0, 0.0):
-            monkeypatch.setattr(objective, "_PER_PAIR_SHARE", share)
+            monkeypatch.setattr(_screen, "_PER_PAIR_SHARE", share)
             routes.clear()
             out = tmp_path / f"share-{share}"
             assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
@@ -268,6 +269,20 @@ class TestTrain:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config {}: "),
+        ("{not json", "config {} is not valid JSON: "),
+        ("[1, 2]", "config {} must contain a JSON object\n"),
+    ], ids=["missing", "invalid-json", "non-object"])
+    def test_an_unusable_config_file_exits_two_naming_it(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        code = main(["train", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: " + message.format(path))
+        assert not (tmp_path / "out").exists()
 
 
 class TestEval:
@@ -703,19 +718,26 @@ def run_cli_with_blas_threads(threads, *args):
 
 def memory_routes(monkeypatch):
     """Per memory term of an in-process run, the dtypes of the tiles that
-    decided its pairs, in order (``objective._span_tiles``)."""
-    routes = []
-    pairs, spans = objective._memory_pairs, objective._span_tiles
+    decided its pairs, in order (``_screen._span_tiles`` while
+    ``objective._memory_pairs`` runs)."""
+    routes, inside = [], []
+    pairs, spans = objective._memory_pairs, _screen._span_tiles
 
     def counted_pairs(*args):
         routes.append([])
-        return pairs(*args)
+        inside.append(True)
+        try:
+            return pairs(*args)
+        finally:
+            inside.clear()
 
     def counted_spans(*args):
         for start, stop, tiles in spans(*args):
-            yield start, stop, (routes[-1].append(tile[2].dtype) or tile for tile in tiles)
+            if inside:
+                tiles = (routes[-1].append(tile[2].dtype) or tile for tile in tiles)
+            yield start, stop, tiles
     monkeypatch.setattr(objective, "_memory_pairs", counted_pairs)
-    monkeypatch.setattr(objective, "_span_tiles", counted_spans)
+    monkeypatch.setattr(_screen, "_span_tiles", counted_spans)
     return routes
 
 

@@ -11,7 +11,6 @@ from spherekit import (
     RunConfig,
     SyntheticSpec,
     dump_run_config,
-    load_run_config,
     parse_run_config,
 )
 from spherekit.config import CONFIG_SCHEMA
@@ -202,28 +201,3 @@ class TestDump:
         assert dumped["eval_ks"] == [1, 5]
         assert json.dumps(dumped)  # JSON-serializable
         assert parse_run_config(dumped) == config
-
-
-class TestLoad:
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read"):
-            load_run_config(tmp_path / "absent.json")
-
-    def test_invalid_json(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ConfigError, match="not valid JSON"):
-            load_run_config(path)
-
-    def test_non_object_json(self, tmp_path):
-        path = tmp_path / "list.json"
-        path.write_text("[1, 2]", encoding="utf-8")
-        with pytest.raises(ConfigError, match="JSON object"):
-            load_run_config(path)
-
-    def test_valid_file(self, tmp_path):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(minimal()), encoding="utf-8")
-        config = load_run_config(path)
-        assert config.mode == "category"
-        assert config.synthetic.num_classes == 4

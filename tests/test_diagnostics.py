@@ -23,7 +23,7 @@ from spherekit import (
     similarity_histograms,
     step_gradient_dispersion,
 )
-from spherekit import diagnostics, evaluation
+from spherekit import _screen, diagnostics, evaluation
 from spherekit.errors import ShapeError
 
 from conftest import (
@@ -165,7 +165,7 @@ class TestSimilarityHistograms:
         Z = unit_rows(rng, 700, 16)
         dense = rng.permutation(np.arange(700) % distinct)
         labels = relabelled(rng, dense, kind)
-        codes = evaluation._label_codes(labels)[0]
+        codes = _screen._label_codes(labels)[0]
         assert codes.dtype == (np.uint8 if distinct < 256 else np.uint16)
         got = similarity_histograms(Z, labels)
         expected = similarity_histograms(Z, dense)
@@ -193,7 +193,7 @@ def assert_dense_counts(got, Z, labels, num_bins, row_dots=False):
     product, or with ``row_dots`` of every pair's row dot, split by label
     match."""
     iu = np.triu_indices(len(Z), k=1)
-    scores = evaluation._row_dots(Z, iu[0], Z, iu[1], 2**16) if row_dots else (Z @ Z.T)[iu]
+    scores = _screen._row_dots(Z, iu[0], Z, iu[1], 2**16) if row_dots else (Z @ Z.T)[iu]
     same = labels[iu[0]] == labels[iu[1]]
     edges = np.linspace(-1.0, 1.0, num_bins + 1)
     edges[0], edges[-1] = -np.inf, np.inf
@@ -339,7 +339,7 @@ class TestHistogramScreen:
             if kind == "norm-3":
                 expected = {"screened": 0, "fallback": 0, "float64": 3}
             routes = histogram_routes(monkeypatch)
-            with mock.patch.object(evaluation, "_PER_PAIR_SHARE", share), \
+            with mock.patch.object(_screen, "_PER_PAIR_SHARE", share), \
                     budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", 100, 300):
                 got = similarity_histograms(Z, labels, num_bins=num_bins)
             assert routes == {**expected, "rescored": routes["rescored"]}

@@ -41,7 +41,7 @@ from spherekit import (
     retrieve,
     similarity_histograms,
 )
-from spherekit import evaluation, objective, trainer
+from spherekit import _screen, evaluation, objective, trainer
 from spherekit.errors import ShapeError
 
 from conftest import (
@@ -163,7 +163,7 @@ class TestRetrieve:
         queries = unit_rows(rng, 4, 6)
         index = RetrievalIndex(gallery=gallery)
         sims = queries @ gallery.T
-        spans = evaluation._metric_spans(queries, gallery)
+        spans = _screen._metric_spans(queries, gallery, evaluation.SCORE_BLOCK_BYTES)
         assert_array_equal(np.vstack([S for _, _, tiles in spans for _, _, S in tiles]), sims)
         for qi in range(4):
             # rank_of scores one query alone, as this product does
@@ -501,8 +501,8 @@ class TestScreenThresholds:
         z_norm = np.array([1.0, 2.0**60 * (1 + 2.0**-52), 1e300, np.inf])
         norm_bound = 2.0**61 if case == "norm-bound" else 1.0
         d = 2**22 + 1 if case == "dim" else 16
-        below, above = evaluation._screen_thresholds(z_norm, d, norm_bound,
-                                                     np.full(4, center), dtype)
+        below, above = _screen._screen_thresholds(z_norm, d, norm_bound,
+                                                  np.full(4, center), dtype)
         assert below.dtype == above.dtype == dtype
         assert not np.isnan(below).any() and not np.isnan(above).any()
         unproven = slice(0 if case != "row-norm" else 1, None)
@@ -540,7 +540,7 @@ class TestScoreBlocks:
         rng = np.random.default_rng(92)
         Q = unit_rows(rng, n, 4)
         G = Q if upper else unit_rows(rng, m, 4)
-        monkeypatch.setattr(evaluation, "_TILE_ROWS", 4 * m)
+        monkeypatch.setattr(_screen, "_TILE_ROWS", 4 * m)
         for values, within in itertools.product((1, 6, 100), (None, (n // 3, n))):
             begin, end = within or (0, n)
             # A row's strip starts at a multiple of m rows into its span.
@@ -549,7 +549,7 @@ class TestScoreBlocks:
             for row in range(begin, end):  # with upper, from its strip's first row
                 expected[row, first_row[row] if upper else 0:] = 1
             covered = np.zeros_like(expected)
-            order, spans = [], evaluation._span_tiles(Q, G, rows, values, upper, within)
+            order, spans = [], _screen._span_tiles(Q, G, rows, values, upper, within)
             for start, stop, tiles in spans:
                 assert (start - begin) % rows == 0 and stop == min(start + rows, end)
                 for tile_start, first, S in tiles:
@@ -583,16 +583,20 @@ class TestScoreBlocks:
         # scores, and one where more anchors than `values` do not fit.
         rng = np.random.default_rng(93)
         Z, mem_Z = unit_rows(rng, n, 4), unit_rows(rng, m, 4)
-        shapes, spans = [], objective._span_tiles
+        shapes, spans = [], _screen._span_tiles
 
         def spied(*args):
             for start, stop, tiles in spans(*args):
                 yield start, stop, (shapes.append(tile[:2] + tile[2].shape) or tile
                                     for tile in tiles)
-        monkeypatch.setattr(objective, "_span_tiles", spied)
+        monkeypatch.setattr(_screen, "_span_tiles", spied)
         monkeypatch.setattr(objective, "_BLOCK_VALUES", values)
-        rows, anchors, _ = objective._decided(Z, np.zeros(n), mem_Z, np.ones(m),
-                                              np.full(n, -np.inf), np.full(n, np.inf), np.inf)
+        # A margin below every score makes every pair active on float32
+        # tiles, which a share of 1 keeps.
+        monkeypatch.setattr(_screen, "_PER_PAIR_SHARE", 1.0)
+        _, _, (rows, anchors) = objective._memory_pairs(
+            Z, np.zeros(n, dtype=np.int64), mem_Z, np.ones(m, dtype=np.int64),
+            mem_Z.astype(np.float32), 1.0 + 1e-9, -2.0)
         # Every pair once, memory row by memory row.
         assert_array_equal(np.stack([rows, anchors]), np.divmod(np.arange(m * n), n))
         block = max(1, values // n)
@@ -604,14 +608,14 @@ class TestScoreBlocks:
         rows = evaluation.SCORE_BLOCK_BYTES // (8 * G.shape[0])
         sizes = []
 
-        spans = evaluation._span_tiles
+        spans = _screen._span_tiles
 
         def spy(queries, *args, **kwargs):
             for start, stop, tiles in spans(queries, *args, **kwargs):
                 if queries.dtype == np.float32:  # not a float64 fallback
                     sizes.append(stop - start)
                 yield start, stop, tiles
-        with mock.patch.object(evaluation, "_span_tiles", spy):
+        with mock.patch.object(_screen, "_span_tiles", spy):
             recall_at_k(retrieve(RetrievalIndex(G), Q), np.zeros(600, np.int64), (1,),
                         gallery_labels=np.zeros(400, np.int64))
         assert sizes[0] == min(rows, Q.shape[0])
@@ -627,9 +631,8 @@ class TestScoreBlocks:
         # tile instead of thinning it (512 x 32 at 1 MiB).
         X = np.zeros((m, 1), dtype=np.float32)
         budget = budget or evaluation.SCORE_BLOCK_BYTES
-        with mock.patch.object(evaluation, "SCORE_BLOCK_BYTES", budget):
-            start, stop, tiles = next(evaluation._metric_spans(X, X))
-            _, first, S = next(tiles)
+        start, stop, tiles = next(_screen._metric_spans(X, X, budget))
+        _, first, S = next(tiles)
         assert (start, first) == (0, 0)
         assert (stop - start, S.shape[1]) == shape
 
@@ -650,26 +653,27 @@ class TestScoreBlocks:
         probe = LabeledEmbeddingBatch(Z, np.arange(8) % 4)
         view = MemoryView(mem_Z, rng.integers(0, 12, size=300))
         index, ks = RetrievalIndex(G), (1, 2, 4, 8)
-        span_tiles = evaluation._span_tiles
+        span_tiles = _screen._span_tiles
 
         def outputs(rows=None, columns=None):
             def shaped(queries, gallery, span, values, upper=False, within=None):
                 span = span if within else rows
                 return span_tiles(queries, gallery, span, span * columns, upper, within)
             with contextlib.ExitStack() as stack:
-                if rows:
-                    for module in (evaluation, trainer):
-                        stack.enter_context(mock.patch.object(module, "_span_tiles", shaped))
-                    stack.enter_context(mock.patch.object(objective, "_BLOCK_VALUES", rows * 8))
                 if share is not None:
-                    for module in (evaluation, trainer, objective):
-                        stack.enter_context(mock.patch.object(module, "_PER_PAIR_SHARE", share))
+                    stack.enter_context(mock.patch.object(_screen, "_PER_PAIR_SHARE", share))
+                if rows:
+                    stack.enter_context(mock.patch.object(objective, "_BLOCK_VALUES", rows * 8))
+                # The memory term's tiles keep whole anchor rows: its blocks
+                # alone change shape.
+                loss = contrastive_loss(probe, view, 0.3)
+                if rows:
+                    stack.enter_context(mock.patch.object(_screen, "_span_tiles", shaped))
                 recall = [recall_at_k(retrieve(index, G, exclude_self=True), labels, ks),
                           recall_at_k(retrieve(index, Q), q_labels, ks, gallery_labels=labels)]
                 maps = mean_average_precision(retrieve(index, Q), records, evaluation.SPLITS)
                 hist = similarity_histograms(G, labels)
                 negatives = mine_hard_negatives(A, pool, pool_labels, exclude, 2)
-                loss = contrastive_loss(probe, view, 0.3)
             return [np.array([list(r.values()) for r in recall]).tobytes(),
                     np.array([ap for ap, _ in maps.values()]).tobytes(),
                     np.array([q for _, skipped in maps.values() for q in skipped]).tobytes(),
@@ -686,9 +690,9 @@ class TestScoreBlocks:
         # strips of 2 rows, an upper span's tiles are its full block's
         # entries from each row's strip start on, each once.
         X = quantized_unit_rows(np.random.default_rng(91), n, 8, 5)
-        monkeypatch.setattr(evaluation, "_TILE_ROWS", 8)
-        full = [next(tiles) for _, _, tiles in evaluation._span_tiles(X, X, rows, rows * n)]
-        halves = list(evaluation._span_tiles(X, X, rows, rows * n, upper=True))
+        monkeypatch.setattr(_screen, "_TILE_ROWS", 8)
+        full = [next(tiles) for _, _, tiles in _screen._span_tiles(X, X, rows, rows * n)]
+        halves = list(_screen._span_tiles(X, X, rows, rows * n, upper=True))
         assert [span[:2] for span in halves] == [(s, min(s + rows, n)) for s, _, _ in full]
         for (start, _, S), (_, stop, tiles) in zip(full, halves):
             staircase = np.zeros_like(S)
@@ -705,8 +709,8 @@ class TestScoreBlocks:
         # strips of 128 rows, 8,250,496.
         n = 4000
         X = np.zeros((n, 1), dtype=np.float32)
-        sizes = [S.size for _, _, tiles in evaluation._metric_spans(X, X, upper=True)
-                 for _, _, S in tiles]
+        spans = _screen._metric_spans(X, X, evaluation.SCORE_BLOCK_BYTES, upper=True)
+        sizes = [S.size for _, _, tiles in spans for _, _, S in tiles]
         assert n * (n - 1) // 2 < sum(sizes) <= 8_500_000
 
 
@@ -768,7 +772,7 @@ class TestBlockedRecall:
         ks = range(1, 12)
         expected = {k: recall_walk(rankings, labels, labels, k) for k in ks}
         routes = screen_routes(monkeypatch)
-        monkeypatch.setattr(evaluation, "_PER_PAIR_SHARE", 1 / 8)
+        monkeypatch.setattr(_screen, "_PER_PAIR_SHARE", 1 / 8)
         retrieval = retrieve(RetrievalIndex(gallery=G), Q, exclude_self=exclude_self)
         assert retrieval.queries is not retrieval.index.gallery
         with budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", 6, 12):
@@ -870,7 +874,7 @@ class TestSelfScoredRecall:
         ks = range(1, 24)
         expected = {k: recall_walk(rankings, labels, labels, k) for k in ks}
         routes = screen_routes(monkeypatch)
-        monkeypatch.setattr(evaluation, "_PER_PAIR_SHARE", 1 / 8)
+        monkeypatch.setattr(_screen, "_PER_PAIR_SHARE", 1 / 8)
         retrieval = retrieve(RetrievalIndex(gallery=G), G, exclude_self=True)
         with budget_for_rows(evaluation, "SCORE_BLOCK_BYTES", 6, 24):
             assert recall_at_k(retrieval, labels, ks) == expected
@@ -888,8 +892,8 @@ class TestSelfScoredThresholds:
         A = rng.standard_normal((300, d)) * rng.uniform(1e-3, 1e3, size=(300, 1))
         i, j = rng.integers(0, 300, size=(2, 20000))
         for values in (d, 7 * d, 2**16):
-            forward = evaluation._row_dots(A, i, A, j, values)
-            backward = evaluation._row_dots(A, j, A, i, values)
+            forward = _screen._row_dots(A, i, A, j, values)
+            backward = _screen._row_dots(A, j, A, i, values)
             assert_array_equal(forward.view(np.int64), backward.view(np.int64))
 
     @pytest.mark.parametrize("seed", range(8))
@@ -1257,7 +1261,7 @@ class TestTileShapes:
         positive, negative = dense_histograms(G, labels, 8)
         for shape in self.SHAPES:
             with (metric_tiles(*shape) if shape else contextlib.nullcontext()), \
-                    mock.patch.object(evaluation, "_PER_PAIR_SHARE", share):
+                    mock.patch.object(_screen, "_PER_PAIR_SHARE", share):
                 if "loo" in expected:
                     assert recall_at_k(loo, labels, range(1, n)) == expected["loo"], shape
                 if "split" in expected:
@@ -1287,8 +1291,8 @@ class TestTileShapes:
         expected = {k: recall_walk(rankings, labels, labels, k) for k in range(1, 40)}
         positive, negative = dense_histograms(G, labels, 8)
         loo = retrieve(RetrievalIndex(G), G, exclude_self=True)
-        monkeypatch.setattr(evaluation, "_TILE_ROWS", 4 * strip)
-        monkeypatch.setattr(evaluation, "_PER_PAIR_SHARE", share)
+        monkeypatch.setattr(_screen, "_TILE_ROWS", 4 * strip)
+        monkeypatch.setattr(_screen, "_PER_PAIR_SHARE", share)
         for shape in [(7, 5), (16, 3), (10, 40)]:
             with metric_tiles(*shape):
                 assert recall_at_k(loo, labels, range(1, 40)) == expected, shape

@@ -6,6 +6,7 @@ accumulates with math.fsum. Gradient checks use central finite differences
 on batches sampled away from hinge kinks and neighbor ties.
 """
 
+import contextlib
 import math
 import tracemalloc
 from unittest import mock
@@ -29,7 +30,7 @@ from spherekit import (
     contrastive_loss,
     koleo_loss,
 )
-from spherekit import evaluation, objective
+from spherekit import _screen, objective
 from spherekit.errors import ShapeError
 
 from conftest import FD_RTOL, central_diff, rel_err, rows_at_similarity, safe_batch, unit_rows
@@ -312,6 +313,7 @@ def per_pair_memory_reference(Z, labels, beta, mem_Z, mem_labels):
     return positive, negative, grad
 
 
+@contextlib.contextmanager
 def forced_memory_path(float32):
     """Make the loss decide memory pairs on float32 tiles (a share of 1: no
     passes send them on) or on float64 tiles (a share of 0: the first pass
@@ -320,19 +322,19 @@ def forced_memory_path(float32):
     Blocks of one score screen one memory row (the least block of whole
     anchor rows) and one pair dot at a time.
     """
-    return mock.patch.multiple(
-        objective, _PER_PAIR_SHARE=1.0 if float32 else 0.0, _BLOCK_VALUES=1
-    )
+    with mock.patch.object(_screen, "_PER_PAIR_SHARE", 1.0 if float32 else 0.0), \
+            mock.patch.object(objective, "_BLOCK_VALUES", 1):
+        yield
 
 
 def tile_dtypes(monkeypatch):
     """The dtype of each tile the memory term's ``_span_tiles`` yields, in order."""
-    seen, spans = [], objective._span_tiles
+    seen, spans = [], _screen._span_tiles
 
     def spied(*args):
         for start, stop, tiles in spans(*args):
             yield start, stop, (seen.append(tile[2].dtype) or tile for tile in tiles)
-    monkeypatch.setattr(objective, "_span_tiles", spied)
+    monkeypatch.setattr(_screen, "_span_tiles", spied)
     return seen
 
 
@@ -486,7 +488,7 @@ class TestMemoryScreen:
         rng = np.random.default_rng(16)
         Z, mem_Z = unit_rows(rng, 8, 16), unit_rows(rng, 50, 16)
         labels, mem_labels = np.arange(8) % 4, np.arange(50) % 6
-        monkeypatch.setattr(objective, "_PER_PAIR_SHARE", 1.0)
+        monkeypatch.setattr(_screen, "_PER_PAIR_SHARE", 1.0)
         dtypes = tile_dtypes(monkeypatch)
         got = objective._memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z.astype(np.float32),
                                       1.0 + 1e-9, beta)
@@ -507,7 +509,7 @@ class TestMemoryScreen:
         mem_Z[7, 3] = value
         view = MemoryView(mem_Z, 4 + np.arange(m) % 4)
         tiles = []
-        monkeypatch.setattr(objective, "_span_tiles", lambda *a: tiles.append(1) or iter(()))
+        monkeypatch.setattr(_screen, "_span_tiles", lambda *a: tiles.append(1) or iter(()))
         with pytest.raises(NumericalError, match="memory row 7 contains non-finite values"):
             contrastive_loss(batch(Z, np.arange(n) % 4), view, 0.5)
         assert not tiles
@@ -519,7 +521,7 @@ class TestMemoryScreen:
         rng = np.random.default_rng(15)
         view = MemoryView(unit_rows(rng, 50, 16), mem_labels)
         tiles = []
-        monkeypatch.setattr(objective, "_span_tiles", lambda *a: tiles.append(1) or iter(()))
+        monkeypatch.setattr(_screen, "_span_tiles", lambda *a: tiles.append(1) or iter(()))
         with pytest.raises(ShapeError, match="memory labels must be integers"):
             contrastive_loss(batch(unit_rows(rng, 8, 16), np.arange(8) % 4), view, 0.5)
         assert not tiles
@@ -547,7 +549,7 @@ class TestMemoryScreen:
         assert np.any((mem_Z[:, 0] < 0) & (mem_Z @ Z[3] > 0.5))
         labels, mem_labels = np.arange(8) % 3, rng.integers(0, 6, size=400)
         monkeypatch.setattr(objective, "_BLOCK_VALUES", 16 * 8)
-        monkeypatch.setattr(objective, "_PER_PAIR_SHARE", 1.0)
+        monkeypatch.setattr(_screen, "_PER_PAIR_SHARE", 1.0)
         dtypes = tile_dtypes(monkeypatch)
         got = objective._memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z.astype(np.float32),
                                       1.0 + 1e-9, 0.5)
@@ -582,7 +584,7 @@ def full_matrix_memory_pairs(Z, labels, mem_Z, mem_labels, beta):
     the active pairs as (memory rows, anchors), ascending."""
     n, m = len(Z), len(mem_Z)
     mem_rows, anchors = np.divmod(np.arange(m * n), n)
-    sims = evaluation._row_dots(Z, anchors, mem_Z, mem_rows, 2**16).reshape(m, n)
+    sims = _screen._row_dots(Z, anchors, mem_Z, mem_rows, 2**16).reshape(m, n)
     same = mem_labels[:, None] == labels
     active = ~same & (sims > beta)
     return np.flatnonzero(same.any(axis=1)), np.flatnonzero(active.any(axis=1)), np.nonzero(active)
@@ -655,10 +657,10 @@ class TestMemoryPairsFlatScreen:
         mem_Z[16:] = rows_at_similarity(rng, Z[np.arange(16) % n], beta + offsets * width)
         mem_labels = rng.integers(0, 6, size=m)
         monkeypatch.setattr(objective, "_BLOCK_VALUES", 16 * n)
-        monkeypatch.setattr(objective, "_PER_PAIR_SHARE", share)
+        monkeypatch.setattr(_screen, "_PER_PAIR_SHARE", share)
         dtypes = tile_dtypes(monkeypatch)
-        dotted, row_dots = [], objective._row_dots
-        monkeypatch.setattr(objective, "_row_dots",
+        dotted, row_dots = [], _screen._row_dots
+        monkeypatch.setattr(_screen, "_row_dots",
                             lambda *a: dotted.append(a[1].size) or row_dots(*a))
         got = objective._memory_pairs(Z, labels, mem_Z, mem_labels, mem_Z.astype(np.float32),
                                       1.0 + 1e-9, beta)
@@ -707,7 +709,7 @@ class TestMemoryRoutes:
         dtypes = tile_dtypes(monkeypatch)
         outs = []
         for share in (1.0, 0.0):
-            monkeypatch.setattr(objective, "_PER_PAIR_SHARE", share)
+            monkeypatch.setattr(_screen, "_PER_PAIR_SHARE", share)
             dtypes.clear()
             outs.append(contrastive_loss(batch(Z, labels), bank.view(), beta))
             # A share of 0 stops at the first float32 tile.

@@ -43,7 +43,7 @@ from spherekit import (
     split_holdout,
     train_run,
 )
-from spherekit import evaluation, trainer
+from spherekit import _screen, trainer
 from spherekit.config import PoolingSpec
 from spherekit.errors import ShapeError
 from spherekit.trainer import check_tuple_rows
@@ -534,10 +534,10 @@ class TestScreenedMining:
             A, pool_Z = both[:150], both[150:]
         routes = mining_routes(monkeypatch)
         with mining_tiles(64, 256):  # 3 anchor spans x 6 pool spans
-            with mock.patch.object(trainer, "_PER_PAIR_SHARE", 1.0):
+            with mock.patch.object(_screen, "_PER_PAIR_SHARE", 1.0):
                 screened = mine_hard_negatives(A, pool_Z, labels, exclude)
             assert routes == {"screened": 86 if huge else 150, "fallback": 64 if huge else 0}
-            with mock.patch.object(trainer, "_PER_PAIR_SHARE", 0.0):
+            with mock.patch.object(_screen, "_PER_PAIR_SHARE", 0.0):
                 fallback = mine_hard_negatives(A, pool_Z, labels, exclude)
         assert routes == {"screened": 86 if huge else 150, "fallback": 214 if huge else 150}
         assert_array_equal(screened, fallback)
@@ -590,7 +590,7 @@ class TestScreenedMining:
         exclude = np.concatenate([dense[:30], distinct + np.arange(10)])
         both = relabelled(rng, np.concatenate([dense, exclude]), kind)
         labels, exclude_labels = both[:n], both[n:].astype(np.int64)
-        codes = evaluation._label_codes(labels, exclude_labels)
+        codes = _screen._label_codes(labels, exclude_labels)
         dtype = {6: np.uint8, 256: np.uint16, 70_000: np.uint32}[distinct]
         assert [c.dtype for c in codes] == [dtype, dtype]
         got = mine_hard_negatives(A, pool_Z, labels, exclude_labels)
@@ -661,7 +661,7 @@ class TestScreenedMining:
         labels = rng.integers(0, num_labels, size=n)
         exclude = rng.integers(0, num_labels, size=anchors)
         short = [c for c in exclude if np.count_nonzero(labels != c) < k]
-        with mock.patch.object(trainer, "_PER_PAIR_SHARE", share), mining_tiles(*tile):
+        with mock.patch.object(_screen, "_PER_PAIR_SHARE", share), mining_tiles(*tile):
             if short:
                 with pytest.raises(SamplingError, match=f"outside label {short[0]}, "):
                     mine_hard_negatives(A, pool_Z, labels, exclude, k)
