@@ -24,7 +24,7 @@ from .diagnostics import (
     similarity_histograms,
     histogram_overlap,
 )
-from .errors import ConfigError, FormatError, NumericalError, ProtocolError, ToolkitError
+from .errors import ConfigError, FormatError, NumericalError, ProtocolError, ShapeError, ToolkitError
 from .evaluation import (
     QueryGroundTruth,
     RetrievalIndex,
@@ -48,46 +48,30 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spherekit",
         description="Metric learning on the unit sphere: train, evaluate, diagnose.",
     )
+    # Options are spelled in full: argparse would otherwise read a prefix
+    # such as "--mode" as "--model".
     sub = parser.add_subparsers(dest="command", required=True)
 
-    train = sub.add_parser("train", help="run training and write model artifacts")
+    train = sub.add_parser("train", help="run training and write model artifacts",
+                           allow_abbrev=False)
     train.add_argument("--config", required=True, help="run config JSON")
-    train.add_argument("--seed", type=int, default=None, help="override config seed")
-    train.add_argument("--mode", choices=["category", "particular"], default=None,
-                       help="override config mode")
     train.add_argument("--out-dir", default=".", help="artifact directory")
     train.set_defaults(func=cmd_train)
 
-    evaluate = sub.add_parser("eval", help="evaluate a trained head")
+    evaluate = sub.add_parser("eval", help="evaluate a trained head", allow_abbrev=False)
     evaluate.add_argument("--config", required=True, help="run config JSON")
     evaluate.add_argument("--model", required=True, help="trained head JSON")
-    evaluate.add_argument("--gt", default=None, help="ground-truth JSON (particular mode)")
-    evaluate.add_argument("--mode", choices=["category", "particular"], default=None,
-                          help="override config mode")
     evaluate.add_argument("--out-dir", default=".", help="artifact directory")
     evaluate.set_defaults(func=cmd_eval)
 
-    diagnose = sub.add_parser("diagnose", help="embedding-space diagnostics")
+    diagnose = sub.add_parser("diagnose", help="embedding-space diagnostics",
+                              allow_abbrev=False)
     diagnose.add_argument("--model", required=True, help="trained head JSON")
     diagnose.add_argument("--features", required=True, help="feature file to embed")
     diagnose.add_argument("--labels", required=True, help="labels file")
-    diagnose.add_argument("--gamma", action="store_true",
-                          help="also measure gradient-direction noise over a training run")
-    diagnose.add_argument("--config", default=None,
-                          help="run config JSON (required with --gamma)")
     diagnose.add_argument("--out-dir", default=".", help="artifact directory")
     diagnose.set_defaults(func=cmd_diagnose)
     return parser
-
-
-def _load_config(args) -> RunConfig:
-    """``--config`` with ``--seed`` and ``--mode`` applied before its
-    defaults resolve, so an absent margin takes the overriding mode's."""
-    raw = _read_config(args.config)
-    for key in ("seed", "mode"):
-        if getattr(args, key, None) is not None:
-            raw[key] = getattr(args, key)
-    return parse_run_config(raw)
 
 
 def _load_head(path) -> EncoderHead:
@@ -97,7 +81,13 @@ def _load_head(path) -> EncoderHead:
         raise ConfigError(f"cannot read model {path}: {exc}") from exc
     if not isinstance(payload, dict) or "head" not in payload:
         raise ConfigError(f"model {path} lacks a 'head' section")
-    return EncoderHead.from_dict(payload["head"])
+    try:
+        head = EncoderHead.from_dict(payload["head"])
+    except ShapeError as exc:
+        raise ShapeError(f"model {path}: {exc}") from exc
+    if not all(np.isfinite(W).all() and np.isfinite(b).all() for W, b in head.layers):
+        raise ConfigError(f"model {path} holds a non-finite weight")
+    return head
 
 
 def _load_file_dataset(features_path, labels_path) -> LabeledFeatureDataset:
@@ -120,7 +110,7 @@ def _train_split(config: RunConfig):
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args)
+    config = parse_run_config(_read_config(args.config))
     out_dir = Path(args.out_dir)
     dataset, _ = _train_split(config)
     model, trace = train_run(config, dataset)
@@ -161,7 +151,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_datasets(config: RunConfig, gt_path):
+def _eval_datasets(config: RunConfig):
     """Gallery, queries and PCA-fit datasets of an eval, in either mode.
 
     The gallery is the eval files, else the synthetic held-out split or the
@@ -176,8 +166,8 @@ def _eval_datasets(config: RunConfig, gt_path):
             raise ConfigError(
                 "particular-mode evaluation needs file-backed data with queries and ground truth"
             )
-        if gt_path is None:
-            raise ConfigError("particular-mode evaluation needs --gt or data.ground_truth")
+        if data.ground_truth is None:
+            raise ConfigError("particular-mode evaluation needs data.ground_truth")
         if data.eval_features is None or data.eval_labels is None:
             raise ConfigError("particular-mode evaluation needs data.eval_features/eval_labels")
         if data.query_features is None or data.query_labels is None:
@@ -230,11 +220,10 @@ def _eval_descriptors(config: RunConfig, head: EncoderHead, train, *datasets):
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args)
+    config = parse_run_config(_read_config(args.config))
     head = _load_head(args.model)
     out_dir = Path(args.out_dir)
-    gt_path = args.gt if args.gt is not None or config.data is None else config.data.ground_truth
-    gallery, queries, train = _eval_datasets(config, gt_path)
+    gallery, queries, train = _eval_datasets(config)
     datasets = [gallery] if queries is None else [gallery, queries]
     descriptors, pca_block = _eval_descriptors(config, head, train, *datasets)
     index = RetrievalIndex(gallery=descriptors[0])
@@ -254,7 +243,11 @@ def cmd_eval(args) -> int:
         )
         metrics["recall"] = {str(k): v for k, v in recalls.items()}
     else:
-        records = sk_io.read_ground_truth(gt_path, gallery_size=len(gallery))
+        gt_path = config.data.ground_truth
+        try:
+            records = sk_io.read_ground_truth(gt_path, gallery_size=len(gallery))
+        except OverflowError as exc:
+            raise FormatError(f"{gt_path}: an index is out of the int64 range: {exc}") from exc
         last = max(records, default=-1)
         if last >= len(queries):
             raise ProtocolError(
@@ -309,20 +302,6 @@ def cmd_diagnose(args) -> int:
         "histogram_overlap": histogram_overlap(hist),
         "conventions": sk_io.CONVENTIONS,
     }
-    if args.gamma:
-        if args.config is None:
-            raise ConfigError("--gamma needs --config to define the training run")
-        config = _load_config(args)
-        _, trace = train_run(config, _train_split(config)[0])
-        if trace.mean_gamma is None:
-            raise NumericalError("no step yielded usable per-sample gradients")
-        summary["gamma"] = {
-            "gamma": trace.mean_gamma,
-            "num_steps": len(trace.gamma_values),
-            "beta": config.beta,
-            "lambda": config.lam,
-            "steps_skipped": trace.gamma_skipped,
-        }
     sk_io.write_json_atomic(out_dir / "summary.json", summary)
     return 0
 

@@ -327,7 +327,7 @@ class EncoderHead:
                 (np.asarray(layer["w"], dtype=np.float64), np.asarray(layer["b"], dtype=np.float64))
                 for layer in payload["layers"]
             ]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ShapeError(f"malformed head payload: {exc}") from exc
         return cls(layers)
 

@@ -574,10 +574,10 @@ def test_identical_runs_produce_identical_bytes(tmp_path, monkeypatch):
 
     # Identical argv both times, so even the recorded command lines match.
     for tag in ("a", "b"):
-        assert main(["train", "--config", "config.json", "--out", "run"]) == 0
+        assert main(["train", "--config", "config.json", "--out-dir", "run"]) == 0
         (tmp_path / "run").rename(tmp_path / f"run_{tag}")
         assert main(["eval", "--config", "config.json",
-                     "--model", "run_a/head.json", "--out", "ev"]) == 0
+                     "--model", "run_a/head.json", "--out-dir", "ev"]) == 0
         (tmp_path / "ev").rename(tmp_path / f"ev_{tag}")
 
     for name in ("trace.csv", "head.json", "run.json"):

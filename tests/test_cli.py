@@ -207,29 +207,41 @@ class TestTrain:
         assert shared == [True]
         assert outputs[0] == outputs[1]
 
-    def test_seed_override_lands_in_metadata(self, tmp_path):
+    def test_run_json_records_gradient_noise_and_the_recipe(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        write_config(cfg_path)
+        write_config(cfg_path, beta=0.4)
         out = tmp_path / "run"
-        code = main(
-            ["train", "--config", str(cfg_path), "--out-dir", str(out), "--seed", "99"]
-        )
-        assert code == 0
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
         meta = json.loads((out / "run.json").read_text())
-        assert meta["config"]["seed"] == 99
+        assert meta["config"]["beta"] == 0.4
+        assert meta["config"]["lambda"] == 0.7
+        assert meta["trace"]["gamma_steps_measured"] == 3
+        assert meta["trace"]["gamma_steps_skipped"] == 0
+        assert np.isfinite(meta["trace"]["mean_gamma"])
 
-    @pytest.mark.parametrize("beta", [None, 0.4])
-    def test_mode_override_resolves_the_default_margin(self, tmp_path, beta):
-        # An absent beta takes the margin of the mode --mode sets; a given
-        # beta is kept.
+    def test_accepts_eval_features_without_eval_labels(self, tmp_path):
+        # train reads only the training files
+        rng = np.random.default_rng(11)
+        write_features(tmp_path / "X.emb", rng.standard_normal((12, 5)))
+        write_labels(tmp_path / "y.labels", np.repeat([0, 1, 2], 4))
+        cfg = {
+            "mode": "category",
+            "iterations": 2,
+            "seed": 0,
+            "head": {"out_dim": 4},
+            "batch_size": 4,
+            "instances_per_class": 2,
+            "data": {
+                "train_features": str(tmp_path / "X.emb"),
+                "train_labels": str(tmp_path / "y.labels"),
+                "eval_features": str(tmp_path / "X.emb"),
+            },
+        }
         cfg_path = tmp_path / "cfg.json"
-        write_config(cfg_path, **({} if beta is None else {"beta": beta}))
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         out = tmp_path / "run"
-        assert main(["train", "--config", str(cfg_path), "--mode", "particular",
-                     "--out-dir", str(out)]) == 0
-        config = json.loads((out / "run.json").read_text())["config"]
-        assert config["mode"] == "particular"
-        assert config["beta"] == (0.85 if beta is None else beta)
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        assert json.loads((out / "run.json").read_text())["trace"]["gamma_steps_measured"] == 2
 
     def test_degenerate_batch_exits_three(self, tmp_path, capsys):
         v = [1.0, 0.5]
@@ -445,6 +457,27 @@ class TestEval:
         assert "record for query 7" in err and "has 2 queries" in err
         assert not (tmp_path / "eval").exists()
 
+    def test_ground_truth_index_beyond_int64_exits_two_naming_the_file(self, tmp_path, capsys):
+        cfg_path = write_particular_setup(tmp_path, {})
+        gt_path = tmp_path / "gt.json"
+        gt_path.write_text('[{"query_index": 0, "easy": [1, 18446744073709551616],'
+                           ' "hard": [], "junk": []}]', encoding="utf-8")
+        code = main(["eval", "--config", str(cfg_path), "--model", str(tmp_path / "head.json"),
+                     "--out-dir", str(tmp_path / "eval")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {gt_path}: ")
+        assert not (tmp_path / "eval").exists()
+
+    def test_particular_config_without_ground_truth_exits_two(self, tmp_path, capsys):
+        cfg_path = write_particular_setup(tmp_path, {})
+        cfg = json.loads(cfg_path.read_text())
+        del cfg["data"]["ground_truth"]
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        code = main(["eval", "--config", str(cfg_path), "--model", str(tmp_path / "head.json"),
+                     "--out-dir", str(tmp_path / "eval")])
+        assert code == 2
+        assert "data.ground_truth" in capsys.readouterr().err
+
     def test_k_beyond_leave_one_out_depth_exits_two(self, tmp_path, capsys):
         # the held-out class has 5 rows: leave-one-out ranks 4 others
         cfg_path = tmp_path / "cfg.json"
@@ -621,88 +654,31 @@ class TestDiagnose:
         assert 0.0 <= summary["histogram_overlap"] <= 1.0
         assert "gamma" not in summary
 
-    def test_gamma_block(self, tmp_path):
-        rng = np.random.default_rng(9)
-        X = rng.standard_normal((12, 5))
-        write_features(tmp_path / "X.emb", X)
-        write_labels(tmp_path / "y.labels", rng.integers(0, 3, size=12))
-        write_head(tmp_path / "head.json", in_dim=5, out_dim=4)
-        cfg_path = tmp_path / "cfg.json"
-        write_config(cfg_path, beta=0.4)
-        out = tmp_path / "diag"
-        code = main(
-            [
-                "diagnose",
-                "--model", str(tmp_path / "head.json"),
-                "--features", str(tmp_path / "X.emb"),
-                "--labels", str(tmp_path / "y.labels"),
-                "--gamma",
-                "--config", str(cfg_path),
-                "--out-dir", str(out),
-            ]
-        )
-        assert code == 0
-        gamma = json.loads((out / "summary.json").read_text())["gamma"]
-        assert gamma["beta"] == 0.4
-        assert gamma["lambda"] == 0.7
-        assert gamma["num_steps"] == 3
-        assert gamma["steps_skipped"] == 0
-        assert np.isfinite(gamma["gamma"])
-
-    def test_gamma_reads_only_the_training_files(self, tmp_path):
-        # eval_features without eval_labels: train accepts it, so must diagnose
-        rng = np.random.default_rng(11)
-        write_features(tmp_path / "X.emb", rng.standard_normal((12, 5)))
-        write_labels(tmp_path / "y.labels", np.repeat([0, 1, 2], 4))
-        write_head(tmp_path / "head.json", in_dim=5, out_dim=4)
-        cfg = {
-            "mode": "category",
-            "iterations": 2,
-            "seed": 0,
-            "head": {"out_dim": 4},
-            "batch_size": 4,
-            "instances_per_class": 2,
-            "data": {
-                "train_features": str(tmp_path / "X.emb"),
-                "train_labels": str(tmp_path / "y.labels"),
-                "eval_features": str(tmp_path / "X.emb"),
-            },
-        }
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-        assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "run")]) == 0
-        out = tmp_path / "diag"
-        code = main(
-            [
-                "diagnose",
-                "--model", str(tmp_path / "head.json"),
-                "--features", str(tmp_path / "X.emb"),
-                "--labels", str(tmp_path / "y.labels"),
-                "--gamma",
-                "--config", str(cfg_path),
-                "--out-dir", str(out),
-            ]
-        )
-        assert code == 0
-        assert json.loads((out / "summary.json").read_text())["gamma"]["num_steps"] == 2
-
-    def test_gamma_without_config_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("case", ["string", "ragged", "nan"])
+    def test_a_malformed_model_exits_two_naming_it(self, tmp_path, capsys, case):
         rng = np.random.default_rng(10)
         write_features(tmp_path / "X.emb", rng.standard_normal((6, 5)))
-        write_labels(tmp_path / "y.labels", rng.integers(0, 2, size=6))
-        write_head(tmp_path / "head.json", in_dim=5, out_dim=4)
-        code = main(
-            [
-                "diagnose",
-                "--model", str(tmp_path / "head.json"),
-                "--features", str(tmp_path / "X.emb"),
-                "--labels", str(tmp_path / "y.labels"),
-                "--gamma",
-                "--out-dir", str(tmp_path),
-            ]
-        )
-        assert code == 2
-        assert "--config" in capsys.readouterr().err
+        write_labels(tmp_path / "y.labels", np.repeat([0, 1], 3))
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        model = tmp_path / "head.json"
+        write_head(model)
+        payload = json.loads(model.read_text())
+        w = payload["head"]["layers"][0]["w"]
+        if case == "string":
+            w[0][0] = "half"
+        elif case == "ragged":
+            w[0].pop()
+        else:
+            w[0][0] = float("nan")
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        for argv in (["eval", "--config", str(cfg_path)],
+                     ["diagnose", "--features", str(tmp_path / "X.emb"),
+                      "--labels", str(tmp_path / "y.labels")]):
+            out = tmp_path / argv[0]
+            assert main([*argv, "--model", str(model), "--out-dir", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: model {model}")
+            assert not out.exists()
 
 
 def run_cli_with_blas_threads(threads, *args):
@@ -915,20 +891,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["compress"])
 
-    def test_mode_override_changes_eval_protocol(self, tmp_path, capsys):
-        # category config forced to particular mode must demand ground truth
-        cfg_path = tmp_path / "cfg.json"
-        write_config(cfg_path)
-        run_dir = tmp_path / "run"
-        assert main(["train", "--config", str(cfg_path), "--out-dir", str(run_dir)]) == 0
-        code = main(
-            [
-                "eval",
-                "--config", str(cfg_path),
-                "--model", str(run_dir / "head.json"),
-                "--mode", "particular",
-                "--out-dir", str(tmp_path),
-            ]
-        )
-        assert code == 2
-        assert "particular" in capsys.readouterr().err
+    @pytest.mark.parametrize("command, removed", [
+        ("train", ["--seed", "99"]),
+        ("train", ["--mode", "particular"]),
+        ("eval", ["--gt", "gt.json"]),
+        ("eval", ["--mode", "particular"]),
+        ("diagnose", ["--gamma"]),
+        ("diagnose", ["--config", "cfg.json"]),
+    ], ids=["train-seed", "train-mode", "eval-gt", "eval-mode", "diagnose-gamma",
+            "diagnose-config"])
+    def test_removed_options_are_usage_errors(self, capsys, command, removed):
+        # Run settings come from the config file alone.
+        given = {
+            "train": ["--config", "cfg.json"],
+            "eval": ["--config", "cfg.json", "--model", "head.json"],
+            "diagnose": ["--model", "head.json", "--features", "X.emb", "--labels", "y.labels"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *given, *removed])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(removed)}\n" in capsys.readouterr().err
