@@ -270,16 +270,31 @@ def cmd_eval(args) -> int:
 def cmd_diagnose(args) -> int:
     head = _load_head(args.model)
     dataset = _load_file_dataset(args.features, args.labels)
+    counts = np.unique(dataset.labels, return_counts=True)[1]
+    if counts.size == 1 or counts.max() == 1:
+        raise ProtocolError(
+            f"{args.labels}: diagnose needs rows that share a label and rows that do not, but "
+            + ("every row has one label" if counts.size == 1 else "no two rows share a label")
+        )
     out_dir = Path(args.out_dir)
     _, Z = forward(head, dataset.features)
-
+    # Every artifact is computed before the first is written.
     report = pca_energy_report(Z)
+    hist = similarity_histograms(Z, dataset.labels)
+    summary = {
+        "command": "diagnose",
+        "version": __version__,
+        "num_descriptors": len(dataset),
+        "descriptor_dim": int(Z.shape[1]),
+        "components_for": {str(t): k for t, k in report.components_for.items()},
+        "histogram_overlap": histogram_overlap(hist),
+        "conventions": sk_io.CONVENTIONS,
+    }
     sk_io.write_csv_atomic(
         out_dir / "energy.csv",
         ["component_index", "cumulative_energy"],
         [(i + 1, v) for i, v in enumerate(report.cumulative)],
     )
-    hist = similarity_histograms(Z, dataset.labels)
     sk_io.write_csv_atomic(
         out_dir / "hist.csv",
         ["bin_left", "bin_right", "positive_count", "negative_count"],
@@ -293,15 +308,6 @@ def cmd_diagnose(args) -> int:
             for i in range(hist.num_bins)
         ],
     )
-    summary = {
-        "command": "diagnose",
-        "version": __version__,
-        "num_descriptors": len(dataset),
-        "descriptor_dim": int(Z.shape[1]),
-        "components_for": {str(t): k for t, k in report.components_for.items()},
-        "histogram_overlap": histogram_overlap(hist),
-        "conventions": sk_io.CONVENTIONS,
-    }
     sk_io.write_json_atomic(out_dir / "summary.json", summary)
     return 0
 

@@ -60,7 +60,7 @@ from .errors import (
     NumericalError,
     ShapeError,
 )
-from .geometry import _check_unit_norms
+from .geometry import _check_unit_norms, _row_norms
 
 if TYPE_CHECKING:  # avoids a runtime import cycle with .memory
     from .memory import MemoryView
@@ -396,11 +396,7 @@ def backprop_through_normalization_rows(E, grad_Z) -> np.ndarray:
     grad_Z = np.asarray(grad_Z, dtype=np.float64)
     if E.shape != grad_Z.shape or E.ndim != 2:
         raise ShapeError(f"mismatched shapes {E.shape} vs {grad_Z.shape}")
-    norms = np.linalg.norm(E, axis=1)
-    bad = ~np.isfinite(norms) | (norms == 0.0)
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise NormalizationError(f"row {i} has norm {norms[i]!r}")
+    norms = _row_norms(E)
     Z = E / norms[:, None]
     radial = np.sum(Z * grad_Z, axis=1, keepdims=True)
     return (grad_Z - radial * Z) / norms[:, None]

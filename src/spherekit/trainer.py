@@ -24,9 +24,10 @@ rule in two precisions: float32 tiles, and float64 tiles where a span of
 anchors cannot be screened in float32. Either way an anchor's negatives are
 its top k by float64 row dot, ties to the lower pool index (mining draws no
 random numbers, so the draws are those of mining each pair as it is drawn).
-Tuples are rows of dataset indices (anchor, positive, five negatives),
-checked as arrays and flattened (five tuples per batch) into labeled batches
-that reuse the same step above. The per-epoch pair and candidate budgets
+Tuples are rows of dataset indices (anchor, positive, five negatives), seven
+distinct rows by construction, flattened five tuples to a batch. Both modes
+hand a step the dataset indices of its batch, and the step gathers their
+feature rows and labels. The per-epoch pair and candidate budgets
 (2000 and 22000 at full scale) shrink proportionally with
 ``particular_scale``.
 """
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -73,7 +75,6 @@ __all__ = [
     "CANDIDATES_PER_EPOCH_FULL",
     "MINING_BLOCK_BYTES",
     "LabeledFeatureDataset",
-    "LabeledFeatureBatch",
     "TupleSample",
     "EncoderHead",
     "OptimizerState",
@@ -85,7 +86,6 @@ __all__ = [
     "adamw_step",
     "sample_category_batch",
     "mine_hard_negatives",
-    "check_tuple_rows",
     "make_synthetic",
     "make_synthetic_grids",
     "build_synthetic_dataset",
@@ -166,17 +166,8 @@ class LabeledFeatureDataset:
         return self._class_table[0]
 
 
-@dataclass(frozen=True)
-class LabeledFeatureBatch:
-    """One sampled batch: feature rows, labels, and their dataset indices."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    indices: np.ndarray
-
-
-# Training builds tuples as index rows (see check_tuple_rows) and no longer
-# constructs this class; it stays because the benchmark's tracer patches
+# Training builds tuples as rows of dataset indices (``_run_particular``) and no
+# longer constructs this class; it stays because the benchmark's tracer patches
 # ``TupleSample.__init__`` by name.
 @dataclass(frozen=True)
 class TupleSample:
@@ -322,12 +313,17 @@ class EncoderHead:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EncoderHead":
+        """The head of a ``to_dict`` payload; ShapeError unless each weight
+        is a JSON number (``np.asarray`` alone would read ``"0.5"`` and
+        ``true`` as numbers)."""
         try:
-            layers = [
-                (np.asarray(layer["w"], dtype=np.float64), np.asarray(layer["b"], dtype=np.float64))
-                for layer in payload["layers"]
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
+            pairs = [(layer["w"], layer["b"]) for layer in payload["layers"]]
+            other = set().union(*(map(type, chain(*W, b)) for W, b in pairs)) - {int, float}
+            if other:
+                raise ValueError(f"a weight is a {other.pop().__name__}, not a number")
+            layers = [(np.asarray(W, dtype=np.float64), np.asarray(b, dtype=np.float64))
+                      for W, b in pairs]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ShapeError(f"malformed head payload: {exc}") from exc
         return cls(layers)
 
@@ -425,8 +421,9 @@ def sample_category_batch(
     batch_size: int,
     instances_per_class: int,
     rng: np.random.Generator,
-) -> LabeledFeatureBatch:
-    """Class-balanced sampling: distinct classes, distinct rows per class.
+) -> np.ndarray:
+    """Class-balanced sampling: the int64 dataset indices of distinct
+    classes' distinct rows, class by class.
 
     Guarantees every anchor has at least one in-batch positive (needs
     instances_per_class >= 2). Classes with fewer rows than requested are
@@ -453,12 +450,7 @@ def sample_category_batch(
     parts = []
     for c in chosen:
         parts.append(rng.choice(by_class[int(c)], size=instances_per_class, replace=False))
-    indices = np.concatenate(parts)
-    return LabeledFeatureBatch(
-        features=dataset.features[indices],
-        labels=dataset.labels[indices],
-        indices=indices,
-    )
+    return np.concatenate(parts)
 
 
 class _SpanScreen:
@@ -658,29 +650,6 @@ def mine_hard_negatives(
     return np.concatenate([np.empty((0, k), dtype=np.int64), *tops])
 
 
-def check_tuple_rows(rows: np.ndarray, labels: np.ndarray) -> None:
-    """Validate tuples given as rows of dataset indices.
-
-    Each row is (anchor, positive, negatives...). Raises SamplingError when an
-    anchor equals its positive, a row repeats a negative, or a negative
-    carries its anchor's label.
-    """
-    bad = np.flatnonzero(rows[:, 0] == rows[:, 1])
-    if bad.size:
-        raise SamplingError(
-            f"tuple {bad[0]}: anchor and positive are the same sample {rows[bad[0], 0]}"
-        )
-    negatives = np.sort(rows[:, 2:], axis=1)
-    bad = np.flatnonzero(np.any(negatives[:, 1:] == negatives[:, :-1], axis=1))
-    if bad.size:
-        raise SamplingError(f"tuple {bad[0]}: negatives must be distinct samples")
-    bad = np.flatnonzero(np.any(labels[rows[:, 2:]] == labels[rows[:, :1]], axis=1))
-    if bad.size:
-        raise SamplingError(
-            f"tuple {bad[0]}: a negative carries the anchor's label {labels[rows[bad[0], 0]]}"
-        )
-
-
 def make_synthetic(spec: SyntheticSpec) -> LabeledFeatureDataset:
     """Gaussian blobs around unit-sphere class means (flat feature vectors)."""
     if spec.tokens_per_image != 0:
@@ -843,9 +812,12 @@ class _RunState:
         self.trace = MetricTrace()
         self.step = 0
 
-    def optimize_batch(self, features: np.ndarray, labels: np.ndarray) -> None:
+    def optimize_batch(self, indices: np.ndarray) -> None:
+        """One step on the dataset rows ``indices``."""
         config = self.config
         step = self.step
+        features = self.dataset.features[indices]
+        labels = self.dataset.labels[indices]
         E, cache = self.head.apply(features)
         try:
             Z = normalize_rows(E)
@@ -915,10 +887,9 @@ class _RunState:
 def _run_category(state: _RunState) -> None:
     config = state.config
     for _ in range(config.iterations):
-        batch = sample_category_batch(
+        state.optimize_batch(sample_category_batch(
             state.dataset, config.batch_size, config.instances_per_class, state.rng
-        )
-        state.optimize_batch(batch.features, batch.labels)
+        ))
 
 
 def _run_particular(state: _RunState) -> None:
@@ -948,14 +919,12 @@ def _run_particular(state: _RunState) -> None:
             Z_all[rows[:, 0]], Z_all[candidates], dataset.labels[candidates], pair_labels
         )
         rows[:, 2:] = candidates[local]
-        check_tuple_rows(rows, dataset.labels)
         for start in range(0, pairs_per_epoch, TUPLES_PER_BATCH):
             idx = rows[start : start + TUPLES_PER_BATCH].ravel()
             # Two tuples may mine the same sample; duplicates would make the
             # batch degenerate for the entropy term, so keep first occurrences.
             first = np.sort(np.unique(idx, return_index=True)[1])
-            idx = idx[first]
-            state.optimize_batch(dataset.features[idx], dataset.labels[idx])
+            state.optimize_batch(idx[first])
 
 
 def train_run(

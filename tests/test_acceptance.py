@@ -678,12 +678,12 @@ def test_zero_capacity_matches_memoryless_loop_bitwise():
     )
     expected = []
     for _ in range(config.iterations):
-        batch = sample_category_batch(
+        idx = sample_category_batch(
             dataset, config.batch_size, config.instances_per_class, rng
         )
-        E, cache = head.apply(batch.features)
+        E, cache = head.apply(dataset.features[idx])
         Z = normalize_rows(E)
-        emb = LabeledEmbeddingBatch(Z, batch.labels, validate=False)
+        emb = LabeledEmbeddingBatch(Z, dataset.labels[idx], validate=False)
         out = combined_loss(emb, None, ContrastiveConfig(config.beta, config.lam))
         expected.append(out.value)
         grad_E = backprop_through_normalization_rows(E, out.grad)
@@ -730,11 +730,11 @@ def test_memory_and_momentum_run_matches_reference_loop_bitwise():
     track = MomentumTrack(head.params(), config.momentum_m)
     expected = []
     for step in range(config.iterations):
-        batch = sample_category_batch(
+        idx = sample_category_batch(
             dataset, config.batch_size, config.instances_per_class, rng
         )
-        E, cache = head.apply(batch.features)
-        emb = LabeledEmbeddingBatch(normalize_rows(E), batch.labels, validate=False)
+        E, cache = head.apply(dataset.features[idx])
+        emb = LabeledEmbeddingBatch(normalize_rows(E), dataset.labels[idx], validate=False)
         out = combined_loss(emb, bank.view(), loss_config)
         terms = out.term_breakdown
         expected.append(
@@ -743,9 +743,9 @@ def test_memory_and_momentum_run_matches_reference_loop_bitwise():
         grad_E = backprop_through_normalization_rows(E, out.grad)
         adamw_step(head.params(), head.backward(cache, grad_E), opt)
         track.update(head.params())
-        E_mem, _ = EncoderHead.from_params(track.shadow).apply(batch.features)
+        E_mem, _ = EncoderHead.from_params(track.shadow).apply(dataset.features[idx])
         bank.enqueue(
-            LabeledEmbeddingBatch(normalize_rows(E_mem), batch.labels, validate=False)
+            LabeledEmbeddingBatch(normalize_rows(E_mem), dataset.labels[idx], validate=False)
         )
     # 240 rows went through a 15-row ring, so it filled and wrapped many times.
     assert len(bank) == bank.capacity

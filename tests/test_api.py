@@ -46,7 +46,11 @@ def source_tree(module):
     return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("name", ["objective", "trainer", "diagnostics", "memory"])
+# ``io`` is left out: its ground-truth reader shares ``evaluation._name_repeat``
+# with ``QueryGroundTruth``, so a file and a hand-built record name a repeated
+# index alike.
+@pytest.mark.parametrize("name", ["objective", "trainer", "diagnostics", "memory", "cli",
+                                  "config", "geometry"])
 def test_no_private_name_of_evaluation_is_reached(name):
     tree = source_tree(importlib.import_module(f"spherekit.{name}"))
     aliases = {"evaluation"}  # the names the evaluation module is bound to

@@ -654,7 +654,24 @@ class TestDiagnose:
         assert 0.0 <= summary["histogram_overlap"] <= 1.0
         assert "gamma" not in summary
 
-    @pytest.mark.parametrize("case", ["string", "ragged", "nan"])
+    @pytest.mark.parametrize("labels, why", [(np.zeros(40), "every row has one label"),
+                                             (np.arange(40), "no two rows share a label")],
+                             ids=["one-label", "all-distinct"])
+    def test_a_gallery_without_both_kinds_of_pair_exits_two(self, tmp_path, capsys, labels,
+                                                             why):
+        write_features(tmp_path / "X.emb", np.random.default_rng(11).standard_normal((40, 5)))
+        write_labels(tmp_path / "y.labels", labels.astype(np.int64))
+        write_head(tmp_path / "head.json")
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--model", str(tmp_path / "head.json"),
+                     "--features", str(tmp_path / "X.emb"),
+                     "--labels", str(tmp_path / "y.labels"), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'y.labels'}: ") and why in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["string", "numeric-string", "boolean", "huge-integer",
+                                      "ragged", "nan"])
     def test_a_malformed_model_exits_two_naming_it(self, tmp_path, capsys, case):
         rng = np.random.default_rng(10)
         write_features(tmp_path / "X.emb", rng.standard_normal((6, 5)))
@@ -667,6 +684,12 @@ class TestDiagnose:
         w = payload["head"]["layers"][0]["w"]
         if case == "string":
             w[0][0] = "half"
+        elif case == "numeric-string":
+            w[0][0] = "0.5"
+        elif case == "boolean":
+            w[0][0] = True
+        elif case == "huge-integer":
+            w[0][0] = 10**400  # a JSON number that no float64 holds
         elif case == "ragged":
             w[0].pop()
         else:

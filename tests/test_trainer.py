@@ -46,7 +46,6 @@ from spherekit import (
 from spherekit import _screen, trainer
 from spherekit.config import PoolingSpec
 from spherekit.errors import ShapeError
-from spherekit.trainer import check_tuple_rows
 
 from conftest import (
     budget_for_rows,
@@ -280,28 +279,26 @@ class TestCategorySampler:
     def test_batch_structure(self):
         ds = tiny_dataset()
         rng = np.random.default_rng(37)
-        batch = sample_category_batch(ds, batch_size=8, instances_per_class=4, rng=rng)
-        assert batch.features.shape == (8, ds.features.shape[1])
-        assert_array_equal(batch.features, ds.features[batch.indices])
-        assert_array_equal(batch.labels, ds.labels[batch.indices])
-        classes, counts = np.unique(batch.labels, return_counts=True)
+        idx = sample_category_batch(ds, batch_size=8, instances_per_class=4, rng=rng)
+        assert idx.shape == (8,) and idx.dtype == np.int64
+        classes, counts = np.unique(ds.labels[idx], return_counts=True)
         assert len(classes) == 2
         assert_array_equal(counts, [4, 4])
-        assert len(np.unique(batch.indices)) == 8  # no replacement
+        assert len(np.unique(idx)) == 8  # no replacement
 
     def test_deterministic_given_rng(self):
         ds = tiny_dataset()
         a = sample_category_batch(ds, 8, 4, np.random.default_rng(123))
         b = sample_category_batch(ds, 8, 4, np.random.default_rng(123))
-        assert_array_equal(a.indices, b.indices)
+        assert_array_equal(a, b)
 
     def test_all_classes_reachable(self):
         ds = tiny_dataset(num_classes=5)
         rng = np.random.default_rng(38)
         seen = set()
         for _ in range(40):
-            batch = sample_category_batch(ds, 4, 2, rng)
-            seen.update(int(c) for c in np.unique(batch.labels))
+            idx = sample_category_batch(ds, 4, 2, rng)
+            seen.update(int(c) for c in np.unique(ds.labels[idx]))
         assert seen == set(range(5))
 
     def test_indivisible_batch_raises(self):
@@ -336,13 +333,13 @@ class TestCategorySampler:
         ds = LabeledFeatureDataset(rng.standard_normal((labels.size, 3)), labels)
         ours, ref = np.random.default_rng(41), np.random.default_rng(41)
         for _ in range(20):
-            batch = sample_category_batch(ds, 9, 3, ours)
+            idx = sample_category_batch(ds, 9, 3, ours)
             eligible = [c for c in np.unique(labels) if np.sum(labels == c) >= 3]
             chosen = ref.choice(np.asarray(eligible, dtype=np.int64), size=3, replace=False)
             expected = np.concatenate(
                 [ref.choice(np.flatnonzero(labels == c), size=3, replace=False) for c in chosen]
             )
-            assert_array_equal(batch.indices, expected)
+            assert_array_equal(idx, expected)
 
 
 def sort_oracle(anchors, pool_Z, labels, exclude_labels, k, row_dots=False):
@@ -674,25 +671,6 @@ class TestScreenedMining:
                 got = mine_hard_negatives(A, pool_Z, labels, exclude, k)
         assert screened == {np.float32 if share else np.float64: anchors}
         assert_array_equal(got, sort_oracle(A, pool_Z, labels, exclude, k))
-
-
-class TestTupleRows:
-    labels = np.array([0, 0, 1, 1, 2, 2, 3, 3])
-
-    def test_valid_rows_pass(self):
-        check_tuple_rows(np.array([[0, 1, 2, 4, 6], [3, 2, 0, 1, 5]]), self.labels)
-
-    def test_anchor_equal_to_positive_raises(self):
-        with pytest.raises(SamplingError, match="tuple 1: anchor and positive"):
-            check_tuple_rows(np.array([[0, 1, 2, 4, 6], [3, 3, 0, 1, 5]]), self.labels)
-
-    def test_repeated_negative_raises(self):
-        with pytest.raises(SamplingError, match="tuple 0: negatives must be distinct"):
-            check_tuple_rows(np.array([[0, 1, 4, 2, 4], [3, 2, 0, 1, 5]]), self.labels)
-
-    def test_negative_with_anchor_label_raises(self):
-        with pytest.raises(SamplingError, match="tuple 1: a negative carries the anchor's"):
-            check_tuple_rows(np.array([[0, 1, 2, 4, 6], [3, 2, 0, 2, 5]]), self.labels)
 
 
 class TestSyntheticData:
